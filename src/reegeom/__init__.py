@@ -76,4 +76,4 @@ from .revmap import (
 )
 from .spectra import ZParallelState, eigensystem, min_pt_branch, pt_eigensystem
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import click
 import numpy as np
 
-from . import __version__, css, geometry, revmap, spectra
+from . import __version__, css, geometry, revmap
 from .errors import InvalidState, NotSolvableFamily
 from .qstate import (
     BELL_STATES,
@@ -58,20 +56,17 @@ def _write_manifest(manifest: RunManifest):
             fh.write("\n")
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("REE_GEOM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _fmt(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in JSON input")
+
+
 def load_state(path: str) -> np.ndarray:
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, parse_constant=_reject_constant)
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != (4, 4) or im.shape != (4, 4):
@@ -148,7 +143,7 @@ def reconstruct(pauli, out):
     """Rebuild the density matrix from a decompose output file."""
     try:
         with open(pauli) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_reject_constant)
         rho = from_pauli(PauliForm(np.asarray(obj["r"], float),
                                    np.asarray(obj["s"], float),
                                    np.asarray(obj["g"], float)))
@@ -239,36 +234,16 @@ def surface(body, r_, s_, n, tol, out):
         _fail(EXIT_INPUT_ERROR, "|r| and |s| must be at most 1")
     if n < 2:
         _fail(EXIT_INPUT_ERROR, "grid size must be at least 2")
-    workers = _thread_count()
-    axis = np.linspace(-1.0, 1.0, n)
-    boundary = (spectra.boundary_state_body if body == "T"
-                else spectra.boundary_separable_body)
-
-    def row(q1):
-        outrows = []
-        for q2 in axis:
-            for q3, sheet in boundary(r_, s_, q1, q2):
-                z = spectra.ZParallelState(r_, s_, q1, q2, q3)
-                if spectra.min_branch(z) < -tol:
-                    continue
-                outrows.append((q1, q2, q3, sheet))
-        return outrows
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = [pt for chunk in pool.map(row, axis) for pt in chunk]
-    else:
-        rows = [pt for q1 in axis for pt in row(q1)]
-
+    mesh = geometry.surface_mesh(body, r_, s_, n, psd_tol=tol)
     with open(out, "w") as fh:
         fh.write("q1,q2,q3,sheet\n")
-        for q1, q2, q3, sheet in rows:
+        for (q1, q2, q3), sheet in zip(mesh.points, mesh.sheets):
             fh.write(f"{_fmt(q1)},{_fmt(q2)},{_fmt(q3)},{sheet}\n")
     _write_manifest(RunManifest("surface", inputs=[],
                                 flags={"body": body, "r": r_, "s": s_,
                                        "n": n, "tol": tol},
                                 outputs=[out]))
-    click.echo(f"wrote {len(rows)} mesh points to {out}")
+    click.echo(f"wrote {len(mesh.sheets)} mesh points to {out}")
 
 
 @main.command()

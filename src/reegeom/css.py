@@ -19,13 +19,13 @@ import numpy as np
 from . import geometry
 from .qstate import (
     BELL_STATES,
+    SIGNED_PERMUTATION_FRAMES,
     DiagonalPauliForm,
     LocalUnitary,
     bell_diagonal,
     canonicalize,
     from_diagonal_pauli,
     min_pt_eigenvalue,
-    signed_permutation_frames,
     su2_from_rotation,
     to_pauli,
     validate_density_matrix,
@@ -79,28 +79,28 @@ def _match_templates(dpf: DiagonalPauliForm, tol: float = CLASSIFY_TOL):
     if np.linalg.norm(dpf.r) <= tol and np.linalg.norm(dpf.s) <= tol:
         return FamilyTag(FamilyKind.BELL_DIAGONAL), eye, eye
 
-    for pa, pb in signed_permutation_frames():
-        r2, s2 = pa @ dpf.r, pb @ dpf.s
-        q2 = np.diag(pa @ np.diag(dpf.q) @ pb.T)
-        if max(abs(r2[0]), abs(r2[1]), abs(s2[0]), abs(s2[1])) > tol:
-            continue
-        if abs(q2[0] + q2[1]) > tol:
-            continue
-        l1 = q2[0]
-        if l1 < -tol:
-            continue
-        if abs(r2[2] - s2[2]) <= tol and abs(q2[2] - 1.0) <= tol:
-            w = (r2[2] + s2[2]) / 2
-            l2, l3 = (1 - l1 + w) / 2, (1 - l1 - w) / 2
-            if l2 >= -tol and l3 >= -tol:
-                lam = _clip_weights(l1, l2, l3)
-                return FamilyTag(FamilyKind.GENERALIZED_VP, lam), pa, pb
-        if abs(r2[2] + s2[2]) <= tol and abs(q2[2] - (2 * q2[0] - 1)) <= tol:
-            w = (r2[2] - s2[2]) / 2
-            l2, l3 = (1 - l1 + w) / 2, (1 - l1 - w) / 2
-            if l2 >= -tol and l3 >= -tol:
-                lam = _clip_weights(l1, l2, l3)
-                return FamilyTag(FamilyKind.GENERALIZED_HORODECKI, lam), pa, pb
+    # all frames at once, one row each; the first frame passing a test wins
+    pa, pb = SIGNED_PERMUTATION_FRAMES[:, 0], SIGNED_PERMUTATION_FRAMES[:, 1]
+    r2, s2 = pa @ dpf.r, pb @ dpf.s
+    q2 = np.einsum("nij,j,nij->ni", pa, dpf.q, pb)  # diag(P_A diag(q) P_B^T)
+    l1 = q2[:, 0]
+    axial = ((np.abs(np.hstack([r2[:, :2], s2[:, :2]])).max(axis=1) <= tol)
+             & (np.abs(l1 + q2[:, 1]) <= tol) & (l1 >= -tol))
+    # w sets l2, l3 = (1 - l1 +- w) / 2, and the smaller must be >= -tol
+    w_vp, w_h = (r2[:, 2] + s2[:, 2]) / 2, (r2[:, 2] - s2[:, 2]) / 2
+    vp = (axial & (np.abs(r2[:, 2] - s2[:, 2]) <= tol)
+          & (np.abs(q2[:, 2] - 1.0) <= tol)
+          & ((1 - l1 - np.abs(w_vp)) / 2 >= -tol))
+    h = (axial & (np.abs(r2[:, 2] + s2[:, 2]) <= tol)
+         & (np.abs(q2[:, 2] - (2 * l1 - 1)) <= tol)
+         & ((1 - l1 - np.abs(w_h)) / 2 >= -tol))
+    hits = np.flatnonzero(vp | h)
+    if hits.size:
+        n = hits[0]
+        kind, w = ((FamilyKind.GENERALIZED_VP, w_vp[n]) if vp[n]
+                   else (FamilyKind.GENERALIZED_HORODECKI, w_h[n]))
+        lam = _clip_weights(l1[n], (1 - l1[n] + w) / 2, (1 - l1[n] - w) / 2)
+        return FamilyTag(kind, lam), pa[n], pb[n]
     return FamilyTag(FamilyKind.OTHER), eye, eye
 
 

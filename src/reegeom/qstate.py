@@ -7,12 +7,12 @@ Basis order everywhere is |00>, |01>, |10>, |11>.  All functions are pure.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import DegenerateFrame, InvalidState
 
@@ -25,6 +25,10 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SX, SY, SZ)
+
+# Row 4a + b is sigma_a (x) sigma_b flattened row-major, with sigma_0 = I.
+PAULI_BASIS = np.array([np.kron(a, b).ravel()
+                        for a in (I2, *PAULI) for b in (I2, *PAULI)])
 
 # |beta_1..4| = (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), normalized
 BELL_VECTORS = np.array(
@@ -88,6 +92,8 @@ def validate_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL) -> None:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState("shape 4x4", float(np.prod(rho.shape)))
+    if not np.isfinite(rho).all():
+        raise InvalidState("finite entries", float(np.sum(~np.isfinite(rho))))
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > HERMITICITY_TOL:
         raise InvalidState("Hermiticity", herm)
@@ -117,26 +123,18 @@ def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
 
 def to_pauli(rho: np.ndarray) -> PauliForm:
     """Bloch vectors r, s and correlation tensor g_ij = tr(rho sigma_i x sigma_j)."""
-    rho = np.asarray(rho, dtype=complex)
-    rho_a = partial_trace(rho, 0)
-    rho_b = partial_trace(rho, 1)
-    r = np.array([np.trace(rho_a @ p).real for p in PAULI])
-    s = np.array([np.trace(rho_b @ p).real for p in PAULI])
-    g = np.array(
-        [[np.trace(rho @ np.kron(pi, pj)).real for pj in PAULI] for pi in PAULI]
-    )
-    return PauliForm(r, s, g)
+    # tr(rho M) = sum_kl rho_kl conj(M_kl) for Hermitian M
+    c = (PAULI_BASIS.conj() @ np.asarray(rho, dtype=complex).reshape(16)).real
+    c = c.reshape(4, 4)
+    return PauliForm(c[1:, 0], c[0, 1:], c[1:, 1:])
 
 
 def from_pauli(p: PauliForm) -> np.ndarray:
     """Reconstruct the 4x4 matrix; Hermitian and unit trace, not necessarily PSD."""
-    m = np.kron(I2, I2).astype(complex)
-    for i in range(3):
-        m += p.r[i] * np.kron(PAULI[i], I2)
-        m += p.s[i] * np.kron(I2, PAULI[i])
-        for j in range(3):
-            m += p.g[i, j] * np.kron(PAULI[i], PAULI[j])
-    return m / 4.0
+    c = np.empty((4, 4))
+    c[0, 0] = 1.0
+    c[1:, 0], c[0, 1:], c[1:, 1:] = p.r, p.s, p.g
+    return (c.reshape(16) @ PAULI_BASIS).reshape(4, 4) / 4.0
 
 
 def from_diagonal_pauli(r, s, q) -> np.ndarray:
@@ -180,9 +178,27 @@ def concurrence(rho: np.ndarray) -> float:
 
 
 def su2_from_rotation(rot: np.ndarray) -> np.ndarray:
-    """Lift an SO(3) matrix R to U in SU(2) with U (v.sigma) U^dag = (Rv).sigma."""
-    x, y, z, w = Rotation.from_matrix(rot).as_quat()
-    return w * I2 - 1j * (x * SX + y * SY + z * SZ)
+    """Lift an SO(3) matrix R to U in SU(2) with U (v.sigma) U^dag = (Rv).sigma.
+
+    The quaternion (x, y, z, w) is built from the largest of R's diagonal and
+    trace (Shepperd, J. Guidance & Control 1, 223 (1978)), with the branch
+    order and sign of scipy's Rotation.from_matrix(R).as_quat().
+    """
+    m = np.asarray(rot, dtype=float).tolist()
+    d = [m[0][0], m[1][1], m[2][2], m[0][0] + m[1][1] + m[2][2]]
+    i = d.index(max(d))
+    if i == 3:
+        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + d[3]]
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q = [0.0] * 4
+        q[i] = 1 - d[3] + 2 * m[i][i]
+        q[j] = m[j][i] + m[i][j]
+        q[k] = m[k][i] + m[i][k]
+        q[3] = m[k][j] - m[j][k]
+    norm = math.sqrt(sum(v * v for v in q))
+    x, y, z, w = (v / norm for v in q)
+    return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
 
 
 def rotation_from_su2(u: np.ndarray) -> np.ndarray:
@@ -219,6 +235,11 @@ def signed_permutation_frames():
                 if np.prod(d2) * det_p < 0:
                     continue
                 yield _signed_permutation(perm, d1), _signed_permutation(perm, d2)
+
+
+# (P_A, P_B) stacked to shape (96, 2, 3, 3), built once for css._match_templates
+SIGNED_PERMUTATION_FRAMES = np.array(list(signed_permutation_frames()))
+SIGNED_PERMUTATION_FRAMES.flags.writeable = False
 
 
 def canonicalize(rho: np.ndarray, degeneracy_tol: float = 1e-8):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NotSolvableFamily
 from .qstate import validate_density_matrix
@@ -157,6 +156,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     seeded restarts.  `converged` requires the best value to be reproduced
     by at least three restarts within 1e-3.
     """
+    from scipy.optimize import minimize  # keeps scipy out of `import reegeom`
     if cfg is None:
         cfg = OracleConfig()
     validate_density_matrix(rho)
@@ -224,10 +224,13 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     d/de S(rho||(1-e) css + e sigma') at e = 0+, by two-step finite
     differences with Richardson extrapolation.  Product states are the
     extreme points of the separable set, so sampling them suffices.
-    A true minimizer gives a nonnegative result (up to ~1e-8).
+    A true minimizer gives a nonnegative result (up to ~1e-8); a css at
+    S(rho||css) = inf gives -inf.
     """
     rng = np.random.default_rng(seed)
     s0 = relative_entropy(rho, css)
+    if math.isinf(s0):
+        return -math.inf  # no state at infinite relative entropy is a minimizer
     e1, e2 = eps
     best = math.inf
     for _ in range(n_directions):

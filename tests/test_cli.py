@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from reegeom import cli, css, qstate
+import reegeom
+from reegeom import cli, css, geometry, qstate
 
 from conftest import random_density_matrix
 
@@ -53,6 +58,35 @@ class TestDecompose:
         assert runner.invoke(cli.main, ["reconstruct", str(pauli),
                                         "--out", str(back)]).exit_code == 0
         assert np.max(np.abs(cli.load_state(str(back)) - rho)) < 1e-12
+
+
+class TestNonFiniteInput:
+    def test_css_nan_file_exit_2(self, runner, tmp_path):
+        text = json.dumps(cli.matrix_json(np.eye(4) / 4)).replace("0.25", "NaN", 1)
+        p = tmp_path / "nan.json"
+        p.write_text(text)
+        res = runner.invoke(cli.main, ["css", str(p)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_reconstruct_non_finite_exit_2(self, runner, tmp_path, constant):
+        p = tmp_path / "pauli.json"
+        p.write_text('{"r": [0, 0, %s], "s": [0, 0, 0], '
+                     '"g": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}' % constant)
+        res = runner.invoke(cli.main, ["reconstruct", str(p)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(reegeom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, reegeom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestCss:
@@ -109,6 +143,18 @@ class TestSurface:
         runner.invoke(cli.main, args + ["--out", str(a)])
         runner.invoke(cli.main, args + ["--out", str(b)])
         assert open(a).read() == open(b).read()
+
+    @pytest.mark.parametrize("body", ["T", "L"])
+    def test_rows_are_surface_mesh(self, runner, tmp_path, body):
+        out = tmp_path / "mesh.csv"
+        res = runner.invoke(cli.main, ["surface", "--body", body, "--r", "0.3",
+                                       "--s", "-0.2", "--n", "12", "--out", str(out)])
+        assert res.exit_code == 0
+        mesh = geometry.surface_mesh(body, 0.3, -0.2, 12)
+        want = [",".join(["%.17g" % x for x in pt] + [sheet])
+                for pt, sheet in zip(mesh.points, mesh.sheets)]
+        assert len(want) > 0
+        assert open(out).read().splitlines()[1:] == want
 
     def test_bad_flags_exit_2(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["surface", "--body", "T", "--r", "2",

@@ -1,9 +1,12 @@
 import math
+import warnings
+
 import numpy as np
 import pytest
 
 from reegeom import css, qstate
-from reegeom.css import FamilyKind
+from reegeom.css import FamilyKind, FamilyTag
+from reegeom.errors import InvalidState
 from reegeom.ree import relative_entropy
 
 from conftest import random_density_matrix, random_unitary
@@ -12,6 +15,57 @@ from conftest import random_density_matrix, random_unitary
 def rotated(rho, rng):
     lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
     return lu.apply(rho)
+
+
+def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
+    """Reference: _match_templates as a Python loop over the frames in order."""
+    eye = np.eye(3)
+    if np.linalg.norm(dpf.r) <= tol and np.linalg.norm(dpf.s) <= tol:
+        return FamilyTag(FamilyKind.BELL_DIAGONAL), eye, eye
+    for pa, pb in qstate.signed_permutation_frames():
+        r2, s2 = pa @ dpf.r, pb @ dpf.s
+        q2 = np.diag(pa @ np.diag(dpf.q) @ pb.T)
+        if max(abs(r2[0]), abs(r2[1]), abs(s2[0]), abs(s2[1])) > tol:
+            continue
+        l1 = q2[0]
+        if abs(q2[0] + q2[1]) > tol or l1 < -tol:
+            continue
+        for kind, ok, w in [
+                (FamilyKind.GENERALIZED_VP,
+                 abs(r2[2] - s2[2]) <= tol and abs(q2[2] - 1.0) <= tol,
+                 (r2[2] + s2[2]) / 2),
+                (FamilyKind.GENERALIZED_HORODECKI,
+                 abs(r2[2] + s2[2]) <= tol and abs(q2[2] - (2 * l1 - 1)) <= tol,
+                 (r2[2] - s2[2]) / 2)]:
+            l2, l3 = (1 - l1 + w) / 2, (1 - l1 - w) / 2
+            if ok and l2 >= -tol and l3 >= -tol:
+                return FamilyTag(kind, css._clip_weights(l1, l2, l3)), pa, pb
+    return FamilyTag(FamilyKind.OTHER), eye, eye
+
+
+class TestMatchTemplates:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(9)
+        inputs = []
+        for _ in range(40):
+            lam = tuple(rng.dirichlet([1, 1, 1]))
+            for rho in (css._vp_state(lam), css._horodecki_state(lam),
+                        qstate.bell_diagonal(rng.uniform(-0.5, 0.5, 3))):
+                inputs += [rho, rotated(rho, rng),
+                           0.999 * rho + 0.001 * random_density_matrix(rng)]
+            inputs.append(random_density_matrix(rng))
+        kinds = set()
+        for rho in inputs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dpf, _ = qstate.canonicalize(rho)
+            for tol in (css.CLASSIFY_TOL, 1e-2):
+                tag, pa, pb = css._match_templates(dpf, tol)
+                want, want_pa, want_pb = match_templates_loop(dpf, tol)
+                assert tag == want
+                assert np.array_equal(pa, want_pa) and np.array_equal(pb, want_pb)
+                kinds.add(tag.kind)
+        assert kinds == set(FamilyKind)
 
 
 class TestClassify:
@@ -136,6 +190,10 @@ class TestCssAuto:
             assert qstate.is_ppt(res.css)
             assert abs(qstate.min_pt_eigenvalue(res.css)) <= 1e-8
             assert relative_entropy(rot, res.css) == pytest.approx(res.ree, abs=1e-10)
+
+    def test_non_finite_state_rejected(self):
+        with pytest.raises(InvalidState):
+            css.css_auto(np.full((4, 4), np.nan, dtype=complex))
 
     def test_geometric_unavailable(self, rng):
         rho = random_density_matrix(rng)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import warnings
@@ -8,6 +10,51 @@ from reegeom import qstate
 from reegeom.errors import InvalidState
 
 from conftest import random_density_matrix, random_unitary
+
+OPS = (qstate.I2,) + qstate.PAULI  # sigma_0 = I, sigma_1..3
+
+
+def kron_to_pauli(m):
+    """Reference: c_ab = tr(m sigma_a x sigma_b) from explicit Kronecker products."""
+    c = np.array([[np.trace(m @ np.kron(a, b)).real for b in OPS] for a in OPS])
+    return c[1:, 0], c[0, 1:], c[1:, 1:]
+
+
+def kron_from_pauli(r, s, g):
+    """Reference: (1/4) sum_ab c_ab sigma_a x sigma_b with c_00 = 1."""
+    c = np.block([[np.ones((1, 1)), np.reshape(s, (1, 3))],
+                  [np.reshape(r, (3, 1)), g]])
+    return sum(c[a, b] * np.kron(OPS[a], OPS[b])
+               for a in range(4) for b in range(4)) / 4
+
+
+def random_hermitian(rng):
+    a = rng.uniform(-1, 1, size=(4, 4)) + 1j * rng.uniform(-1, 1, size=(4, 4))
+    return (a + a.conj().T) / 2
+
+
+def rotation_about(axis, angle):
+    """Rodrigues' formula for the rotation by `angle` about `axis`."""
+    n = np.asarray(axis, float) / np.linalg.norm(axis)
+    k = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
+    return np.cos(angle) * np.eye(3) + np.sin(angle) * k \
+        + (1 - np.cos(angle)) * np.outer(n, n)
+
+
+def reference_frames():
+    """Signed-permutation pairs in the order css._match_templates relies on:
+    permutations in itertools order, then A-side and B-side sign patterns."""
+    signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1),
+             (-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)]
+    frames = []
+    for perm in itertools.permutations(range(3)):
+        p = np.eye(3)[list(perm)]  # (P v)_i = v[perm[i]]
+        for da in signs:
+            for db in signs:
+                pa, pb = np.diag(da) @ p, np.diag(db) @ p
+                if np.linalg.det(pa) > 0 and np.linalg.det(pb) > 0:
+                    frames.append((pa, pb))
+    return frames
 
 
 class TestValidation:
@@ -33,6 +80,13 @@ class TestValidation:
             qstate.validate_density_matrix(m)
         assert exc.value.invariant == "positive semidefiniteness"
         assert exc.value.magnitude == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.diag([bad, 1.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(InvalidState) as exc:
+            qstate.validate_density_matrix(m)
+        assert exc.value.invariant == "finite entries"
 
 
 class TestPauliDecomposition:
@@ -64,6 +118,16 @@ class TestPauliDecomposition:
         rho = random_density_matrix(np.random.default_rng(seed))
         back = qstate.from_pauli(qstate.to_pauli(rho))
         assert np.max(np.abs(back - rho)) < 1e-12
+
+    def test_transforms_match_kronecker_definition(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            h = random_hermitian(rng)
+            p = qstate.to_pauli(h)
+            for got, want in zip((p.r, p.s, p.g), kron_to_pauli(h)):
+                assert np.max(np.abs(got - want)) <= 1e-15
+            back = qstate.from_pauli(p)
+            assert np.max(np.abs(back - kron_from_pauli(p.r, p.s, p.g))) <= 1e-15
 
     def test_partial_trace_consistency(self, rng):
         rho = random_density_matrix(rng)
@@ -133,6 +197,34 @@ class TestLocalUnitary:
             rvs = sum((rot @ v)[i] * qstate.PAULI[i] for i in range(3))
             assert np.allclose(u @ vs @ u.conj().T, rvs, atol=1e-12)
 
+    @pytest.mark.parametrize("axis, angle", [
+        ((1, 2, 3), 0.3),                  # trace branch
+        ((1, 0, 0), 2.5), ((0, 1, 0), 2.5), ((0, 0, 1), 2.5),  # diagonal branches
+        ((1, 0, 0), np.pi), ((0, 1, 0), np.pi), ((0, 0, 1), np.pi),
+        ((1, 1, 0), np.pi),                # tie between two diagonal entries
+        ((0, 0, 1), 0.0),
+    ])
+    def test_su2_lift_matches_scipy(self, axis, angle):
+        from scipy.spatial.transform import Rotation
+
+        rot = rotation_about(axis, angle)
+        u = qstate.su2_from_rotation(rot)
+        v = np.array([0.3, -0.7, 0.5])
+        vs = sum(v[i] * qstate.PAULI[i] for i in range(3))
+        rvs = sum((rot @ v)[i] * qstate.PAULI[i] for i in range(3))
+        assert np.allclose(u @ vs @ u.conj().T, rvs, atol=1e-14)
+        x, y, z, w = Rotation.from_matrix(rot).as_quat()
+        want = w * qstate.I2 - 1j * (x * qstate.SX + y * qstate.SY + z * qstate.SZ)
+        assert np.max(np.abs(u - want)) <= 1e-15
+
+    def test_su2_lift_matches_scipy_random(self):
+        from scipy.spatial.transform import Rotation
+
+        for rot in Rotation.random(500, random_state=8).as_matrix():
+            x, y, z, w = Rotation.from_matrix(rot).as_quat()
+            want = w * qstate.I2 - 1j * (x * qstate.SX + y * qstate.SY + z * qstate.SZ)
+            assert np.max(np.abs(qstate.su2_from_rotation(rot) - want)) <= 1e-15
+
     def test_apply_inverse_round_trip(self, rng):
         rho = random_density_matrix(rng)
         lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
@@ -173,8 +265,7 @@ class TestCanonicalize:
         assert np.allclose(q0, q1, atol=1e-10)
 
     def test_degenerate_frame_warning(self):
-        with pytest.warns(qstate.DegenerateFrame if hasattr(qstate, "DegenerateFrame")
-                          else Warning):
+        with pytest.warns(qstate.DegenerateFrame):
             qstate.canonicalize(np.eye(4) / 4)
 
 
@@ -186,6 +277,11 @@ class TestSignedPermutationFrames:
             assert np.linalg.det(pa) == pytest.approx(1.0)
             assert np.linalg.det(pb) == pytest.approx(1.0)
             assert np.allclose(pa @ pa.T, np.eye(3))
+
+    def test_frames_keep_their_order(self):
+        want = np.array(reference_frames())
+        assert np.array_equal(np.array(list(qstate.signed_permutation_frames())), want)
+        assert np.array_equal(qstate.SIGNED_PERMUTATION_FRAMES, want)
 
     def test_frames_preserve_diagonality(self):
         q = np.diag([0.5, -0.3, 0.1])

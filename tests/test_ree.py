@@ -126,3 +126,9 @@ class TestDirectionalOptimality:
         rho = qstate.BELL_STATES[0]
         d = directional_optimality_check(rho, np.eye(4, dtype=complex) / 4)
         assert d < -1e-3
+
+    def test_infinite_relative_entropy_fails(self):
+        # every finite difference is inf - inf = nan here; no such css is optimal
+        v = np.array([math.cos(0.4), 0, 0, math.sin(0.4)], dtype=complex)
+        css00 = np.diag([1.0, 0, 0, 0]).astype(complex)
+        assert directional_optimality_check(np.outer(v, v), css00) == -math.inf
