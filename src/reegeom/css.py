@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import geometry
+from .errors import ReegeomError
 from .qstate import (
     BELL_STATES,
     SIGNED_PERMUTATION_FRAMES,
@@ -196,7 +197,7 @@ def _recovery_gap(rho, res: CssResult) -> float:
                       / np.real(np.trace(g.matrix.conj().T @ g.matrix)))
             back = res.css - x * g.matrix
         return float(np.max(np.abs(back - rho)))
-    except Exception:
+    except (ReegeomError, np.linalg.LinAlgError):
         return float("nan")
 
 

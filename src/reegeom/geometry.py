@@ -83,22 +83,16 @@ def surface_mesh(body: str, r: float, s: float, n: int,
     """
     if n < 2:
         raise ValueError("grid size must be at least 2")
-    boundary = (spectra.boundary_state_body if body == "T"
-                else spectra.boundary_separable_body)
     axis = np.linspace(-1.0, 1.0, n)
-    pts, sheets = [], []
-    for q1 in axis:
-        for q2 in axis:
-            for q3, sheet in boundary(r, s, q1, q2):
-                z = ZParallelState(r, s, q1, q2, q3)
-                if spectra.min_branch(z) < -psd_tol:
-                    continue
-                pts.append([q1, q2, q3])
-                sheets.append(sheet)
-    mesh = SurfaceMesh(body, r, s)
-    mesh.points = np.array(pts) if pts else np.empty((0, 3))
-    mesh.sheets = sheets
-    return mesh
+    q1, q2 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    mu, nu, inside = spectra.boundary_roots(r, s, q1, q2 if body == "T" else -q2)
+    # each grid point inside the footprint gives its mu root, then its nu root
+    q1, q2 = np.repeat(q1[inside], 2), np.repeat(q2[inside], 2)
+    q3 = np.column_stack([mu[inside], nu[inside]]).ravel()
+    keep = spectra.branch_min(r, s, q1, q2, q3) >= -psd_tol
+    # an object array of the two literals: the tags share two str objects
+    sheets = np.array(["mu", "nu"] * (len(q3) // 2), dtype=object)[keep].tolist()
+    return SurfaceMesh(body, r, s, np.column_stack([q1, q2, q3])[keep], sheets)
 
 
 def _golden_max(f, a, b, tol):
@@ -139,30 +133,30 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float,
         return spectra.min_pt_branch(ZParallelState(r, s, *p))
 
     ws = np.arange(0.0, w_max + scan_step, scan_step)
-    vals = np.array([f(w) for w in ws])
-    roots = []
-    for i in range(len(ws) - 1):
-        a, b, fa, fb = ws[i], ws[i + 1], vals[i], vals[i + 1]
-        if fa == 0.0 and (i == 0 or vals[i - 1] != 0.0):
-            roots.append(a)
-        elif fa * fb < 0.0:
-            while b - a > w_tol:
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if fa * fm <= 0.0:
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
+    p = v.coords + ws[:, None] * d
+    vals = spectra.branch_min(r, s, p[:, 0], -p[:, 1], p[:, 2])  # min_pt_branch
+    # exact zeros count once per run of zeros; else bracket sign changes
+    exact = (vals[:-1] == 0.0) & np.concatenate(([True], vals[:-2] != 0.0))
+    roots = ws[:-1][exact].tolist()
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        a, b, fa = ws[i], ws[i + 1], vals[i]
+        while b - a > w_tol:
+            m = 0.5 * (a + b)
+            fm = f(m)
+            if fa * fm <= 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        roots.append(0.5 * (a + b))
 
     # tangential touches: the branch minimum can graze zero from below
     # (characteristic of the one-Bell-state-plus-diagonal families), leaving
     # no sign change; refine interior local maxima that come close enough
-    for i in range(1, len(ws) - 1):
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] < 0.0:
-            w_star, f_star = _golden_max(f, ws[i - 1], ws[i + 1], w_tol)
-            if f_star >= -1e-10:
-                roots.append(w_star)
+    mid = vals[1:-1]
+    for i in np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid < 0.0)) + 1:
+        w_star, f_star = _golden_max(f, ws[i - 1], ws[i + 1], w_tol)
+        if f_star >= -1e-10:
+            roots.append(w_star)
 
     crossings = []
     for root in sorted(roots):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSolvableFamily
+from .errors import InvalidState, NotSolvableFamily
 from .qstate import validate_density_matrix
 
 SUPPORT_TOL = 1e-12
@@ -55,10 +55,14 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray,
     """S(rho||sigma) = tr(rho ln rho - rho ln sigma), in nats.
 
     Returns math.inf when rho's support is not contained in sigma's
-    (weight beyond support_tol on sigma's kernel).  0 ln 0 is 0.
+    (weight beyond support_tol on sigma's kernel).  0 ln 0 is 0.  Raises
+    InvalidState when either matrix has a NaN or infinite entry.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
+    for m in (rho, sigma):
+        if not np.isfinite(m).all():
+            raise InvalidState("finite entries", float(np.sum(~np.isfinite(m))))
     p, u = np.linalg.eigh(rho)
     q, v = np.linalg.eigh(sigma)
     p = np.clip(p, 0.0, None)

@@ -146,21 +146,32 @@ def z_derivatives(p: SigmaZParams) -> ZFamilyDerivatives:
 
 def z_family(p: SigmaZParams, x: float) -> np.ndarray:
     """Closed-form rho(x) for the X-shaped edge state."""
-    d = z_derivatives(p)
-    m = np.diag([p.r1 - x * d.rb1, p.r2 - x * d.rb2,
-                 p.r3 - x * d.rb3, p.r4 - x * d.rb4]).astype(complex)
-    m[1, 2] = m[2, 1] = p.y - x * d.yb
-    return m
+    return _z_family(p, z_derivatives(p), x)
 
 
 def z_family_pauli(p: SigmaZParams, x: float):
     """Bloch components (r, s) and correlation vector t of rho(x)."""
-    d = z_derivatives(p)
+    return _z_family_pauli(p, z_derivatives(p), x)
+
+
+def _z_family(p: SigmaZParams, d: ZFamilyDerivatives, x) -> np.ndarray:
+    """rho(x) from precomputed derivatives; an array of x gives a stack."""
+    x = np.asarray(x, dtype=float)
+    m = np.zeros(x.shape + (4, 4), dtype=complex)
+    for k, (rk, rbk) in enumerate(((p.r1, d.rb1), (p.r2, d.rb2),
+                                   (p.r3, d.rb3), (p.r4, d.rb4))):
+        m[..., k, k] = rk - x * rbk
+    m[..., 1, 2] = m[..., 2, 1] = p.y - x * d.yb
+    return m
+
+
+def _z_family_pauli(p: SigmaZParams, d: ZFamilyDerivatives, x):
+    """(r, s, t) of rho(x) from precomputed derivatives; elementwise in x."""
     r = (p.r1 + p.r2 - p.r3 - p.r4) - x * (d.rb2 - d.rb3)
     s = (p.r1 - p.r2 + p.r3 - p.r4) + x * (d.rb2 - d.rb3)
     t1 = 2 * p.y - 2 * x * d.yb
     t3 = (p.r1 - p.r2 - p.r3 + p.r4) - 4 * x * d.rb1
-    return r, s, np.array([t1, t1, t3])
+    return r, s, np.stack([t1, t1, t3], axis=-1)
 
 
 def line_crossing(p: SigmaZParams, p2: SigmaZParams):
@@ -211,15 +222,15 @@ def css_line_sweep(params: list[SigmaZParams], x_grid, psd_tol: float = 1e-10):
     Returns a list of row dicts (family_id, x, t, tau, r, s); points where
     the family leaves the PSD cone are dropped.
     """
+    xs = np.asarray(x_grid, dtype=float)
     rows = []
     for fid, p in enumerate(params):
-        _, _, tau = z_family_pauli(p, 0.0)
-        for x in x_grid:
-            if min_eigenvalue(z_family(p, float(x))) < -psd_tol:
-                continue
-            r, s, t = z_family_pauli(p, float(x))
-            rows.append({"family_id": fid, "x": float(x), "t": t, "tau": tau,
-                         "r": r, "s": s})
+        d = z_derivatives(p)
+        _, _, tau = _z_family_pauli(p, d, 0.0)
+        keep = np.linalg.eigvalsh(_z_family(p, d, xs))[:, 0] >= -psd_tol
+        r, s, t = _z_family_pauli(p, d, xs[keep])
+        rows += [{"family_id": fid, "x": x, "t": t_x, "tau": tau, "r": r_x, "s": s_x}
+                 for x, t_x, r_x, s_x in zip(xs[keep].tolist(), t, r.tolist(), s.tolist())]
     return rows
 
 

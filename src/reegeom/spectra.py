@@ -85,58 +85,47 @@ def eigensystem(z: ZParallelState) -> EigenSystem:
 
 
 def pt_eigensystem(z: ZParallelState) -> EigenSystem:
-    """Closed-form spectrum of the partial transpose (q2 -> -q2 in magnitudes)."""
-    m1 = np.hypot(z.r - z.s, z.q1 - z.q2)
-    m2 = np.hypot(z.r + z.s, z.q1 + z.q2)
-    mu = np.array([(1 - z.q3) + m1, (1 - z.q3) - m1]) / 4.0
-    nu = np.array([(1 + z.q3) + m2, (1 + z.q3) - m2]) / 4.0
-    mu_vecs = _block_vectors(z.q1 - z.q2, z.r - z.s, m1, 1, 2)
-    nu_vecs = _block_vectors(z.q1 + z.q2, z.r + z.s, m2, 0, 3)
-    values = np.array([mu[0], mu[1], nu[0], nu[1]])
-    vectors = np.column_stack([mu_vecs[0], mu_vecs[1], nu_vecs[0], nu_vecs[1]])
-    return EigenSystem(values, vectors)
+    """Closed-form spectrum of the partial transpose: the state at q2 -> -q2."""
+    return eigensystem(ZParallelState(z.r, z.s, z.q1, -z.q2, z.q3))
+
+
+def branch_min(r, s, q1, q2, q3):
+    """Elementwise min(mu-, nu-) of the canonical state over arrays of (r, s, q1, q2, q3)."""
+    m1 = np.hypot(r - s, q1 + q2)
+    m2 = np.hypot(r + s, q1 - q2)
+    return np.minimum((1 - q3) - m1, (1 + q3) - m2) / 4.0
 
 
 def min_branch(z: ZParallelState) -> float:
     """min(mu-, nu-) of the state; zero on the deformed state-body boundary."""
-    m1 = np.hypot(z.r - z.s, z.q1 + z.q2)
-    m2 = np.hypot(z.r + z.s, z.q1 - z.q2)
-    return min((1 - z.q3) - m1, (1 + z.q3) - m2) / 4.0
+    return branch_min(z.r, z.s, z.q1, z.q2, z.q3)
 
 
 def min_pt_branch(z: ZParallelState) -> float:
     """min(mu-, nu-) of the partial transpose; zero on the deformed separable boundary."""
-    m1 = np.hypot(z.r - z.s, z.q1 - z.q2)
-    m2 = np.hypot(z.r + z.s, z.q1 + z.q2)
-    return min((1 - z.q3) - m1, (1 + z.q3) - m2) / 4.0
+    return branch_min(z.r, z.s, z.q1, -z.q2, z.q3)
 
 
-def _boundary_roots(r, s, q1, q2, flip_q2):
-    """Shared sheet solver for the two boundary bodies.
-
-    Returns [(q3, sheet)] with sheet 'mu' for the mu- root q3 = 1 - M1 and
-    'nu' for the nu- root q3 = M2 - 1.  A root is kept only when it realizes
-    the min condition, i.e. the other branch is nonnegative there; both
-    sheets share the single condition M1 + M2 <= 2.
+def boundary_roots(r, s, q1, q2):
+    """State-body sheet roots over arrays of (q1, q2): the mu- root q3 = 1 - M1,
+    the nu- root q3 = M2 - 1, and where both realize the min condition (the
+    other branch nonnegative), M1 + M2 <= 2.  The separable body: q2 -> -q2.
     """
-    qq2 = -q2 if flip_q2 else q2
-    m1 = np.hypot(r - s, q1 + qq2)
-    m2 = np.hypot(r + s, q1 - qq2)
-    roots = []
-    if m1 + m2 <= 2.0 + 1e-12:
-        roots.append((1.0 - m1, "mu"))
-        roots.append((m2 - 1.0, "nu"))
-    return roots
+    m1 = np.hypot(r - s, q1 + q2)
+    m2 = np.hypot(r + s, q1 - q2)
+    return 1.0 - m1, m2 - 1.0, m1 + m2 <= 2.0 + 1e-12
 
 
 def boundary_state_body(r, s, q1, q2):
     """q3 roots of min(mu-, nu-) = 0 at fixed (q1, q2); tagged by sheet."""
-    return _boundary_roots(r, s, q1, q2, flip_q2=False)
+    mu, nu, inside = boundary_roots(r, s, q1, q2)
+    return [(mu, "mu"), (nu, "nu")] if inside else []
 
 
 def boundary_separable_body(r, s, q1, q2):
     """q3 roots of min(mu-^PT, nu-^PT) = 0 at fixed (q1, q2); tagged by sheet."""
-    return _boundary_roots(r, s, q1, q2, flip_q2=True)
+    mu, nu, inside = boundary_roots(r, s, q1, -q2)
+    return [(mu, "mu"), (nu, "nu")] if inside else []
 
 
 def verify_against_dense(z: ZParallelState, tol: float = 1e-10) -> float:

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from reegeom import css, qstate
+from reegeom import css, qstate, revmap
 from reegeom.css import FamilyKind, FamilyTag
-from reegeom.errors import InvalidState
+from reegeom.errors import InvalidState, RankDeficient
 from reegeom.ree import relative_entropy
 
 from conftest import random_density_matrix, random_unitary
@@ -138,6 +138,22 @@ class TestVp:
             assert res.residuals["bloch_gap"] <= 1e-12
             assert res.residuals["edge_gap"] <= 1e-10
             assert res.residuals["recovery_gap"] <= 1e-9
+
+    def test_recovery_failure_is_nan(self, monkeypatch):
+        def rank_deficient(lam):
+            raise RankDeficient("regularized CSS")
+
+        monkeypatch.setattr(revmap, "recover_vp", rank_deficient)
+        res = css.css_vp((0.5, 0.3, 0.2))
+        assert math.isnan(res.residuals["recovery_gap"])
+
+    def test_recovery_programming_error_propagates(self, monkeypatch):
+        def broken(lam):
+            raise TypeError("bug in the reverse map")
+
+        monkeypatch.setattr(revmap, "recover_vp", broken)
+        with pytest.raises(TypeError):
+            css.css_vp((0.5, 0.3, 0.2))
 
     def test_ree_formula(self):
         # REE equals the closed-form entropy difference of the construction

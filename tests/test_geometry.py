@@ -2,9 +2,77 @@ import numpy as np
 import pytest
 
 from reegeom import geometry, spectra
-from reegeom.errors import OutsideTetrahedron
+from reegeom.errors import NoCrossing, OutsideTetrahedron
 from reegeom.geometry import Vertex
 from reegeom.spectra import ZParallelState
+
+
+def _branch_min_scalar(r, s, q1, q2, q3):
+    m1 = np.hypot(r - s, q1 + q2)
+    m2 = np.hypot(r + s, q1 - q2)
+    return min((1 - q3) - m1, (1 + q3) - m2) / 4.0
+
+
+def surface_mesh_loop(body, r, s, n, psd_tol=1e-10):
+    """The per-point loop that `surface_mesh` replaced, kept as its reference."""
+    axis = np.linspace(-1.0, 1.0, n)
+    pts, sheets = [], []
+    for q1 in axis:
+        for q2 in axis:
+            qq2 = q2 if body == "T" else -q2
+            m1 = np.hypot(r - s, q1 + qq2)
+            m2 = np.hypot(r + s, q1 - qq2)
+            if not m1 + m2 <= 2.0 + 1e-12:
+                continue
+            for q3, sheet in ((1.0 - m1, "mu"), (m2 - 1.0, "nu")):
+                if _branch_min_scalar(r, s, q1, q2, q3) < -psd_tol:
+                    continue
+                pts.append([q1, q2, q3])
+                sheets.append(sheet)
+    return (np.array(pts) if pts else np.empty((0, 3))), sheets
+
+
+def line_surface_crossing_loop(t, v, r, s, w_max=10.0, scan_step=1e-3, w_tol=1e-12):
+    """The per-point scan that `line_surface_crossing` replaced, kept as its
+    reference; returns (coords, line_parameter, sheet) triples."""
+    t = np.asarray(t, dtype=float)
+    d = t - v.coords
+
+    def f(w):
+        p = v.coords + w * d
+        return _branch_min_scalar(r, s, p[0], -p[1], p[2])
+
+    ws = np.arange(0.0, w_max + scan_step, scan_step)
+    vals = np.array([f(w) for w in ws])
+    roots = []
+    for i in range(len(ws) - 1):
+        a, b, fa, fb = ws[i], ws[i + 1], vals[i], vals[i + 1]
+        if fa == 0.0 and (i == 0 or vals[i - 1] != 0.0):
+            roots.append(a)
+        elif fa * fb < 0.0:
+            while b - a > w_tol:
+                m = 0.5 * (a + b)
+                fm = f(m)
+                if fa * fm <= 0.0:
+                    b, fb = m, fm
+                else:
+                    a, fa = m, fm
+            roots.append(0.5 * (a + b))
+    for i in range(1, len(ws) - 1):
+        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] < 0.0:
+            w_star, f_star = geometry._golden_max(f, ws[i - 1], ws[i + 1], w_tol)
+            if f_star >= -1e-10:
+                roots.append(w_star)
+    crossings = []
+    for root in sorted(roots):
+        if any(abs(root - c[1]) < 1e-9 for c in crossings):
+            continue
+        q1, q2, q3 = p = v.coords + root * d
+        sheet = "mu" if abs((1 - q3) - np.hypot(r - s, q1 - q2)) <= \
+            abs((1 + q3) - np.hypot(r + s, q1 + q2)) else "nu"
+        crossings.append((p, float(root), sheet))
+    crossings.sort(key=lambda c: np.linalg.norm(c[0] - t))
+    return crossings
 
 
 class TestTetrahedron:
@@ -72,6 +140,26 @@ class TestSurfaceMesh:
         deformed = geometry.surface_mesh("T", 0.5, 0.5, 16)
         assert 0 < len(deformed.points) < len(full.points)
 
+    @pytest.mark.parametrize("n", [2, 16, 48, 96])
+    @pytest.mark.parametrize("body", ["T", "L"])
+    def test_matches_loop_reference(self, body, n):
+        rng = np.random.default_rng(100 + n)
+        bloch = [(0.0, 0.0)] + [tuple(rng.uniform(-0.6, 0.6, size=2)) for _ in range(3)]
+        for r, s in bloch:
+            mesh = geometry.surface_mesh(body, r, s, n)
+            points, sheets = surface_mesh_loop(body, r, s, n)
+            assert np.array_equal(mesh.points, points)
+            assert mesh.sheets == sheets
+
+    @pytest.mark.parametrize("body", ["T", "L"])
+    def test_empty_mesh_keeps_shape(self, body):
+        # |r| = |s| = 1 leaves only the footprint point q1 = q2 = 0, which an
+        # even grid misses
+        mesh = geometry.surface_mesh(body, 1.0, 1.0, 16)
+        assert mesh.points.shape == (0, 3)
+        assert mesh.sheets == []
+        assert surface_mesh_loop(body, 1.0, 1.0, 16)[0].shape == (0, 3)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             geometry.surface_mesh("T", 0.0, 0.0, 1)
@@ -110,3 +198,29 @@ class TestLineSurfaceCrossing:
         v = Vertex("v1", geometry.TETRA_VERTICES["v1"])
         with pytest.raises(ValueError):
             geometry.line_surface_crossing(v.coords, v, 0.0, 0.0)
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(7)
+        rays = [(np.array([0.8, -0.8, 0.8]), 0.0, 0.0),   # exact face hit
+                (np.array([0.5, -0.5, 1.0]), 0.1, 0.1),   # tangential touch
+                (np.array([-0.875, -0.875, -0.875]), 0.5, 0.5)]  # zero at w = 8
+        for _ in range(12):
+            w = rng.dirichlet(np.ones(4))
+            t = sum(wk * vk for wk, vk in zip(w, geometry.TETRA_VERTICES.values()))
+            rays.append((t, *rng.uniform(-0.4, 0.4, size=2)))
+        missed = 0
+        for t, r, s in rays:
+            v = geometry.nearest_vertex(t)
+            want = line_surface_crossing_loop(t, v, r, s)
+            if not want:
+                missed += 1
+                with pytest.raises(NoCrossing):
+                    geometry.line_surface_crossing(t, v, r, s)
+                continue
+            got = geometry.line_surface_crossing(t, v, r, s)
+            assert len(got) == len(want)
+            for c, (coords, w_root, sheet) in zip(got, want):
+                assert np.array_equal(c.coords, coords)
+                assert c.line_parameter == w_root
+                assert c.sheet == sheet
+        assert missed < len(rays)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from reegeom import css, qstate, ree
-from reegeom.errors import NotSolvableFamily
+from reegeom.errors import InvalidState, NotSolvableFamily
 from reegeom.ree import (
     OracleConfig,
     directional_optimality_check,
@@ -29,6 +29,15 @@ class TestRelativeEntropy:
         rho = qstate.BELL_STATES[0]
         sigma = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
         assert relative_entropy(rho, sigma) == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["rho", "sigma"])
+    def test_non_finite_rejected(self, which, bad):
+        good = np.eye(4, dtype=complex) / 4
+        broken = np.diag([bad, 1.0, 0.0, 0.0]).astype(complex)
+        args = (broken, good) if which == "rho" else (good, broken)
+        with pytest.raises(InvalidState):
+            relative_entropy(*args)
 
     def test_shared_support_finite(self):
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)

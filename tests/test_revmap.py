@@ -157,7 +157,53 @@ class TestSampling:
             revmap.sample_params_for_bloch(1.0, 1.0, np.random.default_rng(0))
 
 
+def css_line_sweep_loop(params, x_grid, psd_tol=1e-10):
+    """The per-point loop that `css_line_sweep` replaced, kept as its reference."""
+    def pauli(p, d, x):
+        r = (p.r1 + p.r2 - p.r3 - p.r4) - x * (d.rb2 - d.rb3)
+        s = (p.r1 - p.r2 + p.r3 - p.r4) + x * (d.rb2 - d.rb3)
+        t1 = 2 * p.y - 2 * x * d.yb
+        t3 = (p.r1 - p.r2 - p.r3 + p.r4) - 4 * x * d.rb1
+        return r, s, np.array([t1, t1, t3])
+
+    rows = []
+    for fid, p in enumerate(params):
+        d = revmap.z_derivatives(p)
+        _, _, tau = pauli(p, d, 0.0)
+        for x in x_grid:
+            x = float(x)
+            m = np.diag([p.r1 - x * d.rb1, p.r2 - x * d.rb2,
+                         p.r3 - x * d.rb3, p.r4 - x * d.rb4]).astype(complex)
+            m[1, 2] = m[2, 1] = p.y - x * d.yb
+            if min_eigenvalue(m) < -psd_tol:
+                continue
+            r, s, t = pauli(p, d, x)
+            rows.append({"family_id": fid, "x": x, "t": t, "tau": tau, "r": r, "s": s})
+    return rows
+
+
 class TestSweep:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(26)
+        grids = [np.linspace(0.0, 2.5, 50), np.linspace(0.0, 8.0, 301)]
+        dropped = 0
+        for _ in range(6):
+            r, s = rng.uniform(-0.5, 0.5, size=2)
+            params = [revmap.sample_params_for_bloch(r, s, rng) for _ in range(8)]
+            for grid in grids:
+                rows = revmap.css_line_sweep(params, grid)
+                want = css_line_sweep_loop(params, grid)
+                dropped += len(params) * len(grid) - len(want)
+                assert len(rows) == len(want)
+                for row, ref in zip(rows, want):
+                    assert list(row) == list(ref)
+                    assert (row["family_id"], row["x"], row["r"], row["s"]) == \
+                        (ref["family_id"], ref["x"], ref["r"], ref["s"])
+                    assert np.array_equal(row["t"], ref["t"])
+                    assert np.array_equal(row["tau"], ref["tau"])
+        # the families leave the PSD cone inside the grids
+        assert dropped > 0
+
     def test_rows_schema_and_straightness(self):
         rng = np.random.default_rng(23)
         params = [revmap.sample_params_for_bloch(0.3, 0.3, rng) for _ in range(3)]
