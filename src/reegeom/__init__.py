@@ -18,7 +18,6 @@ from .errors import (
     InvalidState,
     LeftPhysicalRange,
     NoCrossing,
-    NotConverged,
     NotEdgeState,
     NotSolvableFamily,
     OutsideTetrahedron,

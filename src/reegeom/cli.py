@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+import warnings
 
 import click
 import numpy as np
 
 from . import __version__, css, geometry, revmap
-from .errors import InvalidState, NotSolvableFamily
+from .errors import InvalidState
 from .qstate import (
     BELL_STATES,
     PauliForm,
@@ -36,37 +36,44 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNSUPPORTED = 3
 
-FLOAT_FMT = "%.17g"
+
+class Finite(click.FloatRange):
+    """A float range that also rejects NaN and +-inf, which FloatRange lets
+    through (every comparison with NaN is false)."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return rv
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    inputs: list = field(default_factory=list)
-    flags: dict = field(default_factory=dict)
-    seed: int | None = None
-    version: str = __version__
-    outputs: list = field(default_factory=list)
+SEED = click.IntRange(min=0)
+BLOCH = Finite(-1.0, 1.0)
 
 
-def _write_manifest(manifest: RunManifest):
-    for out in manifest.outputs:
-        with open(out + ".manifest.json", "w") as fh:
-            json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
+def _fail(code: int, message: str):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
 
 
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} in JSON input")
 
 
-def load_state(path: str) -> np.ndarray:
-    with open(path) as fh:
-        obj = json.load(fh, parse_constant=_reject_constant)
+def _read(path: str, parse) -> np.ndarray:
+    """The density matrix parse() builds from the JSON in PATH; bad JSON (a
+    ValueError), a missing key, a wrong shape or an invalid state exits 2."""
+    try:
+        with open(path) as fh:
+            rho = parse(json.load(fh, parse_constant=_reject_constant))
+        validate_density_matrix(rho)
+    except (InvalidState, ValueError, KeyError) as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
+    return rho
+
+
+def _state_matrix(obj: dict) -> np.ndarray:
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != (4, 4) or im.shape != (4, 4):
@@ -74,23 +81,56 @@ def load_state(path: str) -> np.ndarray:
     return re + 1j * im
 
 
+def _pauli_matrix(obj: dict) -> np.ndarray:
+    return from_pauli(PauliForm(*(np.asarray(obj[k], float) for k in "rsg")))
+
+
+def load_state(path: str) -> np.ndarray:
+    """The density matrix in a state JSON file; bad input exits 2."""
+    return _read(path, _state_matrix)
+
+
 def matrix_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _dump(obj: dict, out: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+def _manifest(out: str):
+    """Write OUT's sidecar: the running subcommand, its arguments (inputs),
+    its options other than --out and --seed (flags), the seed and version."""
+    ctx = click.get_current_context()
+    flags = dict(ctx.params)
+    flags.pop("out")
+    inputs = [flags.pop(p.name) for p in ctx.command.params
+              if isinstance(p, click.Argument)]
+    manifest = {"subcommand": ctx.info_name, "inputs": inputs,
+                "seed": flags.pop("seed", None), "flags": flags,
+                "version": __version__, "outputs": [out]}
+    with open(out + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _emit(payload: dict, out: str | None):
+    """Write PAYLOAD as JSON to OUT and its manifest, or to stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not out:
         sys.stdout.write(text)
+        return
+    with open(out, "w") as fh:
+        fh.write(text)
+    _manifest(out)
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def _write_csv(out: str, header: str, rows: list[tuple]):
+    """Write HEADER and ROWS as CSV and the file's manifest; numbers are
+    printed with 17 significant digits, strings as they are."""
+    with open(out, "w") as fh:
+        fh.write(header + "\n")
+        if rows:
+            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
+            fh.write("".join(line % row + "\n" for row in rows))
+    _manifest(out)
 
 
 @click.group()
@@ -102,23 +142,21 @@ def main():
     """
 
 
+OUT_JSON = click.option("--out", type=click.Path(dir_okay=False), default=None,
+                        help="Output JSON path (stdout if omitted).")
+
+
 @main.command()
 @click.argument("state", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Output JSON path (stdout if omitted).")
+@OUT_JSON
 def decompose(state, out):
     """Pauli decomposition, canonical frame, and basic invariants of STATE."""
-    try:
-        rho = load_state(state)
-        validate_density_matrix(rho)
-    except (InvalidState, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    rho = load_state(state)
     pf = to_pauli(rho)
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         dpf, lu = canonicalize(rho)
-    payload = {
+    _emit({
         "r": pf.r.tolist(),
         "s": pf.s.tolist(),
         "g": pf.g.tolist(),
@@ -128,32 +166,15 @@ def decompose(state, out):
         "eigenvalues": np.linalg.eigvalsh(rho).tolist(),
         "concurrence": concurrence(rho),
         "ppt": bool(is_ppt(rho)),
-    }
-    _dump(payload, out)
-    if out:
-        _write_manifest(RunManifest("decompose", inputs=[state],
-                                    flags={}, outputs=[out]))
+    }, out)
 
 
 @main.command()
 @click.argument("pauli", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Output JSON path (stdout if omitted).")
+@OUT_JSON
 def reconstruct(pauli, out):
     """Rebuild the density matrix from a decompose output file."""
-    try:
-        with open(pauli) as fh:
-            obj = json.load(fh, parse_constant=_reject_constant)
-        rho = from_pauli(PauliForm(np.asarray(obj["r"], float),
-                                   np.asarray(obj["s"], float),
-                                   np.asarray(obj["g"], float)))
-        validate_density_matrix(rho)
-    except (InvalidState, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    _dump(matrix_json(rho), out)
-    if out:
-        _write_manifest(RunManifest("reconstruct", inputs=[pauli],
-                                    flags={}, outputs=[out]))
+    _emit(matrix_json(_read(pauli, _pauli_matrix)), out)
 
 
 @main.command(name="css")
@@ -161,127 +182,95 @@ def reconstruct(pauli, out):
 @click.option("--method", type=click.Choice(["geometric", "numeric", "auto"]),
               default="auto", show_default=True)
 @click.option("--bits", is_flag=True, help="Report entropies in bits, not nats.")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=SEED, default=0, show_default=True,
               help="Seed for the numeric minimizer.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Output JSON path (stdout if omitted).")
+@OUT_JSON
 def css_cmd(state, method, bits, seed, out):
     """Closest separable state and relative entropy of entanglement of STATE."""
-    try:
-        rho = load_state(state)
-        validate_density_matrix(rho)
-    except (InvalidState, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-
+    rho = load_state(state)
     unit = 1.0 / math.log(2.0) if bits else 1.0
-    try:
-        if method == "numeric":
-            rep = ree_numeric(rho, OracleConfig(seed=seed))
-            payload = {
-                "method": "numeric",
-                "family": css.classify(rho).kind.value,
-                "ree": rep.value * unit,
-                "units": "bits" if bits else "nats",
-                "css": matrix_json(rep.css_numeric),
-                "converged": rep.converged,
-                "restart_values": [v * unit for v in rep.restart_values],
-            }
-            _dump(payload, out)
-            if out:
-                _write_manifest(RunManifest("css", inputs=[state],
-                                            flags={"method": method, "bits": bits},
-                                            seed=seed, outputs=[out]))
-            if not rep.converged:
-                _fail(EXIT_CHECK_FAILED, "numeric minimizer restarts disagree")
-            return
-        result = css.css_auto(rho, numeric_fallback=(method == "auto"))
-        if method == "geometric" and result.family.kind is css.FamilyKind.OTHER:
-            raise NotSolvableFamily("state is outside the solvable families")
-    except NotSolvableFamily as exc:
-        _fail(EXIT_UNSUPPORTED, str(exc))
-    payload = {
+    units = "bits" if bits else "nats"
+    if method == "numeric":
+        rep = ree_numeric(rho, OracleConfig(seed=seed))
+        _emit({
+            "method": "numeric",
+            "family": css.classify(rho).kind.value,
+            "ree": rep.value * unit,
+            "units": units,
+            "css": matrix_json(rep.css_numeric),
+            "converged": rep.converged,
+            "restart_values": [v * unit for v in rep.restart_values],
+        }, out)
+        if not rep.converged:
+            _fail(EXIT_CHECK_FAILED, "numeric minimizer restarts disagree")
+        return
+    result = css.css_auto(rho, numeric_fallback=(method == "auto"))
+    if method == "geometric" and result.family.kind is css.FamilyKind.OTHER:
+        _fail(EXIT_UNSUPPORTED, "state is outside the solvable families")
+    _emit({
         "method": "geometric" if result.geometric else "numeric-fallback",
         "family": result.family.kind.value,
         "lambdas": list(result.family.lambdas) if result.family.lambdas else None,
         "separable": result.separable,
         "ree": result.ree * unit,
-        "units": "bits" if bits else "nats",
+        "units": units,
         "tau": np.asarray(result.tau, float).tolist(),
         "css": matrix_json(result.css),
         "residuals": {k: (None if math.isnan(v) else v)
                       for k, v in result.residuals.items()},
-    }
-    _dump(payload, out)
-    if out:
-        _write_manifest(RunManifest("css", inputs=[state],
-                                    flags={"method": method, "bits": bits},
-                                    seed=seed, outputs=[out]))
+    }, out)
 
 
 @main.command()
 @click.option("--body", type=click.Choice(["T", "L"]), required=True,
               help="T: state body, L: separable body.")
-@click.option("--r", "r_", type=float, required=True)
-@click.option("--s", "s_", type=float, required=True)
-@click.option("--n", type=int, default=64, show_default=True,
+@click.option("--r", type=BLOCH, required=True)
+@click.option("--s", type=BLOCH, required=True)
+@click.option("--n", type=click.IntRange(min=2), default=64, show_default=True,
               help="Grid resolution per axis.")
-@click.option("--tol", type=float, default=1e-10, show_default=True,
+@click.option("--tol", type=Finite(min=0.0), default=1e-10, show_default=True,
               help="PSD tolerance for dropping unphysical sheet roots.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def surface(body, r_, s_, n, tol, out):
+def surface(body, r, s, n, tol, out):
     """Boundary-surface mesh of the deformed body at fixed Bloch components."""
-    if not (abs(r_) <= 1 and abs(s_) <= 1):
-        _fail(EXIT_INPUT_ERROR, "|r| and |s| must be at most 1")
-    if n < 2:
-        _fail(EXIT_INPUT_ERROR, "grid size must be at least 2")
-    mesh = geometry.surface_mesh(body, r_, s_, n, psd_tol=tol)
-    with open(out, "w") as fh:
-        fh.write("q1,q2,q3,sheet\n")
-        for (q1, q2, q3), sheet in zip(mesh.points, mesh.sheets):
-            fh.write(f"{_fmt(q1)},{_fmt(q2)},{_fmt(q3)},{sheet}\n")
-    _write_manifest(RunManifest("surface", inputs=[],
-                                flags={"body": body, "r": r_, "s": s_,
-                                       "n": n, "tol": tol},
-                                outputs=[out]))
+    mesh = geometry.surface_mesh(body, r, s, n, psd_tol=tol)
+    _write_csv(out, "q1,q2,q3,sheet",
+               [(*pt, sheet) for pt, sheet in zip(mesh.points.tolist(), mesh.sheets)])
     click.echo(f"wrote {len(mesh.sheets)} mesh points to {out}")
 
 
 @main.command()
-@click.option("--r", "r_", type=float, required=True)
-@click.option("--s", "s_", type=float, required=True)
-@click.option("--families", "n_families", type=int, default=8, show_default=True)
-@click.option("--xsteps", type=int, default=50, show_default=True)
-@click.option("--xmax", type=float, default=2.5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--r", type=BLOCH, required=True)
+@click.option("--s", type=BLOCH, required=True)
+@click.option("--families", type=click.IntRange(min=0), default=8, show_default=True)
+@click.option("--xsteps", type=click.IntRange(min=1), default=50, show_default=True)
+@click.option("--xmax", type=Finite(min=0.0), default=2.5, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def sweep(r_, s_, n_families, xsteps, xmax, seed, out):
+def sweep(r, s, families, xsteps, xmax, seed, out):
     """Correlation-vector polylines of reverse-map families sharing Bloch
     components (r, s) at x = 0."""
-    if n_families < 0 or xsteps < 1:
-        _fail(EXIT_INPUT_ERROR, "families must be >= 0 and xsteps >= 1")
     rng = np.random.default_rng(seed)
     try:
-        params = [revmap.sample_params_for_bloch(r_, s_, rng)
-                  for _ in range(n_families)]
+        params = [revmap.sample_params_for_bloch(r, s, rng) for _ in range(families)]
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     rows = revmap.css_line_sweep(params, np.linspace(0.0, xmax, xsteps))
-    with open(out, "w") as fh:
-        fh.write("family_id,x,t1,t2,t3,tau1,tau2,tau3,r,s\n")
-        for row in rows:
-            t, tau = row["t"], row["tau"]
-            fh.write(",".join([str(row["family_id"]), _fmt(row["x"]),
-                               _fmt(t[0]), _fmt(t[1]), _fmt(t[2]),
-                               _fmt(tau[0]), _fmt(tau[1]), _fmt(tau[2]),
-                               _fmt(row["r"]), _fmt(row["s"])]) + "\n")
-    _write_manifest(RunManifest("sweep", inputs=[],
-                                flags={"r": r_, "s": s_, "families": n_families,
-                                       "xsteps": xsteps, "xmax": xmax},
-                                seed=seed, outputs=[out]))
+    _write_csv(out, "family_id,x,t1,t2,t3,tau1,tau2,tau3,r,s",
+               [(row["family_id"], row["x"], *row["t"], *row["tau"], row["r"], row["s"])
+                for row in rows])
     click.echo(f"wrote {len(rows)} sweep rows to {out}")
 
 
 # --- verify suites ---------------------------------------------------------
+
+def _residuals_ok(res, recovery: bool = True) -> bool:
+    """The closed-form CSS checks: Bloch gap, edge gap and, if asked, the
+    reverse-map recovery gap within their tolerances."""
+    gaps = res.residuals
+    return (gaps["bloch_gap"] <= 1e-10 and gaps["edge_gap"] <= 1e-8
+            and (not recovery or gaps["recovery_gap"] <= 1e-9))
+
 
 def _suite_families(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
@@ -299,24 +288,17 @@ def _suite_families(seed: int) -> list[dict]:
     for i in range(5):
         res = css.css_vp(sample_lam())
         checks.append({"name": f"vp_residuals_{i}",
-                       "ok": res.residuals["bloch_gap"] <= 1e-10
-                       and res.residuals["edge_gap"] <= 1e-8
-                       and (res.separable
-                            or res.residuals["recovery_gap"] <= 1e-9)})
+                       "ok": _residuals_ok(res, recovery=not res.separable)})
     for i in range(5):
         res = css.css_horodecki(sample_lam(entangled_horodecki=True))
-        checks.append({"name": f"horodecki_residuals_{i}",
-                       "ok": res.residuals["bloch_gap"] <= 1e-10
-                       and res.residuals["edge_gap"] <= 1e-8
-                       and res.residuals["recovery_gap"] <= 1e-9})
+        checks.append({"name": f"horodecki_residuals_{i}", "ok": _residuals_ok(res)})
     for i in range(5):
         t = rng.uniform(-1, 1, size=3)
         while np.sum(np.abs(t)) <= 1.05 or not geometry.in_tetrahedron(t):
             t = rng.uniform(-1, 1, size=3)
         res = css.css_bell_diagonal(t)
         checks.append({"name": f"bell_diagonal_residuals_{i}",
-                       "ok": res.residuals["bloch_gap"] <= 1e-10
-                       and res.residuals["edge_gap"] <= 1e-8})
+                       "ok": _residuals_ok(res, recovery=False)})
     return checks
 
 
@@ -360,8 +342,9 @@ def _suite_oracle(seed: int, max_iterations: int) -> list[dict]:
 @main.command()
 @click.option("--suite", type=click.Choice(["families", "revmap", "oracle", "all"]),
               default="all", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-iterations", type=int, default=600, show_default=True,
+@click.option("--seed", type=SEED, default=0, show_default=True)
+@click.option("--max-iterations", type=click.IntRange(min=1), default=600,
+              show_default=True,
               help="Oracle iteration budget (tiny values force NotConverged).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="JSON report path.")
@@ -381,14 +364,9 @@ def verify(suite, seed, max_iterations, out):
         extra = f"  ({c['error']})" if "error" in c and not c["ok"] else ""
         click.echo(f"[{status}] {c['name']}{extra}")
     click.echo(f"{n_ok}/{len(checks)} checks passed")
-    report = {"suite": suite, "seed": seed, "checks": checks,
-              "passed": n_ok, "total": len(checks)}
     if out:
-        _dump(report, out)
-        _write_manifest(RunManifest("verify", inputs=[],
-                                    flags={"suite": suite,
-                                           "max_iterations": max_iterations},
-                                    seed=seed, outputs=[out]))
+        _emit({"suite": suite, "seed": seed, "checks": checks,
+               "passed": n_ok, "total": len(checks)}, out)
     sys.exit(EXIT_OK if n_ok == len(checks) else EXIT_CHECK_FAILED)
 
 

@@ -57,9 +57,5 @@ class NotSolvableFamily(ReegeomError):
     """The state belongs to no family with a geometric closest-separable-state construction."""
 
 
-class NotConverged(ReegeomError):
-    """Numerical minimizer restarts disagree beyond tolerance."""
-
-
 class DegenerateFrame(UserWarning):
     """Singular values of the correlation tensor coincide; the diagonal frame is not unique."""

@@ -61,9 +61,6 @@ class DiagonalPauliForm:
     s: np.ndarray
     q: np.ndarray
 
-    def as_pauli(self) -> PauliForm:
-        return PauliForm(self.r, self.s, np.diag(self.q))
-
 
 @dataclass(frozen=True)
 class LocalUnitary:
@@ -246,10 +243,11 @@ def canonicalize(rho: np.ndarray, degeneracy_tol: float = 1e-8):
     """Diagonalize the correlation tensor by a local unitary.
 
     Returns (DiagonalPauliForm, LocalUnitary) where the unitary maps rho to
-    the diagonal-frame state.  The frame is fixed by sorting |q| descending
-    with q1, q2 >= 0 and the sign of the product q1*q2*q3 carried by q3.
-    Warns DegenerateFrame when singular values of g coincide, in which case
-    any valid frame is acceptable.
+    the diagonal-frame state.  The SVD of g orders |q| descending with
+    q1, q2 >= 0; making both frames proper rotations puts the sign of the
+    local-unitary invariant q1*q2*q3 on q3.  Warns DegenerateFrame when
+    singular values of g coincide, in which case any valid frame is
+    acceptable.
     """
     p = to_pauli(rho)
     o1, sv, o2t = np.linalg.svd(p.g)
@@ -267,31 +265,10 @@ def canonicalize(rho: np.ndarray, degeneracy_tol: float = 1e-8):
         warnings.warn("correlation tensor has (near-)degenerate singular values; "
                       "diagonal frame is not unique", DegenerateFrame, stacklevel=2)
 
-    r_a, r_b = o1.T, o2.T  # g -> r_a g r_b^T = diag(q)
-
-    # sort |q| descending with the same permutation on both sides (q signs
-    # unchanged; an odd permutation is repaired by a matching sign on each side)
-    order = tuple(np.argsort(-np.abs(q)))
-    fix = (1, 1, 1) if np.linalg.det(_signed_permutation(order, (1, 1, 1))) > 0 \
-        else (-1, 1, 1)
-    pa = _signed_permutation(order, fix)
-    r_a = pa @ r_a
-    r_b = pa @ r_b
-    q = q[list(order)]
-
-    # pair sign flips (det-one diagonals on the A side) to make q1, q2 >= 0;
-    # the sign of the product q1*q2*q3 is a local-unitary invariant and lands on q3
-    if q[0] < 0 and q[1] < 0:
-        d1 = np.diag([-1.0, -1.0, 1.0])
-    elif q[0] < 0:
-        d1 = np.diag([-1.0, 1.0, -1.0])
-    elif q[1] < 0:
-        d1 = np.diag([1.0, -1.0, -1.0])
-    else:
-        d1 = np.eye(3)
-    r_a = d1 @ r_a
-    q = np.diag(d1) * q
-
+    # g -> r_a g r_b^T = diag(q), stored C-ordered with -0.0 as 0.0 so that
+    # dpf and the lifted unitaries (zero signs included) depend neither on
+    # the memory layout nor on the zero signs the SVD returns
+    r_a, r_b = o1.T.copy() + 0.0, o2.T.copy() + 0.0
     lu = LocalUnitary(su2_from_rotation(r_a), su2_from_rotation(r_b))
     dpf = DiagonalPauliForm(r_a @ p.r, r_b @ p.s, q)
     return dpf, lu

@@ -128,7 +128,7 @@ def boundary_separable_body(r, s, q1, q2):
     return [(mu, "mu"), (nu, "nu")] if inside else []
 
 
-def verify_against_dense(z: ZParallelState, tol: float = 1e-10) -> float:
+def verify_against_dense(z: ZParallelState) -> float:
     """Max deviation of the closed-form eigenvalues from a dense solver (rho and rho^PT)."""
     m = z.matrix()
     d1 = np.max(np.abs(np.sort(eigensystem(z).values) - np.linalg.eigvalsh(m)))

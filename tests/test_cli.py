@@ -79,6 +79,28 @@ class TestNonFiniteInput:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["css", "STATE", "--method", "numeric", "--seed", "-1"],
+    ["sweep", "--r", "0.1", "--s", "0.1", "--seed", "-1"],
+    ["verify", "--suite", "revmap", "--seed", "-1"],
+    ["sweep", "--s", "0.1", "--r", "nan"],
+    ["sweep", "--r", "0.1", "--s", "0.1", "--xmax", "nan"],
+    ["sweep", "--r", "0.1", "--s", "0.1", "--xmax", "inf"],
+    ["sweep", "--r", "0.1", "--s", "0.1", "--xmax", "-1"],
+    ["surface", "--body", "L", "--r", "0", "--s", "0", "--tol", "nan"],
+    ["surface", "--body", "L", "--r", "0", "--s", "0", "--tol", "-1"],
+    ["verify", "--suite", "oracle", "--max-iterations", "0"],
+], ids=lambda args: " ".join([args[0]] + args[-2:]))
+def test_bad_flag_exit_2(runner, tmp_path, args):
+    state = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])
+    out = tmp_path / "out.file"
+    args = [state if a == "STATE" else a for a in args] + ["--out", str(out)]
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 2
+    assert type(res.exception) is SystemExit and "Traceback" not in res.output
+    assert sorted(os.listdir(tmp_path)) == ["bell.json"]
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(reegeom.__file__))
     env = dict(os.environ, PYTHONPATH=src)
