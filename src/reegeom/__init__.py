@@ -13,7 +13,6 @@ from .css import (
     css_vp,
 )
 from .errors import (
-    DegenerateFrame,
     DegenerateZ,
     InvalidState,
     LeftPhysicalRange,

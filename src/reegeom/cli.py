@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import warnings
 
 import click
 import numpy as np
@@ -21,6 +20,7 @@ from . import __version__, css, geometry, revmap
 from .errors import InvalidState
 from .qstate import (
     BELL_STATES,
+    PSD_TOL,
     PauliForm,
     canonicalize,
     concurrence,
@@ -95,6 +95,14 @@ def matrix_json(m: np.ndarray) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
+def _open_out(path: str):
+    """PATH opened for writing; a missing or unwritable directory exits 2."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
+
+
 def _manifest(out: str):
     """Write OUT's sidecar: the running subcommand, its arguments (inputs),
     its options other than --out and --seed (flags), the seed and version."""
@@ -106,7 +114,7 @@ def _manifest(out: str):
     manifest = {"subcommand": ctx.info_name, "inputs": inputs,
                 "seed": flags.pop("seed", None), "flags": flags,
                 "version": __version__, "outputs": [out]}
-    with open(out + ".manifest.json", "w") as fh:
+    with _open_out(out + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -117,7 +125,7 @@ def _emit(payload: dict, out: str | None):
     if not out:
         sys.stdout.write(text)
         return
-    with open(out, "w") as fh:
+    with _open_out(out) as fh:
         fh.write(text)
     _manifest(out)
 
@@ -125,7 +133,7 @@ def _emit(payload: dict, out: str | None):
 def _write_csv(out: str, header: str, rows: list[tuple]):
     """Write HEADER and ROWS as CSV and the file's manifest; numbers are
     printed with 17 significant digits, strings as they are."""
-    with open(out, "w") as fh:
+    with _open_out(out) as fh:
         fh.write(header + "\n")
         if rows:
             line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
@@ -153,9 +161,7 @@ def decompose(state, out):
     """Pauli decomposition, canonical frame, and basic invariants of STATE."""
     rho = load_state(state)
     pf = to_pauli(rho)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dpf, lu = canonicalize(rho)
+    dpf, lu = canonicalize(rho)
     _emit({
         "r": pf.r.tolist(),
         "s": pf.s.tolist(),
@@ -228,7 +234,7 @@ def css_cmd(state, method, bits, seed, out):
 @click.option("--s", type=BLOCH, required=True)
 @click.option("--n", type=click.IntRange(min=2), default=64, show_default=True,
               help="Grid resolution per axis.")
-@click.option("--tol", type=Finite(min=0.0), default=1e-10, show_default=True,
+@click.option("--tol", type=Finite(min=0.0), default=PSD_TOL, show_default=True,
               help="PSD tolerance for dropping unphysical sheet roots.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def surface(body, r, s, n, tol, out):

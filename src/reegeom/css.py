@@ -10,28 +10,29 @@ dispatches and maps the result back through the inverse local unitary.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import geometry
+from . import geometry, revmap
 from .errors import ReegeomError
 from .qstate import (
     BELL_STATES,
+    PSD_TOL,
     SIGNED_PERMUTATION_FRAMES,
     DiagonalPauliForm,
     LocalUnitary,
     bell_diagonal,
     canonicalize,
     from_diagonal_pauli,
+    is_ppt,
     min_pt_eigenvalue,
     su2_from_rotation,
     to_pauli,
     validate_density_matrix,
 )
-from .ree import relative_entropy
+from .ree import OracleConfig, ree_numeric, relative_entropy
 
 CLASSIFY_TOL = 1e-8
 
@@ -110,24 +111,22 @@ def _clip_weights(l1, l2, l3):
     return tuple(lam / lam.sum())
 
 
-def classify(rho: np.ndarray, tol: float = CLASSIFY_TOL) -> FamilyTag:
+def classify(rho: np.ndarray) -> FamilyTag:
     """Family of rho after local-unitary canonicalization."""
     validate_density_matrix(rho)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dpf, _ = canonicalize(rho)
-    tag, _, _ = _match_templates(dpf, tol)
+    dpf, _ = canonicalize(rho)
+    tag, _, _ = _match_templates(dpf)
     return tag
 
 
-def css_bell_diagonal(t, psd_tol: float = 1e-10) -> CssResult:
+def css_bell_diagonal(t) -> CssResult:
     """Closest separable state of the Bell-diagonal state with correlation
     vector t: the crossing of the ray from the nearest tetrahedron vertex
     through t with the nearest octahedron face."""
     t = np.asarray(t, dtype=float)
     rho = bell_diagonal(t)
     tag = FamilyTag(FamilyKind.BELL_DIAGONAL)
-    if np.sum(np.abs(t)) <= 1.0 + psd_tol:
+    if np.sum(np.abs(t)) <= 1.0 + PSD_TOL:
         return _finish(rho, rho, t, tag, separable=True)
     v = geometry.nearest_vertex(t)
     n = v.coords  # the nearest octahedron face lies in the plane n.q = 1
@@ -165,11 +164,16 @@ def css_horodecki(lam) -> CssResult:
     return _finish(rho, css, tau, tag)
 
 
-def _finish(rho, css, tau, tag, separable=False) -> CssResult:
+def _bloch_gap(rho, css) -> float:
+    """Largest distance between the Bloch vectors of rho and of its CSS."""
     p_rho, p_css = to_pauli(rho), to_pauli(css)
+    return float(max(np.linalg.norm(p_css.r - p_rho.r),
+                     np.linalg.norm(p_css.s - p_rho.s)))
+
+
+def _finish(rho, css, tau, tag, separable=False) -> CssResult:
     residuals = {
-        "bloch_gap": float(max(np.linalg.norm(p_css.r - p_rho.r),
-                               np.linalg.norm(p_css.s - p_rho.s))),
+        "bloch_gap": _bloch_gap(rho, css),
         "edge_gap": abs(min_pt_eigenvalue(css)),
         "recovery_gap": float("nan"),
     }
@@ -183,8 +187,6 @@ def _finish(rho, css, tau, tag, separable=False) -> CssResult:
 
 def _recovery_gap(rho, res: CssResult) -> float:
     """Max-entry error of rebuilding rho from its CSS via the reverse map."""
-    from . import revmap
-
     try:
         if res.family.kind is FamilyKind.GENERALIZED_VP:
             back = revmap.recover_vp(res.family.lambdas)
@@ -201,24 +203,19 @@ def _recovery_gap(rho, res: CssResult) -> float:
         return float("nan")
 
 
-def css_auto(rho: np.ndarray, numeric_fallback: bool = True,
-             tol: float = CLASSIFY_TOL) -> CssResult:
+def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
     """Classify, construct in the template frame, map back through the
     inverse local unitary.  For states outside the solvable families the
     numerical oracle supplies a (non-geometric) result."""
     validate_density_matrix(rho)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dpf, lu = canonicalize(rho)
-    tag, pa, pb = _match_templates(dpf, tol)
+    dpf, lu = canonicalize(rho)
+    tag, pa, pb = _match_templates(dpf)
 
     if tag.kind is FamilyKind.OTHER:
         if not numeric_fallback:
             return CssResult(css=None, tau=None, family=tag, ree=float("nan"),
                              geometric=False)
-        from .ree import OracleConfig, ree_numeric
-
-        if min_pt_eigenvalue(rho) >= -1e-10:
+        if is_ppt(rho):
             return _finish(rho, rho, to_pauli(rho).g.diagonal(), tag,
                            separable=True)
         rep = ree_numeric(rho, OracleConfig())
@@ -236,11 +233,6 @@ def css_auto(rho: np.ndarray, numeric_fallback: bool = True,
     else:
         template = css_horodecki(tag.lambdas)
 
-    css_global = frame.inverse().apply(template.css)
-    res = CssResult(css=css_global, tau=template.tau, family=tag,
-                    ree=template.ree, residuals=dict(template.residuals),
-                    separable=template.separable)
-    p_rho, p_css = to_pauli(rho), to_pauli(css_global)
-    res.residuals["bloch_gap"] = float(max(np.linalg.norm(p_css.r - p_rho.r),
-                                           np.linalg.norm(p_css.s - p_rho.s)))
-    return res
+    template.css = frame.inverse().apply(template.css)
+    template.residuals["bloch_gap"] = _bloch_gap(rho, template.css)
+    return template

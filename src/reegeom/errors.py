@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class ReegeomError(Exception):
@@ -55,7 +55,3 @@ class LeftPhysicalRange(ReegeomError):
 
 class NotSolvableFamily(ReegeomError):
     """The state belongs to no family with a geometric closest-separable-state construction."""
-
-
-class DegenerateFrame(UserWarning):
-    """Singular values of the correlation tensor coincide; the diagonal frame is not unique."""

@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from . import spectra
 from .errors import NoCrossing, OutsideTetrahedron
+from .qstate import PSD_TOL
 from .spectra import ZParallelState
+
+TETRA_TOL = 1e-8     # slack of the tetrahedron face inequalities n.t <= 1
+RAY_W_MAX = 10.0     # ray parameters scanned for crossings: [0, RAY_W_MAX]
+RAY_SCAN_STEP = 1e-3
+RAY_W_TOL = 1e-12    # bisection and golden-section width in w
 
 TETRA_VERTICES = {
     "v1": np.array([1.0, -1.0, 1.0]),
@@ -60,22 +66,22 @@ class SurfaceMesh:
     sheets: list = field(default_factory=list)
 
 
-def in_tetrahedron(t, tol: float = 1e-8) -> bool:
+def in_tetrahedron(t) -> bool:
     t = np.asarray(t, dtype=float)
-    return all(float(n @ t) <= 1.0 + tol for n in TETRA_FACE_NORMALS)
+    return all(float(n @ t) <= 1.0 + TETRA_TOL for n in TETRA_FACE_NORMALS)
 
 
-def nearest_vertex(t, tol: float = 1e-8) -> Vertex:
+def nearest_vertex(t) -> Vertex:
     """Closest tetrahedron vertex to t; ties broken by label order."""
     t = np.asarray(t, dtype=float)
-    if not in_tetrahedron(t, tol):
+    if not in_tetrahedron(t):
         raise OutsideTetrahedron(f"point {t} lies outside the tetrahedron")
     best = min(TETRA_VERTICES.items(), key=lambda kv: (np.linalg.norm(t - kv[1]), kv[0]))
     return Vertex(best[0], best[1])
 
 
 def surface_mesh(body: str, r: float, s: float, n: int,
-                 psd_tol: float = 1e-10) -> SurfaceMesh:
+                 psd_tol: float = PSD_TOL) -> SurfaceMesh:
     """Sample the boundary surface on an n x n grid over (q1, q2) in [-1, 1]^2.
 
     Roots whose full state is not PSD within psd_tol are dropped (they solve
@@ -114,9 +120,7 @@ def _golden_max(f, a, b, tol):
     return x, f(x)
 
 
-def line_surface_crossing(t, v: Vertex, r: float, s: float,
-                          w_max: float = 10.0, scan_step: float = 1e-3,
-                          w_tol: float = 1e-12) -> list[CrossingPoint]:
+def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoint]:
     """Crossings of the ray p(w) = v + w (t - v), w >= 0, with the deformed
     separable boundary at fixed (r, s).
 
@@ -128,11 +132,11 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float,
     if np.linalg.norm(d) < 1e-14:
         raise ValueError("line start coincides with the vertex")
 
-    def f(w):
+    def f(w):  # min_pt_branch at p(w), as the scan below
         p = v.coords + w * d
-        return spectra.min_pt_branch(ZParallelState(r, s, *p))
+        return spectra.branch_min(r, s, p[0], -p[1], p[2])
 
-    ws = np.arange(0.0, w_max + scan_step, scan_step)
+    ws = np.arange(0.0, RAY_W_MAX + RAY_SCAN_STEP, RAY_SCAN_STEP)
     p = v.coords + ws[:, None] * d
     vals = spectra.branch_min(r, s, p[:, 0], -p[:, 1], p[:, 2])  # min_pt_branch
     # exact zeros count once per run of zeros; else bracket sign changes
@@ -140,7 +144,7 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float,
     roots = ws[:-1][exact].tolist()
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
         a, b, fa = ws[i], ws[i + 1], vals[i]
-        while b - a > w_tol:
+        while b - a > RAY_W_TOL:
             m = 0.5 * (a + b)
             fm = f(m)
             if fa * fm <= 0.0:
@@ -154,8 +158,8 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float,
     # no sign change; refine interior local maxima that come close enough
     mid = vals[1:-1]
     for i in np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid < 0.0)) + 1:
-        w_star, f_star = _golden_max(f, ws[i - 1], ws[i + 1], w_tol)
-        if f_star >= -1e-10:
+        w_star, f_star = _golden_max(f, ws[i - 1], ws[i + 1], RAY_W_TOL)
+        if f_star >= -PSD_TOL:
             roots.append(w_star)
 
     crossings = []

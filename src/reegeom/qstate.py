@@ -8,13 +8,12 @@ Basis order everywhere is |00>, |01>, |10>, |11>.  All functions are pure.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .errors import DegenerateFrame, InvalidState
+from .errors import InvalidState
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -84,7 +83,7 @@ class LocalUnitary:
         return LocalUnitary(self.u_a @ other.u_a, self.u_b @ other.u_b)
 
 
-def validate_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise InvalidState on the first violated density-matrix invariant."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -98,13 +97,13 @@ def validate_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL) -> None:
     if tr > TRACE_TOL:
         raise InvalidState("unit trace", tr)
     lam_min = float(np.linalg.eigvalsh(rho)[0])
-    if lam_min < -psd_tol:
+    if lam_min < -PSD_TOL:
         raise InvalidState("positive semidefiniteness", -lam_min)
 
 
-def is_valid_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL) -> bool:
+def is_valid_density_matrix(rho: np.ndarray) -> bool:
     try:
-        validate_density_matrix(rho, psd_tol)
+        validate_density_matrix(rho)
     except InvalidState:
         return False
     return True
@@ -239,15 +238,14 @@ SIGNED_PERMUTATION_FRAMES = np.array(list(signed_permutation_frames()))
 SIGNED_PERMUTATION_FRAMES.flags.writeable = False
 
 
-def canonicalize(rho: np.ndarray, degeneracy_tol: float = 1e-8):
+def canonicalize(rho: np.ndarray):
     """Diagonalize the correlation tensor by a local unitary.
 
     Returns (DiagonalPauliForm, LocalUnitary) where the unitary maps rho to
     the diagonal-frame state.  The SVD of g orders |q| descending with
     q1, q2 >= 0; making both frames proper rotations puts the sign of the
-    local-unitary invariant q1*q2*q3 on q3.  Warns DegenerateFrame when
-    singular values of g coincide, in which case any valid frame is
-    acceptable.
+    local-unitary invariant q1*q2*q3 on q3.  When singular values of g
+    coincide the frame is not unique; the one returned is the SVD's.
     """
     p = to_pauli(rho)
     o1, sv, o2t = np.linalg.svd(p.g)
@@ -261,9 +259,6 @@ def canonicalize(rho: np.ndarray, degeneracy_tol: float = 1e-8):
         o2 = o2.copy()
         o2[:, 2] *= -1
         q[2] *= -1
-    if np.min(np.abs(np.diff(np.sort(sv)))) < degeneracy_tol:
-        warnings.warn("correlation tensor has (near-)degenerate singular values; "
-                      "diagonal frame is not unique", DegenerateFrame, stacklevel=2)
 
     # g -> r_a g r_b^T = diag(q), stored C-ordered with -0.0 as 0.0 so that
     # dpf and the lifted unitaries (zero signs included) depend neither on

@@ -18,25 +18,21 @@ from .qstate import validate_density_matrix
 
 SUPPORT_TOL = 1e-12
 LOG_CLAMP = 1e-300
+# product states per mixture: above 16, the Caratheodory bound for the
+# 15-dimensional two-qubit state space, so the ansatz is not limiting
+ENSEMBLE_SIZE = 20
+STEP_TOLERANCE = 1e-9  # L-BFGS-B ftol
+CERTIFICATE_SEED = 0
+CERTIFICATE_STEPS = (1e-5, 1e-6)  # finite-difference steps, Richardson pair
 
 
 @dataclass
 class OracleConfig:
-    """Settings for the product-mixture minimizer.
+    """Settings for the product-mixture minimizer."""
 
-    ensemble_size stays above 16, the Caratheodory bound for the
-    15-dimensional two-qubit state space, so the ansatz is not limiting.
-    """
-
-    ensemble_size: int = 20
     max_iterations: int = 600
-    step_tolerance: float = 1e-9
     restarts: int = 8
     seed: int = 0
-
-    def __post_init__(self):
-        if self.ensemble_size < 16:
-            raise ValueError("ensemble size must be at least 16")
 
 
 @dataclass
@@ -50,12 +46,11 @@ class ReeReport:
     restart_values: list = field(default_factory=list)
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray,
-                     support_tol: float = SUPPORT_TOL) -> float:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """S(rho||sigma) = tr(rho ln rho - rho ln sigma), in nats.
 
     Returns math.inf when rho's support is not contained in sigma's
-    (weight beyond support_tol on sigma's kernel).  0 ln 0 is 0.  Raises
+    (weight beyond SUPPORT_TOL on sigma's kernel).  0 ln 0 is 0.  Raises
     InvalidState when either matrix has a NaN or infinite entry.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -67,11 +62,11 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray,
     q, v = np.linalg.eigh(sigma)
     p = np.clip(p, 0.0, None)
 
-    kernel = q <= support_tol
+    kernel = q <= SUPPORT_TOL
     if np.any(kernel):
         k = v[:, kernel]
         leak = float(np.real(np.trace(k.conj().T @ rho @ k)))
-        if leak > support_tol:
+        if leak > SUPPORT_TOL:
             return math.inf
 
     overlap = np.abs(u.conj().T @ v) ** 2
@@ -165,7 +160,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
         cfg = OracleConfig()
     validate_density_matrix(rho)
     rho = np.asarray(rho, dtype=complex)
-    k = cfg.ensemble_size
+    k = ENSEMBLE_SIZE
     p_eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     pos = p_eigs > SUPPORT_TOL
     s_rho = float(np.sum(p_eigs[pos] * np.log(p_eigs[pos])))
@@ -184,7 +179,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
         res = minimize(_objective, x0, args=(rho, k, s_rho), jac=True,
                        method="L-BFGS-B",
                        options={"maxiter": cfg.max_iterations,
-                                "ftol": cfg.step_tolerance, "gtol": 1e-10})
+                                "ftol": STEP_TOLERANCE, "gtol": 1e-10})
         iterations += res.nit
         results.append((float(res.fun), res.x))
 
@@ -220,8 +215,7 @@ def _random_product_state(rng) -> np.ndarray:
 
 
 def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
-                                 n_directions: int = 64, seed: int = 0,
-                                 eps: tuple[float, float] = (1e-5, 1e-6)) -> float:
+                                 n_directions: int = 64) -> float:
     """First-order optimality certificate for a claimed closest separable state.
 
     Minimum over sampled product-state directions of the one-sided derivative
@@ -231,11 +225,11 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     A true minimizer gives a nonnegative result (up to ~1e-8); a css at
     S(rho||css) = inf gives -inf.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CERTIFICATE_SEED)
     s0 = relative_entropy(rho, css)
     if math.isinf(s0):
         return -math.inf  # no state at infinite relative entropy is a minimizer
-    e1, e2 = eps
+    e1, e2 = CERTIFICATE_STEPS
     best = math.inf
     for _ in range(n_directions):
         sp = _random_product_state(rng)

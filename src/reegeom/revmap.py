@@ -22,11 +22,13 @@ from .errors import (
     ParallelLines,
     RankDeficient,
 )
-from .qstate import min_eigenvalue, partial_transpose
+from .qstate import PSD_TOL, min_eigenvalue, partial_transpose
 
 RANK_EPS = 1e-12
 EDGE_TOL = 1e-8
 LOG_DEGENERATE = 1e-9
+SAMPLE_TRIES = 200      # draws before sample_params_for_bloch gives up
+REGULARIZATION = 1e-7   # CSS regularization of the family recoveries
 
 
 @dataclass(frozen=True)
@@ -78,22 +80,22 @@ class ZFamilyDerivatives:
     d: float
 
 
-def pt_kernel(sigma: np.ndarray, tol: float = EDGE_TOL) -> np.ndarray:
+def pt_kernel(sigma: np.ndarray) -> np.ndarray:
     """Unit vector spanning the kernel of sigma's partial transpose."""
     vals, vecs = np.linalg.eigh(partial_transpose(sigma))
-    near_zero = np.abs(vals) <= tol
+    near_zero = np.abs(vals) <= EDGE_TOL
     if np.count_nonzero(near_zero) != 1:
         raise NotEdgeState(
             f"{np.count_nonzero(near_zero)} near-zero PT eigenvalues (need exactly 1)")
     return vecs[:, near_zero].ravel()
 
 
-def g_matrix(sigma: np.ndarray, rank_eps: float = RANK_EPS) -> GMatrix:
+def g_matrix(sigma: np.ndarray) -> GMatrix:
     """G(sigma) in sigma's eigenbasis with logarithmic divided differences."""
     sigma = np.asarray(sigma, dtype=complex)
     lam, v = np.linalg.eigh(sigma)
-    if lam[0] <= rank_eps:
-        raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= {rank_eps:.0e}")
+    if lam[0] <= RANK_EPS:
+        raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= {RANK_EPS:.0e}")
     phi = pt_kernel(sigma)
     phi_pt = partial_transpose(np.outer(phi, phi.conj()))
 
@@ -108,18 +110,17 @@ def g_matrix(sigma: np.ndarray, rank_eps: float = RANK_EPS) -> GMatrix:
     return GMatrix(matrix=g, kernel_vector=phi, eigenvalues=lam)
 
 
-def family_from_css(sigma: np.ndarray, x: float, psd_tol: float = 1e-10,
-                    check_psd: bool = True) -> np.ndarray:
+def family_from_css(sigma: np.ndarray, x: float, check_psd: bool = True) -> np.ndarray:
     """rho(x) = sigma - x G(sigma); raises LeftPhysicalRange past the PSD cone."""
     if x < 0:
         raise ValueError("family parameter must be nonnegative")
     g = g_matrix(sigma).matrix
     rho = sigma - x * g
-    if check_psd and min_eigenvalue(rho) < -psd_tol:
+    if check_psd and min_eigenvalue(rho) < -PSD_TOL:
         lo, hi = 0.0, x
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if min_eigenvalue(sigma - mid * g) >= -psd_tol:
+            if min_eigenvalue(sigma - mid * g) >= -PSD_TOL:
                 lo = mid
             else:
                 hi = mid
@@ -195,14 +196,13 @@ def line_crossing(p: SigmaZParams, p2: SigmaZParams):
     return x, x2, np.array([mu12, mu12, mu3])
 
 
-def sample_params_for_bloch(r: float, s: float, rng,
-                            max_tries: int = 200) -> SigmaZParams:
+def sample_params_for_bloch(r: float, s: float, rng) -> SigmaZParams:
     """Random X-shaped edge state whose x = 0 Bloch components are (r, s)."""
     lo = abs(r + s) / 2
     hi = 1.0 - abs(r - s) / 2
     if lo >= hi:
         raise ValueError(f"no X-shaped state has Bloch components ({r}, {s})")
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         h = rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
         r1 = (h + (r + s) / 2) / 2
         r4 = (h - (r + s) / 2) / 2
@@ -216,7 +216,7 @@ def sample_params_for_bloch(r: float, s: float, rng,
     raise ValueError("could not sample valid family parameters")
 
 
-def css_line_sweep(params: list[SigmaZParams], x_grid, psd_tol: float = 1e-10):
+def css_line_sweep(params: list[SigmaZParams], x_grid):
     """Correlation-vector polylines t(x) of several families.
 
     Returns a list of row dicts (family_id, x, t, tau, r, s); points where
@@ -227,7 +227,7 @@ def css_line_sweep(params: list[SigmaZParams], x_grid, psd_tol: float = 1e-10):
     for fid, p in enumerate(params):
         d = z_derivatives(p)
         _, _, tau = _z_family_pauli(p, d, 0.0)
-        keep = np.linalg.eigvalsh(_z_family(p, d, xs))[:, 0] >= -psd_tol
+        keep = np.linalg.eigvalsh(_z_family(p, d, xs))[:, 0] >= -PSD_TOL
         r, s, t = _z_family_pauli(p, d, xs[keep])
         rows += [{"family_id": fid, "x": x, "t": t_x, "tau": tau, "r": r_x, "s": s_x}
                  for x, t_x, r_x, s_x in zip(xs[keep].tolist(), t, r.tolist(), s.tolist())]
@@ -280,19 +280,18 @@ def x_horodecki(lam) -> float:
     return (l1 / 2 - y) / eta
 
 
-def _richardson_recover(build_sigma, x: float, eps: float) -> np.ndarray:
-    f1 = family_from_css(build_sigma(eps), x, check_psd=False)
-    f2 = family_from_css(build_sigma(eps / 2), x, check_psd=False)
+def _richardson_recover(build_sigma, x: float) -> np.ndarray:
+    f1 = family_from_css(build_sigma(REGULARIZATION), x, check_psd=False)
+    f2 = family_from_css(build_sigma(REGULARIZATION / 2), x, check_psd=False)
     return 2 * f2 - f1
 
 
-def recover_vp(lam, eps: float = 1e-7) -> np.ndarray:
+def recover_vp(lam) -> np.ndarray:
     """rho_vp rebuilt from its (regularized) CSS at x = x_vp."""
-    return _richardson_recover(lambda e: _vp_css_regularized(lam, e),
-                               x_vp(lam), eps)
+    return _richardson_recover(lambda e: _vp_css_regularized(lam, e), x_vp(lam))
 
 
-def recover_horodecki(lam, eps: float = 1e-7) -> np.ndarray:
+def recover_horodecki(lam) -> np.ndarray:
     """rho_H rebuilt from its (regularized) CSS at x = x_H."""
     return _richardson_recover(lambda e: _horodecki_css_regularized(lam, e),
-                               x_horodecki(lam), eps)
+                               x_horodecki(lam))

@@ -7,7 +7,6 @@ printed summary.
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -37,9 +36,7 @@ def test_criterion_1_bell_state_ree():
     t0 = time.time()
     worst_geo, worst_num = 0.0, 0.0
     for b in BELL_STATES:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            geo = ree_geometric(b)
+        geo = ree_geometric(b)
         num = ree_numeric(b, OracleConfig(restarts=4))
         worst_geo = max(worst_geo, abs(geo.value - LN2))
         worst_num = max(worst_num, abs(num.value - LN2))
@@ -111,9 +108,7 @@ def test_criterion_3_family_cross_validation():
             rho0 = sample(family)
             lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
             rho = lu.apply(rho0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = css.css_auto(rho)
+            res = css.css_auto(rho)
             num = ree_numeric(rho, OracleConfig(seed=int(rng.integers(2 ** 31))))
             worst["bloch"] = max(worst["bloch"], res.residuals["bloch_gap"])
             worst["edge"] = max(worst["edge"],

@@ -101,6 +101,24 @@ def test_bad_flag_exit_2(runner, tmp_path, args):
     assert sorted(os.listdir(tmp_path)) == ["bell.json"]
 
 
+@pytest.mark.parametrize("args", [
+    ["surface", "--body", "T", "--r", "0", "--s", "0", "--n", "4"],
+    ["sweep", "--r", "0.1", "--s", "0.1", "--families", "1"],
+    ["decompose", "STATE"],
+    ["css", "STATE"],
+    ["verify", "--suite", "revmap"],
+], ids=lambda args: args[0])
+def test_out_in_missing_directory_exit_2(runner, tmp_path, args):
+    state = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])
+    out = tmp_path / "missing" / "out.file"
+    args = [state if a == "STATE" else a for a in args] + ["--out", str(out)]
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 2
+    assert type(res.exception) is SystemExit and "Traceback" not in res.output
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["bell.json"]
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(reegeom.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -56,9 +55,7 @@ class TestMatchTemplates:
             inputs.append(random_density_matrix(rng))
         kinds = set()
         for rho in inputs:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                dpf, _ = qstate.canonicalize(rho)
+            dpf, _ = qstate.canonicalize(rho)
             for tol in (css.CLASSIFY_TOL, 1e-2):
                 tag, pa, pb = css._match_templates(dpf, tol)
                 want, want_pa, want_pb = match_templates_loop(dpf, tol)

@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,9 +235,7 @@ class TestCanonicalize:
         rng = np.random.default_rng(3)
         for _ in range(200):
             rho = random_density_matrix(rng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                dpf, lu = qstate.canonicalize(rho)
+            dpf, lu = qstate.canonicalize(rho)
             q = dpf.q
             assert abs(q[0]) >= abs(q[1]) >= abs(q[2]) - 1e-12
             assert q[0] >= -1e-12 and q[1] >= -1e-12
@@ -247,9 +244,7 @@ class TestCanonicalize:
         rng = np.random.default_rng(4)
         for _ in range(200):
             rho = random_density_matrix(rng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                dpf, lu = qstate.canonicalize(rho)
+            dpf, lu = qstate.canonicalize(rho)
             mapped = qstate.to_pauli(lu.apply(rho))
             assert np.allclose(mapped.g, np.diag(dpf.q), atol=1e-10)
             assert np.allclose(mapped.r, dpf.r, atol=1e-10)
@@ -257,16 +252,10 @@ class TestCanonicalize:
 
     def test_lu_invariance_of_q(self, rng):
         rho = random_density_matrix(rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            q0 = qstate.canonicalize(rho)[0].q
-            lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
-            q1 = qstate.canonicalize(lu.apply(rho))[0].q
+        q0 = qstate.canonicalize(rho)[0].q
+        lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
+        q1 = qstate.canonicalize(lu.apply(rho))[0].q
         assert np.allclose(q0, q1, atol=1e-10)
-
-    def test_degenerate_frame_warning(self):
-        with pytest.warns(qstate.DegenerateFrame):
-            qstate.canonicalize(np.eye(4) / 4)
 
 
 class TestSignedPermutationFrames:

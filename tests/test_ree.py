@@ -95,10 +95,6 @@ class TestNumericOracle:
         rep = ree_numeric(qstate.BELL_STATES[0], OracleConfig(restarts=4))
         assert qstate.is_ppt(rep.css_numeric, tol=1e-9)
 
-    def test_small_ensemble_rejected(self):
-        with pytest.raises(ValueError):
-            OracleConfig(ensemble_size=8)
-
     def test_seed_determinism(self):
         rho = css._vp_state((0.5, 0.3, 0.2))
         a = ree_numeric(rho, OracleConfig(restarts=3, seed=5))
