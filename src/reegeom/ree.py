@@ -1,34 +1,66 @@
 """Quantum relative entropy and the numerical entanglement minimizer.
 
-`relative_entropy` is the shared metric.  `ree_numeric` minimizes it over
-mixtures of product states (the separable set for two qubits) by multi-start
-quasi-Newton descent with an analytic gradient; it is the independent oracle
-against which the geometric constructions are verified.
+`relative_entropy` is the shared metric.  `ree_numeric` minimizes it over the
+separable states, which for two qubits are the PPT states (Horodecki,
+Horodecki & Horodecki, PLA 223, 1 (1996)): damped Newton on a log-barrier
+for sigma >= 0 and sigma^Gamma >= 0 in the 15 Pauli coordinates, followed
+by a Frank-Wolfe gap (Jaggi, ICML 2013), bounded through the barrier's dual,
+that brackets the minimum.  It is the independent oracle against which the
+geometric constructions are verified.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidState, NotSolvableFamily
-from .qstate import validate_density_matrix
+from .qstate import PAULI_BASIS, partial_transpose, validate_density_matrix
 
 SUPPORT_TOL = 1e-12
 LOG_CLAMP = 1e-300
-# product states per mixture: above 16, the Caratheodory bound for the
-# 15-dimensional two-qubit state space, so the ansatz is not limiting
-ENSEMBLE_SIZE = 20
-STEP_TOLERANCE = 1e-9  # L-BFGS-B ftol
+# barrier weights of the central path: 1, 0.1, ..., 1e-9; the excess of the
+# path's end over the optimum is at most 8 * 1e-9 (barrier parameter 8)
+MU_SCHEDULE = tuple(10.0 ** -k for k in range(10))
+CENTERING_TOL = 1e-12  # half the squared Newton decrement that ends a stage
+ARMIJO_C = 0.25  # sufficient-decrease fraction of the backtracking step
+MAX_HALVINGS = 30  # backtracking halvings before a stage counts as stalled
+POLISH_STEPS = 3  # full Newton steps at the last weight, kept while the decrement shrinks
+HESSIAN_FLOOR = 1e-14  # Hessian eigenvalues clipped at this fraction of the largest
+DIVIDED_SPREAD = 1e-5  # relative spread below which a divided difference takes its limit
+BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
+# rounding allowance taken off the lower end: the bound's minimizing vector
+# lies in sigma's support, where G carries rounding of order eps, not the
+# eps / lambda_min(sigma) of G's entries on sigma's near-kernel
+BRACKET_ROUNDING = 1e-12
+FLOOR_SPAN = 4.0  # the PT-kernel weight is searched on [0, FLOOR_SPAN * mu / w_0]
+FLOOR_STEPS = 60  # golden-section steps of that search
 CERTIFICATE_SEED = 0
 CERTIFICATE_STEPS = (1e-5, 1e-6)  # finite-difference steps, Richardson pair
+
+# sigma = I/4 + sum_k x_k B_k with B_k = (sigma_a (x) sigma_b) / 4, k = 4a + b - 1;
+# sigma^Gamma flips the coordinates with sigma_y on qubit B (sigma_y^T = -sigma_y)
+_B = PAULI_BASIS[1:].reshape(15, 4, 4) / 4
+_PT_SIGN = np.array([-1.0 if k % 4 == 2 else 1.0 for k in range(1, 16)])
+_DIRECTIONS_FLAT = np.stack([_B, _PT_SIGN[:, None, None] * _B]).reshape(2, 15, 16)
+# index triples (i, m, j) of the second divided differences, each sorted
+# ascending, so that they pick sorted triples out of eigh's ascending spectrum;
+# sorted in Python, because numpy's sort pages in 0.4 MB of code at import
+_TRIPLES = np.array([sorted(t) for t in itertools.product(range(4), repeat=3)]
+                    ).T.reshape(3, 4, 4, 4)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
 class OracleConfig:
-    """Settings for the product-mixture minimizer."""
+    """Budget of the barrier oracle: at most `max_iterations` Newton steps.
+
+    `seed` and `restarts` are accepted and ignored; the barrier path is
+    deterministic and starts at I/4.
+    """
 
     max_iterations: int = 600
     restarts: int = 8
@@ -37,13 +69,16 @@ class OracleConfig:
 
 @dataclass
 class ReeReport:
+    """From `ree_numeric`: `value` = S(rho || css_numeric), and the REE lies
+    in [lower, value] with gap = value - lower."""
+
     value: float
     css_numeric: np.ndarray | None = None
     css_geometric: np.ndarray | None = None
     gap: float = float("nan")
     iterations: int = 0
     converged: bool = True
-    restart_values: list = field(default_factory=list)
+    lower: float = float("nan")
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -78,120 +113,194 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return s_rho - cross
 
 
-def _log_gradient(rho: np.ndarray, sigma: np.ndarray):
-    """(g, G): g = -tr(rho ln sigma), and Hermitian G with dg = Re tr(dSigma G).
+def _log_divided(a, b):
+    """First divided difference of ln, (ln a - ln b) / (a - b), elementwise;
+    1 / mean where the spread is below DIVIDED_SPREAD of the mean."""
+    mean = (a + b) / 2
+    d = a - b
+    close = np.abs(d) <= DIVIDED_SPREAD * mean
+    return np.where(close, 1.0 / mean,
+                    (np.log(a) - np.log(b)) / np.where(close, 1.0, d))
+
+
+def _log_divided2(w: np.ndarray, l1: np.ndarray) -> np.ndarray:
+    """Second divided differences ln[w_i, w_m, w_j] of an ascending spectrum
+    w, from its first divided differences l1.
+
+    Each sorted triple c <= b <= a gives (ln[a, b] - ln[b, c]) / (a - c);
+    below a relative spread of DIVIDED_SPREAD, the limit -1 / (2 mean^2).
+    """
+    lo, mid, hi = _TRIPLES
+    mean = (w[lo] + w[mid] + w[hi]) / 3
+    spread = w[hi] - w[lo]
+    close = spread <= DIVIDED_SPREAD * mean
+    return np.where(close, -0.5 / mean ** 2,
+                    (l1[hi, mid] - l1[mid, lo]) / np.where(close, 1.0, spread))
+
+
+def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Hermitian G with d(-tr(rho ln sigma)) = Re tr(dSigma G).
 
     Daleckii-Krein divided differences of ln on sigma's spectrum.
     """
     q, v = np.linalg.eigh(sigma)
     qc = np.clip(q, 1e-18, None)
-    lnq = np.log(qc)
     b = v.conj().T @ rho @ v
-    g = -float(np.real(np.trace(np.diag(lnq) @ b)))
-    dq = qc[:, None] - qc[None, :]
-    dl = lnq[:, None] - lnq[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(dq) > 1e-14, dl / np.where(dq == 0, 1, dq),
-                         1.0 / qc[:, None])
-    grad = -v @ (ratio * b) @ v.conj().T
-    return g, grad
+    return -v @ (_log_divided(qc[:, None], qc[None, :]) * b) @ v.conj().T
 
 
-def _ansatz(params: np.ndarray, k: int):
-    """Mixture weights, product vectors, and per-term projector data."""
-    w = params[:k]
-    th_a, ph_a = params[k:2 * k], params[2 * k:3 * k]
-    th_b, ph_b = params[3 * k:4 * k], params[4 * k:5 * k]
-    ew = np.exp(w - np.max(w))
-    p = ew / np.sum(ew)
-    a = np.stack([np.cos(th_a / 2), np.exp(1j * ph_a) * np.sin(th_a / 2)], axis=1)
-    b = np.stack([np.cos(th_b / 2), np.exp(1j * ph_b) * np.sin(th_b / 2)], axis=1)
-    c = np.einsum("ki,kj->kij", a, b).reshape(k, 4)
-    return p, a, b, c
+def _spectra(x: np.ndarray):
+    """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of sigma(x) and sigma(x)^Gamma."""
+    m = np.eye(4) / 4 + np.tensordot(np.stack([x, _PT_SIGN * x]), _B, axes=1)
+    return np.linalg.eigh(m)
 
 
-def _sigma_from(p, c):
-    return np.einsum("k,ki,kj->ij", p, c, c.conj())
+def _value(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray) -> float:
+    """F = -tr(rho ln sigma) - mu [ln det sigma + ln det sigma^Gamma]; +inf
+    outside sigma > 0, sigma^Gamma > 0."""
+    if w[:, 0].min() <= 0.0:
+        return math.inf
+    weights = np.real(np.sum(v[0].conj() * (rho @ v[0]), axis=0))
+    return -float(weights @ np.log(w[0])) - mu * float(np.sum(np.log(w)))
 
 
-def _objective(params, rho, k, s_rho):
-    p, a, b, c = _ansatz(params, k)
-    sigma = _sigma_from(p, c)
-    g, grad = _log_gradient(rho, sigma)
+def _derivatives(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
+    """Gradient (15,) and exact Hessian (15, 15) of F at the spectra (w, v).
 
-    # per-term directional data: t_k = Re <c_k| G |c_k>
-    t = np.real(np.einsum("ki,ik->k", c.conj(), grad @ c.T))
+    The entropy term's Hessian is the Daleckii-Krein second divided
+    difference of ln; each barrier term's is mu tr(S^-1 B_k S^-1 B_l).
+    """
+    # (V^H M V)_ij = sum_ab conj(V_ai) M_ab V_bj: one product with conj(V) (x) V
+    kron = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(2, 16, 16)
+    e = _DIRECTIONS_FLAT @ kron  # directions in the eigenbases, (2, 15, 16)
+    r = (rho.reshape(16) @ kron[0]).reshape(4, 4)
+    l1 = _log_divided(w[0][:, None], w[0][None, :])
+    # entropy term: Re tr(E_k G) with G = -(ln[w_i, w_j] r_ij) in sigma's eigenbasis
+    grad = -np.real(e[0] @ (l1 * r).T.reshape(16))
+    # -2 Re sum_{i,m,j} ln[w_i, w_m, w_j] r_ji E_k,im E_l,mj
+    t = _log_divided2(w[0], l1) * r.T[:, None, :]
+    p = np.matmul(e[0].reshape(15, 4, 4).transpose(2, 0, 1), t.transpose(1, 0, 2))
+    hess = -2.0 * np.real(p.transpose(1, 0, 2).reshape(15, 16) @ e[0].T)
+    # barrier terms of sigma and sigma^Gamma
+    inv = 1.0 / w
+    # tr(S^-1 E_k) from the diagonals, entries 0, 5, 10, 15 of each flattened E_k
+    grad -= mu * np.real(e[:, :, ::5] * inv[:, None, :]).sum(axis=(0, 2))
+    c = (e * np.sqrt(inv[:, :, None] * inv[:, None, :]).reshape(2, 1, 16))
+    c = c.transpose(1, 0, 2).reshape(15, 32)
+    hess += mu * np.real(c @ c.conj().T)
+    return grad, hess
 
-    dw = p * (t - float(p @ t))
 
-    # angle derivatives through the product vectors
-    th_a, ph_a = params[k:2 * k], params[2 * k:3 * k]
-    th_b, ph_b = params[3 * k:4 * k], params[4 * k:5 * k]
-    da_dth = np.stack([-np.sin(th_a / 2) / 2,
-                       np.exp(1j * ph_a) * np.cos(th_a / 2) / 2], axis=1)
-    da_dph = np.stack([np.zeros(k), 1j * np.exp(1j * ph_a) * np.sin(th_a / 2)], axis=1)
-    db_dth = np.stack([-np.sin(th_b / 2) / 2,
-                       np.exp(1j * ph_b) * np.cos(th_b / 2) / 2], axis=1)
-    db_dph = np.stack([np.zeros(k), 1j * np.exp(1j * ph_b) * np.sin(th_b / 2)], axis=1)
+def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """-H^-1 grad through eigh(H), eigenvalues clipped at HESSIAN_FLOOR of the
+    largest: on a flat optimal face H is singular to rounding."""
+    lam, q = np.linalg.eigh(hess)
+    lam = np.maximum(lam, HESSIAN_FLOOR * lam[-1])
+    return -q @ ((q.T @ grad) / lam)
 
-    def pair_grad(dv_a, dv_b):
-        dc = np.einsum("ki,kj->kij", dv_a, dv_b).reshape(k, 4)
-        return 2 * p * np.real(np.einsum("ki,ik->k", dc.conj(), grad @ c.T))
 
-    dth_a = pair_grad(da_dth, b)
-    dph_a = pair_grad(da_dph, b)
-    dth_b = pair_grad(a, db_dth)
-    dph_b = pair_grad(a, db_dph)
+def _ppt_floor(gmat: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float) -> float:
+    """A lower bound on min tr(tau G) over PPT states tau, and so over product
+    states, from the spectrum (w, v) of sigma^Gamma.
 
-    jac = np.concatenate([dw, dth_a, dph_a, dth_b, dph_b])
-    return s_rho + g, jac
+    For Q >= 0 and PPT tau, tr(tau G) = tr(tau (G - Q^Gamma)) + tr(tau^Gamma Q)
+    >= lambda_min(G - Q^Gamma).  Q is the barrier's multiplier of
+    sigma^Gamma > 0, mu (sigma^Gamma)^-1, with the weight on the smallest
+    eigenvalue w_0 re-fitted: centring leaves a residual gradient along that
+    stiff direction.  The bound is concave in the weight, so a golden-section
+    search maximizes it.
+    """
+    rest = partial_transpose((v[:, 1:] * (mu / w[1:])) @ v[:, 1:].conj().T)
+    stiff = partial_transpose(np.outer(v[:, 0], v[:, 0].conj()))
+
+    def floor(q):
+        return float(np.linalg.eigvalsh(gmat - rest - q * stiff)[0])
+
+    lo, hi = 0.0, FLOOR_SPAN * mu / w[0]
+    a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fa, fb = floor(a), floor(b)
+    for _ in range(FLOOR_STEPS):
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + _GOLDEN * (hi - lo)
+            fb = floor(b)
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - _GOLDEN * (hi - lo)
+            fa = floor(a)
+    return max(fa, fb)
 
 
 def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
-    """Minimize S(rho||sigma) over product-state mixtures.
+    """Minimize S(rho||sigma) over the PPT (= separable) two-qubit states.
 
-    The objective is convex in sigma, so any minimum over the separable set
-    is global; the angle/weight parameterization is not convex, hence the
-    seeded restarts.  `converged` requires the best value to be reproduced
-    by at least three restarts within 1e-3.
+    Damped Newton with an Armijo backtrack on the barrier objective `_value`
+    from sigma = I/4, one centring per weight of MU_SCHEDULE, each ended at
+    half the squared Newton decrement <= CENTERING_TOL.  At the end, with G
+    the matrix gradient of S(rho||.) at sigma, convexity gives the
+    Frank-Wolfe bound REE >= value - (tr sigma G - min_ab <ab|G|ab>); `lower`
+    puts `_ppt_floor`, a certified lower bound, in place of the minimum.
+    `converged` means the path finished in fewer than `cfg.max_iterations`
+    Newton steps and the bracket gap = value - lower is at most BRACKET_TOL.
     """
-    from scipy.optimize import minimize  # keeps scipy out of `import reegeom`
     if cfg is None:
         cfg = OracleConfig()
     validate_density_matrix(rho)
     rho = np.asarray(rho, dtype=complex)
-    k = ENSEMBLE_SIZE
-    p_eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    pos = p_eigs > SUPPORT_TOL
-    s_rho = float(np.sum(p_eigs[pos] * np.log(p_eigs[pos])))
 
-    rng = np.random.default_rng(cfg.seed)
-    results = []
-    iterations = 0
-    for _ in range(cfg.restarts):
-        x0 = np.concatenate([
-            rng.normal(scale=0.5, size=k),
-            rng.uniform(0, np.pi, size=k),
-            rng.uniform(0, 2 * np.pi, size=k),
-            rng.uniform(0, np.pi, size=k),
-            rng.uniform(0, 2 * np.pi, size=k),
-        ])
-        res = minimize(_objective, x0, args=(rho, k, s_rho), jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": cfg.max_iterations,
-                                "ftol": STEP_TOLERANCE, "gtol": 1e-10})
-        iterations += res.nit
-        results.append((float(res.fun), res.x))
+    x = np.zeros(15)
+    w, v = _spectra(x)
+    steps = 0
+    for mu in MU_SCHEDULE:
+        f = _value(rho, mu, w, v)
+        while steps < cfg.max_iterations:
+            grad, hess = _derivatives(rho, mu, w, v)
+            dx = _newton_step(grad, hess)
+            slope = float(grad @ dx)
+            if -slope / 2 <= CENTERING_TOL:
+                break
+            t = 1.0
+            for _ in range(MAX_HALVINGS):
+                wt, vt = _spectra(x + t * dx)
+                ft = _value(rho, mu, wt, vt)
+                if ft <= f + ARMIJO_C * t * slope:
+                    break
+                t /= 2
+            else:
+                break  # no decrease above rounding: the stage is as centred as it gets
+            x, w, v, f = x + t * dx, wt, vt, ft
+            steps += 1
+    finished = steps < cfg.max_iterations
 
-    results.sort(key=lambda t: t[0])
-    best_val, best_x = results[0]
-    vals = [v for v, _ in results]
-    converged = len(vals) >= 3 and vals[2] - vals[0] <= 1e-3
-    p, _, _, c = _ansatz(best_x, k)
-    sigma = _sigma_from(p, c)
-    return ReeReport(value=max(best_val, 0.0), css_numeric=sigma,
-                     iterations=iterations, converged=converged,
-                     restart_values=vals)
+    # The Armijo test compares values of F, which rounding blurs below about
+    # 1e-16, so a stage can end with a gradient near 1e-6 left over.  Full
+    # Newton steps compare only decrements: keep each while it shrinks them.
+    if finished:
+        grad, hess = _derivatives(rho, mu, w, v)
+        dx = _newton_step(grad, hess)
+        lam2 = -float(grad @ dx)
+        for _ in range(POLISH_STEPS):
+            wt, vt = _spectra(x + dx)
+            if wt[:, 0].min() <= 0.0:
+                break
+            grad, hess = _derivatives(rho, mu, wt, vt)
+            dxt = _newton_step(grad, hess)
+            lam2t = -float(grad @ dxt)
+            if not lam2t < lam2:
+                break
+            x, w, v, dx, lam2 = x + dx, wt, vt, dxt, lam2t
+            steps += 1
+
+    sigma = np.eye(4) / 4 + np.tensordot(x, _B, axes=1)
+    sigma = (sigma + sigma.conj().T) / 2
+    value = relative_entropy(rho, sigma)
+    gmat = _log_gradient(rho, sigma)
+    fw_gap = float(np.real(np.trace(sigma @ gmat))) - _ppt_floor(gmat, w[1], v[1], mu)
+    lower = value - fw_gap - BRACKET_ROUNDING
+    gap = value - lower
+    return ReeReport(value=value, css_numeric=sigma, gap=gap, iterations=steps,
+                     converged=finished and gap <= BRACKET_TOL,
+                     lower=lower)
 
 
 def ree_geometric(rho: np.ndarray) -> ReeReport:

@@ -254,25 +254,21 @@ def test_criterion_8_property_suite():
     ok &= worst < 1e-12
     notes.append(f"spectra {worst:.0e}")
 
-    # finite-difference check of the minimizer gradient
+    # finite-difference check of the minimizer gradient, at the Pauli
+    # coordinates of a strictly PPT state
     from reegeom import ree as ree_mod
     rho = random_density_matrix(rng)
-    k = 16
-    params = np.concatenate([rng.normal(size=k, scale=0.5),
-                             rng.uniform(0, np.pi, size=k),
-                             rng.uniform(0, 2 * np.pi, size=k),
-                             rng.uniform(0, np.pi, size=k),
-                             rng.uniform(0, 2 * np.pi, size=k)])
-    eigs = np.clip(np.linalg.eigvalsh(rho), 1e-300, None)
-    s_rho = float(np.sum(eigs * np.log(eigs)))
-    _, jac = ree_mod._objective(params, rho, k, s_rho)
+    sigma = 0.3 * random_density_matrix(rng) + 0.7 * np.eye(4) / 4
+    x = (qstate.PAULI_BASIS.conj() @ sigma.reshape(16)).real[1:]
+    mu = 1e-3
+    jac, _ = ree_mod._derivatives(rho, mu, *ree_mod._spectra(x))
     h, worst = 1e-6, 0.0
-    for i in rng.choice(len(params), size=20, replace=False):
-        pp = params.copy()
-        pp[i] += h
-        fp, _ = ree_mod._objective(pp, rho, k, s_rho)
-        pp[i] -= 2 * h
-        fm, _ = ree_mod._objective(pp, rho, k, s_rho)
+    for i in range(len(x)):
+        xp = x.copy()
+        xp[i] += h
+        fp = ree_mod._value(rho, mu, *ree_mod._spectra(xp))
+        xp[i] -= 2 * h
+        fm = ree_mod._value(rho, mu, *ree_mod._spectra(xp))
         worst = max(worst, abs((fp - fm) / (2 * h) - jac[i])
                     / max(1.0, abs(jac[i])))
     ok &= worst <= 1e-6 * 10

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +162,27 @@ class TestCss:
         d = json.loads(res.output)
         assert d["units"] == "bits"
         assert d["ree"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_oracle_bracket_reported(runner, tmp_path):
+    """`css --method numeric` and `verify --suite oracle` report the
+    oracle's bracket [lower, value] and its gap, and it holds ln 2."""
+    p = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])
+    res = runner.invoke(cli.main, ["css", p, "--method", "numeric", "--bits"])
+    assert res.exit_code == 0
+    d = json.loads(res.output)
+    assert "restart_values" not in d and d["converged"] is True
+    assert d["lower"] <= 1.0 <= d["ree"] and 0 < d["gap"] <= 1e-6
+    assert d["gap"] == pytest.approx(d["ree"] - d["lower"], abs=1e-15)
+
+    out = tmp_path / "report.json"
+    res = runner.invoke(cli.main, ["verify", "--suite", "oracle", "--out", str(out)])
+    assert res.exit_code == 0 and "4/4 checks passed" in res.output
+    checks = json.load(open(out))["checks"]
+    assert len(checks) == 4
+    for c in checks:
+        assert c["ok"] and c["lower"] <= math.log(2) <= c["value"]
+        assert 0 < c["gap"] <= 1e-6
 
 
 class TestSurface:

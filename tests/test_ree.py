@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from reegeom import css, qstate, ree
+import reegeom
+from reegeom import css, geometry, qstate, ree
 from reegeom.errors import InvalidState, NotSolvableFamily
 from reegeom.ree import (
     OracleConfig,
@@ -12,7 +17,7 @@ from reegeom.ree import (
     relative_entropy,
 )
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_unitary
 
 
 class TestRelativeEntropy:
@@ -53,30 +58,49 @@ class TestRelativeEntropy:
                                 np.diag(q).astype(complex)) == pytest.approx(kl, abs=1e-12)
 
 
+def _coordinates(sigma):
+    """The oracle's 15 Pauli coordinates x_k = tr(sigma sigma_a (x) sigma_b)."""
+    return (qstate.PAULI_BASIS.conj() @ sigma.reshape(16)).real[1:]
+
+
+def _rotated(rng, m):
+    return qstate.LocalUnitary(random_unitary(rng), random_unitary(rng)).apply(m)
+
+
 class TestGradient:
     def test_matches_finite_differences(self):
+        """Gradient and Hessian of the barrier objective against central
+        differences of its value and gradient, at a generic interior point,
+        a spectrum with three equal eigenvalues (Werner, (0.2, 0.2, 0.2, 0.4))
+        and one with two eigenvalues 1e-9 apart."""
         rng = np.random.default_rng(30)
         rho = random_density_matrix(rng)
-        k = 16
-        params = np.concatenate([rng.normal(size=k, scale=0.5),
-                                 rng.uniform(0, np.pi, size=k),
-                                 rng.uniform(0, 2 * np.pi, size=k),
-                                 rng.uniform(0, np.pi, size=k),
-                                 rng.uniform(0, 2 * np.pi, size=k)])
-        p_eigs = np.clip(np.linalg.eigvalsh(rho), 1e-300, None)
-        s_rho = float(np.sum(p_eigs * np.log(p_eigs)))
-        f0, jac = ree._objective(params, rho, k, s_rho)
-        h = 1e-6
-        idx = rng.choice(len(params), size=25, replace=False)
-        for i in idx:
-            pp = params.copy()
-            pp[i] += h
-            fp, _ = ree._objective(pp, rho, k, s_rho)
-            pp[i] -= 2 * h
-            fm, _ = ree._objective(pp, rho, k, s_rho)
+        for sigma in (
+                0.3 * random_density_matrix(rng) + 0.7 * np.eye(4) / 4,
+                _rotated(rng, 0.2 * qstate.BELL_STATES[3] + 0.8 * np.eye(4) / 4),
+                _rotated(rng, np.diag([0.3, 0.2, 0.25 - 5e-10, 0.25 + 5e-10]))):
+            self._check(rho, sigma)
+
+    @staticmethod
+    def _check(rho, sigma):
+        x, mu, h = _coordinates(sigma), 1e-3, 1e-6
+        assert qstate.is_ppt(sigma) and np.linalg.eigvalsh(sigma)[0] > 0
+
+        def derivatives(y):
+            w, v = ree._spectra(y)
+            return (ree._value(rho, mu, w, v),) + ree._derivatives(rho, mu, w, v)
+
+        _, grad, hess = derivatives(x)
+        for i in range(15):
+            e = np.zeros(15)
+            e[i] = h
+            fp, gp, _ = derivatives(x + e)
+            fm, gm, _ = derivatives(x - e)
             fd = (fp - fm) / (2 * h)
-            scale = max(1.0, abs(jac[i]))
-            assert abs(fd - jac[i]) / scale < 1e-5
+            assert abs(fd - grad[i]) / max(1.0, abs(grad[i])) < 1e-5
+            fd_col = (gp - gm) / (2 * h)
+            assert np.all(np.abs(fd_col - hess[:, i])
+                          / np.maximum(1.0, np.abs(hess[:, i])) < 1e-5)
 
 
 class TestNumericOracle:
@@ -100,6 +124,142 @@ class TestNumericOracle:
         a = ree_numeric(rho, OracleConfig(restarts=3, seed=5))
         b = ree_numeric(rho, OracleConfig(restarts=3, seed=5))
         assert a.value == b.value
+
+
+# perfbench solve-certified, seed 52, op 34: a rotated cos t|00> + sin t|11>
+SEED52_PURE = np.array([
+    [0.37184371990584714 - 2.7755575615628914e-17j,
+     0.1477084668154544 + 7.6680791846201524e-02j,
+     0.17693853655503197 - 5.4141766798651000e-02j,
+     -0.40796070491318814 - 7.2164530634622248e-02j],
+    [0.14770846681545438 - 7.6680791846201524e-02j,
+     0.07448756970844067 + 0.0j,
+     0.05912076829106445 - 5.7994752368325353e-02j,
+     -0.1769369228895689 + 5.5462648990287765e-02j],
+    [0.17693853655503197 + 5.4141766798651007e-02j,
+     0.05912076829106445 + 5.7994752368325353e-02j,
+     0.09207786711843699 - 6.9388939039072284e-18j,
+     -0.18361707151550924 - 9.3739380078598028e-02j],
+    [-0.4079607049131881 + 7.2164530634622248e-02j,
+     -0.1769369228895689 - 5.5462648990287772e-02j,
+     -0.18361707151550927 + 9.3739380078598014e-02j,
+     0.46159084326727584 + 0.0j]])
+
+
+def _entanglement_entropy(rho):
+    p = np.linalg.eigvalsh(qstate.partial_trace(rho, 0))
+    p = p[p > 1e-15]
+    return float(-np.sum(p * np.log(p)))
+
+
+def _pure(theta, rng=None):
+    v = np.array([math.cos(theta), 0, 0, math.sin(theta)], dtype=complex)
+    rho = np.outer(v, v)
+    return rho if rng is None else _rotated(rng, rho)
+
+
+def _family_states(rng, n_per_family):
+    """Rotated family states drawn as acceptance criterion 3 draws them."""
+    def sample(family):
+        while True:
+            if family == "bell":
+                t = rng.uniform(-1, 1, size=3)
+                if geometry.in_tetrahedron(t) and np.sum(np.abs(t)) > 1.05:
+                    return qstate.bell_diagonal(t)
+            elif family == "vp":
+                lam = rng.dirichlet([1, 1, 1])
+                if lam[0] > 0.1:
+                    return css._vp_state(tuple(lam))
+            else:
+                lam = rng.dirichlet([1, 1, 1])
+                if lam[0] ** 2 > 4 * lam[1] * lam[2] + 5e-3 and lam[0] > 0.1:
+                    return css._horodecki_state(tuple(lam))
+
+    for family in ("bell", "vp", "horodecki"):
+        for _ in range(n_per_family):
+            rho0 = sample(family)
+            lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
+            rng.integers(2 ** 31)
+            yield lu.apply(rho0)
+
+
+class TestBracket:
+    """lower <= REE <= value, with value within 1e-8 of the exact REE."""
+
+    @staticmethod
+    def _check(rho, exact):
+        rep = ree_numeric(rho)
+        assert rep.value - exact <= 1e-8
+        assert rep.lower <= exact <= rep.value
+        assert rep.converged and rep.gap <= 1e-6
+        assert qstate.min_pt_eigenvalue(rep.css_numeric) >= 0
+        assert rep.value == relative_entropy(rho, rep.css_numeric)
+        return rep
+
+    def test_pure_states(self):
+        # seed 52 came out 1.23e-6 above S(rho_A) from the multi-start oracle
+        s_a = _entanglement_entropy(SEED52_PURE)
+        assert s_a == pytest.approx(0.6873719036142252, abs=1e-14)
+        self._check(SEED52_PURE, s_a)
+        rng = np.random.default_rng(52)
+        for theta in (0.2, 0.4, 0.65):
+            rho = _pure(theta, rng)
+            self._check(rho, _entanglement_entropy(rho))
+
+    def test_family_and_bell_states(self):
+        # every third of criterion 3's 300 states, the Bell states, 5 pure states
+        states = list(_family_states(np.random.default_rng(100), 100))[::3]
+        cases = [(rho, css.css_auto(rho).ree) for rho in states]
+        cases += [(b, math.log(2)) for b in qstate.BELL_STATES]
+        cases += [(_pure(t), _entanglement_entropy(_pure(t)))
+                  for t in (0.05, 0.3, 0.5, 0.7, math.pi / 4)]
+        assert len(cases) == 109
+        for rho, exact in cases:
+            self._check(rho, exact)
+
+    def test_generic_states(self, monkeypatch):
+        """On states of rank 1 to 4 with no closed form, the floor lies below
+        <ab|G|ab> on sampled product states, and `lower` below S(rho||sigma)
+        for the sigma of a path run on to mu = 1e-10."""
+        rng = np.random.default_rng(2024)
+        states = [random_density_matrix(rng, rank) for rank in (1, 2, 3, 4) for _ in range(6)]
+        a = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
+        products = np.einsum("ki,kj->kij", a[:, 0], a[:, 1]).reshape(-1, 4)
+        products /= np.linalg.norm(products, axis=1, keepdims=True)
+        reports = [ree_numeric(rho) for rho in states]
+        for rho, rep in zip(states, reports):
+            assert rep.converged and rep.gap <= 1e-6
+            gmat = ree._log_gradient(rho, rep.css_numeric)
+            w, v = np.linalg.eigh(qstate.partial_transpose(rep.css_numeric))
+            sampled = np.real(np.einsum("ki,ij,kj->k", products.conj(), gmat, products))
+            assert ree._ppt_floor(gmat, w, v, ree.MU_SCHEDULE[-1]) <= sampled.min()
+        monkeypatch.setattr(ree, "MU_SCHEDULE", ree.MU_SCHEDULE + (1e-10,))
+        for rho, rep in zip(states, reports):
+            assert rep.lower <= ree_numeric(rho).value
+
+    def test_deterministic(self):
+        a = ree_numeric(SEED52_PURE)
+        b = ree_numeric(SEED52_PURE)
+        assert a.value == b.value and np.array_equal(a.css_numeric, b.css_numeric)
+
+    def test_runs_without_scipy(self):
+        src = os.path.dirname(os.path.dirname(reegeom.__file__))
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "import numpy as np\n"
+                "from reegeom import css_auto, qstate, ree_numeric\n"
+                "rep = ree_numeric(qstate.BELL_STATES[0])\n"
+                "rng = np.random.default_rng(7)\n"
+                "a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))\n"
+                "rho = 0.3 * a @ a.conj().T / np.trace(a @ a.conj().T).real\n"
+                "rho = rho + 0.7 * qstate.BELL_STATES[0]\n"
+                "res = css_auto(rho)\n"
+                "assert rep.converged and not res.geometric and res.ree > 0\n"
+                "print('ok')\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
 
 
 class TestGeometricRoute:
