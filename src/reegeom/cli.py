@@ -188,10 +188,8 @@ def reconstruct(pauli, out):
 @click.option("--method", type=click.Choice(["geometric", "numeric", "auto"]),
               default="auto", show_default=True)
 @click.option("--bits", is_flag=True, help="Report entropies in bits, not nats.")
-@click.option("--seed", type=SEED, default=0, show_default=True,
-              help="Accepted and ignored: the numeric oracle is deterministic.")
 @OUT_JSON
-def css_cmd(state, method, bits, seed, out):
+def css_cmd(state, method, bits, out):
     """Closest separable state and relative entropy of entanglement of STATE."""
     rho = load_state(state)
     unit = 1.0 / math.log(2.0) if bits else 1.0

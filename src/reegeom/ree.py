@@ -30,14 +30,12 @@ ARMIJO_C = 0.25  # sufficient-decrease fraction of the backtracking step
 MAX_HALVINGS = 30  # backtracking halvings before a stage counts as stalled
 POLISH_STEPS = 3  # full Newton steps at the last weight, kept while the decrement shrinks
 HESSIAN_FLOOR = 1e-14  # Hessian eigenvalues clipped at this fraction of the largest
-DIVIDED_SPREAD = 1e-5  # relative spread below which a divided difference takes its limit
+DIVIDED_SPREAD = 1e-5  # relative spread below which a second divided difference takes its limit
 BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
 # rounding allowance taken off the lower end: the bound's minimizing vector
 # lies in sigma's support, where G carries rounding of order eps, not the
 # eps / lambda_min(sigma) of G's entries on sigma's near-kernel
 BRACKET_ROUNDING = 1e-12
-FLOOR_SPAN = 4.0  # the PT-kernel weight is searched on [0, FLOOR_SPAN * mu / w_0]
-FLOOR_STEPS = 60  # golden-section steps of that search
 CERTIFICATE_SEED = 0
 CERTIFICATE_STEPS = (1e-5, 1e-6)  # finite-difference steps, Richardson pair
 
@@ -51,7 +49,6 @@ _DIRECTIONS_FLAT = np.stack([_B, _PT_SIGN[:, None, None] * _B]).reshape(2, 15, 1
 # sorted in Python, because numpy's sort pages in 0.4 MB of code at import
 _TRIPLES = np.array([sorted(t) for t in itertools.product(range(4), repeat=3)]
                     ).T.reshape(3, 4, 4, 4)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -114,13 +111,14 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def _log_divided(a, b):
-    """First divided difference of ln, (ln a - ln b) / (a - b), elementwise;
-    1 / mean where the spread is below DIVIDED_SPREAD of the mean."""
-    mean = (a + b) / 2
-    d = a - b
-    close = np.abs(d) <= DIVIDED_SPREAD * mean
-    return np.where(close, 1.0 / mean,
-                    (np.log(a) - np.log(b)) / np.where(close, 1.0, d))
+    """First divided difference of ln, (ln a - ln b) / (a - b), elementwise,
+    as log1p(d / min(a, b)) / d with d = |a - b|: log1p of a nonnegative
+    argument keeps it accurate to rounding at every spread.  1 / a where a == b."""
+    low = np.minimum(a, b)
+    d = np.abs(a - b)
+    same = d == 0
+    d = np.where(same, 1.0, d)
+    return np.where(same, 1.0 / low, np.log1p(d / low) / d)
 
 
 def _log_divided2(w: np.ndarray, l1: np.ndarray) -> np.ndarray:
@@ -205,30 +203,10 @@ def _ppt_floor(gmat: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float) -> flo
 
     For Q >= 0 and PPT tau, tr(tau G) = tr(tau (G - Q^Gamma)) + tr(tau^Gamma Q)
     >= lambda_min(G - Q^Gamma).  Q is the barrier's multiplier of
-    sigma^Gamma > 0, mu (sigma^Gamma)^-1, with the weight on the smallest
-    eigenvalue w_0 re-fitted: centring leaves a residual gradient along that
-    stiff direction.  The bound is concave in the weight, so a golden-section
-    search maximizes it.
+    sigma^Gamma > 0, mu (sigma^Gamma)^-1.
     """
-    rest = partial_transpose((v[:, 1:] * (mu / w[1:])) @ v[:, 1:].conj().T)
-    stiff = partial_transpose(np.outer(v[:, 0], v[:, 0].conj()))
-
-    def floor(q):
-        return float(np.linalg.eigvalsh(gmat - rest - q * stiff)[0])
-
-    lo, hi = 0.0, FLOOR_SPAN * mu / w[0]
-    a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fa, fb = floor(a), floor(b)
-    for _ in range(FLOOR_STEPS):
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + _GOLDEN * (hi - lo)
-            fb = floor(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - _GOLDEN * (hi - lo)
-            fa = floor(a)
-    return max(fa, fb)
+    q = (v * (mu / w)) @ v.conj().T
+    return float(np.linalg.eigvalsh(gmat - partial_transpose(q))[0])
 
 
 def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -101,6 +102,20 @@ class TestGradient:
             fd_col = (gp - gm) / (2 * h)
             assert np.all(np.abs(fd_col - hess[:, i])
                           / np.maximum(1.0, np.abs(hess[:, i])) < 1e-5)
+
+    def test_log_divided_accurate_at_every_spread(self):
+        """(ln a - ln b) / (a - b) to a few ulps, from coincident eigenvalues
+        through spreads where ln a - ln b cancels to ones of 1e8."""
+        for m in (1e-10, 1e-3, 0.25, 0.9):
+            for rel in (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-5, 1.01e-5, 1e-4, 0.5, 1e8):
+                a, b = m * (1 + rel), m
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    exact = (1 / Decimal(a) if a == b else
+                             (Decimal(a).ln() - Decimal(b).ln()) / (Decimal(a) - Decimal(b)))
+                for got in (ree._log_divided(np.array(a), np.array(b)),
+                            ree._log_divided(np.array(b), np.array(a))):
+                    assert abs(float(got) / float(exact) - 1) <= 4e-16
 
 
 class TestNumericOracle:
