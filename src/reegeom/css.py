@@ -88,14 +88,16 @@ def _match_templates(dpf: DiagonalPauliForm, tol: float = CLASSIFY_TOL):
     l1 = q2[:, 0]
     axial = ((np.abs(np.hstack([r2[:, :2], s2[:, :2]])).max(axis=1) <= tol)
              & (np.abs(l1 + q2[:, 1]) <= tol) & (l1 >= -tol))
-    # w sets l2, l3 = (1 - l1 +- w) / 2, and the smaller must be >= -tol
+    # w sets l2, l3 = (1 - l1 +- w) / 2; the smaller must be >= -tol.  Each
+    # frame's partner diag(1, -1, -1) (P_A, P_B) passes the same tests with w
+    # negated: requiring w >= 0 orders l2 >= l3, so lambdas depend on rho alone
     w_vp, w_h = (r2[:, 2] + s2[:, 2]) / 2, (r2[:, 2] - s2[:, 2]) / 2
     vp = (axial & (np.abs(r2[:, 2] - s2[:, 2]) <= tol)
           & (np.abs(q2[:, 2] - 1.0) <= tol)
-          & ((1 - l1 - np.abs(w_vp)) / 2 >= -tol))
+          & (w_vp >= 0) & ((1 - l1 - w_vp) / 2 >= -tol))
     h = (axial & (np.abs(r2[:, 2] + s2[:, 2]) <= tol)
          & (np.abs(q2[:, 2] - (2 * l1 - 1)) <= tol)
-         & ((1 - l1 - np.abs(w_h)) / 2 >= -tol))
+         & (w_h >= 0) & ((1 - l1 - w_h) / 2 >= -tol))
     hits = np.flatnonzero(vp | h)
     if hits.size:
         n = hits[0]

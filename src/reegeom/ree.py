@@ -44,11 +44,15 @@ CERTIFICATE_STEPS = (1e-5, 1e-6)  # finite-difference steps, Richardson pair
 _B = PAULI_BASIS[1:].reshape(15, 4, 4) / 4
 _PT_SIGN = np.array([-1.0 if k % 4 == 2 else 1.0 for k in range(1, 16)])
 _DIRECTIONS_FLAT = np.stack([_B, _PT_SIGN[:, None, None] * _B]).reshape(2, 15, 16)
-# index triples (i, m, j) of the second divided differences, each sorted
-# ascending, so that they pick sorted triples out of eigh's ascending spectrum;
-# sorted in Python, because numpy's sort pages in 0.4 MB of code at import
-_TRIPLES = np.array([sorted(t) for t in itertools.product(range(4), repeat=3)]
-                    ).T.reshape(3, 4, 4, 4)
+_B_FLAT = _B.reshape(15, 16)
+_X_SIGNS = np.stack([np.ones(15), _PT_SIGN])  # x -> the coordinates of sigma, sigma^Gamma
+_EYE_FLAT = (np.eye(4) / 4).reshape(16)
+# index triples (lo, mid, hi) of the second divided differences, (3, 64), each
+# sorted ascending, so that they pick sorted triples out of eigh's ascending
+# spectrum; sorted in Python, because numpy's sort pages in 0.4 MB of code at
+# import.  _PAIRS holds the flat indices of l1[hi, mid] and l1[mid, lo].
+_TRIPLES = np.array([sorted(t) for t in itertools.product(range(4), repeat=3)]).T
+_PAIRS = np.stack([4 * _TRIPLES[2] + _TRIPLES[1], 4 * _TRIPLES[1] + _TRIPLES[0]])
 
 
 @dataclass
@@ -78,12 +82,17 @@ class ReeReport:
     lower: float = float("nan")
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """S(rho||sigma) = tr(rho ln rho - rho ln sigma), in nats.
 
-    Returns math.inf when rho's support is not contained in sigma's
-    (weight beyond SUPPORT_TOL on sigma's kernel).  0 ln 0 is 0.  Raises
-    InvalidState when either matrix has a NaN or infinite entry.
+    `sigma` is one matrix or a stack of shape (..., 4, 4): rho is
+    diagonalized once and the stack in one `eigh`.  Returns a float for one
+    sigma and an array of shape (...) for a stack.  An entry is math.inf when
+    rho's support is not contained in that sigma's (weight beyond
+    SUPPORT_TOL on its kernel).  0 ln 0 is 0.  Raises InvalidState when rho
+    or any sigma has a NaN or infinite entry.  When the stacked sigmas share
+    one rank, each value equals that of its own call bit for bit; across
+    ranks, to rounding.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -92,22 +101,29 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
             raise InvalidState("finite entries", float(np.sum(~np.isfinite(m))))
     p, u = np.linalg.eigh(rho)
     q, v = np.linalg.eigh(sigma)
-    p = np.clip(p, 0.0, None)
-
-    kernel = q <= SUPPORT_TOL
-    if np.any(kernel):
-        k = v[:, kernel]
-        leak = float(np.real(np.trace(k.conj().T @ rho @ k)))
-        if leak > SUPPORT_TOL:
-            return math.inf
+    pos_p = p > SUPPORT_TOL
+    p = p[pos_p]
+    s_rho = float((p * np.log(p)).sum())
 
     overlap = np.abs(u.conj().T @ v) ** 2
-    pos_p = p > SUPPORT_TOL
-    s_rho = float(np.sum(p[pos_p] * np.log(p[pos_p])))
-    support = ~kernel
-    lnq = np.log(np.clip(q[support], LOG_CLAMP, None))
-    cross = float(p[pos_p] @ overlap[np.ix_(pos_p, support)] @ lnq)
-    return s_rho - cross
+    lnq = np.log(np.maximum(q, LOG_CLAMP))
+    kernel = q <= SUPPORT_TOL
+    leaky = False
+    if kernel.any():
+        weight = (v.conj() * (rho @ v)).sum(axis=-2).real  # <v_j|rho|v_j>
+        leaky = np.where(kernel, weight, 0.0).sum(axis=-1) > SUPPORT_TOL
+        # ln of each sigma's kernel is zeroed, so that a stack keeps one
+        # shape.  The kernel all sigmas share is cut out, like rho's null
+        # space below: BLAS rounds a product over fewer rows or columns
+        # differently, and cutting keeps one sigma's value that of subset
+        # indexing bit for bit
+        keep = ~kernel.reshape(-1, 4).all(axis=0)
+        overlap, lnq = overlap[..., keep], np.where(kernel, 0.0, lnq)[..., keep]
+    # contiguous, so that BLAS takes each sigma of a stack as it takes one
+    overlap = np.ascontiguousarray(overlap[..., pos_p, :])
+    cross = ((p @ overlap)[..., None, :] @ lnq[..., :, None])[..., 0, 0]
+    s = np.where(leaky, math.inf, s_rho - cross)
+    return float(s) if s.ndim == 0 else s
 
 
 def _log_divided(a, b):
@@ -128,12 +144,13 @@ def _log_divided2(w: np.ndarray, l1: np.ndarray) -> np.ndarray:
     Each sorted triple c <= b <= a gives (ln[a, b] - ln[b, c]) / (a - c);
     below a relative spread of DIVIDED_SPREAD, the limit -1 / (2 mean^2).
     """
-    lo, mid, hi = _TRIPLES
-    mean = (w[lo] + w[mid] + w[hi]) / 3
-    spread = w[hi] - w[lo]
+    lo, mid, hi = w[_TRIPLES]
+    hi_mid, mid_lo = l1.reshape(16)[_PAIRS]
+    mean = (lo + mid + hi) / 3
+    spread = hi - lo
     close = spread <= DIVIDED_SPREAD * mean
     return np.where(close, -0.5 / mean ** 2,
-                    (l1[hi, mid] - l1[mid, lo]) / np.where(close, 1.0, spread))
+                    (hi_mid - mid_lo) / np.where(close, 1.0, spread)).reshape(4, 4, 4)
 
 
 def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -149,8 +166,7 @@ def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def _spectra(x: np.ndarray):
     """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of sigma(x) and sigma(x)^Gamma."""
-    m = np.eye(4) / 4 + np.tensordot(np.stack([x, _PT_SIGN * x]), _B, axes=1)
-    return np.linalg.eigh(m)
+    return np.linalg.eigh((_EYE_FLAT + (_X_SIGNS * x) @ _B_FLAT).reshape(2, 4, 4))
 
 
 def _value(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray) -> float:
@@ -158,8 +174,8 @@ def _value(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray) -> float:
     outside sigma > 0, sigma^Gamma > 0."""
     if w[:, 0].min() <= 0.0:
         return math.inf
-    weights = np.real(np.sum(v[0].conj() * (rho @ v[0]), axis=0))
-    return -float(weights @ np.log(w[0])) - mu * float(np.sum(np.log(w)))
+    weights = (v[0].conj() * (rho @ v[0])).sum(axis=0).real
+    return -float(weights @ np.log(w[0])) - mu * float(np.log(w).sum())
 
 
 def _derivatives(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
@@ -174,18 +190,18 @@ def _derivatives(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
     r = (rho.reshape(16) @ kron[0]).reshape(4, 4)
     l1 = _log_divided(w[0][:, None], w[0][None, :])
     # entropy term: Re tr(E_k G) with G = -(ln[w_i, w_j] r_ij) in sigma's eigenbasis
-    grad = -np.real(e[0] @ (l1 * r).T.reshape(16))
+    grad = -(e[0] @ (l1 * r).T.reshape(16)).real
     # -2 Re sum_{i,m,j} ln[w_i, w_m, w_j] r_ji E_k,im E_l,mj
     t = _log_divided2(w[0], l1) * r.T[:, None, :]
     p = np.matmul(e[0].reshape(15, 4, 4).transpose(2, 0, 1), t.transpose(1, 0, 2))
-    hess = -2.0 * np.real(p.transpose(1, 0, 2).reshape(15, 16) @ e[0].T)
+    hess = -2.0 * (p.transpose(1, 0, 2).reshape(15, 16) @ e[0].T).real
     # barrier terms of sigma and sigma^Gamma
     inv = 1.0 / w
     # tr(S^-1 E_k) from the diagonals, entries 0, 5, 10, 15 of each flattened E_k
-    grad -= mu * np.real(e[:, :, ::5] * inv[:, None, :]).sum(axis=(0, 2))
+    grad -= mu * (e[:, :, ::5].real * inv[:, None, :]).sum(axis=(0, 2))
     c = (e * np.sqrt(inv[:, :, None] * inv[:, None, :]).reshape(2, 1, 16))
     c = c.transpose(1, 0, 2).reshape(15, 32)
-    hess += mu * np.real(c @ c.conj().T)
+    hess += mu * (c @ c.conj().T).real
     return grad, hess
 
 
@@ -292,13 +308,20 @@ def ree_geometric(rho: np.ndarray) -> ReeReport:
                      converged=True)
 
 
-def _random_product_state(rng) -> np.ndarray:
-    vs = []
-    for _ in range(2):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        vs.append(v / np.linalg.norm(v))
-    c = np.kron(vs[0], vs[1])
-    return np.outer(c, c.conj())
+def _product_states(n: int) -> np.ndarray:
+    """The certificate's n random product states |ab><ab|, shape (n, 4, 4).
+
+    Each qubit's vector has Gaussian real and imaginary parts, all drawn from
+    CERTIFICATE_SEED in one call, and is normalized with |v|^2 summed as
+    np.linalg.norm sums it (re.re + im.im).
+    """
+    g = np.random.default_rng(CERTIFICATE_SEED).normal(size=(n, 2, 2, 2))
+    re, im = g[:, :, 0], g[:, :, 1]
+    norm = np.sqrt((re[..., None, :] @ re[..., :, None]
+                    + im[..., None, :] @ im[..., :, None])[..., 0])
+    a, b = ((re + 1j * im) / norm).transpose(1, 0, 2)
+    c = (a[:, :, None] * b[:, None, :]).reshape(n, 4)  # |a> (x) |b>
+    return c[:, :, None] * c.conj()[:, None, :]
 
 
 def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
@@ -310,18 +333,14 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     differences with Richardson extrapolation.  Product states are the
     extreme points of the separable set, so sampling them suffices.
     A true minimizer gives a nonnegative result (up to ~1e-8); a css at
-    S(rho||css) = inf gives -inf.
+    S(rho||css) = inf gives -inf.  The 2 n_directions mixtures go through
+    one stacked `relative_entropy`.
     """
-    rng = np.random.default_rng(CERTIFICATE_SEED)
     s0 = relative_entropy(rho, css)
     if math.isinf(s0):
         return -math.inf  # no state at infinite relative entropy is a minimizer
+    e = np.array(CERTIFICATE_STEPS)[:, None, None, None]
+    s = relative_entropy(rho, (1 - e) * css + e * _product_states(n_directions))
+    d1, d2 = (s - s0) / e[:, :, 0, 0]
     e1, e2 = CERTIFICATE_STEPS
-    best = math.inf
-    for _ in range(n_directions):
-        sp = _random_product_state(rng)
-        d1 = (relative_entropy(rho, (1 - e1) * css + e1 * sp) - s0) / e1
-        d2 = (relative_entropy(rho, (1 - e2) * css + e2 * sp) - s0) / e2
-        deriv = (e1 * d2 - e2 * d1) / (e1 - e2)
-        best = min(best, deriv)
-    return float(best)
+    return float(((e1 * d2 - e2 * d1) / (e1 - e2)).min(initial=math.inf))

@@ -37,7 +37,7 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
                  abs(r2[2] + s2[2]) <= tol and abs(q2[2] - (2 * l1 - 1)) <= tol,
                  (r2[2] - s2[2]) / 2)]:
             l2, l3 = (1 - l1 + w) / 2, (1 - l1 - w) / 2
-            if ok and l2 >= -tol and l3 >= -tol:
+            if ok and w >= 0 and l3 >= -tol:  # w >= 0: l2 >= l3
                 return FamilyTag(kind, css._clip_weights(l1, l2, l3)), pa, pb
     return FamilyTag(FamilyKind.OTHER), eye, eye
 
@@ -63,6 +63,40 @@ class TestMatchTemplates:
                 assert np.array_equal(pa, want_pa) and np.array_equal(pb, want_pb)
                 kinds.add(tag.kind)
         assert kinds == set(FamilyKind)
+
+    def test_partner_frame_in_set(self):
+        """diag(1, -1, -1) (P_A, P_B) is a frame too: it keeps q and every
+        template test, and negates w, so one of the pair has w >= 0."""
+        d = np.diag([1.0, -1.0, -1.0])
+        frames = qstate.SIGNED_PERMUTATION_FRAMES
+        for pa, pb in frames:
+            partner = np.array([d @ pa, d @ pb])
+            assert np.any(np.all(frames == partner, axis=(1, 2, 3)))
+
+    def test_lambdas_are_a_function_of_the_state(self):
+        """300 rotated VP and 300 rotated Horodecki states, each nudged by
+        1e-16, keep their lambdas, ordered l2 >= l3.  Taking the first passing
+        frame instead swapped l2 and l3 under the nudge on 103 of these
+        Horodecki states, and left 326 of the 600 with l2 < l3."""
+        rng = np.random.default_rng(11)
+        for family, state in (("vp", css._vp_state), ("horodecki", css._horodecki_state)):
+            n = 0
+            while n < 300:
+                lam = rng.dirichlet([1, 1, 1])
+                if lam[0] <= 0.1 or (family == "horodecki"
+                                     and lam[0] ** 2 <= 4 * lam[1] * lam[2] + 5e-3):
+                    continue
+                n += 1
+                rho = rotated(state(tuple(lam)), rng)
+                nudged = rho.copy()
+                nudged[0, 0] += 1e-16
+                nudged[1, 1] -= 1e-16
+                a, b = css.css_auto(rho), css.css_auto(nudged)
+                la, lb = np.array(a.family.lambdas), np.array(b.family.lambdas)
+                assert la[1] >= la[2] and lb[1] >= lb[2]
+                assert np.max(np.abs(la - lb)) <= 1e-12
+                assert la == pytest.approx([lam[0], max(lam[1:]), min(lam[1:])], abs=1e-8)
+                assert abs(a.ree - b.ree) <= 1e-14
 
 
 class TestClassify:

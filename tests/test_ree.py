@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -58,6 +59,95 @@ class TestRelativeEntropy:
         assert relative_entropy(np.diag(p).astype(complex),
                                 np.diag(q).astype(complex)) == pytest.approx(kl, abs=1e-12)
 
+    def test_one_sigma_matches_reference(self):
+        """One sigma at a time, bit for bit the subset-indexed reference, on
+        rotated family states against their CSS and planted CSS, and on
+        random pairs of every rank."""
+        rng = np.random.default_rng(41)
+        pairs = []
+        for rho in _family_states(rng, 10):
+            c = css.css_auto(rho).css
+            pairs += [(rho, c), (rho, 0.99 * c + 0.01 * np.eye(4) / 4)]
+        pairs += [(random_density_matrix(rng, r), random_density_matrix(rng, k))
+                  for r in (1, 2, 3, 4) for k in (r, 4) for _ in range(10)]
+        for rho, sigma in pairs:
+            got = relative_entropy(rho, sigma)
+            assert type(got) is float
+            assert got == _relative_entropy_reference(rho, sigma)
+
+    def test_stack_matches_one_by_one(self):
+        """A stack whose sigmas share one rank gives, bit for bit, one call
+        per sigma: full rank (as a (5, 10) stack), rank 3 (a rank-2 VP state
+        against the certificate's mixtures of its CSS), rank 2 inside rho's
+        support, and rank 1 (a pure rho against itself and |00><00|)."""
+        rng = np.random.default_rng(42)
+        vp = _rotated(rng, css._vp_state((0.5, 0.3, 0.2)))
+        c = css.css_auto(vp).css
+        mixtures = np.array([(1 - e) * c + e * ree._product_states(64)
+                             for e in ree.CERTIFICATE_STEPS])
+        _, u = np.linalg.eigh(vp)
+        support = u[:, 2:]
+        inside = np.array([support @ _random_qubit_state(rng) @ support.conj().T
+                           for _ in range(20)])
+        pure = _pure(0.4)
+        cases = [
+            (random_density_matrix(rng, 2),
+             np.array([random_density_matrix(rng) for _ in range(50)]).reshape(5, 10, 4, 4)),
+            (vp, mixtures),
+            (vp, inside),
+            (pure, np.array([pure, np.diag([1.0, 0, 0, 0]).astype(complex)])),
+        ]
+        for rho, stack in cases:
+            got = relative_entropy(rho, stack)
+            assert got.shape == stack.shape[:-2]
+            want = np.array([relative_entropy(rho, s) for s in stack.reshape(-1, 4, 4)])
+            assert np.array_equal(got.reshape(-1), want)
+        assert np.all(np.isfinite(relative_entropy(vp, inside)))
+        assert list(relative_entropy(pure, cases[-1][1])) == [0.0, math.inf]
+
+    def test_mixed_rank_stack_agrees_to_rounding(self):
+        """Sigmas of different ranks share the stack's widest support; each
+        value then agrees with its own call to rounding."""
+        rng = np.random.default_rng(43)
+        vp = css._vp_state((0.5, 0.3, 0.2))
+        stack = np.array([css.css_vp((0.5, 0.3, 0.2)).css, vp,
+                          0.5 * vp + 0.5 * random_density_matrix(rng, 1),
+                          0.9 * vp + 0.1 * np.eye(4) / 4])
+        got = relative_entropy(vp, stack)
+        want = [relative_entropy(vp, s) for s in stack]
+        assert np.all(np.abs(got - want) <= 1e-14)
+
+    def test_non_finite_member_of_stack_rejected(self, rng):
+        stack = np.array([np.eye(4, dtype=complex) / 4] * 3)
+        stack[1, 2, 2] = math.nan
+        with pytest.raises(InvalidState):
+            relative_entropy(random_density_matrix(rng), stack)
+
+
+def _random_qubit_state(rng) -> np.ndarray:
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = a @ a.conj().T
+    return m / np.trace(m).real
+
+
+def _relative_entropy_reference(rho, sigma):
+    """Reference: one sigma, with rho's null space and sigma's kernel cut out
+    by subset indexing."""
+    p, u = np.linalg.eigh(rho)
+    q, v = np.linalg.eigh(sigma)
+    p = np.clip(p, 0.0, None)
+    kernel = q <= ree.SUPPORT_TOL
+    if np.any(kernel):
+        k = v[:, kernel]
+        if float(np.real(np.trace(k.conj().T @ rho @ k))) > ree.SUPPORT_TOL:
+            return math.inf
+    overlap = np.abs(u.conj().T @ v) ** 2
+    pos_p = p > ree.SUPPORT_TOL
+    s_rho = float(np.sum(p[pos_p] * np.log(p[pos_p])))
+    support = ~kernel
+    lnq = np.log(np.clip(q[support], ree.LOG_CLAMP, None))
+    return s_rho - float(p[pos_p] @ overlap[np.ix_(pos_p, support)] @ lnq)
+
 
 def _coordinates(sigma):
     """The oracle's 15 Pauli coordinates x_k = tr(sigma sigma_a (x) sigma_b)."""
@@ -116,6 +206,78 @@ class TestGradient:
                 for got in (ree._log_divided(np.array(a), np.array(b)),
                             ree._log_divided(np.array(b), np.array(a))):
                     assert abs(float(got) / float(exact) - 1) <= 4e-16
+
+
+# References: the barrier objective's pieces written plainly (tensordot,
+# np.real, np.sum, (3, 4, 4, 4) index triples); ree's leaner versions must
+# match them bit for bit.
+_TRIPLES_REFERENCE = np.array(
+    [sorted(t) for t in itertools.product(range(4), repeat=3)]).T.reshape(3, 4, 4, 4)
+
+
+def _spectra_reference(x):
+    m = np.eye(4) / 4 + np.tensordot(np.stack([x, ree._PT_SIGN * x]), ree._B, axes=1)
+    return np.linalg.eigh(m)
+
+
+def _value_reference(rho, mu, w, v):
+    if w[:, 0].min() <= 0.0:
+        return math.inf
+    weights = np.real(np.sum(v[0].conj() * (rho @ v[0]), axis=0))
+    return -float(weights @ np.log(w[0])) - mu * float(np.sum(np.log(w)))
+
+
+def _log_divided2_reference(w, l1):
+    lo, mid, hi = _TRIPLES_REFERENCE
+    mean = (w[lo] + w[mid] + w[hi]) / 3
+    spread = w[hi] - w[lo]
+    close = spread <= ree.DIVIDED_SPREAD * mean
+    return np.where(close, -0.5 / mean ** 2,
+                    (l1[hi, mid] - l1[mid, lo]) / np.where(close, 1.0, spread))
+
+
+def _derivatives_reference(rho, mu, w, v):
+    kron = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(2, 16, 16)
+    e = ree._DIRECTIONS_FLAT @ kron
+    r = (rho.reshape(16) @ kron[0]).reshape(4, 4)
+    l1 = ree._log_divided(w[0][:, None], w[0][None, :])
+    grad = -np.real(e[0] @ (l1 * r).T.reshape(16))
+    t = _log_divided2_reference(w[0], l1) * r.T[:, None, :]
+    p = np.matmul(e[0].reshape(15, 4, 4).transpose(2, 0, 1), t.transpose(1, 0, 2))
+    hess = -2.0 * np.real(p.transpose(1, 0, 2).reshape(15, 16) @ e[0].T)
+    inv = 1.0 / w
+    grad -= mu * np.real(e[:, :, ::5] * inv[:, None, :]).sum(axis=(0, 2))
+    c = (e * np.sqrt(inv[:, :, None] * inv[:, None, :]).reshape(2, 1, 16))
+    c = c.transpose(1, 0, 2).reshape(15, 32)
+    hess += mu * np.real(c @ c.conj().T)
+    return grad, hess
+
+
+class TestNewtonPieces:
+    def test_bit_equal_to_reference(self):
+        """_spectra, _value and _derivatives equal their references bit for
+        bit at random interior points, a Werner spectrum with three equal
+        eigenvalues, two eigenvalues 1e-9 apart, and (spectra and value,
+        +inf) outside sigma > 0."""
+        rng = np.random.default_rng(31)
+        sigmas = [0.3 * random_density_matrix(rng) + 0.7 * np.eye(4) / 4 for _ in range(20)]
+        sigmas += [_rotated(rng, 0.2 * qstate.BELL_STATES[3] + 0.8 * np.eye(4) / 4),
+                   _rotated(rng, np.diag([0.3, 0.2, 0.25 - 5e-10, 0.25 + 5e-10]))]
+        outside = _coordinates(_rotated(rng, np.diag([1.2, 0.1, -0.1, -0.2])))
+        rho = random_density_matrix(rng, 3)
+        for x in [_coordinates(s) for s in sigmas] + [outside]:
+            w, v = ree._spectra(x)
+            w_ref, v_ref = _spectra_reference(x)
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+            for mu in (1.0, 1e-3, 1e-9):
+                f = ree._value(rho, mu, w, v)
+                assert f == _value_reference(rho, mu, w, v)
+                if x is outside:
+                    assert f == math.inf
+                    continue
+                grad, hess = ree._derivatives(rho, mu, w, v)
+                grad_ref, hess_ref = _derivatives_reference(rho, mu, w, v)
+                assert np.array_equal(grad, grad_ref) and np.array_equal(hess, hess_ref)
 
 
 class TestNumericOracle:
@@ -307,8 +469,52 @@ class TestDirectionalOptimality:
         d = directional_optimality_check(rho, np.eye(4, dtype=complex) / 4)
         assert d < -1e-3
 
+    def test_product_states_match_loop(self):
+        rng = np.random.default_rng(ree.CERTIFICATE_SEED)
+        want = np.array([_random_product_state(rng) for _ in range(64)])
+        assert np.array_equal(ree._product_states(64), want)
+
+    def test_matches_loop(self):
+        """Within 1e-9 of the loop over directions on 120 rotated family
+        states, against their CSS and the planted 0.99 css + 0.01 I/4."""
+        for rho in _family_states(np.random.default_rng(100), 40):
+            c = css.css_auto(rho).css
+            for sigma in (c, 0.99 * c + 0.01 * np.eye(4) / 4):
+                got = directional_optimality_check(rho, sigma)
+                assert abs(got - _certificate_loop(rho, sigma)) <= 1e-9
+
+    def test_non_finite_css_rejected(self):
+        bad = np.eye(4, dtype=complex) / 4
+        bad[1, 1] = math.nan
+        with pytest.raises(InvalidState):
+            directional_optimality_check(qstate.BELL_STATES[0], bad)
+
     def test_infinite_relative_entropy_fails(self):
         # every finite difference is inf - inf = nan here; no such css is optimal
         v = np.array([math.cos(0.4), 0, 0, math.sin(0.4)], dtype=complex)
         css00 = np.diag([1.0, 0, 0, 0]).astype(complex)
         assert directional_optimality_check(np.outer(v, v), css00) == -math.inf
+
+
+def _random_product_state(rng) -> np.ndarray:
+    """Reference: one product state, drawn qubit by qubit."""
+    vs = []
+    for _ in range(2):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        vs.append(v / np.linalg.norm(v))
+    c = np.kron(vs[0], vs[1])
+    return np.outer(c, c.conj())
+
+
+def _certificate_loop(rho, css_, n_directions=64):
+    """Reference: the certificate as a loop, two relative entropies per direction."""
+    rng = np.random.default_rng(ree.CERTIFICATE_SEED)
+    s0 = relative_entropy(rho, css_)
+    e1, e2 = ree.CERTIFICATE_STEPS
+    best = math.inf
+    for _ in range(n_directions):
+        sp = _random_product_state(rng)
+        d1 = (relative_entropy(rho, (1 - e1) * css_ + e1 * sp) - s0) / e1
+        d2 = (relative_entropy(rho, (1 - e2) * css_ + e2 * sp) - s0) / e2
+        best = min(best, (e1 * d2 - e2 * d1) / (e1 - e2))
+    return best
