@@ -17,6 +17,7 @@ from .errors import (
     InvalidState,
     LeftPhysicalRange,
     NoCrossing,
+    NotConverged,
     NotEdgeState,
     NotSolvableFamily,
     OutsideTetrahedron,

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__, css, geometry, revmap
-from .errors import InvalidState
+from .errors import InvalidState, NotConverged
 from .qstate import (
     BELL_STATES,
     PSD_TOL,
@@ -210,7 +210,10 @@ def css_cmd(state, method, bits, out):
             _fail(EXIT_CHECK_FAILED,
                   "numeric bracket [lower, ree] is wider than its tolerance")
         return
-    result = css.css_auto(rho, numeric_fallback=(method == "auto"))
+    try:
+        result = css.css_auto(rho, numeric_fallback=(method == "auto"))
+    except NotConverged as exc:
+        _fail(EXIT_CHECK_FAILED, str(exc))
     if method == "geometric" and result.family.kind is css.FamilyKind.OTHER:
         _fail(EXIT_UNSUPPORTED, "state is outside the solvable families")
     _emit({
@@ -333,14 +336,16 @@ def _suite_revmap(seed: int) -> list[dict]:
 
 
 def _suite_oracle(max_iterations: int) -> list[dict]:
-    """The oracle's bracket [lower, value] holds ln 2 for each Bell state."""
+    """The oracle's bracket [lower, value] holds ln 2 for each Bell state;
+    each check reports the bracket, its gap and the oracle's steps."""
     checks = []
     cfg = OracleConfig(max_iterations=max_iterations)
     for i, bell in enumerate(BELL_STATES):
         rep = ree_numeric(bell, cfg)
         held = rep.lower <= math.log(2) <= rep.value
         check = {"name": f"bell_{i + 1}_ree", "ok": rep.converged and held,
-                 "value": rep.value, "lower": rep.lower, "gap": rep.gap}
+                 "value": rep.value, "lower": rep.lower, "gap": rep.gap,
+                 "iterations": rep.iterations}
         if not rep.converged:
             check["error"] = ("NotConverged: iteration budget spent or bracket "
                               "wider than its tolerance")

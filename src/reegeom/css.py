@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import geometry, revmap
-from .errors import ReegeomError
+from .errors import NotConverged, ReegeomError
 from .qstate import (
     BELL_STATES,
     PSD_TOL,
@@ -208,7 +208,8 @@ def _recovery_gap(rho, res: CssResult) -> float:
 def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
     """Classify, construct in the template frame, map back through the
     inverse local unitary.  For states outside the solvable families the
-    numerical oracle supplies a (non-geometric) result."""
+    numerical oracle supplies a (non-geometric) result, and raises
+    NotConverged when its bracket does not close."""
     validate_density_matrix(rho)
     dpf, lu = canonicalize(rho)
     tag, pa, pb = _match_templates(dpf)
@@ -221,6 +222,8 @@ def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
             return _finish(rho, rho, to_pauli(rho).g.diagonal(), tag,
                            separable=True)
         rep = ree_numeric(rho, OracleConfig())
+        if not rep.converged:
+            raise NotConverged(rep.gap)
         res = _finish(rho, rep.css_numeric, to_pauli(rep.css_numeric).g.diagonal(),
                       tag)
         res.geometric = False

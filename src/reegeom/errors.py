@@ -55,3 +55,12 @@ class LeftPhysicalRange(ReegeomError):
 
 class NotSolvableFamily(ReegeomError):
     """The state belongs to no family with a geometric closest-separable-state construction."""
+
+
+class NotConverged(ReegeomError):
+    """The numerical oracle spent its step budget or ended with a bracket
+    wider than its tolerance.  Carries the bracket's gap (value - lower)."""
+
+    def __init__(self, gap):
+        self.gap = gap
+        super().__init__(f"numeric oracle did not converge: bracket gap {gap:.3e}")

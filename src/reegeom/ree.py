@@ -57,7 +57,8 @@ _PAIRS = np.stack([4 * _TRIPLES[2] + _TRIPLES[1], 4 * _TRIPLES[1] + _TRIPLES[0]]
 
 @dataclass
 class OracleConfig:
-    """Budget of the barrier oracle: at most `max_iterations` Newton steps.
+    """Budget of the barrier oracle: at most `max_iterations` accepted
+    steps, tangent predictor steps included.
 
     `seed` and `restarts` are accepted and ignored; the barrier path is
     deterministic and starts at I/4.
@@ -205,6 +206,16 @@ def _derivatives(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
     return grad, hess
 
 
+def _barrier_gradient(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gradient (15,) of -ln det sigma - ln det sigma^Gamma at the spectra
+    (w, v): -tr(S^-1 B_k) summed over S in {sigma, sigma^Gamma}, with
+    S^-1 = V diag(1/w) V^H and sigma^Gamma's coordinate signs."""
+    inv = (v / w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    # tr(S^-1 B_k) = sum_ab (S^-1)_ba (B_k)_ab
+    traces = (inv.transpose(0, 2, 1).reshape(2, 16) @ _B_FLAT.T).real
+    return -(_X_SIGNS * traces).sum(axis=0)
+
+
 def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """-H^-1 grad through eigh(H), eigenvalues clipped at HESSIAN_FLOOR of the
     largest: on a flat optimal face H is singular to rounding."""
@@ -230,12 +241,15 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
 
     Damped Newton with an Armijo backtrack on the barrier objective `_value`
     from sigma = I/4, one centring per weight of MU_SCHEDULE, each ended at
-    half the squared Newton decrement <= CENTERING_TOL.  At the end, with G
+    half the squared Newton decrement <= CENTERING_TOL.  Each later weight
+    starts with a tangent step along the central path, kept where F at the
+    new weight does not rise.  At the end, with G
     the matrix gradient of S(rho||.) at sigma, convexity gives the
     Frank-Wolfe bound REE >= value - (tr sigma G - min_ab <ab|G|ab>); `lower`
     puts `_ppt_floor`, a certified lower bound, in place of the minimum.
     `converged` means the path finished in fewer than `cfg.max_iterations`
-    Newton steps and the bracket gap = value - lower is at most BRACKET_TOL.
+    steps (`iterations` counts every accepted step, tangent steps included)
+    and the bracket gap = value - lower is at most BRACKET_TOL.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -245,8 +259,18 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     x = np.zeros(15)
     w, v = _spectra(x)
     steps = 0
-    for mu in MU_SCHEDULE:
+    hess = None
+    for mu_prev, mu in zip((None,) + MU_SCHEDULE, MU_SCHEDULE):
         f = _value(rho, mu, w, v)
+        # tangent predictor: on the central path H dx/dmu = -grad phi for the
+        # barrier phi, with H the Hessian that ended the last stage at mu_prev
+        if hess is not None and steps < cfg.max_iterations:
+            dx = _newton_step((mu - mu_prev) * _barrier_gradient(w, v), hess)
+            wt, vt = _spectra(x + dx)
+            ft = _value(rho, mu, wt, vt)
+            if ft <= f:
+                x, w, v, f = x + dx, wt, vt, ft
+                steps += 1
         while steps < cfg.max_iterations:
             grad, hess = _derivatives(rho, mu, w, v)
             dx = _newton_step(grad, hess)
@@ -269,10 +293,9 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     # The Armijo test compares values of F, which rounding blurs below about
     # 1e-16, so a stage can end with a gradient near 1e-6 left over.  Full
     # Newton steps compare only decrements: keep each while it shrinks them.
+    # The last stage ended at x with the Newton step dx and its slope.
     if finished:
-        grad, hess = _derivatives(rho, mu, w, v)
-        dx = _newton_step(grad, hess)
-        lam2 = -float(grad @ dx)
+        lam2 = -slope
         for _ in range(POLISH_STEPS):
             wt, vt = _spectra(x + dx)
             if wt[:, 0].min() <= 0.0:

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import reegeom
-from reegeom import cli, css, geometry, qstate
+from reegeom import cli, css, geometry, qstate, ree
 
 from conftest import random_density_matrix
 
@@ -156,6 +156,22 @@ class TestCss:
         res = runner.invoke(cli.main, ["css", p, "--method", "geometric"])
         assert res.exit_code == 3
 
+    def test_unconverged_fallback_exit_1(self, runner, tmp_path, monkeypatch):
+        """`css --method auto` exits 1 with one error line and writes no file
+        when the oracle behind the numeric fallback does not converge."""
+        rng = np.random.default_rng(7)
+        rho = 0.3 * random_density_matrix(rng) + 0.7 * qstate.BELL_STATES[0]
+        report = ree.ReeReport(value=0.3, css_numeric=np.eye(4) / 4, gap=2e-3,
+                               iterations=600, converged=False, lower=0.298)
+        monkeypatch.setattr(css, "ree_numeric", lambda rho, cfg=None: report)
+        p = write_state(tmp_path / "o.json", rho)
+        res = runner.invoke(cli.main, ["css", p, "--method", "auto",
+                                       "--out", str(tmp_path / "css.json")])
+        assert res.exit_code == 1 and type(res.exception) is SystemExit
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "2.000e-03" in res.stderr
+        assert sorted(os.listdir(tmp_path)) == ["o.json"]
+
     def test_bits_flag(self, runner, tmp_path):
         p = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])
         res = runner.invoke(cli.main, ["css", p, "--bits"])
@@ -166,7 +182,8 @@ class TestCss:
 
 def test_oracle_bracket_reported(runner, tmp_path):
     """`css --method numeric` and `verify --suite oracle` report the
-    oracle's bracket [lower, value] and its gap, and it holds ln 2."""
+    oracle's bracket [lower, value] and its gap, and it holds ln 2; `verify`
+    also reports the oracle's steps."""
     p = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])
     res = runner.invoke(cli.main, ["css", p, "--method", "numeric", "--bits"])
     assert res.exit_code == 0
@@ -183,6 +200,7 @@ def test_oracle_bracket_reported(runner, tmp_path):
     for c in checks:
         assert c["ok"] and c["lower"] <= math.log(2) <= c["value"]
         assert 0 < c["gap"] <= 1e-6
+        assert type(c["iterations"]) is int and 0 < c["iterations"] < 600
 
 
 class TestSurface:

@@ -5,8 +5,8 @@ import pytest
 
 from reegeom import css, qstate, revmap
 from reegeom.css import FamilyKind, FamilyTag
-from reegeom.errors import InvalidState, RankDeficient
-from reegeom.ree import relative_entropy
+from reegeom.errors import InvalidState, NotConverged, RankDeficient, ReegeomError
+from reegeom.ree import ReeReport, relative_entropy
 
 from conftest import random_density_matrix, random_unitary
 
@@ -257,6 +257,18 @@ class TestCssAuto:
         assert not res.geometric
         assert res.ree > 0
         assert qstate.is_ppt(res.css, tol=1e-7)
+
+    def test_unconverged_fallback_raises(self, monkeypatch):
+        """An unconverged oracle is an error, not an REE."""
+        rng = np.random.default_rng(7)
+        rho = 0.3 * random_density_matrix(rng) + 0.7 * qstate.BELL_STATES[0]
+        assert css.classify(rho).kind is FamilyKind.OTHER and not qstate.is_ppt(rho)
+        report = ReeReport(value=0.3, css_numeric=np.eye(4) / 4, gap=2e-3,
+                           iterations=600, converged=False, lower=0.298)
+        monkeypatch.setattr(css, "ree_numeric", lambda rho, cfg=None: report)
+        with pytest.raises(NotConverged) as exc:
+            css.css_auto(rho)
+        assert isinstance(exc.value, ReegeomError) and exc.value.gap == 2e-3
 
     def test_separable_other(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)

@@ -439,6 +439,95 @@ class TestBracket:
         assert out.stdout.strip() == "ok"
 
 
+def _centre(rho, mu, x):
+    """x(mu) on the central path, by damped Newton from x, run past the
+    oracle's CENTERING_TOL until the decrement stops shrinking."""
+    lam2 = math.inf
+    for _ in range(100):
+        w, v = ree._spectra(x)
+        f = ree._value(rho, mu, w, v)
+        grad, hess = ree._derivatives(rho, mu, w, v)
+        dx = ree._newton_step(grad, hess)
+        slope = float(grad @ dx)
+        if -slope / 2 <= 1e-24 or (-slope / 2 <= 1e-14 and -slope >= lam2):
+            break
+        lam2 = -slope
+        t = 1.0
+        while ree._value(rho, mu, *ree._spectra(x + t * dx)) > f + ree.ARMIJO_C * t * slope:
+            t /= 2
+            if t < 1e-12:
+                return x
+        x = x + t * dx
+    return x
+
+
+class TestPredictor:
+    """The tangent step that opens each barrier weight after the first."""
+
+    def test_barrier_gradient_matches_derivatives(self):
+        """grad F at mu = 1 minus grad F at mu = 0 is the barrier's gradient."""
+        rng = np.random.default_rng(31)
+        rho = random_density_matrix(rng)
+        for sigma in (0.3 * random_density_matrix(rng) + 0.7 * np.eye(4) / 4,
+                      _rotated(rng, 0.2 * qstate.BELL_STATES[3] + 0.8 * np.eye(4) / 4),
+                      np.eye(4) / 4):
+            w, v = ree._spectra(_coordinates(sigma))
+            barrier = ree._derivatives(rho, 1.0, w, v)[0] - ree._derivatives(rho, 0.0, w, v)[0]
+            assert np.max(np.abs(ree._barrier_gradient(w, v) - barrier)) <= 1e-13
+
+    def test_tangent_lands_near_the_next_centre(self):
+        """From x(mu), x - H^-1 grad phi (mu/10 - mu) lands within a tenth of
+        the way to x(mu/10), in the median over all transitions; a sign error
+        or a wrong weight change gives ratios of 1 or more."""
+        rng = np.random.default_rng(5)
+        states = list(_family_states(rng, 2))
+        states += [random_density_matrix(rng, rank) for rank in (2, 3, 4)]
+        ratios = []
+        for rho in states:
+            x = _centre(rho, ree.MU_SCHEDULE[0], np.zeros(15))
+            for mu, mu_next in zip(ree.MU_SCHEDULE, ree.MU_SCHEDULE[1:]):
+                w, v = ree._spectra(x)
+                _, hess = ree._derivatives(rho, mu, w, v)
+                pred = x + ree._newton_step((mu_next - mu) * ree._barrier_gradient(w, v), hess)
+                x_next = _centre(rho, mu_next, x)
+                ratios.append(np.linalg.norm(pred - x_next) / np.linalg.norm(x - x_next))
+                x = x_next
+        assert len(ratios) == 9 * len(states)
+        assert np.median(ratios) < 0.1
+
+    def test_step_count(self):
+        """TestBracket's 109 family, Bell and pure states and the seed-52
+        pure state: without the predictor the path takes 44 to 64 steps,
+        median 53."""
+        states = list(_family_states(np.random.default_rng(100), 100))[::3]
+        states += list(qstate.BELL_STATES)
+        states += [_pure(t) for t in (0.05, 0.3, 0.5, 0.7, math.pi / 4)]
+        states.append(SEED52_PURE)
+        assert len(states) == 110
+        steps = [ree_numeric(rho).iterations for rho in states]
+        assert np.median(steps) <= 35 and max(steps) <= 45
+
+    @pytest.mark.parametrize("budget", range(12))
+    def test_budget_counts_predictor_steps(self, budget):
+        """A budget spent mid-path, before or after a tangent step, gives an
+        unconverged report with exactly `budget` steps, not an exception."""
+        rep = ree_numeric(qstate.BELL_STATES[1], OracleConfig(max_iterations=budget))
+        assert not rep.converged and rep.iterations == budget
+        assert math.isfinite(rep.value)
+
+    def test_step_leaving_the_cone_is_rejected(self, monkeypatch):
+        """A tangent step that leaves sigma > 0 or sigma^Gamma > 0 raises F to
+        +inf and is not taken; the corrector still centres the path."""
+        barrier_gradient = ree._barrier_gradient
+        monkeypatch.setattr(ree, "_barrier_gradient",
+                            lambda w, v: 1e9 * barrier_gradient(w, v))
+        rho = SEED52_PURE
+        rep = ree_numeric(rho)
+        assert rep.converged and rep.gap <= 1e-6
+        assert rep.lower <= _entanglement_entropy(rho) <= rep.value
+        assert qstate.min_pt_eigenvalue(rep.css_numeric) >= 0
+
+
 class TestGeometricRoute:
     def test_matches_numeric(self):
         for rho in [qstate.bell_diagonal([0.8, -0.6, 0.5]),
