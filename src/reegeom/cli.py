@@ -161,7 +161,7 @@ def decompose(state, out):
     """Pauli decomposition, canonical frame, and basic invariants of STATE."""
     rho = load_state(state)
     pf = to_pauli(rho)
-    dpf, lu = canonicalize(rho)
+    dpf, lu = canonicalize(rho, pf)
     _emit({
         "r": pf.r.tolist(),
         "s": pf.s.tolist(),

@@ -23,6 +23,7 @@ from .qstate import (
     SIGNED_PERMUTATION_FRAMES,
     DiagonalPauliForm,
     LocalUnitary,
+    PauliForm,
     bell_diagonal,
     canonicalize,
     from_diagonal_pauli,
@@ -121,15 +122,13 @@ def classify(rho: np.ndarray) -> FamilyTag:
     return tag
 
 
-def css_bell_diagonal(t) -> CssResult:
-    """Closest separable state of the Bell-diagonal state with correlation
-    vector t: the crossing of the ray from the nearest tetrahedron vertex
-    through t with the nearest octahedron face."""
+def _bell_diagonal_parts(t):
+    """(rho, css, tau, tag, separable) of the Bell-diagonal construction."""
     t = np.asarray(t, dtype=float)
     rho = bell_diagonal(t)
     tag = FamilyTag(FamilyKind.BELL_DIAGONAL)
     if np.sum(np.abs(t)) <= 1.0 + PSD_TOL:
-        return _finish(rho, rho, t, tag, separable=True)
+        return rho, rho, t, tag, True
     v = geometry.nearest_vertex(t)
     n = v.coords  # the nearest octahedron face lies in the plane n.q = 1
     if np.linalg.norm(t - v.coords) < 1e-12:
@@ -137,45 +136,63 @@ def css_bell_diagonal(t) -> CssResult:
     else:
         w = 2.0 / (3.0 - float(n @ t))
         tau = v.coords + w * (t - v.coords)
-    return _finish(rho, bell_diagonal(tau), tau, tag)
+    return rho, bell_diagonal(tau), tau, tag, False
+
+
+def _vp_parts(lam):
+    """(rho, css, tau, tag, separable) of the generalized VP construction."""
+    l1, l2, l3 = lam
+    rho = _vp_state(lam)
+    tag = FamilyTag(FamilyKind.GENERALIZED_VP, (l1, l2, l3))
+    tau = np.array([0.0, 0.0, 1.0])
+    if l1 <= 0:
+        return rho, rho, tau, tag, True
+    return rho, np.diag([l1 / 2 + l2, 0, 0, l1 / 2 + l3]).astype(complex), tau, tag, False
+
+
+def _horodecki_parts(lam):
+    """(rho, css, tau, tag, separable) of the generalized Horodecki construction."""
+    l1, l2, l3 = lam
+    rho = _horodecki_state(lam)
+    tag = FamilyTag(FamilyKind.GENERALIZED_HORODECKI, (l1, l2, l3))
+    if l1 ** 2 <= 4 * l2 * l3:
+        return rho, rho, np.array([l1, -l1, 2 * l1 - 1]), tag, True
+    q1 = 0.5 * (l1 + 2 * l2) * (l1 + 2 * l3)
+    tau = np.array([q1, -q1, 2 * q1 - 1])
+    w = l2 - l3
+    return rho, from_diagonal_pauli((0, 0, w), (0, 0, -w), tau), tau, tag, False
+
+
+def css_bell_diagonal(t) -> CssResult:
+    """Closest separable state of the Bell-diagonal state with correlation
+    vector t: the crossing of the ray from the nearest tetrahedron vertex
+    through t with the nearest octahedron face."""
+    return _finish(*_bell_diagonal_parts(t))
 
 
 def css_vp(lam) -> CssResult:
     """Theorem construction for generalized Vedral-Plenio weights."""
-    l1, l2, l3 = lam
-    rho = _vp_state(lam)
-    tag = FamilyTag(FamilyKind.GENERALIZED_VP, (l1, l2, l3))
-    if l1 <= 0:
-        return _finish(rho, rho, np.array([0.0, 0.0, 1.0]), tag, separable=True)
-    css = np.diag([l1 / 2 + l2, 0, 0, l1 / 2 + l3]).astype(complex)
-    return _finish(rho, css, np.array([0.0, 0.0, 1.0]), tag)
+    return _finish(*_vp_parts(lam))
 
 
 def css_horodecki(lam) -> CssResult:
     """Theorem construction for generalized Horodecki weights."""
-    l1, l2, l3 = lam
-    rho = _horodecki_state(lam)
-    tag = FamilyTag(FamilyKind.GENERALIZED_HORODECKI, (l1, l2, l3))
-    t = np.array([l1, -l1, 2 * l1 - 1])
-    if l1 ** 2 <= 4 * l2 * l3:
-        return _finish(rho, rho, t, tag, separable=True)
-    q1 = 0.5 * (l1 + 2 * l2) * (l1 + 2 * l3)
-    tau = np.array([q1, -q1, 2 * q1 - 1])
-    w = l2 - l3
-    css = from_diagonal_pauli((0, 0, w), (0, 0, -w), tau)
-    return _finish(rho, css, tau, tag)
+    return _finish(*_horodecki_parts(lam))
 
 
-def _bloch_gap(rho, css) -> float:
-    """Largest distance between the Bloch vectors of rho and of its CSS."""
-    p_rho, p_css = to_pauli(rho), to_pauli(css)
+def _bloch_gap(p_rho: PauliForm, p_css: PauliForm) -> float:
+    """Largest distance between the Bloch vectors of rho and of its CSS,
+    from their Pauli forms."""
     return float(max(np.linalg.norm(p_css.r - p_rho.r),
                      np.linalg.norm(p_css.s - p_rho.s)))
 
 
-def _finish(rho, css, tau, tag, separable=False) -> CssResult:
+def _finish(rho, css, tau, tag, separable=False, bloch_gap=None) -> CssResult:
+    """The result with its residuals; `bloch_gap` is computed from rho and
+    css unless the caller gives it."""
     residuals = {
-        "bloch_gap": _bloch_gap(rho, css),
+        "bloch_gap": (_bloch_gap(to_pauli(rho), to_pauli(css)) if bloch_gap is None
+                      else bloch_gap),
         "edge_gap": abs(min_pt_eigenvalue(css)),
         "recovery_gap": float("nan"),
     }
@@ -211,7 +228,8 @@ def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
     numerical oracle supplies a (non-geometric) result, and raises
     NotConverged when its bracket does not close."""
     validate_density_matrix(rho)
-    dpf, lu = canonicalize(rho)
+    p_rho = to_pauli(rho)
+    dpf, lu = canonicalize(rho, p_rho)
     tag, pa, pb = _match_templates(dpf)
 
     if tag.kind is FamilyKind.OTHER:
@@ -219,25 +237,27 @@ def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
             return CssResult(css=None, tau=None, family=tag, ree=float("nan"),
                              geometric=False)
         if is_ppt(rho):
-            return _finish(rho, rho, to_pauli(rho).g.diagonal(), tag,
-                           separable=True)
+            return _finish(rho, rho, p_rho.g.diagonal(), tag, separable=True,
+                           bloch_gap=0.0)
         rep = ree_numeric(rho, OracleConfig())
         if not rep.converged:
             raise NotConverged(rep.gap)
-        res = _finish(rho, rep.css_numeric, to_pauli(rep.css_numeric).g.diagonal(),
-                      tag)
+        p_css = to_pauli(rep.css_numeric)
+        res = _finish(rho, rep.css_numeric, p_css.g.diagonal(), tag,
+                      bloch_gap=_bloch_gap(p_rho, p_css))
         res.geometric = False
         res.ree = rep.value
         return res
 
     frame = LocalUnitary(su2_from_rotation(pa), su2_from_rotation(pb)).compose(lu)
     if tag.kind is FamilyKind.BELL_DIAGONAL:
-        template = css_bell_diagonal(dpf.q)
+        parts = _bell_diagonal_parts(dpf.q)
     elif tag.kind is FamilyKind.GENERALIZED_VP:
-        template = css_vp(tag.lambdas)
+        parts = _vp_parts(tag.lambdas)
     else:
-        template = css_horodecki(tag.lambdas)
-
-    template.css = frame.inverse().apply(template.css)
-    template.residuals["bloch_gap"] = _bloch_gap(rho, template.css)
-    return template
+        parts = _horodecki_parts(tag.lambdas)
+    # the template's residuals, with the Bloch gap of rho and the CSS mapped back
+    css = frame.inverse().apply(parts[1])
+    result = _finish(*parts, bloch_gap=_bloch_gap(p_rho, to_pauli(css)))
+    result.css = css
+    return result

@@ -238,8 +238,9 @@ SIGNED_PERMUTATION_FRAMES = np.array(list(signed_permutation_frames()))
 SIGNED_PERMUTATION_FRAMES.flags.writeable = False
 
 
-def canonicalize(rho: np.ndarray):
-    """Diagonalize the correlation tensor by a local unitary.
+def canonicalize(rho: np.ndarray, pauli: PauliForm | None = None):
+    """Diagonalize the correlation tensor by a local unitary; `pauli` is
+    rho's Pauli form, where the caller has it already.
 
     Returns (DiagonalPauliForm, LocalUnitary) where the unitary maps rho to
     the diagonal-frame state.  The SVD of g orders |q| descending with
@@ -247,7 +248,7 @@ def canonicalize(rho: np.ndarray):
     local-unitary invariant q1*q2*q3 on q3.  When singular values of g
     coincide the frame is not unique; the one returned is the SVD's.
     """
-    p = to_pauli(rho)
+    p = to_pauli(rho) if pauli is None else pauli
     o1, sv, o2t = np.linalg.svd(p.g)
     o2 = o2t.T
     q = sv.copy()

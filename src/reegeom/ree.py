@@ -25,11 +25,13 @@ LOG_CLAMP = 1e-300
 # barrier weights of the central path: 1, 0.1, ..., 1e-9; the excess of the
 # path's end over the optimum is at most 8 * 1e-9 (barrier parameter 8)
 MU_SCHEDULE = tuple(10.0 ** -k for k in range(10))
-CENTERING_TOL = 1e-12  # half the squared Newton decrement that ends a stage
+# a stage ends where half the squared Newton decrement of F / mu, the
+# self-concordant barrier function, is at most CENTERING_TOL: 1e-12 at mu = 1e-9
+CENTERING_TOL = 1e-3
 ARMIJO_C = 0.25  # sufficient-decrease fraction of the backtracking step
 MAX_HALVINGS = 30  # backtracking halvings before a stage counts as stalled
 POLISH_STEPS = 3  # full Newton steps at the last weight, kept while the decrement shrinks
-HESSIAN_FLOOR = 1e-14  # Hessian eigenvalues clipped at this fraction of the largest
+HESSIAN_FLOOR = 1e-14  # diagonal shift of the Newton system, as a fraction of tr H
 DIVIDED_SPREAD = 1e-5  # relative spread below which a second divided difference takes its limit
 BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
 # rounding allowance taken off the lower end: the bound's minimizing vector
@@ -217,11 +219,11 @@ def _barrier_gradient(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """-H^-1 grad through eigh(H), eigenvalues clipped at HESSIAN_FLOOR of the
-    largest: on a flat optimal face H is singular to rounding."""
-    lam, q = np.linalg.eigh(hess)
-    lam = np.maximum(lam, HESSIAN_FLOOR * lam[-1])
-    return -q @ ((q.T @ grad) / lam)
+    """-(H + s I)^-1 grad by one LU solve, with the shift s = HESSIAN_FLOOR tr H:
+    on a flat optimal face (the Bell states) H is singular to rounding, and
+    the shift keeps the system well posed and the step a descent direction."""
+    shift = HESSIAN_FLOOR * np.trace(hess)
+    return np.linalg.solve(hess + shift * np.eye(len(grad)), -grad)
 
 
 def _ppt_floor(gmat: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float) -> float:
@@ -240,11 +242,12 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     """Minimize S(rho||sigma) over the PPT (= separable) two-qubit states.
 
     Damped Newton with an Armijo backtrack on the barrier objective `_value`
-    from sigma = I/4, one centring per weight of MU_SCHEDULE, each ended at
-    half the squared Newton decrement <= CENTERING_TOL.  Each later weight
-    starts with a tangent step along the central path, kept where F at the
-    new weight does not rise.  At the end, with G
-    the matrix gradient of S(rho||.) at sigma, convexity gives the
+    from sigma = I/4, one centring per weight of MU_SCHEDULE, each ended where
+    half the squared Newton decrement of F / mu, lambda^2 / (2 mu), is at
+    most CENTERING_TOL: loose at the early weights, 1e-12 at the last.  Each
+    later weight starts with a tangent step along the central path, kept
+    where F at the new weight does not rise.  At the end, with G the matrix
+    gradient of S(rho||.) at sigma, convexity gives the
     Frank-Wolfe bound REE >= value - (tr sigma G - min_ab <ab|G|ab>); `lower`
     puts `_ppt_floor`, a certified lower bound, in place of the minimum.
     `converged` means the path finished in fewer than `cfg.max_iterations`
@@ -275,7 +278,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
             grad, hess = _derivatives(rho, mu, w, v)
             dx = _newton_step(grad, hess)
             slope = float(grad @ dx)
-            if -slope / 2 <= CENTERING_TOL:
+            if -slope / 2 <= CENTERING_TOL * mu:
                 break
             t = 1.0
             for _ in range(MAX_HALVINGS):

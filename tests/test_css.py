@@ -238,6 +238,35 @@ class TestCssAuto:
             assert abs(qstate.min_pt_eigenvalue(res.css)) <= 1e-8
             assert relative_entropy(rot, res.css) == pytest.approx(res.ree, abs=1e-10)
 
+    def test_two_pauli_transforms(self, monkeypatch):
+        """A rotated family state's css_auto takes the Pauli form of rho once
+        and of its mapped-back CSS once; its residuals are the template's,
+        bit for bit, with the Bloch gap of rho and that CSS."""
+        rng = np.random.default_rng(8)
+        for rho0, build in [(css._vp_state((0.5, 0.3, 0.2)), css.css_vp),
+                            (css._horodecki_state((0.6, 0.3, 0.1)), css.css_horodecki)]:
+            rho = rotated(rho0, rng)
+            template = build(css.classify(rho).lambdas)
+            calls = []
+            to_pauli = qstate.to_pauli
+
+            def counting(m):
+                calls.append(m)
+                return to_pauli(m)
+
+            monkeypatch.setattr(css, "to_pauli", counting)
+            monkeypatch.setattr(qstate, "to_pauli", counting)
+            res = css.css_auto(rho)
+            monkeypatch.undo()
+            assert len(calls) == 2
+            p_rho, p_css = qstate.to_pauli(rho), qstate.to_pauli(res.css)
+            assert res.residuals == {
+                "bloch_gap": float(max(np.linalg.norm(p_css.r - p_rho.r),
+                                       np.linalg.norm(p_css.s - p_rho.s))),
+                "edge_gap": template.residuals["edge_gap"],
+                "recovery_gap": template.residuals["recovery_gap"]}
+            assert res.ree == template.ree
+
     def test_non_finite_state_rejected(self):
         with pytest.raises(InvalidState):
             css.css_auto(np.full((4, 4), np.nan, dtype=complex))

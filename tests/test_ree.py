@@ -441,7 +441,8 @@ class TestBracket:
 
 def _centre(rho, mu, x):
     """x(mu) on the central path, by damped Newton from x, run past the
-    oracle's CENTERING_TOL until the decrement stops shrinking."""
+    oracle's stage stop (half the squared decrement <= CENTERING_TOL * mu)
+    until the decrement stops shrinking."""
     lam2 = math.inf
     for _ in range(100):
         w, v = ree._spectra(x)
@@ -498,14 +499,15 @@ class TestPredictor:
     def test_step_count(self):
         """TestBracket's 109 family, Bell and pure states and the seed-52
         pure state: without the predictor the path takes 44 to 64 steps,
-        median 53."""
+        median 53; with it and stages ended at an absolute decrement of
+        1e-12, at most 42, median 32."""
         states = list(_family_states(np.random.default_rng(100), 100))[::3]
         states += list(qstate.BELL_STATES)
         states += [_pure(t) for t in (0.05, 0.3, 0.5, 0.7, math.pi / 4)]
         states.append(SEED52_PURE)
         assert len(states) == 110
         steps = [ree_numeric(rho).iterations for rho in states]
-        assert np.median(steps) <= 35 and max(steps) <= 45
+        assert np.median(steps) <= 25 and max(steps) <= 34
 
     @pytest.mark.parametrize("budget", range(12))
     def test_budget_counts_predictor_steps(self, budget):
@@ -526,6 +528,119 @@ class TestPredictor:
         assert rep.converged and rep.gap <= 1e-6
         assert rep.lower <= _entanglement_entropy(rho) <= rep.value
         assert qstate.min_pt_eigenvalue(rep.css_numeric) >= 0
+
+
+def _newton_step_eigh(grad, hess):
+    """Reference: -H^-1 grad through eigh(H), eigenvalues clipped at
+    HESSIAN_FLOOR of the largest."""
+    lam, q = np.linalg.eigh(hess)
+    lam = np.maximum(lam, ree.HESSIAN_FLOOR * lam[-1])
+    return -q @ ((q.T @ grad) / lam)
+
+
+def _record_derivatives(monkeypatch):
+    """Patch ree._derivatives to log (mu, grad, hess) of every call, the
+    stage loop's and the polish's."""
+    log = []
+    derivatives = ree._derivatives
+
+    def recorder(rho, mu, w, v):
+        log.append((mu,) + derivatives(rho, mu, w, v))
+        return log[-1][1:]
+
+    monkeypatch.setattr(ree, "_derivatives", recorder)
+    return log
+
+
+def _half_decrements(log, mu):
+    """lambda^2 / 2 of each logged call at the weight mu, in call order."""
+    return [-float(grad @ ree._newton_step(grad, hess)) / 2
+            for m, grad, hess in log if m == mu]
+
+
+class TestStageStop:
+    """Each barrier stage ends at half the squared Newton decrement of F / mu
+    at most CENTERING_TOL, i.e. lambda^2 / 2 <= CENTERING_TOL * mu."""
+
+    def test_last_stage_bound_is_1e_12(self):
+        assert ree.CENTERING_TOL * ree.MU_SCHEDULE[-1] == pytest.approx(1e-12, rel=1e-15)
+
+    def test_every_stage_exits_at_its_bound(self, monkeypatch):
+        """On Bell, family, pure and random states of ranks 1-4: at each
+        weight, every Newton step is taken above the bound and the stage's
+        last decrement is at or below it; at the last weight the stage ends
+        at the first decrement below it, and the polish follows."""
+        log = _record_derivatives(monkeypatch)
+        rng = np.random.default_rng(12)
+        states = [qstate.BELL_STATES[2], SEED52_PURE] + list(_family_states(rng, 1))
+        states += [random_density_matrix(rng, rank) for rank in (1, 2, 3, 4)]
+        for rho in states:
+            log.clear()
+            rep = ree_numeric(rho)
+            assert rep.converged
+            for mu in ree.MU_SCHEDULE:
+                lam2 = _half_decrements(log, mu)
+                bound = ree.CENTERING_TOL * mu
+                end = next(i for i, d in enumerate(lam2) if d <= bound)
+                assert all(d > bound for d in lam2[:end])
+                if mu != ree.MU_SCHEDULE[-1]:
+                    assert end == len(lam2) - 1
+                else:
+                    assert len(lam2) - 1 - end <= ree.POLISH_STEPS
+
+    def test_early_stages_end_loose(self, monkeypatch):
+        """The stop scales with mu: on the seed-52 pure state the stage at
+        mu = 1 ends above the last stage's bound of 1e-12, where an absolute
+        stop would run it on."""
+        log = _record_derivatives(monkeypatch)
+        ree_numeric(SEED52_PURE)
+        assert _half_decrements(log, ree.MU_SCHEDULE[0])[-1] > 1e-12
+
+
+class TestNewtonSolve:
+    """_newton_step: one LU solve of H + HESSIAN_FLOOR tr(H) I."""
+
+    def test_same_value_as_eigh_clip(self, monkeypatch):
+        """With the eigh-plus-clip step patched in, `value` agrees within
+        1e-13 on TestBracket's states."""
+        states = list(_family_states(np.random.default_rng(100), 100))[::3]
+        states += list(qstate.BELL_STATES) + [SEED52_PURE]
+        states += [_pure(t) for t in (0.05, 0.3, 0.5, 0.7, math.pi / 4)]
+        rng = np.random.default_rng(52)
+        states += [_pure(theta, rng) for theta in (0.2, 0.4, 0.65)]
+        values = [ree_numeric(rho).value for rho in states]
+        monkeypatch.setattr(ree, "_newton_step", _newton_step_eigh)
+        for rho, value in zip(states, values):
+            assert abs(ree_numeric(rho).value - value) <= 1e-13
+
+    def test_bell_face_hessian(self, monkeypatch):
+        """On a Bell state's path at mu = 1e-9, where H has eigenvalues below
+        HESSIAN_FLOOR of its largest (and rounding makes some negative), the
+        step is finite and a descent direction."""
+        log = _record_derivatives(monkeypatch)
+        ree_numeric(qstate.BELL_STATES[0])
+        clipped = 0
+        for mu, grad, hess in log:
+            lam = np.linalg.eigvalsh(hess)
+            if mu == ree.MU_SCHEDULE[-1]:
+                clipped += int(np.any(lam < ree.HESSIAN_FLOOR * lam[-1]))
+                dx = ree._newton_step(grad, hess)
+                assert np.all(np.isfinite(dx)) and float(grad @ dx) < 0
+        assert clipped >= 2
+
+    def test_matches_eigh_solve_on_spd(self):
+        """On random SPD H with condition numbers up to 1e6, within 1e-6
+        relative of the eigh solve."""
+        rng = np.random.default_rng(7)
+        for cond in (1.0, 1e2, 1e4, 1e6):
+            for _ in range(10):
+                q, _ = np.linalg.qr(rng.normal(size=(15, 15)))
+                lam = rng.uniform(1, 100) * np.geomspace(1, cond, 15)
+                hess = (q * lam) @ q.T
+                grad = rng.normal(size=15)
+                want = _newton_step_eigh(grad, hess)
+                got = ree._newton_step(grad, hess)
+                assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
 class TestGeometricRoute:
