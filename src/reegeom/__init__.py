@@ -19,7 +19,6 @@ from .errors import (
     NoCrossing,
     NotConverged,
     NotEdgeState,
-    NotSolvableFamily,
     OutsideTetrahedron,
     ParallelLines,
     RankDeficient,
@@ -55,12 +54,10 @@ from .ree import (
     OracleConfig,
     ReeReport,
     directional_optimality_check,
-    ree_geometric,
     ree_numeric,
     relative_entropy,
 )
 from .revmap import (
-    GMatrix,
     SigmaZParams,
     css_line_sweep,
     family_from_css,
@@ -71,8 +68,6 @@ from .revmap import (
     recover_vp,
     z_derivatives,
     z_family,
-    z_family_pauli,
 )
-from .spectra import ZParallelState, eigensystem, min_pt_branch, pt_eigensystem
 
 __version__ = "0.1.0"

@@ -63,12 +63,13 @@ def _reject_constant(name: str):
 
 def _read(path: str, parse) -> np.ndarray:
     """The density matrix parse() builds from the JSON in PATH; bad JSON (a
-    ValueError), a missing key, a wrong shape or an invalid state exits 2."""
+    ValueError), a missing key, a top level that is not an object or a value
+    of the wrong type (a TypeError), a wrong shape or an invalid state exits 2."""
     try:
         with open(path) as fh:
             rho = parse(json.load(fh, parse_constant=_reject_constant))
         validate_density_matrix(rho)
-    except (InvalidState, ValueError, KeyError) as exc:
+    except (InvalidState, ValueError, KeyError, TypeError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     return rho
 

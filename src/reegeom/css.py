@@ -214,9 +214,9 @@ def _recovery_gap(rho, res: CssResult) -> float:
         else:
             g = revmap.g_matrix(res.css)
             diff = res.css - rho
-            x = float(np.real(np.trace(g.matrix.conj().T @ diff))
-                      / np.real(np.trace(g.matrix.conj().T @ g.matrix)))
-            back = res.css - x * g.matrix
+            x = float(np.real(np.trace(g.conj().T @ diff))
+                      / np.real(np.trace(g.conj().T @ g)))
+            back = res.css - x * g
         return float(np.max(np.abs(back - rho)))
     except (ReegeomError, np.linalg.LinAlgError):
         return float("nan")

@@ -53,10 +53,6 @@ class LeftPhysicalRange(ReegeomError):
         super().__init__(f"family not PSD at x={x:.6g}; max admissible x ~ {max_x:.6g}")
 
 
-class NotSolvableFamily(ReegeomError):
-    """The state belongs to no family with a geometric closest-separable-state construction."""
-
-
 class NotConverged(ReegeomError):
     """The numerical oracle spent its step budget or ended with a bracket
     wider than its tolerance.  Carries the bracket's gap (value - lower)."""

@@ -2,7 +2,11 @@
 
 The Bell-diagonal tetrahedron and separable octahedron, their deformed
 counterparts at fixed z-parallel Bloch vectors, nearest-vertex selection,
-ray/surface crossings, and boundary-surface sampling for export.
+ray/surface crossings, and boundary-surface sampling for export.  Both
+deformed bodies come from the two `spectra` kernels: `surface_mesh` samples
+the roots of `spectra.boundary_roots`, and `line_surface_crossing` finds
+where the line from a correlation vector to its nearest tetrahedron vertex
+meets the zero set of the partial transpose's `spectra.branch_min`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import numpy as np
 from . import spectra
 from .errors import NoCrossing, OutsideTetrahedron
 from .qstate import PSD_TOL
-from .spectra import ZParallelState
 
 TETRA_TOL = 1e-8     # slack of the tetrahedron face inequalities n.t <= 1
 RAY_W_MAX = 10.0     # ray parameters scanned for crossings: [0, RAY_W_MAX]
@@ -132,13 +135,13 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoin
     if np.linalg.norm(d) < 1e-14:
         raise ValueError("line start coincides with the vertex")
 
-    def f(w):  # min_pt_branch at p(w), as the scan below
+    def f(w):  # the smallest partial-transpose branch (q2 -> -q2) at p(w)
         p = v.coords + w * d
         return spectra.branch_min(r, s, p[0], -p[1], p[2])
 
     ws = np.arange(0.0, RAY_W_MAX + RAY_SCAN_STEP, RAY_SCAN_STEP)
     p = v.coords + ws[:, None] * d
-    vals = spectra.branch_min(r, s, p[:, 0], -p[:, 1], p[:, 2])  # min_pt_branch
+    vals = spectra.branch_min(r, s, p[:, 0], -p[:, 1], p[:, 2])  # f on the grid
     # exact zeros count once per run of zeros; else bracket sign changes
     exact = (vals[:-1] == 0.0) & np.concatenate(([True], vals[:-2] != 0.0))
     roots = ws[:-1][exact].tolist()
@@ -167,9 +170,9 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoin
         if any(abs(root - c.line_parameter) < 1e-9 for c in crossings):
             continue
         p = v.coords + root * d
-        z = ZParallelState(r, s, *p)
-        sheet = "mu" if abs((1 - z.q3) - np.hypot(r - s, z.q1 - z.q2)) <= \
-            abs((1 + z.q3) - np.hypot(r + s, z.q1 + z.q2)) else "nu"
+        q1, q2, q3 = p
+        sheet = "mu" if abs((1 - q3) - np.hypot(r - s, q1 - q2)) <= \
+            abs((1 + q3) - np.hypot(r + s, q1 + q2)) else "nu"
         crossings.append(CrossingPoint(p, float(root), sheet))
     if not crossings:
         raise NoCrossing(f"ray from {v.label} through {t} misses the separable boundary")

@@ -101,14 +101,6 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         raise InvalidState("positive semidefiniteness", -lam_min)
 
 
-def is_valid_density_matrix(rho: np.ndarray) -> bool:
-    try:
-        validate_density_matrix(rho)
-    except InvalidState:
-        return False
-    return True
-
-
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     """Trace out one qubit; keep=0 returns rho_A, keep=1 returns rho_B."""
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
@@ -195,14 +187,6 @@ def su2_from_rotation(rot: np.ndarray) -> np.ndarray:
     norm = math.sqrt(sum(v * v for v in q))
     x, y, z, w = (v / norm for v in q)
     return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
-
-
-def rotation_from_su2(u: np.ndarray) -> np.ndarray:
-    """The SO(3) action of conjugation by a single-qubit unitary."""
-    return np.array(
-        [[0.5 * np.trace(PAULI[i] @ u @ PAULI[j] @ u.conj().T).real for j in range(3)]
-         for i in range(3)]
-    )
 
 
 def _signed_permutation(perm, signs) -> np.ndarray:

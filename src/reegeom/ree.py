@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, NotSolvableFamily
+from .errors import InvalidState
 from .qstate import PAULI_BASIS, partial_transpose, validate_density_matrix
 
 SUPPORT_TOL = 1e-12
@@ -63,7 +63,8 @@ class OracleConfig:
     steps, tangent predictor steps included.
 
     `seed` and `restarts` are accepted and ignored; the barrier path is
-    deterministic and starts at I/4.
+    deterministic and starts at I/4.  They stay because `perfbench/` passes
+    them.
     """
 
     max_iterations: int = 600
@@ -77,12 +78,11 @@ class ReeReport:
     in [lower, value] with gap = value - lower."""
 
     value: float
-    css_numeric: np.ndarray | None = None
-    css_geometric: np.ndarray | None = None
-    gap: float = float("nan")
-    iterations: int = 0
-    converged: bool = True
-    lower: float = float("nan")
+    css_numeric: np.ndarray
+    gap: float
+    iterations: int
+    converged: bool
+    lower: float
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
@@ -321,17 +321,6 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     return ReeReport(value=value, css_numeric=sigma, gap=gap, iterations=steps,
                      converged=finished and gap <= BRACKET_TOL,
                      lower=lower)
-
-
-def ree_geometric(rho: np.ndarray) -> ReeReport:
-    """REE through the geometric closest-separable-state constructions."""
-    from .css import FamilyKind, css_auto
-
-    result = css_auto(rho, numeric_fallback=False)
-    if result.family.kind is FamilyKind.OTHER:
-        raise NotSolvableFamily("no geometric construction for this state")
-    return ReeReport(value=result.ree, css_geometric=result.css,
-                     converged=True)
 
 
 def _product_states(n: int) -> np.ndarray:

@@ -32,15 +32,6 @@ REGULARIZATION = 1e-7   # CSS regularization of the family recoveries
 
 
 @dataclass(frozen=True)
-class GMatrix:
-    """The reverse-map generator G(sigma) together with its ingredients."""
-
-    matrix: np.ndarray
-    kernel_vector: np.ndarray
-    eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
 class SigmaZParams:
     """X-shaped edge state diag(R1, [R2 Y; Y R3], R4) with Y = sqrt(R1 R4)."""
 
@@ -75,9 +66,6 @@ class ZFamilyDerivatives:
     rb3: float
     rb4: float
     yb: float
-    z: float
-    big_l: float
-    d: float
 
 
 def pt_kernel(sigma: np.ndarray) -> np.ndarray:
@@ -90,8 +78,9 @@ def pt_kernel(sigma: np.ndarray) -> np.ndarray:
     return vecs[:, near_zero].ravel()
 
 
-def g_matrix(sigma: np.ndarray) -> GMatrix:
-    """G(sigma) in sigma's eigenbasis with logarithmic divided differences."""
+def g_matrix(sigma: np.ndarray) -> np.ndarray:
+    """The reverse-map generator G(sigma), in sigma's eigenbasis with
+    logarithmic divided differences."""
     sigma = np.asarray(sigma, dtype=complex)
     lam, v = np.linalg.eigh(sigma)
     if lam[0] <= RANK_EPS:
@@ -106,15 +95,14 @@ def g_matrix(sigma: np.ndarray) -> GMatrix:
                     dlam / np.where(dln == 0, 1, dln),
                     lam[:, None])
     core = v.conj().T @ phi_pt @ v
-    g = v @ (coef * core) @ v.conj().T
-    return GMatrix(matrix=g, kernel_vector=phi, eigenvalues=lam)
+    return v @ (coef * core) @ v.conj().T
 
 
 def family_from_css(sigma: np.ndarray, x: float, check_psd: bool = True) -> np.ndarray:
     """rho(x) = sigma - x G(sigma); raises LeftPhysicalRange past the PSD cone."""
     if x < 0:
         raise ValueError("family parameter must be nonnegative")
-    g = g_matrix(sigma).matrix
+    g = g_matrix(sigma)
     rho = sigma - x * g
     if check_psd and min_eigenvalue(rho) < -PSD_TOL:
         lo, hi = 0.0, x
@@ -136,23 +124,18 @@ def z_derivatives(p: SigmaZParams) -> ZFamilyDerivatives:
         raise DegenerateZ("z = 0: R2 = R3 with R1 R4 = 0")
     if r2 + r3 - z <= 1e-300:
         raise DegenerateZ("logarithm argument diverges (R2 R3 = R1 R4 boundary)")
-    big_l = math.log((r2 + r3 + z) / (r2 + r3 - z))
-    d = -1.0 / ((r1 + r4) * z * z * big_l)
+    log_ratio = math.log((r2 + r3 + z) / (r2 + r3 - z))
+    d = -1.0 / ((r1 + r4) * z * z * log_ratio)
     rb1 = y * y / (r1 + r4)
-    rb2 = 2 * y * y * d * ((r2 - r3) * (r2 * big_l - z) + 2 * y * y * big_l)
+    rb2 = 2 * y * y * d * ((r2 - r3) * (r2 * log_ratio - z) + 2 * y * y * log_ratio)
     rb3 = -2 * rb1 - rb2
-    yb = y * d * (2 * y * y * (r2 + r3) * big_l + (r2 - r3) ** 2 * z)
-    return ZFamilyDerivatives(rb1, rb2, rb3, rb1, yb, z, big_l, d)
+    yb = y * d * (2 * y * y * (r2 + r3) * log_ratio + (r2 - r3) ** 2 * z)
+    return ZFamilyDerivatives(rb1, rb2, rb3, rb1, yb)
 
 
 def z_family(p: SigmaZParams, x: float) -> np.ndarray:
     """Closed-form rho(x) for the X-shaped edge state."""
     return _z_family(p, z_derivatives(p), x)
-
-
-def z_family_pauli(p: SigmaZParams, x: float):
-    """Bloch components (r, s) and correlation vector t of rho(x)."""
-    return _z_family_pauli(p, z_derivatives(p), x)
 
 
 def _z_family(p: SigmaZParams, d: ZFamilyDerivatives, x) -> np.ndarray:
@@ -166,7 +149,7 @@ def _z_family(p: SigmaZParams, d: ZFamilyDerivatives, x) -> np.ndarray:
     return m
 
 
-def _z_family_pauli(p: SigmaZParams, d: ZFamilyDerivatives, x):
+def _z_family_rst(p: SigmaZParams, d: ZFamilyDerivatives, x):
     """(r, s, t) of rho(x) from precomputed derivatives; elementwise in x."""
     r = (p.r1 + p.r2 - p.r3 - p.r4) - x * (d.rb2 - d.rb3)
     s = (p.r1 - p.r2 + p.r3 - p.r4) + x * (d.rb2 - d.rb3)
@@ -226,9 +209,9 @@ def css_line_sweep(params: list[SigmaZParams], x_grid):
     rows = []
     for fid, p in enumerate(params):
         d = z_derivatives(p)
-        _, _, tau = _z_family_pauli(p, d, 0.0)
+        _, _, tau = _z_family_rst(p, d, 0.0)
         keep = np.linalg.eigvalsh(_z_family(p, d, xs))[:, 0] >= -PSD_TOL
-        r, s, t = _z_family_pauli(p, d, xs[keep])
+        r, s, t = _z_family_rst(p, d, xs[keep])
         rows += [{"family_id": fid, "x": x, "t": t_x, "tau": tau, "r": r_x, "s": s_x}
                  for x, t_x, r_x, s_x in zip(xs[keep].tolist(), t, r.tolist(), s.tolist())]
     return rows

@@ -15,7 +15,6 @@ from reegeom.qstate import BELL_STATES
 from reegeom.ree import (
     OracleConfig,
     directional_optimality_check,
-    ree_geometric,
     ree_numeric,
     relative_entropy,
 )
@@ -35,14 +34,16 @@ def _report(name: str, ok: bool, detail: str = ""):
 def test_criterion_1_bell_state_ree():
     t0 = time.time()
     worst_geo, worst_num = 0.0, 0.0
+    all_geometric = True
     for b in BELL_STATES:
-        geo = ree_geometric(b)
+        geo = css.css_auto(b)
         num = ree_numeric(b, OracleConfig(restarts=4))
-        worst_geo = max(worst_geo, abs(geo.value - LN2))
+        all_geometric &= geo.geometric
+        worst_geo = max(worst_geo, abs(geo.ree - LN2))
         worst_num = max(worst_num, abs(num.value - LN2))
     elapsed = time.time() - t0
     _report("criterion 1: Bell-state REE equals ln 2 on both routes",
-            worst_geo <= 1e-12 and worst_num <= 1e-4 and elapsed < 5.0,
+            all_geometric and worst_geo <= 1e-12 and worst_num <= 1e-4 and elapsed < 5.0,
             f"geo err {worst_geo:.1e}, num err {worst_num:.1e}, {elapsed:.1f}s")
 
 
@@ -248,9 +249,15 @@ def test_criterion_8_property_suite():
     ok &= worst <= 1e-10
     notes.append(f"dual/straight {worst:.0e}")
 
-    # closed-form spectra vs dense solver
-    worst = max(spectra.verify_against_dense(
-        spectra.ZParallelState(*rng.uniform(-1, 1, size=5))) for _ in range(300))
+    # closed-form smallest branches of rho (q2) and rho^Gamma (-q2) vs dense solver
+    worst = 0.0
+    for _ in range(300):
+        r, s, q1, q2, q3 = rng.uniform(-1, 1, size=5)
+        m = qstate.from_diagonal_pauli((0, 0, r), (0, 0, s), (q1, q2, q3))
+        worst = max(worst,
+                    abs(spectra.branch_min(r, s, q1, q2, q3) - np.linalg.eigvalsh(m)[0]),
+                    abs(spectra.branch_min(r, s, q1, -q2, q3)
+                        - np.linalg.eigvalsh(qstate.partial_transpose(m))[0]))
     ok &= worst < 1e-12
     notes.append(f"spectra {worst:.0e}")
 

@@ -80,6 +80,20 @@ class TestNonFiniteInput:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
 
 
+class TestMalformedJson:
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '{"re": {"a": 1}}'])
+    @pytest.mark.parametrize("command", ["decompose", "css", "reconstruct"])
+    def test_not_an_object_exit_2(self, runner, tmp_path, command, text):
+        """A top level that is not an object, or a value of the wrong type,
+        is an input error with one line, not a traceback."""
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        res = runner.invoke(cli.main, [command, str(p), "--out", str(tmp_path / "o.json")])
+        assert res.exit_code == 2 and type(res.exception) is SystemExit
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["bad.json"]
+
+
 @pytest.mark.parametrize("args", [
     ["css", "STATE", "--method", "numeric", "--seed", "-1"],
     ["sweep", "--r", "0.1", "--s", "0.1", "--seed", "-1"],

@@ -4,7 +4,6 @@ import pytest
 from reegeom import geometry, spectra
 from reegeom.errors import NoCrossing, OutsideTetrahedron
 from reegeom.geometry import Vertex
-from reegeom.spectra import ZParallelState
 
 
 def _branch_min_scalar(r, s, q1, q2, q3):
@@ -127,7 +126,7 @@ class TestSurfaceMesh:
     def test_points_are_physical(self):
         mesh = geometry.surface_mesh("L", 0.4, -0.2, 12)
         for p in mesh.points:
-            assert spectra.min_branch(ZParallelState(0.4, -0.2, *p)) >= -1e-10
+            assert spectra.branch_min(0.4, -0.2, *p) >= -1e-10
 
     def test_row_major_grid_order(self):
         mesh = geometry.surface_mesh("T", 0.0, 0.0, 8)
@@ -183,8 +182,8 @@ class TestLineSurfaceCrossing:
         t = np.array([0.5, -0.5, 0.1])
         v = geometry.nearest_vertex(t)
         for c in geometry.line_surface_crossing(t, v, 0.1, 0.1):
-            z = ZParallelState(0.1, 0.1, *c.coords)
-            assert abs(spectra.min_pt_branch(z)) < 1e-9
+            q1, q2, q3 = c.coords
+            assert abs(spectra.branch_min(0.1, 0.1, q1, -q2, q3)) < 1e-9
 
     def test_tangential_touch_found(self):
         # ray through a one-Bell-plus-diagonal state grazes the boundary

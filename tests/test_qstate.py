@@ -185,12 +185,22 @@ class TestConcurrence:
         assert n_ent > 100  # the sample must actually exercise both branches
 
 
+def rotation_from_su2(u: np.ndarray) -> np.ndarray:
+    """Reference for su2_from_rotation: the SO(3) action of conjugation by a
+    single-qubit unitary."""
+    return np.array(
+        [[0.5 * np.trace(qstate.PAULI[i] @ u @ qstate.PAULI[j] @ u.conj().T).real
+          for j in range(3)]
+         for i in range(3)]
+    )
+
+
 class TestLocalUnitary:
     def test_su2_lift_covariance(self, rng):
         for _ in range(20):
-            rot = qstate.rotation_from_su2(random_unitary(rng))
+            rot = rotation_from_su2(random_unitary(rng))
             u = qstate.su2_from_rotation(rot)
-            assert np.allclose(qstate.rotation_from_su2(u), rot, atol=1e-12)
+            assert np.allclose(rotation_from_su2(u), rot, atol=1e-12)
             v = rng.normal(size=3)
             vs = sum(v[i] * qstate.PAULI[i] for i in range(3))
             rvs = sum((rot @ v)[i] * qstate.PAULI[i] for i in range(3))

@@ -10,11 +10,10 @@ import pytest
 
 import reegeom
 from reegeom import css, geometry, qstate, ree
-from reegeom.errors import InvalidState, NotSolvableFamily
+from reegeom.errors import InvalidState
 from reegeom.ree import (
     OracleConfig,
     directional_optimality_check,
-    ree_geometric,
     ree_numeric,
     relative_entropy,
 )
@@ -648,17 +647,19 @@ class TestGeometricRoute:
         for rho in [qstate.bell_diagonal([0.8, -0.6, 0.5]),
                     css._vp_state((0.5, 0.3, 0.2)),
                     css._horodecki_state((0.6, 0.3, 0.1))]:
-            geo = ree_geometric(rho)
+            geo = css.css_auto(rho)
             num = ree_numeric(rho, OracleConfig(restarts=4))
-            assert abs(geo.value - num.value) <= 2e-4
+            assert geo.geometric
+            assert abs(geo.ree - num.value) <= 2e-4
 
-    def test_unsupported_family_raises(self, rng):
+    def test_unsupported_family_returns_no_css(self, rng):
         while True:
             rho = random_density_matrix(rng)
             if css.classify(rho).kind is css.FamilyKind.OTHER:
                 break
-        with pytest.raises(NotSolvableFamily):
-            ree_geometric(rho)
+        res = css.css_auto(rho, numeric_fallback=False)
+        assert res.family.kind is css.FamilyKind.OTHER
+        assert res.css is None and not res.geometric
 
 
 class TestDirectionalOptimality:

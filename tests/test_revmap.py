@@ -10,10 +10,10 @@ from reegeom.errors import (
     RankDeficient,
 )
 from reegeom.qstate import (
-    is_valid_density_matrix,
     min_eigenvalue,
     partial_transpose,
     to_pauli,
+    validate_density_matrix,
 )
 from reegeom.revmap import SigmaZParams
 
@@ -26,7 +26,7 @@ class TestSigmaZParams:
     def test_matrix_is_edge_state(self):
         p = SigmaZParams(0.2, 0.35, 0.25, 0.2)
         m = p.matrix()
-        assert is_valid_density_matrix(m)
+        validate_density_matrix(m)
         pt_vals = np.linalg.eigvalsh(partial_transpose(m))
         assert np.min(np.abs(pt_vals)) < 1e-14
 
@@ -45,8 +45,8 @@ class TestGMatrix:
             p = revmap.sample_params_for_bloch(rng.uniform(-0.3, 0.3),
                                                rng.uniform(-0.3, 0.3), rng)
             g = revmap.g_matrix(p.matrix())
-            assert abs(np.trace(g.matrix)) < 1e-12
-            assert np.allclose(g.matrix, g.matrix.conj().T, atol=1e-12)
+            assert abs(np.trace(g)) < 1e-12
+            assert np.allclose(g, g.conj().T, atol=1e-12)
 
     def test_rank_deficient_raises(self):
         sigma = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
@@ -99,9 +99,10 @@ class TestDualRoute:
         assert np.max(np.abs(mid - (a + b) / 2)) < 1e-14
 
     def test_pauli_form_matches_matrix(self, rng):
+        # the closed-form (r, s, t) that css_line_sweep writes
         p = revmap.sample_params_for_bloch(0.2, -0.1, rng)
         for x in (0.0, 0.3):
-            r, s, t = revmap.z_family_pauli(p, x)
+            r, s, t = revmap._z_family_rst(p, revmap.z_derivatives(p), x)
             pf = to_pauli(revmap.z_family(p, x))
             assert pf.r[2] == pytest.approx(r, abs=1e-12)
             assert pf.s[2] == pytest.approx(s, abs=1e-12)
@@ -131,8 +132,8 @@ class TestLineCrossing:
         p1 = revmap.sample_params_for_bloch(0.1, -0.2, rng)
         p2 = revmap.sample_params_for_bloch(0.1, -0.2, rng)
         x, x2, mu = revmap.line_crossing(p1, p2)
-        _, _, t1 = revmap.z_family_pauli(p1, x)
-        _, _, t2 = revmap.z_family_pauli(p2, x2)
+        t1 = np.diag(to_pauli(revmap.z_family(p1, x)).g)
+        t2 = np.diag(to_pauli(revmap.z_family(p2, x2)).g)
         assert np.allclose(t1, mu, atol=1e-10)
         assert np.allclose(t2, mu, atol=1e-10)
 
@@ -148,7 +149,8 @@ class TestSampling:
         for _ in range(50):
             r, s = rng.uniform(-0.4, 0.4, size=2)
             p = revmap.sample_params_for_bloch(r, s, rng)
-            r0, s0, _ = revmap.z_family_pauli(p, 0.0)
+            pf = to_pauli(revmap.z_family(p, 0.0))
+            r0, s0 = pf.r[2], pf.s[2]
             assert r0 == pytest.approx(r, abs=1e-12)
             assert s0 == pytest.approx(s, abs=1e-12)
 

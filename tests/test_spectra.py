@@ -4,14 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reegeom import spectra
-from reegeom.qstate import partial_transpose
-from reegeom.spectra import ZParallelState
+from reegeom.qstate import from_diagonal_pauli, partial_transpose
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
 
-def random_z_state(rng):
-    return ZParallelState(*rng.uniform(-1, 1, size=5))
+def canonical_matrix(r, s, q1, q2, q3):
+    """The canonical state (r, s, q1, q2, q3) as a dense 4x4 matrix."""
+    return from_diagonal_pauli((0, 0, r), (0, 0, s), (q1, q2, q3))
+
+
+def dense_deviation(r, s, q1, q2, q3):
+    """Largest deviation of branch_min from the smallest dense eigenvalue, of
+    the state at (q1, q2) and of its partial transpose at (q1, -q2)."""
+    m = canonical_matrix(r, s, q1, q2, q3)
+    d1 = abs(spectra.branch_min(r, s, q1, q2, q3) - np.linalg.eigvalsh(m)[0])
+    d2 = abs(spectra.branch_min(r, s, q1, -q2, q3)
+             - np.linalg.eigvalsh(partial_transpose(m))[0])
+    return float(max(d1, d2))
 
 
 class TestEigensystem:
@@ -19,46 +29,25 @@ class TestEigensystem:
         rng = np.random.default_rng(10)
         worst = 0.0
         for _ in range(500):
-            worst = max(worst, spectra.verify_against_dense(random_z_state(rng)))
+            worst = max(worst, dense_deviation(*rng.uniform(-1, 1, size=5)))
         assert worst < 1e-12
 
     @given(unit, unit, unit, unit, unit)
     @settings(max_examples=100, deadline=None)
     def test_matches_dense_property(self, r, s, q1, q2, q3):
-        z = ZParallelState(r, s, q1, q2, q3)
-        assert spectra.verify_against_dense(z) < 1e-10
-
-    def test_eigenvectors_diagonalize(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            z = random_z_state(rng)
-            m = z.matrix()
-            es = spectra.eigensystem(z)
-            for val, vec in zip(es.values, es.vectors.T):
-                assert np.linalg.norm(m @ vec - val * vec) < 1e-12
-            pt = partial_transpose(m)
-            es = spectra.pt_eigensystem(z)
-            for val, vec in zip(es.values, es.vectors.T):
-                assert np.linalg.norm(pt @ vec - val * vec) < 1e-12
-
-    def test_degenerate_block_still_orthonormal(self):
-        z = ZParallelState(0.0, 0.0, 0.0, 0.0, 0.3)
-        es = spectra.eigensystem(z)
-        assert np.allclose(es.vectors.conj().T @ es.vectors, np.eye(4), atol=1e-14)
-
-    def test_labels_order(self):
-        assert spectra.EigenSystem.labels == ("mu+", "mu-", "nu+", "nu-")
+        assert dense_deviation(r, s, q1, q2, q3) < 1e-10
 
 
 class TestMinBranches:
     def test_min_branch_is_smallest_eigenvalue(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            z = random_z_state(rng)
-            assert spectra.min_branch(z) == pytest.approx(
-                float(np.linalg.eigvalsh(z.matrix())[0]), abs=1e-12)
-            assert spectra.min_pt_branch(z) == pytest.approx(
-                float(np.linalg.eigvalsh(partial_transpose(z.matrix()))[0]), abs=1e-12)
+        # one call over arrays, as the geometry makes it
+        r, s, q1, q2, q3 = np.random.default_rng(12).uniform(-1, 1, size=(200, 5)).T
+        m = np.array([canonical_matrix(*z) for z in zip(r, s, q1, q2, q3)])
+        pt = np.array([partial_transpose(a) for a in m])
+        np.testing.assert_allclose(spectra.branch_min(r, s, q1, q2, q3),
+                                   np.linalg.eigvalsh(m)[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spectra.branch_min(r, s, q1, -q2, q3),
+                                   np.linalg.eigvalsh(pt)[:, 0], rtol=0, atol=1e-12)
 
 
 class TestBoundarySheets:
@@ -66,27 +55,29 @@ class TestBoundarySheets:
         rng = np.random.default_rng(13)
         for _ in range(200):
             r, s, q1, q2 = rng.uniform(-0.6, 0.6, size=4)
-            for q3, sheet in spectra.boundary_state_body(r, s, q1, q2):
-                assert abs(spectra.min_branch(ZParallelState(r, s, q1, q2, q3))) < 1e-12
-            for q3, sheet in spectra.boundary_separable_body(r, s, q1, q2):
-                assert abs(spectra.min_pt_branch(ZParallelState(r, s, q1, q2, q3))) < 1e-12
+            for sign in (1, -1):  # the state body, then the separable body
+                mu, nu, inside = spectra.boundary_roots(r, s, q1, sign * q2)
+                if inside:
+                    for q3 in (mu, nu):
+                        assert abs(spectra.branch_min(r, s, q1, sign * q2, q3)) < 1e-12
 
     def test_zero_bloch_state_body_is_tetrahedron_planes(self):
         # at r = s = 0 the two sheets reduce to q3 = 1 - |q1 + q2| and
         # q3 = |q1 - q2| - 1
         for q1, q2 in [(0.3, 0.2), (-0.5, 0.1), (0.0, 0.0), (0.7, -0.7)]:
-            roots = dict((sheet, q3) for q3, sheet
-                         in spectra.boundary_state_body(0, 0, q1, q2))
-            assert roots["mu"] == pytest.approx(1 - abs(q1 + q2))
-            assert roots["nu"] == pytest.approx(abs(q1 - q2) - 1)
+            mu, nu, inside = spectra.boundary_roots(0, 0, q1, q2)
+            assert inside
+            assert mu == pytest.approx(1 - abs(q1 + q2))
+            assert nu == pytest.approx(abs(q1 - q2) - 1)
 
     def test_zero_bloch_separable_body_is_octahedron(self):
         # only roots that are also physical states count; the sheet equations
         # alone extend past the state body
         hits = 0
         for q1, q2 in [(0.3, 0.2), (-0.5, 0.1), (0.25, -0.6)]:
-            for q3, sheet in spectra.boundary_separable_body(0, 0, q1, q2):
-                if spectra.min_branch(ZParallelState(0, 0, q1, q2, q3)) < -1e-10:
+            mu, nu, inside = spectra.boundary_roots(0, 0, q1, -q2)
+            for q3 in (mu, nu) if inside else ():
+                if spectra.branch_min(0, 0, q1, q2, q3) < -1e-10:
                     continue
                 hits += 1
                 assert abs(q1) + abs(q2) + abs(q3) == pytest.approx(1.0)
@@ -94,4 +85,5 @@ class TestBoundarySheets:
 
     def test_sheets_absent_outside_footprint(self):
         # M1 + M2 > 2 leaves no q3 root at all
-        assert spectra.boundary_state_body(0.9, -0.9, 0.9, 0.9) == []
+        _, _, inside = spectra.boundary_roots(0.9, -0.9, 0.9, 0.9)
+        assert not inside
