@@ -61,15 +61,17 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} in JSON input")
 
 
-def _read(path: str, parse) -> np.ndarray:
-    """The density matrix parse() builds from the JSON in PATH; bad JSON (a
-    ValueError), a missing key, a top level that is not an object or a value
-    of the wrong type (a TypeError), a wrong shape or an invalid state exits 2."""
+def _read(path: str, parse, fmt: str) -> np.ndarray:
+    """The density matrix parse() builds from JSON of format fmt in PATH; bad
+    JSON (a ValueError), a missing key, a top level that is not an object or a
+    value of the wrong type (a TypeError), a wrong shape or an invalid state exits 2."""
     try:
         with open(path) as fh:
             rho = parse(json.load(fh, parse_constant=_reject_constant))
         validate_density_matrix(rho)
-    except (InvalidState, ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        _fail(EXIT_INPUT_ERROR, f"{path}: missing key {exc}, expected {fmt}")
+    except (InvalidState, ValueError, TypeError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     return rho
 
@@ -88,7 +90,7 @@ def _pauli_matrix(obj: dict) -> np.ndarray:
 
 def load_state(path: str) -> np.ndarray:
     """The density matrix in a state JSON file; bad input exits 2."""
-    return _read(path, _state_matrix)
+    return _read(path, _state_matrix, '{"re": [[4x4]], "im": [[4x4]]}')
 
 
 def matrix_json(m: np.ndarray) -> dict:
@@ -181,7 +183,7 @@ def decompose(state, out):
 @OUT_JSON
 def reconstruct(pauli, out):
     """Rebuild the density matrix from a decompose output file."""
-    _emit(matrix_json(_read(pauli, _pauli_matrix)), out)
+    _emit(matrix_json(_read(pauli, _pauli_matrix, '{"r": [3], "s": [3], "g": [[3x3]]}')), out)
 
 
 @main.command(name="css")

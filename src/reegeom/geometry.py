@@ -4,9 +4,9 @@ The Bell-diagonal tetrahedron and separable octahedron, their deformed
 counterparts at fixed z-parallel Bloch vectors, nearest-vertex selection,
 ray/surface crossings, and boundary-surface sampling for export.  Both
 deformed bodies come from the two `spectra` kernels: `surface_mesh` samples
-the roots of `spectra.boundary_roots`, and `line_surface_crossing` finds
-where the line from a correlation vector to its nearest tetrahedron vertex
-meets the zero set of the partial transpose's `spectra.branch_min`.
+the roots of `spectra.boundary_roots`, and `line_surface_crossing` solves, one
+quadratic per sheet, where the line from a correlation vector to its nearest
+tetrahedron vertex meets the zero set of the partial transpose's `branch_min`.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .errors import NoCrossing, OutsideTetrahedron
 from .qstate import PSD_TOL
 
 TETRA_TOL = 1e-8     # slack of the tetrahedron face inequalities n.t <= 1
-RAY_W_MAX = 10.0     # ray parameters scanned for crossings: [0, RAY_W_MAX]
-RAY_SCAN_STEP = 1e-3
-RAY_W_TOL = 1e-12    # bisection and golden-section width in w
 
 TETRA_VERTICES = {
     "v1": np.array([1.0, -1.0, 1.0]),
@@ -104,66 +101,31 @@ def surface_mesh(body: str, r: float, s: float, n: int,
     return SurfaceMesh(body, r, s, np.column_stack([q1, q2, q3])[keep], sheets)
 
 
-def _golden_max(f, a, b, tol):
-    """Golden-section maximizer; robust at the kinks of the branch minimum."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoint]:
     """Crossings of the ray p(w) = v + w (t - v), w >= 0, with the deformed
-    separable boundary at fixed (r, s).
+    separable boundary at fixed (r, s), sorted by distance from t ascending.
 
-    Bracketing on a uniform w-grid followed by bisection on the minimum
-    partial-transpose branch; results sorted by distance from t ascending.
+    Each sheet (c - |(e, f)|) / 4 has c, f linear in w.  The crossings are the
+    roots of c^2 = f^2 + e^2 where the branch minimum is zero to PSD_TOL, which
+    no c < 0 root is; at most two, as that minimum is concave along the line.
     """
     t = np.asarray(t, dtype=float)
     d = t - v.coords
     if np.linalg.norm(d) < 1e-14:
         raise ValueError("line start coincides with the vertex")
 
-    def f(w):  # the smallest partial-transpose branch (q2 -> -q2) at p(w)
-        p = v.coords + w * d
-        return spectra.branch_min(r, s, p[0], -p[1], p[2])
-
-    ws = np.arange(0.0, RAY_W_MAX + RAY_SCAN_STEP, RAY_SCAN_STEP)
-    p = v.coords + ws[:, None] * d
-    vals = spectra.branch_min(r, s, p[:, 0], -p[:, 1], p[:, 2])  # f on the grid
-    # exact zeros count once per run of zeros; else bracket sign changes
-    exact = (vals[:-1] == 0.0) & np.concatenate(([True], vals[:-2] != 0.0))
-    roots = ws[:-1][exact].tolist()
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        a, b, fa = ws[i], ws[i + 1], vals[i]
-        while b - a > RAY_W_TOL:
-            m = 0.5 * (a + b)
-            fm = f(m)
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append(0.5 * (a + b))
-
-    # tangential touches: the branch minimum can graze zero from below
-    # (characteristic of the one-Bell-state-plus-diagonal families), leaving
-    # no sign change; refine interior local maxima that come close enough
-    mid = vals[1:-1]
-    for i in np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid < 0.0)) + 1:
-        w_star, f_star = _golden_max(f, ws[i - 1], ws[i + 1], RAY_W_TOL)
-        if f_star >= -PSD_TOL:
-            roots.append(w_star)
+    sign = np.array([-1.0, 1.0])  # mu-: c = 1 - q3, f = q1 - q2, e = r - s; nu-: +
+    (x1, x2, x3), (d1, d2, d3) = v.coords, d
+    c0, c1, f0, f1 = 1.0 + sign * x3, sign * d3, x1 + sign * x2, d1 + sign * d2
+    a, b, k = c1 * c1 - f1 * f1, c0 * c1 - f0 * f1, c0 * c0 - f0 * f0 - (r + sign * s) ** 2
+    # stable roots q/a and k/q of a w^2 + 2 b w + k; a touch whose discriminant
+    # rounds below zero becomes its double root
+    q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * k, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.concatenate([q / a, k / q])
+    roots = roots[(roots >= 0.0) & (roots < np.inf)]
+    p = v.coords + roots[:, None] * d
+    roots = roots[np.abs(spectra.branch_min(r, s, p[:, 0], -p[:, 1], p[:, 2])) <= PSD_TOL]
 
     crossings = []
     for root in sorted(roots):

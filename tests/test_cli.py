@@ -93,6 +93,23 @@ class TestMalformedJson:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["bad.json"]
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("reconstruct", json.dumps(cli.matrix_json(np.eye(4) / 4)), "'r'"),
+        ("reconstruct", '{"r": [0, 0, 0], "s": [0, 0, 0]}', "'g'"),
+        ("decompose", '{"r": [0, 0, 0], "s": [0, 0, 0], "g": []}', "'re'"),
+        ("css", '{"im": [[0, 0, 0, 0]]}', "'re'"),
+    ])
+    def test_missing_key_exit_2(self, runner, tmp_path, command, text, key):
+        """A missing key names the file, the key and the format expected,
+        in place of the bare key."""
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        res = runner.invoke(cli.main, [command, str(p), "--out", str(tmp_path / "o.json")])
+        assert res.exit_code == 2 and type(res.exception) is SystemExit
+        assert res.stderr.startswith(f"error: {p}: missing key {key}, expected {{")
+        assert res.stderr.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["bad.json"]
+
 
 @pytest.mark.parametrize("args", [
     ["css", "STATE", "--method", "numeric", "--seed", "-1"],

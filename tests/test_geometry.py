@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reegeom import geometry, spectra
+from reegeom import css, geometry, qstate, spectra
 from reegeom.errors import NoCrossing, OutsideTetrahedron
 from reegeom.geometry import Vertex
+from reegeom.qstate import PSD_TOL
 
 
 def _branch_min_scalar(r, s, q1, q2, q3):
@@ -31,9 +34,30 @@ def surface_mesh_loop(body, r, s, n, psd_tol=1e-10):
     return (np.array(pts) if pts else np.empty((0, 3))), sheets
 
 
+def _golden_max(f, a, b, tol):
+    """Golden-section maximizer; robust at the kinks of the branch minimum."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def line_surface_crossing_loop(t, v, r, s, w_max=10.0, scan_step=1e-3, w_tol=1e-12):
-    """The per-point scan that `line_surface_crossing` replaced, kept as its
-    reference; returns (coords, line_parameter, sheet) triples."""
+    """The scan of w in [0, w_max], bisection of each sign change and
+    golden-section refinement of each touch that `line_surface_crossing`
+    replaced, kept as its reference; returns (coords, line_parameter, sheet)
+    triples."""
     t = np.asarray(t, dtype=float)
     d = t - v.coords
 
@@ -59,7 +83,7 @@ def line_surface_crossing_loop(t, v, r, s, w_max=10.0, scan_step=1e-3, w_tol=1e-
             roots.append(0.5 * (a + b))
     for i in range(1, len(ws) - 1):
         if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] < 0.0:
-            w_star, f_star = geometry._golden_max(f, ws[i - 1], ws[i + 1], w_tol)
+            w_star, f_star = _golden_max(f, ws[i - 1], ws[i + 1], w_tol)
             if f_star >= -1e-10:
                 roots.append(w_star)
     crossings = []
@@ -164,6 +188,11 @@ class TestSurfaceMesh:
             geometry.surface_mesh("T", 0.0, 0.0, 1)
 
 
+def _pt_branch(r, s, p):
+    """The smallest partial-transpose branch at correlation vector p."""
+    return spectra.branch_min(r, s, p[0], -p[1], p[2])
+
+
 class TestLineSurfaceCrossing:
     def test_bell_diagonal_face_crossing(self):
         v = geometry.nearest_vertex([0.8, -0.8, 0.8])
@@ -186,12 +215,13 @@ class TestLineSurfaceCrossing:
             assert abs(spectra.branch_min(0.1, 0.1, q1, -q2, q3)) < 1e-9
 
     def test_tangential_touch_found(self):
-        # ray through a one-Bell-plus-diagonal state grazes the boundary
-        # without a sign change; the refinement must still find it
+        # the ray through a one-Bell-plus-diagonal state grazes the boundary
+        # at w = 2 without a sign change: a double root, one crossing
         t = np.array([0.5, -0.5, 1.0])
         v = geometry.nearest_vertex(t)
         crossings = geometry.line_surface_crossing(t, v, 0.1, 0.1)
-        assert len(crossings) >= 1
+        assert len(crossings) == 1
+        assert abs(crossings[0].line_parameter - 2.0) <= 1e-8
 
     def test_degenerate_start_raises(self):
         v = Vertex("v1", geometry.TETRA_VERTICES["v1"])
@@ -199,6 +229,9 @@ class TestLineSurfaceCrossing:
             geometry.line_surface_crossing(v.coords, v, 0.0, 0.0)
 
     def test_matches_loop_reference(self):
+        """Crossings in the loop's window w <= 10 match it within the loop's
+        own error, and lie on the boundary to 1e-13, where the loop's
+        bisection stops at up to 2.9e-13."""
         rng = np.random.default_rng(7)
         rays = [(np.array([0.8, -0.8, 0.8]), 0.0, 0.0),   # exact face hit
                 (np.array([0.5, -0.5, 1.0]), 0.1, 0.1),   # tangential touch
@@ -211,15 +244,58 @@ class TestLineSurfaceCrossing:
         for t, r, s in rays:
             v = geometry.nearest_vertex(t)
             want = line_surface_crossing_loop(t, v, r, s)
-            if not want:
-                missed += 1
-                with pytest.raises(NoCrossing):
-                    geometry.line_surface_crossing(t, v, r, s)
-                continue
-            got = geometry.line_surface_crossing(t, v, r, s)
+            try:
+                got = geometry.line_surface_crossing(t, v, r, s)
+            except NoCrossing:
+                got = []
+            for c in got:
+                assert abs(_pt_branch(r, s, c.coords)) <= 1e-13
+            got = [c for c in got if c.line_parameter <= 10.0]
+            missed += not want
             assert len(got) == len(want)
             for c, (coords, w_root, sheet) in zip(got, want):
-                assert np.array_equal(c.coords, coords)
-                assert c.line_parameter == w_root
+                assert abs(c.line_parameter - w_root) <= 1e-10 * max(1.0, w_root)
                 assert c.sheet == sheet
         assert missed < len(rays)
+
+    @pytest.mark.parametrize("kind", ["vp", "horodecki"])
+    def test_nearest_crossing_from_v1_is_tau(self, kind):
+        """Fact (ii) in the template frame, with the z-axis Bloch components
+        as (r, s): the ray from the Bell vertex v1 through rho's correlation
+        vector first meets L(r, s) at the CSS's tau.  From lambda1 of about
+        0.92 on, that crossing lies beyond w = 10."""
+        lams = [(0.95, 0.03, 0.02), (0.93, 0.05, 0.02), (0.99, 0.006, 0.004),
+                (0.95, 0.05, 0.0)]
+        rng = np.random.default_rng(5)
+        while len(lams) < 100:
+            lam = tuple(rng.dirichlet(np.ones(3)))
+            if kind == "vp" or lam[0] ** 2 > 4 * lam[1] * lam[2]:  # entangled
+                lams.append(lam)
+        v1 = Vertex("v1", geometry.TETRA_VERTICES["v1"])
+        for l1, l2, l3 in lams:
+            # VP: r = s = l2 - l3; Horodecki: r = -s = l2 - l3
+            diag = [l2, 0, 0, l3] if kind == "vp" else [0, l2, l3, 0]
+            p = qstate.to_pauli(l1 * qstate.BELL_STATES[0] + np.diag(diag))
+            tau = (css.css_vp if kind == "vp" else css.css_horodecki)((l1, l2, l3)).tau
+            nearest = geometry.line_surface_crossing(p.g.diagonal(), v1, p.r[2], p.s[2])[0]
+            assert np.max(np.abs(nearest.coords - tau)) <= 1e-12
+
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_crossings_end_the_ppt_segment(self, seed, r, s):
+        """lambda_min(rho^Gamma) is concave along the ray, so the crossings are
+        at most the two ends of the segment where it is >= 0."""
+        w = np.random.default_rng(seed).dirichlet(np.ones(4))
+        t = w @ np.array(list(geometry.TETRA_VERTICES.values()))
+        try:
+            crossings = geometry.line_surface_crossing(t, geometry.nearest_vertex(t), r, s)
+        except NoCrossing:
+            crossings = []
+        assert len(crossings) <= 2
+        for c in crossings:
+            assert abs(_pt_branch(r, s, c.coords)) <= PSD_TOL
+        if len(crossings) == 2:
+            mid = (crossings[0].coords + crossings[1].coords) / 2
+            assert _pt_branch(r, s, mid) >= -PSD_TOL
+        if _pt_branch(r, s, t) > 0:
+            assert any(0 < c.line_parameter <= 1 for c in crossings)
