@@ -21,7 +21,6 @@ from .errors import InvalidState
 from .qstate import PAULI_BASIS, partial_transpose, validate_density_matrix
 
 SUPPORT_TOL = 1e-12
-LOG_CLAMP = 1e-300
 # barrier weights of the central path: 1, 0.1, ..., 1e-9; the excess of the
 # path's end over the optimum is at most 8 * 1e-9 (barrier parameter 8)
 MU_SCHEDULE = tuple(10.0 ** -k for k in range(10))
@@ -39,7 +38,6 @@ BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
 # eps / lambda_min(sigma) of G's entries on sigma's near-kernel
 BRACKET_ROUNDING = 1e-12
 CERTIFICATE_SEED = 0
-CERTIFICATE_STEPS = (1e-5, 1e-6)  # finite-difference steps, Richardson pair
 
 # sigma = I/4 + sum_k x_k B_k with B_k = (sigma_a (x) sigma_b) / 4, k = 4a + b - 1;
 # sigma^Gamma flips the coordinates with sigma_y on qubit B (sigma_y^T = -sigma_y)
@@ -85,17 +83,12 @@ class ReeReport:
     lower: float
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """S(rho||sigma) = tr(rho ln rho - rho ln sigma), in nats.
 
-    `sigma` is one matrix or a stack of shape (..., 4, 4): rho is
-    diagonalized once and the stack in one `eigh`.  Returns a float for one
-    sigma and an array of shape (...) for a stack.  An entry is math.inf when
-    rho's support is not contained in that sigma's (weight beyond
-    SUPPORT_TOL on its kernel).  0 ln 0 is 0.  Raises InvalidState when rho
-    or any sigma has a NaN or infinite entry.  When the stacked sigmas share
-    one rank, each value equals that of its own call bit for bit; across
-    ranks, to rounding.
+    math.inf when rho's support is not contained in sigma's (weight beyond
+    SUPPORT_TOL on its kernel, the eigenvalues at most SUPPORT_TOL).  0 ln 0
+    is 0.  Raises InvalidState when rho or sigma has a NaN or infinite entry.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -107,26 +100,13 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     pos_p = p > SUPPORT_TOL
     p = p[pos_p]
     s_rho = float((p * np.log(p)).sum())
-
-    overlap = np.abs(u.conj().T @ v) ** 2
-    lnq = np.log(np.maximum(q, LOG_CLAMP))
-    kernel = q <= SUPPORT_TOL
-    leaky = False
-    if kernel.any():
-        weight = (v.conj() * (rho @ v)).sum(axis=-2).real  # <v_j|rho|v_j>
-        leaky = np.where(kernel, weight, 0.0).sum(axis=-1) > SUPPORT_TOL
-        # ln of each sigma's kernel is zeroed, so that a stack keeps one
-        # shape.  The kernel all sigmas share is cut out, like rho's null
-        # space below: BLAS rounds a product over fewer rows or columns
-        # differently, and cutting keeps one sigma's value that of subset
-        # indexing bit for bit
-        keep = ~kernel.reshape(-1, 4).all(axis=0)
-        overlap, lnq = overlap[..., keep], np.where(kernel, 0.0, lnq)[..., keep]
-    # contiguous, so that BLAS takes each sigma of a stack as it takes one
-    overlap = np.ascontiguousarray(overlap[..., pos_p, :])
-    cross = ((p @ overlap)[..., None, :] @ lnq[..., :, None])[..., 0, 0]
-    s = np.where(leaky, math.inf, s_rho - cross)
-    return float(s) if s.ndim == 0 else s
+    keep = q > SUPPORT_TOL
+    weight = (v.conj() * (rho @ v)).sum(axis=0).real  # <v_j|rho|v_j>
+    if weight[~keep].sum() > SUPPORT_TOL:
+        return math.inf
+    # cut rho's null space and sigma's kernel, whose eigenvalues may be <= 0
+    overlap = (np.abs(u.conj().T @ v) ** 2)[np.ix_(pos_p, keep)]
+    return s_rho - float(p @ overlap @ np.log(q[keep]))
 
 
 def _log_divided(a, b):
@@ -159,12 +139,18 @@ def _log_divided2(w: np.ndarray, l1: np.ndarray) -> np.ndarray:
 def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Hermitian G with d(-tr(rho ln sigma)) = Re tr(dSigma G).
 
-    Daleckii-Krein divided differences of ln on sigma's spectrum.
+    Daleckii-Krein divided differences of ln on sigma's spectrum, zeroed on
+    the rows and columns of sigma's kernel (eigenvalues at most SUPPORT_TOL).
+    For rho in sigma's support the kernel adds O(e^2 ln e) to
+    S(rho||(1 - e) sigma + e pi), nothing to the derivative, while its
+    1 / q entries would swamp G.
     """
     q, v = np.linalg.eigh(sigma)
-    qc = np.clip(q, 1e-18, None)
+    support = q > SUPPORT_TOL
+    qs = np.where(support, q, 1.0)
+    l1 = _log_divided(qs[:, None], qs[None, :]) * (support[:, None] & support[None, :])
     b = v.conj().T @ rho @ v
-    return -v @ (_log_divided(qc[:, None], qc[None, :]) * b) @ v.conj().T
+    return -v @ (l1 * b) @ v.conj().T
 
 
 def _spectra(x: np.ndarray):
@@ -324,7 +310,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
 
 
 def _product_states(n: int) -> np.ndarray:
-    """The certificate's n random product states |ab><ab|, shape (n, 4, 4).
+    """The certificate's n random product vectors |a>|b>, shape (n, 4).
 
     Each qubit's vector has Gaussian real and imaginary parts, all drawn from
     CERTIFICATE_SEED in one call, and is normalized with |v|^2 summed as
@@ -335,27 +321,23 @@ def _product_states(n: int) -> np.ndarray:
     norm = np.sqrt((re[..., None, :] @ re[..., :, None]
                     + im[..., None, :] @ im[..., :, None])[..., 0])
     a, b = ((re + 1j * im) / norm).transpose(1, 0, 2)
-    c = (a[:, :, None] * b[:, None, :]).reshape(n, 4)  # |a> (x) |b>
-    return c[:, :, None] * c.conj()[:, None, :]
+    return (a[:, :, None] * b[:, None, :]).reshape(n, 4)
 
 
 def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
                                  n_directions: int = 64) -> float:
     """First-order optimality certificate for a claimed closest separable state.
 
-    Minimum over sampled product-state directions of the one-sided derivative
-    d/de S(rho||(1-e) css + e sigma') at e = 0+, by two-step finite
-    differences with Richardson extrapolation.  Product states are the
-    extreme points of the separable set, so sampling them suffices.
-    A true minimizer gives a nonnegative result (up to ~1e-8); a css at
-    S(rho||css) = inf gives -inf.  The 2 n_directions mixtures go through
-    one stacked `relative_entropy`.
+    Minimum over sampled product states |ab> of the one-sided derivative
+    d/de S(rho||(1-e) css + e |ab><ab|) at e = 0+, which is
+    <ab|G|ab> - tr(css G) for the matrix gradient G of `_log_gradient`.
+    Product states are the extreme points of the separable set, so sampling
+    them suffices.  A true minimizer gives a nonnegative result (up to
+    rounding); a css at S(rho||css) = inf gives -inf.
     """
-    s0 = relative_entropy(rho, css)
-    if math.isinf(s0):
+    if math.isinf(relative_entropy(rho, css)):
         return -math.inf  # no state at infinite relative entropy is a minimizer
-    e = np.array(CERTIFICATE_STEPS)[:, None, None, None]
-    s = relative_entropy(rho, (1 - e) * css + e * _product_states(n_directions))
-    d1, d2 = (s - s0) / e[:, :, 0, 0]
-    e1, e2 = CERTIFICATE_STEPS
-    return float(((e1 * d2 - e2 * d1) / (e1 - e2)).min(initial=math.inf))
+    gmat = _log_gradient(rho, css)
+    c = _product_states(n_directions)
+    along = ((c.conj() @ gmat) * c).sum(axis=1).real  # <ab|G|ab>
+    return float(along.min(initial=math.inf) - np.trace(css @ gmat).real)

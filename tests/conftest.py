@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every property draws the same examples on every run, with no example
+# database carried between runs and no per-example deadline
+settings.register_profile("fixed", derandomize=True, deadline=None, database=None)
+settings.load_profile("fixed")
 
 
 def random_density_matrix(rng, rank: int = 4) -> np.ndarray:

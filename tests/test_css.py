@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reegeom import css, qstate, revmap
+from reegeom import css, geometry, qstate, revmap
 from reegeom.css import FamilyKind, FamilyTag
 from reegeom.errors import InvalidState, NotConverged, RankDeficient, ReegeomError
 from reegeom.ree import ReeReport, relative_entropy
@@ -237,6 +239,28 @@ class TestCssAuto:
             assert qstate.is_ppt(res.css)
             assert abs(qstate.min_pt_eigenvalue(res.css)) <= 1e-8
             assert relative_entropy(rot, res.css) == pytest.approx(res.ree, abs=1e-10)
+
+    @given(st.sampled_from(["bell", "vp", "horodecki", "werner"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=140)
+    def test_lu_covariance_property(self, family, seed):
+        """css_auto(U rho U^dag) = U css_auto(rho) U^dag, with the same REE,
+        for a family state and two Haar SU(2) unitaries."""
+        rng = np.random.default_rng(seed)
+        if family == "bell":
+            t = rng.dirichlet(np.ones(4)) @ np.array(list(geometry.TETRA_VERTICES.values()))
+            rho = qstate.bell_diagonal(t)
+        elif family == "werner":
+            p = rng.uniform()
+            rho = p * qstate.BELL_STATES[0] + (1 - p) * np.eye(4) / 4
+        else:
+            lam = tuple(rng.dirichlet(np.ones(3)))
+            rho = (css._vp_state if family == "vp" else css._horodecki_state)(lam)
+        lu = qstate.LocalUnitary(*[u / np.sqrt(np.linalg.det(u))
+                                   for u in (random_unitary(rng), random_unitary(rng))])
+        base, res = css.css_auto(rho), css.css_auto(lu.apply(rho))
+        assert np.max(np.abs(res.css - lu.apply(base.css))) <= 1e-12
+        assert abs(res.ree - base.ree) <= 1e-12
 
     def test_two_pauli_transforms(self, monkeypatch):
         """A rotated family state's css_auto takes the Pauli form of rho once

@@ -281,7 +281,7 @@ class TestLineSurfaceCrossing:
             assert np.max(np.abs(nearest.coords - tau)) <= 1e-12
 
     @given(st.integers(0, 2 ** 32 - 1), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     def test_crossings_end_the_ppt_segment(self, seed, r, s):
         """lambda_min(rho^Gamma) is concave along the ray, so the crossings are
         at most the two ends of the segment where it is >= 0."""

@@ -112,7 +112,7 @@ class TestPauliDecomposition:
             assert np.max(np.abs(back - rho)) < 1e-12
 
     @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_round_trip_property(self, seed):
         rho = random_density_matrix(np.random.default_rng(seed))
         back = qstate.from_pauli(qstate.to_pauli(rho))

@@ -33,7 +33,7 @@ class TestEigensystem:
         assert worst < 1e-12
 
     @given(unit, unit, unit, unit, unit)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_matches_dense_property(self, r, s, q1, q2, q3):
         assert dense_deviation(r, s, q1, q2, q3) < 1e-10
 
