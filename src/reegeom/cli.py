@@ -29,7 +29,7 @@ from .qstate import (
     to_pauli,
     validate_density_matrix,
 )
-from .ree import OracleConfig, ree_numeric
+from .ree import ree_numeric
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -338,13 +338,12 @@ def _suite_revmap(seed: int) -> list[dict]:
     return checks
 
 
-def _suite_oracle(max_iterations: int) -> list[dict]:
+def _suite_oracle() -> list[dict]:
     """The oracle's bracket [lower, value] holds ln 2 for each Bell state;
     each check reports the bracket, its gap and the oracle's steps."""
     checks = []
-    cfg = OracleConfig(max_iterations=max_iterations)
     for i, bell in enumerate(BELL_STATES):
-        rep = ree_numeric(bell, cfg)
+        rep = ree_numeric(bell)
         held = rep.lower <= math.log(2) <= rep.value
         check = {"name": f"bell_{i + 1}_ree", "ok": rep.converged and held,
                  "value": rep.value, "lower": rep.lower, "gap": rep.gap,
@@ -362,12 +361,9 @@ def _suite_oracle(max_iterations: int) -> list[dict]:
 @click.option("--suite", type=click.Choice(["families", "revmap", "oracle", "all"]),
               default="all", show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--max-iterations", type=click.IntRange(min=1), default=600,
-              show_default=True,
-              help="Oracle Newton-step budget (tiny values force NotConverged).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="JSON report path.")
-def verify(suite, seed, max_iterations, out):
+def verify(suite, seed, out):
     """Run internal consistency suites; exit 0 iff every check passes."""
     checks = []
     if suite in ("families", "all"):
@@ -375,7 +371,7 @@ def verify(suite, seed, max_iterations, out):
     if suite in ("revmap", "all"):
         checks += _suite_revmap(seed)
     if suite in ("oracle", "all"):
-        checks += _suite_oracle(max_iterations)
+        checks += _suite_oracle()
 
     n_ok = sum(c["ok"] for c in checks)
     for c in checks:

@@ -208,9 +208,9 @@ def _recovery_gap(rho, res: CssResult) -> float:
     """Max-entry error of rebuilding rho from its CSS via the reverse map."""
     try:
         if res.family.kind is FamilyKind.GENERALIZED_VP:
-            back = revmap.recover_vp(res.family.lambdas)
+            back = revmap.recover_vp(res.css, res.family.lambdas)
         elif res.family.kind is FamilyKind.GENERALIZED_HORODECKI:
-            back = revmap.recover_horodecki(res.family.lambdas)
+            back = revmap.recover_horodecki(res.css, res.family.lambdas)
         else:
             g = revmap.g_matrix(res.css)
             diff = res.css - rho

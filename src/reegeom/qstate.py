@@ -149,9 +149,9 @@ def min_pt_eigenvalue(rho: np.ndarray) -> float:
     return min_eigenvalue(partial_transpose(rho))
 
 
-def is_ppt(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Peres-Horodecki test; for two qubits PPT is equivalent to separability."""
-    return min_pt_eigenvalue(rho) >= -tol
+def is_ppt(rho: np.ndarray) -> bool:
+    """Peres-Horodecki test at PSD_TOL; for two qubits PPT equals separability."""
+    return min_pt_eigenvalue(rho) >= -PSD_TOL
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -189,36 +189,20 @@ def su2_from_rotation(rot: np.ndarray) -> np.ndarray:
     return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
 
 
-def _signed_permutation(perm, signs) -> np.ndarray:
-    """3x3 matrix P with (P v)_i = signs[i] * v[perm[i]]."""
-    m = np.zeros((3, 3))
-    for i in range(3):
-        m[i, perm[i]] = signs[i]
-    return m
+# determinant-one sign patterns s of (P v)_i = s_i v[perm[i]], keyed by the
+# sign of the permutation
+_SIGN_PATTERNS = {1: np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]),
+                  -1: np.array([(-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)])}
 
-
-def signed_permutation_frames():
-    """All SO(3) signed-permutation pairs (P_A, P_B) preserving diagonality.
-
-    Both factors carry the same index permutation; determinant-one sign
-    patterns on each side.  Yields (P_A, P_B) as 3x3 matrices.
-    """
-    sign_patterns = [np.array(s) for s in
-                     [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1),
-                      (-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)]]
-    for perm in permutations(range(3)):
-        det_p = np.linalg.det(_signed_permutation(perm, (1, 1, 1)))
-        for d1 in sign_patterns:
-            if np.prod(d1) * det_p < 0:
-                continue
-            for d2 in sign_patterns:
-                if np.prod(d2) * det_p < 0:
-                    continue
-                yield _signed_permutation(perm, d1), _signed_permutation(perm, d2)
-
-
-# (P_A, P_B) stacked to shape (96, 2, 3, 3), built once for css._match_templates
-SIGNED_PERMUTATION_FRAMES = np.array(list(signed_permutation_frames()))
+# All SO(3) signed-permutation pairs (P_A, P_B) preserving diagonality: one
+# index permutation on both sides, a determinant-one sign pattern on each.
+# Stacked to shape (96, 2, 3, 3), built once for css._match_templates; + 0.0
+# stores the zeros as 0.0, not -0.0, since zero signs reach the lifted unitaries.
+SIGNED_PERMUTATION_FRAMES = np.array([
+    (s_a[:, None] * p, s_b[:, None] * p)
+    for p in (np.eye(3)[list(perm)] for perm in permutations(range(3)))
+    for signs in [_SIGN_PATTERNS[round(np.linalg.det(p))]]
+    for s_a in signs for s_b in signs]) + 0.0
 SIGNED_PERMUTATION_FRAMES.flags.writeable = False
 
 

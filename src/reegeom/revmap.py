@@ -23,10 +23,10 @@ from .errors import (
     RankDeficient,
 )
 from .qstate import PSD_TOL, min_eigenvalue, partial_transpose
+from .ree import _log_divided
 
 RANK_EPS = 1e-12
 EDGE_TOL = 1e-8
-LOG_DEGENERATE = 1e-9
 SAMPLE_TRIES = 200      # draws before sample_params_for_bloch gives up
 REGULARIZATION = 1e-7   # CSS regularization of the family recoveries
 
@@ -79,8 +79,8 @@ def pt_kernel(sigma: np.ndarray) -> np.ndarray:
 
 
 def g_matrix(sigma: np.ndarray) -> np.ndarray:
-    """The reverse-map generator G(sigma), in sigma's eigenbasis with
-    logarithmic divided differences."""
+    """The reverse-map generator G(sigma), in sigma's eigenbasis with the
+    reciprocal divided differences 1 / ln[l_i, l_j] of ln (l_i on the diagonal)."""
     sigma = np.asarray(sigma, dtype=complex)
     lam, v = np.linalg.eigh(sigma)
     if lam[0] <= RANK_EPS:
@@ -88,12 +88,7 @@ def g_matrix(sigma: np.ndarray) -> np.ndarray:
     phi = pt_kernel(sigma)
     phi_pt = partial_transpose(np.outer(phi, phi.conj()))
 
-    ln = np.log(lam)
-    dlam = lam[:, None] - lam[None, :]
-    dln = ln[:, None] - ln[None, :]
-    coef = np.where(np.abs(dln) > LOG_DEGENERATE,
-                    dlam / np.where(dln == 0, 1, dln),
-                    lam[:, None])
+    coef = 1.0 / _log_divided(lam[:, None], lam[None, :])
     core = v.conj().T @ phi_pt @ v
     return v @ (coef * core) @ v.conj().T
 
@@ -219,39 +214,18 @@ def css_line_sweep(params: list[SigmaZParams], x_grid):
 
 # --- recovery of the solvable families through the reverse map -------------
 
-def _vp_css_regularized(lam, eps: float) -> np.ndarray:
-    l1, l2, l3 = lam
-    m = np.diag([l1 / 2 + l2, eps, eps, l1 / 2 + l3]).astype(complex)
-    m[0, 3] = m[3, 0] = eps
-    return m
-
-
-def _horodecki_css(lam) -> np.ndarray:
-    l1, l2, l3 = lam
-    a, b = l1 + 2 * l2, l1 + 2 * l3
-    m = np.diag([a * b, a * a, b * b, a * b]).astype(complex) / 4
-    m[0, 3] = m[3, 0] = a * b / 4
-    return m
-
-
-def _horodecki_css_regularized(lam, eps: float) -> np.ndarray:
-    m = _horodecki_css(lam)
-    m[0, 0] += eps
-    m[3, 3] += eps
-    return m
+# offsets D of the regularized CSS sigma + e D, full rank and still an edge state:
+# VP |00><11| + |11><00| + |01><01| + |10><10|, Horodecki |00><00| + |11><11|
+_VP_OFFSET = np.eye(4)[[3, 1, 2, 0]]
+_HORODECKI_OFFSET = np.diag([1.0, 0.0, 0.0, 1.0])
 
 
 def x_vp(lam) -> float:
-    """Family parameter recovering the Vedral-Plenio state from its CSS.
-
-    The 0/0 at lambda2 = lambda3 is removable; the analytic limit is
-    2 lambda1.
-    """
+    """Family parameter recovering the generalized VP state from its CSS
+    diag(a, 0, 0, b), a = l1/2 + l2 and b = l1/2 + l3: l1 ln[a, b], with
+    ln[a, b] the first divided difference of ln (2 l1 at l2 = l3)."""
     l1, l2, l3 = lam
-    gap = abs(l2 - l3)
-    if gap < 1e-12:
-        return 2.0 * l1
-    return l1 * math.log((1 + gap) / (1 - gap)) / gap
+    return l1 * float(_log_divided(l1 / 2 + l2, l1 / 2 + l3))
 
 
 def x_horodecki(lam) -> float:
@@ -263,18 +237,19 @@ def x_horodecki(lam) -> float:
     return (l1 / 2 - y) / eta
 
 
-def _richardson_recover(build_sigma, x: float) -> np.ndarray:
-    f1 = family_from_css(build_sigma(REGULARIZATION), x, check_psd=False)
-    f2 = family_from_css(build_sigma(REGULARIZATION / 2), x, check_psd=False)
+def _richardson_recover(sigma, offset, x: float) -> np.ndarray:
+    """rho(x) from sigma + e offset at e = REGULARIZATION and REGULARIZATION / 2,
+    extrapolated linearly to e = 0."""
+    f1 = family_from_css(sigma + REGULARIZATION * offset, x, check_psd=False)
+    f2 = family_from_css(sigma + REGULARIZATION / 2 * offset, x, check_psd=False)
     return 2 * f2 - f1
 
 
-def recover_vp(lam) -> np.ndarray:
-    """rho_vp rebuilt from its (regularized) CSS at x = x_vp."""
-    return _richardson_recover(lambda e: _vp_css_regularized(lam, e), x_vp(lam))
+def recover_vp(sigma, lam) -> np.ndarray:
+    """rho_vp rebuilt at x = x_vp(lam) from sigma, its CSS in the template frame."""
+    return _richardson_recover(sigma, _VP_OFFSET, x_vp(lam))
 
 
-def recover_horodecki(lam) -> np.ndarray:
-    """rho_H rebuilt from its (regularized) CSS at x = x_H."""
-    return _richardson_recover(lambda e: _horodecki_css_regularized(lam, e),
-                               x_horodecki(lam))
+def recover_horodecki(sigma, lam) -> np.ndarray:
+    """rho_H rebuilt at x = x_horodecki(lam) from its template-frame CSS sigma."""
+    return _richardson_recover(sigma, _HORODECKI_OFFSET, x_horodecki(lam))

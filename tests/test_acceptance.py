@@ -136,11 +136,13 @@ def test_criterion_4_reverse_map_recovery():
     while n_vp < 100 or n_h < 100:
         lam = tuple(rng.dirichlet([1, 1, 1]))
         if n_vp < 100 and lam[0] > 0.02:
-            gap = np.max(np.abs(revmap.recover_vp(lam) - css._vp_state(lam)))
+            sigma = css._vp_parts(lam)[1]
+            gap = np.max(np.abs(revmap.recover_vp(sigma, lam) - css._vp_state(lam)))
             worst = max(worst, float(gap))
             n_vp += 1
         if n_h < 100 and lam[0] ** 2 > 4 * lam[1] * lam[2] + 1e-3:
-            gap = np.max(np.abs(revmap.recover_horodecki(lam)
+            sigma = css._horodecki_parts(lam)[1]
+            gap = np.max(np.abs(revmap.recover_horodecki(sigma, lam)
                                 - css._horodecki_state(lam)))
             worst = max(worst, float(gap))
             n_h += 1

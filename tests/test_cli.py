@@ -121,7 +121,6 @@ class TestMalformedJson:
     ["sweep", "--r", "0.1", "--s", "0.1", "--xmax", "-1"],
     ["surface", "--body", "L", "--r", "0", "--s", "0", "--tol", "nan"],
     ["surface", "--body", "L", "--r", "0", "--s", "0", "--tol", "-1"],
-    ["verify", "--suite", "oracle", "--max-iterations", "0"],
 ], ids=lambda args: " ".join([args[0]] + args[-2:]))
 def test_bad_flag_exit_2(runner, tmp_path, args):
     state = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])
@@ -299,9 +298,10 @@ class TestVerify:
         res = runner.invoke(cli.main, ["verify", "--suite", "revmap"])
         assert res.exit_code == 0
 
-    def test_oracle_tiny_budget_fails(self, runner):
-        res = runner.invoke(cli.main, ["verify", "--suite", "oracle",
-                                       "--max-iterations", "2"])
+    def test_oracle_tiny_budget_fails(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "ree_numeric", lambda rho: ree.ree_numeric(
+            rho, ree.OracleConfig(max_iterations=2)))
+        res = runner.invoke(cli.main, ["verify", "--suite", "oracle"])
         assert res.exit_code == 1
         assert "NotConverged" in res.output
 

@@ -23,7 +23,7 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
     eye = np.eye(3)
     if np.linalg.norm(dpf.r) <= tol and np.linalg.norm(dpf.s) <= tol:
         return FamilyTag(FamilyKind.BELL_DIAGONAL), eye, eye
-    for pa, pb in qstate.signed_permutation_frames():
+    for pa, pb in qstate.SIGNED_PERMUTATION_FRAMES:
         r2, s2 = pa @ dpf.r, pb @ dpf.s
         q2 = np.diag(pa @ np.diag(dpf.q) @ pb.T)
         if max(abs(r2[0]), abs(r2[1]), abs(s2[0]), abs(s2[1])) > tol:
@@ -173,7 +173,7 @@ class TestVp:
             assert res.residuals["recovery_gap"] <= 1e-9
 
     def test_recovery_failure_is_nan(self, monkeypatch):
-        def rank_deficient(lam):
+        def rank_deficient(sigma, lam):
             raise RankDeficient("regularized CSS")
 
         monkeypatch.setattr(revmap, "recover_vp", rank_deficient)
@@ -181,7 +181,7 @@ class TestVp:
         assert math.isnan(res.residuals["recovery_gap"])
 
     def test_recovery_programming_error_propagates(self, monkeypatch):
-        def broken(lam):
+        def broken(sigma, lam):
             raise TypeError("bug in the reverse map")
 
         monkeypatch.setattr(revmap, "recover_vp", broken)
@@ -309,7 +309,7 @@ class TestCssAuto:
         res = css.css_auto(rho)
         assert not res.geometric
         assert res.ree > 0
-        assert qstate.is_ppt(res.css, tol=1e-7)
+        assert qstate.min_pt_eigenvalue(res.css) >= -1e-7
 
     def test_unconverged_fallback_raises(self, monkeypatch):
         """An unconverged oracle is an error, not an REE."""
@@ -330,3 +330,50 @@ class TestCssAuto:
         if not res.separable:
             # a diagonal state may still match a solvable template
             assert res.ree <= 1e-10
+
+
+def with_reversed_css_diagonal(parts):
+    """`parts` with the CSS it builds replaced by one whose diagonal is reversed."""
+    def planted(lam):
+        rho, sigma, *rest = parts(lam)
+        d = np.diag(sigma)
+        return (rho, sigma - np.diag(d) + np.diag(d[::-1]), *rest)
+    return planted
+
+
+def vp_weights_near_degenerate():
+    """VP weights with l1 in {0.4, 0.9} and |l2 - l3| from 2e-12 to 2e-4."""
+    return [(l1, (1 - l1 + g) / 2, (1 - l1 - g) / 2)
+            for l1 in (0.4, 0.9) for g in np.geomspace(2e-12, 2e-4, 17)]
+
+
+class TestRecoveryChecksTheCss:
+    """The recovery residual rebuilds rho from the CSS the construction made."""
+
+    def test_planted_css_fails_the_recovery(self, monkeypatch, rng):
+        monkeypatch.setattr(css, "_vp_parts", with_reversed_css_diagonal(css._vp_parts))
+        monkeypatch.setattr(css, "_horodecki_parts",
+                            with_reversed_css_diagonal(css._horodecki_parts))
+        lam_vp, lam_h = (0.5, 0.3, 0.2), (0.6, 0.3, 0.1)
+        results = [css.css_vp(lam_vp), css.css_horodecki(lam_h),
+                   css.css_auto(rotated(css._vp_state(lam_vp), rng)),
+                   css.css_auto(rotated(css._horodecki_state(lam_h), rng))]
+        assert [r.family.kind for r in results] == [
+            FamilyKind.GENERALIZED_VP, FamilyKind.GENERALIZED_HORODECKI] * 2
+        for res in results:
+            gap = res.residuals["recovery_gap"]
+            assert math.isnan(gap) or gap > 1e-3
+
+    def test_vp_recovery_exact_near_equal_weights(self):
+        for lam in vp_weights_near_degenerate():
+            assert css.css_vp(lam).residuals["recovery_gap"] <= 1e-14, lam
+
+    def test_auto_vp_recovery_exact_near_equal_weights(self):
+        rng = np.random.default_rng(11)
+        n_vp = 0
+        for lam in vp_weights_near_degenerate():
+            res = css.css_auto(rotated(css._vp_state(lam), rng))
+            if res.family.kind is FamilyKind.GENERALIZED_VP:
+                n_vp += 1
+                assert res.residuals["recovery_gap"] <= 1e-14, lam
+        assert n_vp > 0
