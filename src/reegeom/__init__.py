@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .qstate import (
     DiagonalPauliForm,
-    LocalUnitary,
     PauliForm,
     bell_diagonal,
     canonicalize,

@@ -26,6 +26,7 @@ from .qstate import (
     concurrence,
     from_pauli,
     is_ppt,
+    su2_from_rotation,
     to_pauli,
     validate_density_matrix,
 )
@@ -164,14 +165,15 @@ def decompose(state, out):
     """Pauli decomposition, canonical frame, and basic invariants of STATE."""
     rho = load_state(state)
     pf = to_pauli(rho)
-    dpf, lu = canonicalize(rho, pf)
+    dpf, r_a, r_b = canonicalize(pf)
     _emit({
         "r": pf.r.tolist(),
         "s": pf.s.tolist(),
         "g": pf.g.tolist(),
         "canonical": {"r": dpf.r.tolist(), "s": dpf.s.tolist(),
                       "q": dpf.q.tolist()},
-        "local_unitary": {"u_a": matrix_json(lu.u_a), "u_b": matrix_json(lu.u_b)},
+        "local_unitary": {"u_a": matrix_json(su2_from_rotation(r_a)),
+                          "u_b": matrix_json(su2_from_rotation(r_b))},
         "eigenvalues": np.linalg.eigvalsh(rho).tolist(),
         "concurrence": concurrence(rho),
         "ppt": bool(is_ppt(rho)),

@@ -5,7 +5,7 @@ states, one-Bell-state mixtures with non-orthogonal separable parts
 (generalized Vedral-Plenio), and with orthogonal separable parts
 (generalized Horodecki).  `classify` detects the family after reducing an
 input state to its diagonal-correlation canonical frame; `css_auto`
-dispatches and maps the result back through the inverse local unitary.
+dispatches and rotates the result's Pauli form back to the input's frame.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from .qstate import (
     PSD_TOL,
     SIGNED_PERMUTATION_FRAMES,
     DiagonalPauliForm,
-    LocalUnitary,
     PauliForm,
-    bell_diagonal,
     canonicalize,
     from_diagonal_pauli,
+    from_pauli,
     is_ppt,
     min_pt_eigenvalue,
-    su2_from_rotation,
     to_pauli,
     validate_density_matrix,
 )
@@ -115,17 +113,18 @@ def _clip_weights(l1, l2, l3):
 
 
 def classify(rho: np.ndarray) -> FamilyTag:
-    """Family of rho after local-unitary canonicalization."""
+    """Family of rho, read off its Pauli form in the canonical frame."""
     validate_density_matrix(rho)
-    dpf, _ = canonicalize(rho)
+    dpf, _, _ = canonicalize(to_pauli(rho))
     tag, _, _ = _match_templates(dpf)
     return tag
 
 
-def _bell_diagonal_parts(t):
-    """(rho, css, tau, tag, separable) of the Bell-diagonal construction."""
+def _bell_diagonal_parts(t, r, s):
+    """(rho, css, tau, tag, separable) of the Bell-diagonal construction,
+    with rho and its CSS both keeping the Bloch vectors r, s."""
     t = np.asarray(t, dtype=float)
-    rho = bell_diagonal(t)
+    rho = from_diagonal_pauli(r, s, t)
     tag = FamilyTag(FamilyKind.BELL_DIAGONAL)
     if np.sum(np.abs(t)) <= 1.0 + PSD_TOL:
         return rho, rho, t, tag, True
@@ -136,7 +135,7 @@ def _bell_diagonal_parts(t):
     else:
         w = 2.0 / (3.0 - float(n @ t))
         tau = v.coords + w * (t - v.coords)
-    return rho, bell_diagonal(tau), tau, tag, False
+    return rho, from_diagonal_pauli(r, s, tau), tau, tag, False
 
 
 def _vp_parts(lam):
@@ -167,7 +166,7 @@ def css_bell_diagonal(t) -> CssResult:
     """Closest separable state of the Bell-diagonal state with correlation
     vector t: the crossing of the ray from the nearest tetrahedron vertex
     through t with the nearest octahedron face."""
-    return _finish(*_bell_diagonal_parts(t))
+    return _finish(*_bell_diagonal_parts(t, np.zeros(3), np.zeros(3)))
 
 
 def css_vp(lam) -> CssResult:
@@ -223,13 +222,13 @@ def _recovery_gap(rho, res: CssResult) -> float:
 
 
 def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
-    """Classify, construct in the template frame, map back through the
-    inverse local unitary.  For states outside the solvable families the
-    numerical oracle supplies a (non-geometric) result, and raises
-    NotConverged when its bracket does not close."""
+    """Classify, construct in the template frame, and rotate the CSS's Pauli
+    form back by the two rotations that took rho there.  Outside the solvable
+    families the numerical oracle supplies a (non-geometric) result, and
+    raises NotConverged when its bracket does not close."""
     validate_density_matrix(rho)
     p_rho = to_pauli(rho)
-    dpf, lu = canonicalize(rho, p_rho)
+    dpf, r_a, r_b = canonicalize(p_rho)
     tag, pa, pb = _match_templates(dpf)
 
     if tag.kind is FamilyKind.OTHER:
@@ -249,15 +248,17 @@ def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
         res.ree = rep.value
         return res
 
-    frame = LocalUnitary(su2_from_rotation(pa), su2_from_rotation(pb)).compose(lu)
     if tag.kind is FamilyKind.BELL_DIAGONAL:
-        parts = _bell_diagonal_parts(dpf.q)
+        parts = _bell_diagonal_parts(dpf.q, dpf.r, dpf.s)
     elif tag.kind is FamilyKind.GENERALIZED_VP:
         parts = _vp_parts(tag.lambdas)
     else:
         parts = _horodecki_parts(tag.lambdas)
-    # the template's residuals, with the Bloch gap of rho and the CSS mapped back
-    css = frame.inverse().apply(parts[1])
-    result = _finish(*parts, bloch_gap=_bloch_gap(p_rho, to_pauli(css)))
-    result.css = css
+    # a, b take rho's Pauli form to the template's (r -> a r, s -> b s,
+    # g -> a g b^T); the template's residuals, with its CSS rotated back
+    a, b = pa @ r_a, pb @ r_b
+    p_t = to_pauli(parts[1])
+    p_css = PauliForm(a.T @ p_t.r, b.T @ p_t.s, a.T @ p_t.g @ b)
+    result = _finish(*parts, bloch_gap=_bloch_gap(p_rho, p_css))
+    result.css = from_pauli(p_css)
     return result

@@ -1,7 +1,8 @@
 """Exact two-qubit state algebra.
 
-Pauli decomposition and reconstruction, partial transpose/trace, local-unitary
-canonicalization of the correlation tensor, and the Wootters concurrence.
+Pauli decomposition and reconstruction, partial transpose/trace,
+canonicalization of the correlation tensor by local rotations, and the
+Wootters concurrence.
 Basis order everywhere is |00>, |01>, |10>, |11>.  All functions are pure.
 """
 
@@ -59,28 +60,6 @@ class DiagonalPauliForm:
     r: np.ndarray
     s: np.ndarray
     q: np.ndarray
-
-
-@dataclass(frozen=True)
-class LocalUnitary:
-    """A product unitary U_A (x) U_B acting on the two qubits."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return np.kron(self.u_a, self.u_b)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        u = self.matrix()
-        return u @ rho @ u.conj().T
-
-    def inverse(self) -> "LocalUnitary":
-        return LocalUnitary(self.u_a.conj().T, self.u_b.conj().T)
-
-    def compose(self, other: "LocalUnitary") -> "LocalUnitary":
-        """The unitary acting as `self` after `other`."""
-        return LocalUnitary(self.u_a @ other.u_a, self.u_b @ other.u_b)
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
@@ -197,7 +176,8 @@ _SIGN_PATTERNS = {1: np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 # All SO(3) signed-permutation pairs (P_A, P_B) preserving diagonality: one
 # index permutation on both sides, a determinant-one sign pattern on each.
 # Stacked to shape (96, 2, 3, 3), built once for css._match_templates; + 0.0
-# stores the zeros as 0.0, not -0.0, since zero signs reach the lifted unitaries.
+# stores the zeros as 0.0, not -0.0, since zero signs reach the frame that
+# css_auto maps its CSS back through.
 SIGNED_PERMUTATION_FRAMES = np.array([
     (s_a[:, None] * p, s_b[:, None] * p)
     for p in (np.eye(3)[list(perm)] for perm in permutations(range(3)))
@@ -206,17 +186,17 @@ SIGNED_PERMUTATION_FRAMES = np.array([
 SIGNED_PERMUTATION_FRAMES.flags.writeable = False
 
 
-def canonicalize(rho: np.ndarray, pauli: PauliForm | None = None):
-    """Diagonalize the correlation tensor by a local unitary; `pauli` is
-    rho's Pauli form, where the caller has it already.
+def canonicalize(p: PauliForm):
+    """Diagonalize the correlation tensor of the Pauli form p by local
+    rotations.
 
-    Returns (DiagonalPauliForm, LocalUnitary) where the unitary maps rho to
-    the diagonal-frame state.  The SVD of g orders |q| descending with
-    q1, q2 >= 0; making both frames proper rotations puts the sign of the
-    local-unitary invariant q1*q2*q3 on q3.  When singular values of g
-    coincide the frame is not unique; the one returned is the SVD's.
+    Returns (DiagonalPauliForm, r_a, r_b) with r_a, r_b in SO(3) and
+    r_a g r_b^T = diag(q): the frame maps r -> r_a r and s -> r_b s.  The
+    SVD of g orders |q| descending with q1, q2 >= 0; making both frames
+    proper rotations puts the sign of the local-unitary invariant q1*q2*q3
+    on q3.  When singular values of g coincide the frame is not unique; the
+    one returned is the SVD's.
     """
-    p = to_pauli(rho) if pauli is None else pauli
     o1, sv, o2t = np.linalg.svd(p.g)
     o2 = o2t.T
     q = sv.copy()
@@ -229,10 +209,8 @@ def canonicalize(rho: np.ndarray, pauli: PauliForm | None = None):
         o2[:, 2] *= -1
         q[2] *= -1
 
-    # g -> r_a g r_b^T = diag(q), stored C-ordered with -0.0 as 0.0 so that
-    # dpf and the lifted unitaries (zero signs included) depend neither on
-    # the memory layout nor on the zero signs the SVD returns
+    # stored C-ordered with -0.0 as 0.0 so that dpf and the unitaries lifted
+    # from the frames (zero signs included) depend neither on the memory
+    # layout nor on the zero signs the SVD returns
     r_a, r_b = o1.T.copy() + 0.0, o2.T.copy() + 0.0
-    lu = LocalUnitary(su2_from_rotation(r_a), su2_from_rotation(r_b))
-    dpf = DiagonalPauliForm(r_a @ p.r, r_b @ p.s, q)
-    return dpf, lu
+    return DiagonalPauliForm(r_a @ p.r, r_b @ p.s, q), r_a, r_b

@@ -20,6 +20,12 @@ def random_unitary(rng, n: int = 2) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def rotate(rho, u_a, u_b) -> np.ndarray:
+    """The state (u_a x u_b) rho (u_a x u_b)^dag."""
+    u = np.kron(u_a, u_b)
+    return u @ rho @ u.conj().T
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

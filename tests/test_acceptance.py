@@ -19,7 +19,7 @@ from reegeom.ree import (
     relative_entropy,
 )
 
-from conftest import random_density_matrix, random_unitary
+from conftest import random_density_matrix, random_unitary, rotate
 
 LN2 = math.log(2.0)
 
@@ -107,8 +107,7 @@ def test_criterion_3_family_cross_validation():
     for family in ("bell", "vp", "horodecki"):
         for _ in range(n_per_family):
             rho0 = sample(family)
-            lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
-            rho = lu.apply(rho0)
+            rho = rotate(rho0, random_unitary(rng), random_unitary(rng))
             res = css.css_auto(rho)
             num = ree_numeric(rho, OracleConfig(seed=int(rng.integers(2 ** 31))))
             worst["bloch"] = max(worst["bloch"], res.residuals["bloch_gap"])

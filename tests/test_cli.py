@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import reegeom
 from reegeom import cli, css, geometry, qstate, ree
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_unitary, rotate
 
 
 @pytest.fixture
@@ -44,6 +44,29 @@ class TestDecompose:
         d = json.loads(res.output)
         assert np.allclose(d["r"], 0) and np.allclose(d["s"], 0)
         assert np.allclose(d["g"], 0)
+
+    def test_local_unitary_takes_rho_to_the_canonical_frame(self, runner, tmp_path):
+        """u_a and u_b are in SU(2), and (u_a x u_b) rho (u_a x u_b)^dag has
+        the canonical Pauli form, on rotated family and random states."""
+        rng = np.random.default_rng(12)
+        family = [css._vp_state((0.5, 0.3, 0.2)), css._horodecki_state((0.6, 0.3, 0.1)),
+                  qstate.bell_diagonal([0.8, -0.6, 0.5]), qstate.BELL_STATES[3]]
+        states = ([rotate(rho, random_unitary(rng), random_unitary(rng)) for rho in family]
+                  + [random_density_matrix(rng, rank) for rank in (1, 2, 3, 4, 4, 4)])
+        for i, rho in enumerate(states):
+            p = write_state(tmp_path / f"{i}.json", rho)
+            res = runner.invoke(cli.main, ["decompose", p])
+            assert res.exit_code == 0
+            d = json.loads(res.output)
+            u_a, u_b = [np.array(m["re"]) + 1j * np.array(m["im"])
+                        for m in (d["local_unitary"]["u_a"], d["local_unitary"]["u_b"])]
+            for u in (u_a, u_b):
+                assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-15
+                assert abs(np.linalg.det(u) - 1) <= 1e-15
+            pf = qstate.to_pauli(rotate(rho, u_a, u_b))
+            assert np.max(np.abs(pf.r - d["canonical"]["r"])) <= 1e-12
+            assert np.max(np.abs(pf.s - d["canonical"]["s"])) <= 1e-12
+            assert np.max(np.abs(pf.g - np.diag(d["canonical"]["q"]))) <= 1e-12
 
     def test_invalid_matrix_exit_2(self, runner, tmp_path):
         p = write_state(tmp_path / "bad.json", np.eye(4, dtype=complex))

@@ -10,12 +10,11 @@ from reegeom.css import FamilyKind, FamilyTag
 from reegeom.errors import InvalidState, NotConverged, RankDeficient, ReegeomError
 from reegeom.ree import ReeReport, relative_entropy
 
-from conftest import random_density_matrix, random_unitary
+from conftest import random_density_matrix, random_unitary, rotate
 
 
 def rotated(rho, rng):
-    lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
-    return lu.apply(rho)
+    return rotate(rho, random_unitary(rng), random_unitary(rng))
 
 
 def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
@@ -57,7 +56,7 @@ class TestMatchTemplates:
             inputs.append(random_density_matrix(rng))
         kinds = set()
         for rho in inputs:
-            dpf, _ = qstate.canonicalize(rho)
+            dpf, _, _ = qstate.canonicalize(qstate.to_pauli(rho))
             for tol in (css.CLASSIFY_TOL, 1e-2):
                 tag, pa, pb = css._match_templates(dpf, tol)
                 want, want_pa, want_pb = match_templates_loop(dpf, tol)
@@ -256,16 +255,20 @@ class TestCssAuto:
         else:
             lam = tuple(rng.dirichlet(np.ones(3)))
             rho = (css._vp_state if family == "vp" else css._horodecki_state)(lam)
-        lu = qstate.LocalUnitary(*[u / np.sqrt(np.linalg.det(u))
-                                   for u in (random_unitary(rng), random_unitary(rng))])
-        base, res = css.css_auto(rho), css.css_auto(lu.apply(rho))
-        assert np.max(np.abs(res.css - lu.apply(base.css))) <= 1e-12
+        u_a, u_b = [u / np.sqrt(np.linalg.det(u))
+                    for u in (random_unitary(rng), random_unitary(rng))]
+        base, res = css.css_auto(rho), css.css_auto(rotate(rho, u_a, u_b))
+        assert np.max(np.abs(res.css - rotate(base.css, u_a, u_b))) <= 1e-12
         assert abs(res.ree - base.ree) <= 1e-12
+        # the CSS is rebuilt from its Pauli form: exactly Hermitian
+        assert np.array_equal(res.css, res.css.conj().T)
+        assert abs(np.trace(res.css) - 1) <= 2.3e-16
 
     def test_two_pauli_transforms(self, monkeypatch):
         """A rotated family state's css_auto takes the Pauli form of rho once
-        and of its mapped-back CSS once; its residuals are the template's,
-        bit for bit, with the Bloch gap of rho and that CSS."""
+        and of the template CSS once; its residuals are the template's, bit
+        for bit, with the Bloch gap of rho and the template form rotated back
+        by the frame a, b that takes rho to the template."""
         rng = np.random.default_rng(8)
         for rho0, build in [(css._vp_state((0.5, 0.3, 0.2)), css.css_vp),
                             (css._horodecki_state((0.6, 0.3, 0.1)), css.css_horodecki)]:
@@ -283,13 +286,37 @@ class TestCssAuto:
             res = css.css_auto(rho)
             monkeypatch.undo()
             assert len(calls) == 2
-            p_rho, p_css = qstate.to_pauli(rho), qstate.to_pauli(res.css)
+            assert calls[0] is rho and np.array_equal(calls[1], template.css)
+            p_rho = qstate.to_pauli(rho)
+            dpf, r_a, r_b = qstate.canonicalize(p_rho)
+            _, pa, pb = css._match_templates(dpf)
+            a, b = pa @ r_a, pb @ r_b
+            p_t = qstate.to_pauli(template.css)
+            p_css = qstate.PauliForm(a.T @ p_t.r, b.T @ p_t.s, a.T @ p_t.g @ b)
+            assert np.array_equal(res.css, qstate.from_pauli(p_css))
             assert res.residuals == {
                 "bloch_gap": float(max(np.linalg.norm(p_css.r - p_rho.r),
                                        np.linalg.norm(p_css.s - p_rho.s))),
                 "edge_gap": template.residuals["edge_gap"],
                 "recovery_gap": template.residuals["recovery_gap"]}
             assert res.ree == template.ree
+
+    @pytest.mark.parametrize("state, build, l1s", [
+        (css._vp_state, css.css_vp, (0.4, 0.9)),
+        (css._horodecki_state, css.css_horodecki, (0.5, 0.9))])
+    def test_near_equal_weights_keep_bloch_vectors(self, state, build, l1s):
+        """VP and Horodecki states with 0 < |l2 - l3| < CLASSIFY_TOL take the
+        Bell-diagonal route; their CSS keeps rho's Bloch vectors (fact (i))
+        and their REE is the family's closed form."""
+        rng = np.random.default_rng(15)
+        for l1 in l1s:
+            for g in (2e-9, 5e-9, 9e-9):
+                lam = (l1, (1 - l1 + g) / 2, (1 - l1 - g) / 2)
+                res = css.css_auto(rotated(state(lam), rng))
+                assert res.family.kind is FamilyKind.BELL_DIAGONAL
+                assert res.residuals["bloch_gap"] <= 1e-15
+                assert res.residuals["edge_gap"] <= 1e-14
+                assert abs(res.ree - build(lam).ree) <= 1e-14
 
     def test_non_finite_state_rejected(self):
         with pytest.raises(InvalidState):

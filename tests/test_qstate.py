@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reegeom import qstate
 from reegeom.errors import InvalidState
 
-from conftest import random_density_matrix, random_unitary
+from conftest import random_density_matrix, random_unitary, rotate
 
 OPS = (qstate.I2,) + qstate.PAULI  # sigma_0 = I, sigma_1..3
 
@@ -196,6 +196,8 @@ def rotation_from_su2(u: np.ndarray) -> np.ndarray:
 
 
 class TestLocalUnitary:
+    """The SU(2) lift of a local frame, which `decompose` prints."""
+
     def test_su2_lift_covariance(self, rng):
         for _ in range(20):
             rot = rotation_from_su2(random_unitary(rng))
@@ -234,18 +236,13 @@ class TestLocalUnitary:
             want = w * qstate.I2 - 1j * (x * qstate.SX + y * qstate.SY + z * qstate.SZ)
             assert np.max(np.abs(qstate.su2_from_rotation(rot) - want)) <= 1e-15
 
-    def test_apply_inverse_round_trip(self, rng):
-        rho = random_density_matrix(rng)
-        lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
-        assert np.allclose(lu.inverse().apply(lu.apply(rho)), rho, atol=1e-13)
-
 
 class TestCanonicalize:
     def test_q_sorted_and_signed(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             rho = random_density_matrix(rng)
-            dpf, lu = qstate.canonicalize(rho)
+            dpf, _, _ = qstate.canonicalize(qstate.to_pauli(rho))
             q = dpf.q
             assert abs(q[0]) >= abs(q[1]) >= abs(q[2]) - 1e-12
             assert q[0] >= -1e-12 and q[1] >= -1e-12
@@ -254,17 +251,20 @@ class TestCanonicalize:
         rng = np.random.default_rng(4)
         for _ in range(200):
             rho = random_density_matrix(rng)
-            dpf, lu = qstate.canonicalize(rho)
-            mapped = qstate.to_pauli(lu.apply(rho))
+            dpf, r_a, r_b = qstate.canonicalize(qstate.to_pauli(rho))
+            assert np.linalg.det(r_a) == pytest.approx(1.0)
+            assert np.linalg.det(r_b) == pytest.approx(1.0)
+            mapped = qstate.to_pauli(rotate(rho, qstate.su2_from_rotation(r_a),
+                                            qstate.su2_from_rotation(r_b)))
             assert np.allclose(mapped.g, np.diag(dpf.q), atol=1e-10)
             assert np.allclose(mapped.r, dpf.r, atol=1e-10)
             assert np.allclose(mapped.s, dpf.s, atol=1e-10)
 
     def test_lu_invariance_of_q(self, rng):
         rho = random_density_matrix(rng)
-        q0 = qstate.canonicalize(rho)[0].q
-        lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
-        q1 = qstate.canonicalize(lu.apply(rho))[0].q
+        q0 = qstate.canonicalize(qstate.to_pauli(rho))[0].q
+        rho1 = rotate(rho, random_unitary(rng), random_unitary(rng))
+        q1 = qstate.canonicalize(qstate.to_pauli(rho1))[0].q
         assert np.allclose(q0, q1, atol=1e-10)
 
 

@@ -18,7 +18,7 @@ from reegeom.ree import (
     relative_entropy,
 )
 
-from conftest import random_density_matrix, random_unitary
+from conftest import random_density_matrix, random_unitary, rotate
 
 
 class TestRelativeEntropy:
@@ -99,7 +99,7 @@ def _coordinates(sigma):
 
 
 def _rotated(rng, m):
-    return qstate.LocalUnitary(random_unitary(rng), random_unitary(rng)).apply(m)
+    return rotate(m, random_unitary(rng), random_unitary(rng))
 
 
 class TestGradient:
@@ -299,9 +299,9 @@ def _family_states(rng, n_per_family):
     for family in ("bell", "vp", "horodecki"):
         for _ in range(n_per_family):
             rho0 = sample(family)
-            lu = qstate.LocalUnitary(random_unitary(rng), random_unitary(rng))
+            rho = rotate(rho0, random_unitary(rng), random_unitary(rng))
             rng.integers(2 ** 31)
-            yield lu.apply(rho0)
+            yield rho
 
 
 class TestBracket:
