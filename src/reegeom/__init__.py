@@ -15,7 +15,6 @@ from .css import (
 from .errors import (
     DegenerateZ,
     InvalidState,
-    LeftPhysicalRange,
     NoCrossing,
     NotConverged,
     NotEdgeState,
@@ -25,7 +24,6 @@ from .errors import (
     ReegeomError,
 )
 from .geometry import (
-    OCTA_VERTICES,
     TETRA_VERTICES,
     CrossingPoint,
     SurfaceMesh,
@@ -44,7 +42,6 @@ from .qstate import (
     from_diagonal_pauli,
     from_pauli,
     is_ppt,
-    partial_trace,
     partial_transpose,
     to_pauli,
     validate_density_matrix,

@@ -326,7 +326,7 @@ def _suite_revmap(seed: int) -> list[dict]:
         for x in (0.0, 0.05, 0.1):
             gap = float(np.max(np.abs(
                 revmap.z_family(p, x)
-                - revmap.family_from_css(p.matrix(), x, check_psd=False))))
+                - revmap.family_from_css(p.matrix(), x))))
             worst = max(worst, gap)
     checks.append({"name": "dual_route_equality", "ok": worst <= 1e-10,
                    "worst": worst})

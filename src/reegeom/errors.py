@@ -41,18 +41,6 @@ class ParallelLines(ReegeomError):
     """Two one-parameter families never share a correlation vector."""
 
 
-class LeftPhysicalRange(ReegeomError):
-    """The one-parameter family left the PSD cone at the requested parameter.
-
-    `max_x` is the largest admissible parameter found by bisection.
-    """
-
-    def __init__(self, x, max_x):
-        self.x = x
-        self.max_x = max_x
-        super().__init__(f"family not PSD at x={x:.6g}; max admissible x ~ {max_x:.6g}")
-
-
 class NotConverged(ReegeomError):
     """The numerical oracle spent its step budget or ended with a bracket
     wider than its tolerance.  Carries the bracket's gap (value - lower)."""

@@ -27,12 +27,6 @@ TETRA_VERTICES = {
     "v4": np.array([-1.0, -1.0, -1.0]),
 }
 
-OCTA_VERTICES = {
-    "o1+": np.array([1.0, 0.0, 0.0]), "o1-": np.array([-1.0, 0.0, 0.0]),
-    "o2+": np.array([0.0, 1.0, 0.0]), "o2-": np.array([0.0, -1.0, 0.0]),
-    "o3+": np.array([0.0, 0.0, 1.0]), "o3-": np.array([0.0, 0.0, -1.0]),
-}
-
 # outward face normals n of the tetrahedron; inside means n.t <= 1 for all
 TETRA_FACE_NORMALS = [
     np.array([1.0, -1.0, -1.0]),   # (v1, v3, v4)

@@ -1,6 +1,6 @@
 """Exact two-qubit state algebra.
 
-Pauli decomposition and reconstruction, partial transpose/trace,
+Pauli decomposition and reconstruction, partial transpose,
 canonicalization of the correlation tensor by local rotations, and the
 Wootters concurrence.
 Basis order everywhere is |00>, |01>, |10>, |11>.  All functions are pure.
@@ -78,14 +78,6 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     lam_min = float(np.linalg.eigvalsh(rho)[0])
     if lam_min < -PSD_TOL:
         raise InvalidState("positive semidefiniteness", -lam_min)
-
-
-def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Trace out one qubit; keep=0 returns rho_A, keep=1 returns rho_B."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if keep == 0:
-        return np.einsum("ikjk->ij", r)
-    return np.einsum("kikj->ij", r)
 
 
 def to_pauli(rho: np.ndarray) -> PauliForm:

@@ -5,7 +5,10 @@ Two independent routes are implemented: the spectral construction
 rho(x) = sigma - x G(sigma) built from the kernel of sigma's partial
 transpose, and the closed-form X-shaped family with its derivative
 coefficients (including the literature sign correction).  Their agreement
-is an executable proof check.
+is an executable proof check.  Neither route checks that rho(x) is a
+state: that holds exactly for 0 <= x <= x_max = 1 / lambda_max(sigma^-1/2 G
+sigma^-1/2).  `css_line_sweep` drops the X-shaped family's points past it
+by the family's smallest eigenvalue, `spectra.branch_min`.
 """
 
 from __future__ import annotations
@@ -15,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateZ,
-    LeftPhysicalRange,
-    NotEdgeState,
-    ParallelLines,
-    RankDeficient,
-)
-from .qstate import PSD_TOL, min_eigenvalue, partial_transpose
+from . import spectra
+from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
+from .qstate import PSD_TOL, partial_transpose
 from .ree import _log_divided
 
 RANK_EPS = 1e-12
@@ -93,22 +91,16 @@ def g_matrix(sigma: np.ndarray) -> np.ndarray:
     return v @ (coef * core) @ v.conj().T
 
 
-def family_from_css(sigma: np.ndarray, x: float, check_psd: bool = True) -> np.ndarray:
-    """rho(x) = sigma - x G(sigma); raises LeftPhysicalRange past the PSD cone."""
+def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
+    """rho(x) = sigma - x G(sigma), unchecked.
+
+    For full-rank sigma, rho(x) is positive semidefinite exactly for
+    0 <= x <= x_max = 1 / lambda_max(sigma^-1/2 G sigma^-1/2); past x_max it
+    is not a state.
+    """
     if x < 0:
         raise ValueError("family parameter must be nonnegative")
-    g = g_matrix(sigma)
-    rho = sigma - x * g
-    if check_psd and min_eigenvalue(rho) < -PSD_TOL:
-        lo, hi = 0.0, x
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if min_eigenvalue(sigma - mid * g) >= -PSD_TOL:
-                lo = mid
-            else:
-                hi = mid
-        raise LeftPhysicalRange(x, lo)
-    return rho
+    return sigma - x * g_matrix(sigma)
 
 
 def z_derivatives(p: SigmaZParams) -> ZFamilyDerivatives:
@@ -128,13 +120,9 @@ def z_derivatives(p: SigmaZParams) -> ZFamilyDerivatives:
     return ZFamilyDerivatives(rb1, rb2, rb3, rb1, yb)
 
 
-def z_family(p: SigmaZParams, x: float) -> np.ndarray:
-    """Closed-form rho(x) for the X-shaped edge state."""
-    return _z_family(p, z_derivatives(p), x)
-
-
-def _z_family(p: SigmaZParams, d: ZFamilyDerivatives, x) -> np.ndarray:
-    """rho(x) from precomputed derivatives; an array of x gives a stack."""
+def z_family(p: SigmaZParams, x) -> np.ndarray:
+    """Closed-form rho(x) for the X-shaped edge state; an array of x gives a stack."""
+    d = z_derivatives(p)
     x = np.asarray(x, dtype=float)
     m = np.zeros(x.shape + (4, 4), dtype=complex)
     for k, (rk, rbk) in enumerate(((p.r1, d.rb1), (p.r2, d.rb2),
@@ -197,18 +185,20 @@ def sample_params_for_bloch(r: float, s: float, rng) -> SigmaZParams:
 def css_line_sweep(params: list[SigmaZParams], x_grid):
     """Correlation-vector polylines t(x) of several families.
 
-    Returns a list of row dicts (family_id, x, t, tau, r, s); points where
-    the family leaves the PSD cone are dropped.
+    Returns a list of row dicts (family_id, x, t, tau, r, s).  A point is
+    dropped where the family has left the PSD cone: where its smallest
+    eigenvalue, `spectra.branch_min` at q1 = q2 = t1, is below -PSD_TOL.
     """
     xs = np.asarray(x_grid, dtype=float)
     rows = []
     for fid, p in enumerate(params):
         d = z_derivatives(p)
         _, _, tau = _z_family_rst(p, d, 0.0)
-        keep = np.linalg.eigvalsh(_z_family(p, d, xs))[:, 0] >= -PSD_TOL
-        r, s, t = _z_family_rst(p, d, xs[keep])
+        r, s, t = _z_family_rst(p, d, xs)
+        keep = spectra.branch_min(r, s, t[:, 0], t[:, 1], t[:, 2]) >= -PSD_TOL
         rows += [{"family_id": fid, "x": x, "t": t_x, "tau": tau, "r": r_x, "s": s_x}
-                 for x, t_x, r_x, s_x in zip(xs[keep].tolist(), t, r.tolist(), s.tolist())]
+                 for x, t_x, r_x, s_x in zip(xs[keep].tolist(), t[keep],
+                                             r[keep].tolist(), s[keep].tolist())]
     return rows
 
 
@@ -240,8 +230,8 @@ def x_horodecki(lam) -> float:
 def _richardson_recover(sigma, offset, x: float) -> np.ndarray:
     """rho(x) from sigma + e offset at e = REGULARIZATION and REGULARIZATION / 2,
     extrapolated linearly to e = 0."""
-    f1 = family_from_css(sigma + REGULARIZATION * offset, x, check_psd=False)
-    f2 = family_from_css(sigma + REGULARIZATION / 2 * offset, x, check_psd=False)
+    f1 = family_from_css(sigma + REGULARIZATION * offset, x)
+    f2 = family_from_css(sigma + REGULARIZATION / 2 * offset, x)
     return 2 * f2 - f1
 
 

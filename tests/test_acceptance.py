@@ -19,7 +19,12 @@ from reegeom.ree import (
     relative_entropy,
 )
 
-from conftest import random_density_matrix, random_unitary, rotate
+from conftest import (
+    generic_family_state,
+    random_density_matrix,
+    random_unitary,
+    rotate,
+)
 
 LN2 = math.log(2.0)
 
@@ -53,11 +58,13 @@ def test_criterion_2_face_property():
     # (the entropy there is ln 2 - ln x with x < 1)
     t0 = time.time()
     b1 = BELL_STATES[0]
+    # octahedron vertices e1, e2, e3, -e1, -e2, -e3 by row
+    octa = np.vstack([np.eye(3), -np.eye(3)])
     faces = {
-        "v1": ["o1+", "o2-", "o3+"],
-        "v2": ["o1-", "o2+", "o3+"],
-        "v3": ["o1+", "o2+", "o3-"],
-        "v4": ["o1-", "o2-", "o3-"],
+        "v1": [0, 4, 2],   # e1, -e2, e3
+        "v2": [3, 1, 2],   # -e1, e2, e3
+        "v3": [0, 1, 5],   # e1, e2, -e3
+        "v4": [3, 4, 5],   # -e1, -e2, -e3
     }
 
     def barycentric_grid(n_side):
@@ -67,7 +74,7 @@ def test_criterion_2_face_property():
                 yield a, b, 1.0 - a - b
 
     def entropy_at(face, a, b, c):
-        vs = [geometry.OCTA_VERTICES[k] for k in faces[face]]
+        vs = octa[faces[face]]
         tau = a * vs[0] + b * vs[1] + c * vs[2]
         return relative_entropy(b1, qstate.bell_diagonal(tau))
 
@@ -160,8 +167,7 @@ def test_criterion_5_dual_route_equality():
                                            rng.uniform(-0.4, 0.4), rng)
         for x in (0.0, 0.05, 0.1):
             gap = np.max(np.abs(revmap.z_family(p, x)
-                                - revmap.family_from_css(p.matrix(), x,
-                                                         check_psd=False)))
+                                - revmap.family_from_css(p.matrix(), x)))
             worst = max(worst, float(gap))
     elapsed = time.time() - t0
     _report("criterion 5: closed-form family matches the generator route",
@@ -244,7 +250,7 @@ def test_criterion_8_property_suite():
         for x in (0.0, 0.05, 0.1):
             worst = max(worst, float(np.max(np.abs(
                 revmap.z_family(p, x)
-                - revmap.family_from_css(p.matrix(), x, check_psd=False)))))
+                - revmap.family_from_css(p.matrix(), x)))))
         chord = (revmap.z_family(p, 0.0) + revmap.z_family(p, 0.2)) / 2
         worst = max(worst, float(np.max(np.abs(chord - revmap.z_family(p, 0.1)))))
     ok &= worst <= 1e-10
@@ -286,3 +292,31 @@ def test_criterion_8_property_suite():
     ok &= elapsed < 300.0
     _report("criterion 8: module property suite under fixed seed", bool(ok),
             ", ".join(notes) + f", {elapsed:.0f}s")
+
+
+def test_criterion_10_generic_states_with_exact_css():
+    # generic entangled states built backwards from their exact CSS sigma by
+    # the reverse map, so the exact REE is S(rho || sigma): the oracle's
+    # bracket must hold it, and both numeric routes must return sigma
+    t0 = time.time()
+    rng = np.random.default_rng(105)
+    all_other = all_converged = True
+    above, below, css_err = [], [], 0.0
+    for _ in range(100):
+        rho, sigma = generic_family_state(rng)
+        exact = relative_entropy(rho, sigma)
+        num = ree_numeric(rho)
+        res = css.css_auto(rho)
+        all_other &= res.family.kind is css.FamilyKind.OTHER
+        all_converged &= num.converged
+        above.append(num.value - exact)
+        below.append(num.lower - exact)
+        css_err = max(css_err, float(np.max(np.abs(num.css_numeric - sigma))),
+                      float(np.max(np.abs(res.css - sigma))))
+    elapsed = time.time() - t0
+    _report("criterion 10: the oracle brackets the exact REE of 100 generic states",
+            all_other and all_converged and max(below) <= 0.0
+            and 0.0 <= min(above) and max(above) <= 1e-8 and css_err <= 1e-7
+            and elapsed < 5.0,
+            f"value - exact in [{min(above):.1e}, {max(above):.1e}], "
+            f"lower - exact <= {max(below):.1e}, css err {css_err:.1e}, {elapsed:.1f}s")

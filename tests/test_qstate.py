@@ -131,9 +131,13 @@ class TestPauliDecomposition:
     def test_partial_trace_consistency(self, rng):
         rho = random_density_matrix(rng)
         p = qstate.to_pauli(rho)
-        ra = qstate.partial_trace(rho, 0)
+        # r is the Bloch vector of rho_A, traced out by hand, and s of rho_B
+        r4 = rho.reshape(2, 2, 2, 2)
+        ra, rb = np.einsum("ikjk->ij", r4), np.einsum("kikj->ij", r4)
         assert np.trace(ra).real == pytest.approx(1.0)
-        assert np.trace(ra @ qstate.SZ).real == pytest.approx(p.r[2])
+        for k, pauli in enumerate(qstate.PAULI):
+            assert np.trace(ra @ pauli).real == pytest.approx(p.r[k])
+            assert np.trace(rb @ pauli).real == pytest.approx(p.s[k])
 
     def test_product_state_tensor_factorizes(self, rng):
         a = random_density_matrix(rng)[:2, :2]

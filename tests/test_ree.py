@@ -268,7 +268,8 @@ SEED52_PURE = np.array([
 
 
 def _entanglement_entropy(rho):
-    p = np.linalg.eigvalsh(qstate.partial_trace(rho, 0))
+    # rho_A by tracing out the second qubit
+    p = np.linalg.eigvalsh(np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2)))
     p = p[p > 1e-15]
     return float(-np.sum(p * np.log(p)))
 

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from reegeom import css, revmap
-from reegeom.errors import (
-    DegenerateZ,
-    LeftPhysicalRange,
-    NotEdgeState,
-    ParallelLines,
-    RankDeficient,
-)
+from reegeom.errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
 from reegeom.qstate import (
+    PSD_TOL,
     min_eigenvalue,
     partial_transpose,
     to_pauli,
     validate_density_matrix,
 )
 from reegeom.revmap import SigmaZParams
+
+from conftest import generic_edge_state, physical_range
 
 
 def bell_diagonal_params(a):
@@ -65,14 +62,33 @@ class TestFamilyFromCss:
         p = bell_diagonal_params(0.2)
         assert np.allclose(revmap.family_from_css(p.matrix(), 0.0), p.matrix())
 
-    def test_left_physical_range(self):
-        p = bell_diagonal_params(0.2)
-        with pytest.raises(LeftPhysicalRange) as exc:
-            revmap.family_from_css(p.matrix(), 50.0)
-        assert 0 < exc.value.max_x < 50.0
-        # the reported bound is itself admissible
-        rho = revmap.family_from_css(p.matrix(), exc.value.max_x * 0.999)
-        assert min_eigenvalue(rho) >= -1e-10
+    def test_physical_range(self):
+        # the closed-form x_max bounds the family on 50 generic full-rank edge
+        # states and 50 X-shaped ones, and agrees with a bisection on lambda_min
+        def bisection(sigma):
+            g = revmap.g_matrix(sigma)
+
+            def psd(x):
+                return min_eigenvalue(sigma - x * g) >= -PSD_TOL
+
+            lo, hi = 0.0, 1.0
+            while psd(hi):
+                lo, hi = hi, 2 * hi
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if psd(mid) else (lo, mid)
+            return lo
+
+        rng = np.random.default_rng(27)
+        sigmas = [generic_edge_state(rng) for _ in range(50)] + [
+            revmap.sample_params_for_bloch(*rng.uniform(-0.4, 0.4, size=2), rng).matrix()
+            for _ in range(50)]
+        for sigma in sigmas:
+            x_max = physical_range(sigma)
+            assert min_eigenvalue(revmap.family_from_css(sigma, 0.999 * x_max)) >= -1e-12
+            assert min_eigenvalue(revmap.family_from_css(sigma, 1.001 * x_max)) < 0
+            # the bisection stops at lambda_min = -PSD_TOL, just past x_max
+            assert bisection(sigma) == pytest.approx(x_max, rel=1e-7)
 
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
@@ -88,8 +104,7 @@ class TestDualRoute:
                                                rng.uniform(-0.4, 0.4), rng)
             for x in (0.0, 0.05, 0.1):
                 gap = np.max(np.abs(revmap.z_family(p, x)
-                                    - revmap.family_from_css(p.matrix(), x,
-                                                             check_psd=False)))
+                                    - revmap.family_from_css(p.matrix(), x)))
                 worst = max(worst, float(gap))
         assert worst <= 1e-10
 
@@ -207,6 +222,39 @@ class TestSweep:
                     assert np.array_equal(row["tau"], ref["tau"])
         # the families leave the PSD cone inside the grids
         assert dropped > 0
+
+    def test_branch_min_filter_matches_eigvalsh(self):
+        # the rows keep exactly the points where the dense smallest eigenvalue
+        # of z_family is >= -PSD_TOL: on 500 families over one grid past their
+        # physical range, and on each family's own points at relative offsets
+        # 1e-13 to 1e-6 around its x_max, where that eigenvalue crosses -PSD_TOL
+        def kept(params, grid):
+            return [(fid, x) for fid, p in enumerate(params)
+                    for x in grid[np.linalg.eigvalsh(revmap.z_family(p, grid))[:, 0]
+                                  >= -PSD_TOL].tolist()]
+
+        def rows(params, grid):
+            return [(row["family_id"], row["x"])
+                    for row in revmap.css_line_sweep(params, grid)]
+
+        rng = np.random.default_rng(28)
+        grid = np.linspace(0.0, 8.0, 161)
+        offsets = np.geomspace(1e-13, 1e-6, 15)
+        offsets = np.concatenate([-offsets[::-1], offsets])
+        dropped = tolerated = 0
+        for _ in range(50):
+            r, s = rng.uniform(-0.6, 0.6, size=2)
+            params = [revmap.sample_params_for_bloch(r, s, rng) for _ in range(10)]
+            want = kept(params, grid)
+            assert rows(params, grid) == want
+            dropped += len(params) * len(grid) - len(want)
+            for p in params:
+                near = physical_range(p.matrix()) * (1 + offsets)
+                assert rows([p], near) == kept([p], near)
+                lam = np.linalg.eigvalsh(revmap.z_family(p, near))[:, 0]
+                tolerated += np.count_nonzero((lam < 0) & (lam >= -PSD_TOL))
+        # the grids leave the PSD cone, and some kept points lie inside -PSD_TOL
+        assert dropped > 0 and tolerated > 0
 
     def test_rows_schema_and_straightness(self):
         rng = np.random.default_rng(23)
