@@ -60,8 +60,7 @@ from .revmap import (
     g_matrix,
     line_crossing,
     pt_kernel,
-    recover_horodecki,
-    recover_vp,
+    recover,
     z_derivatives,
     z_family,
 )

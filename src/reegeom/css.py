@@ -206,17 +206,7 @@ def _finish(rho, css, tau, tag, separable=False, bloch_gap=None) -> CssResult:
 def _recovery_gap(rho, res: CssResult) -> float:
     """Max-entry error of rebuilding rho from its CSS via the reverse map."""
     try:
-        if res.family.kind is FamilyKind.GENERALIZED_VP:
-            back = revmap.recover_vp(res.css, res.family.lambdas)
-        elif res.family.kind is FamilyKind.GENERALIZED_HORODECKI:
-            back = revmap.recover_horodecki(res.css, res.family.lambdas)
-        else:
-            g = revmap.g_matrix(res.css)
-            diff = res.css - rho
-            x = float(np.real(np.trace(g.conj().T @ diff))
-                      / np.real(np.trace(g.conj().T @ g)))
-            back = res.css - x * g
-        return float(np.max(np.abs(back - rho)))
+        return float(np.max(np.abs(revmap.recover(res.css, rho) - rho)))
     except (ReegeomError, np.linalg.LinAlgError):
         return float("nan")
 
@@ -245,7 +235,6 @@ def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
         res = _finish(rho, rep.css_numeric, p_css.g.diagonal(), tag,
                       bloch_gap=_bloch_gap(p_rho, p_css))
         res.geometric = False
-        res.ree = rep.value
         return res
 
     if tag.kind is FamilyKind.BELL_DIAGONAL:

@@ -113,24 +113,21 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoin
     c0, c1, f0, f1 = 1.0 + sign * x3, sign * d3, x1 + sign * x2, d1 + sign * d2
     a, b, k = c1 * c1 - f1 * f1, c0 * c1 - f0 * f1, c0 * c0 - f0 * f0 - (r + sign * s) ** 2
     # stable roots q/a and k/q of a w^2 + 2 b w + k; a touch whose discriminant
-    # rounds below zero becomes its double root
+    # rounds below zero becomes its double root.  Roots 0, 2 lie on mu, 1, 3 on nu
     q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * k, 0.0)), b))
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = np.concatenate([q / a, k / q])
-    roots = roots[(roots >= 0.0) & (roots < np.inf)]
-    p = v.coords + roots[:, None] * d
-    roots = roots[np.abs(spectra.branch_min(r, s, p[:, 0], -p[:, 1], p[:, 2])) <= PSD_TOL]
+    kept = np.flatnonzero((roots >= 0.0) & (roots < np.inf))
+    p = v.coords + roots[kept, None] * d
+    on = np.abs(spectra.branch_min(r, s, p[:, 0], -p[:, 1], p[:, 2])) <= PSD_TOL
+    kept, p = kept[on], p[on]
 
     crossings = []
-    for root in sorted(roots):
-        if any(abs(root - c.line_parameter) < 1e-9 for c in crossings):
-            continue
-        p = v.coords + root * d
-        q1, q2, q3 = p
-        sheet = "mu" if abs((1 - q3) - np.hypot(r - s, q1 - q2)) <= \
-            abs((1 + q3) - np.hypot(r + s, q1 + q2)) else "nu"
-        crossings.append(CrossingPoint(p, float(root), sheet))
+    # p - t = (w - 1) d: nearest to t first
+    for j in np.argsort(np.abs(roots[kept] - 1.0), kind="stable"):
+        w = float(roots[kept[j]])
+        if all(abs(w - c.line_parameter) >= 1e-9 for c in crossings):
+            crossings.append(CrossingPoint(p[j], w, ("mu", "nu")[kept[j] % 2]))
     if not crossings:
         raise NoCrossing(f"ray from {v.label} through {t} misses the separable boundary")
-    crossings.sort(key=lambda c: np.linalg.norm(c.coords - t))
     return crossings

@@ -111,9 +111,9 @@ def min_eigenvalue(rho: np.ndarray) -> float:
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Transpose on the second qubit."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return r.transpose(0, 3, 2, 1).reshape(4, 4)
+    """Transpose on the second qubit; a stack of 4x4 matrices is taken per matrix."""
+    r = np.asarray(rho, dtype=complex)
+    return r.reshape(r.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(r.shape)
 
 
 def min_pt_eigenvalue(rho: np.ndarray) -> float:

@@ -9,6 +9,11 @@ is an executable proof check.  Neither route checks that rho(x) is a
 state: that holds exactly for 0 <= x <= x_max = 1 / lambda_max(sigma^-1/2 G
 sigma^-1/2).  `css_line_sweep` drops the X-shaped family's points past it
 by the family's smallest eigenvalue, `spectra.branch_min`.
+
+`recover` rebuilds rho from any CSS, rank-deficient or with a wider kernel
+of sigma^Gamma, by fitting the multiplier Z of sigma^Gamma >= 0 in the
+stationarity condition rho = sigma - D_sigma(Z^Gamma) (Ishizaka, PRA 67,
+060301(R) (2003); Friedland & Gour, J. Math. Phys. 52, 052201 (2011)).
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .ree import _log_divided
 RANK_EPS = 1e-12
 EDGE_TOL = 1e-8
 SAMPLE_TRIES = 200      # draws before sample_params_for_bloch gives up
-REGULARIZATION = 1e-7   # CSS regularization of the family recoveries
 
 
 @dataclass(frozen=True)
@@ -76,19 +80,25 @@ def pt_kernel(sigma: np.ndarray) -> np.ndarray:
     return vecs[:, near_zero].ravel()
 
 
+def _inverse_log_derivative(lam) -> np.ndarray:
+    """Coefficients of D_sigma, the inverse derivative of ln on sigma's support,
+    in sigma's eigenbasis: the reciprocal divided differences 1 / ln[l_i, l_j]
+    (l_i on the diagonal), zero where l_i or l_j <= RANK_EPS."""
+    support = lam > RANK_EPS
+    lam = np.where(support, lam, 1.0)
+    return np.outer(support, support) / _log_divided(lam[:, None], lam[None, :])
+
+
 def g_matrix(sigma: np.ndarray) -> np.ndarray:
-    """The reverse-map generator G(sigma), in sigma's eigenbasis with the
-    reciprocal divided differences 1 / ln[l_i, l_j] of ln (l_i on the diagonal)."""
+    """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma),
+    with phi spanning the kernel of sigma's partial transpose."""
     sigma = np.asarray(sigma, dtype=complex)
     lam, v = np.linalg.eigh(sigma)
     if lam[0] <= RANK_EPS:
         raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= {RANK_EPS:.0e}")
     phi = pt_kernel(sigma)
-    phi_pt = partial_transpose(np.outer(phi, phi.conj()))
-
-    coef = 1.0 / _log_divided(lam[:, None], lam[None, :])
-    core = v.conj().T @ phi_pt @ v
-    return v @ (coef * core) @ v.conj().T
+    core = v.conj().T @ partial_transpose(np.outer(phi, phi.conj())) @ v
+    return v @ (_inverse_log_derivative(lam) * core) @ v.conj().T
 
 
 def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
@@ -101,6 +111,32 @@ def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
     if x < 0:
         raise ValueError("family parameter must be nonnegative")
     return sigma - x * g_matrix(sigma)
+
+
+def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """rho rebuilt from its CSS sigma as sigma - D_sigma((K M K^dagger)^Gamma).
+
+    K holds the eigenvectors of sigma^Gamma with |eigenvalue| <= EDGE_TOL.
+    The n x n matrix M is fitted to rho by one least-squares solve in sigma's
+    eigenbasis; its Hermitian part fits as well, since D_sigma and the partial
+    transpose commute with the adjoint.  With n = 1 the fit is the projection
+    onto G(sigma); a rank-deficient sigma needs no regularization, as D_sigma
+    is zero on its kernel.
+    """
+    sigma = np.asarray(sigma, dtype=complex)
+    vals, vecs = np.linalg.eigh(partial_transpose(sigma))
+    k = vecs[:, np.abs(vals) <= EDGE_TOL]
+    n = k.shape[1]
+    if n == 0:
+        raise NotEdgeState("sigma's partial transpose has no near-zero eigenvalue")
+    lam, v = np.linalg.eigh(sigma)
+    # D_sigma((k_a k_b^dagger)^Gamma) in sigma's eigenbasis, one row per (a, b)
+    units = partial_transpose(np.einsum("ia,jb->abij", k, k.conj()).reshape(n * n, 4, 4))
+    cols = (_inverse_log_derivative(lam) * (v.conj().T @ units @ v)).reshape(n * n, 16)
+    target = (v.conj().T @ (sigma - rho) @ v).ravel()
+    m = np.linalg.lstsq(cols.T, target, rcond=None)[0].reshape(n, n)
+    fit = ((m + m.conj().T) / 2).ravel() @ cols
+    return sigma - v @ fit.reshape(4, 4) @ v.conj().T
 
 
 def z_derivatives(p: SigmaZParams) -> ZFamilyDerivatives:
@@ -200,46 +236,3 @@ def css_line_sweep(params: list[SigmaZParams], x_grid):
                  for x, t_x, r_x, s_x in zip(xs[keep].tolist(), t[keep],
                                              r[keep].tolist(), s[keep].tolist())]
     return rows
-
-
-# --- recovery of the solvable families through the reverse map -------------
-
-# offsets D of the regularized CSS sigma + e D, full rank and still an edge state:
-# VP |00><11| + |11><00| + |01><01| + |10><10|, Horodecki |00><00| + |11><11|
-_VP_OFFSET = np.eye(4)[[3, 1, 2, 0]]
-_HORODECKI_OFFSET = np.diag([1.0, 0.0, 0.0, 1.0])
-
-
-def x_vp(lam) -> float:
-    """Family parameter recovering the generalized VP state from its CSS
-    diag(a, 0, 0, b), a = l1/2 + l2 and b = l1/2 + l3: l1 ln[a, b], with
-    ln[a, b] the first divided difference of ln (2 l1 at l2 = l3)."""
-    l1, l2, l3 = lam
-    return l1 * float(_log_divided(l1 / 2 + l2, l1 / 2 + l3))
-
-
-def x_horodecki(lam) -> float:
-    l1, l2, l3 = lam
-    y = (l1 + 2 * l2) * (l1 + 2 * l3) / 4
-    r1 = (l1 + 2 * l2) ** 2 / 4
-    r4 = (l1 + 2 * l3) ** 2 / 4
-    eta = y * y / (r1 + r4)
-    return (l1 / 2 - y) / eta
-
-
-def _richardson_recover(sigma, offset, x: float) -> np.ndarray:
-    """rho(x) from sigma + e offset at e = REGULARIZATION and REGULARIZATION / 2,
-    extrapolated linearly to e = 0."""
-    f1 = family_from_css(sigma + REGULARIZATION * offset, x)
-    f2 = family_from_css(sigma + REGULARIZATION / 2 * offset, x)
-    return 2 * f2 - f1
-
-
-def recover_vp(sigma, lam) -> np.ndarray:
-    """rho_vp rebuilt at x = x_vp(lam) from sigma, its CSS in the template frame."""
-    return _richardson_recover(sigma, _VP_OFFSET, x_vp(lam))
-
-
-def recover_horodecki(sigma, lam) -> np.ndarray:
-    """rho_H rebuilt at x = x_horodecki(lam) from its template-frame CSS sigma."""
-    return _richardson_recover(sigma, _HORODECKI_OFFSET, x_horodecki(lam))

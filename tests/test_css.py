@@ -172,18 +172,18 @@ class TestVp:
             assert res.residuals["recovery_gap"] <= 1e-9
 
     def test_recovery_failure_is_nan(self, monkeypatch):
-        def rank_deficient(sigma, lam):
-            raise RankDeficient("regularized CSS")
+        def rank_deficient(sigma, rho):
+            raise RankDeficient("rank-deficient CSS")
 
-        monkeypatch.setattr(revmap, "recover_vp", rank_deficient)
+        monkeypatch.setattr(revmap, "recover", rank_deficient)
         res = css.css_vp((0.5, 0.3, 0.2))
         assert math.isnan(res.residuals["recovery_gap"])
 
     def test_recovery_programming_error_propagates(self, monkeypatch):
-        def broken(sigma, lam):
+        def broken(sigma, rho):
             raise TypeError("bug in the reverse map")
 
-        monkeypatch.setattr(revmap, "recover_vp", broken)
+        monkeypatch.setattr(revmap, "recover", broken)
         with pytest.raises(TypeError):
             css.css_vp((0.5, 0.3, 0.2))
 
@@ -336,6 +336,7 @@ class TestCssAuto:
         res = css.css_auto(rho)
         assert not res.geometric
         assert res.ree > 0
+        assert res.ree == relative_entropy(rho, res.css)
         assert qstate.min_pt_eigenvalue(res.css) >= -1e-7
 
     def test_unconverged_fallback_raises(self, monkeypatch):
@@ -404,3 +405,21 @@ class TestRecoveryChecksTheCss:
                 n_vp += 1
                 assert res.residuals["recovery_gap"] <= 1e-14, lam
         assert n_vp > 0
+
+    def test_auto_recovery_exact_below_classify_tol(self):
+        # |l2 - l3| < CLASSIFY_TOL takes the Bell-diagonal route, whose CSS is
+        # rank-deficient; (0.6, 0.2 +- g/2) keeps the Horodecki state entangled
+        rng = np.random.default_rng(12)
+        for g in (2e-9, 5e-9, 9e-9):
+            for state, l1 in ((css._vp_state, 0.4), (css._horodecki_state, 0.6)):
+                for w in (g, -g):
+                    lam = (l1, (1 - l1 + w) / 2, (1 - l1 - w) / 2)
+                    res = css.css_auto(rotated(state(lam), rng))
+                    assert res.family.kind is FamilyKind.BELL_DIAGONAL
+                    assert not res.separable
+                    assert res.residuals["recovery_gap"] <= 1e-14, lam
+
+    def test_rank_three_bell_diagonal_css(self):
+        res = css.css_auto(qstate.bell_diagonal([0.9, -0.8, 0.7]))
+        assert np.linalg.eigvalsh(res.css)[0] <= 1e-12
+        assert res.residuals["recovery_gap"] <= 1e-15

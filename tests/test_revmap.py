@@ -1,5 +1,3 @@
-from decimal import Decimal, localcontext
-
 import numpy as np
 import pytest
 
@@ -285,15 +283,6 @@ def horodecki_css(lam):
     return css._horodecki_parts(lam)[1]
 
 
-def x_vp_reference(lam) -> Decimal:
-    """l1 (ln a - ln b) / (a - b) with a, b = l1/2 + l2, l1/2 + l3, in 50 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        l1, l2, l3 = (Decimal(v) for v in lam)
-        a, b = l1 / 2 + l2, l1 / 2 + l3
-        return l1 / a if a == b else l1 * (a.ln() - b.ln()) / (a - b)
-
-
 class TestRecovery:
     def test_vp_recovery(self):
         rng = np.random.default_rng(24)
@@ -301,13 +290,13 @@ class TestRecovery:
             lam = tuple(rng.dirichlet([1, 1, 1]))
             if lam[0] < 0.05:
                 continue
-            back = revmap.recover_vp(vp_css(lam), lam)
-            assert np.max(np.abs(back - css._vp_state(lam))) <= 1e-9
+            rho = css._vp_state(lam)
+            assert np.max(np.abs(revmap.recover(vp_css(lam), rho) - rho)) <= 1e-9
 
     def test_vp_recovery_degenerate_weights(self):
         lam = (0.4, 0.3, 0.3)
-        back = revmap.recover_vp(vp_css(lam), lam)
-        assert np.max(np.abs(back - css._vp_state(lam))) <= 1e-9
+        rho = css._vp_state(lam)
+        assert np.max(np.abs(revmap.recover(vp_css(lam), rho) - rho)) <= 1e-9
 
     def test_horodecki_recovery(self):
         rng = np.random.default_rng(25)
@@ -315,16 +304,17 @@ class TestRecovery:
             lam = tuple(rng.dirichlet([1, 1, 1]))
             if lam[0] ** 2 <= 4 * lam[1] * lam[2] + 1e-3:
                 continue
-            back = revmap.recover_horodecki(horodecki_css(lam), lam)
-            assert np.max(np.abs(back - css._horodecki_state(lam))) <= 1e-9
+            rho = css._horodecki_state(lam)
+            assert np.max(np.abs(revmap.recover(horodecki_css(lam), rho) - rho)) <= 1e-9
 
-    def test_x_vp_continuity(self):
-        # one formula from l2 = l3 (x = 2 l1) to the widest gap, to rounding
-        for l1 in (0.05, 0.4, 0.9):
-            gaps = [0.0, *np.geomspace(1e-16, 0.999 * (1 - l1), 60)]
-            for g in gaps:
-                lam = (l1, (1 - l1 + g) / 2, (1 - l1 - g) / 2)
-                want = x_vp_reference(lam)
-                got = revmap.x_vp(lam)
-                assert abs((Decimal(got) - want) / want) <= Decimal("1e-15"), lam
-        assert revmap.x_vp((0.4, 0.3, 0.3)) == 0.8
+    def test_full_rank_edge_state_families(self):
+        # a one-dimensional kernel: the fit rebuilds rho(x) = sigma - x G(sigma)
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            sigma = generic_edge_state(rng)
+            rho = revmap.family_from_css(sigma, 0.5 * physical_range(sigma))
+            assert np.max(np.abs(revmap.recover(sigma, rho) - rho)) <= 1e-12
+
+    def test_no_pt_kernel_raises(self):
+        with pytest.raises(NotEdgeState):
+            revmap.recover(np.eye(4, dtype=complex) / 4, css._vp_state((0.5, 0.3, 0.2)))
