@@ -59,7 +59,6 @@ from .revmap import (
     family_from_css,
     g_matrix,
     line_crossing,
-    pt_kernel,
     recover,
     z_derivatives,
     z_family,

@@ -31,7 +31,7 @@ from .qstate import (
     to_pauli,
     validate_density_matrix,
 )
-from .ree import OracleConfig, ree_numeric, relative_entropy
+from .ree import ree_numeric, relative_entropy
 
 CLASSIFY_TOL = 1e-8
 
@@ -228,7 +228,7 @@ def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
         if is_ppt(rho):
             return _finish(rho, rho, p_rho.g.diagonal(), tag, separable=True,
                            bloch_gap=0.0)
-        rep = ree_numeric(rho, OracleConfig())
+        rep = ree_numeric(rho)
         if not rep.converged:
             raise NotConverged(rep.gap)
         p_css = to_pauli(rep.css_numeric)

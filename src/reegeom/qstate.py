@@ -106,10 +106,6 @@ def bell_diagonal(t) -> np.ndarray:
     return from_diagonal_pauli(np.zeros(3), np.zeros(3), t)
 
 
-def min_eigenvalue(rho: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(rho)[0])
-
-
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """Transpose on the second qubit; a stack of 4x4 matrices is taken per matrix."""
     r = np.asarray(rho, dtype=complex)
@@ -117,7 +113,7 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
 
 
 def min_pt_eigenvalue(rho: np.ndarray) -> float:
-    return min_eigenvalue(partial_transpose(rho))
+    return float(np.linalg.eigvalsh(partial_transpose(rho))[0])
 
 
 def is_ppt(rho: np.ndarray) -> bool:

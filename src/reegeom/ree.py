@@ -136,21 +136,25 @@ def _log_divided2(w: np.ndarray, l1: np.ndarray) -> np.ndarray:
                     (hi_mid - mid_lo) / np.where(close, 1.0, spread)).reshape(4, 4, 4)
 
 
+def _support_log_divided(q: np.ndarray) -> np.ndarray:
+    """First divided differences ln[q_i, q_j] of sigma's spectrum q, zeroed on
+    the rows and columns of sigma's kernel, the eigenvalues at most SUPPORT_TOL."""
+    support = q > SUPPORT_TOL
+    qs = np.where(support, q, 1.0)
+    return _log_divided(qs[:, None], qs[None, :]) * (support[:, None] & support[None, :])
+
+
 def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Hermitian G with d(-tr(rho ln sigma)) = Re tr(dSigma G).
 
-    Daleckii-Krein divided differences of ln on sigma's spectrum, zeroed on
-    the rows and columns of sigma's kernel (eigenvalues at most SUPPORT_TOL).
-    For rho in sigma's support the kernel adds O(e^2 ln e) to
-    S(rho||(1 - e) sigma + e pi), nothing to the derivative, while its
-    1 / q entries would swamp G.
+    Daleckii-Krein divided differences of ln on sigma's support
+    (`_support_log_divided`).  For rho in sigma's support the kernel adds
+    O(e^2 ln e) to S(rho||(1 - e) sigma + e pi), nothing to the derivative,
+    while its 1 / q entries would swamp G.
     """
     q, v = np.linalg.eigh(sigma)
-    support = q > SUPPORT_TOL
-    qs = np.where(support, q, 1.0)
-    l1 = _log_divided(qs[:, None], qs[None, :]) * (support[:, None] & support[None, :])
     b = v.conj().T @ rho @ v
-    return -v @ (l1 * b) @ v.conj().T
+    return -v @ (_support_log_divided(q) * b) @ v.conj().T
 
 
 def _spectra(x: np.ndarray):

@@ -14,6 +14,8 @@ by the family's smallest eigenvalue, `spectra.branch_min`.
 of sigma^Gamma, by fitting the multiplier Z of sigma^Gamma >= 0 in the
 stationarity condition rho = sigma - D_sigma(Z^Gamma) (Ishizaka, PRA 67,
 060301(R) (2003); Friedland & Gour, J. Math. Phys. 52, 052201 (2011)).
+`_generators` builds G's rows once for `g_matrix` and `recover`, on the
+kernel of sigma^Gamma at EDGE_TOL and sigma's support at `ree.SUPPORT_TOL`.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ import numpy as np
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
 from .qstate import PSD_TOL, partial_transpose
-from .ree import _log_divided
+from .ree import SUPPORT_TOL, _support_log_divided
 
-RANK_EPS = 1e-12
 EDGE_TOL = 1e-8
 SAMPLE_TRIES = 200      # draws before sample_params_for_bloch gives up
 
@@ -70,35 +71,34 @@ class ZFamilyDerivatives:
     yb: float
 
 
-def pt_kernel(sigma: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the kernel of sigma's partial transpose."""
+def _generators(sigma: np.ndarray):
+    """(lam, V, rows): sigma = V diag(lam) V^dagger, and one row
+    D_sigma((k_a k_b^dagger)^Gamma) in sigma's eigenbasis, (n^2, 4, 4), for each
+    pair of k_1 .. k_n, the eigenvectors of sigma^Gamma with |eigenvalue| <=
+    EDGE_TOL.  D_sigma, the inverse derivative of ln on sigma's support,
+    multiplies by the reciprocal divided differences 1 / ln[l_i, l_j] and is
+    zero on sigma's kernel."""
+    sigma = np.asarray(sigma, dtype=complex)
     vals, vecs = np.linalg.eigh(partial_transpose(sigma))
-    near_zero = np.abs(vals) <= EDGE_TOL
-    if np.count_nonzero(near_zero) != 1:
-        raise NotEdgeState(
-            f"{np.count_nonzero(near_zero)} near-zero PT eigenvalues (need exactly 1)")
-    return vecs[:, near_zero].ravel()
-
-
-def _inverse_log_derivative(lam) -> np.ndarray:
-    """Coefficients of D_sigma, the inverse derivative of ln on sigma's support,
-    in sigma's eigenbasis: the reciprocal divided differences 1 / ln[l_i, l_j]
-    (l_i on the diagonal), zero where l_i or l_j <= RANK_EPS."""
-    support = lam > RANK_EPS
-    lam = np.where(support, lam, 1.0)
-    return np.outer(support, support) / _log_divided(lam[:, None], lam[None, :])
+    k = vecs[:, np.abs(vals) <= EDGE_TOL]
+    lam, v = np.linalg.eigh(sigma)
+    l1 = _support_log_divided(lam)
+    coef = np.divide(1.0, l1, out=np.zeros_like(l1), where=l1 != 0)
+    units = partial_transpose(np.einsum("ia,jb->abij", k, k.conj()).reshape(-1, 4, 4))
+    return lam, v, coef * (v.conj().T @ units @ v)
 
 
 def g_matrix(sigma: np.ndarray) -> np.ndarray:
-    """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma),
-    with phi spanning the kernel of sigma's partial transpose."""
-    sigma = np.asarray(sigma, dtype=complex)
-    lam, v = np.linalg.eigh(sigma)
-    if lam[0] <= RANK_EPS:
-        raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= {RANK_EPS:.0e}")
-    phi = pt_kernel(sigma)
-    core = v.conj().T @ partial_transpose(np.outer(phi, phi.conj())) @ v
-    return v @ (_inverse_log_derivative(lam) * core) @ v.conj().T
+    """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma), the
+    one row of `_generators` mapped back: sigma must have full rank and phi
+    span the kernel of sigma's partial transpose."""
+    lam, v, rows = _generators(sigma)
+    if lam[0] <= SUPPORT_TOL:
+        raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= {SUPPORT_TOL:.0e}")
+    if len(rows) != 1:
+        raise NotEdgeState(
+            f"{math.isqrt(len(rows))} near-zero PT eigenvalues (need exactly 1)")
+    return v @ rows[0] @ v.conj().T
 
 
 def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
@@ -116,23 +116,17 @@ def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
 def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """rho rebuilt from its CSS sigma as sigma - D_sigma((K M K^dagger)^Gamma).
 
-    K holds the eigenvectors of sigma^Gamma with |eigenvalue| <= EDGE_TOL.
-    The n x n matrix M is fitted to rho by one least-squares solve in sigma's
-    eigenbasis; its Hermitian part fits as well, since D_sigma and the partial
-    transpose commute with the adjoint.  With n = 1 the fit is the projection
-    onto G(sigma); a rank-deficient sigma needs no regularization, as D_sigma
-    is zero on its kernel.
+    K holds the n kernel vectors that `_generators` keeps; the n x n matrix M
+    is fitted to rho by one least-squares solve on their rows.  Its Hermitian
+    part fits as well, since D_sigma and the partial transpose commute with
+    the adjoint.  With n = 1 the fit is the projection onto G(sigma); a
+    rank-deficient sigma needs no regularization, as D_sigma is zero there.
     """
-    sigma = np.asarray(sigma, dtype=complex)
-    vals, vecs = np.linalg.eigh(partial_transpose(sigma))
-    k = vecs[:, np.abs(vals) <= EDGE_TOL]
-    n = k.shape[1]
-    if n == 0:
+    _, v, rows = _generators(sigma)
+    if not len(rows):
         raise NotEdgeState("sigma's partial transpose has no near-zero eigenvalue")
-    lam, v = np.linalg.eigh(sigma)
-    # D_sigma((k_a k_b^dagger)^Gamma) in sigma's eigenbasis, one row per (a, b)
-    units = partial_transpose(np.einsum("ia,jb->abij", k, k.conj()).reshape(n * n, 4, 4))
-    cols = (_inverse_log_derivative(lam) * (v.conj().T @ units @ v)).reshape(n * n, 16)
+    cols = rows.reshape(len(rows), 16)
+    n = math.isqrt(len(rows))
     target = (v.conj().T @ (sigma - rho) @ v).ravel()
     m = np.linalg.lstsq(cols.T, target, rcond=None)[0].reshape(n, n)
     fit = ((m + m.conj().T) / 2).ravel() @ cols
@@ -180,7 +174,8 @@ def _z_family_rst(p: SigmaZParams, d: ZFamilyDerivatives, x):
 def line_crossing(p: SigmaZParams, p2: SigmaZParams):
     """Where the correlation-vector lines of two families meet.
 
-    Returns (x, x2, mu) with mu the common correlation vector.
+    Returns (x, x2, mu) with mu the common correlation vector, read off the
+    first family's line at x.
     """
     da, db = z_derivatives(p), z_derivatives(p2)
     ya, yb_ = p.y, p2.y
@@ -191,11 +186,7 @@ def line_crossing(p: SigmaZParams, p2: SigmaZParams):
         raise ParallelLines("family correlation lines do not cross")
     x = (db.yb * (rt_a - rt_b) - 4 * (ya - yb_) * db.rb1) / (4 * denom)
     x2 = (da.yb * (rt_a - rt_b) - 4 * (ya - yb_) * da.rb1) / (4 * denom)
-    mu12 = (4 * (ya * db.yb * da.rb1 - yb_ * da.yb * db.rb1)
-            - da.yb * db.yb * (rt_a - rt_b)) / (2 * denom)
-    mu3 = (4 * (ya - yb_) * da.rb1 * db.rb1
-           - (rt_a * da.yb * db.rb1 - rt_b * db.yb * da.rb1)) / denom
-    return x, x2, np.array([mu12, mu12, mu3])
+    return x, x2, _z_family_rst(p, da, x)[2]
 
 
 def sample_params_for_bloch(r: float, s: float, rng) -> SigmaZParams:

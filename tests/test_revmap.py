@@ -3,13 +3,8 @@ import pytest
 
 from reegeom import css, revmap
 from reegeom.errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from reegeom.qstate import (
-    PSD_TOL,
-    min_eigenvalue,
-    partial_transpose,
-    to_pauli,
-    validate_density_matrix,
-)
+from reegeom.qstate import PSD_TOL, partial_transpose, to_pauli, validate_density_matrix
+from reegeom.ree import _log_divided
 from reegeom.revmap import SigmaZParams
 
 from conftest import generic_edge_state, physical_range
@@ -36,6 +31,30 @@ class TestSigmaZParams:
             SigmaZParams(0.4, 0.05, 0.15, 0.4)
 
 
+def einsum_outer(a, b):
+    return np.einsum("i,j->ij", a, b)
+
+
+def g_matrix_reference(sigma, outer=np.outer):
+    """The generator as built before `revmap._generators`, kept as its
+    reference: a single unit vector phi spanning ker sigma^Gamma, and D_sigma's
+    coefficients as reciprocal log divided differences on sigma's support."""
+    sigma = np.asarray(sigma, dtype=complex)
+    lam, v = np.linalg.eigh(sigma)
+    if lam[0] <= 1e-12:
+        raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= 1e-12")
+    vals, vecs = np.linalg.eigh(partial_transpose(sigma))
+    near_zero = np.abs(vals) <= revmap.EDGE_TOL
+    if np.count_nonzero(near_zero) != 1:
+        raise NotEdgeState(f"{np.count_nonzero(near_zero)} near-zero PT eigenvalues")
+    phi = vecs[:, near_zero].ravel()
+    support = lam > 1e-12
+    lam = np.where(support, lam, 1.0)
+    coef = np.outer(support, support) / _log_divided(lam[:, None], lam[None, :])
+    core = v.conj().T @ partial_transpose(outer(phi, phi.conj())) @ v
+    return v @ (coef * core) @ v.conj().T
+
+
 class TestGMatrix:
     def test_traceless(self, rng):
         for _ in range(50):
@@ -52,7 +71,27 @@ class TestGMatrix:
 
     def test_non_edge_raises(self):
         with pytest.raises(NotEdgeState):
-            revmap.pt_kernel(np.eye(4, dtype=complex) / 4)
+            revmap.g_matrix(np.eye(4) / 4)
+
+    def test_matches_single_kernel_reference(self):
+        # g_matrix and family_from_css equal the reference bit for bit on 100
+        # X-shaped and 50 generic edge states.  The reference's np.outer may
+        # fuse a multiply-add in a complex product, and the einsum that both
+        # g_matrix and recover use does not: with einsum's product the two are
+        # equal, and with np.outer's they differ by a few units of rounding
+        rng = np.random.default_rng(30)
+        xs = [revmap.sample_params_for_bloch(*rng.uniform(-0.4, 0.4, size=2), rng).matrix()
+              for _ in range(100)]
+        generic = [generic_edge_state(rng) for _ in range(50)]
+        for sigma in xs + generic:
+            want = g_matrix_reference(sigma, outer=einsum_outer)
+            assert np.array_equal(revmap.g_matrix(sigma), want)
+            assert np.array_equal(revmap.family_from_css(sigma, 0.05), sigma - 0.05 * want)
+            near = g_matrix_reference(sigma)
+            assert np.max(np.abs(revmap.g_matrix(sigma) - near)) <= \
+                8 * np.finfo(float).eps * np.max(np.abs(near))
+        for sigma in xs:
+            assert np.array_equal(revmap.g_matrix(sigma), g_matrix_reference(sigma))
 
 
 class TestFamilyFromCss:
@@ -67,7 +106,7 @@ class TestFamilyFromCss:
             g = revmap.g_matrix(sigma)
 
             def psd(x):
-                return min_eigenvalue(sigma - x * g) >= -PSD_TOL
+                return np.linalg.eigvalsh(sigma - x * g)[0] >= -PSD_TOL
 
             lo, hi = 0.0, 1.0
             while psd(hi):
@@ -83,8 +122,8 @@ class TestFamilyFromCss:
             for _ in range(50)]
         for sigma in sigmas:
             x_max = physical_range(sigma)
-            assert min_eigenvalue(revmap.family_from_css(sigma, 0.999 * x_max)) >= -1e-12
-            assert min_eigenvalue(revmap.family_from_css(sigma, 1.001 * x_max)) < 0
+            assert np.linalg.eigvalsh(revmap.family_from_css(sigma, 0.999 * x_max))[0] >= -1e-12
+            assert np.linalg.eigvalsh(revmap.family_from_css(sigma, 1.001 * x_max))[0] < 0
             # the bisection stops at lambda_min = -PSD_TOL, just past x_max
             assert bisection(sigma) == pytest.approx(x_max, rel=1e-7)
 
@@ -192,7 +231,7 @@ def css_line_sweep_loop(params, x_grid, psd_tol=1e-10):
             m = np.diag([p.r1 - x * d.rb1, p.r2 - x * d.rb2,
                          p.r3 - x * d.rb3, p.r4 - x * d.rb4]).astype(complex)
             m[1, 2] = m[2, 1] = p.y - x * d.yb
-            if min_eigenvalue(m) < -psd_tol:
+            if np.linalg.eigvalsh(m)[0] < -psd_tol:
                 continue
             r, s, t = pauli(p, d, x)
             rows.append({"family_id": fid, "x": x, "t": t, "tau": tau, "r": r, "s": s})
