@@ -4,8 +4,9 @@ Three solvable families admit a geometric construction: Bell-diagonal
 states, one-Bell-state mixtures with non-orthogonal separable parts
 (generalized Vedral-Plenio), and with orthogonal separable parts
 (generalized Horodecki).  `classify` detects the family after reducing an
-input state to its diagonal-correlation canonical frame; `css_auto`
-dispatches and rotates the result's Pauli form back to the input's frame.
+input state to its diagonal-correlation canonical frame.  The CSS keeps the
+input's Bloch vectors; only its correlation vector tau, in the family's
+template frame, is computed and rotated back.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from . import geometry, revmap
 from .errors import NotConverged, ReegeomError
 from .qstate import (
     BELL_STATES,
-    PSD_TOL,
     SIGNED_PERMUTATION_FRAMES,
     DiagonalPauliForm,
     PauliForm,
+    bell_diagonal,
     canonicalize,
-    from_diagonal_pauli,
     from_pauli,
     is_ppt,
     min_pt_eigenvalue,
@@ -51,6 +51,17 @@ class FamilyTag:
 
 @dataclass
 class CssResult:
+    """A CSS (None outside the families without the numeric fallback) and
+    its correlation vector tau in the family's template frame: rho's own if
+    rho is PPT (`separable`, css is rho), the diagonal of the CSS's
+    correlation tensor if the oracle ran (not `geometric`).  ree is
+    S(rho || css).  The residuals are computed on the pair (rho, css):
+    - bloch_gap: distance between their Bloch vectors, fact (i);
+    - edge_gap: |lambda_min(css^Gamma)|;
+    - recovery_gap: max-entry error of `revmap.recover(css, rho)`; NaN when
+      rho is separable or css^Gamma has no kernel at `revmap.EDGE_TOL`.
+    """
+
     css: np.ndarray
     tau: np.ndarray
     family: FamilyTag
@@ -120,134 +131,97 @@ def classify(rho: np.ndarray) -> FamilyTag:
     return tag
 
 
-def _bell_diagonal_parts(t, r, s):
-    """(rho, css, tau, tag, separable) of the Bell-diagonal construction,
-    with rho and its CSS both keeping the Bloch vectors r, s."""
-    t = np.asarray(t, dtype=float)
-    rho = from_diagonal_pauli(r, s, t)
-    tag = FamilyTag(FamilyKind.BELL_DIAGONAL)
-    if np.sum(np.abs(t)) <= 1.0 + PSD_TOL:
-        return rho, rho, t, tag, True
-    v = geometry.nearest_vertex(t)
-    n = v.coords  # the nearest octahedron face lies in the plane n.q = 1
-    if np.linalg.norm(t - v.coords) < 1e-12:
-        tau = v.coords / 3.0  # vertex limit of the ray construction
+def _tau(tag: FamilyTag, t) -> np.ndarray:
+    """The CSS's correlation vector for an entangled state of family `tag`
+    whose correlation vector is t, both in the template frame.  The VP and
+    Horodecki tau lie on the ray from v1, the Phi+ vertex, through t; for
+    some Horodecki states with l1 < 1/3, v1 is not `nearest_vertex(t)`.
+    Bell-diagonal tau is where the ray from the nearest vertex v through t
+    meets the octahedron face v.q = 1, or v/3 when t is v."""
+    if tag.kind is FamilyKind.GENERALIZED_VP:
+        return np.array([0.0, 0.0, 1.0])
+    if tag.kind is FamilyKind.GENERALIZED_HORODECKI:
+        l1, l2, l3 = tag.lambdas
+        q1 = 0.5 * (l1 + 2 * l2) * (l1 + 2 * l3)
+        return np.array([q1, -q1, 2 * q1 - 1])
+    v = geometry.nearest_vertex(t).coords
+    if np.linalg.norm(t - v) < 1e-12:
+        return v / 3.0  # vertex limit of the ray construction
+    return v + 2.0 / (3.0 - float(v @ t)) * (t - v)
+
+
+def _solve(rho, p_rho: PauliForm, tag: FamilyTag, t, a, b) -> CssResult:
+    """The CSS of rho, whose Pauli form is p_rho, with its residuals.  a, b
+    take rho to the template frame of `tag` (r -> a r, s -> b s,
+    g -> a g b^T), where its correlation vector is t.  A PPT rho is its own
+    CSS; else the CSS keeps rho's Bloch vectors and has correlation tensor
+    a^T diag(_tau(tag, t)) b, or outside the families comes from the oracle."""
+    separable = is_ppt(rho)
+    if separable:
+        css, tau = from_pauli(p_rho), t
+    elif tag.kind is FamilyKind.OTHER:
+        rep = ree_numeric(rho)
+        if not rep.converged:
+            raise NotConverged(rep.gap)
+        css, tau = rep.css_numeric, to_pauli(rep.css_numeric).g.diagonal()
     else:
-        w = 2.0 / (3.0 - float(n @ t))
-        tau = v.coords + w * (t - v.coords)
-    return rho, from_diagonal_pauli(r, s, tau), tau, tag, False
+        tau = _tau(tag, t)
+        css = from_pauli(PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b))
+    p_css = to_pauli(css)
+    return CssResult(
+        css=css, tau=np.asarray(tau, float), family=tag,
+        ree=0.0 if separable else relative_entropy(rho, css),
+        residuals={"bloch_gap": float(max(np.linalg.norm(p_css.r - p_rho.r),
+                                          np.linalg.norm(p_css.s - p_rho.s))),
+                   "edge_gap": abs(min_pt_eigenvalue(css)),
+                   "recovery_gap": float("nan") if separable else _recovery_gap(rho, css)},
+        separable=separable, geometric=separable or tag.kind is not FamilyKind.OTHER)
 
 
-def _vp_parts(lam):
-    """(rho, css, tau, tag, separable) of the generalized VP construction."""
-    l1, l2, l3 = lam
-    rho = _vp_state(lam)
-    tag = FamilyTag(FamilyKind.GENERALIZED_VP, (l1, l2, l3))
-    tau = np.array([0.0, 0.0, 1.0])
-    if l1 <= 0:
-        return rho, rho, tau, tag, True
-    return rho, np.diag([l1 / 2 + l2, 0, 0, l1 / 2 + l3]).astype(complex), tau, tag, False
+def _recovery_gap(rho, css) -> float:
+    """Max-entry error of rebuilding rho from its CSS via the reverse map."""
+    try:
+        return float(np.max(np.abs(revmap.recover(css, rho) - rho)))
+    except (ReegeomError, np.linalg.LinAlgError):
+        return float("nan")
 
 
-def _horodecki_parts(lam):
-    """(rho, css, tau, tag, separable) of the generalized Horodecki construction."""
-    l1, l2, l3 = lam
-    rho = _horodecki_state(lam)
-    tag = FamilyTag(FamilyKind.GENERALIZED_HORODECKI, (l1, l2, l3))
-    if l1 ** 2 <= 4 * l2 * l3:
-        return rho, rho, np.array([l1, -l1, 2 * l1 - 1]), tag, True
-    q1 = 0.5 * (l1 + 2 * l2) * (l1 + 2 * l3)
-    tau = np.array([q1, -q1, 2 * q1 - 1])
-    w = l2 - l3
-    return rho, from_diagonal_pauli((0, 0, w), (0, 0, -w), tau), tau, tag, False
+def _template(rho, tag: FamilyTag) -> CssResult:
+    """`_solve` on a state in its template frame."""
+    p_rho = to_pauli(rho)
+    return _solve(rho, p_rho, tag, p_rho.g.diagonal(), np.eye(3), np.eye(3))
 
 
 def css_bell_diagonal(t) -> CssResult:
     """Closest separable state of the Bell-diagonal state with correlation
     vector t: the crossing of the ray from the nearest tetrahedron vertex
     through t with the nearest octahedron face."""
-    return _finish(*_bell_diagonal_parts(t, np.zeros(3), np.zeros(3)))
+    return _template(bell_diagonal(t), FamilyTag(FamilyKind.BELL_DIAGONAL))
 
 
 def css_vp(lam) -> CssResult:
     """Theorem construction for generalized Vedral-Plenio weights."""
-    return _finish(*_vp_parts(lam))
+    return _template(_vp_state(lam), FamilyTag(FamilyKind.GENERALIZED_VP, tuple(lam)))
 
 
 def css_horodecki(lam) -> CssResult:
     """Theorem construction for generalized Horodecki weights."""
-    return _finish(*_horodecki_parts(lam))
-
-
-def _bloch_gap(p_rho: PauliForm, p_css: PauliForm) -> float:
-    """Largest distance between the Bloch vectors of rho and of its CSS,
-    from their Pauli forms."""
-    return float(max(np.linalg.norm(p_css.r - p_rho.r),
-                     np.linalg.norm(p_css.s - p_rho.s)))
-
-
-def _finish(rho, css, tau, tag, separable=False, bloch_gap=None) -> CssResult:
-    """The result with its residuals; `bloch_gap` is computed from rho and
-    css unless the caller gives it."""
-    residuals = {
-        "bloch_gap": (_bloch_gap(to_pauli(rho), to_pauli(css)) if bloch_gap is None
-                      else bloch_gap),
-        "edge_gap": abs(min_pt_eigenvalue(css)),
-        "recovery_gap": float("nan"),
-    }
-    ree = 0.0 if separable else relative_entropy(rho, css)
-    res = CssResult(css=css, tau=np.asarray(tau, float), family=tag, ree=ree,
-                    residuals=residuals, separable=separable)
-    if not separable:
-        res.residuals["recovery_gap"] = _recovery_gap(rho, res)
-    return res
-
-
-def _recovery_gap(rho, res: CssResult) -> float:
-    """Max-entry error of rebuilding rho from its CSS via the reverse map."""
-    try:
-        return float(np.max(np.abs(revmap.recover(res.css, rho) - rho)))
-    except (ReegeomError, np.linalg.LinAlgError):
-        return float("nan")
+    return _template(_horodecki_state(lam),
+                     FamilyTag(FamilyKind.GENERALIZED_HORODECKI, tuple(lam)))
 
 
 def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
-    """Classify, construct in the template frame, and rotate the CSS's Pauli
-    form back by the two rotations that took rho there.  Outside the solvable
-    families the numerical oracle supplies a (non-geometric) result, and
-    raises NotConverged when its bracket does not close."""
+    """Classify rho in its canonical frame and `_solve` it from its own Pauli
+    form and the rotations that take it to its family's template frame.
+    Outside the families the oracle supplies the CSS, and raises NotConverged
+    when its bracket does not close; with numeric_fallback False, such a
+    state comes back as OTHER with css None."""
     validate_density_matrix(rho)
     p_rho = to_pauli(rho)
     dpf, r_a, r_b = canonicalize(p_rho)
     tag, pa, pb = _match_templates(dpf)
-
-    if tag.kind is FamilyKind.OTHER:
-        if not numeric_fallback:
-            return CssResult(css=None, tau=None, family=tag, ree=float("nan"),
-                             geometric=False)
-        if is_ppt(rho):
-            return _finish(rho, rho, p_rho.g.diagonal(), tag, separable=True,
-                           bloch_gap=0.0)
-        rep = ree_numeric(rho)
-        if not rep.converged:
-            raise NotConverged(rep.gap)
-        p_css = to_pauli(rep.css_numeric)
-        res = _finish(rho, rep.css_numeric, p_css.g.diagonal(), tag,
-                      bloch_gap=_bloch_gap(p_rho, p_css))
-        res.geometric = False
-        return res
-
-    if tag.kind is FamilyKind.BELL_DIAGONAL:
-        parts = _bell_diagonal_parts(dpf.q, dpf.r, dpf.s)
-    elif tag.kind is FamilyKind.GENERALIZED_VP:
-        parts = _vp_parts(tag.lambdas)
-    else:
-        parts = _horodecki_parts(tag.lambdas)
-    # a, b take rho's Pauli form to the template's (r -> a r, s -> b s,
-    # g -> a g b^T); the template's residuals, with its CSS rotated back
-    a, b = pa @ r_a, pb @ r_b
-    p_t = to_pauli(parts[1])
-    p_css = PauliForm(a.T @ p_t.r, b.T @ p_t.s, a.T @ p_t.g @ b)
-    result = _finish(*parts, bloch_gap=_bloch_gap(p_rho, p_css))
-    result.css = from_pauli(p_css)
-    return result
+    if tag.kind is FamilyKind.OTHER and not numeric_fallback:
+        return CssResult(css=None, tau=None, family=tag, ree=float("nan"),
+                         geometric=False)
+    # t = diag(pa diag(q) pb^T), exact for signed permutations
+    return _solve(rho, p_rho, tag, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b)

@@ -142,11 +142,11 @@ def test_criterion_4_reverse_map_recovery():
     while n_vp < 100 or n_h < 100:
         lam = tuple(rng.dirichlet([1, 1, 1]))
         if n_vp < 100 and lam[0] > 0.02:
-            rho, sigma = css._vp_parts(lam)[:2]
+            rho, sigma = css._vp_state(lam), css.css_vp(lam).css
             worst = max(worst, float(np.max(np.abs(revmap.recover(sigma, rho) - rho))))
             n_vp += 1
         if n_h < 100 and lam[0] ** 2 > 4 * lam[1] * lam[2] + 1e-3:
-            rho, sigma = css._horodecki_parts(lam)[:2]
+            rho, sigma = css._horodecki_state(lam), css.css_horodecki(lam).css
             worst = max(worst, float(np.max(np.abs(revmap.recover(sigma, rho) - rho))))
             n_h += 1
     elapsed = time.time() - t0

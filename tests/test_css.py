@@ -258,6 +258,8 @@ class TestCssAuto:
         u_a, u_b = [u / np.sqrt(np.linalg.det(u))
                     for u in (random_unitary(rng), random_unitary(rng))]
         base, res = css.css_auto(rho), css.css_auto(rotate(rho, u_a, u_b))
+        for r in (base, res):
+            assert not r.geometric or r.residuals["bloch_gap"] <= 1e-15
         assert np.max(np.abs(res.css - rotate(base.css, u_a, u_b))) <= 1e-12
         assert abs(res.ree - base.ree) <= 1e-12
         # the CSS is rebuilt from its Pauli form: exactly Hermitian
@@ -266,14 +268,13 @@ class TestCssAuto:
 
     def test_two_pauli_transforms(self, monkeypatch):
         """A rotated family state's css_auto takes the Pauli form of rho once
-        and of the template CSS once; its residuals are the template's, bit
-        for bit, with the Bloch gap of rho and the template form rotated back
-        by the frame a, b that takes rho to the template."""
+        and of the returned CSS once.  The CSS is rebuilt, bit for bit, from
+        rho's own Bloch vectors and a^T diag(tau) b, where a, b take rho to
+        the template frame; every residual is computed on the pair (rho, CSS)."""
         rng = np.random.default_rng(8)
         for rho0, build in [(css._vp_state((0.5, 0.3, 0.2)), css.css_vp),
                             (css._horodecki_state((0.6, 0.3, 0.1)), css.css_horodecki)]:
             rho = rotated(rho0, rng)
-            template = build(css.classify(rho).lambdas)
             calls = []
             to_pauli = qstate.to_pauli
 
@@ -286,20 +287,43 @@ class TestCssAuto:
             res = css.css_auto(rho)
             monkeypatch.undo()
             assert len(calls) == 2
-            assert calls[0] is rho and np.array_equal(calls[1], template.css)
+            assert calls[0] is rho and calls[1] is res.css
             p_rho = qstate.to_pauli(rho)
             dpf, r_a, r_b = qstate.canonicalize(p_rho)
-            _, pa, pb = css._match_templates(dpf)
+            tag, pa, pb = css._match_templates(dpf)
             a, b = pa @ r_a, pb @ r_b
-            p_t = qstate.to_pauli(template.css)
-            p_css = qstate.PauliForm(a.T @ p_t.r, b.T @ p_t.s, a.T @ p_t.g @ b)
-            assert np.array_equal(res.css, qstate.from_pauli(p_css))
+            tau = css._tau(tag, np.diag(pa @ np.diag(dpf.q) @ pb.T))
+            assert np.array_equal(res.tau, tau)
+            assert np.array_equal(res.css, qstate.from_pauli(
+                qstate.PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b)))
+            p_css = qstate.to_pauli(res.css)
             assert res.residuals == {
                 "bloch_gap": float(max(np.linalg.norm(p_css.r - p_rho.r),
                                        np.linalg.norm(p_css.s - p_rho.s))),
-                "edge_gap": template.residuals["edge_gap"],
-                "recovery_gap": template.residuals["recovery_gap"]}
-            assert res.ree == template.ree
+                "edge_gap": abs(qstate.min_pt_eigenvalue(res.css)),
+                "recovery_gap": float(np.max(np.abs(revmap.recover(res.css, rho) - rho)))}
+            assert res.ree == relative_entropy(rho, res.css)
+            assert abs(res.ree - build(tag.lambdas).ree) <= 1e-14
+
+    @pytest.mark.parametrize("state", [css._vp_state, css._horodecki_state])
+    def test_nudged_family_keeps_bloch_vectors(self, state):
+        """Rotated VP and Horodecki states nudged by eps (sigma_x x I) / 4,
+        inside CLASSIFY_TOL, keep their family.  Their CSS keeps rho's own
+        Bloch vectors, sits on the PPT boundary, rebuilds rho through the
+        reverse map, and gives the un-nudged state's REE."""
+        rng = np.random.default_rng(19)
+        nudge = np.kron(qstate.SX, qstate.I2) / 4
+        for lam in [(0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.9, 0.07, 0.03)]:
+            u_a, u_b = random_unitary(rng), random_unitary(rng)
+            base = css.css_auto(rotate(state(lam), u_a, u_b))
+            for eps in (1e-9, 5e-9, 9e-9):
+                res = css.css_auto(rotate(state(lam) + eps * nudge, u_a, u_b))
+                assert res.family.kind is base.family.kind is not FamilyKind.OTHER
+                assert not res.separable
+                assert res.residuals["bloch_gap"] <= 1e-15
+                assert res.residuals["edge_gap"] <= 1e-14
+                assert res.residuals["recovery_gap"] <= 1e-8  # False for NaN
+                assert abs(res.ree - base.ree) <= 1e-14
 
     @pytest.mark.parametrize("state, build, l1s", [
         (css._vp_state, css.css_vp, (0.4, 0.9)),
@@ -360,15 +384,6 @@ class TestCssAuto:
             assert res.ree <= 1e-10
 
 
-def with_reversed_css_diagonal(parts):
-    """`parts` with the CSS it builds replaced by one whose diagonal is reversed."""
-    def planted(lam):
-        rho, sigma, *rest = parts(lam)
-        d = np.diag(sigma)
-        return (rho, sigma - np.diag(d) + np.diag(d[::-1]), *rest)
-    return planted
-
-
 def vp_weights_near_degenerate():
     """VP weights with l1 in {0.4, 0.9} and |l2 - l3| from 2e-12 to 2e-4."""
     return [(l1, (1 - l1 + g) / 2, (1 - l1 - g) / 2)
@@ -379,9 +394,10 @@ class TestRecoveryChecksTheCss:
     """The recovery residual rebuilds rho from the CSS the construction made."""
 
     def test_planted_css_fails_the_recovery(self, monkeypatch, rng):
-        monkeypatch.setattr(css, "_vp_parts", with_reversed_css_diagonal(css._vp_parts))
-        monkeypatch.setattr(css, "_horodecki_parts",
-                            with_reversed_css_diagonal(css._horodecki_parts))
+        """Each construction's tau reversed: the CSS built from it no longer
+        rebuilds rho."""
+        tau = css._tau
+        monkeypatch.setattr(css, "_tau", lambda tag, t: tau(tag, t)[::-1])
         lam_vp, lam_h = (0.5, 0.3, 0.2), (0.6, 0.3, 0.1)
         results = [css.css_vp(lam_vp), css.css_horodecki(lam_h),
                    css.css_auto(rotated(css._vp_state(lam_vp), rng)),

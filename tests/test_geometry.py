@@ -263,7 +263,10 @@ class TestLineSurfaceCrossing:
         """Fact (ii) in the template frame, with the z-axis Bloch components
         as (r, s): the ray from the Bell vertex v1 through rho's correlation
         vector first meets L(r, s) at the CSS's tau.  From lambda1 of about
-        0.92 on, that crossing lies beyond w = 10."""
+        0.92 on, that crossing lies beyond w = 10.  v1 is the Phi+ vertex, not
+        the nearest one: for the six entangled Horodecki weights with
+        lambda1 < 1/3 below, `nearest_vertex` is v3 or v4, and tau lies 4.6e-3
+        to 0.11 off that vertex's ray."""
         lams = [(0.95, 0.03, 0.02), (0.93, 0.05, 0.02), (0.99, 0.006, 0.004),
                 (0.95, 0.05, 0.0)]
         rng = np.random.default_rng(5)
@@ -271,14 +274,26 @@ class TestLineSurfaceCrossing:
             lam = tuple(rng.dirichlet(np.ones(3)))
             if kind == "vp" or lam[0] ** 2 > 4 * lam[1] * lam[2]:  # entangled
                 lams.append(lam)
+        off_nearest = [(0.1, 0.899, 0.001), (0.2, 0.79, 0.01), (0.25, 0.73, 0.02),
+                       (0.3, 0.67, 0.03), (0.33, 0.64, 0.03), (0.33, 0.669, 0.001)]
+        if kind == "horodecki":
+            lams += off_nearest
         v1 = Vertex("v1", geometry.TETRA_VERTICES["v1"])
         for l1, l2, l3 in lams:
             # VP: r = s = l2 - l3; Horodecki: r = -s = l2 - l3
             diag = [l2, 0, 0, l3] if kind == "vp" else [0, l2, l3, 0]
             p = qstate.to_pauli(l1 * qstate.BELL_STATES[0] + np.diag(diag))
+            t = p.g.diagonal()
             tau = (css.css_vp if kind == "vp" else css.css_horodecki)((l1, l2, l3)).tau
-            nearest = geometry.line_surface_crossing(p.g.diagonal(), v1, p.r[2], p.s[2])[0]
+            nearest = geometry.line_surface_crossing(t, v1, p.r[2], p.s[2])[0]
             assert np.max(np.abs(nearest.coords - tau)) <= 1e-12
+            if (l1, l2, l3) in off_nearest:
+                assert l1 ** 2 > 4 * l2 * l3
+                v = geometry.nearest_vertex(t)
+                assert v.label != "v1"
+                u = (t - v.coords) / np.linalg.norm(t - v.coords)
+                d = tau - v.coords
+                assert np.linalg.norm(d - (d @ u) * u) > 1e-6
 
     @given(st.integers(0, 2 ** 32 - 1), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
     @settings(max_examples=200)

@@ -315,11 +315,11 @@ class TestSweep:
 
 
 def vp_css(lam):
-    return css._vp_parts(lam)[1]
+    return css.css_vp(lam).css
 
 
 def horodecki_css(lam):
-    return css._horodecki_parts(lam)[1]
+    return css.css_horodecki(lam).css
 
 
 class TestRecovery:
