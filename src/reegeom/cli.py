@@ -278,12 +278,12 @@ def sweep(r, s, families, xsteps, xmax, seed, out):
 
 # --- verify suites ---------------------------------------------------------
 
-def _residuals_ok(res, recovery: bool = True) -> bool:
-    """The closed-form CSS checks: Bloch gap, edge gap and, if asked, the
-    reverse-map recovery gap within their tolerances."""
+def _residuals_ok(res) -> bool:
+    """The closed-form CSS checks: Bloch gap, edge gap and, unless rho is
+    separable, the reverse-map recovery gap within their tolerances."""
     gaps = res.residuals
     return (gaps["bloch_gap"] <= 1e-10 and gaps["edge_gap"] <= 1e-8
-            and (not recovery or gaps["recovery_gap"] <= 1e-9))
+            and (res.separable or gaps["recovery_gap"] <= 1e-9))
 
 
 def _suite_families(seed: int) -> list[dict]:
@@ -301,8 +301,7 @@ def _suite_families(seed: int) -> list[dict]:
 
     for i in range(5):
         res = css.css_vp(sample_lam())
-        checks.append({"name": f"vp_residuals_{i}",
-                       "ok": _residuals_ok(res, recovery=not res.separable)})
+        checks.append({"name": f"vp_residuals_{i}", "ok": _residuals_ok(res)})
     for i in range(5):
         res = css.css_horodecki(sample_lam(entangled_horodecki=True))
         checks.append({"name": f"horodecki_residuals_{i}", "ok": _residuals_ok(res)})
@@ -311,8 +310,7 @@ def _suite_families(seed: int) -> list[dict]:
         while np.sum(np.abs(t)) <= 1.05 or not geometry.in_tetrahedron(t):
             t = rng.uniform(-1, 1, size=3)
         res = css.css_bell_diagonal(t)
-        checks.append({"name": f"bell_diagonal_residuals_{i}",
-                       "ok": _residuals_ok(res, recovery=False)})
+        checks.append({"name": f"bell_diagonal_residuals_{i}", "ok": _residuals_ok(res)})
     return checks
 
 

@@ -20,7 +20,6 @@ from . import geometry, revmap
 from .errors import NotConverged, ReegeomError
 from .qstate import (
     BELL_STATES,
-    SIGNED_PERMUTATION_FRAMES,
     DiagonalPauliForm,
     PauliForm,
     bell_diagonal,
@@ -54,8 +53,9 @@ class CssResult:
     """A CSS (None outside the families without the numeric fallback) and
     its correlation vector tau in the family's template frame: rho's own if
     rho is PPT (`separable`, css is rho), the diagonal of the CSS's
-    correlation tensor if the oracle ran (not `geometric`).  ree is
-    S(rho || css).  The residuals are computed on the pair (rho, css):
+    correlation tensor in rho's canonical frame if the oracle ran (not
+    `geometric`).  ree is S(rho || css).  The residuals are computed on the
+    pair (rho, css):
     - bloch_gap: distance between their Bloch vectors, fact (i);
     - edge_gap: |lambda_min(css^Gamma)|;
     - recovery_gap: max-entry error of `revmap.recover(css, rho)`; NaN when
@@ -82,39 +82,37 @@ def _horodecki_state(lam) -> np.ndarray:
 
 
 def _match_templates(dpf: DiagonalPauliForm, tol: float = CLASSIFY_TOL):
-    """Family tag plus the signed-permutation frame reaching the template.
+    """Family tag plus the frame reaching the template.
 
     Returns (tag, P_A, P_B) with P_A, P_B in SO(3); identity frames for
-    Bell-diagonal and Other.
+    Bell-diagonal and Other.  The template's z axis is the canonical axis k
+    carrying the most Bloch weight, and its x and y are the other two in
+    index order, so t_x = q_x >= 0.  Each side is turned by pi about x where
+    needed so that r_z >= 0, and s_z >= 0 for VP or s_z <= 0 for Horodecki:
+    then w = l2 - l3 >= 0, and lambdas depend on rho alone.  A state that
+    matches both templates is taken as VP.
     """
     eye = np.eye(3)
-    if np.linalg.norm(dpf.r) <= tol and np.linalg.norm(dpf.s) <= tol:
+    r, s, q = dpf.r, dpf.s, dpf.q
+    if np.linalg.norm(r) <= tol and np.linalg.norm(s) <= tol:
         return FamilyTag(FamilyKind.BELL_DIAGONAL), eye, eye
 
-    # all frames at once, one row each; the first frame passing a test wins
-    pa, pb = SIGNED_PERMUTATION_FRAMES[:, 0], SIGNED_PERMUTATION_FRAMES[:, 1]
-    r2, s2 = pa @ dpf.r, pb @ dpf.s
-    q2 = np.einsum("nij,j,nij->ni", pa, dpf.q, pb)  # diag(P_A diag(q) P_B^T)
-    l1 = q2[:, 0]
-    axial = ((np.abs(np.hstack([r2[:, :2], s2[:, :2]])).max(axis=1) <= tol)
-             & (np.abs(l1 + q2[:, 1]) <= tol) & (l1 >= -tol))
-    # w sets l2, l3 = (1 - l1 +- w) / 2; the smaller must be >= -tol.  Each
-    # frame's partner diag(1, -1, -1) (P_A, P_B) passes the same tests with w
-    # negated: requiring w >= 0 orders l2 >= l3, so lambdas depend on rho alone
-    w_vp, w_h = (r2[:, 2] + s2[:, 2]) / 2, (r2[:, 2] - s2[:, 2]) / 2
-    vp = (axial & (np.abs(r2[:, 2] - s2[:, 2]) <= tol)
-          & (np.abs(q2[:, 2] - 1.0) <= tol)
-          & (w_vp >= 0) & ((1 - l1 - w_vp) / 2 >= -tol))
-    h = (axial & (np.abs(r2[:, 2] + s2[:, 2]) <= tol)
-         & (np.abs(q2[:, 2] - (2 * l1 - 1)) <= tol)
-         & (w_h >= 0) & ((1 - l1 - w_h) / 2 >= -tol))
-    hits = np.flatnonzero(vp | h)
-    if hits.size:
-        n = hits[0]
-        kind, w = ((FamilyKind.GENERALIZED_VP, w_vp[n]) if vp[n]
-                   else (FamilyKind.GENERALIZED_HORODECKI, w_h[n]))
-        lam = _clip_weights(l1[n], (1 - l1[n] + w) / 2, (1 - l1[n] - w) / 2)
-        return FamilyTag(kind, lam), pa[n], pb[n]
+    k = int(np.argmax(np.abs(r) + np.abs(s)))
+    i, j = (n for n in range(3) if n != k)
+    # w sets l2, l3 = (1 - l1 +- w) / 2; the smaller must be >= -tol
+    l1, w = q[i], (abs(r[k]) + abs(s[k])) / 2
+    axial = (max(abs(r[i]), abs(r[j]), abs(s[i]), abs(s[j]), abs(abs(r[k]) - abs(s[k]))) <= tol
+             and l1 >= -tol and (1 - l1 - w) / 2 >= -tol)
+    sign_a, sign_s = (1.0 if r[k] >= 0 else -1.0), (1.0 if s[k] >= 0 else -1.0)
+    for kind, sign_b, t_z in ((FamilyKind.GENERALIZED_VP, sign_s, 1.0),
+                              (FamilyKind.GENERALIZED_HORODECKI, -sign_s, 2 * l1 - 1)):
+        c = sign_a * sign_b  # t_y = c q_j and t_z = c q_k in the template frame
+        if axial and abs(l1 + c * q[j]) <= tol and abs(c * q[k] - t_z) <= tol:
+            p = eye[[i, j, k]]
+            sign_x = -1.0 if k == 1 else 1.0  # (0, 2, 1) is the one odd order: det +1
+            pa, pb = p * [[sign_x], [sign_a], [sign_a]], p * [[sign_x], [sign_b], [sign_b]]
+            lam = _clip_weights(l1, (1 - l1 + w) / 2, (1 - l1 - w) / 2)
+            return FamilyTag(kind, lam), pa, pb
     return FamilyTag(FamilyKind.OTHER), eye, eye
 
 
@@ -163,7 +161,8 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, t, a, b) -> CssResult:
         rep = ree_numeric(rho)
         if not rep.converged:
             raise NotConverged(rep.gap)
-        css, tau = rep.css_numeric, to_pauli(rep.css_numeric).g.diagonal()
+        css = rep.css_numeric
+        tau = np.diag(a @ to_pauli(css).g @ b.T)
     else:
         tau = _tau(tag, t)
         css = from_pauli(PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b))

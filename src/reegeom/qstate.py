@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -154,24 +153,6 @@ def su2_from_rotation(rot: np.ndarray) -> np.ndarray:
     norm = math.sqrt(sum(v * v for v in q))
     x, y, z, w = (v / norm for v in q)
     return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
-
-
-# determinant-one sign patterns s of (P v)_i = s_i v[perm[i]], keyed by the
-# sign of the permutation
-_SIGN_PATTERNS = {1: np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]),
-                  -1: np.array([(-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)])}
-
-# All SO(3) signed-permutation pairs (P_A, P_B) preserving diagonality: one
-# index permutation on both sides, a determinant-one sign pattern on each.
-# Stacked to shape (96, 2, 3, 3), built once for css._match_templates; + 0.0
-# stores the zeros as 0.0, not -0.0, since zero signs reach the frame that
-# css_auto maps its CSS back through.
-SIGNED_PERMUTATION_FRAMES = np.array([
-    (s_a[:, None] * p, s_b[:, None] * p)
-    for p in (np.eye(3)[list(perm)] for perm in permutations(range(3)))
-    for signs in [_SIGN_PATTERNS[round(np.linalg.det(p))]]
-    for s_a in signs for s_b in signs]) + 0.0
-SIGNED_PERMUTATION_FRAMES.flags.writeable = False
 
 
 def canonicalize(p: PauliForm):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -74,3 +76,20 @@ def generic_family_state(rng):
     u_a, u_b = random_unitary(rng), random_unitary(rng)
     rho, sigma = rotate(rho, u_a, u_b), rotate(sigma, u_a, u_b)
     return (rho + rho.conj().T) / 2, (sigma + sigma.conj().T) / 2
+
+
+def reference_frames():
+    """The 96 SO(3) signed-permutation pairs (P_A, P_B) that keep a
+    correlation tensor diagonal: one index permutation on both sides, in
+    itertools order, then A-side and B-side sign patterns."""
+    signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1),
+             (-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)]
+    frames = []
+    for perm in itertools.permutations(range(3)):
+        p = np.eye(3)[list(perm)]  # (P v)_i = v[perm[i]]
+        for da in signs:
+            for db in signs:
+                pa, pb = np.diag(da) @ p, np.diag(db) @ p
+                if np.linalg.det(pa) > 0 and np.linalg.det(pb) > 0:
+                    frames.append((pa, pb))
+    return frames

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,22 +36,6 @@ def rotation_about(axis, angle):
     k = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
     return np.cos(angle) * np.eye(3) + np.sin(angle) * k \
         + (1 - np.cos(angle)) * np.outer(n, n)
-
-
-def reference_frames():
-    """Signed-permutation pairs in the order css._match_templates relies on:
-    permutations in itertools order, then A-side and B-side sign patterns."""
-    signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1),
-             (-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)]
-    frames = []
-    for perm in itertools.permutations(range(3)):
-        p = np.eye(3)[list(perm)]  # (P v)_i = v[perm[i]]
-        for da in signs:
-            for db in signs:
-                pa, pb = np.diag(da) @ p, np.diag(db) @ p
-                if np.linalg.det(pa) > 0 and np.linalg.det(pb) > 0:
-                    frames.append((pa, pb))
-    return frames
 
 
 class TestValidation:
@@ -270,25 +252,3 @@ class TestCanonicalize:
         rho1 = rotate(rho, random_unitary(rng), random_unitary(rng))
         q1 = qstate.canonicalize(qstate.to_pauli(rho1))[0].q
         assert np.allclose(q0, q1, atol=1e-10)
-
-
-class TestSignedPermutationFrames:
-    def test_frames_are_special_orthogonal_pairs(self):
-        frames = qstate.SIGNED_PERMUTATION_FRAMES
-        assert len(frames) == 96
-        for pa, pb in frames:
-            assert np.linalg.det(pa) == pytest.approx(1.0)
-            assert np.linalg.det(pb) == pytest.approx(1.0)
-            assert np.allclose(pa @ pa.T, np.eye(3))
-
-    def test_frames_keep_their_order(self):
-        want = np.array(reference_frames())
-        assert np.array_equal(qstate.SIGNED_PERMUTATION_FRAMES, want)
-        # no -0.0: zero signs reach the lifted unitaries
-        assert not np.signbit(qstate.SIGNED_PERMUTATION_FRAMES[want == 0]).any()
-
-    def test_frames_preserve_diagonality(self):
-        q = np.diag([0.5, -0.3, 0.1])
-        for pa, pb in qstate.SIGNED_PERMUTATION_FRAMES:
-            m = pa @ q @ pb.T
-            assert np.allclose(m, np.diag(np.diag(m)))
