@@ -68,7 +68,11 @@ class CssResult:
     ree: float
     residuals: dict = field(default_factory=dict)
     separable: bool = False
-    geometric: bool = True
+
+    @property
+    def geometric(self) -> bool:
+        """The CSS came without the oracle: rho is PPT or in a family."""
+        return self.separable or self.family.kind is not FamilyKind.OTHER
 
 
 def _vp_state(lam) -> np.ndarray:
@@ -174,7 +178,7 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, t, a, b) -> CssResult:
                                           np.linalg.norm(p_css.s - p_rho.s))),
                    "edge_gap": abs(min_pt_eigenvalue(css)),
                    "recovery_gap": float("nan") if separable else _recovery_gap(rho, css)},
-        separable=separable, geometric=separable or tag.kind is not FamilyKind.OTHER)
+        separable=separable)
 
 
 def _recovery_gap(rho, css) -> float:
@@ -220,7 +224,6 @@ def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
     dpf, r_a, r_b = canonicalize(p_rho)
     tag, pa, pb = _match_templates(dpf)
     if tag.kind is FamilyKind.OTHER and not numeric_fallback:
-        return CssResult(css=None, tau=None, family=tag, ree=float("nan"),
-                         geometric=False)
+        return CssResult(css=None, tau=None, family=tag, ree=float("nan"))
     # t = diag(pa diag(q) pb^T), exact for signed permutations
     return _solve(rho, p_rho, tag, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b)

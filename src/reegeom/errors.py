@@ -26,7 +26,8 @@ class NoCrossing(ReegeomError):
 
 
 class NotEdgeState(ReegeomError):
-    """The partial transpose does not have exactly one (near-)zero eigenvalue."""
+    """The partial transpose lacks the kernel a reverse map needs: `g_matrix`
+    wants exactly one (near-)zero eigenvalue, `recover` at least one."""
 
 
 class RankDeficient(ReegeomError):

@@ -27,13 +27,9 @@ TETRA_VERTICES = {
     "v4": np.array([-1.0, -1.0, -1.0]),
 }
 
-# outward face normals n of the tetrahedron; inside means n.t <= 1 for all
-TETRA_FACE_NORMALS = [
-    np.array([1.0, -1.0, -1.0]),   # (v1, v3, v4)
-    np.array([1.0, 1.0, 1.0]),     # (v1, v2, v3)
-    np.array([-1.0, -1.0, 1.0]),   # (v1, v2, v4)
-    np.array([-1.0, 1.0, -1.0]),   # (v2, v3, v4)
-]
+# outward face normals n of the tetrahedron, -v for the face opposite each
+# vertex v; inside means n.t <= 1 for all
+TETRA_FACE_NORMALS = [-v for v in TETRA_VERTICES.values()]
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,10 @@ def surface_mesh(body: str, r: float, s: float, n: int,
 
     Roots whose full state is not PSD within psd_tol are dropped (they solve
     the sheet equation outside the physical body).  Row-major grid order.
+    body "T" is the state body, "L" the separable one; others raise ValueError.
     """
+    if body not in ("T", "L"):
+        raise ValueError(f"body must be 'T' or 'L', not {body!r}")
     if n < 2:
         raise ValueError("grid size must be at least 2")
     axis = np.linspace(-1.0, 1.0, n)

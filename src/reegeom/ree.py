@@ -58,7 +58,7 @@ _PAIRS = np.stack([4 * _TRIPLES[2] + _TRIPLES[1], 4 * _TRIPLES[1] + _TRIPLES[0]]
 @dataclass
 class OracleConfig:
     """Budget of the barrier oracle: at most `max_iterations` accepted
-    steps, tangent predictor steps included.
+    steps, tangent predictor and polish steps included.
 
     `seed` and `restarts` are accepted and ignored; the barrier path is
     deterministic and starts at I/4.  They stay because `perfbench/` passes
@@ -172,7 +172,8 @@ def _value(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray) -> float:
 
 
 def _derivatives(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
-    """Gradient (15,) and exact Hessian (15, 15) of F at the spectra (w, v).
+    """Gradient (15,) and exact Hessian (15, 15) of F at the spectra (w, v), and
+    the gradient of the barrier -ln det sigma - ln det sigma^Gamma, which F weights by mu.
 
     The entropy term's Hessian is the Daleckii-Krein second divided
     difference of ln; each barrier term's is mu tr(S^-1 B_k S^-1 B_l).
@@ -190,22 +191,13 @@ def _derivatives(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
     hess = -2.0 * (p.transpose(1, 0, 2).reshape(15, 16) @ e[0].T).real
     # barrier terms of sigma and sigma^Gamma
     inv = 1.0 / w
-    # tr(S^-1 E_k) from the diagonals, entries 0, 5, 10, 15 of each flattened E_k
-    grad -= mu * (e[:, :, ::5].real * inv[:, None, :]).sum(axis=(0, 2))
+    # -tr(S^-1 E_k) from the diagonals, entries 0, 5, 10, 15 of each flattened E_k
+    barrier = -(e[:, :, ::5].real * inv[:, None, :]).sum(axis=(0, 2))
+    grad += mu * barrier
     c = (e * np.sqrt(inv[:, :, None] * inv[:, None, :]).reshape(2, 1, 16))
     c = c.transpose(1, 0, 2).reshape(15, 32)
     hess += mu * (c @ c.conj().T).real
-    return grad, hess
-
-
-def _barrier_gradient(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gradient (15,) of -ln det sigma - ln det sigma^Gamma at the spectra
-    (w, v): -tr(S^-1 B_k) summed over S in {sigma, sigma^Gamma}, with
-    S^-1 = V diag(1/w) V^H and sigma^Gamma's coordinate signs."""
-    inv = (v / w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    # tr(S^-1 B_k) = sum_ab (S^-1)_ba (B_k)_ab
-    traces = (inv.transpose(0, 2, 1).reshape(2, 16) @ _B_FLAT.T).real
-    return -(_X_SIGNS * traces).sum(axis=0)
+    return grad, hess, barrier
 
 
 def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -241,8 +233,9 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     Frank-Wolfe bound REE >= value - (tr sigma G - min_ab <ab|G|ab>); `lower`
     puts `_ppt_floor`, a certified lower bound, in place of the minimum.
     `converged` means the path finished in fewer than `cfg.max_iterations`
-    steps (`iterations` counts every accepted step, tangent steps included)
-    and the bracket gap = value - lower is at most BRACKET_TOL.
+    steps and the bracket gap = value - lower is at most BRACKET_TOL;
+    `iterations`, every accepted step (tangent and polish steps included),
+    never exceeds `cfg.max_iterations`.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -256,16 +249,16 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     for mu_prev, mu in zip((None,) + MU_SCHEDULE, MU_SCHEDULE):
         f = _value(rho, mu, w, v)
         # tangent predictor: on the central path H dx/dmu = -grad phi for the
-        # barrier phi, with H the Hessian that ended the last stage at mu_prev
+        # barrier phi; H and grad phi come from the last stage's final call, at x
         if hess is not None and steps < cfg.max_iterations:
-            dx = _newton_step((mu - mu_prev) * _barrier_gradient(w, v), hess)
+            dx = _newton_step((mu - mu_prev) * barrier, hess)
             wt, vt = _spectra(x + dx)
             ft = _value(rho, mu, wt, vt)
             if ft <= f:
                 x, w, v, f = x + dx, wt, vt, ft
                 steps += 1
         while steps < cfg.max_iterations:
-            grad, hess = _derivatives(rho, mu, w, v)
+            grad, hess, barrier = _derivatives(rho, mu, w, v)
             dx = _newton_step(grad, hess)
             slope = float(grad @ dx)
             if -slope / 2 <= CENTERING_TOL * mu:
@@ -289,11 +282,11 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     # The last stage ended at x with the Newton step dx and its slope.
     if finished:
         lam2 = -slope
-        for _ in range(POLISH_STEPS):
+        for _ in range(min(POLISH_STEPS, cfg.max_iterations - steps)):
             wt, vt = _spectra(x + dx)
             if wt[:, 0].min() <= 0.0:
                 break
-            grad, hess = _derivatives(rho, mu, wt, vt)
+            grad, hess, _ = _derivatives(rho, mu, wt, vt)
             dxt = _newton_step(grad, hess)
             lam2t = -float(grad @ dxt)
             if not lam2t < lam2:
@@ -335,9 +328,11 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     Minimum over sampled product states |ab> of the one-sided derivative
     d/de S(rho||(1-e) css + e |ab><ab|) at e = 0+, which is
     <ab|G|ab> - tr(css G) for the matrix gradient G of `_log_gradient`.
-    Product states are the extreme points of the separable set, so sampling
-    them suffices.  A true minimizer gives a nonnegative result (up to
-    rounding); a css at S(rho||css) = inf gives -inf.
+    Product states are the extreme points of the separable set, but
+    n_directions samples bound their minimum from above only: a true
+    minimizer gives a nonnegative result (up to rounding), and so can a css
+    2.5e-3 nats above the REE.  `ree_numeric`'s `lower` is the certified end.
+    A css at S(rho||css) = inf gives -inf.
     """
     if math.isinf(relative_entropy(rho, css)):
         return -math.inf  # no state at infinite relative entropy is a minimizer

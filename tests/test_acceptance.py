@@ -272,7 +272,7 @@ def test_criterion_8_property_suite():
     sigma = 0.3 * random_density_matrix(rng) + 0.7 * np.eye(4) / 4
     x = (qstate.PAULI_BASIS.conj() @ sigma.reshape(16)).real[1:]
     mu = 1e-3
-    jac, _ = ree_mod._derivatives(rho, mu, *ree_mod._spectra(x))
+    jac, _, _ = ree_mod._derivatives(rho, mu, *ree_mod._spectra(x))
     h, worst = 1e-6, 0.0
     for i in range(len(x)):
         xp = x.copy()

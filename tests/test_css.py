@@ -362,6 +362,18 @@ class TestCssAuto:
         assert res.family.kind is FamilyKind.OTHER
         assert res.css is None
 
+    def test_geometric_follows_family(self):
+        """`geometric` is read off the family and `separable`: a hand-built
+        entangled OTHER result is not geometric."""
+        other = FamilyTag(FamilyKind.OTHER)
+        res = css.CssResult(css=np.eye(4) / 4, tau=np.zeros(3), family=other, ree=0.1)
+        assert not res.geometric
+        assert css.CssResult(css=np.eye(4) / 4, tau=np.zeros(3), family=other,
+                             ree=0.0, separable=True).geometric
+        bell = FamilyTag(FamilyKind.BELL_DIAGONAL)
+        assert css.CssResult(css=np.eye(4) / 4, tau=np.zeros(3), family=bell,
+                             ree=0.1).geometric
+
     def test_numeric_fallback(self, rng):
         while True:
             rho = random_density_matrix(rng, rank=2)

@@ -187,6 +187,11 @@ class TestSurfaceMesh:
         with pytest.raises(ValueError):
             geometry.surface_mesh("T", 0.0, 0.0, 1)
 
+    @pytest.mark.parametrize("body", ["X", "t", ""])
+    def test_rejects_unknown_body(self, body):
+        with pytest.raises(ValueError, match="body"):
+            geometry.surface_mesh(body, 0.1, 0.2, 8)
+
 
 def _pt_branch(r, s, p):
     """The smallest partial-transpose branch at correlation vector p."""

@@ -123,7 +123,7 @@ class TestGradient:
 
         def derivatives(y):
             w, v = ree._spectra(y)
-            return (ree._value(rho, mu, w, v),) + ree._derivatives(rho, mu, w, v)
+            return (ree._value(rho, mu, w, v),) + ree._derivatives(rho, mu, w, v)[:2]
 
         _, grad, hess = derivatives(x)
         for i in range(15):
@@ -190,11 +190,12 @@ def _derivatives_reference(rho, mu, w, v):
     p = np.matmul(e[0].reshape(15, 4, 4).transpose(2, 0, 1), t.transpose(1, 0, 2))
     hess = -2.0 * np.real(p.transpose(1, 0, 2).reshape(15, 16) @ e[0].T)
     inv = 1.0 / w
-    grad -= mu * np.real(e[:, :, ::5] * inv[:, None, :]).sum(axis=(0, 2))
+    barrier = -np.real(e[:, :, ::5] * inv[:, None, :]).sum(axis=(0, 2))
+    grad += mu * barrier
     c = (e * np.sqrt(inv[:, :, None] * inv[:, None, :]).reshape(2, 1, 16))
     c = c.transpose(1, 0, 2).reshape(15, 32)
     hess += mu * np.real(c @ c.conj().T)
-    return grad, hess
+    return grad, hess, barrier
 
 
 class TestNewtonPieces:
@@ -219,9 +220,8 @@ class TestNewtonPieces:
                 if x is outside:
                     assert f == math.inf
                     continue
-                grad, hess = ree._derivatives(rho, mu, w, v)
-                grad_ref, hess_ref = _derivatives_reference(rho, mu, w, v)
-                assert np.array_equal(grad, grad_ref) and np.array_equal(hess, hess_ref)
+                got, want = ree._derivatives(rho, mu, w, v), _derivatives_reference(rho, mu, w, v)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestNumericOracle:
@@ -397,7 +397,7 @@ def _centre(rho, mu, x):
     for _ in range(100):
         w, v = ree._spectra(x)
         f = ree._value(rho, mu, w, v)
-        grad, hess = ree._derivatives(rho, mu, w, v)
+        grad, hess, _ = ree._derivatives(rho, mu, w, v)
         dx = ree._newton_step(grad, hess)
         slope = float(grad @ dx)
         if -slope / 2 <= 1e-24 or (-slope / 2 <= 1e-14 and -slope >= lam2):
@@ -416,15 +416,17 @@ class TestPredictor:
     """The tangent step that opens each barrier weight after the first."""
 
     def test_barrier_gradient_matches_derivatives(self):
-        """grad F at mu = 1 minus grad F at mu = 0 is the barrier's gradient."""
+        """grad F at mu = 1 minus grad F at mu = 0 is the barrier gradient
+        that _derivatives returns beside them."""
         rng = np.random.default_rng(31)
         rho = random_density_matrix(rng)
         for sigma in (0.3 * random_density_matrix(rng) + 0.7 * np.eye(4) / 4,
                       _rotated(rng, 0.2 * qstate.BELL_STATES[3] + 0.8 * np.eye(4) / 4),
                       np.eye(4) / 4):
             w, v = ree._spectra(_coordinates(sigma))
-            barrier = ree._derivatives(rho, 1.0, w, v)[0] - ree._derivatives(rho, 0.0, w, v)[0]
-            assert np.max(np.abs(ree._barrier_gradient(w, v) - barrier)) <= 1e-13
+            grad1, _, barrier = ree._derivatives(rho, 1.0, w, v)
+            want = grad1 - ree._derivatives(rho, 0.0, w, v)[0]
+            assert np.max(np.abs(barrier - want)) <= 1e-13
 
     def test_tangent_lands_near_the_next_centre(self):
         """From x(mu), x - H^-1 grad phi (mu/10 - mu) lands within a tenth of
@@ -438,8 +440,8 @@ class TestPredictor:
             x = _centre(rho, ree.MU_SCHEDULE[0], np.zeros(15))
             for mu, mu_next in zip(ree.MU_SCHEDULE, ree.MU_SCHEDULE[1:]):
                 w, v = ree._spectra(x)
-                _, hess = ree._derivatives(rho, mu, w, v)
-                pred = x + ree._newton_step((mu_next - mu) * ree._barrier_gradient(w, v), hess)
+                _, hess, barrier = ree._derivatives(rho, mu, w, v)
+                pred = x + ree._newton_step((mu_next - mu) * barrier, hess)
                 x_next = _centre(rho, mu_next, x)
                 ratios.append(np.linalg.norm(pred - x_next) / np.linalg.norm(x - x_next))
                 x = x_next
@@ -467,12 +469,33 @@ class TestPredictor:
         assert not rep.converged and rep.iterations == budget
         assert math.isfinite(rep.value)
 
+    @pytest.mark.parametrize("name", ["bell", "werner", "vp"])
+    def test_every_budget_holds(self, name):
+        """Every budget from 0 to the default run's step count + 3 gives at
+        most that many steps, polish steps included, and every budget at or
+        above that count the default run's value and CSS exactly."""
+        rho = {"bell": qstate.BELL_STATES[1],
+               "werner": 0.7 * qstate.BELL_STATES[3] + 0.3 * np.eye(4) / 4,
+               "vp": css._vp_state((0.5, 0.3, 0.2))}[name]
+        full = ree_numeric(rho)
+        assert full.converged
+        for budget in range(full.iterations + 4):
+            rep = ree_numeric(rho, OracleConfig(max_iterations=budget))
+            assert rep.iterations <= budget
+            if budget >= full.iterations:
+                assert rep.value == full.value
+                assert np.array_equal(rep.css_numeric, full.css_numeric)
+
     def test_step_leaving_the_cone_is_rejected(self, monkeypatch):
         """A tangent step that leaves sigma > 0 or sigma^Gamma > 0 raises F to
         +inf and is not taken; the corrector still centres the path."""
-        barrier_gradient = ree._barrier_gradient
-        monkeypatch.setattr(ree, "_barrier_gradient",
-                            lambda w, v: 1e9 * barrier_gradient(w, v))
+        derivatives = ree._derivatives
+
+        def scaled(rho, mu, w, v):
+            grad, hess, barrier = derivatives(rho, mu, w, v)
+            return grad, hess, 1e9 * barrier
+
+        monkeypatch.setattr(ree, "_derivatives", scaled)
         rho = SEED52_PURE
         rep = ree_numeric(rho)
         assert rep.converged and rep.gap <= 1e-6
@@ -495,8 +518,9 @@ def _record_derivatives(monkeypatch):
     derivatives = ree._derivatives
 
     def recorder(rho, mu, w, v):
-        log.append((mu,) + derivatives(rho, mu, w, v))
-        return log[-1][1:]
+        grad, hess, barrier = derivatives(rho, mu, w, v)
+        log.append((mu, grad, hess))
+        return grad, hess, barrier
 
     monkeypatch.setattr(ree, "_derivatives", recorder)
     return log
