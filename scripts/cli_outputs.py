@@ -8,7 +8,8 @@ generalized Horodecki, Werner, separable, X-shaped, pure and generic.  The
 states are built with numpy alone, so the input files do not depend on the
 reegeom under test.  Each state goes through `decompose` and `css` with
 `--method auto`, `numeric` and `geometric`; then `surface` runs for both
-bodies at three (r, s), `sweep` at two seeds and `verify --suite all`.
+bodies at three (r, s), and at one of them with `--tol 0`, with `--tol 1e-3`
+and with `--n 96`; `sweep` at two seeds and `verify --suite all`.
 
 The commands run in-process through `reegeom.cli.main` with DIR as the
 working directory, so every `--out` name and manifest is relative and two
@@ -132,6 +133,13 @@ def commands(names) -> list[list[str]]:
         for r, s in (("0", "0"), ("0.3", "-0.2"), ("-0.5", "0.4")):
             cmds.append(["surface", "--body", body, "--r", r, "--s", s, "--n", "24",
                          "--out", f"surface_{body}_{r}_{s}.csv"])
+        # the root filter at both ends of --tol, and the largest mesh of the
+        # geometry-export benchmark
+        for flags, tag in ((["--n", "24", "--tol", "0"], "tol0"),
+                           (["--n", "24", "--tol", "1e-3"], "tol1e-3"),
+                           (["--n", "96"], "n96")):
+            cmds.append(["surface", "--body", body, "--r", "0.3", "--s", "-0.2", *flags,
+                         "--out", f"surface_{body}_0.3_-0.2_{tag}.csv"])
     for seed in ("0", "1"):
         cmds.append(["sweep", "--r", "0.1", "--s", "-0.2", "--seed", seed,
                      "--out", f"sweep_seed{seed}.csv"])

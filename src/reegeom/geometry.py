@@ -3,10 +3,13 @@
 The Bell-diagonal tetrahedron and separable octahedron, their deformed
 counterparts at fixed z-parallel Bloch vectors, nearest-vertex selection,
 ray/surface crossings, and boundary-surface sampling for export.  Both
-deformed bodies come from the two `spectra` kernels: `surface_mesh` samples
-the roots of `spectra.boundary_roots`, and `line_surface_crossing` solves, one
-quadratic per sheet, where the line from a correlation vector to its nearest
-tetrahedron vertex meets the zero set of the partial transpose's `branch_min`.
+deformed bodies come from the `spectra` kernels.  `surface_mesh` takes the
+sheet moduli once per grid point, solves them for q3 with
+`spectra.boundary_roots` and keeps the roots whose state passes `sheet_min`:
+on T the grid moduli are the state's own, on L it takes the state's moduli
+once per footprint point.  `line_surface_crossing` solves, one quadratic per
+sheet, where the line from a correlation vector to its nearest tetrahedron
+vertex meets the zero set of the partial transpose's `branch_min`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from . import spectra
 from .errors import NoCrossing, OutsideTetrahedron
-from .qstate import PSD_TOL
+from .qstate import PSD_TOL, _require_finite
 
 TETRA_TOL = 1e-8     # slack of the tetrahedron face inequalities n.t <= 1
 
@@ -30,6 +33,10 @@ TETRA_VERTICES = {
 # outward face normals n of the tetrahedron, -v for the face opposite each
 # vertex v; inside means n.t <= 1 for all
 TETRA_FACE_NORMALS = [-v for v in TETRA_VERTICES.values()]
+
+# the sheet tags of the mesh rows, indexed by root parity; the tags of every
+# mesh share these two str objects
+SHEET_TAGS = np.array(["mu", "nu"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -76,22 +83,33 @@ def surface_mesh(body: str, r: float, s: float, n: int,
 
     Roots whose full state is not PSD within psd_tol are dropped (they solve
     the sheet equation outside the physical body).  Row-major grid order.
-    body "T" is the state body, "L" the separable one; others raise ValueError.
+    body "T" is the state body, "L" the separable one; others raise
+    ValueError, as do n < 2, a non-finite r or s and a NaN or negative psd_tol.
     """
     if body not in ("T", "L"):
         raise ValueError(f"body must be 'T' or 'L', not {body!r}")
     if n < 2:
         raise ValueError("grid size must be at least 2")
+    _require_finite(r=r, s=s)
+    if not psd_tol >= 0.0:
+        raise ValueError(f"psd_tol must be nonnegative, not {psd_tol!r}")
     axis = np.linspace(-1.0, 1.0, n)
     q1, q2 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-    mu, nu, inside = spectra.boundary_roots(r, s, q1, q2 if body == "T" else -q2)
-    # each grid point inside the footprint gives its mu root, then its nu root
-    q1, q2 = np.repeat(q1[inside], 2), np.repeat(q2[inside], 2)
-    q3 = np.column_stack([mu[inside], nu[inside]]).ravel()
-    keep = spectra.branch_min(r, s, q1, q2, q3) >= -psd_tol
-    # an object array of the two literals: the tags share two str objects
-    sheets = np.array(["mu", "nu"] * (len(q3) // 2), dtype=object)[keep].tolist()
-    return SurfaceMesh(body, r, s, np.column_stack([q1, q2, q3])[keep], sheets)
+    m1, m2 = spectra.moduli(r, s, q1, q2 if body == "T" else -q2)
+    mu, nu, inside = spectra.boundary_roots(m1, m2)
+    foot = np.flatnonzero(inside)
+    # flat index 2i is footprint point i's mu root, 2i + 1 its nu root
+    q3 = np.column_stack([mu[foot], nu[foot]])
+    # the PSD check is on the state itself: its moduli are the grid's on T,
+    # and on L, whose grid is the partial transpose's, are taken at +q2
+    if body == "T":
+        m1, m2 = m1[foot], m2[foot]
+    else:
+        m1, m2 = spectra.moduli(r, s, q1[foot], q2[foot])
+    idx = np.flatnonzero(spectra.sheet_min(m1[:, None], m2[:, None], q3) >= -psd_tol)
+    rows = foot[idx >> 1]
+    points = np.column_stack([q1[rows], q2[rows], q3.ravel()[idx]])
+    return SurfaceMesh(body, r, s, points, SHEET_TAGS[idx & 1].tolist())
 
 
 def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoint]:
@@ -102,6 +120,7 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoin
     roots of c^2 = f^2 + e^2 where the branch minimum is zero to PSD_TOL, which
     no c < 0 root is; at most two, as that minimum is concave along the line.
     """
+    _require_finite(r=r, s=s)
     t = np.asarray(t, dtype=float)
     d = t - v.coords
     if np.linalg.norm(d) < 1e-14:

@@ -61,6 +61,14 @@ class DiagonalPauliForm:
     q: np.ndarray
 
 
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first of the scalar arguments that is NaN
+    or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value!r}")
+
+
 def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise InvalidState on the first violated density-matrix invariant."""
     rho = np.asarray(rho, dtype=complex)

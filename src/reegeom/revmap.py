@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import PSD_TOL, partial_transpose
+from .qstate import PSD_TOL, _require_finite, partial_transpose
 from .ree import SUPPORT_TOL, _support_log_divided
 
 EDGE_TOL = 1e-8
@@ -190,7 +190,11 @@ def line_crossing(p: SigmaZParams, p2: SigmaZParams):
 
 
 def sample_params_for_bloch(r: float, s: float, rng) -> SigmaZParams:
-    """Random X-shaped edge state whose x = 0 Bloch components are (r, s)."""
+    """Random X-shaped edge state whose x = 0 Bloch components are (r, s).
+
+    Raises ValueError for a non-finite r or s, or for (r, s) that no such
+    state has."""
+    _require_finite(r=r, s=s)
     lo = abs(r + s) / 2
     hi = 1.0 - abs(r - s) / 2
     if lo >= hi:

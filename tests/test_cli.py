@@ -279,15 +279,19 @@ class TestSurface:
 
     @pytest.mark.parametrize("body", ["T", "L"])
     def test_rows_are_surface_mesh(self, runner, tmp_path, body):
-        out = tmp_path / "mesh.csv"
-        res = runner.invoke(cli.main, ["surface", "--body", body, "--r", "0.3",
-                                       "--s", "-0.2", "--n", "12", "--out", str(out)])
-        assert res.exit_code == 0
-        mesh = geometry.surface_mesh(body, 0.3, -0.2, 12)
-        want = [",".join(["%.17g" % x for x in pt] + [sheet])
-                for pt, sheet in zip(mesh.points, mesh.sheets)]
-        assert len(want) > 0
-        assert open(out).read().splitlines()[1:] == want
+        # the default --tol, then two that reach psd_tol as given
+        for flags, psd_tol in (([], qstate.PSD_TOL), (["--tol", "0"], 0.0),
+                               (["--tol", "1e-3"], 1e-3)):
+            out = tmp_path / "mesh.csv"
+            res = runner.invoke(cli.main, ["surface", "--body", body, "--r", "0.3",
+                                           "--s", "-0.2", "--n", "12", *flags,
+                                           "--out", str(out)])
+            assert res.exit_code == 0
+            mesh = geometry.surface_mesh(body, 0.3, -0.2, 12, psd_tol=psd_tol)
+            want = [",".join(["%.17g" % x for x in pt] + [sheet])
+                    for pt, sheet in zip(mesh.points, mesh.sheets)]
+            assert len(want) > 0
+            assert open(out).read().splitlines()[1:] == want
 
     def test_bad_flags_exit_2(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["surface", "--body", "T", "--r", "2",

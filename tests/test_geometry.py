@@ -15,10 +15,11 @@ def _branch_min_scalar(r, s, q1, q2, q3):
     return min((1 - q3) - m1, (1 + q3) - m2) / 4.0
 
 
-def surface_mesh_loop(body, r, s, n, psd_tol=1e-10):
-    """The per-point loop that `surface_mesh` replaced, kept as its reference."""
+def _surface_candidates_loop(body, r, s, n):
+    """Every sheet root of the per-point loop, as (point, sheet, branch) with
+    the state's smallest branch at that point."""
     axis = np.linspace(-1.0, 1.0, n)
-    pts, sheets = [], []
+    out = []
     for q1 in axis:
         for q2 in axis:
             qq2 = q2 if body == "T" else -q2
@@ -27,11 +28,18 @@ def surface_mesh_loop(body, r, s, n, psd_tol=1e-10):
             if not m1 + m2 <= 2.0 + 1e-12:
                 continue
             for q3, sheet in ((1.0 - m1, "mu"), (m2 - 1.0, "nu")):
-                if _branch_min_scalar(r, s, q1, q2, q3) < -psd_tol:
-                    continue
-                pts.append([q1, q2, q3])
-                sheets.append(sheet)
-    return (np.array(pts) if pts else np.empty((0, 3))), sheets
+                out.append(([q1, q2, q3], sheet, _branch_min_scalar(r, s, q1, q2, q3)))
+    return out
+
+
+def surface_mesh_loop(body, r, s, n, psd_tol=1e-10, candidates=None):
+    """The per-point loop that `surface_mesh` replaced, kept as its reference;
+    `candidates` reuses the roots of an earlier `_surface_candidates_loop`."""
+    if candidates is None:
+        candidates = _surface_candidates_loop(body, r, s, n)
+    kept = [(p, sheet) for p, sheet, branch in candidates if not branch < -psd_tol]
+    pts = [p for p, _ in kept]
+    return (np.array(pts) if pts else np.empty((0, 3))), [sheet for _, sheet in kept]
 
 
 def _golden_max(f, a, b, tol):
@@ -163,16 +171,29 @@ class TestSurfaceMesh:
         deformed = geometry.surface_mesh("T", 0.5, 0.5, 16)
         assert 0 < len(deformed.points) < len(full.points)
 
-    @pytest.mark.parametrize("n", [2, 16, 48, 96])
+    # 32 to 96: the mesh sizes of the geometry-export benchmark
+    @pytest.mark.parametrize("n", [2, 16, 32, 48, 64, 80, 96])
     @pytest.mark.parametrize("body", ["T", "L"])
     def test_matches_loop_reference(self, body, n):
         rng = np.random.default_rng(100 + n)
         bloch = [(0.0, 0.0)] + [tuple(rng.uniform(-0.6, 0.6, size=2)) for _ in range(3)]
+        dropped = dict.fromkeys((0.0, PSD_TOL, 1e-3), 0)
         for r, s in bloch:
-            mesh = geometry.surface_mesh(body, r, s, n)
-            points, sheets = surface_mesh_loop(body, r, s, n)
-            assert np.array_equal(mesh.points, points)
-            assert mesh.sheets == sheets
+            candidates = _surface_candidates_loop(body, r, s, n)
+            for psd_tol in dropped:
+                mesh = geometry.surface_mesh(body, r, s, n, psd_tol=psd_tol)
+                points, sheets = surface_mesh_loop(body, r, s, n, psd_tol, candidates)
+                assert np.array_equal(mesh.points, points)
+                assert mesh.sheets == sheets
+                dropped[psd_tol] += len(candidates) - len(sheets)
+        if n >= 16:
+            # psd_tol = 0 drops roots on both bodies, so that case is never
+            # vacuous.  On T every drop there is rounding alone, as PSD_TOL
+            # keeps them all: the keep decision then hangs on the last bit
+            # of the moduli
+            assert dropped[0.0] > 0
+            if body == "T":
+                assert dropped[PSD_TOL] == 0
 
     @pytest.mark.parametrize("body", ["T", "L"])
     def test_empty_mesh_keeps_shape(self, body):
@@ -191,6 +212,19 @@ class TestSurfaceMesh:
     def test_rejects_unknown_body(self, body):
         with pytest.raises(ValueError, match="body"):
             geometry.surface_mesh(body, 0.1, 0.2, 8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["r", "s"])
+    @pytest.mark.parametrize("body", ["T", "L"])
+    def test_rejects_non_finite_bloch(self, body, name, bad):
+        args = {"r": 0.0, "s": 0.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            geometry.surface_mesh(body, args["r"], args["s"], 16)
+
+    @pytest.mark.parametrize("psd_tol", [np.nan, -1e-12, -np.inf])
+    def test_rejects_bad_psd_tol(self, psd_tol):
+        with pytest.raises(ValueError, match="psd_tol"):
+            geometry.surface_mesh("T", 0.0, 0.0, 16, psd_tol=psd_tol)
 
 
 def _pt_branch(r, s, p):
@@ -232,6 +266,15 @@ class TestLineSurfaceCrossing:
         v = Vertex("v1", geometry.TETRA_VERTICES["v1"])
         with pytest.raises(ValueError):
             geometry.line_surface_crossing(v.coords, v, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["r", "s"])
+    def test_rejects_non_finite_bloch(self, name, bad):
+        # not NoCrossing: the ray is fine, the body is undefined
+        t = np.array([0.5, -0.5, 0.1])
+        args = {"r": 0.0, "s": 0.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            geometry.line_surface_crossing(t, geometry.nearest_vertex(t), args["r"], args["s"])
 
     def test_matches_loop_reference(self):
         """Crossings in the loop's window w <= 10 match it within the loop's

@@ -212,6 +212,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             revmap.sample_params_for_bloch(1.0, 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["r", "s"])
+    def test_non_finite_bloch_raises(self, name, bad):
+        args = {"r": 0.0, "s": 0.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            revmap.sample_params_for_bloch(args["r"], args["s"], np.random.default_rng(0))
+
 
 def css_line_sweep_loop(params, x_grid, psd_tol=1e-10):
     """The per-point loop that `css_line_sweep` replaced, kept as its reference."""

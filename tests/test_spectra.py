@@ -56,7 +56,7 @@ class TestBoundarySheets:
         for _ in range(200):
             r, s, q1, q2 = rng.uniform(-0.6, 0.6, size=4)
             for sign in (1, -1):  # the state body, then the separable body
-                mu, nu, inside = spectra.boundary_roots(r, s, q1, sign * q2)
+                mu, nu, inside = spectra.boundary_roots(*spectra.moduli(r, s, q1, sign * q2))
                 if inside:
                     for q3 in (mu, nu):
                         assert abs(spectra.branch_min(r, s, q1, sign * q2, q3)) < 1e-12
@@ -65,7 +65,7 @@ class TestBoundarySheets:
         # at r = s = 0 the two sheets reduce to q3 = 1 - |q1 + q2| and
         # q3 = |q1 - q2| - 1
         for q1, q2 in [(0.3, 0.2), (-0.5, 0.1), (0.0, 0.0), (0.7, -0.7)]:
-            mu, nu, inside = spectra.boundary_roots(0, 0, q1, q2)
+            mu, nu, inside = spectra.boundary_roots(*spectra.moduli(0, 0, q1, q2))
             assert inside
             assert mu == pytest.approx(1 - abs(q1 + q2))
             assert nu == pytest.approx(abs(q1 - q2) - 1)
@@ -75,7 +75,7 @@ class TestBoundarySheets:
         # alone extend past the state body
         hits = 0
         for q1, q2 in [(0.3, 0.2), (-0.5, 0.1), (0.25, -0.6)]:
-            mu, nu, inside = spectra.boundary_roots(0, 0, q1, -q2)
+            mu, nu, inside = spectra.boundary_roots(*spectra.moduli(0, 0, q1, -q2))
             for q3 in (mu, nu) if inside else ():
                 if spectra.branch_min(0, 0, q1, q2, q3) < -1e-10:
                     continue
@@ -85,5 +85,5 @@ class TestBoundarySheets:
 
     def test_sheets_absent_outside_footprint(self):
         # M1 + M2 > 2 leaves no q3 root at all
-        _, _, inside = spectra.boundary_roots(0.9, -0.9, 0.9, 0.9)
+        _, _, inside = spectra.boundary_roots(*spectra.moduli(0.9, -0.9, 0.9, 0.9))
         assert not inside
