@@ -3,10 +3,11 @@
 `relative_entropy` is the shared metric.  `ree_numeric` minimizes it over the
 separable states, which for two qubits are the PPT states (Horodecki,
 Horodecki & Horodecki, PLA 223, 1 (1996)): damped Newton on a log-barrier
-for sigma >= 0 and sigma^Gamma >= 0 in the 15 Pauli coordinates, followed
-by a Frank-Wolfe gap (Jaggi, ICML 2013), bounded through the barrier's dual,
-that brackets the minimum.  It is the independent oracle against which the
-geometric constructions are verified.
+for sigma >= 0 and sigma^Gamma >= 0 in the 15 Pauli coordinates, which
+follows the central path loosely (PATH_TOL) and centres only its last
+weight tightly (CENTERING_TOL), then a Frank-Wolfe gap (Jaggi, ICML 2013),
+bounded through the barrier's dual, that brackets the minimum.  It is the
+independent oracle against which the geometric constructions are verified.
 """
 
 from __future__ import annotations
@@ -25,8 +26,12 @@ SUPPORT_TOL = 1e-12
 # path's end over the optimum is at most 8 * 1e-9 (barrier parameter 8)
 MU_SCHEDULE = tuple(10.0 ** -k for k in range(10))
 # a stage ends where half the squared Newton decrement of F / mu, the
-# self-concordant barrier function, is at most CENTERING_TOL: 1e-12 at mu = 1e-9
+# self-concordant barrier function, is at most its bound: CENTERING_TOL at the
+# last weight, 1e-12 at mu = 1e-9, the only centre reported; PATH_TOL at every
+# earlier weight, whose centre only seeds the next (Boyd & Vandenberghe,
+# Convex Optimization, 11.3)
 CENTERING_TOL = 1e-3
+PATH_TOL = 0.1
 ARMIJO_C = 0.25  # sufficient-decrease fraction of the backtracking step
 MAX_HALVINGS = 30  # backtracking halvings before a stage counts as stalled
 POLISH_STEPS = 3  # full Newton steps at the last weight, kept while the decrement shrinks
@@ -165,10 +170,21 @@ def _spectra(x: np.ndarray):
 def _value(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray) -> float:
     """F = -tr(rho ln sigma) - mu [ln det sigma + ln det sigma^Gamma]; +inf
     outside sigma > 0, sigma^Gamma > 0."""
-    if w[:, 0].min() <= 0.0:
+    if w[0, 0] <= 0.0 or w[1, 0] <= 0.0:
         return math.inf
     weights = (v[0].conj() * (rho @ v[0])).sum(axis=0).real
-    return -float(weights @ np.log(w[0])) - mu * float(np.log(w).sum())
+    log_w = np.log(w)
+    return -float(weights @ log_w[0]) - mu * float(log_w.sum())
+
+
+def _trial(rho: np.ndarray, mu: float, x: np.ndarray):
+    """Spectra and F at a trial point x; F = +inf, with no spectra, where a
+    coordinate of x is not finite, so that a non-finite step is rejected as
+    one that leaves sigma > 0 or sigma^Gamma > 0 is."""
+    if not np.isfinite(x).all():
+        return None, None, math.inf
+    w, v = _spectra(x)
+    return w, v, _value(rho, mu, w, v)
 
 
 def _derivatives(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
@@ -204,8 +220,9 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """-(H + s I)^-1 grad by one LU solve, with the shift s = HESSIAN_FLOOR tr H:
     on a flat optimal face (the Bell states) H is singular to rounding, and
     the shift keeps the system well posed and the step a descent direction."""
-    shift = HESSIAN_FLOOR * np.trace(hess)
-    return np.linalg.solve(hess + shift * np.eye(len(grad)), -grad)
+    shifted = hess.copy()
+    shifted.flat[::len(grad) + 1] += HESSIAN_FLOOR * np.trace(hess)
+    return np.linalg.solve(shifted, -grad)
 
 
 def _ppt_floor(gmat: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float) -> float:
@@ -226,10 +243,13 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     Damped Newton with an Armijo backtrack on the barrier objective `_value`
     from sigma = I/4, one centring per weight of MU_SCHEDULE, each ended where
     half the squared Newton decrement of F / mu, lambda^2 / (2 mu), is at
-    most CENTERING_TOL: loose at the early weights, 1e-12 at the last.  Each
-    later weight starts with a tangent step along the central path, kept
-    where F at the new weight does not rise.  At the end, with G the matrix
-    gradient of S(rho||.) at sigma, convexity gives the
+    most PATH_TOL at every weight but the last, whose centre only seeds the
+    next, and at most CENTERING_TOL at the last (lambda^2 / 2 <= 1e-12 at
+    mu = 1e-9), the only centre reported.  Each later weight
+    starts with a tangent step along the central path, kept where F at the
+    new weight does not rise.  A trial point that leaves the cone or is not
+    finite is rejected.  At the end, with G the matrix gradient of
+    S(rho||.) at sigma, convexity gives the
     Frank-Wolfe bound REE >= value - (tr sigma G - min_ab <ab|G|ab>); `lower`
     puts `_ppt_floor`, a certified lower bound, in place of the minimum.
     `converged` means the path finished in fewer than `cfg.max_iterations`
@@ -247,32 +267,32 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     steps = 0
     hess = None
     for mu_prev, mu in zip((None,) + MU_SCHEDULE, MU_SCHEDULE):
+        bound = (CENTERING_TOL if mu == MU_SCHEDULE[-1] else PATH_TOL) * mu
         f = _value(rho, mu, w, v)
         # tangent predictor: on the central path H dx/dmu = -grad phi for the
         # barrier phi; H and grad phi come from the last stage's final call, at x
         if hess is not None and steps < cfg.max_iterations:
-            dx = _newton_step((mu - mu_prev) * barrier, hess)
-            wt, vt = _spectra(x + dx)
-            ft = _value(rho, mu, wt, vt)
+            xt = x + _newton_step((mu - mu_prev) * barrier, hess)
+            wt, vt, ft = _trial(rho, mu, xt)
             if ft <= f:
-                x, w, v, f = x + dx, wt, vt, ft
+                x, w, v, f = xt, wt, vt, ft
                 steps += 1
         while steps < cfg.max_iterations:
             grad, hess, barrier = _derivatives(rho, mu, w, v)
             dx = _newton_step(grad, hess)
             slope = float(grad @ dx)
-            if -slope / 2 <= CENTERING_TOL * mu:
+            if -slope / 2 <= bound:
                 break
             t = 1.0
             for _ in range(MAX_HALVINGS):
-                wt, vt = _spectra(x + t * dx)
-                ft = _value(rho, mu, wt, vt)
+                xt = x + t * dx
+                wt, vt, ft = _trial(rho, mu, xt)
                 if ft <= f + ARMIJO_C * t * slope:
                     break
                 t /= 2
             else:
                 break  # no decrease above rounding: the stage is as centred as it gets
-            x, w, v, f = x + t * dx, wt, vt, ft
+            x, w, v, f = xt, wt, vt, ft
             steps += 1
     finished = steps < cfg.max_iterations
 
@@ -283,15 +303,16 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     if finished:
         lam2 = -slope
         for _ in range(min(POLISH_STEPS, cfg.max_iterations - steps)):
-            wt, vt = _spectra(x + dx)
-            if wt[:, 0].min() <= 0.0:
+            xt = x + dx
+            wt, vt, ft = _trial(rho, mu, xt)
+            if ft == math.inf:
                 break
             grad, hess, _ = _derivatives(rho, mu, wt, vt)
             dxt = _newton_step(grad, hess)
             lam2t = -float(grad @ dxt)
             if not lam2t < lam2:
                 break
-            x, w, v, dx, lam2 = x + dx, wt, vt, dxt, lam2t
+            x, w, v, dx, lam2 = xt, wt, vt, dxt, lam2t
             steps += 1
 
     sigma = np.eye(4) / 4 + np.tensordot(x, _B, axes=1)
