@@ -11,6 +11,7 @@ template frame, is computed and rotated back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,15 +23,16 @@ from .qstate import (
     BELL_STATES,
     DiagonalPauliForm,
     PauliForm,
+    _checked_spectra,
+    _ppt,
+    _pt_spectra,
     bell_diagonal,
     canonicalize,
     from_pauli,
-    is_ppt,
-    min_pt_eigenvalue,
     to_pauli,
     validate_density_matrix,
 )
-from .ree import ree_numeric, relative_entropy
+from .ree import _relative_entropy, ree_numeric
 
 CLASSIFY_TOL = 1e-8
 
@@ -97,11 +99,12 @@ def _match_templates(dpf: DiagonalPauliForm, tol: float = CLASSIFY_TOL):
     matches both templates is taken as VP.
     """
     eye = np.eye(3)
-    r, s, q = dpf.r, dpf.s, dpf.q
-    if np.linalg.norm(r) <= tol and np.linalg.norm(s) <= tol:
+    # sqrt(x . x) is np.linalg.norm(x), bit for bit, without its call overhead
+    if math.sqrt(dpf.r.dot(dpf.r)) <= tol and math.sqrt(dpf.s.dot(dpf.s)) <= tol:
         return FamilyTag(FamilyKind.BELL_DIAGONAL), eye, eye
 
-    k = int(np.argmax(np.abs(r) + np.abs(s)))
+    r, s, q = dpf.r.tolist(), dpf.s.tolist(), dpf.q.tolist()  # floats: the same arithmetic
+    k = max(range(3), key=lambda n: abs(r[n]) + abs(s[n]))  # the first largest, as np.argmax
     i, j = (n for n in range(3) if n != k)
     # w sets l2, l3 = (1 - l1 +- w) / 2; the smaller must be >= -tol
     l1, w = q[i], (abs(r[k]) + abs(s[k])) / 2
@@ -114,14 +117,14 @@ def _match_templates(dpf: DiagonalPauliForm, tol: float = CLASSIFY_TOL):
         if axial and abs(l1 + c * q[j]) <= tol and abs(c * q[k] - t_z) <= tol:
             p = eye[[i, j, k]]
             sign_x = -1.0 if k == 1 else 1.0  # (0, 2, 1) is the one odd order: det +1
-            pa, pb = p * [[sign_x], [sign_a], [sign_a]], p * [[sign_x], [sign_b], [sign_b]]
+            pa, pb = p * [[[sign_x], [sign_a], [sign_a]], [[sign_x], [sign_b], [sign_b]]]
             lam = _clip_weights(l1, (1 - l1 + w) / 2, (1 - l1 - w) / 2)
             return FamilyTag(kind, lam), pa, pb
     return FamilyTag(FamilyKind.OTHER), eye, eye
 
 
 def _clip_weights(l1, l2, l3):
-    lam = np.clip([l1, l2, l3], 0.0, None)
+    lam = np.maximum([l1, l2, l3], 0.0)
     return tuple(lam / lam.sum())
 
 
@@ -152,13 +155,13 @@ def _tau(tag: FamilyTag, t) -> np.ndarray:
     return v + 2.0 / (3.0 - float(v @ t)) * (t - v)
 
 
-def _solve(rho, p_rho: PauliForm, tag: FamilyTag, t, a, b) -> CssResult:
-    """The CSS of rho, whose Pauli form is p_rho, with its residuals.  a, b
-    take rho to the template frame of `tag` (r -> a r, s -> b s,
-    g -> a g b^T), where its correlation vector is t.  A PPT rho is its own
-    CSS; else the CSS keeps rho's Bloch vectors and has correlation tensor
-    a^T diag(_tau(tag, t)) b, or outside the families comes from the oracle."""
-    separable = is_ppt(rho)
+def _solve(rho, p_rho: PauliForm, tag: FamilyTag, t, a, b, w, v) -> CssResult:
+    """The CSS of rho, with Pauli form p_rho and spectra w, v of (rho, rho^Gamma),
+    and its residuals.  a, b take rho to the template frame of `tag` (r -> a r,
+    s -> b s, g -> a g b^T), where its correlation vector is t.  A PPT rho is
+    its own CSS; else the CSS keeps rho's Bloch vectors and has correlation
+    tensor a^T diag(_tau(tag, t)) b, or outside the families is the oracle's."""
+    separable = _ppt(w)
     if separable:
         css, tau = from_pauli(p_rho), t
     elif tag.kind is FamilyKind.OTHER:
@@ -170,21 +173,21 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, t, a, b) -> CssResult:
     else:
         tau = _tau(tag, t)
         css = from_pauli(PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b))
-    p_css = to_pauli(css)
+    p_css, (ws, vs) = to_pauli(css), _pt_spectra(css)
     return CssResult(
         css=css, tau=np.asarray(tau, float), family=tag,
-        ree=0.0 if separable else relative_entropy(rho, css),
-        residuals={"bloch_gap": float(max(np.linalg.norm(p_css.r - p_rho.r),
-                                          np.linalg.norm(p_css.s - p_rho.s))),
-                   "edge_gap": abs(min_pt_eigenvalue(css)),
-                   "recovery_gap": float("nan") if separable else _recovery_gap(rho, css)},
+        ree=0.0 if separable else _relative_entropy(rho, w[0], v[0], ws[0], vs[0]),
+        residuals={"bloch_gap": max(math.sqrt(d.dot(d)) for d in (p_css.r - p_rho.r,
+                                                                 p_css.s - p_rho.s)),
+                   "edge_gap": abs(float(ws[1, 0])),
+                   "recovery_gap": math.nan if separable else _recovery_gap(rho, css, ws, vs)},
         separable=separable)
 
 
-def _recovery_gap(rho, css) -> float:
-    """Max-entry error of rebuilding rho from its CSS via the reverse map."""
+def _recovery_gap(rho, css, w, v) -> float:
+    """Max-entry error of rebuilding rho from its CSS, of spectra w, v, via the reverse map."""
     try:
-        return float(np.max(np.abs(revmap.recover(css, rho) - rho)))
+        return float(np.max(np.abs(revmap._recover(css, rho, w, v) - rho)))
     except (ReegeomError, np.linalg.LinAlgError):
         return float("nan")
 
@@ -192,7 +195,8 @@ def _recovery_gap(rho, css) -> float:
 def _template(rho, tag: FamilyTag) -> CssResult:
     """`_solve` on a state in its template frame."""
     p_rho = to_pauli(rho)
-    return _solve(rho, p_rho, tag, p_rho.g.diagonal(), np.eye(3), np.eye(3))
+    return _solve(rho, p_rho, tag, p_rho.g.diagonal(), np.eye(3), np.eye(3),
+                  *_pt_spectra(rho))
 
 
 def css_bell_diagonal(t) -> CssResult:
@@ -219,11 +223,11 @@ def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
     Outside the families the oracle supplies the CSS, and raises NotConverged
     when its bracket does not close; with numeric_fallback False, such a
     state comes back as OTHER with css None."""
-    validate_density_matrix(rho)
+    w, v = _checked_spectra(rho)
     p_rho = to_pauli(rho)
     dpf, r_a, r_b = canonicalize(p_rho)
     tag, pa, pb = _match_templates(dpf)
     if tag.kind is FamilyKind.OTHER and not numeric_fallback:
         return CssResult(css=None, tau=None, family=tag, ree=float("nan"))
     # t = diag(pa diag(q) pb^T), exact for signed permutations
-    return _solve(rho, p_rho, tag, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b)
+    return _solve(rho, p_rho, tag, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b, w, v)

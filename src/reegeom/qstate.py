@@ -71,20 +71,26 @@ def _require_finite(**values) -> None:
 
 def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise InvalidState on the first violated density-matrix invariant."""
+    _checked_spectra(rho)
+
+
+def _checked_spectra(rho: np.ndarray):
+    """`validate_density_matrix`, returning the `_pt_spectra` its PSD test reads."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState("shape 4x4", float(np.prod(rho.shape)))
     if not np.isfinite(rho).all():
         raise InvalidState("finite entries", float(np.sum(~np.isfinite(rho))))
-    herm = np.max(np.abs(rho - rho.conj().T))
+    herm = np.abs(rho - rho.conj().T).max()
     if herm > HERMITICITY_TOL:
         raise InvalidState("Hermiticity", herm)
     tr = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
     if tr > TRACE_TOL:
         raise InvalidState("unit trace", tr)
-    lam_min = float(np.linalg.eigvalsh(rho)[0])
-    if lam_min < -PSD_TOL:
-        raise InvalidState("positive semidefiniteness", -lam_min)
+    w, v = _pt_spectra(rho)
+    if w[0, 0] < -PSD_TOL:
+        raise InvalidState("positive semidefiniteness", -float(w[0, 0]))
+    return w, v
 
 
 def to_pauli(rho: np.ndarray) -> PauliForm:
@@ -119,13 +125,24 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return r.reshape(r.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(r.shape)
 
 
+def _pt_spectra(rho: np.ndarray):
+    """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of rho and rho^Gamma, by
+    one eigh on their stack: the same bits as one eigh on each."""
+    return np.linalg.eigh(np.array([rho, partial_transpose(rho)], dtype=complex))
+
+
+def _ppt(w: np.ndarray) -> bool:
+    """The PPT test on the eigenvalues w of (rho, rho^Gamma)."""
+    return float(w[1, 0]) >= -PSD_TOL
+
+
 def min_pt_eigenvalue(rho: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(partial_transpose(rho))[0])
+    return float(_pt_spectra(rho)[0][1, 0])
 
 
 def is_ppt(rho: np.ndarray) -> bool:
     """Peres-Horodecki test at PSD_TOL; for two qubits PPT equals separability."""
-    return min_pt_eigenvalue(rho) >= -PSD_TOL
+    return _ppt(_pt_spectra(rho)[0])
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -174,17 +191,12 @@ def canonicalize(p: PauliForm):
     on q3.  When singular values of g coincide the frame is not unique; the
     one returned is the SVD's.
     """
-    o1, sv, o2t = np.linalg.svd(p.g)
+    o1, q, o2t = np.linalg.svd(p.g)
     o2 = o2t.T
-    q = sv.copy()
-    if np.linalg.det(o1) < 0:
-        o1 = o1.copy()
-        o1[:, 2] *= -1
-        q[2] *= -1
-    if np.linalg.det(o2) < 0:
-        o2 = o2.copy()
-        o2[:, 2] *= -1
-        q[2] *= -1
+    for o, det in zip((o1, o2), np.linalg.det(np.array([o1, o2]))):
+        if det < 0:  # an improper frame: flip its third axis, and q3 with it
+            o[:, 2] *= -1
+            q[2] *= -1
 
     # stored C-ordered with -0.0 as 0.0 so that dpf and the unitaries lifted
     # from the frames (zero signs included) depend neither on the memory

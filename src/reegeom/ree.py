@@ -95,13 +95,21 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     SUPPORT_TOL on its kernel, the eigenvalues at most SUPPORT_TOL).  0 ln 0
     is 0.  Raises InvalidState when rho or sigma has a NaN or infinite entry.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    for m in (rho, sigma):
+    rho, (w, v) = _joint_spectra(rho, sigma)
+    return _relative_entropy(rho, w[0], v[0], w[1], v[1])
+
+
+def _joint_spectra(rho, sigma):
+    """rho as a complex array and one eigh of the stack (rho, sigma), both finite."""
+    pair = np.array([rho, sigma], dtype=complex)
+    for m in pair:
         if not np.isfinite(m).all():
             raise InvalidState("finite entries", float(np.sum(~np.isfinite(m))))
-    p, u = np.linalg.eigh(rho)
-    q, v = np.linalg.eigh(sigma)
+    return pair[0], np.linalg.eigh(pair)
+
+
+def _relative_entropy(rho, p, u, q, v) -> float:
+    """`relative_entropy` from the spectra p, u of rho and q, v of sigma."""
     pos_p = p > SUPPORT_TOL
     p = p[pos_p]
     s_rho = float((p * np.log(p)).sum())
@@ -110,7 +118,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     if weight[~keep].sum() > SUPPORT_TOL:
         return math.inf
     # cut rho's null space and sigma's kernel, whose eigenvalues may be <= 0
-    overlap = (np.abs(u.conj().T @ v) ** 2)[np.ix_(pos_p, keep)]
+    overlap = (np.abs(u.conj().T @ v) ** 2)[:, keep][pos_p]  # C order, as np.ix_ gives
     return s_rho - float(p @ overlap @ np.log(q[keep]))
 
 
@@ -149,15 +157,15 @@ def _support_log_divided(q: np.ndarray) -> np.ndarray:
     return _log_divided(qs[:, None], qs[None, :]) * (support[:, None] & support[None, :])
 
 
-def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Hermitian G with d(-tr(rho ln sigma)) = Re tr(dSigma G).
+def _log_gradient(rho: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hermitian G with d(-tr(rho ln sigma)) = Re tr(dSigma G), from sigma's
+    spectrum q, v.
 
     Daleckii-Krein divided differences of ln on sigma's support
     (`_support_log_divided`).  For rho in sigma's support the kernel adds
     O(e^2 ln e) to S(rho||(1 - e) sigma + e pi), nothing to the derivative,
     while its 1 / q entries would swamp G.
     """
-    q, v = np.linalg.eigh(sigma)
     b = v.conj().T @ rho @ v
     return -v @ (_support_log_divided(q) * b) @ v.conj().T
 
@@ -245,12 +253,13 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     half the squared Newton decrement of F / mu, lambda^2 / (2 mu), is at
     most PATH_TOL at every weight but the last, whose centre only seeds the
     next, and at most CENTERING_TOL at the last (lambda^2 / 2 <= 1e-12 at
-    mu = 1e-9), the only centre reported.  Each later weight
-    starts with a tangent step along the central path, kept where F at the
-    new weight does not rise.  A trial point that leaves the cone or is not
-    finite is rejected.  At the end, with G the matrix gradient of
-    S(rho||.) at sigma, convexity gives the
-    Frank-Wolfe bound REE >= value - (tr sigma G - min_ab <ab|G|ab>); `lower`
+    mu = 1e-9), the only centre reported.  Each later weight starts with a
+    tangent step along the central path, kept where F at the new weight does
+    not rise.  A trial point that leaves the cone or is not finite is
+    rejected; a Newton step or slope that is not finite ends its stage at
+    once, with no trial point.  At the end, with G the matrix gradient of
+    S(rho||.) at sigma, convexity gives the Frank-Wolfe bound
+    REE >= value - (tr sigma G - min_ab <ab|G|ab>); `lower`
     puts `_ppt_floor`, a certified lower bound, in place of the minimum.
     `converged` means the path finished in fewer than `cfg.max_iterations`
     steps and the bracket gap = value - lower is at most BRACKET_TOL;
@@ -280,8 +289,8 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
         while steps < cfg.max_iterations:
             grad, hess, barrier = _derivatives(rho, mu, w, v)
             dx = _newton_step(grad, hess)
-            slope = float(grad @ dx)
-            if -slope / 2 <= bound:
+            slope = float(grad @ dx) if np.isfinite(dx).all() else math.nan
+            if not math.isfinite(slope) or -slope / 2 <= bound:
                 break
             t = 1.0
             for _ in range(MAX_HALVINGS):
@@ -300,7 +309,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     # 1e-16, so a stage can end with a gradient near 1e-6 left over.  Full
     # Newton steps compare only decrements: keep each while it shrinks them.
     # The last stage ended at x with the Newton step dx and its slope.
-    if finished:
+    if finished and math.isfinite(slope):
         lam2 = -slope
         for _ in range(min(POLISH_STEPS, cfg.max_iterations - steps)):
             xt = x + dx
@@ -309,7 +318,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
                 break
             grad, hess, _ = _derivatives(rho, mu, wt, vt)
             dxt = _newton_step(grad, hess)
-            lam2t = -float(grad @ dxt)
+            lam2t = -float(grad @ dxt) if np.isfinite(dxt).all() else math.nan
             if not lam2t < lam2:
                 break
             x, w, v, dx, lam2 = xt, wt, vt, dxt, lam2t
@@ -317,8 +326,9 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
 
     sigma = np.eye(4) / 4 + np.tensordot(x, _B, axes=1)
     sigma = (sigma + sigma.conj().T) / 2
-    value = relative_entropy(rho, sigma)
-    gmat = _log_gradient(rho, sigma)
+    rho, (ws, vs) = _joint_spectra(rho, sigma)
+    value = _relative_entropy(rho, ws[0], vs[0], ws[1], vs[1])
+    gmat = _log_gradient(rho, ws[1], vs[1])
     fw_gap = float(np.real(np.trace(sigma @ gmat))) - _ppt_floor(gmat, w[1], v[1], mu)
     lower = value - fw_gap - BRACKET_ROUNDING
     gap = value - lower
@@ -355,9 +365,10 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     2.5e-3 nats above the REE.  `ree_numeric`'s `lower` is the certified end.
     A css at S(rho||css) = inf gives -inf.
     """
-    if math.isinf(relative_entropy(rho, css)):
+    rho, (w, v) = _joint_spectra(rho, css)
+    if math.isinf(_relative_entropy(rho, w[0], v[0], w[1], v[1])):
         return -math.inf  # no state at infinite relative entropy is a minimizer
-    gmat = _log_gradient(rho, css)
+    gmat = _log_gradient(rho, w[1], v[1])
     c = _product_states(n_directions)
     along = ((c.conj() @ gmat) * c).sum(axis=1).real  # <ab|G|ab>
     return float(along.min(initial=math.inf) - np.trace(css @ gmat).real)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import PSD_TOL, _require_finite, partial_transpose
+from .qstate import PSD_TOL, _pt_spectra, _require_finite, partial_transpose
 from .ree import SUPPORT_TOL, _support_log_divided
 
 EDGE_TOL = 1e-8
@@ -71,20 +71,19 @@ class ZFamilyDerivatives:
     yb: float
 
 
-def _generators(sigma: np.ndarray):
-    """(lam, V, rows): sigma = V diag(lam) V^dagger, and one row
-    D_sigma((k_a k_b^dagger)^Gamma) in sigma's eigenbasis, (n^2, 4, 4), for each
-    pair of k_1 .. k_n, the eigenvectors of sigma^Gamma with |eigenvalue| <=
-    EDGE_TOL.  D_sigma, the inverse derivative of ln on sigma's support,
-    multiplies by the reciprocal divided differences 1 / ln[l_i, l_j] and is
-    zero on sigma's kernel."""
-    sigma = np.asarray(sigma, dtype=complex)
-    vals, vecs = np.linalg.eigh(partial_transpose(sigma))
-    k = vecs[:, np.abs(vals) <= EDGE_TOL]
-    lam, v = np.linalg.eigh(sigma)
+def _generators(w: np.ndarray, vecs: np.ndarray):
+    """(lam, V, rows) from the `_pt_spectra` w, vecs of sigma: sigma = V diag(lam)
+    V^dagger, and one row D_sigma((k_a k_b^dagger)^Gamma) in sigma's
+    eigenbasis, (n^2, 4, 4), for each pair of k_1 .. k_n, the eigenvectors of
+    sigma^Gamma with |eigenvalue| <= EDGE_TOL.  D_sigma, the inverse derivative
+    of ln on sigma's support, multiplies by the reciprocal divided differences
+    1 / ln[l_i, l_j] and is zero on sigma's kernel."""
+    k = vecs[1][:, np.abs(w[1]) <= EDGE_TOL].T[:, None, :, None]
+    lam, v = w[0], vecs[0]
     l1 = _support_log_divided(lam)
-    coef = np.divide(1.0, l1, out=np.zeros_like(l1), where=l1 != 0)
-    units = partial_transpose(np.einsum("ia,jb->abij", k, k.conj()).reshape(-1, 4, 4))
+    coef = 1.0 / np.where(l1 == 0, np.inf, l1)
+    # k_a k_b^dagger by a product over a length-1 axis: one multiply, as einsum's
+    units = partial_transpose((k @ k.conj().transpose(1, 0, 3, 2)).reshape(-1, 4, 4))
     return lam, v, coef * (v.conj().T @ units @ v)
 
 
@@ -92,7 +91,7 @@ def g_matrix(sigma: np.ndarray) -> np.ndarray:
     """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma), the
     one row of `_generators` mapped back: sigma must have full rank and phi
     span the kernel of sigma's partial transpose."""
-    lam, v, rows = _generators(sigma)
+    lam, v, rows = _generators(*_pt_spectra(sigma))
     if lam[0] <= SUPPORT_TOL:
         raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= {SUPPORT_TOL:.0e}")
     if len(rows) != 1:
@@ -122,7 +121,12 @@ def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
     the adjoint.  With n = 1 the fit is the projection onto G(sigma); a
     rank-deficient sigma needs no regularization, as D_sigma is zero there.
     """
-    _, v, rows = _generators(sigma)
+    return _recover(sigma, rho, *_pt_spectra(sigma))
+
+
+def _recover(sigma, rho, w, vecs) -> np.ndarray:
+    """`recover` from the spectra w, vecs of (sigma, sigma^Gamma)."""
+    _, v, rows = _generators(w, vecs)
     if not len(rows):
         raise NotEdgeState("sigma's partial transpose has no near-zero eigenvalue")
     cols = rows.reshape(len(rows), 16)

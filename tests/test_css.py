@@ -182,18 +182,20 @@ class TestVp:
             assert res.residuals["recovery_gap"] <= 1e-9
 
     def test_recovery_failure_is_nan(self, monkeypatch):
-        def rank_deficient(sigma, rho):
+        # css reaches the reverse map through `recover`'s core, which takes
+        # the spectra of (sigma, sigma^Gamma) it has already computed
+        def rank_deficient(sigma, rho, w, v):
             raise RankDeficient("rank-deficient CSS")
 
-        monkeypatch.setattr(revmap, "recover", rank_deficient)
+        monkeypatch.setattr(revmap, "_recover", rank_deficient)
         res = css.css_vp((0.5, 0.3, 0.2))
         assert math.isnan(res.residuals["recovery_gap"])
 
     def test_recovery_programming_error_propagates(self, monkeypatch):
-        def broken(sigma, rho):
+        def broken(sigma, rho, w, v):
             raise TypeError("bug in the reverse map")
 
-        monkeypatch.setattr(revmap, "recover", broken)
+        monkeypatch.setattr(revmap, "_recover", broken)
         with pytest.raises(TypeError):
             css.css_vp((0.5, 0.3, 0.2))
 
@@ -280,10 +282,17 @@ class TestCssAuto:
         """A rotated family state's css_auto takes the Pauli form of rho once
         and of the returned CSS once.  The CSS is rebuilt, bit for bit, from
         rho's own Bloch vectors and a^T diag(tau) b, where a, b take rho to
-        the template frame; every residual is computed on the pair (rho, CSS)."""
+        the template frame; every residual is computed on the pair (rho, CSS),
+        bit for bit as the public functions compute it."""
         rng = np.random.default_rng(8)
-        for rho0, build in [(css._vp_state((0.5, 0.3, 0.2)), css.css_vp),
-                            (css._horodecki_state((0.6, 0.3, 0.1)), css.css_horodecki)]:
+        t_bell, t_werner = [0.8, -0.6, 0.5], 0.7 * np.array([1.0, -1.0, 1.0])
+        for rho0, build in [
+                (css._vp_state((0.5, 0.3, 0.2)), lambda tag: css.css_vp(tag.lambdas)),
+                (css._horodecki_state((0.6, 0.3, 0.1)),
+                 lambda tag: css.css_horodecki(tag.lambdas)),
+                (qstate.bell_diagonal(t_bell), lambda tag: css.css_bell_diagonal(t_bell)),
+                (0.7 * qstate.BELL_STATES[0] + 0.3 * np.eye(4) / 4,
+                 lambda tag: css.css_bell_diagonal(t_werner))]:
             rho = rotated(rho0, rng)
             calls = []
             to_pauli = qstate.to_pauli
@@ -313,7 +322,53 @@ class TestCssAuto:
                 "edge_gap": abs(qstate.min_pt_eigenvalue(res.css)),
                 "recovery_gap": float(np.max(np.abs(revmap.recover(res.css, rho) - rho)))}
             assert res.ree == relative_entropy(rho, res.css)
-            assert abs(res.ree - build(tag.lambdas).ree) <= 1e-14
+            assert abs(res.ree - build(tag).ree) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["separable", "other"])
+    def test_residuals_off_the_closed_form(self, kind):
+        """Where the CSS is not a closed form, rho itself (separable) or the
+        oracle's (an entangled state outside the families), the residuals and
+        the REE still equal the public functions on the pair (rho, CSS), bit
+        for bit."""
+        rng = np.random.default_rng(8)
+        while True:
+            rho = random_density_matrix(rng, rank=4 if kind == "separable" else 2)
+            if qstate.is_ppt(rho) == (kind == "separable"):
+                break
+        res = css.css_auto(rho)
+        assert res.separable == (kind == "separable") and res.family.kind is FamilyKind.OTHER
+        p_rho, p_css = qstate.to_pauli(rho), qstate.to_pauli(res.css)
+        assert res.residuals["bloch_gap"] == float(max(np.linalg.norm(p_css.r - p_rho.r),
+                                                       np.linalg.norm(p_css.s - p_rho.s)))
+        assert res.residuals["edge_gap"] == abs(qstate.min_pt_eigenvalue(res.css))
+        if res.separable:
+            assert res.ree == 0.0 and math.isnan(res.residuals["recovery_gap"])
+        else:
+            assert res.ree == relative_entropy(rho, res.css)
+            assert res.residuals["recovery_gap"] == float(
+                np.max(np.abs(revmap.recover(res.css, rho) - rho)))
+
+    @pytest.mark.parametrize("kind", ["vp", "separable"])
+    def test_one_eigh_per_matrix_pair(self, monkeypatch, kind):
+        """css_auto takes every spectrum it reads from two eigh calls, one on
+        the stack (rho, rho^Gamma) and one on (CSS, CSS^Gamma), and calls
+        eigvalsh nowhere; an entangled state's recovery makes one lstsq."""
+        rng = np.random.default_rng(4)
+        rho = rotated(css._vp_state((0.5, 0.3, 0.2)) if kind == "vp"
+                      else np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), rng)
+        calls = {"eigh": [], "eigvalsh": [], "lstsq": []}
+        for name, log in calls.items():
+            def counting(a, *args, _f=getattr(np.linalg, name), _log=log, **kwargs):
+                _log.append(np.shape(a))
+                return _f(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        res = css.css_auto(rho)
+        monkeypatch.undo()
+        assert res.separable == (kind == "separable")
+        assert calls["eigh"] == [(2, 4, 4), (2, 4, 4)]
+        assert calls["eigvalsh"] == []
+        assert len(calls["lstsq"]) == (0 if res.separable else 1)
 
     @pytest.mark.parametrize("state", [css._vp_state, css._horodecki_state])
     def test_nudged_family_keeps_bloch_vectors(self, state):

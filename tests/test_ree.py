@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -354,7 +355,7 @@ class TestBracket:
         reports = [ree_numeric(rho) for rho in states]
         for rho, rep in zip(states, reports):
             assert rep.converged and rep.gap <= 1e-6
-            gmat = ree._log_gradient(rho, rep.css_numeric)
+            gmat = ree._log_gradient(rho, *np.linalg.eigh(rep.css_numeric))
             w, v = np.linalg.eigh(qstate.partial_transpose(rep.css_numeric))
             sampled = np.real(np.einsum("ki,ij,kj->k", products.conj(), gmat, products))
             assert ree._ppt_floor(gmat, w, v, ree.MU_SCHEDULE[-1]) <= sampled.min()
@@ -518,6 +519,59 @@ class TestPredictor:
             assert np.all(np.isfinite(rep.css_numeric))
             assert rep.lower <= math.log(2) <= rep.value
             assert rep.iterations <= OracleConfig().max_iterations
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_newton_step_ends_the_stage(self, monkeypatch, bad):
+        """A Newton step of the stage loop or the polish that comes out
+        non-finite, at any one of them on a Bell state, ends its stage at
+        once: no trial point is taken along it, and its slope is never formed,
+        so no RuntimeWarning is raised.  Without the check, such a step spent
+        all MAX_HALVINGS trial calls, and grad @ dx warned."""
+        derivatives, newton_step, trial = ree._derivatives, ree._newton_step, ree._trial
+        events, grads = [], []
+        newton_calls = 0
+        bad_call = 0
+
+        def recording_derivatives(rho, mu, w, v):
+            out = derivatives(rho, mu, w, v)
+            grads.append(out[0])
+            events.append("derivatives")
+            return out
+
+        def poisoned(grad, hess):
+            # a Newton step solves with the gradient _derivatives just gave;
+            # the tangent predictor solves with the barrier gradient
+            nonlocal newton_calls
+            dx = newton_step(grad, hess)
+            if grads and grad is grads[-1]:
+                newton_calls += 1
+                if newton_calls == bad_call:
+                    events.append("bad step")
+                    return np.full_like(dx, bad)
+            events.append("step")
+            return dx
+
+        def recording_trial(rho, mu, x):
+            events.append("trial")
+            return trial(rho, mu, x)
+
+        monkeypatch.setattr(ree, "_derivatives", recording_derivatives)
+        monkeypatch.setattr(ree, "_newton_step", poisoned)
+        monkeypatch.setattr(ree, "_trial", recording_trial)
+        rho = qstate.BELL_STATES[1]
+        ree_numeric(rho)
+        n_newton = newton_calls
+        assert n_newton > 10
+        for bad_call in range(1, n_newton + 1):
+            events.clear()
+            newton_calls = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = ree_numeric(rho)
+            after = events[events.index("bad step") + 1:]
+            stage_rest = list(itertools.takewhile(lambda e: e == "trial", after))
+            assert stage_rest == [], (bad_call, len(stage_rest))
+            assert math.isfinite(rep.value) and rep.lower <= math.log(2) <= rep.value
 
     def test_step_leaving_the_cone_is_rejected(self, monkeypatch):
         """A tangent step that leaves sigma > 0 or sigma^Gamma > 0 raises F to
