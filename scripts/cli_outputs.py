@@ -6,10 +6,11 @@ The input set is 28 two-qubit states, each under its own fixed local unitary:
 Bell-diagonal, generalized Vedral-Plenio (one with |l2 - l3| = 2e-8),
 generalized Horodecki, Werner, separable, X-shaped, pure and generic.  The
 states are built with numpy alone, so the input files do not depend on the
-reegeom under test.  Each state goes through `decompose` and `css` with
-`--method auto`, `numeric` and `geometric`; then `surface` runs for both
-bodies at three (r, s), and at one of them with `--tol 0`, with `--tol 1e-3`
-and with `--n 96`; `sweep` at two seeds and `verify --suite all`.
+reegeom under test.  Each state goes through `decompose`, `reconstruct` of
+the decompose file, and `css` with `--method auto`, `numeric` and
+`geometric`; then `surface` runs for both bodies at three (r, s), and at one
+of them with `--tol 0`, with `--tol 1e-3` and with `--n 96`; `sweep` at two
+seeds and `verify --suite all`.  So every subcommand runs.
 
 The commands run in-process through `reegeom.cli.main` with DIR as the
 working directory, so every `--out` name and manifest is relative and two
@@ -126,6 +127,8 @@ def commands(names) -> list[list[str]]:
     for name in names:
         state = f"{name}.state.json"
         cmds.append(["decompose", state, "--out", f"{name}.decompose.json"])
+        cmds.append(["reconstruct", f"{name}.decompose.json",
+                     "--out", f"{name}.reconstruct.json"])
         for method in ("auto", "numeric", "geometric"):
             cmds.append(["css", state, "--method", method,
                          "--out", f"{name}.css-{method}.json"])

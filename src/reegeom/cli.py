@@ -215,12 +215,12 @@ def css_cmd(state, method, bits, out):
             _fail(EXIT_CHECK_FAILED,
                   "numeric bracket [lower, ree] is wider than its tolerance")
         return
+    if method == "geometric" and css.classify(rho).kind is css.FamilyKind.OTHER:
+        _fail(EXIT_UNSUPPORTED, "state is outside the solvable families")
     try:
-        result = css.css_auto(rho, numeric_fallback=(method == "auto"))
+        result = css.css_auto(rho)
     except NotConverged as exc:
         _fail(EXIT_CHECK_FAILED, str(exc))
-    if method == "geometric" and result.family.kind is css.FamilyKind.OTHER:
-        _fail(EXIT_UNSUPPORTED, "state is outside the solvable families")
     _emit({
         "method": "geometric" if result.geometric else "numeric-fallback",
         "family": result.family.kind.value,
@@ -279,10 +279,10 @@ def sweep(r, s, families, xsteps, xmax, seed, out):
 # --- verify suites ---------------------------------------------------------
 
 def _residuals_ok(res) -> bool:
-    """The closed-form CSS checks: Bloch gap, edge gap and, unless rho is
-    separable, the reverse-map recovery gap within their tolerances."""
+    """The closed-form CSS checks at CI's bounds on the CLI files: Bloch gap <= 1e-15,
+    edge gap <= 1e-14 and, unless rho is separable, recovery gap <= 1e-9."""
     gaps = res.residuals
-    return (gaps["bloch_gap"] <= 1e-10 and gaps["edge_gap"] <= 1e-8
+    return (gaps["bloch_gap"] <= 1e-15 and gaps["edge_gap"] <= 1e-14
             and (res.separable or gaps["recovery_gap"] <= 1e-9))
 
 

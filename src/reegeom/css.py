@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import geometry, revmap
-from .errors import NotConverged, ReegeomError
+from .errors import NotConverged, NotEdgeState
 from .qstate import (
     BELL_STATES,
     DiagonalPauliForm,
@@ -52,10 +52,9 @@ class FamilyTag:
 
 @dataclass
 class CssResult:
-    """A CSS (None outside the families without the numeric fallback) and
-    its correlation vector tau in the family's template frame: rho's own if
-    rho is PPT (`separable`, css is rho), the diagonal of the CSS's
-    correlation tensor in rho's canonical frame if the oracle ran (not
+    """A CSS and its correlation vector tau in the family's template frame:
+    rho's own if rho is PPT (`separable`, css is rho), the diagonal of the
+    CSS's correlation tensor in rho's canonical frame if the oracle ran (not
     `geometric`).  ree is S(rho || css).  The residuals are computed on the
     pair (rho, css):
     - bloch_gap: distance between their Bloch vectors, fact (i);
@@ -87,8 +86,8 @@ def _horodecki_state(lam) -> np.ndarray:
     return l1 * BELL_STATES[0] + np.diag([0, l2, l3, 0]).astype(complex)
 
 
-def _match_templates(dpf: DiagonalPauliForm, tol: float = CLASSIFY_TOL):
-    """Family tag plus the frame reaching the template.
+def _match_templates(dpf: DiagonalPauliForm):
+    """Family tag plus the frame reaching the template, matched within CLASSIFY_TOL.
 
     Returns (tag, P_A, P_B) with P_A, P_B in SO(3); identity frames for
     Bell-diagonal and Other.  The template's z axis is the canonical axis k
@@ -98,7 +97,7 @@ def _match_templates(dpf: DiagonalPauliForm, tol: float = CLASSIFY_TOL):
     then w = l2 - l3 >= 0, and lambdas depend on rho alone.  A state that
     matches both templates is taken as VP.
     """
-    eye = np.eye(3)
+    eye, tol = np.eye(3), CLASSIFY_TOL
     # sqrt(x . x) is np.linalg.norm(x), bit for bit, without its call overhead
     if math.sqrt(dpf.r.dot(dpf.r)) <= tol and math.sqrt(dpf.s.dot(dpf.s)) <= tol:
         return FamilyTag(FamilyKind.BELL_DIAGONAL), eye, eye
@@ -188,7 +187,7 @@ def _recovery_gap(rho, css, w, v) -> float:
     """Max-entry error of rebuilding rho from its CSS, of spectra w, v, via the reverse map."""
     try:
         return float(np.max(np.abs(revmap._recover(css, rho, w, v) - rho)))
-    except (ReegeomError, np.linalg.LinAlgError):
+    except NotEdgeState:
         return float("nan")
 
 
@@ -217,17 +216,14 @@ def css_horodecki(lam) -> CssResult:
                      FamilyTag(FamilyKind.GENERALIZED_HORODECKI, tuple(lam)))
 
 
-def css_auto(rho: np.ndarray, numeric_fallback: bool = True) -> CssResult:
+def css_auto(rho: np.ndarray) -> CssResult:
     """Classify rho in its canonical frame and `_solve` it from its own Pauli
     form and the rotations that take it to its family's template frame.
     Outside the families the oracle supplies the CSS, and raises NotConverged
-    when its bracket does not close; with numeric_fallback False, such a
-    state comes back as OTHER with css None."""
+    when its bracket does not close."""
     w, v = _checked_spectra(rho)
     p_rho = to_pauli(rho)
     dpf, r_a, r_b = canonicalize(p_rho)
     tag, pa, pb = _match_templates(dpf)
-    if tag.kind is FamilyKind.OTHER and not numeric_fallback:
-        return CssResult(css=None, tau=None, family=tag, ree=float("nan"))
     # t = diag(pa diag(q) pb^T), exact for signed permutations
     return _solve(rho, p_rho, tag, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b, w, v)

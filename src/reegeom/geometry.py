@@ -14,7 +14,7 @@ vertex meets the zero set of the partial transpose's `branch_min`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from . import spectra
@@ -34,8 +34,8 @@ TETRA_VERTICES = {
 # vertex v; inside means n.t <= 1 for all
 TETRA_FACE_NORMALS = [-v for v in TETRA_VERTICES.values()]
 
-# the sheet tags of the mesh rows, indexed by root parity; the tags of every
-# mesh share these two str objects
+# the sheet tags of mesh rows and crossings, indexed by root parity; every
+# tag is one of these two str objects
 SHEET_TAGS = np.array(["mu", "nu"], dtype=object)
 
 
@@ -59,8 +59,8 @@ class SurfaceMesh:
     body: str   # "T" or "L"
     r: float
     s: float
-    points: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
-    sheets: list = field(default_factory=list)
+    points: np.ndarray
+    sheets: list
 
 
 def in_tetrahedron(t) -> bool:
@@ -145,7 +145,7 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoin
     for j in np.argsort(np.abs(roots[kept] - 1.0), kind="stable"):
         w = float(roots[kept[j]])
         if all(abs(w - c.line_parameter) >= 1e-9 for c in crossings):
-            crossings.append(CrossingPoint(p[j], w, ("mu", "nu")[kept[j] % 2]))
+            crossings.append(CrossingPoint(p[j], w, SHEET_TAGS[kept[j] % 2]))
     if not crossings:
         raise NoCrossing(f"ray from {v.label} through {t} misses the separable boundary")
     return crossings

@@ -44,13 +44,11 @@ BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
 BRACKET_ROUNDING = 1e-12
 CERTIFICATE_SEED = 0
 
-# sigma = I/4 + sum_k x_k B_k with B_k = (sigma_a (x) sigma_b) / 4, k = 4a + b - 1;
-# sigma^Gamma flips the coordinates with sigma_y on qubit B (sigma_y^T = -sigma_y)
-_B = PAULI_BASIS[1:].reshape(15, 4, 4) / 4
+# sigma = I/4 + sum_k x_k B_k, B_k = (sigma_a (x) sigma_b) / 4 flattened, k = 4a + b - 1;
+# x @ _DIRECTIONS_FLAT stacks sigma and sigma^Gamma, whose B_k flip sign with sigma_y on B
+_B_FLAT = PAULI_BASIS[1:] / 4
 _PT_SIGN = np.array([-1.0 if k % 4 == 2 else 1.0 for k in range(1, 16)])
-_DIRECTIONS_FLAT = np.stack([_B, _PT_SIGN[:, None, None] * _B]).reshape(2, 15, 16)
-_B_FLAT = _B.reshape(15, 16)
-_X_SIGNS = np.stack([np.ones(15), _PT_SIGN])  # x -> the coordinates of sigma, sigma^Gamma
+_DIRECTIONS_FLAT = np.stack([_B_FLAT, _PT_SIGN[:, None] * _B_FLAT])
 _EYE_FLAT = (np.eye(4) / 4).reshape(16)
 # index triples (lo, mid, hi) of the second divided differences, (3, 64), each
 # sorted ascending, so that they pick sorted triples out of eigh's ascending
@@ -172,7 +170,7 @@ def _log_gradient(rho: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _spectra(x: np.ndarray):
     """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of sigma(x) and sigma(x)^Gamma."""
-    return np.linalg.eigh((_EYE_FLAT + (_X_SIGNS * x) @ _B_FLAT).reshape(2, 4, 4))
+    return np.linalg.eigh((_EYE_FLAT + x @ _DIRECTIONS_FLAT).reshape(2, 4, 4))
 
 
 def _value(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray) -> float:
@@ -324,7 +322,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
             x, w, v, dx, lam2 = xt, wt, vt, dxt, lam2t
             steps += 1
 
-    sigma = np.eye(4) / 4 + np.tensordot(x, _B, axes=1)
+    sigma = (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)
     sigma = (sigma + sigma.conj().T) / 2
     rho, (ws, vs) = _joint_spectra(rho, sigma)
     value = _relative_entropy(rho, ws[0], vs[0], ws[1], vs[1])

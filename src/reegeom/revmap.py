@@ -167,12 +167,12 @@ def z_family(p: SigmaZParams, x) -> np.ndarray:
 
 
 def _z_family_rst(p: SigmaZParams, d: ZFamilyDerivatives, x):
-    """(r, s, t) of rho(x) from precomputed derivatives; elementwise in x."""
+    """(r, s, t) of rho(x) from precomputed derivatives; x a scalar or a 1-D array."""
     r = (p.r1 + p.r2 - p.r3 - p.r4) - x * (d.rb2 - d.rb3)
     s = (p.r1 - p.r2 + p.r3 - p.r4) + x * (d.rb2 - d.rb3)
     t1 = 2 * p.y - 2 * x * d.yb
     t3 = (p.r1 - p.r2 - p.r3 + p.r4) - 4 * x * d.rb1
-    return r, s, np.stack([t1, t1, t3], axis=-1)
+    return r, s, np.array([t1, t1, t3]).T  # np.stack takes 5x as long at a scalar x
 
 
 def line_crossing(p: SigmaZParams, p2: SigmaZParams):
@@ -182,14 +182,14 @@ def line_crossing(p: SigmaZParams, p2: SigmaZParams):
     first family's line at x.
     """
     da, db = z_derivatives(p), z_derivatives(p2)
-    ya, yb_ = p.y, p2.y
-    rt_a = p.r1 - p.r2 - p.r3 + p.r4
-    rt_b = p2.r1 - p2.r2 - p2.r3 + p2.r4
+    # each line's offset at x = 0: t1 = 2 y, t3 = R1 - R2 - R3 + R4
+    (t1a, _, t3a), (t1b, _, t3b) = (_z_family_rst(q, d, 0.0)[2].tolist()
+                                    for q, d in ((p, da), (p2, db)))
     denom = db.yb * da.rb1 - da.yb * db.rb1
     if abs(denom) < 1e-12:
         raise ParallelLines("family correlation lines do not cross")
-    x = (db.yb * (rt_a - rt_b) - 4 * (ya - yb_) * db.rb1) / (4 * denom)
-    x2 = (da.yb * (rt_a - rt_b) - 4 * (ya - yb_) * da.rb1) / (4 * denom)
+    x = (db.yb * (t3a - t3b) - 2 * (t1a - t1b) * db.rb1) / (4 * denom)
+    x2 = (da.yb * (t3a - t3b) - 2 * (t1a - t1b) * da.rb1) / (4 * denom)
     return x, x2, _z_family_rst(p, da, x)[2]
 
 

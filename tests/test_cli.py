@@ -209,6 +209,27 @@ class TestCss:
         res = runner.invoke(cli.main, ["css", p, "--method", "geometric"])
         assert res.exit_code == 3
 
+    def test_other_geometric_runs_no_oracle(self, runner, tmp_path, monkeypatch):
+        """`css --method geometric` on an entangled state outside the families
+        exits 3 with one error line and writes no file, without calling the
+        oracle."""
+        def no_oracle(rho, cfg=None):
+            raise AssertionError("the oracle ran")
+
+        for module in (cli, css, ree):
+            monkeypatch.setattr(module, "ree_numeric", no_oracle)
+        rng = np.random.default_rng(2)
+        while True:
+            rho = random_density_matrix(rng, rank=2)
+            if css.classify(rho).kind is css.FamilyKind.OTHER and not qstate.is_ppt(rho):
+                break
+        p = write_state(tmp_path / "o.json", rho)
+        res = runner.invoke(cli.main, ["css", p, "--method", "geometric",
+                                       "--out", str(tmp_path / "css.json")])
+        assert res.exit_code == 3 and type(res.exception) is SystemExit
+        assert res.stderr == "error: state is outside the solvable families\n"
+        assert sorted(os.listdir(tmp_path)) == ["o.json"]
+
     def test_unconverged_fallback_exit_1(self, runner, tmp_path, monkeypatch):
         """`css --method auto` exits 1 with one error line and writes no file
         when the oracle behind the numeric fallback does not converge."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from reegeom import css, geometry, qstate, revmap
 from reegeom.css import FamilyKind, FamilyTag
-from reegeom.errors import InvalidState, NotConverged, RankDeficient, ReegeomError
+from reegeom.errors import InvalidState, NotConverged, NotEdgeState, RankDeficient, ReegeomError
 from reegeom.ree import ReeReport, relative_entropy
 
 from conftest import random_density_matrix, random_unitary, reference_frames, rotate
@@ -48,7 +48,7 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
 
 
 class TestMatchTemplates:
-    def test_matches_loop_reference(self):
+    def test_matches_loop_reference(self, monkeypatch):
         rng = np.random.default_rng(9)
         inputs = []
         for _ in range(40):
@@ -59,10 +59,12 @@ class TestMatchTemplates:
                            0.999 * rho + 0.001 * random_density_matrix(rng)]
             inputs.append(random_density_matrix(rng))
         kinds = set()
+        tols = (css.CLASSIFY_TOL, 1e-2)
         for rho in inputs:
             dpf, _, _ = qstate.canonicalize(qstate.to_pauli(rho))
-            for tol in (css.CLASSIFY_TOL, 1e-2):
-                tag, pa, pb = css._match_templates(dpf, tol)
+            for tol in tols:
+                monkeypatch.setattr(css, "CLASSIFY_TOL", tol)
+                tag, pa, pb = css._match_templates(dpf)
                 want, want_pa, want_pb = match_templates_loop(dpf, tol)
                 assert tag == want
                 assert np.array_equal(pa, want_pa) and np.array_equal(pb, want_pb)
@@ -135,6 +137,24 @@ class TestClassify:
             rho = random_density_matrix(rng)
             assert css.classify(rho).kind is FamilyKind.OTHER
 
+    def test_tolerance_bounds_the_family(self, monkeypatch):
+        """VP (0.5, 0.3, 0.2) with its |00> term turned to cos e |00> + sin e |01>.
+        At e = 1e-7 the 6e-8 of Bloch weight off the family's axis exceeds
+        CLASSIFY_TOL: the state is Other, and the oracle's REE is within 1e-8
+        of the VP closed form.  At e = 1e-10 it stays VP, and so does the
+        e = 1e-7 state under a 100x looser tolerance."""
+        def tilted(e):
+            psi = np.array([np.cos(e), np.sin(e), 0.0, 0.0])
+            return (0.5 * qstate.BELL_STATES[0] + 0.3 * np.outer(psi, psi)
+                    + np.diag([0.0, 0.0, 0.0, 0.2])).astype(complex)
+
+        res = css.css_auto(tilted(1e-7))
+        assert res.family.kind is FamilyKind.OTHER and not res.separable
+        assert abs(res.ree - css.css_vp((0.5, 0.3, 0.2)).ree) <= 1e-8
+        assert css.classify(tilted(1e-10)).kind is FamilyKind.GENERALIZED_VP
+        monkeypatch.setattr(css, "CLASSIFY_TOL", 1e-6)
+        assert css.classify(tilted(1e-7)).kind is FamilyKind.GENERALIZED_VP
+
 
 class TestBellDiagonal:
     def test_pure_bell_css(self):
@@ -184,12 +204,25 @@ class TestVp:
     def test_recovery_failure_is_nan(self, monkeypatch):
         # css reaches the reverse map through `recover`'s core, which takes
         # the spectra of (sigma, sigma^Gamma) it has already computed
-        def rank_deficient(sigma, rho, w, v):
-            raise RankDeficient("rank-deficient CSS")
+        def no_kernel(sigma, rho, w, v):
+            raise NotEdgeState("sigma's partial transpose has no near-zero eigenvalue")
 
-        monkeypatch.setattr(revmap, "_recover", rank_deficient)
+        monkeypatch.setattr(revmap, "_recover", no_kernel)
         res = css.css_vp((0.5, 0.3, 0.2))
         assert math.isnan(res.residuals["recovery_gap"])
+
+    @pytest.mark.parametrize("error", [RankDeficient("rank-deficient CSS"),
+                                       np.linalg.LinAlgError("SVD did not converge")])
+    def test_other_recovery_errors_propagate(self, monkeypatch, error):
+        """Only a CSS with no kernel in its partial transpose, NotEdgeState,
+        makes the recovery gap NaN; any other failure of the reverse map is
+        raised, not hidden as a NaN residual."""
+        def failing(sigma, rho, w, v):
+            raise error
+
+        monkeypatch.setattr(revmap, "_recover", failing)
+        with pytest.raises(type(error)):
+            css.css_vp((0.5, 0.3, 0.2))
 
     def test_recovery_programming_error_propagates(self, monkeypatch):
         def broken(sigma, rho, w, v):
@@ -412,10 +445,14 @@ class TestCssAuto:
             css.css_auto(np.full((4, 4), np.nan, dtype=complex))
 
     def test_geometric_unavailable(self, rng):
+        """No closed form covers a state that `classify` finds outside the
+        families, which is what `css --method geometric` asks first; css_auto
+        still returns a CSS for it."""
         rho = random_density_matrix(rng)
-        res = css.css_auto(rho, numeric_fallback=False)
+        assert css.classify(rho).kind is FamilyKind.OTHER
+        res = css.css_auto(rho)
         assert res.family.kind is FamilyKind.OTHER
-        assert res.css is None
+        assert res.css.shape == (4, 4) and res.geometric == res.separable
 
     def test_geometric_follows_family(self):
         """`geometric` is read off the family and `separable`: a hand-built

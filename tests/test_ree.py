@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -8,9 +9,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import reegeom
-from reegeom import css, geometry, qstate, ree
+from reegeom import cli, css, geometry, qstate, ree
 from reegeom.errors import InvalidState
 from reegeom.ree import (
     OracleConfig,
@@ -161,7 +163,8 @@ _TRIPLES_REFERENCE = np.array(
 
 
 def _spectra_reference(x):
-    m = np.eye(4) / 4 + np.tensordot(np.stack([x, ree._PT_SIGN * x]), ree._B, axes=1)
+    m = np.eye(4) / 4 + np.tensordot(np.stack([x, ree._PT_SIGN * x]),
+                                     ree._B_FLAT.reshape(15, 4, 4), axes=1)
     return np.linalg.eigh(m)
 
 
@@ -747,14 +750,24 @@ class TestGeometricRoute:
             assert geo.geometric
             assert abs(geo.ree - num.value) <= 2e-4
 
-    def test_unsupported_family_returns_no_css(self, rng):
+    def test_unsupported_family_returns_no_css(self, rng, tmp_path):
+        """`css --method geometric` writes no CSS for an entangled state
+        outside the families; `--method auto` writes the oracle's."""
         while True:
-            rho = random_density_matrix(rng)
-            if css.classify(rho).kind is css.FamilyKind.OTHER:
+            rho = random_density_matrix(rng, rank=2)
+            if css.classify(rho).kind is css.FamilyKind.OTHER and not qstate.is_ppt(rho):
                 break
-        res = css.css_auto(rho, numeric_fallback=False)
-        assert res.family.kind is css.FamilyKind.OTHER
-        assert res.css is None and not res.geometric
+        state = tmp_path / "o.json"
+        state.write_text(json.dumps(cli.matrix_json(rho)))
+        runner = CliRunner()
+        geo = runner.invoke(cli.main, ["css", str(state), "--method", "geometric",
+                                       "--out", str(tmp_path / "geo.json")])
+        assert geo.exit_code == 3 and not (tmp_path / "geo.json").exists()
+        auto = runner.invoke(cli.main, ["css", str(state), "--method", "auto"])
+        assert auto.exit_code == 0
+        d = json.loads(auto.output)
+        assert d["method"] == "numeric-fallback" and d["family"] == "Other"
+        assert d["ree"] == relative_entropy(rho, cli._state_matrix(d["css"]))
 
 
 class TestDirectionalOptimality:

@@ -364,3 +364,15 @@ class TestRecovery:
     def test_no_pt_kernel_raises(self):
         with pytest.raises(NotEdgeState):
             revmap.recover(np.eye(4, dtype=complex) / 4, css._vp_state((0.5, 0.3, 0.2)))
+
+    def test_kernel_ends_at_edge_tol(self, rng):
+        """sigma = (1 - p) sigma0 + p I/4, with sigma0 a full-rank edge state,
+        has lambda_min(sigma^Gamma) = p/4.  At 1e-9, within EDGE_TOL, its
+        eigenvector is sigma^Gamma's kernel, and the family sigma - x G(sigma)
+        is recovered; at 1e-7 sigma^Gamma has no kernel."""
+        sigma0 = generic_edge_state(rng)
+        near, off = ((1 - p) * sigma0 + p * np.eye(4) / 4 for p in (4e-9, 4e-7))
+        rho = revmap.family_from_css(near, 0.5 * physical_range(near))
+        assert np.max(np.abs(revmap.recover(near, rho) - rho)) <= 1e-12
+        with pytest.raises(NotEdgeState):
+            revmap.recover(off, off)
