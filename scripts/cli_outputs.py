@@ -2,9 +2,11 @@
 
     python scripts/cli_outputs.py DIR
 
-The input set is 28 two-qubit states, each under its own fixed local unitary:
+The input set is 29 two-qubit states, each under its own fixed local unitary:
 Bell-diagonal, generalized Vedral-Plenio (one with |l2 - l3| = 2e-8),
-generalized Horodecki, Werner, separable, X-shaped, pure and generic.  The
+generalized Horodecki, Werner, separable, X-shaped, pure, generic and one
+mixed maximally correlated state outside the VP family, added last so that
+every earlier random draw stays in place.  The
 states are built with numpy alone, so the input files do not depend on the
 reegeom under test.  Each state goes through `decompose`, `reconstruct` of
 the decompose file, and `css` with `--method auto`, `numeric` and
@@ -84,7 +86,7 @@ def unitary(rng, n=2) -> np.ndarray:
 
 
 def states(rng) -> dict[str, np.ndarray]:
-    """The 28 input states, each rotated by its own local unitary."""
+    """The 29 input states, each rotated by its own local unitary."""
     base = {
         "bell_vertex": bell_diagonal([1, -1, 1]),
         "bell_face": bell_diagonal([0.8, -0.8, 0.8]),
@@ -114,6 +116,8 @@ def states(rng) -> dict[str, np.ndarray]:
         "generic_rank3": ginibre(rng, 3),
         "generic_rank4": ginibre(rng, 4),
         "generic_mixture": 0.7 * ginibre(rng, 1) + 0.3 * np.eye(4) / 4,
+        # 0.7|00><00| + 0.3|11><11| + 0.4(|00><11| + h.c.): z > min(a, b)
+        "max_correlated": x_state([0.7, 0.0, 0.0, 0.3], 0.4, 0.0),
     }
     out = {}
     for name, rho in base.items():

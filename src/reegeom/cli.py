@@ -222,7 +222,8 @@ def css_cmd(state, method, bits, out):
     except NotConverged as exc:
         _fail(EXIT_CHECK_FAILED, str(exc))
     _emit({
-        "method": "geometric" if result.geometric else "numeric-fallback",
+        "method": ("maximally-correlated" if result.route == "maximally-correlated"
+                   else "geometric" if result.geometric else "numeric-fallback"),
         "family": result.family.kind.value,
         "lambdas": list(result.family.lambdas) if result.family.lambdas else None,
         "separable": result.separable,

@@ -6,7 +6,10 @@ states, one-Bell-state mixtures with non-orthogonal separable parts
 (generalized Horodecki).  `classify` detects the family after reducing an
 input state to its diagonal-correlation canonical frame.  The CSS keeps the
 input's Bloch vectors; only its correlation vector tau, in the family's
-template frame, is computed and rotated back.
+template frame, is computed and rotated back.  The VP construction also
+solves every maximally correlated state a|00><00| + b|11><11| +
+z(|00><11| + h.c.), pure states included, though those with z > min(a, b)
+are outside the family.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ class CssResult:
     - edge_gap: |lambda_min(css^Gamma)|;
     - recovery_gap: max-entry error of `revmap.recover(css, rho)`; NaN when
       rho is separable or css^Gamma has no kernel at `revmap.EDGE_TOL`.
+    route names how `_solve` built the CSS: "ppt" (rho itself),
+    "bell-diagonal", "vp" or "horodecki" (the family's closed form),
+    "maximally-correlated" (the VP closed form on a state of family Other,
+    so not `geometric`) or "oracle"; None on a result built by hand.
     """
 
     css: np.ndarray
@@ -69,6 +76,7 @@ class CssResult:
     ree: float
     residuals: dict = field(default_factory=dict)
     separable: bool = False
+    route: str | None = None
 
     @property
     def geometric(self) -> bool:
@@ -87,39 +95,49 @@ def _horodecki_state(lam) -> np.ndarray:
 
 
 def _match_templates(dpf: DiagonalPauliForm):
-    """Family tag plus the frame reaching the template, matched within CLASSIFY_TOL.
+    """Family tag, route and the frame reaching the template, matched within
+    CLASSIFY_TOL.
 
-    Returns (tag, P_A, P_B) with P_A, P_B in SO(3); identity frames for
-    Bell-diagonal and Other.  The template's z axis is the canonical axis k
-    carrying the most Bloch weight, and its x and y are the other two in
+    Returns (tag, route, P_A, P_B) with P_A, P_B in SO(3); identity frames
+    for Bell-diagonal and Other.  The template's z axis is the canonical axis
+    k carrying the most Bloch weight, and its x and y are the other two in
     index order, so t_x = q_x >= 0.  Each side is turned by pi about x where
     needed so that r_z >= 0, and s_z >= 0 for VP or s_z <= 0 for Horodecki:
     then w = l2 - l3 >= 0, and lambdas depend on rho alone.  A state that
-    matches both templates is taken as VP.
+    matches both templates is taken as VP.  A state that matches the VP
+    template with l3 < -CLASSIFY_TOL is rho = l1 Phi+ + diag(l2, 0, 0, l3):
+    where its block [[l1/2 + l2, l1/2], [l1/2, l1/2 + l3]] on |00>, |11> is
+    PSD, it is maximally correlated, with route "maximally-correlated", the
+    VP frames, family Other and no lambdas.  Else the route is "oracle".
     """
     eye, tol = np.eye(3), CLASSIFY_TOL
     # sqrt(x . x) is np.linalg.norm(x), bit for bit, without its call overhead
     if math.sqrt(dpf.r.dot(dpf.r)) <= tol and math.sqrt(dpf.s.dot(dpf.s)) <= tol:
-        return FamilyTag(FamilyKind.BELL_DIAGONAL), eye, eye
+        return FamilyTag(FamilyKind.BELL_DIAGONAL), "bell-diagonal", eye, eye
 
     r, s, q = dpf.r.tolist(), dpf.s.tolist(), dpf.q.tolist()  # floats: the same arithmetic
     k = max(range(3), key=lambda n: abs(r[n]) + abs(s[n]))  # the first largest, as np.argmax
     i, j = (n for n in range(3) if n != k)
-    # w sets l2, l3 = (1 - l1 +- w) / 2; the smaller must be >= -tol
     l1, w = q[i], (abs(r[k]) + abs(s[k])) / 2
+    l2, l3 = (1 - l1 + w) / 2, (1 - l1 - w) / 2
     axial = (max(abs(r[i]), abs(r[j]), abs(s[i]), abs(s[j]), abs(abs(r[k]) - abs(s[k]))) <= tol
-             and l1 >= -tol and (1 - l1 - w) / 2 >= -tol)
+             and l1 >= -tol)
     sign_a, sign_s = (1.0 if r[k] >= 0 else -1.0), (1.0 if s[k] >= 0 else -1.0)
-    for kind, sign_b, t_z in ((FamilyKind.GENERALIZED_VP, sign_s, 1.0),
-                              (FamilyKind.GENERALIZED_HORODECKI, -sign_s, 2 * l1 - 1)):
+    for kind, route, sign_b, t_z in ((FamilyKind.GENERALIZED_VP, "vp", sign_s, 1.0),
+                                     (FamilyKind.GENERALIZED_HORODECKI, "horodecki",
+                                      -sign_s, 2 * l1 - 1)):
         c = sign_a * sign_b  # t_y = c q_j and t_z = c q_k in the template frame
         if axial and abs(l1 + c * q[j]) <= tol and abs(c * q[k] - t_z) <= tol:
             p = eye[[i, j, k]]
             sign_x = -1.0 if k == 1 else 1.0  # (0, 2, 1) is the one odd order: det +1
             pa, pb = p * [[[sign_x], [sign_a], [sign_a]], [[sign_x], [sign_b], [sign_b]]]
-            lam = _clip_weights(l1, (1 - l1 + w) / 2, (1 - l1 - w) / 2)
-            return FamilyTag(kind, lam), pa, pb
-    return FamilyTag(FamilyKind.OTHER), eye, eye
+            if l3 >= -tol:
+                return FamilyTag(kind, _clip_weights(l1, l2, l3)), route, pa, pb
+            # the PSD test of the |00>, |11> block; its diagonal l1/2 + l2 is (1 + w)/2 > 0
+            if (kind is FamilyKind.GENERALIZED_VP and l1 / 2 + l3 >= -tol
+                    and (l1 / 2 + l2) * (l1 / 2 + l3) >= (l1 / 2) ** 2 - tol):
+                return FamilyTag(FamilyKind.OTHER), "maximally-correlated", pa, pb
+    return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
 
 
 def _clip_weights(l1, l2, l3):
@@ -131,21 +149,22 @@ def classify(rho: np.ndarray) -> FamilyTag:
     """Family of rho, read off its Pauli form in the canonical frame."""
     validate_density_matrix(rho)
     dpf, _, _ = canonicalize(to_pauli(rho))
-    tag, _, _ = _match_templates(dpf)
-    return tag
+    return _match_templates(dpf)[0]
 
 
-def _tau(tag: FamilyTag, t) -> np.ndarray:
-    """The CSS's correlation vector for an entangled state of family `tag`
-    whose correlation vector is t, both in the template frame.  The VP and
-    Horodecki tau lie on the ray from v1, the Phi+ vertex, through t; for
-    some Horodecki states with l1 < 1/3, v1 is not `nearest_vertex(t)`.
-    Bell-diagonal tau is where the ray from the nearest vertex v through t
-    meets the octahedron face v.q = 1, or v/3 when t is v."""
-    if tag.kind is FamilyKind.GENERALIZED_VP:
+def _tau(route: str, lambdas, t) -> np.ndarray:
+    """The CSS's correlation vector for an entangled state solved in closed
+    form by `route`, whose correlation vector is t, both in the template
+    frame; lambdas are the Horodecki weights.  The VP tau, which the
+    maximally correlated route shares, and the Horodecki tau lie on the ray
+    from v1, the Phi+ vertex, through t; for some Horodecki states with
+    l1 < 1/3, v1 is not `nearest_vertex(t)`.  Bell-diagonal tau is where the
+    ray from the nearest vertex v through t meets the octahedron face
+    v.q = 1, or v/3 when t is v."""
+    if route in ("vp", "maximally-correlated"):
         return np.array([0.0, 0.0, 1.0])
-    if tag.kind is FamilyKind.GENERALIZED_HORODECKI:
-        l1, l2, l3 = tag.lambdas
+    if route == "horodecki":
+        l1, l2, l3 = lambdas
         q1 = 0.5 * (l1 + 2 * l2) * (l1 + 2 * l3)
         return np.array([q1, -q1, 2 * q1 - 1])
     v = geometry.nearest_vertex(t).coords
@@ -154,23 +173,24 @@ def _tau(tag: FamilyTag, t) -> np.ndarray:
     return v + 2.0 / (3.0 - float(v @ t)) * (t - v)
 
 
-def _solve(rho, p_rho: PauliForm, tag: FamilyTag, t, a, b, w, v) -> CssResult:
+def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> CssResult:
     """The CSS of rho, with Pauli form p_rho and spectra w, v of (rho, rho^Gamma),
-    and its residuals.  a, b take rho to the template frame of `tag` (r -> a r,
-    s -> b s, g -> a g b^T), where its correlation vector is t.  A PPT rho is
-    its own CSS; else the CSS keeps rho's Bloch vectors and has correlation
-    tensor a^T diag(_tau(tag, t)) b, or outside the families is the oracle's."""
+    and its residuals.  a, b take rho to the template frame of `route`
+    (r -> a r, s -> b s, g -> a g b^T), where its correlation vector is t.  A
+    PPT rho is its own CSS, with route "ppt"; else the CSS keeps rho's Bloch
+    vectors and has correlation tensor a^T diag(_tau(route, ...)) b, or on
+    route "oracle" is the oracle's."""
     separable = _ppt(w)
     if separable:
-        css, tau = from_pauli(p_rho), t
-    elif tag.kind is FamilyKind.OTHER:
+        css, tau, route = from_pauli(p_rho), t, "ppt"
+    elif route == "oracle":
         rep = ree_numeric(rho)
         if not rep.converged:
             raise NotConverged(rep.gap)
         css = rep.css_numeric
         tau = np.diag(a @ to_pauli(css).g @ b.T)
     else:
-        tau = _tau(tag, t)
+        tau = _tau(route, tag.lambdas, t)
         css = from_pauli(PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b))
     p_css, (ws, vs) = to_pauli(css), _pt_spectra(css)
     return CssResult(
@@ -180,7 +200,7 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, t, a, b, w, v) -> CssResult:
                                                                  p_css.s - p_rho.s)),
                    "edge_gap": abs(float(ws[1, 0])),
                    "recovery_gap": math.nan if separable else _recovery_gap(rho, css, ws, vs)},
-        separable=separable)
+        separable=separable, route=route)
 
 
 def _recovery_gap(rho, css, w, v) -> float:
@@ -191,10 +211,10 @@ def _recovery_gap(rho, css, w, v) -> float:
         return float("nan")
 
 
-def _template(rho, tag: FamilyTag) -> CssResult:
+def _template(rho, tag: FamilyTag, route: str) -> CssResult:
     """`_solve` on a state in its template frame."""
     p_rho = to_pauli(rho)
-    return _solve(rho, p_rho, tag, p_rho.g.diagonal(), np.eye(3), np.eye(3),
+    return _solve(rho, p_rho, tag, route, p_rho.g.diagonal(), np.eye(3), np.eye(3),
                   *_pt_spectra(rho))
 
 
@@ -202,28 +222,28 @@ def css_bell_diagonal(t) -> CssResult:
     """Closest separable state of the Bell-diagonal state with correlation
     vector t: the crossing of the ray from the nearest tetrahedron vertex
     through t with the nearest octahedron face."""
-    return _template(bell_diagonal(t), FamilyTag(FamilyKind.BELL_DIAGONAL))
+    return _template(bell_diagonal(t), FamilyTag(FamilyKind.BELL_DIAGONAL), "bell-diagonal")
 
 
 def css_vp(lam) -> CssResult:
     """Theorem construction for generalized Vedral-Plenio weights."""
-    return _template(_vp_state(lam), FamilyTag(FamilyKind.GENERALIZED_VP, tuple(lam)))
+    return _template(_vp_state(lam), FamilyTag(FamilyKind.GENERALIZED_VP, tuple(lam)), "vp")
 
 
 def css_horodecki(lam) -> CssResult:
     """Theorem construction for generalized Horodecki weights."""
     return _template(_horodecki_state(lam),
-                     FamilyTag(FamilyKind.GENERALIZED_HORODECKI, tuple(lam)))
+                     FamilyTag(FamilyKind.GENERALIZED_HORODECKI, tuple(lam)), "horodecki")
 
 
 def css_auto(rho: np.ndarray) -> CssResult:
     """Classify rho in its canonical frame and `_solve` it from its own Pauli
-    form and the rotations that take it to its family's template frame.
-    Outside the families the oracle supplies the CSS, and raises NotConverged
-    when its bracket does not close."""
+    form and the rotations that take it to its route's template frame.  Off
+    the closed-form routes the oracle supplies the CSS, and raises
+    NotConverged when its bracket does not close."""
     w, v = _checked_spectra(rho)
     p_rho = to_pauli(rho)
     dpf, r_a, r_b = canonicalize(p_rho)
-    tag, pa, pb = _match_templates(dpf)
+    tag, route, pa, pb = _match_templates(dpf)
     # t = diag(pa diag(q) pb^T), exact for signed permutations
-    return _solve(rho, p_rho, tag, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b, w, v)
+    return _solve(rho, p_rho, tag, route, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b, w, v)

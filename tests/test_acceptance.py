@@ -317,3 +317,52 @@ def test_criterion_10_generic_states_with_exact_css():
             and elapsed < 5.0,
             f"value - exact in [{min(above):.1e}, {max(above):.1e}], "
             f"lower - exact <= {max(below):.1e}, css err {css_err:.1e}, {elapsed:.1f}s")
+
+
+def test_criterion_11_maximally_correlated_states(monkeypatch):
+    # rotated a|00><00| + b|11><11| + z(|00><11| + h.c.), a third of them pure
+    # (z^2 = ab): the VP closed form diag(a, 0, 0, b) is their exact CSS
+    # (Rains 1999), with REE S(diag(a, b)) - S(rho), and no oracle runs.
+    # Those with z > min(a, b), l3 < -CLASSIFY_TOL in the template frame,
+    # are outside the VP family and take the maximally correlated route
+    def oracle(*args, **kwargs):
+        raise AssertionError("css_auto called the oracle")
+
+    def entropy(p):
+        p = np.asarray(p)[np.asarray(p) > 0]
+        return float(-(p * np.log(p)).sum())
+
+    monkeypatch.setattr(css, "ree_numeric", oracle)
+    t0 = time.time()
+    rng = np.random.default_rng(11)
+    routes_ok, n_mc, ree_err, outside = True, 0, 0.0, 0
+    gaps = {"bloch_gap": [], "edge_gap": [], "recovery_gap": []}
+    for n in range(300):
+        a = rng.uniform()
+        b = 1.0 - a
+        z = math.sqrt(a * b) * (1.0 if n % 3 == 0 else rng.uniform())
+        rho = rotate(css._vp_state((2 * z, a - z, b - z)), random_unitary(rng),
+                     random_unitary(rng))
+        res = css.css_auto(rho)
+        mc = min(a, b) - z < -css.CLASSIFY_TOL
+        n_mc += mc
+        routes_ok &= (res.route == ("maximally-correlated" if mc else "vp")
+                      and res.family.kind is (css.FamilyKind.OTHER if mc
+                                              else css.FamilyKind.GENERALIZED_VP))
+        root = math.sqrt((a - b) ** 2 + 4 * z * z)
+        exact = entropy([a, b]) - entropy([(1 + root) / 2, (1 - root) / 2])
+        ree_err = max(ree_err, abs(res.ree - exact))
+        for name, values in gaps.items():
+            values.append(res.residuals[name])
+        if n % 5 == 0:
+            num = ree_numeric(rho)
+            outside += not (num.converged and num.lower <= res.ree <= num.value)
+    elapsed = time.time() - t0
+    gaps = {name: float(np.max(values)) for name, values in gaps.items()}  # NaN if any is
+    _report("criterion 11: maximally correlated states in closed form, no oracle",
+            routes_ok and 0 < n_mc < 300 and ree_err <= 1e-14
+            and gaps["bloch_gap"] <= 1e-15 and gaps["edge_gap"] <= 1e-14
+            and gaps["recovery_gap"] <= 1e-13 and outside == 0 and elapsed < 5.0,
+            f"{n_mc} of 300 maximally correlated, REE err {ree_err:.1e}, "
+            + ", ".join(f"{k} {v:.1e}" for k, v in gaps.items())
+            + f", {outside} of 60 outside the oracle bracket, {elapsed:.1f}s")

@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +247,56 @@ class TestCss:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert "2.000e-03" in res.stderr
         assert sorted(os.listdir(tmp_path)) == ["o.json"]
+
+    def test_maximally_correlated_method(self, runner, tmp_path, monkeypatch):
+        """A pure state takes the maximally correlated route: `method` names
+        it, the family stays Other with no lambdas, tau is VP's (0, 0, 1),
+        and the REE is S(rho_A) with no oracle call.  `--method geometric`
+        still exits 3, as `classify` finds the state outside the families."""
+        def no_oracle(rho, cfg=None):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(css, "ree_numeric", no_oracle)
+        rng = np.random.default_rng(5)
+        theta = 0.4
+        v = np.array([math.cos(theta), 0, 0, math.sin(theta)], dtype=complex)
+        rho = rotate(np.outer(v, v), random_unitary(rng), random_unitary(rng))
+        p = write_state(tmp_path / "pure.json", rho)
+        res = runner.invoke(cli.main, ["css", p])
+        assert res.exit_code == 0
+        d = json.loads(res.output)
+        assert d["method"] == "maximally-correlated" and d["family"] == "Other"
+        assert d["lambdas"] is None and d["separable"] is False
+        assert np.array_equal(d["tau"], [0.0, 0.0, 1.0])
+        c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+        assert d["ree"] == pytest.approx(-c2 * math.log(c2) - s2 * math.log(s2), abs=1e-14)
+        res = runner.invoke(cli.main, ["css", p, "--method", "geometric"])
+        assert res.exit_code == 3
+
+    def test_oracle_inventory_of_the_fixed_inputs(self, monkeypatch):
+        """Of the fixed inputs of `scripts/cli_outputs.py`, css_auto needs the
+        oracle on the X states x_a and x_b and the four generic states only;
+        the pure states and the mixed maximally correlated one take the
+        closed form."""
+        class OracleCalled(Exception):
+            pass
+
+        def oracle(rho, cfg=None):
+            raise OracleCalled
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "cli_outputs.py"
+        spec = importlib.util.spec_from_file_location("cli_outputs", path)
+        outputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(outputs)
+        monkeypatch.setattr(css, "ree_numeric", oracle)
+        need = []
+        for name, rho in outputs.states(np.random.default_rng(outputs.SEED)).items():
+            try:
+                css.css_auto(rho)
+            except OracleCalled:
+                need.append(name)
+        assert need == ["x_a", "x_b", "generic_rank2", "generic_rank3", "generic_rank4",
+                        "generic_mixture"]
 
     def test_bits_flag(self, runner, tmp_path):
         p = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])

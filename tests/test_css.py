@@ -22,10 +22,13 @@ FRAMES = reference_frames()
 
 def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
     """Reference: _match_templates as a Python loop over all 96 frames in
-    order, VP tried in every frame before Horodecki."""
+    order, VP tried in every frame before Horodecki.  A VP match that fails
+    only the weight test l3 >= -tol is maximally correlated where the
+    state's |00>, |11> block [[a, z], [z, b]] is PSD within tol."""
     eye = np.eye(3)
     if np.linalg.norm(dpf.r) <= tol and np.linalg.norm(dpf.s) <= tol:
-        return FamilyTag(FamilyKind.BELL_DIAGONAL), eye, eye
+        return FamilyTag(FamilyKind.BELL_DIAGONAL), "bell-diagonal", eye, eye
+    routes = {FamilyKind.GENERALIZED_VP: "vp", FamilyKind.GENERALIZED_HORODECKI: "horodecki"}
     for kind in (FamilyKind.GENERALIZED_VP, FamilyKind.GENERALIZED_HORODECKI):
         for pa, pb in FRAMES:
             r2, s2 = pa @ dpf.r, pb @ dpf.s
@@ -43,13 +46,17 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
                 w = (r2[2] - s2[2]) / 2
             l2, l3 = (1 - l1 + w) / 2, (1 - l1 - w) / 2
             if ok and w >= 0 and l3 >= -tol:  # w >= 0: l2 >= l3
-                return FamilyTag(kind, css._clip_weights(l1, l2, l3)), pa, pb
-    return FamilyTag(FamilyKind.OTHER), eye, eye
+                return FamilyTag(kind, css._clip_weights(l1, l2, l3)), routes[kind], pa, pb
+            a, b, z = l1 / 2 + l2, l1 / 2 + l3, l1 / 2
+            if (ok and w >= 0 and kind is FamilyKind.GENERALIZED_VP
+                    and min(a, b) >= -tol and a * b >= z * z - tol):
+                return FamilyTag(FamilyKind.OTHER), "maximally-correlated", pa, pb
+    return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
 
 
 class TestMatchTemplates:
     def test_matches_loop_reference(self, monkeypatch):
-        rng = np.random.default_rng(9)
+        rng, mc_rng = np.random.default_rng(9), np.random.default_rng(10)
         inputs = []
         for _ in range(40):
             lam = tuple(rng.dirichlet([1, 1, 1]))
@@ -58,18 +65,25 @@ class TestMatchTemplates:
                 inputs += [rho, rotated(rho, rng),
                            0.999 * rho + 0.001 * random_density_matrix(rng)]
             inputs.append(random_density_matrix(rng))
-        kinds = set()
+            # maximally correlated, pure (z^2 = ab) and mixed with z > min(a, b)
+            a = mc_rng.uniform(0.1, 0.9)
+            for z in (math.sqrt(a * (1 - a)),
+                      mc_rng.uniform(min(a, 1 - a), math.sqrt(a * (1 - a)))):
+                inputs.append(rotated(css._vp_state((2 * z, a - z, 1 - a - z)), mc_rng))
+        kinds, routes = set(), set()
         tols = (css.CLASSIFY_TOL, 1e-2)
         for rho in inputs:
             dpf, _, _ = qstate.canonicalize(qstate.to_pauli(rho))
             for tol in tols:
                 monkeypatch.setattr(css, "CLASSIFY_TOL", tol)
-                tag, pa, pb = css._match_templates(dpf)
-                want, want_pa, want_pb = match_templates_loop(dpf, tol)
-                assert tag == want
+                tag, route, pa, pb = css._match_templates(dpf)
+                want, want_route, want_pa, want_pb = match_templates_loop(dpf, tol)
+                assert tag == want and route == want_route
                 assert np.array_equal(pa, want_pa) and np.array_equal(pb, want_pb)
                 kinds.add(tag.kind)
+                routes.add(route)
         assert kinds == set(FamilyKind)
+        assert routes == {"bell-diagonal", "vp", "horodecki", "maximally-correlated", "oracle"}
 
     def test_lambdas_are_a_function_of_the_state(self):
         """300 rotated VP and 300 rotated Horodecki states, each nudged by
@@ -110,6 +124,26 @@ class TestMatchTemplates:
                 res = css.css_auto(rotated(css._vp_state(lam), rng))
                 assert res.family.kind is FamilyKind.GENERALIZED_VP, lam
                 assert abs(res.ree - css.css_vp(lam).ree) <= 1e-14, lam
+
+    def test_clipped_weights_at_the_vp_edge(self):
+        """Rotated VP states with l3 = 0 read a raw l3 a few ulps below 0 on
+        about a third of the draws.  They stay on the VP route, not the
+        maximally correlated one, and every reported lambda is >= 0, the
+        three summing to 1."""
+        rng = np.random.default_rng(0)
+        n_negative = 0
+        for lam in [(0.9, 0.1, 0.0), (0.5, 0.5, 0.0), (0.3, 0.7, 0.0), (0.6, 0.4, 0.0)]:
+            for _ in range(200):
+                rho = rotated(css._vp_state(lam), rng)
+                dpf, _, _ = qstate.canonicalize(qstate.to_pauli(rho))
+                r, s = np.abs(dpf.r), np.abs(dpf.s)
+                k = int(np.argmax(r + s))
+                n_negative += (1 - np.delete(dpf.q, k)[0] - (r[k] + s[k]) / 2) / 2 < 0
+                res = css.css_auto(rho)
+                assert res.route == "vp" and res.family.kind is FamilyKind.GENERALIZED_VP
+                assert min(res.family.lambdas) >= 0.0
+                assert abs(sum(res.family.lambdas) - 1) <= 1e-15
+        assert n_negative > 0
 
 
 class TestClassify:
@@ -311,6 +345,39 @@ class TestCssAuto:
         assert np.array_equal(res.css, res.css.conj().T)
         assert abs(np.trace(res.css) - 1) <= 2.3e-16
 
+    @given(st.sampled_from(["bell", "vp", "horodecki", "werner", "maximally-correlated",
+                            "other"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120)
+    def test_swap_and_conjugation_invariance(self, kind, seed):
+        """css_auto's REE and route are unchanged, the REE within 1e-12, when
+        the two qubits are swapped and when rho is complex conjugated: on
+        rotated family states, maximally correlated states (pure ones
+        included) and random states of rank 1 to 4, where the oracle runs."""
+        rng = np.random.default_rng(seed)
+        if kind == "bell":
+            rho = qstate.bell_diagonal(
+                rng.dirichlet(np.ones(4)) @ np.array(list(geometry.TETRA_VERTICES.values())))
+        elif kind == "werner":
+            p = rng.uniform()
+            rho = p * qstate.BELL_STATES[0] + (1 - p) * np.eye(4) / 4
+        elif kind == "maximally-correlated":
+            a = rng.uniform()
+            z = math.sqrt(a * (1 - a)) * (1.0 if rng.uniform() < 0.5 else rng.uniform())
+            rho = css._vp_state((2 * z, a - z, 1 - a - z))
+        elif kind == "other":
+            rho = random_density_matrix(rng, rank=int(rng.integers(1, 5)))
+        else:
+            lam = tuple(rng.dirichlet(np.ones(3)))
+            rho = (css._vp_state if kind == "vp" else css._horodecki_state)(lam)
+        rho = rotated(rho, rng)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        base = css.css_auto(rho)
+        for image in (swap @ rho @ swap, rho.conj()):
+            res = css.css_auto(image)
+            assert res.route == base.route
+            assert abs(res.ree - base.ree) <= 1e-12
+
     def test_two_pauli_transforms(self, monkeypatch):
         """A rotated family state's css_auto takes the Pauli form of rho once
         and of the returned CSS once.  The CSS is rebuilt, bit for bit, from
@@ -342,9 +409,9 @@ class TestCssAuto:
             assert calls[0] is rho and calls[1] is res.css
             p_rho = qstate.to_pauli(rho)
             dpf, r_a, r_b = qstate.canonicalize(p_rho)
-            tag, pa, pb = css._match_templates(dpf)
+            tag, route, pa, pb = css._match_templates(dpf)
             a, b = pa @ r_a, pb @ r_b
-            tau = css._tau(tag, np.diag(pa @ np.diag(dpf.q) @ pb.T))
+            tau = css._tau(route, tag.lambdas, np.diag(pa @ np.diag(dpf.q) @ pb.T))
             assert np.array_equal(res.tau, tau)
             assert np.array_equal(res.css, qstate.from_pauli(
                 qstate.PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b)))
@@ -466,6 +533,28 @@ class TestCssAuto:
         assert css.CssResult(css=np.eye(4) / 4, tau=np.zeros(3), family=bell,
                              ree=0.1).geometric
 
+    def test_route_names_how_the_css_was_built(self, rng):
+        """`route` is set on every result css_auto and the closed-form
+        builders return, and is None on a hand-built one."""
+        while True:
+            other = random_density_matrix(rng, rank=2)
+            if not qstate.is_ppt(other) and css.classify(other).kind is FamilyKind.OTHER:
+                break
+        cases = [(qstate.bell_diagonal([0.8, -0.6, 0.5]), "bell-diagonal"),
+                 (css._vp_state((0.5, 0.3, 0.2)), "vp"),
+                 (css._horodecki_state((0.6, 0.3, 0.1)), "horodecki"),
+                 (css._horodecki_state((0.2, 0.4, 0.4)), "ppt"),
+                 (css._vp_state((0.8, 0.3, -0.1)), "maximally-correlated"),
+                 (other, "oracle")]
+        for rho, route in cases:
+            assert css.css_auto(rotated(rho, rng)).route == route
+        assert css.css_bell_diagonal([0.8, -0.6, 0.5]).route == "bell-diagonal"
+        assert css.css_vp((0.5, 0.3, 0.2)).route == "vp"
+        assert css.css_horodecki((0.6, 0.3, 0.1)).route == "horodecki"
+        assert css.css_horodecki((0.2, 0.4, 0.4)).route == "ppt"
+        assert css.CssResult(css=np.eye(4) / 4, tau=np.zeros(3),
+                             family=FamilyTag(FamilyKind.OTHER), ree=0.0).route is None
+
     def test_numeric_fallback(self, rng):
         while True:
             rho = random_density_matrix(rng, rank=2)
@@ -523,16 +612,16 @@ class TestRecoveryChecksTheCss:
     """The recovery residual rebuilds rho from the CSS the construction made."""
 
     def test_planted_css_fails_the_recovery(self, monkeypatch, rng):
-        """Each construction's tau reversed: the CSS built from it no longer
-        rebuilds rho."""
+        """Each construction's tau reversed, the maximally correlated route's
+        included: the CSS built from it no longer rebuilds rho."""
         tau = css._tau
-        monkeypatch.setattr(css, "_tau", lambda tag, t: tau(tag, t)[::-1])
+        monkeypatch.setattr(css, "_tau", lambda route, lam, t: tau(route, lam, t)[::-1])
         lam_vp, lam_h = (0.5, 0.3, 0.2), (0.6, 0.3, 0.1)
         results = [css.css_vp(lam_vp), css.css_horodecki(lam_h),
                    css.css_auto(rotated(css._vp_state(lam_vp), rng)),
-                   css.css_auto(rotated(css._horodecki_state(lam_h), rng))]
-        assert [r.family.kind for r in results] == [
-            FamilyKind.GENERALIZED_VP, FamilyKind.GENERALIZED_HORODECKI] * 2
+                   css.css_auto(rotated(css._horodecki_state(lam_h), rng)),
+                   css.css_auto(rotated(css._vp_state((0.8, 0.3, -0.1)), rng))]
+        assert [r.route for r in results] == ["vp", "horodecki"] * 2 + ["maximally-correlated"]
         for res in results:
             gap = res.residuals["recovery_gap"]
             assert math.isnan(gap) or gap > 1e-3
