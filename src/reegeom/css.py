@@ -35,7 +35,7 @@ from .qstate import (
     to_pauli,
     validate_density_matrix,
 )
-from .ree import _relative_entropy, ree_numeric
+from .ree import SUPPORT_TOL, _relative_entropy, ree_numeric
 
 CLASSIFY_TOL = 1e-8
 
@@ -53,12 +53,18 @@ class FamilyTag:
     lambdas: tuple[float, float, float] | None = None
 
 
+# the route of each family's closed form; an Other state's route,
+# "maximally-correlated" or "oracle", is named where it is matched
+_FAMILY_ROUTES = {FamilyKind.BELL_DIAGONAL: "bell-diagonal", FamilyKind.GENERALIZED_VP: "vp",
+                  FamilyKind.GENERALIZED_HORODECKI: "horodecki"}
+
+
 @dataclass
 class CssResult:
-    """A CSS and its correlation vector tau in the family's template frame:
-    rho's own if rho is PPT (`separable`, css is rho), the diagonal of the
-    CSS's correlation tensor in rho's canonical frame if the oracle ran (not
-    `geometric`).  ree is S(rho || css).  The residuals are computed on the
+    """A CSS and its correlation vector tau in the template frame of its
+    route: rho's own if rho is PPT (`separable`, css is rho), and the
+    diagonal of the CSS's correlation tensor in rho's canonical frame only
+    on route "oracle".  ree is S(rho || css).  The residuals are computed on the
     pair (rho, css):
     - bloch_gap: distance between their Bloch vectors, fact (i);
     - edge_gap: |lambda_min(css^Gamma)|;
@@ -80,7 +86,7 @@ class CssResult:
 
     @property
     def geometric(self) -> bool:
-        """The CSS came without the oracle: rho is PPT or in a family."""
+        """rho is PPT or in a family; see `route` for how the CSS was built."""
         return self.separable or self.family.kind is not FamilyKind.OTHER
 
 
@@ -107,13 +113,17 @@ def _match_templates(dpf: DiagonalPauliForm):
     matches both templates is taken as VP.  A state that matches the VP
     template with l3 < -CLASSIFY_TOL is rho = l1 Phi+ + diag(l2, 0, 0, l3):
     where its block [[l1/2 + l2, l1/2], [l1/2, l1/2 + l3]] on |00>, |11> is
-    PSD, it is maximally correlated, with route "maximally-correlated", the
-    VP frames, family Other and no lambdas.  Else the route is "oracle".
+    PSD and its weight (1 - t_z)/2 on |01>, |10>, the kernel of the CSS
+    diag(a, 0, 0, b), is at most SUPPORT_TOL, it is maximally correlated,
+    with route "maximally-correlated", the VP frames, family Other and no
+    lambdas.  Else the route is "oracle": a state nudged off that face by
+    more than SUPPORT_TOL would leak onto the kernel, an infinite REE.
     """
     eye, tol = np.eye(3), CLASSIFY_TOL
     # sqrt(x . x) is np.linalg.norm(x), bit for bit, without its call overhead
     if math.sqrt(dpf.r.dot(dpf.r)) <= tol and math.sqrt(dpf.s.dot(dpf.s)) <= tol:
-        return FamilyTag(FamilyKind.BELL_DIAGONAL), "bell-diagonal", eye, eye
+        bell = FamilyTag(FamilyKind.BELL_DIAGONAL)
+        return bell, _FAMILY_ROUTES[bell.kind], eye, eye
 
     r, s, q = dpf.r.tolist(), dpf.s.tolist(), dpf.q.tolist()  # floats: the same arithmetic
     k = max(range(3), key=lambda n: abs(r[n]) + abs(s[n]))  # the first largest, as np.argmax
@@ -123,19 +133,20 @@ def _match_templates(dpf: DiagonalPauliForm):
     axial = (max(abs(r[i]), abs(r[j]), abs(s[i]), abs(s[j]), abs(abs(r[k]) - abs(s[k]))) <= tol
              and l1 >= -tol)
     sign_a, sign_s = (1.0 if r[k] >= 0 else -1.0), (1.0 if s[k] >= 0 else -1.0)
-    for kind, route, sign_b, t_z in ((FamilyKind.GENERALIZED_VP, "vp", sign_s, 1.0),
-                                     (FamilyKind.GENERALIZED_HORODECKI, "horodecki",
-                                      -sign_s, 2 * l1 - 1)):
+    for kind, sign_b, t_z in ((FamilyKind.GENERALIZED_VP, sign_s, 1.0),
+                              (FamilyKind.GENERALIZED_HORODECKI, -sign_s, 2 * l1 - 1)):
         c = sign_a * sign_b  # t_y = c q_j and t_z = c q_k in the template frame
         if axial and abs(l1 + c * q[j]) <= tol and abs(c * q[k] - t_z) <= tol:
             p = eye[[i, j, k]]
             sign_x = -1.0 if k == 1 else 1.0  # (0, 2, 1) is the one odd order: det +1
             pa, pb = p * [[[sign_x], [sign_a], [sign_a]], [[sign_x], [sign_b], [sign_b]]]
             if l3 >= -tol:
-                return FamilyTag(kind, _clip_weights(l1, l2, l3)), route, pa, pb
-            # the PSD test of the |00>, |11> block; its diagonal l1/2 + l2 is (1 + w)/2 > 0
+                return FamilyTag(kind, _clip_weights(l1, l2, l3)), _FAMILY_ROUTES[kind], pa, pb
+            # the PSD test of the |00>, |11> block, whose diagonal l1/2 + l2
+            # is (1 + w)/2 > 0, and the support test on |01>, |10>
             if (kind is FamilyKind.GENERALIZED_VP and l1 / 2 + l3 >= -tol
-                    and (l1 / 2 + l2) * (l1 / 2 + l3) >= (l1 / 2) ** 2 - tol):
+                    and (l1 / 2 + l2) * (l1 / 2 + l3) >= (l1 / 2) ** 2 - tol
+                    and (1 - c * q[k]) / 2 <= SUPPORT_TOL):
                 return FamilyTag(FamilyKind.OTHER), "maximally-correlated", pa, pb
     return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
 
@@ -211,29 +222,29 @@ def _recovery_gap(rho, css, w, v) -> float:
         return float("nan")
 
 
-def _template(rho, tag: FamilyTag, route: str) -> CssResult:
-    """`_solve` on a state in its template frame."""
+def _template(rho, tag: FamilyTag) -> CssResult:
+    """`_solve` on a state in the template frame of its family's route."""
     p_rho = to_pauli(rho)
-    return _solve(rho, p_rho, tag, route, p_rho.g.diagonal(), np.eye(3), np.eye(3),
-                  *_pt_spectra(rho))
+    return _solve(rho, p_rho, tag, _FAMILY_ROUTES[tag.kind], p_rho.g.diagonal(), np.eye(3),
+                  np.eye(3), *_pt_spectra(rho))
 
 
 def css_bell_diagonal(t) -> CssResult:
     """Closest separable state of the Bell-diagonal state with correlation
     vector t: the crossing of the ray from the nearest tetrahedron vertex
     through t with the nearest octahedron face."""
-    return _template(bell_diagonal(t), FamilyTag(FamilyKind.BELL_DIAGONAL), "bell-diagonal")
+    return _template(bell_diagonal(t), FamilyTag(FamilyKind.BELL_DIAGONAL))
 
 
 def css_vp(lam) -> CssResult:
     """Theorem construction for generalized Vedral-Plenio weights."""
-    return _template(_vp_state(lam), FamilyTag(FamilyKind.GENERALIZED_VP, tuple(lam)), "vp")
+    return _template(_vp_state(lam), FamilyTag(FamilyKind.GENERALIZED_VP, tuple(lam)))
 
 
 def css_horodecki(lam) -> CssResult:
     """Theorem construction for generalized Horodecki weights."""
     return _template(_horodecki_state(lam),
-                     FamilyTag(FamilyKind.GENERALIZED_HORODECKI, tuple(lam)), "horodecki")
+                     FamilyTag(FamilyKind.GENERALIZED_HORODECKI, tuple(lam)))
 
 
 def css_auto(rho: np.ndarray) -> CssResult:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reegeom import css, geometry, qstate, revmap
 from reegeom.css import FamilyKind, FamilyTag
 from reegeom.errors import InvalidState, NotConverged, NotEdgeState, RankDeficient, ReegeomError
-from reegeom.ree import ReeReport, relative_entropy
+from reegeom.ree import SUPPORT_TOL, ReeReport, ree_numeric, relative_entropy
 
 from conftest import random_density_matrix, random_unitary, reference_frames, rotate
 
@@ -24,7 +24,8 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
     """Reference: _match_templates as a Python loop over all 96 frames in
     order, VP tried in every frame before Horodecki.  A VP match that fails
     only the weight test l3 >= -tol is maximally correlated where the
-    state's |00>, |11> block [[a, z], [z, b]] is PSD within tol."""
+    state's |00>, |11> block [[a, z], [z, b]] is PSD within tol and its
+    weight (1 - t_z)/2 on |01>, |10> is at most SUPPORT_TOL."""
     eye = np.eye(3)
     if np.linalg.norm(dpf.r) <= tol and np.linalg.norm(dpf.s) <= tol:
         return FamilyTag(FamilyKind.BELL_DIAGONAL), "bell-diagonal", eye, eye
@@ -49,7 +50,8 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
                 return FamilyTag(kind, css._clip_weights(l1, l2, l3)), routes[kind], pa, pb
             a, b, z = l1 / 2 + l2, l1 / 2 + l3, l1 / 2
             if (ok and w >= 0 and kind is FamilyKind.GENERALIZED_VP
-                    and min(a, b) >= -tol and a * b >= z * z - tol):
+                    and min(a, b) >= -tol and a * b >= z * z - tol
+                    and (1 - q2[2]) / 2 <= SUPPORT_TOL):
                 return FamilyTag(FamilyKind.OTHER), "maximally-correlated", pa, pb
     return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
 
@@ -65,11 +67,14 @@ class TestMatchTemplates:
                 inputs += [rho, rotated(rho, rng),
                            0.999 * rho + 0.001 * random_density_matrix(rng)]
             inputs.append(random_density_matrix(rng))
-            # maximally correlated, pure (z^2 = ab) and mixed with z > min(a, b)
+            # maximally correlated, pure (z^2 = ab) and mixed with z > min(a, b),
+            # each also nudged off the face by white noise of weight 1e-9
             a = mc_rng.uniform(0.1, 0.9)
             for z in (math.sqrt(a * (1 - a)),
                       mc_rng.uniform(min(a, 1 - a), math.sqrt(a * (1 - a)))):
-                inputs.append(rotated(css._vp_state((2 * z, a - z, 1 - a - z)), mc_rng))
+                rho = css._vp_state((2 * z, a - z, 1 - a - z))
+                inputs += [rotated(rho, mc_rng),
+                           rotated((1 - 1e-9) * rho + 1e-9 * np.eye(4) / 4, mc_rng)]
         kinds, routes = set(), set()
         tols = (css.CLASSIFY_TOL, 1e-2)
         for rho in inputs:
@@ -532,6 +537,28 @@ class TestCssAuto:
         bell = FamilyTag(FamilyKind.BELL_DIAGONAL)
         assert css.CssResult(css=np.eye(4) / 4, tau=np.zeros(3), family=bell,
                              ree=0.1).geometric
+
+    def test_off_the_maximally_correlated_face(self, rng):
+        """A rotated pure state mixed with weight p of white noise or of
+        |01><01| puts weight p/2 or p on |01>, |10>, the kernel of the
+        closed-form CSS diag(a, 0, 0, b).  Up to SUPPORT_TOL that weight is
+        dropped and the closed form holds; beyond it the state takes the
+        oracle, whose REE is finite and inside its bracket, where the closed
+        form's would be infinite."""
+        v = np.array([math.sqrt(0.8), 0, 0, math.sqrt(0.2)], dtype=complex)
+        pure = np.outer(v, v)
+        exact = -0.8 * math.log(0.8) - 0.2 * math.log(0.2)  # S(rho_A)
+        for noise in (np.eye(4) / 4, np.diag([0, 1, 0, 0]).astype(complex)):
+            for p in (1e-13, 1e-11, 1e-9, 1e-8):
+                rho = rotated((1 - p) * pure + p * noise, rng)
+                res = css.css_auto(rho)
+                num = ree_numeric(rho)
+                if p * (noise[1, 1] + noise[2, 2]).real <= SUPPORT_TOL:
+                    assert res.route == "maximally-correlated"
+                    assert abs(res.ree - exact) <= 1e-12
+                else:
+                    assert res.route == "oracle"
+                assert num.converged and num.lower <= res.ree <= num.value
 
     def test_route_names_how_the_css_was_built(self, rng):
         """`route` is set on every result css_auto and the closed-form
