@@ -2,11 +2,13 @@
 
     python scripts/cli_outputs.py DIR
 
-The input set is 29 two-qubit states, each under its own fixed local unitary:
+The input set is 32 two-qubit states, each under its own fixed local unitary:
 Bell-diagonal, generalized Vedral-Plenio (one with |l2 - l3| = 2e-8),
-generalized Horodecki, Werner, separable, X-shaped, pure, generic and one
-mixed maximally correlated state outside the VP family, added last so that
-every earlier random draw stays in place.  The
+generalized Horodecki, Werner, separable, X-shaped, pure, generic, one
+mixed maximally correlated state outside the VP family, and a VP and a
+Horodecki state nudged off their template by 1e-9 of white noise or of
+|01><01|, a weight on the kernel of their closed-form CSS.  Inputs are
+appended, so that every earlier random draw stays in place.  The
 states are built with numpy alone, so the input files do not depend on the
 reegeom under test.  Each state goes through `decompose`, `reconstruct` of
 the decompose file, and `css` with `--method auto`, `numeric` and
@@ -86,7 +88,7 @@ def unitary(rng, n=2) -> np.ndarray:
 
 
 def states(rng) -> dict[str, np.ndarray]:
-    """The 29 input states, each rotated by its own local unitary."""
+    """The 32 input states, each rotated by its own local unitary."""
     base = {
         "bell_vertex": bell_diagonal([1, -1, 1]),
         "bell_face": bell_diagonal([0.8, -0.8, 0.8]),
@@ -118,6 +120,9 @@ def states(rng) -> dict[str, np.ndarray]:
         "generic_mixture": 0.7 * ginibre(rng, 1) + 0.3 * np.eye(4) / 4,
         # 0.7|00><00| + 0.3|11><11| + 0.4(|00><11| + h.c.): z > min(a, b)
         "max_correlated": x_state([0.7, 0.0, 0.0, 0.3], 0.4, 0.0),
+        "vp_white_noise": (1 - 1e-9) * vp(0.5, 0.3, 0.2) + 1e-9 * np.eye(4) / 4,
+        "vp_01_noise": (1 - 1e-9) * vp(0.5, 0.3, 0.2) + 1e-9 * np.diag([0, 1, 0, 0]),
+        "horodecki_white_noise": (1 - 1e-9) * horodecki(0.6, 0.3, 0.1) + 1e-9 * np.eye(4) / 4,
     }
     out = {}
     for name, rho in base.items():

@@ -109,16 +109,16 @@ def _match_templates(dpf: DiagonalPauliForm):
     k carrying the most Bloch weight, and its x and y are the other two in
     index order, so t_x = q_x >= 0.  Each side is turned by pi about x where
     needed so that r_z >= 0, and s_z >= 0 for VP or s_z <= 0 for Horodecki:
-    then w = l2 - l3 >= 0, and lambdas depend on rho alone.  A state that
-    matches both templates is taken as VP.  A state that matches the VP
-    template with l3 < -CLASSIFY_TOL is rho = l1 Phi+ + diag(l2, 0, 0, l3):
-    where its block [[l1/2 + l2, l1/2], [l1/2, l1/2 + l3]] on |00>, |11> is
-    PSD and its weight (1 - t_z)/2 on |01>, |10>, the kernel of the CSS
-    diag(a, 0, 0, b), is at most SUPPORT_TOL, it is maximally correlated,
+    then w = l2 - l3 >= 0, and lambdas depend on rho alone.  A match also
+    needs rho's weight on the kernel of the template's CSS, read off
+    t = (q_i, c q_j, c q_k), to be at most SUPPORT_TOL: (1 - t_z)/2 on |01>,
+    |10> for VP, (1 - t_x + t_y + t_z)/4 on Phi- for Horodecki.  A state
+    nudged off by more would leak onto that kernel, an infinite REE, and
+    takes route "oracle" as family Other.  A state that matches both
+    templates is VP.  l3 >= -CLASSIFY_TOL then names the family; a VP match
+    below it is rho = l1 Phi+ + diag(l2, 0, 0, l3), maximally correlated,
     with route "maximally-correlated", the VP frames, family Other and no
-    lambdas.  Else the route is "oracle": a state nudged off that face by
-    more than SUPPORT_TOL would leak onto the kernel, an infinite REE.
-    """
+    lambdas."""
     eye, tol = np.eye(3), CLASSIFY_TOL
     # sqrt(x . x) is np.linalg.norm(x), bit for bit, without its call overhead
     if math.sqrt(dpf.r.dot(dpf.r)) <= tol and math.sqrt(dpf.s.dot(dpf.s)) <= tol:
@@ -135,18 +135,18 @@ def _match_templates(dpf: DiagonalPauliForm):
     sign_a, sign_s = (1.0 if r[k] >= 0 else -1.0), (1.0 if s[k] >= 0 else -1.0)
     for kind, sign_b, t_z in ((FamilyKind.GENERALIZED_VP, sign_s, 1.0),
                               (FamilyKind.GENERALIZED_HORODECKI, -sign_s, 2 * l1 - 1)):
-        c = sign_a * sign_b  # t_y = c q_j and t_z = c q_k in the template frame
-        if axial and abs(l1 + c * q[j]) <= tol and abs(c * q[k] - t_z) <= tol:
+        c = sign_a * sign_b
+        t = (l1, c * q[j], c * q[k])  # rho's correlation vector in the template frame
+        vp = kind is FamilyKind.GENERALIZED_VP
+        kernel = (1 - t[2]) / 2 if vp else (1 - t[0] + t[1] + t[2]) / 4
+        if (axial and abs(t[0] + t[1]) <= tol and abs(t[2] - t_z) <= tol
+                and kernel <= SUPPORT_TOL):
             p = eye[[i, j, k]]
             sign_x = -1.0 if k == 1 else 1.0  # (0, 2, 1) is the one odd order: det +1
             pa, pb = p * [[[sign_x], [sign_a], [sign_a]], [[sign_x], [sign_b], [sign_b]]]
             if l3 >= -tol:
                 return FamilyTag(kind, _clip_weights(l1, l2, l3)), _FAMILY_ROUTES[kind], pa, pb
-            # the PSD test of the |00>, |11> block, whose diagonal l1/2 + l2
-            # is (1 + w)/2 > 0, and the support test on |01>, |10>
-            if (kind is FamilyKind.GENERALIZED_VP and l1 / 2 + l3 >= -tol
-                    and (l1 / 2 + l2) * (l1 / 2 + l3) >= (l1 / 2) ** 2 - tol
-                    and (1 - c * q[k]) / 2 <= SUPPORT_TOL):
+            if vp:
                 return FamilyTag(FamilyKind.OTHER), "maximally-correlated", pa, pb
     return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
 
@@ -223,10 +223,15 @@ def _recovery_gap(rho, css, w, v) -> float:
 
 
 def _template(rho, tag: FamilyTag) -> CssResult:
-    """`_solve` on a state in the template frame of its family's route."""
+    """`_solve` on a state in the template frame of its family's route.
+    Raises InvalidState where rho is not a state, and ValueError where a
+    weight in tag.lambdas is negative."""
+    w, v = _checked_spectra(rho)
+    if tag.lambdas is not None and min(tag.lambdas) < 0:
+        raise ValueError(f"weights must be nonnegative, not {tag.lambdas}")
     p_rho = to_pauli(rho)
     return _solve(rho, p_rho, tag, _FAMILY_ROUTES[tag.kind], p_rho.g.diagonal(), np.eye(3),
-                  np.eye(3), *_pt_spectra(rho))
+                  np.eye(3), w, v)
 
 
 def css_bell_diagonal(t) -> CssResult:

@@ -79,15 +79,13 @@ def _checked_spectra(rho: np.ndarray):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState("shape 4x4", float(np.prod(rho.shape)))
-    if not np.isfinite(rho).all():
-        raise InvalidState("finite entries", float(np.sum(~np.isfinite(rho))))
+    w, v = _pt_spectra(rho)  # first, for its test of finite entries
     herm = np.abs(rho - rho.conj().T).max()
     if herm > HERMITICITY_TOL:
         raise InvalidState("Hermiticity", herm)
     tr = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
     if tr > TRACE_TOL:
         raise InvalidState("unit trace", tr)
-    w, v = _pt_spectra(rho)
     if w[0, 0] < -PSD_TOL:
         raise InvalidState("positive semidefiniteness", -float(w[0, 0]))
     return w, v
@@ -125,10 +123,21 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return r.reshape(r.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(r.shape)
 
 
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m as a complex array; raise InvalidState, with the count of NaN and
+    infinite entries, where there are any."""
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise InvalidState("finite entries", float(np.sum(~np.isfinite(m))))
+    return m
+
+
 def _pt_spectra(rho: np.ndarray):
     """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of rho and rho^Gamma, by
-    one eigh on their stack: the same bits as one eigh on each."""
-    return np.linalg.eigh(np.array([rho, partial_transpose(rho)], dtype=complex))
+    one eigh on their stack: the same bits as one eigh on each.  Raises
+    InvalidState where rho has a NaN or infinite entry."""
+    rho = _finite(rho)
+    return np.linalg.eigh(np.array([rho, partial_transpose(rho)]))
 
 
 def _ppt(w: np.ndarray) -> bool:
@@ -147,7 +156,7 @@ def is_ppt(rho: np.ndarray) -> bool:
 
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence; zero exactly on the separable set."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _finite(rho)
     yy = np.kron(SY, SY)
     rho_tilde = yy @ rho.conj() @ yy
     ev = np.linalg.eigvals(rho @ rho_tilde).real

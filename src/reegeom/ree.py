@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState
-from .qstate import PAULI_BASIS, partial_transpose, validate_density_matrix
+from .qstate import PAULI_BASIS, _finite, partial_transpose, validate_density_matrix
 
 SUPPORT_TOL = 1e-12
 # barrier weights of the central path: 1, 0.1, ..., 1e-9; the excess of the
@@ -99,10 +98,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def _joint_spectra(rho, sigma):
     """rho as a complex array and one eigh of the stack (rho, sigma), both finite."""
-    pair = np.array([rho, sigma], dtype=complex)
-    for m in pair:
-        if not np.isfinite(m).all():
-            raise InvalidState("finite entries", float(np.sum(~np.isfinite(m))))
+    pair = np.array([_finite(rho), _finite(sigma)], dtype=complex)
     return pair[0], np.linalg.eigh(pair)
 
 

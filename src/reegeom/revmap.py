@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import PSD_TOL, _pt_spectra, _require_finite, partial_transpose
+from .qstate import PSD_TOL, _finite, _pt_spectra, _require_finite, partial_transpose
 from .ree import SUPPORT_TOL, _support_log_divided
 
 EDGE_TOL = 1e-8
@@ -120,8 +120,9 @@ def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
     part fits as well, since D_sigma and the partial transpose commute with
     the adjoint.  With n = 1 the fit is the projection onto G(sigma); a
     rank-deficient sigma needs no regularization, as D_sigma is zero there.
+    Raises InvalidState where sigma or rho has a NaN or infinite entry.
     """
-    return _recover(sigma, rho, *_pt_spectra(sigma))
+    return _recover(sigma, _finite(rho), *_pt_spectra(sigma))
 
 
 def _recover(sigma, rho, w, vecs) -> np.ndarray:

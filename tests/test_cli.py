@@ -275,9 +275,9 @@ class TestCss:
 
     def test_oracle_inventory_of_the_fixed_inputs(self, monkeypatch):
         """Of the fixed inputs of `scripts/cli_outputs.py`, css_auto needs the
-        oracle on the X states x_a and x_b and the four generic states only;
-        the pure states and the mixed maximally correlated one take the
-        closed form."""
+        oracle on the X states x_a and x_b, the four generic states and the
+        three family states nudged onto their CSS's kernel only; the pure
+        states and the mixed maximally correlated one take the closed form."""
         class OracleCalled(Exception):
             pass
 
@@ -296,7 +296,8 @@ class TestCss:
             except OracleCalled:
                 need.append(name)
         assert need == ["x_a", "x_b", "generic_rank2", "generic_rank3", "generic_rank4",
-                        "generic_mixture"]
+                        "generic_mixture", "vp_white_noise", "vp_01_noise",
+                        "horodecki_white_noise"]
 
     def test_bits_flag(self, runner, tmp_path):
         p = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])

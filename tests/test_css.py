@@ -22,10 +22,10 @@ FRAMES = reference_frames()
 
 def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
     """Reference: _match_templates as a Python loop over all 96 frames in
-    order, VP tried in every frame before Horodecki.  A VP match that fails
-    only the weight test l3 >= -tol is maximally correlated where the
-    state's |00>, |11> block [[a, z], [z, b]] is PSD within tol and its
-    weight (1 - t_z)/2 on |01>, |10> is at most SUPPORT_TOL."""
+    order, VP tried in every frame before Horodecki.  A template match needs
+    the state's weight on the kernel of the template's CSS, |01>, |10> for
+    VP and Phi- for Horodecki, to be at most SUPPORT_TOL; a VP match that
+    fails only the weight test l3 >= -tol is maximally correlated."""
     eye = np.eye(3)
     if np.linalg.norm(dpf.r) <= tol and np.linalg.norm(dpf.s) <= tol:
         return FamilyTag(FamilyKind.BELL_DIAGONAL), "bell-diagonal", eye, eye
@@ -42,16 +42,17 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
             if kind is FamilyKind.GENERALIZED_VP:
                 ok = abs(r2[2] - s2[2]) <= tol and abs(q2[2] - 1.0) <= tol
                 w = (r2[2] + s2[2]) / 2
+                kernel = (1 - q2[2]) / 2
             else:
                 ok = abs(r2[2] + s2[2]) <= tol and abs(q2[2] - (2 * l1 - 1)) <= tol
                 w = (r2[2] - s2[2]) / 2
+                kernel = (1 - q2[0] + q2[1] + q2[2]) / 4
             l2, l3 = (1 - l1 + w) / 2, (1 - l1 - w) / 2
-            if ok and w >= 0 and l3 >= -tol:  # w >= 0: l2 >= l3
+            if not (ok and w >= 0 and kernel <= SUPPORT_TOL):  # w >= 0: l2 >= l3
+                continue
+            if l3 >= -tol:
                 return FamilyTag(kind, css._clip_weights(l1, l2, l3)), routes[kind], pa, pb
-            a, b, z = l1 / 2 + l2, l1 / 2 + l3, l1 / 2
-            if (ok and w >= 0 and kind is FamilyKind.GENERALIZED_VP
-                    and min(a, b) >= -tol and a * b >= z * z - tol
-                    and (1 - q2[2]) / 2 <= SUPPORT_TOL):
+            if kind is FamilyKind.GENERALIZED_VP:
                 return FamilyTag(FamilyKind.OTHER), "maximally-correlated", pa, pb
     return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
 
@@ -59,6 +60,9 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
 class TestMatchTemplates:
     def test_matches_loop_reference(self, monkeypatch):
         rng, mc_rng = np.random.default_rng(9), np.random.default_rng(10)
+        # local Bloch terms, which put no weight on either CSS kernel
+        local = [np.kron(qstate.SX, qstate.I2), np.kron(qstate.I2, qstate.SY),
+                 np.kron(qstate.SZ, qstate.I2)]
         inputs = []
         for _ in range(40):
             lam = tuple(rng.dirichlet([1, 1, 1]))
@@ -66,6 +70,8 @@ class TestMatchTemplates:
                         qstate.bell_diagonal(rng.uniform(-0.5, 0.5, 3))):
                 inputs += [rho, rotated(rho, rng),
                            0.999 * rho + 0.001 * random_density_matrix(rng)]
+            for rho in (css._vp_state(lam), css._horodecki_state(lam)):
+                inputs += [rotated(rho + 1e-3 * m / 4, rng) for m in local]
             inputs.append(random_density_matrix(rng))
             # maximally correlated, pure (z^2 = ab) and mixed with z > min(a, b),
             # each also nudged off the face by white noise of weight 1e-9
@@ -75,10 +81,11 @@ class TestMatchTemplates:
                 rho = css._vp_state((2 * z, a - z, 1 - a - z))
                 inputs += [rotated(rho, mc_rng),
                            rotated((1 - 1e-9) * rho + 1e-9 * np.eye(4) / 4, mc_rng)]
-        kinds, routes = set(), set()
+        kinds, routes, loose = set(), set(), set()
         tols = (css.CLASSIFY_TOL, 1e-2)
         for rho in inputs:
             dpf, _, _ = qstate.canonicalize(qstate.to_pauli(rho))
+            tags = []
             for tol in tols:
                 monkeypatch.setattr(css, "CLASSIFY_TOL", tol)
                 tag, route, pa, pb = css._match_templates(dpf)
@@ -87,7 +94,11 @@ class TestMatchTemplates:
                 assert np.array_equal(pa, want_pa) and np.array_equal(pb, want_pb)
                 kinds.add(tag.kind)
                 routes.add(route)
+                tags.append(tag.kind)
+            if tags[0] is FamilyKind.OTHER:
+                loose.add(tags[1])  # matched off its template at 1e-2 only
         assert kinds == set(FamilyKind)
+        assert {FamilyKind.GENERALIZED_VP, FamilyKind.GENERALIZED_HORODECKI} <= loose
         assert routes == {"bell-diagonal", "vp", "horodecki", "maximally-correlated", "oracle"}
 
     def test_lambdas_are_a_function_of_the_state(self):
@@ -270,6 +281,23 @@ class TestVp:
         monkeypatch.setattr(revmap, "_recover", broken)
         with pytest.raises(TypeError):
             css.css_vp((0.5, 0.3, 0.2))
+
+    @pytest.mark.parametrize("build, lam, error", [
+        (css.css_vp, (0.5, 0.5, 0.5), InvalidState),           # trace 1.5
+        (css.css_vp, (1.2, -0.1, -0.1), InvalidState),         # eigenvalue -0.1
+        (css.css_horodecki, (0.5, 0.6, -0.1), InvalidState),   # eigenvalue -0.1
+        (css.css_vp, (math.nan, 0.5, 0.5), InvalidState),
+        (css.css_horodecki, (0.6, 0.3, math.inf), InvalidState),
+        # valid states, maximally correlated and separable, outside the family
+        (css.css_vp, (0.8, 0.3, -0.1), ValueError),
+        (css.css_vp, (-0.1, 0.6, 0.5), ValueError)])
+    def test_builders_validate_their_state(self, build, lam, error):
+        """The closed-form builders take only weights of a family member: a
+        matrix that is not a state raises InvalidState, as css_auto does, and
+        a state with a negative weight ValueError, rather than a CSS, an REE
+        and a family tag that the weights do not describe."""
+        with pytest.raises(error):
+            build(lam)
 
     def test_ree_formula(self):
         # REE equals the closed-form entropy difference of the construction
@@ -538,26 +566,38 @@ class TestCssAuto:
         assert css.CssResult(css=np.eye(4) / 4, tau=np.zeros(3), family=bell,
                              ree=0.1).geometric
 
-    def test_off_the_maximally_correlated_face(self, rng):
-        """A rotated pure state mixed with weight p of white noise or of
-        |01><01| puts weight p/2 or p on |01>, |10>, the kernel of the
-        closed-form CSS diag(a, 0, 0, b).  Up to SUPPORT_TOL that weight is
-        dropped and the closed form holds; beyond it the state takes the
-        oracle, whose REE is finite and inside its bracket, where the closed
-        form's would be infinite."""
-        v = np.array([math.sqrt(0.8), 0, 0, math.sqrt(0.2)], dtype=complex)
-        pure = np.outer(v, v)
-        exact = -0.8 * math.log(0.8) - 0.2 * math.log(0.2)  # S(rho_A)
-        for noise in (np.eye(4) / 4, np.diag([0, 1, 0, 0]).astype(complex)):
-            for p in (1e-13, 1e-11, 1e-9, 1e-8):
-                rho = rotated((1 - p) * pure + p * noise, rng)
-                res = css.css_auto(rho)
-                num = ree_numeric(rho)
-                if p * (noise[1, 1] + noise[2, 2]).real <= SUPPORT_TOL:
-                    assert res.route == "maximally-correlated"
+    @pytest.mark.parametrize("face", ["pure", "vp", "horodecki"])
+    def test_off_the_maximally_correlated_face(self, rng, face):
+        """A state on a closed-form face, the pure state with a = 0.8 or a
+        VP or Horodecki state, mixed with weight p of white noise or of a
+        state in the kernel K of its CSS (|01><01| in |01>, |10> for pure
+        and VP, whose CSS is diag(a, 0, 0, b), or Phi- for Horodecki), puts
+        weight p tr(noise K) on K.  Up to SUPPORT_TOL that weight is dropped
+        and the closed form holds, with a CSS that is a state; beyond it the
+        state takes the oracle as family Other, whose REE is finite and
+        inside its bracket, where the closed form's would be infinite."""
+        kernel, one_sided = np.diag([0, 1, 1, 0]), np.diag([0, 1, 0, 0])
+        if face == "pure":
+            v = np.array([math.sqrt(0.8), 0, 0, math.sqrt(0.2)])
+            rho, route = np.outer(v, v), "maximally-correlated"
+            exact = -0.8 * math.log(0.8) - 0.2 * math.log(0.2)  # S(rho_A)
+        elif face == "vp":
+            lam, route = (0.5, 0.3, 0.2), "vp"
+            rho, exact = css._vp_state(lam), css.css_vp(lam).ree
+        else:
+            lam, route = (0.6, 0.3, 0.1), "horodecki"
+            rho, exact = css._horodecki_state(lam), css.css_horodecki(lam).ree
+            kernel = one_sided = qstate.BELL_STATES[1]
+        for noise in (np.eye(4) / 4, one_sided):
+            for p in (1e-13, 1e-11, 1e-9, 5e-9):
+                nudged = rotated((1 - p) * rho + p * noise, rng)
+                res, num = css.css_auto(nudged), ree_numeric(nudged)
+                if p * np.trace(noise @ kernel).real <= SUPPORT_TOL:
+                    assert res.route == route
                     assert abs(res.ree - exact) <= 1e-12
+                    assert np.linalg.eigvalsh(res.css)[0] >= -qstate.PSD_TOL
                 else:
-                    assert res.route == "oracle"
+                    assert res.route == "oracle" and res.family.kind is FamilyKind.OTHER
                 assert num.converged and num.lower <= res.ree <= num.value
 
     def test_route_names_how_the_css_was_built(self, rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reegeom import qstate
+from reegeom import qstate, revmap
 from reegeom.errors import InvalidState
 
 from conftest import random_density_matrix, random_unitary, rotate
@@ -68,6 +68,22 @@ class TestValidation:
         with pytest.raises(InvalidState) as exc:
             qstate.validate_density_matrix(m)
         assert exc.value.invariant == "finite entries"
+
+    @pytest.mark.parametrize("call", [
+        qstate.is_ppt, qstate.min_pt_eigenvalue, qstate.concurrence, revmap.g_matrix,
+        lambda m: revmap.family_from_css(m, 0.1),
+        lambda m: revmap.recover(m, qstate.BELL_STATES[0]),
+        lambda m: revmap.recover(np.diag([0.5, 0, 0, 0.5]), m)],
+        ids=["is_ppt", "min_pt_eigenvalue", "concurrence", "g_matrix", "family_from_css",
+             "recover-sigma", "recover-rho"])
+    def test_non_finite_matrix_rejected(self, call):
+        """Every function that takes a spectrum of a matrix, or fits rho in
+        `recover`, raises InvalidState on a NaN entry, not LinAlgError or a
+        NaN result."""
+        m = np.diag([np.nan, 1.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(InvalidState) as exc:
+            call(m)
+        assert exc.value.invariant == "finite entries" and exc.value.magnitude == 1
 
 
 class TestPauliDecomposition:
