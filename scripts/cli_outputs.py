@@ -14,7 +14,8 @@ reegeom under test.  Each state goes through `decompose`, `reconstruct` of
 the decompose file, and `css` with `--method auto`, `numeric` and
 `geometric`; then `surface` runs for both bodies at three (r, s), and at one
 of them with `--tol 0`, with `--tol 1e-3` and with `--n 96`; `sweep` at two
-seeds and `verify --suite all`.  So every subcommand runs.
+seeds and `verify --suite all`; last, `sweep` at two (r, s) near |r| = |s| = 1,
+appended so that every earlier file keeps its name.  So every subcommand runs.
 
 The commands run in-process through `reegeom.cli.main` with DIR as the
 working directory, so every `--out` name and manifest is relative and two
@@ -156,6 +157,8 @@ def commands(names) -> list[list[str]]:
         cmds.append(["sweep", "--r", "0.1", "--s", "-0.2", "--seed", seed,
                      "--out", f"sweep_seed{seed}.csv"])
     cmds.append(["verify", "--suite", "all", "--out", "verify.json"])
+    for r, s in (("0.97", "0.97"), ("-0.98", "-0.96")):
+        cmds.append(["sweep", "--r", r, "--s", s, "--out", f"sweep_{r}_{s}.csv"])
     return cmds
 
 

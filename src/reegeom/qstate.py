@@ -62,10 +62,11 @@ class DiagonalPauliForm:
 
 
 def _require_finite(**values) -> None:
-    """Raise ValueError naming the first of the scalar arguments that is NaN
-    or infinite."""
+    """Raise ValueError naming the first argument, number or array, with a NaN
+    or infinite entry; a number skips numpy, as the ray crossings call it."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not (math.isfinite(value) if isinstance(value, (int, float))
+                else np.isfinite(value).all()):
             raise ValueError(f"{name} must be finite, not {value!r}")
 
 
@@ -198,8 +199,9 @@ def canonicalize(p: PauliForm):
     SVD of g orders |q| descending with q1, q2 >= 0; making both frames
     proper rotations puts the sign of the local-unitary invariant q1*q2*q3
     on q3.  When singular values of g coincide the frame is not unique; the
-    one returned is the SVD's.
+    one returned is the SVD's.  A NaN or infinite entry raises InvalidState.
     """
+    _finite(np.concatenate([p.r, p.s, np.ravel(p.g)]))
     o1, q, o2t = np.linalg.svd(p.g)
     o2 = o2t.T
     for o, det in zip((o1, o2), np.linalg.det(np.array([o1, o2]))):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PAULI_BASIS, _finite, partial_transpose, validate_density_matrix
+from .qstate import PAULI_BASIS, _checked_spectra, _finite, partial_transpose
 
 SUPPORT_TOL = 1e-12
 # barrier weights of the central path: 1, 0.1, ..., 1e-9; the excess of the
@@ -262,7 +262,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     """
     if cfg is None:
         cfg = OracleConfig()
-    validate_density_matrix(rho)
+    (p, _), (u, _) = _checked_spectra(rho)  # rho's spectrum p, u, read at the end
     rho = np.asarray(rho, dtype=complex)
 
     x = np.zeros(15)
@@ -318,11 +318,9 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
             x, w, v, dx, lam2 = xt, wt, vt, dxt, lam2t
             steps += 1
 
-    sigma = (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)
-    sigma = (sigma + sigma.conj().T) / 2
-    rho, (ws, vs) = _joint_spectra(rho, sigma)
-    value = _relative_entropy(rho, ws[0], vs[0], ws[1], vs[1])
-    gmat = _log_gradient(rho, ws[1], vs[1])
+    sigma = (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)  # exactly Hermitian; (w, v)[0] its spectrum
+    value = _relative_entropy(rho, p, u, w[0], v[0])
+    gmat = _log_gradient(rho, w[0], v[0])
     fw_gap = float(np.real(np.trace(sigma @ gmat))) - _ppt_floor(gmat, w[1], v[1], mu)
     lower = value - fw_gap - BRACKET_ROUNDING
     gap = value - lower
@@ -357,12 +355,14 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     n_directions samples bound their minimum from above only: a true
     minimizer gives a nonnegative result (up to rounding), and so can a css
     2.5e-3 nats above the REE.  `ree_numeric`'s `lower` is the certified end.
-    A css at S(rho||css) = inf gives -inf.
+    A css at S(rho||css) = inf gives -inf; n_directions < 1 raises ValueError.
     """
+    if n_directions < 1:
+        raise ValueError(f"n_directions must be at least 1, not {n_directions}")
     rho, (w, v) = _joint_spectra(rho, css)
     if math.isinf(_relative_entropy(rho, w[0], v[0], w[1], v[1])):
         return -math.inf  # no state at infinite relative entropy is a minimizer
     gmat = _log_gradient(rho, w[1], v[1])
     c = _product_states(n_directions)
     along = ((c.conj() @ gmat) * c).sum(axis=1).real  # <ab|G|ab>
-    return float(along.min(initial=math.inf) - np.trace(css @ gmat).real)
+    return float(along.min() - np.trace(css @ gmat).real)

@@ -31,7 +31,6 @@ from .qstate import PSD_TOL, _finite, _pt_spectra, _require_finite, partial_tran
 from .ree import SUPPORT_TOL, _support_log_divided
 
 EDGE_TOL = 1e-8
-SAMPLE_TRIES = 200      # draws before sample_params_for_bloch gives up
 
 
 @dataclass(frozen=True)
@@ -45,11 +44,11 @@ class SigmaZParams:
 
     def __post_init__(self):
         rs = (self.r1, self.r2, self.r3, self.r4)
-        if any(v < 0 for v in rs):
+        if not all(v >= 0 for v in rs):  # written so that a NaN fails each test
             raise ValueError("R coefficients must be nonnegative")
-        if abs(sum(rs) - 1.0) > 1e-10:
+        if not abs(sum(rs) - 1.0) <= 1e-10:
             raise ValueError("R coefficients must sum to one")
-        if self.r2 * self.r3 < self.r1 * self.r4 - 1e-12:
+        if not self.r2 * self.r3 >= self.r1 * self.r4 - 1e-12:
             raise ValueError("R2 R3 >= R1 R4 required for separability")
 
     @property
@@ -105,8 +104,9 @@ def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
 
     For full-rank sigma, rho(x) is positive semidefinite exactly for
     0 <= x <= x_max = 1 / lambda_max(sigma^-1/2 G sigma^-1/2); past x_max it
-    is not a state.
+    is not a state.  Raises ValueError for a negative or non-finite x.
     """
+    _require_finite(x=x)
     if x < 0:
         raise ValueError("family parameter must be nonnegative")
     return sigma - x * g_matrix(sigma)
@@ -156,7 +156,9 @@ def z_derivatives(p: SigmaZParams) -> ZFamilyDerivatives:
 
 
 def z_family(p: SigmaZParams, x) -> np.ndarray:
-    """Closed-form rho(x) for the X-shaped edge state; an array of x gives a stack."""
+    """Closed-form rho(x) for the X-shaped edge state; an array of x gives a
+    stack.  Raises ValueError where an x is not finite."""
+    _require_finite(x=x)
     d = z_derivatives(p)
     x = np.asarray(x, dtype=float)
     m = np.zeros(x.shape + (4, 4), dtype=complex)
@@ -197,25 +199,21 @@ def line_crossing(p: SigmaZParams, p2: SigmaZParams):
 def sample_params_for_bloch(r: float, s: float, rng) -> SigmaZParams:
     """Random X-shaped edge state whose x = 0 Bloch components are (r, s).
 
+    h = R1 + R4 makes every R positive on (|r + s| / 2, 1 - |r - s| / 2), and
+    R2 R3 - R1 R4 = (1 + rs - 2h) / 4 positive below (1 + rs) / 2: one interval,
+    non-empty exactly when |r|, |s| < 1.  h is drawn once from its middle 96%,
+    off the R2 R3 = R1 R4 end, where `z_derivatives` raises DegenerateZ.
+
     Raises ValueError for a non-finite r or s, or for (r, s) that no such
     state has."""
     _require_finite(r=r, s=s)
     lo = abs(r + s) / 2
-    hi = 1.0 - abs(r - s) / 2
+    hi = min(1.0 - abs(r - s) / 2, (1.0 + r * s) / 2)
     if lo >= hi:
         raise ValueError(f"no X-shaped state has Bloch components ({r}, {s})")
-    for _ in range(SAMPLE_TRIES):
-        h = rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
-        r1 = (h + (r + s) / 2) / 2
-        r4 = (h - (r + s) / 2) / 2
-        r2 = ((1 - h) + (r - s) / 2) / 2
-        r3 = ((1 - h) - (r - s) / 2) / 2
-        if min(r1, r2, r3, r4) < 1e-6:
-            continue
-        if r2 * r3 <= r1 * r4 * (1 + 1e-6):
-            continue
-        return SigmaZParams(r1, r2, r3, r4)
-    raise ValueError("could not sample valid family parameters")
+    h = rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
+    return SigmaZParams((h + (r + s) / 2) / 2, ((1 - h) + (r - s) / 2) / 2,
+                        ((1 - h) - (r - s) / 2) / 2, (h - (r + s) / 2) / 2)
 
 
 def css_line_sweep(params: list[SigmaZParams], x_grid):

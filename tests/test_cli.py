@@ -384,6 +384,22 @@ class TestSweep:
         assert text.splitlines()[0] == "family_id,x,t1,t2,t3,tau1,tau2,tau3,r,s"
         assert text == open(b).read()
 
+    def test_near_boundary_bloch_served(self, runner, tmp_path):
+        out = tmp_path / "sweep.csv"
+        res = runner.invoke(cli.main, ["sweep", "--r", "0.97", "--s", "0.97",
+                                       "--out", str(out)])
+        assert res.exit_code == 0
+        assert len(open(out).read().splitlines()) > 1
+
+    @pytest.mark.parametrize("r, s", [("1", "0.5"), ("-0.2", "-1")])
+    def test_unit_bloch_component_exit_2(self, runner, tmp_path, r, s):
+        """No X-shaped edge state has |r| = 1 or |s| = 1."""
+        res = runner.invoke(cli.main, ["sweep", "--r", r, "--s", s,
+                                       "--out", str(tmp_path / "sweep.csv")])
+        assert res.exit_code == 2 and "no X-shaped state" in res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     def test_zero_families_empty_file(self, runner, tmp_path):
         out = tmp_path / "empty.csv"
         res = runner.invoke(cli.main, ["sweep", "--r", "0", "--s", "0",

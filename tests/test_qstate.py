@@ -240,6 +240,17 @@ class TestLocalUnitary:
 
 
 class TestCanonicalize:
+    @pytest.mark.parametrize("field", ["r", "s", "g"])
+    def test_non_finite_rejected(self, field):
+        """A NaN anywhere in the Pauli form raises InvalidState, not the SVD's
+        LinAlgError or a NaN frame."""
+        p = qstate.to_pauli(qstate.BELL_STATES[0])
+        parts = {"r": p.r.copy(), "s": p.s.copy(), "g": p.g.copy()}
+        parts[field].flat[0] = np.nan
+        with pytest.raises(InvalidState) as exc:
+            qstate.canonicalize(qstate.PauliForm(**parts))
+        assert exc.value.invariant == "finite entries" and exc.value.magnitude == 1
+
     def test_q_sorted_and_signed(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

@@ -231,24 +231,28 @@ class TestNewtonPieces:
 class TestNumericOracle:
     def test_bell_states(self):
         for b in qstate.BELL_STATES:
-            rep = ree_numeric(b, OracleConfig(restarts=4))
+            rep = ree_numeric(b)
             assert rep.converged
             assert abs(rep.value - math.log(2)) <= 1e-4
 
     def test_separable_state_zero(self, rng):
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        rep = ree_numeric(rho, OracleConfig(restarts=4))
+        rep = ree_numeric(rho)
         assert rep.value <= 1e-6
 
     def test_css_is_separable(self):
-        rep = ree_numeric(qstate.BELL_STATES[0], OracleConfig(restarts=4))
+        rep = ree_numeric(qstate.BELL_STATES[0])
         assert qstate.min_pt_eigenvalue(rep.css_numeric) >= -1e-9
 
     def test_seed_determinism(self):
+        """The barrier path has no random start: `seed` and `restarts` change
+        no bit of the report."""
         rho = css._vp_state((0.5, 0.3, 0.2))
         a = ree_numeric(rho, OracleConfig(restarts=3, seed=5))
-        b = ree_numeric(rho, OracleConfig(restarts=3, seed=5))
-        assert a.value == b.value
+        b = ree_numeric(rho)
+        assert (a.value, a.lower, a.gap, a.iterations, a.converged) == (
+            b.value, b.lower, b.gap, b.iterations, b.converged)
+        assert np.array_equal(a.css_numeric, b.css_numeric)
 
 
 # perfbench solve-certified, seed 52, op 34: a rotated cos t|00> + sin t|11>
@@ -746,7 +750,7 @@ class TestGeometricRoute:
                     css._vp_state((0.5, 0.3, 0.2)),
                     css._horodecki_state((0.6, 0.3, 0.1))]:
             geo = css.css_auto(rho)
-            num = ree_numeric(rho, OracleConfig(restarts=4))
+            num = ree_numeric(rho)
             assert geo.geometric
             assert abs(geo.ree - num.value) <= 2e-4
 
@@ -781,6 +785,14 @@ class TestDirectionalOptimality:
         rho = qstate.BELL_STATES[0]
         d = directional_optimality_check(rho, np.eye(4, dtype=complex) / 4)
         assert d < -1e-3
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_directions_rejected(self, n):
+        """An empty sample would return +inf and pass every gate unchecked."""
+        rho = css._vp_state((0.5, 0.3, 0.2))
+        with pytest.raises(ValueError, match="n_directions"):
+            directional_optimality_check(rho, css.css_vp((0.5, 0.3, 0.2)).css,
+                                         n_directions=n)
 
     def test_product_states_match_loop(self):
         rng = np.random.default_rng(ree.CERTIFICATE_SEED)

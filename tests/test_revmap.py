@@ -131,6 +131,21 @@ class TestFamilyFromCss:
         with pytest.raises(ValueError):
             revmap.family_from_css(bell_diagonal_params(0.2).matrix(), -0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda x: revmap.family_from_css(bell_diagonal_params(0.2).matrix(), x),
+        lambda x: revmap.z_family(bell_diagonal_params(0.2), x),
+        lambda x: revmap.z_family(bell_diagonal_params(0.2), [0.0, x]),
+        lambda x: SigmaZParams(x, 0.3, 0.3, 0.4),
+        lambda x: SigmaZParams(0.2, 0.3, 0.3, x)],
+        ids=["family_from_css", "z_family", "z_family-array", "SigmaZParams-r1",
+             "SigmaZParams-r4"])
+    def test_non_finite_rejected(self, call, bad):
+        """The X-shaped family's builders raise ValueError on a NaN or infinite
+        parameter, rather than returning non-finite entries."""
+        with pytest.raises(ValueError):
+            call(bad)
+
 
 class TestDualRoute:
     def test_closed_form_matches_g_matrix(self):
@@ -209,8 +224,37 @@ class TestSampling:
             assert s0 == pytest.approx(s, abs=1e-12)
 
     def test_unreachable_bloch_raises(self):
-        with pytest.raises(ValueError):
-            revmap.sample_params_for_bloch(1.0, 1.0, np.random.default_rng(0))
+        """No X-shaped state has |r| = 1 or |s| = 1."""
+        for r, s in [(1.0, 1.0), (1.0, 0.0), (-1.0, 0.5), (0.3, 1.0), (0.2, -1.0),
+                     (1.0, -1.0), (-1.0, -1.0)]:
+            with pytest.raises(ValueError, match="^no X-shaped state has Bloch components"):
+                revmap.sample_params_for_bloch(r, s, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("r, s", [(0.95, 0.95), (0.97, 0.97), (0.99, 0.99),
+                                      (-0.98, -0.96), (0.999, -0.5)])
+    def test_near_boundary_served(self, r, s):
+        """Near |r| = 1 or |s| = 1 the admissible h form a short interval, and
+        every draw lands in it: a valid edge state with the Bloch targets."""
+        for seed in range(20):
+            p = revmap.sample_params_for_bloch(r, s, np.random.default_rng(seed))
+            pf = to_pauli(revmap.z_family(p, 0.0))
+            assert abs(pf.r[2] - r) <= 1e-12 and abs(pf.s[2] - s) <= 1e-12
+            assert min(p.r1, p.r2, p.r3, p.r4) > 0
+            assert p.r2 * p.r3 > p.r1 * p.r4
+
+    def test_one_draw_per_sample(self):
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def uniform(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.uniform(*args, **kwargs)
+
+        rng = Counting(np.random.default_rng(0))
+        for n in range(1, 51):
+            revmap.sample_params_for_bloch(0.3, 0.3, rng)
+            assert rng.calls == n
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["r", "s"])
