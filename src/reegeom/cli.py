@@ -22,7 +22,7 @@ from .qstate import (
     BELL_STATES,
     PSD_TOL,
     PauliForm,
-    canonicalize,
+    _canonicalize,
     concurrence,
     from_pauli,
     is_ppt,
@@ -165,7 +165,7 @@ def decompose(state, out):
     """Pauli decomposition, canonical frame, and basic invariants of STATE."""
     rho = load_state(state)
     pf = to_pauli(rho)
-    dpf, r_a, r_b = canonicalize(pf)
+    dpf, r_a, r_b = _canonicalize(pf)
     _emit({
         "r": pf.r.tolist(),
         "s": pf.s.tolist(),

@@ -26,11 +26,11 @@ from .qstate import (
     BELL_STATES,
     DiagonalPauliForm,
     PauliForm,
+    _canonicalize,
     _checked_spectra,
     _ppt,
     _pt_spectra,
     bell_diagonal,
-    canonicalize,
     from_pauli,
     to_pauli,
     validate_density_matrix,
@@ -159,7 +159,7 @@ def _clip_weights(l1, l2, l3):
 def classify(rho: np.ndarray) -> FamilyTag:
     """Family of rho, read off its Pauli form in the canonical frame."""
     validate_density_matrix(rho)
-    dpf, _, _ = canonicalize(to_pauli(rho))
+    dpf, _, _ = _canonicalize(to_pauli(rho))
     return _match_templates(dpf)[0]
 
 
@@ -199,11 +199,12 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
         if not rep.converged:
             raise NotConverged(rep.gap)
         css = rep.css_numeric
-        tau = np.diag(a @ to_pauli(css).g @ b.T)
     else:
         tau = _tau(route, tag.lambdas, t)
         css = from_pauli(PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b))
     p_css, (ws, vs) = to_pauli(css), _pt_spectra(css)
+    if route == "oracle":
+        tau = np.diag(a @ p_css.g @ b.T)
     return CssResult(
         css=css, tau=np.asarray(tau, float), family=tag,
         ree=0.0 if separable else _relative_entropy(rho, w[0], v[0], ws[0], vs[0]),
@@ -259,7 +260,7 @@ def css_auto(rho: np.ndarray) -> CssResult:
     NotConverged when its bracket does not close."""
     w, v = _checked_spectra(rho)
     p_rho = to_pauli(rho)
-    dpf, r_a, r_b = canonicalize(p_rho)
+    dpf, r_a, r_b = _canonicalize(p_rho)
     tag, route, pa, pb = _match_templates(dpf)
     # t = diag(pa diag(q) pb^T), exact for signed permutations
     return _solve(rho, p_rho, tag, route, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b, w, v)

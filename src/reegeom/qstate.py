@@ -202,6 +202,11 @@ def canonicalize(p: PauliForm):
     one returned is the SVD's.  A NaN or infinite entry raises InvalidState.
     """
     _finite(np.concatenate([p.r, p.s, np.ravel(p.g)]))
+    return _canonicalize(p)
+
+
+def _canonicalize(p: PauliForm):
+    """`canonicalize` of a Pauli form whose entries are known to be finite."""
     o1, q, o2t = np.linalg.svd(p.g)
     o2 = o2t.T
     for o, det in zip((o1, o2), np.linalg.det(np.array([o1, o2]))):

@@ -3,11 +3,12 @@
 `relative_entropy` is the shared metric.  `ree_numeric` minimizes it over the
 separable states, which for two qubits are the PPT states (Horodecki,
 Horodecki & Horodecki, PLA 223, 1 (1996)): damped Newton on a log-barrier
-for sigma >= 0 and sigma^Gamma >= 0 in the 15 Pauli coordinates, which
-follows the central path loosely (PATH_TOL) and centres only its last
-weight tightly (CENTERING_TOL), then a Frank-Wolfe gap (Jaggi, ICML 2013),
-bounded through the barrier's dual, that brackets the minimum.  It is the
-independent oracle against which the geometric constructions are verified.
+for sigma >= 0 and sigma^Gamma >= 0 in the 15 Pauli coordinates, started
+at rho mixed toward I/4, which follows the central path loosely (PATH_TOL)
+and centres only its last weight tightly (CENTERING_TOL), then a
+Frank-Wolfe gap (Jaggi, ICML 2013), bounded through the barrier's dual,
+that brackets the minimum.  It is the independent oracle against which the
+geometric constructions are verified.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 from .qstate import PAULI_BASIS, _checked_spectra, _finite, partial_transpose
 
 SUPPORT_TOL = 1e-12
-# barrier weights of the central path: 1, 0.1, ..., 1e-9; the excess of the
+# barrier weights of the central path: 0.01, 1e-3, ..., 1e-9, from a start
+# where sigma and sigma^Gamma have eigenvalues >= the first; the excess of the
 # path's end over the optimum is at most 8 * 1e-9 (barrier parameter 8)
-MU_SCHEDULE = tuple(10.0 ** -k for k in range(10))
+MU_SCHEDULE = tuple(10.0 ** -k for k in range(2, 10))
 # a stage ends where half the squared Newton decrement of F / mu, the
 # self-concordant barrier function, is at most its bound: CENTERING_TOL at the
 # last weight, 1e-12 at mu = 1e-9, the only centre reported; PATH_TOL at every
@@ -63,8 +65,8 @@ class OracleConfig:
     steps, tangent predictor and polish steps included.
 
     `seed` and `restarts` are accepted and ignored; the barrier path is
-    deterministic and starts at I/4.  They stay because `perfbench/` passes
-    them.
+    deterministic and starts at rho mixed toward I/4.  They stay because
+    `perfbench/` passes them.
     """
 
     max_iterations: int = 600
@@ -243,29 +245,36 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     """Minimize S(rho||sigma) over the PPT (= separable) two-qubit states.
 
     Damped Newton with an Armijo backtrack on the barrier objective `_value`
-    from sigma = I/4, one centring per weight of MU_SCHEDULE, each ended where
-    half the squared Newton decrement of F / mu, lambda^2 / (2 mu), is at
-    most PATH_TOL at every weight but the last, whose centre only seeds the
-    next, and at most CENTERING_TOL at the last (lambda^2 / 2 <= 1e-12 at
-    mu = 1e-9), the only centre reported.  Each later weight starts with a
-    tangent step along the central path, kept where F at the new weight does
-    not rise.  A trial point that leaves the cone or is not finite is
-    rejected; a Newton step or slope that is not finite ends its stage at
-    once, with no trial point.  At the end, with G the matrix gradient of
+    from sigma = (1 - m) rho + m I/4, one centring per weight of
+    MU_SCHEDULE, each ended where half the squared Newton decrement of
+    F / mu, lambda^2 / (2 mu), is at most PATH_TOL at every weight but the
+    last, whose centre only seeds the next, and at most CENTERING_TOL at
+    the last (lambda^2 / 2 <= 1e-12 at mu = 1e-9), the only centre
+    reported.  Each later weight starts with a tangent step along the
+    central path, kept where F at the new weight does not rise.  A trial
+    point that leaves the cone or is not finite is rejected; a Newton step
+    or slope that is not finite ends its stage at once, with no trial
+    point.  At the end, with G the matrix gradient of
     S(rho||.) at sigma, convexity gives the Frank-Wolfe bound
     REE >= value - (tr sigma G - min_ab <ab|G|ab>); `lower`
     puts `_ppt_floor`, a certified lower bound, in place of the minimum.
     `converged` means the path finished in fewer than `cfg.max_iterations`
     steps and the bracket gap = value - lower is at most BRACKET_TOL;
     `iterations`, every accepted step (tangent and polish steps included),
-    never exceeds `cfg.max_iterations`.
+    never exceeds `cfg.max_iterations`.  The mixing weight m is the least
+    that gives sigma and sigma^Gamma eigenvalues >= mu0 = MU_SCHEDULE[0]:
+    (mu0 - lam) / (1/4 - lam) with lam = min(lambda_min(rho),
+    lambda_min(rho^Gamma)) where lam < mu0, else 0, a start at rho itself.
     """
     if cfg is None:
         cfg = OracleConfig()
-    (p, _), (u, _) = _checked_spectra(rho)  # rho's spectrum p, u, read at the end
+    (p, p_pt), (u, _) = _checked_spectra(rho)  # rho's spectrum p, u, read at the end
     rho = np.asarray(rho, dtype=complex)
 
-    x = np.zeros(15)
+    lam, mu0 = min(float(p[0]), float(p_pt[0])), MU_SCHEDULE[0]
+    m = (mu0 - lam) / (0.25 - lam) if lam < mu0 else 0.0
+    # rho's coordinates x_k = tr(rho sigma_a (x) sigma_b), scaled toward I/4 at x = 0
+    x = (1.0 - m) * (PAULI_BASIS[1:].conj() @ rho.reshape(16)).real
     w, v = _spectra(x)
     steps = 0
     hess = None

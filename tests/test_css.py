@@ -457,6 +457,47 @@ class TestCssAuto:
             assert res.ree == relative_entropy(rho, res.css)
             assert abs(res.ree - build(tag).ree) <= 1e-14
 
+    def test_two_pauli_transforms_on_the_oracle_route(self, monkeypatch):
+        """On route "oracle" css_auto also takes the Pauli form of rho once and
+        of the oracle's CSS once, and reads tau off the latter."""
+        rho = random_density_matrix(np.random.default_rng(8), rank=4)
+        rho = 0.5 * rho + 0.5 * qstate.BELL_STATES[0]
+        calls = []
+        to_pauli = qstate.to_pauli
+
+        def counting(m):
+            calls.append(m)
+            return to_pauli(m)
+
+        monkeypatch.setattr(css, "to_pauli", counting)
+        monkeypatch.setattr(qstate, "to_pauli", counting)
+        res = css.css_auto(rho)
+        monkeypatch.undo()
+        assert res.route == "oracle"
+        assert len(calls) == 2
+        assert calls[0] is rho and calls[1] is res.css
+        _, r_a, r_b = qstate.canonicalize(qstate.to_pauli(rho))
+        assert np.array_equal(res.tau, np.diag(r_a @ qstate.to_pauli(res.css).g @ r_b.T))
+
+    def test_finite_check_once_per_matrix(self, monkeypatch):
+        """css_auto on a VP state tests the entries of rho for NaN and inf
+        once, in its validation, and those of the CSS once; canonicalize's
+        check of rho's Pauli form, already known finite, is skipped."""
+        rho = rotated(css._vp_state((0.5, 0.3, 0.2)), np.random.default_rng(8))
+        calls = []
+        finite = qstate._finite
+
+        def counting(m):
+            calls.append(m)
+            return finite(m)
+
+        monkeypatch.setattr(qstate, "_finite", counting)
+        res = css.css_auto(rho)
+        monkeypatch.undo()
+        assert res.route == "vp"
+        assert len(calls) == 2
+        assert calls[0] is rho and calls[1] is res.css
+
     @pytest.mark.parametrize("kind", ["separable", "other"])
     def test_residuals_off_the_closed_form(self, kind):
         """Where the CSS is not a closed form, rho itself (separable) or the

@@ -453,7 +453,7 @@ class TestPredictor:
                 x_next = _centre(rho, mu_next, x)
                 ratios.append(np.linalg.norm(pred - x_next) / np.linalg.norm(x - x_next))
                 x = x_next
-        assert len(ratios) == 9 * len(states)
+        assert len(ratios) == (len(ree.MU_SCHEDULE) - 1) * len(states)
         assert np.median(ratios) < 0.1
 
     def test_step_count(self):
@@ -462,22 +462,33 @@ class TestPredictor:
         median 53; with it and stages ended at an absolute decrement of
         1e-12, at most 42, median 32; with every stage ended at
         CENTERING_TOL * mu, at most 31, median 23; with the stages before
-        the last ended at PATH_TOL * mu, at most 22, median 19."""
+        the last ended at PATH_TOL * mu, at most 22, median 19; started at
+        rho mixed toward I/4 at mu = 1e-2 instead of at I/4 at mu = 1, at
+        most 18, median 15."""
         states = list(_family_states(np.random.default_rng(100), 100))[::3]
         states += list(qstate.BELL_STATES)
         states += [_pure(t) for t in (0.05, 0.3, 0.5, 0.7, math.pi / 4)]
         states.append(SEED52_PURE)
         assert len(states) == 110
         steps = [ree_numeric(rho).iterations for rho in states]
-        assert np.median(steps) <= 19 and max(steps) <= 22
+        assert np.median(steps) <= 15 and max(steps) <= 18
 
-    @pytest.mark.parametrize("budget", range(12))
-    def test_budget_counts_predictor_steps(self, budget):
+    @pytest.mark.parametrize("index", range(12))
+    def test_budget_counts_predictor_steps(self, monkeypatch, index):
         """A budget spent mid-path, before or after a tangent step, gives an
-        unconverged report with exactly `budget` steps, not an exception."""
-        rep = ree_numeric(qstate.BELL_STATES[1], OracleConfig(max_iterations=budget))
-        assert not rep.converged and rep.iterations == budget
-        assert math.isfinite(rep.value)
+        unconverged report with exactly `budget` steps, not an exception.
+        The budgets are 0 to the default run's stage-loop steps (its steps
+        with no polish), every one of which cuts the stage loop; the run
+        `index` takes every 12th from `index` on, or the last where none is
+        left, so that together they cover every stage boundary."""
+        rho = qstate.BELL_STATES[1]
+        with monkeypatch.context() as m:
+            m.setattr(ree, "POLISH_STEPS", 0)
+            path_steps = ree_numeric(rho).iterations
+        for budget in range(index, path_steps + 1, 12) or [path_steps]:
+            rep = ree_numeric(rho, OracleConfig(max_iterations=budget))
+            assert not rep.converged and rep.iterations == budget
+            assert math.isfinite(rep.value)
 
     @pytest.mark.parametrize("name", ["bell", "werner", "vp"])
     def test_every_budget_holds(self, name):
@@ -597,6 +608,47 @@ class TestPredictor:
         assert qstate.min_pt_eigenvalue(rep.css_numeric) >= 0
 
 
+class TestStartPoint:
+    """The path starts at sigma0 = (1 - m) rho + m I/4, with the least m in
+    [0, 1) that gives sigma0 and sigma0^Gamma eigenvalues >= MU_SCHEDULE[0]."""
+
+    @pytest.mark.parametrize("name", ["maximally_mixed", "separable_margin", "rank1",
+                                      "bell", "near_separable"])
+    def test_start_clears_the_first_weight(self, monkeypatch, name):
+        """sigma0 and sigma0^Gamma have eigenvalues >= mu0 - 1e-15.  A state
+        with that margin (I/4, a full-rank separable state) is its own start;
+        any other start lies on the segment from rho to I/4, at
+        min(lambda_min(sigma0), lambda_min(sigma0^Gamma)) = mu0 within 1e-15."""
+        rng = np.random.default_rng(41)
+        rho = {"maximally_mixed": np.eye(4, dtype=complex) / 4,
+               "separable_margin": 0.2 * random_density_matrix(rng) + 0.8 * np.eye(4) / 4,
+               "rank1": random_density_matrix(rng, 1),
+               "bell": qstate.BELL_STATES[2],
+               "near_separable": _rotated(rng, (1 / 3 + 1e-4) * qstate.BELL_STATES[0]
+                                          + (2 / 3 - 1e-4) * np.eye(4) / 4)}[name]
+        starts = []
+        spectra = ree._spectra
+
+        def recording(x):
+            starts.append(x.copy())
+            return spectra(x)
+
+        monkeypatch.setattr(ree, "_spectra", recording)
+        assert ree_numeric(rho).converged
+        sigma0 = (ree._EYE_FLAT + starts[0] @ ree._B_FLAT).reshape(4, 4)
+        mu0 = ree.MU_SCHEDULE[0]
+        low = min(np.linalg.eigvalsh(sigma0)[0], qstate.min_pt_eigenvalue(sigma0))
+        assert low >= mu0 - 1e-15
+        if name in ("maximally_mixed", "separable_margin"):
+            assert np.max(np.abs(sigma0 - rho)) <= 1e-15
+            return
+        toward = np.eye(4) / 4 - rho
+        m = float(np.vdot(toward, sigma0 - rho).real / np.vdot(toward, toward).real)
+        assert 0 < m < 1
+        assert np.max(np.abs(sigma0 - (rho + m * toward))) <= 1e-15
+        assert abs(low - mu0) <= 1e-15
+
+
 def _newton_step_eigh(grad, hess):
     """Reference: -H^-1 grad through eigh(H), eigenvalues clipped at
     HESSIAN_FLOOR of the largest."""
@@ -691,8 +743,8 @@ class TestStageStop:
 
     def test_early_stages_end_loose(self, monkeypatch):
         """The stop scales with mu: on the seed-52 pure state the stage at
-        mu = 1 ends above the last stage's bound of 1e-12, where an absolute
-        stop would run it on."""
+        the first weight, MU_SCHEDULE[0], ends above the last stage's bound
+        of 1e-12, where an absolute stop would run it on."""
         log = _record_derivatives(monkeypatch)
         ree_numeric(SEED52_PURE)
         assert _half_decrements(log, ree.MU_SCHEDULE[0])[-1] > 1e-12
