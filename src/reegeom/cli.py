@@ -300,18 +300,17 @@ def _suite_families(seed: int) -> list[dict]:
                 continue
             return tuple(lam)
 
-    for i in range(5):
-        res = css.css_vp(sample_lam())
-        checks.append({"name": f"vp_residuals_{i}", "ok": _residuals_ok(res)})
-    for i in range(5):
-        res = css.css_horodecki(sample_lam(entangled_horodecki=True))
-        checks.append({"name": f"horodecki_residuals_{i}", "ok": _residuals_ok(res)})
-    for i in range(5):
+    def sample_t():
         t = rng.uniform(-1, 1, size=3)
         while np.sum(np.abs(t)) <= 1.05 or not geometry.in_tetrahedron(t):
             t = rng.uniform(-1, 1, size=3)
-        res = css.css_bell_diagonal(t)
-        checks.append({"name": f"bell_diagonal_residuals_{i}", "ok": _residuals_ok(res)})
+        return t
+
+    for name, build, sample in (("vp", css.css_vp, sample_lam),
+                                ("horodecki", css.css_horodecki, lambda: sample_lam(True)),
+                                ("bell_diagonal", css.css_bell_diagonal, sample_t)):
+        for i in range(5):
+            checks.append({"name": f"{name}_residuals_{i}", "ok": _residuals_ok(build(sample()))})
     return checks
 
 

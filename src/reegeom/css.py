@@ -27,7 +27,6 @@ from .qstate import (
     DiagonalPauliForm,
     PauliForm,
     _canonicalize,
-    _checked_spectra,
     _ppt,
     _pt_spectra,
     bell_diagonal,
@@ -227,7 +226,7 @@ def _template(rho, tag: FamilyTag) -> CssResult:
     """`_solve` on a state in the template frame of its family's route.
     Raises InvalidState where rho is not a state, and ValueError where a
     weight in tag.lambdas is negative."""
-    w, v = _checked_spectra(rho)
+    w, v = validate_density_matrix(rho)
     if tag.lambdas is not None and min(tag.lambdas) < 0:
         raise ValueError(f"weights must be nonnegative, not {tag.lambdas}")
     p_rho = to_pauli(rho)
@@ -258,7 +257,7 @@ def css_auto(rho: np.ndarray) -> CssResult:
     form and the rotations that take it to its route's template frame.  Off
     the closed-form routes the oracle supplies the CSS, and raises
     NotConverged when its bracket does not close."""
-    w, v = _checked_spectra(rho)
+    w, v = validate_density_matrix(rho)
     p_rho = to_pauli(rho)
     dpf, r_a, r_b = _canonicalize(p_rho)
     tag, route, pa, pb = _match_templates(dpf)

@@ -70,13 +70,9 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, not {value!r}")
 
 
-def validate_density_matrix(rho: np.ndarray) -> None:
-    """Raise InvalidState on the first violated density-matrix invariant."""
-    _checked_spectra(rho)
-
-
-def _checked_spectra(rho: np.ndarray):
-    """`validate_density_matrix`, returning the `_pt_spectra` its PSD test reads."""
+def validate_density_matrix(rho: np.ndarray):
+    """Raise InvalidState on the first violated density-matrix invariant;
+    else return the `_pt_spectra` of rho that its PSD test reads."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState("shape 4x4", float(np.prod(rho.shape)))
@@ -144,10 +140,6 @@ def _pt_spectra(rho: np.ndarray):
 def _ppt(w: np.ndarray) -> bool:
     """The PPT test on the eigenvalues w of (rho, rho^Gamma)."""
     return float(w[1, 0]) >= -PSD_TOL
-
-
-def min_pt_eigenvalue(rho: np.ndarray) -> float:
-    return float(_pt_spectra(rho)[0][1, 0])
 
 
 def is_ppt(rho: np.ndarray) -> bool:

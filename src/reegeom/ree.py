@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PAULI_BASIS, _checked_spectra, _finite, partial_transpose
+from .qstate import PAULI_BASIS, _finite, partial_transpose, validate_density_matrix
 
 SUPPORT_TOL = 1e-12
 # barrier weights of the central path: 0.01, 1e-3, ..., 1e-9, from a start
@@ -39,10 +39,6 @@ POLISH_STEPS = 3  # full Newton steps at the last weight, kept while the decreme
 HESSIAN_FLOOR = 1e-14  # diagonal shift of the Newton system, as a fraction of tr H
 DIVIDED_SPREAD = 1e-5  # relative spread below which a second divided difference takes its limit
 BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
-# rounding allowance taken off the lower end: the bound's minimizing vector
-# lies in sigma's support, where G carries rounding of order eps, not the
-# eps / lambda_min(sigma) of G's entries on sigma's near-kernel
-BRACKET_ROUNDING = 1e-12
 CERTIFICATE_SEED = 0
 
 # sigma = I/4 + sum_k x_k B_k, B_k = (sigma_a (x) sigma_b) / 4 flattened, k = 4a + b - 1;
@@ -77,7 +73,7 @@ class OracleConfig:
 @dataclass
 class ReeReport:
     """From `ree_numeric`: `value` = S(rho || css_numeric), and the REE lies
-    in [lower, value] with gap = value - lower."""
+    in [lower, value] with lower = value - gap."""
 
     value: float
     css_numeric: np.ndarray
@@ -254,12 +250,12 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     central path, kept where F at the new weight does not rise.  A trial
     point that leaves the cone or is not finite is rejected; a Newton step
     or slope that is not finite ends its stage at once, with no trial
-    point.  At the end, with G the matrix gradient of
-    S(rho||.) at sigma, convexity gives the Frank-Wolfe bound
-    REE >= value - (tr sigma G - min_ab <ab|G|ab>); `lower`
-    puts `_ppt_floor`, a certified lower bound, in place of the minimum.
-    `converged` means the path finished in fewer than `cfg.max_iterations`
-    steps and the bracket gap = value - lower is at most BRACKET_TOL;
+    point.  At the end, with G the matrix gradient of S(rho||.) at sigma,
+    convexity gives the Frank-Wolfe bound REE >= value - (tr sigma G -
+    min_ab <ab|G|ab>); `gap` puts `_ppt_floor`, a certified lower bound, in
+    place of the minimum, and lower = value - gap, 2e-9 or more below the
+    REE as measured, with no rounding allowance.  `converged` means the path
+    finished in fewer than `cfg.max_iterations` steps and gap <= BRACKET_TOL;
     `iterations`, every accepted step (tangent and polish steps included),
     never exceeds `cfg.max_iterations`.  The mixing weight m is the least
     that gives sigma and sigma^Gamma eigenvalues >= mu0 = MU_SCHEDULE[0]:
@@ -268,7 +264,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     """
     if cfg is None:
         cfg = OracleConfig()
-    (p, p_pt), (u, _) = _checked_spectra(rho)  # rho's spectrum p, u, read at the end
+    (p, p_pt), (u, _) = validate_density_matrix(rho)  # rho's spectrum p, u, read at the end
     rho = np.asarray(rho, dtype=complex)
 
     lam, mu0 = min(float(p[0]), float(p_pt[0])), MU_SCHEDULE[0]
@@ -330,9 +326,8 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     sigma = (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)  # exactly Hermitian; (w, v)[0] its spectrum
     value = _relative_entropy(rho, p, u, w[0], v[0])
     gmat = _log_gradient(rho, w[0], v[0])
-    fw_gap = float(np.real(np.trace(sigma @ gmat))) - _ppt_floor(gmat, w[1], v[1], mu)
-    lower = value - fw_gap - BRACKET_ROUNDING
-    gap = value - lower
+    gap = float(np.real(np.trace(sigma @ gmat))) - _ppt_floor(gmat, w[1], v[1], mu)
+    lower = value - gap
     return ReeReport(value=value, css_numeric=sigma, gap=gap, iterations=steps,
                      converged=finished and gap <= BRACKET_TOL,
                      lower=lower)

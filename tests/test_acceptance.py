@@ -119,7 +119,7 @@ def test_criterion_3_family_cross_validation():
             num = ree_numeric(rho)
             worst["bloch"] = max(worst["bloch"], res.residuals["bloch_gap"])
             worst["edge"] = max(worst["edge"],
-                                abs(qstate.min_pt_eigenvalue(res.css)))
+                                abs(qstate.validate_density_matrix(res.css)[0][1, 0]))
             worst["gap"] = max(worst["gap"], abs(res.ree - num.value))
             worst["deriv"] = min(worst["deriv"],
                                  directional_optimality_check(rho, res.css,
@@ -294,7 +294,10 @@ def test_criterion_8_property_suite():
 def test_criterion_10_generic_states_with_exact_css():
     # generic entangled states built backwards from their exact CSS sigma by
     # the reverse map, so the exact REE is S(rho || sigma): the oracle's
-    # bracket must hold it, and both numeric routes must return sigma
+    # bracket must hold it with lower at least 1e-9 below (the barrier's slack,
+    # which stands in for a rounding allowance; if a change shrinks it until
+    # this fails, an allowance must be reconsidered), and both numeric routes
+    # must return sigma
     t0 = time.time()
     rng = np.random.default_rng(105)
     all_other = all_converged = True
@@ -312,7 +315,7 @@ def test_criterion_10_generic_states_with_exact_css():
                       float(np.max(np.abs(res.css - sigma))))
     elapsed = time.time() - t0
     _report("criterion 10: the oracle brackets the exact REE of 100 generic states",
-            all_other and all_converged and max(below) <= 0.0
+            all_other and all_converged and max(below) <= -1e-9
             and 0.0 <= min(above) and max(above) <= 1e-8 and css_err <= 1e-7
             and elapsed < 5.0,
             f"value - exact in [{min(above):.1e}, {max(above):.1e}], "

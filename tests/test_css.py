@@ -348,7 +348,7 @@ class TestCssAuto:
             assert res.residuals["bloch_gap"] <= 1e-10
             # the mapped-back CSS is a true separable state at the edge
             assert qstate.is_ppt(res.css)
-            assert abs(qstate.min_pt_eigenvalue(res.css)) <= 1e-8
+            assert abs(qstate.validate_density_matrix(res.css)[0][1, 0]) <= 1e-8
             assert relative_entropy(rot, res.css) == pytest.approx(res.ree, abs=1e-10)
 
     @given(st.sampled_from(["bell", "vp", "horodecki", "werner"]),
@@ -452,7 +452,7 @@ class TestCssAuto:
             assert res.residuals == {
                 "bloch_gap": float(max(np.linalg.norm(p_css.r - p_rho.r),
                                        np.linalg.norm(p_css.s - p_rho.s))),
-                "edge_gap": abs(qstate.min_pt_eigenvalue(res.css)),
+                "edge_gap": abs(qstate.validate_density_matrix(res.css)[0][1, 0]),
                 "recovery_gap": float(np.max(np.abs(revmap.recover(res.css, rho) - rho)))}
             assert res.ree == relative_entropy(rho, res.css)
             assert abs(res.ree - build(tag).ree) <= 1e-14
@@ -514,7 +514,7 @@ class TestCssAuto:
         p_rho, p_css = qstate.to_pauli(rho), qstate.to_pauli(res.css)
         assert res.residuals["bloch_gap"] == float(max(np.linalg.norm(p_css.r - p_rho.r),
                                                        np.linalg.norm(p_css.s - p_rho.s)))
-        assert res.residuals["edge_gap"] == abs(qstate.min_pt_eigenvalue(res.css))
+        assert res.residuals["edge_gap"] == abs(qstate.validate_density_matrix(res.css)[0][1, 0])
         if res.separable:
             assert res.ree == 0.0 and math.isnan(res.residuals["recovery_gap"])
         else:
@@ -672,7 +672,7 @@ class TestCssAuto:
         assert not res.geometric
         assert res.ree > 0
         assert res.ree == relative_entropy(rho, res.css)
-        assert qstate.min_pt_eigenvalue(res.css) >= -1e-7
+        assert qstate.validate_density_matrix(res.css)[0][1, 0] >= -1e-7
 
     def test_numeric_fallback_tau_in_canonical_frame(self):
         """The oracle's tau is read in rho's canonical frame, so a local

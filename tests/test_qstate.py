@@ -62,6 +62,14 @@ class TestValidation:
         assert exc.value.invariant == "positive semidefiniteness"
         assert exc.value.magnitude == pytest.approx(0.1)
 
+    def test_returns_the_pt_spectra(self, rng):
+        """A valid state's return is `_pt_spectra(rho)` bit for bit: the
+        spectra its PSD test reads, which the routes take instead of a second
+        eigh."""
+        rho = random_density_matrix(rng, 3)
+        (w, v), (w_ref, v_ref) = qstate.validate_density_matrix(rho), qstate._pt_spectra(rho)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         m = np.diag([bad, 1.0, 0.0, 0.0]).astype(complex)
@@ -70,11 +78,11 @@ class TestValidation:
         assert exc.value.invariant == "finite entries"
 
     @pytest.mark.parametrize("call", [
-        qstate.is_ppt, qstate.min_pt_eigenvalue, qstate.concurrence, revmap.g_matrix,
+        qstate.is_ppt, qstate.concurrence, revmap.g_matrix,
         lambda m: revmap.family_from_css(m, 0.1),
         lambda m: revmap.recover(m, qstate.BELL_STATES[0]),
         lambda m: revmap.recover(np.diag([0.5, 0, 0, 0.5]), m)],
-        ids=["is_ppt", "min_pt_eigenvalue", "concurrence", "g_matrix", "family_from_css",
+        ids=["is_ppt", "concurrence", "g_matrix", "family_from_css",
              "recover-sigma", "recover-rho"])
     def test_non_finite_matrix_rejected(self, call):
         """Every function that takes a spectrum of a matrix, or fits rho in
@@ -154,7 +162,7 @@ class TestPartialTranspose:
 
     def test_bell_negative(self):
         for b in qstate.BELL_STATES:
-            assert qstate.min_pt_eigenvalue(b) == pytest.approx(-0.5)
+            assert qstate.validate_density_matrix(b)[0][1, 0] == pytest.approx(-0.5)
             assert not qstate.is_ppt(b)
 
     def test_werner_threshold(self):
