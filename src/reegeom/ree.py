@@ -8,7 +8,8 @@ at rho mixed toward I/4, which follows the central path loosely (PATH_TOL)
 and centres only its last weight tightly (CENTERING_TOL), then a
 Frank-Wolfe gap (Jaggi, ICML 2013), bounded through the barrier's dual,
 that brackets the minimum.  It is the independent oracle against which the
-geometric constructions are verified.
+geometric constructions are verified.  `directional_optimality_check`
+reads the same bound, `_dual_floor`, at the reverse map's multiplier too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PAULI_BASIS, _finite, partial_transpose, validate_density_matrix
+from .qstate import PAULI_BASIS, _finite, _pt_spectra, partial_transpose, validate_density_matrix
 
 SUPPORT_TOL = 1e-12
 # barrier weights of the central path: 0.01, 1e-3, ..., 1e-9, from a start
@@ -39,7 +40,6 @@ POLISH_STEPS = 3  # full Newton steps at the last weight, kept while the decreme
 HESSIAN_FLOOR = 1e-14  # diagonal shift of the Newton system, as a fraction of tr H
 DIVIDED_SPREAD = 1e-5  # relative spread below which a second divided difference takes its limit
 BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
-CERTIFICATE_SEED = 0
 
 # sigma = I/4 + sum_k x_k B_k, B_k = (sigma_a (x) sigma_b) / 4 flattened, k = 4a + b - 1;
 # x @ _DIRECTIONS_FLAT stacks sigma and sigma^Gamma, whose B_k flip sign with sigma_y on B
@@ -90,14 +90,9 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     SUPPORT_TOL on its kernel, the eigenvalues at most SUPPORT_TOL).  0 ln 0
     is 0.  Raises InvalidState when rho or sigma has a NaN or infinite entry.
     """
-    rho, (w, v) = _joint_spectra(rho, sigma)
-    return _relative_entropy(rho, w[0], v[0], w[1], v[1])
-
-
-def _joint_spectra(rho, sigma):
-    """rho as a complex array and one eigh of the stack (rho, sigma), both finite."""
     pair = np.array([_finite(rho), _finite(sigma)], dtype=complex)
-    return pair[0], np.linalg.eigh(pair)
+    (p, q), (u, v) = np.linalg.eigh(pair)  # one eigh of the stack
+    return _relative_entropy(pair[0], p, u, q, v)
 
 
 def _relative_entropy(rho, p, u, q, v) -> float:
@@ -225,15 +220,10 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     return np.linalg.solve(shifted, -grad)
 
 
-def _ppt_floor(gmat: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float) -> float:
-    """A lower bound on min tr(tau G) over PPT states tau, and so over product
-    states, from the spectrum (w, v) of sigma^Gamma.
-
-    For Q >= 0 and PPT tau, tr(tau G) = tr(tau (G - Q^Gamma)) + tr(tau^Gamma Q)
-    >= lambda_min(G - Q^Gamma).  Q is the barrier's multiplier of
-    sigma^Gamma > 0, mu (sigma^Gamma)^-1.
-    """
-    q = (v * (mu / w)) @ v.conj().T
+def _dual_floor(gmat: np.ndarray, q: np.ndarray) -> float:
+    """lambda_min(G - Q^Gamma), a lower bound on min tr(tau G) over PPT states
+    tau, and so over product states, for any multiplier Q >= 0: tr(tau G) =
+    tr(tau (G - Q^Gamma)) + tr(tau^Gamma Q) >= lambda_min(G - Q^Gamma)."""
     return float(np.linalg.eigvalsh(gmat - partial_transpose(q))[0])
 
 
@@ -252,7 +242,8 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     or slope that is not finite ends its stage at once, with no trial
     point.  At the end, with G the matrix gradient of S(rho||.) at sigma,
     convexity gives the Frank-Wolfe bound REE >= value - (tr sigma G -
-    min_ab <ab|G|ab>); `gap` puts `_ppt_floor`, a certified lower bound, in
+    min_ab <ab|G|ab>); `gap` puts `_dual_floor` at the barrier's multiplier
+    of sigma^Gamma > 0, mu (sigma^Gamma)^-1, a certified lower bound, in
     place of the minimum, and lower = value - gap, 2e-9 or more below the
     REE as measured, with no rounding allowance.  `converged` means the path
     finished in fewer than `cfg.max_iterations` steps and gap <= BRACKET_TOL;
@@ -326,47 +317,39 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     sigma = (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)  # exactly Hermitian; (w, v)[0] its spectrum
     value = _relative_entropy(rho, p, u, w[0], v[0])
     gmat = _log_gradient(rho, w[0], v[0])
-    gap = float(np.real(np.trace(sigma @ gmat))) - _ppt_floor(gmat, w[1], v[1], mu)
+    q = (v[1] * (mu / w[1])) @ v[1].conj().T
+    gap = float(np.real(np.trace(sigma @ gmat))) - _dual_floor(gmat, q)
     lower = value - gap
     return ReeReport(value=value, css_numeric=sigma, gap=gap, iterations=steps,
                      converged=finished and gap <= BRACKET_TOL,
                      lower=lower)
 
 
-def _product_states(n: int) -> np.ndarray:
-    """The certificate's n random product vectors |a>|b>, shape (n, 4).
-
-    Each qubit's vector has Gaussian real and imaginary parts, all drawn from
-    CERTIFICATE_SEED in one call, and is normalized with |v|^2 summed as
-    np.linalg.norm sums it (re.re + im.im).
-    """
-    g = np.random.default_rng(CERTIFICATE_SEED).normal(size=(n, 2, 2, 2))
-    re, im = g[:, :, 0], g[:, :, 1]
-    norm = np.sqrt((re[..., None, :] @ re[..., :, None]
-                    + im[..., None, :] @ im[..., :, None])[..., 0])
-    a, b = ((re + 1j * im) / norm).transpose(1, 0, 2)
-    return (a[:, :, None] * b[:, None, :]).reshape(n, 4)
-
-
 def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
                                  n_directions: int = 64) -> float:
-    """First-order optimality certificate for a claimed closest separable state.
+    """Exact optimality certificate for a claimed closest separable state:
+    c = max_Q `_dual_floor`(G, Q) - tr(css G), G the `_log_gradient` at css.
 
-    Minimum over sampled product states |ab> of the one-sided derivative
-    d/de S(rho||(1-e) css + e |ab><ab|) at e = 0+, which is
-    <ab|G|ab> - tr(css G) for the matrix gradient G of `_log_gradient`.
-    Product states are the extreme points of the separable set, but
-    n_directions samples bound their minimum from above only: a true
-    minimizer gives a nonnegative result (up to rounding), and so can a css
-    2.5e-3 nats above the REE.  `ree_numeric`'s `lower` is the certified end.
-    A css at S(rho||css) = inf gives -inf; n_directions < 1 raises ValueError.
+    By convexity REE >= S(rho||css) + c for any Q >= 0, and c <= 0: a css eps
+    above the REE scores c <= -eps.  Q is the reverse map's fitted multiplier
+    K (M + s I) K^dagger (`revmap._fit`), s = max(0, -lambda_min(M)) since
+    D_sigma leaves the identity on K free where css is rank-deficient, which
+    gives c = 0 to rounding at a CSS; or, where lambda_min(css^Gamma) >
+    SUPPORT_TOL, the barrier's mu (css^Gamma)^-1 at mu = MU_SCHEDULE[-1],
+    which gives c = -gap at `ree_numeric`'s css.  -inf where S(rho||css) =
+    inf.  `n_directions` is ignored; it stays because `perfbench/` passes it.
     """
-    if n_directions < 1:
-        raise ValueError(f"n_directions must be at least 1, not {n_directions}")
-    rho, (w, v) = _joint_spectra(rho, css)
-    if math.isinf(_relative_entropy(rho, w[0], v[0], w[1], v[1])):
+    from .revmap import _fit  # revmap imports this module
+    rho = _finite(rho)
+    p, u = np.linalg.eigh(rho)
+    w, v = _pt_spectra(css)
+    if math.isinf(_relative_entropy(rho, p, u, w[0], v[0])):
         return -math.inf  # no state at infinite relative entropy is a minimizer
-    gmat = _log_gradient(rho, w[1], v[1])
-    c = _product_states(n_directions)
-    along = ((c.conj() @ gmat) * c).sum(axis=1).real  # <ab|G|ab>
-    return float(along.min() - np.trace(css @ gmat).real)
+    gmat = _log_gradient(rho, w[0], v[0])
+    k, m, _ = _fit(css, rho, w, v)
+    shift = -np.linalg.eigvalsh(m).min(initial=0.0) * np.eye(len(m))
+    floor = _dual_floor(gmat, k @ (m + shift) @ k.conj().T)
+    if w[1, 0] > SUPPORT_TOL:
+        mu = MU_SCHEDULE[-1]
+        floor = max(floor, _dual_floor(gmat, (v[1] * (mu / w[1])) @ v[1].conj().T))
+    return floor - float(np.trace(css @ gmat).real)

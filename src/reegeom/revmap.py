@@ -15,7 +15,8 @@ of sigma^Gamma, by fitting the multiplier Z of sigma^Gamma >= 0 in the
 stationarity condition rho = sigma - D_sigma(Z^Gamma) (Ishizaka, PRA 67,
 060301(R) (2003); Friedland & Gour, J. Math. Phys. 52, 052201 (2011)).
 `_generators` builds G's rows once for `g_matrix` and `recover`, on the
-kernel of sigma^Gamma at EDGE_TOL and sigma's support at `ree.SUPPORT_TOL`.
+kernel of sigma^Gamma at EDGE_TOL and sigma's support at `ree.SUPPORT_TOL`;
+`_fit` fits Z once for `recover` and `ree.directional_optimality_check`.
 """
 
 from __future__ import annotations
@@ -71,31 +72,31 @@ class ZFamilyDerivatives:
 
 
 def _generators(w: np.ndarray, vecs: np.ndarray):
-    """(lam, V, rows) from the `_pt_spectra` w, vecs of sigma: sigma = V diag(lam)
-    V^dagger, and one row D_sigma((k_a k_b^dagger)^Gamma) in sigma's
-    eigenbasis, (n^2, 4, 4), for each pair of k_1 .. k_n, the eigenvectors of
-    sigma^Gamma with |eigenvalue| <= EDGE_TOL.  D_sigma, the inverse derivative
-    of ln on sigma's support, multiplies by the reciprocal divided differences
-    1 / ln[l_i, l_j] and is zero on sigma's kernel."""
-    k = vecs[1][:, np.abs(w[1]) <= EDGE_TOL].T[:, None, :, None]
-    lam, v = w[0], vecs[0]
+    """(lam, V, K, rows) from the `_pt_spectra` w, vecs of sigma: sigma =
+    V diag(lam) V^dagger, the columns k_1 .. k_n of K (4, n), the eigenvectors
+    of sigma^Gamma with |eigenvalue| <= EDGE_TOL, and one row
+    D_sigma((k_a k_b^dagger)^Gamma) in sigma's eigenbasis, (n^2, 4, 4), for
+    each pair.  D_sigma, the inverse derivative of ln on sigma's support,
+    multiplies by the reciprocal divided differences 1 / ln[l_i, l_j] and is
+    zero on sigma's kernel."""
+    kmat = vecs[1][:, np.abs(w[1]) <= EDGE_TOL]
+    k, lam, v = kmat.T[:, None, :, None], w[0], vecs[0]
     l1 = _support_log_divided(lam)
     coef = 1.0 / np.where(l1 == 0, np.inf, l1)
     # k_a k_b^dagger by a product over a length-1 axis: one multiply, as einsum's
     units = partial_transpose((k @ k.conj().transpose(1, 0, 3, 2)).reshape(-1, 4, 4))
-    return lam, v, coef * (v.conj().T @ units @ v)
+    return lam, v, kmat, coef * (v.conj().T @ units @ v)
 
 
 def g_matrix(sigma: np.ndarray) -> np.ndarray:
     """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma), the
     one row of `_generators` mapped back: sigma must have full rank and phi
     span the kernel of sigma's partial transpose."""
-    lam, v, rows = _generators(*_pt_spectra(sigma))
+    lam, v, k, rows = _generators(*_pt_spectra(sigma))
     if lam[0] <= SUPPORT_TOL:
         raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= {SUPPORT_TOL:.0e}")
     if len(rows) != 1:
-        raise NotEdgeState(
-            f"{math.isqrt(len(rows))} near-zero PT eigenvalues (need exactly 1)")
+        raise NotEdgeState(f"{k.shape[1]} near-zero PT eigenvalues (need exactly 1)")
     return v @ rows[0] @ v.conj().T
 
 
@@ -127,15 +128,21 @@ def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _recover(sigma, rho, w, vecs) -> np.ndarray:
     """`recover` from the spectra w, vecs of (sigma, sigma^Gamma)."""
-    _, v, rows = _generators(w, vecs)
-    if not len(rows):
+    _, m, cols = _fit(sigma, rho, w, vecs)
+    if not len(cols):
         raise NotEdgeState("sigma's partial transpose has no near-zero eigenvalue")
+    return sigma - vecs[0] @ (m.ravel() @ cols).reshape(4, 4) @ vecs[0].conj().T
+
+
+def _fit(sigma, rho, w, vecs):
+    """(K, M, rows) of `recover`, from the spectra w, vecs of (sigma,
+    sigma^Gamma): the kernel vectors K (4, n), the Hermitian n x n M fitted to
+    rho, and `_generators`' rows flat, (n^2, 16); all empty where n = 0."""
+    _, v, k, rows = _generators(w, vecs)
     cols = rows.reshape(len(rows), 16)
-    n = math.isqrt(len(rows))
     target = (v.conj().T @ (sigma - rho) @ v).ravel()
-    m = np.linalg.lstsq(cols.T, target, rcond=None)[0].reshape(n, n)
-    fit = ((m + m.conj().T) / 2).ravel() @ cols
-    return sigma - v @ fit.reshape(4, 4) @ v.conj().T
+    m = np.linalg.lstsq(cols.T, target, rcond=None)[0].reshape(k.shape[1], k.shape[1])
+    return k, (m + m.conj().T) / 2, cols
 
 
 def z_derivatives(p: SigmaZParams) -> ZFamilyDerivatives:

@@ -108,7 +108,9 @@ def test_criterion_3_family_cross_validation():
                 if lam[0] ** 2 > 4 * lam[1] * lam[2] + 5e-3 and lam[0] > 0.1:
                     return css._horodecki_state(tuple(lam))
 
-    worst = {"bloch": 0.0, "edge": 0.0, "gap": 0.0, "deriv": math.inf}
+    # the certificate c is exact: >= -1e-8 at each CSS, and <= -excess at the
+    # planted 0.99 css + 0.01 I/4, whose REE is excess too high
+    worst = {"bloch": 0.0, "edge": 0.0, "gap": 0.0, "deriv": math.inf, "planted": -math.inf}
     n_per_family = 100
     for family in ("bell", "vp", "horodecki"):
         for _ in range(n_per_family):
@@ -121,17 +123,19 @@ def test_criterion_3_family_cross_validation():
             worst["edge"] = max(worst["edge"],
                                 abs(qstate.validate_density_matrix(res.css)[0][1, 0]))
             worst["gap"] = max(worst["gap"], abs(res.ree - num.value))
-            worst["deriv"] = min(worst["deriv"],
-                                 directional_optimality_check(rho, res.css,
-                                                              n_directions=64))
+            worst["deriv"] = min(worst["deriv"], directional_optimality_check(rho, res.css))
+            planted = 0.99 * res.css + 0.01 * np.eye(4) / 4
+            excess = relative_entropy(rho, planted) - res.ree
+            worst["planted"] = max(worst["planted"],
+                                   directional_optimality_check(rho, planted) + excess)
     elapsed = time.time() - t0
     _report("criterion 3: geometric CSS cross-validated on 300 family states",
             worst["bloch"] <= 1e-10 and worst["edge"] <= 1e-8
             and worst["gap"] <= 2e-4 and worst["deriv"] >= -1e-8
-            and elapsed < 600.0,
+            and worst["planted"] <= 0 and elapsed < 600.0,
             f"bloch {worst['bloch']:.1e}, edge {worst['edge']:.1e}, "
             f"ree gap {worst['gap']:.1e}, min deriv {worst['deriv']:.1e}, "
-            f"{elapsed:.0f}s")
+            f"planted margin {-worst['planted']:.1e}, {elapsed:.0f}s")
 
 
 def test_criterion_4_reverse_map_recovery():

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import reegeom
-from reegeom import cli, css, geometry, qstate, ree
+from reegeom import cli, css, geometry, qstate, ree, revmap
 from reegeom.errors import InvalidState
 from reegeom.ree import (
     OracleConfig,
@@ -21,7 +21,13 @@ from reegeom.ree import (
     relative_entropy,
 )
 
-from conftest import random_density_matrix, random_unitary, rotate
+from conftest import (
+    generic_edge_state,
+    generic_family_state,
+    random_density_matrix,
+    random_unitary,
+    rotate,
+)
 
 
 class TestRelativeEntropy:
@@ -380,20 +386,19 @@ class TestBracket:
         <ab|G|ab> on sampled product states, and `lower` below S(rho||sigma)
         for the sigma of a path run on to mu = 1e-10.  The oracle's sigma has
         full rank, so `_log_gradient`'s kernel mask never acts on the
-        bracket's G; the certificate reads the same G, so it is at least
-        -gap."""
+        bracket's G; the certificate reads the same G and bound, so it is at
+        least -gap."""
         rng = np.random.default_rng(2024)
         states = [random_density_matrix(rng, rank) for rank in (1, 2, 3, 4) for _ in range(6)]
-        a = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
-        products = np.einsum("ki,kj->kij", a[:, 0], a[:, 1]).reshape(-1, 4)
-        products /= np.linalg.norm(products, axis=1, keepdims=True)
+        products = _product_vectors(rng, 2000)
         reports = [ree_numeric(rho) for rho in states]
         for rho, rep in zip(states, reports):
             assert rep.converged and rep.gap <= 1e-6
             gmat = ree._log_gradient(rho, *np.linalg.eigh(rep.css_numeric))
             w, v = np.linalg.eigh(qstate.partial_transpose(rep.css_numeric))
             sampled = np.real(np.einsum("ki,ij,kj->k", products.conj(), gmat, products))
-            assert ree._ppt_floor(gmat, w, v, ree.MU_SCHEDULE[-1]) <= sampled.min()
+            q = (v * (ree.MU_SCHEDULE[-1] / w)) @ v.conj().T
+            assert ree._dual_floor(gmat, q) <= sampled.min()
             assert np.linalg.eigvalsh(rep.css_numeric)[0] > ree.SUPPORT_TOL
             assert directional_optimality_check(rho, rep.css_numeric) >= -rep.gap - 1e-12
         monkeypatch.setattr(ree, "MU_SCHEDULE", ree.MU_SCHEDULE + (1e-10,))
@@ -855,6 +860,11 @@ class TestGeometricRoute:
 
 
 class TestDirectionalOptimality:
+    """c = max_Q lambda_min(G - Q^Gamma) - tr(sigma G) over the fitted and the
+    barrier's multiplier: at most the one-sided derivative of S(rho||.) at
+    sigma toward every product state, never positive, 0 to rounding at a
+    true CSS, and at most -excess at a CSS whose REE is excess too high."""
+
     def test_true_css_passes(self):
         res = css.css_vp((0.5, 0.3, 0.2))
         d = directional_optimality_check(css._vp_state((0.5, 0.3, 0.2)), res.css)
@@ -866,53 +876,137 @@ class TestDirectionalOptimality:
         d = directional_optimality_check(rho, np.eye(4, dtype=complex) / 4)
         assert d < -1e-3
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_no_directions_rejected(self, n):
-        """An empty sample would return +inf and pass every gate unchecked."""
-        rho = css._vp_state((0.5, 0.3, 0.2))
-        with pytest.raises(ValueError, match="n_directions"):
-            directional_optimality_check(rho, css.css_vp((0.5, 0.3, 0.2)).css,
-                                         n_directions=n)
-
-    def test_product_states_match_loop(self):
-        rng = np.random.default_rng(ree.CERTIFICATE_SEED)
-        want = np.array([_random_product_vector(rng) for _ in range(64)])
-        assert np.array_equal(ree._product_states(64), want)
-
-    def test_matches_loop(self):
-        """Within the finite differences' own error of the loop over
-        directions on 120 rotated family states: 1e-8 at the planted
-        0.99 css + 0.01 I/4, 1e-5 at the CSS, where the steps come close to
-        the CSS's kernel."""
-        for rho in _family_states(np.random.default_rng(100), 40):
-            c = css.css_auto(rho).css
-            for sigma, tol in ((c, 1e-5), (0.99 * c + 0.01 * np.eye(4) / 4, 1e-8)):
-                got = directional_optimality_check(rho, sigma)
-                assert abs(got - _certificate_loop(rho, sigma)) <= tol
-
-    def test_exact_near_the_kernel(self):
-        """On 40 full-rank sigma with lambda_min in [1e-6, 1e-4], where steps
-        of 1e-5 and 1e-6 overshoot the spectrum, within 1e-5 relative of
-        Richardson central differences at h = lambda_min / 1000 over the same
-        product states."""
+    def test_bounded_by_product_states(self):
+        """Validity, on 40 full-rank sigma with lambda_min in [1e-6, 1e-4] and
+        40 edge states, each with a random rho: c is at most
+        <ab|G|ab> - tr(sigma G) on 2,000 random product states, and the
+        least of the first 8 of those derivatives is within 1e-5 relative of
+        Richardson central differences at h = lambda_min / 1000, where steps
+        of 1e-5 would overshoot the spectrum."""
         rng = np.random.default_rng(11)
-        directions = [np.outer(c, c.conj()) for c in ree._product_states(64)]
+        products = _product_vectors(rng, 2000)
+        sigmas = []
         for _ in range(40):
             lam = np.concatenate([[10 ** rng.uniform(-6, -4)], rng.dirichlet(np.ones(3))])
             lam[1:] *= 1 - lam[0]
             u = random_unitary(rng, 4)
-            sigma = (u * lam) @ u.conj().T
+            sigmas.append((u * lam) @ u.conj().T)
+        sigmas += [generic_edge_state(rng) for _ in range(40)]
+        for sigma in sigmas:
             rho = random_density_matrix(rng)
-            h = lam.min() / 1000
+            gmat = ree._log_gradient(rho, *np.linalg.eigh(sigma))
+            along = (np.einsum("ki,ij,kj->k", products.conj(), gmat, products).real
+                     - np.trace(sigma @ gmat).real)
+            assert directional_optimality_check(rho, sigma) <= along.min()
+            h = np.linalg.eigvalsh(sigma)[0] / 1000
 
             def central(step, delta):
                 return (relative_entropy(rho, sigma + step * delta)
                         - relative_entropy(rho, sigma - step * delta)) / (2 * step)
 
-            want = min((4 * central(h / 2, p - sigma) - central(h, p - sigma)) / 3
-                       for p in directions)
-            got = directional_optimality_check(rho, sigma)
-            assert abs(got - want) <= 1e-5 * abs(want)
+            got = min((4 * central(h / 2, p - sigma) - central(h, p - sigma)) / 3
+                      for p in (np.outer(c, c.conj()) for c in products[:8]))
+            assert abs(got - along[:8].min()) <= 1e-5 * abs(along[:8].min())
+
+    def test_never_positive(self):
+        """c <= 0 for every separable sigma, since tr(sigma (G - Q^Gamma)) <=
+        tr(sigma G) for Q >= 0: at edge states, at interior states (the
+        barrier's multiplier) and at the rank-2 VP CSS, each with a random
+        rho in sigma's support, and at criterion 3's CSSs mixed with I/4."""
+        rng = np.random.default_rng(12)
+        vp = css.css_vp((0.5, 0.3, 0.2)).css
+        for _ in range(30):
+            rho = random_density_matrix(rng)
+            interior = 0.5 * random_density_matrix(rng, 1) + 0.5 * np.eye(4) / 4
+            for sigma in (generic_edge_state(rng), interior):
+                assert directional_optimality_check(rho, sigma) <= 0
+            block = random_density_matrix(rng)[:2, :2]
+            on_support = np.zeros((4, 4), dtype=complex)
+            on_support[np.ix_([0, 3], [0, 3])] = block / np.trace(block).real
+            assert directional_optimality_check(on_support, vp) <= 0
+        for rho in list(_family_states(np.random.default_rng(100), 100))[::10]:
+            mixed = 0.9 * css.css_auto(rho).css + 0.1 * np.eye(4) / 4
+            assert directional_optimality_check(rho, mixed) <= 0
+
+    def test_tight_at_true_css(self):
+        """c >= -1e-12 at the closed-form CSS of every tenth of criterion 3's
+        states and of 30 rotated maximally correlated states, and at the
+        exact sigma of 60 `generic_family_state` draws."""
+        cases = [(rho, css.css_auto(rho).css)
+                 for rho in list(_family_states(np.random.default_rng(100), 100))[::10]]
+        rng = np.random.default_rng(11)
+        for n in range(30):
+            a = rng.uniform()
+            z = math.sqrt(a * (1 - a)) * (1.0 if n % 3 == 0 else rng.uniform())
+            rho = rotate(css._vp_state((2 * z, a - z, 1 - a - z)), random_unitary(rng),
+                         random_unitary(rng))
+            cases.append((rho, css.css_auto(rho).css))
+        rng = np.random.default_rng(5)
+        cases += [generic_family_state(rng) for _ in range(60)]
+        for rho, sigma in cases:
+            assert directional_optimality_check(rho, sigma) >= -1e-12
+
+    def test_planted_css_fails_below_its_excess(self):
+        """Criterion 3's CSS mixed 1% with I/4 is 1e-4 or more nats too high;
+        c <= -excess, though a sample of product states passes most of them."""
+        for rho in list(_family_states(np.random.default_rng(100), 100))[::10]:
+            res = css.css_auto(rho)
+            planted = 0.99 * res.css + 0.01 * np.eye(4) / 4
+            excess = relative_entropy(rho, planted) - res.ree
+            assert excess > 1e-4
+            assert directional_optimality_check(rho, planted) <= -excess
+
+    def test_denormal_pt_eigenvalue(self):
+        """A sigma^Gamma eigenvalue of 5e-324 takes no barrier multiplier,
+        whose mu / w would overflow: c is finite, with no RuntimeWarning."""
+        rho = 0.6 * qstate.BELL_STATES[2] + 0.4 * np.diag([1.0, 0, 0, 0]).astype(complex)
+        sigma = np.diag([0.4, 0.3, 0.3, 5e-324]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = directional_optimality_check(rho, sigma)
+        assert math.isfinite(relative_entropy(rho, sigma)) and -1.0 <= c <= 0
+
+    def test_empty_kernel_uses_the_barrier_multiplier(self):
+        """Where lambda_min(sigma^Gamma) > EDGE_TOL the fit has no kernel
+        (Q = 0), and at `ree_numeric`'s own sigma the barrier's multiplier
+        gives c = -gap: the oracle's bracket and the certificate are one
+        bound."""
+        rng = np.random.default_rng(4)
+        seen = 0
+        while seen < 2:
+            rho = random_density_matrix(rng)
+            if qstate.is_ppt(rho):
+                continue
+            rep = ree_numeric(rho)
+            w, vecs = qstate._pt_spectra(rep.css_numeric)
+            if w[1, 0] <= revmap.EDGE_TOL:
+                continue
+            seen += 1
+            k, m, _ = revmap._fit(rep.css_numeric, rho, w, vecs)
+            assert k.shape == (4, 0) and m.shape == (0, 0)
+            c = directional_optimality_check(rho, rep.css_numeric)
+            assert abs(c + rep.gap) <= 1e-15 and -1e-6 < c < -1e-9
+
+    def test_two_dimensional_kernel_needs_the_shift(self):
+        """At a rotated VP CSS, rank 2 with a two-dimensional kernel of
+        sigma^Gamma, D_sigma leaves the identity on K free and the
+        minimum-norm M is indefinite, so K M K^dagger is no multiplier.  Its
+        PSD part scores the true CSS below -0.1; M + s I, s = -lambda_min(M),
+        is PSD and passes it."""
+        rng = np.random.default_rng(13)
+        for lam in ((0.5, 0.3, 0.2), (0.6, 0.2, 0.2), (0.4, 0.35, 0.25)):
+            u_a, u_b = random_unitary(rng), random_unitary(rng)
+            rho = rotate(css._vp_state(lam), u_a, u_b)
+            sigma = rotate(css.css_vp(lam).css, u_a, u_b)
+            w, vecs = qstate._pt_spectra(sigma)
+            k, m, _ = revmap._fit(sigma, rho, w, vecs)
+            e, u = np.linalg.eigh(m)
+            assert k.shape == (4, 2) and e[0] < -0.1
+            gmat = ree._log_gradient(rho, w[0], vecs[0])
+            clipped = k @ ((u * np.maximum(e, 0)) @ u.conj().T) @ k.conj().T
+            assert ree._dual_floor(gmat, clipped) - np.trace(sigma @ gmat).real < -0.1
+            assert np.linalg.eigvalsh(k @ (m - e[0] * np.eye(2)) @ k.conj().T)[0] >= -1e-15
+            assert directional_optimality_check(rho, sigma) >= -1e-12
 
     def test_non_finite_css_rejected(self):
         bad = np.eye(4, dtype=complex) / 4
@@ -927,26 +1021,8 @@ class TestDirectionalOptimality:
         assert directional_optimality_check(np.outer(v, v), css00) == -math.inf
 
 
-def _random_product_vector(rng) -> np.ndarray:
-    """Reference: one product vector |a>|b>, drawn qubit by qubit."""
-    vs = []
-    for _ in range(2):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        vs.append(v / np.linalg.norm(v))
-    return np.kron(vs[0], vs[1])
-
-
-def _certificate_loop(rho, css_, n_directions=64, steps=(1e-5, 1e-6)):
-    """Reference: the certificate by finite differences as a loop over
-    directions, two relative entropies each, with a Richardson pair."""
-    rng = np.random.default_rng(ree.CERTIFICATE_SEED)
-    s0 = relative_entropy(rho, css_)
-    e1, e2 = steps
-    best = math.inf
-    for _ in range(n_directions):
-        c = _random_product_vector(rng)
-        sp = np.outer(c, c.conj())
-        d1 = (relative_entropy(rho, (1 - e1) * css_ + e1 * sp) - s0) / e1
-        d2 = (relative_entropy(rho, (1 - e2) * css_ + e2 * sp) - s0) / e2
-        best = min(best, (e1 * d2 - e2 * d1) / (e1 - e2))
-    return best
+def _product_vectors(rng, n) -> np.ndarray:
+    """n random product vectors |a>|b>, shape (n, 4), with Gaussian entries."""
+    a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    products = np.einsum("ki,kj->kij", a[:, 0], a[:, 1]).reshape(n, 4)
+    return products / np.linalg.norm(products, axis=1, keepdims=True)
