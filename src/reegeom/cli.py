@@ -222,7 +222,7 @@ def css_cmd(state, method, bits, out):
     except NotConverged as exc:
         _fail(EXIT_CHECK_FAILED, str(exc))
     _emit({
-        "method": ("maximally-correlated" if result.route == "maximally-correlated"
+        "method": (result.route if result.route in ("maximally-correlated", "reverse-map")
                    else "geometric" if result.geometric else "numeric-fallback"),
         "family": result.family.kind.value,
         "lambdas": list(result.family.lambdas) if result.family.lambdas else None,

@@ -53,7 +53,8 @@ class FamilyTag:
 
 
 # the route of each family's closed form; an Other state's route,
-# "maximally-correlated" or "oracle", is named where it is matched
+# "maximally-correlated" or "oracle", is named where it is matched, and
+# "oracle" turns "reverse-map" where the reverse map's Newton solve is accepted
 _FAMILY_ROUTES = {FamilyKind.BELL_DIAGONAL: "bell-diagonal", FamilyKind.GENERALIZED_VP: "vp",
                   FamilyKind.GENERALIZED_HORODECKI: "horodecki"}
 
@@ -62,9 +63,9 @@ _FAMILY_ROUTES = {FamilyKind.BELL_DIAGONAL: "bell-diagonal", FamilyKind.GENERALI
 class CssResult:
     """A CSS and its correlation vector tau in the template frame of its
     route: rho's own if rho is PPT (`separable`, css is rho), and the
-    diagonal of the CSS's correlation tensor in rho's canonical frame only
-    on route "oracle".  ree is S(rho || css).  The residuals are computed on the
-    pair (rho, css):
+    diagonal of the CSS's correlation tensor in rho's canonical frame on
+    routes "reverse-map" and "oracle".  ree is S(rho || css).  The residuals
+    are computed on the pair (rho, css):
     - bloch_gap: distance between their Bloch vectors, fact (i);
     - edge_gap: |lambda_min(css^Gamma)|;
     - recovery_gap: max-entry error of `revmap.recover(css, rho)`; NaN when
@@ -72,7 +73,12 @@ class CssResult:
     route names how `_solve` built the CSS: "ppt" (rho itself),
     "bell-diagonal", "vp" or "horodecki" (the family's closed form),
     "maximally-correlated" (the VP closed form on a state of family Other,
-    so not `geometric`) or "oracle"; None on a result built by hand.
+    so not `geometric`), "reverse-map" (the Newton solve of the reverse map
+    rho = css - x G(css), `revmap._edge_css`, on a state of family Other:
+    a full-rank CSS with lambda_min >= `revmap.RANK_FLOOR`, at the solve's
+    rounding floor, whose optimality certificate is at least
+    `revmap.CERTIFICATE_TOL`) or "oracle" (`ree_numeric`, where that solve
+    is not accepted); None on a result built by hand.
     """
 
     css: np.ndarray
@@ -189,20 +195,26 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
     (r -> a r, s -> b s, g -> a g b^T), where its correlation vector is t.  A
     PPT rho is its own CSS, with route "ppt"; else the CSS keeps rho's Bloch
     vectors and has correlation tensor a^T diag(_tau(route, ...)) b, or on
-    route "oracle" is the oracle's."""
-    separable = _ppt(w)
+    route "oracle" is the reverse map's Newton solve, route "reverse-map",
+    where `revmap._edge_css` accepts it, and else the oracle's.  Route
+    "reverse-map" takes the CSS's spectra and fit from the solve."""
+    separable, spectra, fit = _ppt(w), None, None
     if separable:
         css, tau, route = from_pauli(p_rho), t, "ppt"
     elif route == "oracle":
-        rep = ree_numeric(rho)
-        if not rep.converged:
-            raise NotConverged(rep.gap)
-        css = rep.css_numeric
+        edge = revmap._edge_css(rho, w, v)
+        if edge is not None:
+            (css, spectra, fit), route = edge, "reverse-map"
+        else:
+            rep = ree_numeric(rho)
+            if not rep.converged:
+                raise NotConverged(rep.gap)
+            css = rep.css_numeric
     else:
         tau = _tau(route, tag.lambdas, t)
         css = from_pauli(PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b))
-    p_css, (ws, vs) = to_pauli(css), _pt_spectra(css)
-    if route == "oracle":
+    p_css, (ws, vs) = to_pauli(css), _pt_spectra(css) if spectra is None else spectra
+    if route in ("reverse-map", "oracle"):
         tau = np.diag(a @ p_css.g @ b.T)
     return CssResult(
         css=css, tau=np.asarray(tau, float), family=tag,
@@ -210,14 +222,18 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
         residuals={"bloch_gap": max(math.sqrt(d.dot(d)) for d in (p_css.r - p_rho.r,
                                                                  p_css.s - p_rho.s)),
                    "edge_gap": abs(float(ws[1, 0])),
-                   "recovery_gap": math.nan if separable else _recovery_gap(rho, css, ws, vs)},
+                   "recovery_gap": (math.nan if separable
+                                    else _recovery_gap(rho, css, ws, vs, fit))},
         separable=separable, route=route)
 
 
-def _recovery_gap(rho, css, w, v) -> float:
-    """Max-entry error of rebuilding rho from its CSS, of spectra w, v, via the reverse map."""
+def _recovery_gap(rho, css, w, v, fit=None) -> float:
+    """Max-entry error of rebuilding rho from its CSS, of spectra w, v, via
+    the reverse map, from the CSS's `revmap._fit` to rho where it is given."""
     try:
-        return float(np.max(np.abs(revmap._recover(css, rho, w, v) - rho)))
+        rebuilt = (revmap._recover(css, rho, w, v) if fit is None
+                   else revmap._rebuild(css, v[0], fit))
+        return float(np.max(np.abs(rebuilt - rho)))
     except NotEdgeState:
         return float("nan")
 
@@ -255,8 +271,9 @@ def css_horodecki(lam) -> CssResult:
 def css_auto(rho: np.ndarray) -> CssResult:
     """Classify rho in its canonical frame and `_solve` it from its own Pauli
     form and the rotations that take it to its route's template frame.  Off
-    the closed-form routes the oracle supplies the CSS, and raises
-    NotConverged when its bracket does not close."""
+    the closed-form routes the Newton solve of the reverse map supplies the
+    CSS, or where it is not accepted the oracle, which raises NotConverged
+    when its bracket does not close."""
     w, v = validate_density_matrix(rho)
     p_rho = to_pauli(rho)
     dpf, r_a, r_b = _canonicalize(p_rho)

@@ -345,8 +345,14 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     w, v = _pt_spectra(css)
     if math.isinf(_relative_entropy(rho, p, u, w[0], v[0])):
         return -math.inf  # no state at infinite relative entropy is a minimizer
+    return _certificate(rho, css, w, v, _fit(css, rho, w, v))
+
+
+def _certificate(rho, css, w, v, fit) -> float:
+    """`directional_optimality_check` at a css of finite S(rho||css), from
+    the spectra w, v of (css, css^Gamma) and their `revmap._fit` to rho."""
     gmat = _log_gradient(rho, w[0], v[0])
-    k, m, _ = _fit(css, rho, w, v)
+    k, m, _ = fit
     shift = -np.linalg.eigvalsh(m).min(initial=0.0) * np.eye(len(m))
     floor = _dual_floor(gmat, k @ (m + shift) @ k.conj().T)
     if w[1, 0] > SUPPORT_TOL:

@@ -17,21 +17,33 @@ stationarity condition rho = sigma - D_sigma(Z^Gamma) (Ishizaka, PRA 67,
 `_generators` builds G's rows once for `g_matrix` and `recover`, on the
 kernel of sigma^Gamma at EDGE_TOL and sigma's support at `ree.SUPPORT_TOL`;
 `_fit` fits Z once for `recover` and `ree.directional_optimality_check`.
+`_newton` solves the map backwards, for sigma and x from rho, by damped
+Newton with a closed-form Jacobian; `_edge_css` decides whether
+`css.css_auto` takes its sigma, route "reverse-map".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import PSD_TOL, _finite, _pt_spectra, _require_finite, partial_transpose
-from .ree import SUPPORT_TOL, _support_log_divided
+from .qstate import (PAULI_BASIS, PSD_TOL, _finite, _pt_spectra, _require_finite,
+                     partial_transpose)
+from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, MAX_HALVINGS, SUPPORT_TOL, _certificate,
+                  _log_divided, _log_divided2, _spectra, _support_log_divided)
 
 EDGE_TOL = 1e-8
+# the Newton solve of the reverse map, `_newton`, and what route "reverse-map" accepts
+NEWTON_TOL = 1e-12  # largest |F|_inf, at the solve's rounding floor, that it accepts
+NEWTON_STEPS = 20  # steps, each on a new Jacobian but at the rounding floor, before a solve stops
+RANK_FLOOR = 1e-4  # smallest lambda_min(sigma) accepted, so that every frame takes one route
+RANK_ABANDON = 1e-6  # lambda_min(sigma) of an iterate below which a solve is abandoned
+CERTIFICATE_TOL = -1e-10  # smallest optimality certificate accepted
 
 
 @dataclass(frozen=True)
@@ -128,10 +140,15 @@ def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _recover(sigma, rho, w, vecs) -> np.ndarray:
     """`recover` from the spectra w, vecs of (sigma, sigma^Gamma)."""
-    _, m, cols = _fit(sigma, rho, w, vecs)
+    return _rebuild(sigma, vecs[0], _fit(sigma, rho, w, vecs))
+
+
+def _rebuild(sigma, v, fit) -> np.ndarray:
+    """`recover` from sigma's eigenvectors v and the `_fit` of sigma to rho."""
+    _, m, cols = fit
     if not len(cols):
         raise NotEdgeState("sigma's partial transpose has no near-zero eigenvalue")
-    return sigma - vecs[0] @ (m.ravel() @ cols).reshape(4, 4) @ vecs[0].conj().T
+    return sigma - v @ (m.ravel() @ cols).reshape(4, 4) @ v.conj().T
 
 
 def _fit(sigma, rho, w, vecs):
@@ -143,6 +160,142 @@ def _fit(sigma, rho, w, vecs):
     target = (v.conj().T @ (sigma - rho) @ v).ravel()
     m = np.linalg.lstsq(cols.T, target, rcond=None)[0].reshape(k.shape[1], k.shape[1])
     return k, (m + m.conj().T) / 2, cols
+
+
+# rows of tr(M sigma_a (x) sigma_b), k = 4a + b - 1, against a flattened Hermitian M
+_PAULI_ROWS = PAULI_BASIS[1:].conj()
+_E = _DIRECTIONS_FLAT.reshape(2, 15, 4, 4)  # E_k = d sigma / d c_k and E_k^Gamma
+
+
+class _NewtonEnd(NamedTuple):
+    """Where `_newton` stopped: sigma's Pauli coordinates c, the multiplier x,
+    the spectra w, v of (sigma, sigma^Gamma), |F|_inf, the Jacobians built,
+    and whether |F|_inf reached its rounding floor at most NEWTON_TOL."""
+
+    c: np.ndarray
+    x: float
+    w: np.ndarray
+    v: np.ndarray
+    residual: float
+    jacobians: int
+    converged: bool
+
+
+def _edge_residual(c, x, target, w, v):
+    """F(c, x) of `_newton` from the spectra w, v of (sigma, sigma^Gamma): the
+    Pauli coordinates of sigma - x G(sigma) - rho, with target rho's, and
+    lambda_min(sigma^Gamma).  G = D_sigma((phi phi^dagger)^Gamma) with phi
+    the lowest eigenvector of sigma^Gamma, whatever its eigenvalue.  Also
+    returns what the Jacobian reuses: the first divided differences l1 of
+    sigma's spectrum, G in sigma's eigenbasis and G's Pauli coordinates."""
+    lam, vs, phi = w[0], v[0], v[1][:, 0]
+    l1 = _log_divided(lam[:, None], lam[None, :])
+    g_eig = (vs.conj().T @ partial_transpose(np.outer(phi, phi.conj())) @ vs) / l1
+    g = (_PAULI_ROWS @ (vs @ g_eig @ vs.conj().T).reshape(16)).real
+    return np.append(c - x * g - target, w[1, 0]), l1, g_eig, g
+
+
+def _edge_jacobian(x, w, v, l1, g_eig, g) -> np.ndarray:
+    """dF / d(c, x), (16, 16), in closed form, with a_j, u_j the eigenpairs of
+    sigma^Gamma and phi = u_0: along E = E_k, d lambda_min = phi^dagger E^Gamma
+    phi, d phi = -sum_{j>0} u_j (u_j^dagger E^Gamma phi) / (a_j - a_0) and,
+    in sigma's eigenbasis, dG = ((d phi phi^dagger + phi d phi^dagger)^Gamma
+    - T) / ln[l_i, l_j], where T_ij = sum_m ln[l_i, l_m, l_j] (E_im G_mj +
+    G_im E_mj) is the second derivative of ln; dF/dc_k = E_k - x dG and
+    dF/dx = -G in coordinates.  T's second sum is the adjoint of its first."""
+    vs, vh, a, u = v[0], v[0].conj().T, w[1], v[1]
+    phi = u[:, 0]
+    e_phi = _E[1] @ phi  # E_k^Gamma phi, (15, 4)
+    dphi = -((e_phi @ u[:, 1:].conj()) / (a[1:] - a[0])) @ u[:, 1:].T
+    outer = dphi[:, :, None] * phi.conj()
+    e = vh @ _E[0] @ vs  # the directions in sigma's eigenbasis
+    t = np.matmul(e.transpose(1, 0, 2), _log_divided2(w[0], l1) * g_eig).transpose(1, 0, 2)
+    dg = (vh @ partial_transpose(outer + outer.conj().transpose(0, 2, 1)) @ vs
+          - t - t.conj().transpose(0, 2, 1)) / l1
+    jac = np.zeros((16, 16))
+    # Pauli coordinates of V X V^dagger: tr(X V^dagger P_k V), with V^dagger P_k V = 4 e_k
+    jac[:15, :15] = np.eye(15) - 4 * x * (e.reshape(15, 16).conj() @ dg.reshape(15, 16).T).real
+    jac[:15, 15] = -g
+    jac[15, :15] = (e_phi @ phi.conj()).real
+    return jac
+
+
+def _newton(rho, w, v) -> _NewtonEnd:
+    """Damped Newton on the reverse map rho = sigma - x G(sigma) with
+    lambda_min(sigma^Gamma) = 0, the stationarity of a full-rank CSS sigma
+    (Ishizaka, PRA 67, 060301(R) (2003); Friedland & Gour, J. Math. Phys.
+    52, 052201 (2011)): F(c, x) of `_edge_residual` = 0 in sigma's 15 Pauli
+    coordinates c and x, from the spectra w, v of (rho, rho^Gamma) of an
+    entangled rho.
+
+    The seed sigma0 = (1 - p) rho + p I/4 at p = -lam / (1/4 - lam), lam =
+    lambda_min(rho^Gamma), lies on the PPT edge and shares rho's and
+    rho^Gamma's eigenvectors, so its spectra are w's, moved; x starts at
+    x_max / 2, x_max = 1 / lambda_max(sigma0^-1/2 G sigma0^-1/2).  A step is
+    halved until |F|_inf falls with lambda_min(sigma) > SUPPORT_TOL.  Once
+    |F|_inf <= NEWTON_TOL, full steps on the last Jacobian follow while they
+    halve it, and the first that does not ends the solve, converged, at the
+    rounding floor: kept where it shrinks |F|_inf, else dropped.  A singular
+    Jacobian, a step that is not finite, MAX_HALVINGS halvings, NEWTON_STEPS
+    steps or an iterate with lambda_min(sigma) below RANK_ABANDON, where the
+    solve heads for a rank-deficient sigma it cannot reach, end it
+    unconverged."""
+    target = (_PAULI_ROWS @ rho.reshape(16)).real
+    lam = float(w[1, 0])
+    p = -lam / (0.25 - lam)
+    c, ws, vs = (1 - p) * target, (1 - p) * w + p / 4, v
+    f, l1, g_eig, g = _edge_residual(c, 0.0, target, ws, vs)
+    root = 1 / np.sqrt(ws[0])
+    x = 0.5 / np.linalg.eigvalsh(g_eig * root[:, None] * root)[-1]
+    f[:15] -= x * g
+    norm, jac, jacobians = float(np.abs(f).max()), None, 0
+    for _ in range(NEWTON_STEPS):
+        floor = jac is not None and norm <= NEWTON_TOL  # only rounding is left
+        if not floor:
+            jac = _edge_jacobian(x, ws, vs, l1, g_eig, g)
+            jacobians += 1
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(step).all():
+            break
+        t = 1.0
+        for _ in range(1 if floor else MAX_HALVINGS):
+            ct, xt = c + t * step[:15], x + t * step[15]
+            wt, vt = _spectra(ct)
+            if wt[0, 0] > SUPPORT_TOL:
+                trial = _edge_residual(ct, xt, target, wt, vt)
+                trial_norm = float(np.abs(trial[0]).max())
+                if trial_norm < norm:
+                    break
+            t /= 2
+        else:
+            return _NewtonEnd(c, x, ws, vs, norm, jacobians, floor)
+        c, x, ws, vs, (f, l1, g_eig, g) = ct, xt, wt, vt, trial
+        if floor and trial_norm > norm / 2:  # no longer halved: the rounding floor
+            return _NewtonEnd(c, x, ws, vs, trial_norm, jacobians, True)
+        norm = trial_norm
+        if ws[0, 0] < RANK_ABANDON:
+            break
+    return _NewtonEnd(c, x, ws, vs, norm, jacobians, False)
+
+
+def _edge_css(rho, w, v):
+    """Route "reverse-map": (sigma, its spectra, their `_fit` to rho) from
+    `_newton` on rho with the spectra w, v of (rho, rho^Gamma), or None
+    unless the solve converged with x > 0 and lambda_min(sigma) >= RANK_FLOOR
+    and sigma's `ree._certificate` is at least CERTIFICATE_TOL.  Below the
+    floor the certificate of one state scored either side of its bound in
+    different local frames."""
+    end = _newton(rho, w, v)
+    if not (end.converged and end.x > 0 and end.w[0, 0] >= RANK_FLOOR):
+        return None
+    sigma = (_EYE_FLAT + end.c @ _B_FLAT).reshape(4, 4)  # exactly Hermitian
+    fit = _fit(sigma, rho, end.w, end.v)
+    if not _certificate(rho, sigma, end.w, end.v, fit) >= CERTIFICATE_TOL:
+        return None
+    return sigma, (end.w, end.v), fit
 
 
 def z_derivatives(p: SigmaZParams) -> ZFamilyDerivatives:

@@ -373,3 +373,82 @@ def test_criterion_11_maximally_correlated_states(monkeypatch):
             f"{n_mc} of 300 maximally correlated, REE err {ree_err:.1e}, "
             + ", ".join(f"{k} {v:.1e}" for k, v in gaps.items())
             + f", {outside} of 60 outside the oracle bracket, {elapsed:.1f}s")
+
+
+def test_criterion_12_reverse_map_route(monkeypatch):
+    # css_auto's Newton solve of the reverse map on 300 entangled random
+    # states of rank 2-4, 300 generic states with a known CSS and 200
+    # rotated X states (Dirichlet diagonal, coherences uniform within their
+    # PSD bounds, entangled, lambda_min(rho) > 1e-6): every state on route
+    # "reverse-map" ran no oracle, stopped at x > 0 with |F|_inf <= 1e-12,
+    # sits on the PPT edge and rebuilds rho within 1e-12, has certificate
+    # c >= -1e-10, lies 0 to 2e-9 below the oracle's value, and for the
+    # generic states is the generating sigma within 1e-12; the Jacobians of
+    # each failed solve are reported.  The solved shares are pinned: a
+    # stop at |F|_inf < 1e-14 instead of the rounding floor loses one random
+    # state, whose floor is 7e-14
+    def x_state(rng):
+        while True:
+            d = rng.dirichlet(np.ones(4))
+            rho = np.diag(d).astype(complex)
+            for i, j in ((0, 3), (1, 2)):
+                phase = np.exp(2j * math.pi * rng.uniform())
+                rho[i, j] = math.sqrt(d[i] * d[j]) * rng.uniform() * phase
+                rho[j, i] = np.conj(rho[i, j])
+            if not qstate.is_ppt(rho) and np.linalg.eigvalsh(rho)[0] > 1e-6:
+                return rotate(rho, random_unitary(rng), random_unitary(rng)), None
+
+    def random_state(rng):
+        while True:
+            rho = random_density_matrix(rng, rank=int(rng.integers(2, 5)))
+            if not qstate.is_ppt(rho):
+                return rho, None
+
+    ends, oracle_calls, shares = [], [], {}
+    newton, oracle = revmap._newton, css.ree_numeric
+    monkeypatch.setattr(revmap, "_newton", lambda *args: ends.append(newton(*args)) or ends[-1])
+    monkeypatch.setattr(css, "ree_numeric", lambda rho: oracle_calls.append(rho) or oracle(rho))
+    t0 = time.time()
+    ok, notes, failed = True, [], []
+    for name, draw, count, seed in (("random", random_state, 300, 42),
+                                    ("generic", generic_family_state, 300, 5),
+                                    ("X", x_state, 200, 0)):
+        rng = np.random.default_rng(seed)
+        solved, worst = 0, {"F": 0.0, "edge": 0.0, "recovery": 0.0, "sigma": 0.0,
+                            "c": 0.0, "excess": [math.inf, -math.inf]}
+        for _ in range(count):
+            rho, sigma = draw(rng)
+            ends.clear(), oracle_calls.clear()
+            res = css.css_auto(rho)
+            end = ends[-1]
+            if res.route != "reverse-map":
+                if not end.converged:
+                    failed.append(end.jacobians)
+                continue
+            solved += 1
+            num = ree_numeric(rho)
+            excess = num.value - res.ree
+            c = directional_optimality_check(rho, res.css)
+            ok &= (not oracle_calls and end.x > 0 and num.lower <= res.ree
+                   and end.residual <= 1e-12 and res.residuals["edge_gap"] <= 1e-12
+                   and res.residuals["recovery_gap"] <= 1e-12 and c >= -1e-10
+                   and 0.0 <= excess <= 2e-9)
+            for key, value in (("F", end.residual), ("edge", res.residuals["edge_gap"]),
+                               ("recovery", res.residuals["recovery_gap"]), ("c", -c)):
+                worst[key] = max(worst[key], value)
+            worst["excess"] = [min(worst["excess"][0], excess), max(worst["excess"][1], excess)]
+            if sigma is not None:
+                worst["sigma"] = max(worst["sigma"], float(np.max(np.abs(res.css - sigma))))
+        ok &= worst["sigma"] <= 1e-12
+        shares[name] = solved
+        notes.append(f"{name} {solved}/{count} solved, |F| {worst['F']:.0e}, "
+                     f"edge {worst['edge']:.0e}, recovery {worst['recovery']:.0e}, "
+                     f"c >= {-worst['c']:.0e}, excess {worst['excess'][0]:.2e}-"
+                     f"{worst['excess'][1]:.2e}"
+                     + (f", sigma err {worst['sigma']:.0e}" if name == "generic" else ""))
+    elapsed = time.time() - t0
+    _report("criterion 12: route reverse-map solves the reverse map exactly",
+            bool(ok) and shares == {"random": 220, "generic": 300, "X": 200}
+            and len(failed) == 17 and elapsed < 60.0,
+            "; ".join(notes) + f"; Jacobians of the failed solves {sorted(failed)}, "
+            f"{elapsed:.1f}s")

@@ -458,26 +458,37 @@ class TestCssAuto:
             assert abs(res.ree - build(tag).ree) <= 1e-14
 
     def test_two_pauli_transforms_on_the_oracle_route(self, monkeypatch):
-        """On route "oracle" css_auto also takes the Pauli form of rho once and
-        of the oracle's CSS once, and reads tau off the latter."""
+        """On routes "reverse-map" and "oracle" (the Newton solve given no
+        step) css_auto also takes the Pauli form of rho once and of the CSS
+        once, and reads tau off the latter.  Route "reverse-map" reads the
+        solve's spectra and fit, and its REE and residuals equal their public
+        functions on (rho, CSS) bit for bit."""
         rho = random_density_matrix(np.random.default_rng(8), rank=4)
         rho = 0.5 * rho + 0.5 * qstate.BELL_STATES[0]
-        calls = []
         to_pauli = qstate.to_pauli
+        _, r_a, r_b = qstate.canonicalize(to_pauli(rho))
+        for route, steps in (("reverse-map", revmap.NEWTON_STEPS), ("oracle", 0)):
+            calls = []
 
-        def counting(m):
-            calls.append(m)
-            return to_pauli(m)
+            def counting(m):
+                calls.append(m)
+                return to_pauli(m)
 
-        monkeypatch.setattr(css, "to_pauli", counting)
-        monkeypatch.setattr(qstate, "to_pauli", counting)
-        res = css.css_auto(rho)
-        monkeypatch.undo()
-        assert res.route == "oracle"
-        assert len(calls) == 2
-        assert calls[0] is rho and calls[1] is res.css
-        _, r_a, r_b = qstate.canonicalize(qstate.to_pauli(rho))
-        assert np.array_equal(res.tau, np.diag(r_a @ qstate.to_pauli(res.css).g @ r_b.T))
+            monkeypatch.setattr(css, "to_pauli", counting)
+            monkeypatch.setattr(qstate, "to_pauli", counting)
+            monkeypatch.setattr(revmap, "NEWTON_STEPS", steps)
+            res = css.css_auto(rho)
+            monkeypatch.undo()
+            assert res.route == route
+            assert len(calls) == 2
+            assert calls[0] is rho and calls[1] is res.css
+            assert np.array_equal(res.tau, np.diag(r_a @ to_pauli(res.css).g @ r_b.T))
+            if route == "reverse-map":
+                assert res.ree == relative_entropy(rho, res.css)
+                assert res.residuals["edge_gap"] == abs(
+                    qstate.validate_density_matrix(res.css)[0][1, 0])
+                assert res.residuals["recovery_gap"] == float(
+                    np.max(np.abs(revmap.recover(res.css, rho) - rho)))
 
     def test_finite_check_once_per_matrix(self, monkeypatch):
         """css_auto on a VP state tests the entries of rho for NaN and inf
@@ -645,7 +656,7 @@ class TestCssAuto:
         """`route` is set on every result css_auto and the closed-form
         builders return, and is None on a hand-built one."""
         while True:
-            other = random_density_matrix(rng, rank=2)
+            other = random_density_matrix(rng, rank=4)
             if not qstate.is_ppt(other) and css.classify(other).kind is FamilyKind.OTHER:
                 break
         cases = [(qstate.bell_diagonal([0.8, -0.6, 0.5]), "bell-diagonal"),
@@ -653,7 +664,11 @@ class TestCssAuto:
                  (css._horodecki_state((0.6, 0.3, 0.1)), "horodecki"),
                  (css._horodecki_state((0.2, 0.4, 0.4)), "ppt"),
                  (css._vp_state((0.8, 0.3, -0.1)), "maximally-correlated"),
-                 (other, "oracle")]
+                 (other, "reverse-map"),
+                 # 1e-6 of white noise off a VP state: its CSS has lambda_min
+                 # near 1e-6, below revmap.RANK_FLOOR
+                 ((1 - 1e-6) * css._vp_state((0.5, 0.3, 0.2)) + 1e-6 * np.eye(4) / 4,
+                  "oracle")]
         for rho, route in cases:
             assert css.css_auto(rotated(rho, rng)).route == route
         assert css.css_bell_diagonal([0.8, -0.6, 0.5]).route == "bell-diagonal"
@@ -689,14 +704,67 @@ class TestCssAuto:
             assert not a.geometric and not b.geometric
             assert np.max(np.abs(a.tau - b.tau)) <= 1e-10
 
+    def test_one_route_in_every_frame(self):
+        """300 entangled random states of rank 1 to 4 (rng 2027) keep their
+        route, and their REE within 1e-12, when the qubits are swapped, when
+        rho is complex conjugated and under a random local unitary.  Route
+        "reverse-map" accepts only a CSS with lambda_min >= RANK_FLOOR, where
+        its certificate and its residual are far from their bounds in every
+        frame; with no floor, a CSS at lambda_min 4.4e-8 scored c = -6.0e-11
+        in one frame and -1.5e-10 in its swap, and at a floor of 1e-6, 5 of
+        600 such states changed their REE between frames."""
+        rng = np.random.default_rng(2027)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        routes, n = set(), 0
+        while n < 300:
+            rho = random_density_matrix(rng, rank=int(rng.integers(1, 5)))
+            if qstate.is_ppt(rho):
+                continue
+            n += 1
+            base = css.css_auto(rho)
+            routes.add(base.route)
+            u_a, u_b = random_unitary(rng), random_unitary(rng)
+            for image in (swap @ rho @ swap, rho.conj(), rotate(rho, u_a, u_b)):
+                res = css.css_auto(image)
+                assert res.route == base.route
+                assert abs(res.ree - base.ree) <= 1e-12
+        assert routes == {"reverse-map", "oracle", "maximally-correlated"}
+
+    def test_recovery_gap_of_random_states(self):
+        """The draws of rng 4 and 5 (ranks 1 to 4, 60 each, PPT draws
+        dropped): route "reverse-map" rebuilds rho within 1e-12, and
+        recovery_gap is NaN on five oracle states only, whose CSS has
+        lambda_min 1.4e-8 to 2.2e-6, where the oracle's sigma ends with
+        lambda_min(sigma^Gamma) above revmap.EDGE_TOL.  The oracle served
+        all, with 14 NaN gaps, before route "reverse-map"."""
+        nan = []
+        for seed in (4, 5):
+            rng = np.random.default_rng(seed)
+            for rank in range(1, 5):
+                for draw in range(60):
+                    rho = random_density_matrix(rng, rank)
+                    if qstate.is_ppt(rho):
+                        continue
+                    res = css.css_auto(rho)
+                    gap = res.residuals["recovery_gap"]
+                    if res.route == "reverse-map":
+                        assert gap <= 1e-12
+                    elif math.isnan(gap):
+                        assert res.route == "oracle"
+                        nan.append((seed, rank, draw))
+                        assert 1e-8 <= np.linalg.eigvalsh(res.css)[0] <= 3e-6
+        assert nan == [(4, 3, 40), (4, 3, 55), (5, 3, 32), (5, 3, 53), (5, 4, 15)]
+
     def test_unconverged_fallback_raises(self, monkeypatch):
-        """An unconverged oracle is an error, not an REE."""
+        """An unconverged oracle is an error, not an REE, where the Newton
+        solve of the reverse map, given no step, has failed before it."""
         rng = np.random.default_rng(7)
         rho = 0.3 * random_density_matrix(rng) + 0.7 * qstate.BELL_STATES[0]
         assert css.classify(rho).kind is FamilyKind.OTHER and not qstate.is_ppt(rho)
         report = ReeReport(value=0.3, css_numeric=np.eye(4) / 4, gap=2e-3,
                            iterations=600, converged=False, lower=0.298)
         monkeypatch.setattr(css, "ree_numeric", lambda rho, cfg=None: report)
+        monkeypatch.setattr(revmap, "NEWTON_STEPS", 0)
         with pytest.raises(NotConverged) as exc:
             css.css_auto(rho)
         assert isinstance(exc.value, ReegeomError) and exc.value.gap == 2e-3

@@ -4,7 +4,7 @@ import pytest
 from reegeom import css, revmap
 from reegeom.errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
 from reegeom.qstate import PSD_TOL, partial_transpose, to_pauli, validate_density_matrix
-from reegeom.ree import _log_divided
+from reegeom.ree import _log_divided, ree_numeric
 from reegeom.revmap import SigmaZParams
 
 from conftest import generic_edge_state, physical_range
@@ -420,3 +420,85 @@ class TestRecovery:
         assert np.max(np.abs(revmap.recover(near, rho) - rho)) <= 1e-12
         with pytest.raises(NotEdgeState):
             revmap.recover(off, off)
+
+
+class TestNewton:
+    """The Newton solve of the reverse map behind css_auto's route
+    "reverse-map": its closed-form Jacobian, and every way it can fail
+    without raising."""
+
+    def test_jacobian_matches_central_differences(self):
+        """On 20 generic edge states moved 1e-3 off the edge, at x = 0.3, the
+        closed-form Jacobian is within 1e-7 of central differences (h =
+        1e-7, whose own error is about 1e-9), relative to its largest entry."""
+        rng = np.random.default_rng(5)
+        rows = revmap._PAULI_ROWS
+        worst = 0.0
+        for _ in range(20):
+            sigma, rho = generic_edge_state(rng), generic_edge_state(rng)
+            c = (rows @ sigma.reshape(16)).real + 1e-3 * rng.normal(size=15)
+            target = (rows @ rho.reshape(16)).real
+            w, v = revmap._spectra(c)
+            _, l1, g_eig, g = revmap._edge_residual(c, 0.3, target, w, v)
+            jac = revmap._edge_jacobian(0.3, w, v, l1, g_eig, g)
+            diff = np.empty((16, 16))
+            for k in range(16):
+                h = 1e-7 * np.eye(16)[k]
+                plus, minus = c + h[:15], c - h[:15]
+                f_plus = revmap._edge_residual(plus, 0.3 + h[15], target, *revmap._spectra(plus))
+                f_minus = revmap._edge_residual(minus, 0.3 - h[15], target,
+                                                *revmap._spectra(minus))
+                diff[:, k] = (f_plus[0] - f_minus[0]) / 2e-7
+            worst = max(worst, np.abs(diff - jac).max() / np.abs(jac).max())
+        assert worst <= 1e-7
+
+    def test_solves_generic_family_states(self):
+        """rho = sigma - x G(sigma) is solved to its rounding floor, sigma
+        within 1e-12 and x within 1e-10."""
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            sigma = generic_edge_state(rng)
+            x = 0.5 * physical_range(sigma)
+            rho = revmap.family_from_css(sigma, x)
+            end = revmap._newton(rho, *validate_density_matrix(rho))
+            assert end.converged and end.residual <= revmap.NEWTON_TOL
+            assert 0 < end.jacobians <= revmap.NEWTON_STEPS
+            got = (revmap._EYE_FLAT + end.c @ revmap._B_FLAT).reshape(4, 4)
+            assert np.abs(got - sigma).max() <= 1e-12 and abs(end.x - x) <= 1e-10
+
+    @pytest.mark.parametrize("failure", ["singular", "not finite", "halvings", "steps",
+                                         "abandoned", "floor", "certificate"])
+    def test_failure_falls_back_to_the_oracle(self, monkeypatch, failure):
+        """A singular Jacobian (the solver's 16 x 16 `np.linalg.solve`
+        raising LinAlgError), a step that is not finite, halvings that run
+        out, the step cap, an iterate below RANK_ABANDON, a CSS below
+        RANK_FLOOR and a certificate below CERTIFICATE_TOL each send
+        css_auto to the oracle, with no error; the oracle's REE lies in its
+        own bracket.  Unpatched, the state takes route "reverse-map"."""
+        rng = np.random.default_rng(7)
+        sigma = generic_edge_state(rng)
+        rho = revmap.family_from_css(sigma, 0.5 * physical_range(sigma))
+        assert css.css_auto(rho).route == "reverse-map"
+        solve = np.linalg.solve
+
+        def patched(a, b):
+            if a.shape == (16, 16):  # the Jacobian; the oracle's Hessian is 15 x 15
+                if failure == "singular":
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return np.full(16, np.nan)
+            return solve(a, b)
+
+        if failure in ("singular", "not finite"):
+            monkeypatch.setattr(np.linalg, "solve", patched)
+        else:
+            name, value = {"halvings": ("MAX_HALVINGS", 0), "steps": ("NEWTON_STEPS", 2),
+                           "abandoned": ("RANK_ABANDON", 1.0), "floor": ("RANK_FLOOR", 1.0),
+                           "certificate": ("CERTIFICATE_TOL", 1.0)}[failure]
+            monkeypatch.setattr(revmap, name, value)
+        end = revmap._newton(rho, *validate_density_matrix(rho))
+        assert end.converged is (failure in ("floor", "certificate"))
+        res = css.css_auto(rho)
+        monkeypatch.undo()
+        assert res.route == "oracle" and res.family.kind is css.FamilyKind.OTHER
+        num = ree_numeric(rho)
+        assert num.lower <= res.ree <= num.value
