@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import geometry, revmap
-from .errors import NotConverged, NotEdgeState
+from .errors import NotConverged
 from .qstate import (
     BELL_STATES,
     DiagonalPauliForm,
@@ -196,8 +196,8 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
     PPT rho is its own CSS, with route "ppt"; else the CSS keeps rho's Bloch
     vectors and has correlation tensor a^T diag(_tau(route, ...)) b, or on
     route "oracle" is the reverse map's Newton solve, route "reverse-map",
-    where `revmap._edge_css` accepts it, and else the oracle's.  Route
-    "reverse-map" takes the CSS's spectra and fit from the solve."""
+    where `revmap._edge_css` accepts it, and else the oracle's.  recovery_gap
+    reads the CSS's one `revmap._fit`, on route "reverse-map" the solve's."""
     separable, spectra, fit = _ppt(w), None, None
     if separable:
         css, tau, route = from_pauli(p_rho), t, "ppt"
@@ -216,26 +216,18 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
     p_css, (ws, vs) = to_pauli(css), _pt_spectra(css) if spectra is None else spectra
     if route in ("reverse-map", "oracle"):
         tau = np.diag(a @ p_css.g @ b.T)
+    gap = math.nan
+    if not separable:
+        fit = revmap._fit(css, rho, ws, vs) if fit is None else fit
+        if len(fit[2]):  # css^Gamma has a kernel at revmap.EDGE_TOL
+            gap = float(np.max(np.abs(revmap._rebuild(css, vs[0], fit) - rho)))
     return CssResult(
         css=css, tau=np.asarray(tau, float), family=tag,
         ree=0.0 if separable else _relative_entropy(rho, w[0], v[0], ws[0], vs[0]),
         residuals={"bloch_gap": max(math.sqrt(d.dot(d)) for d in (p_css.r - p_rho.r,
                                                                  p_css.s - p_rho.s)),
-                   "edge_gap": abs(float(ws[1, 0])),
-                   "recovery_gap": (math.nan if separable
-                                    else _recovery_gap(rho, css, ws, vs, fit))},
+                   "edge_gap": abs(float(ws[1, 0])), "recovery_gap": gap},
         separable=separable, route=route)
-
-
-def _recovery_gap(rho, css, w, v, fit=None) -> float:
-    """Max-entry error of rebuilding rho from its CSS, of spectra w, v, via
-    the reverse map, from the CSS's `revmap._fit` to rho where it is given."""
-    try:
-        rebuilt = (revmap._recover(css, rho, w, v) if fit is None
-                   else revmap._rebuild(css, v[0], fit))
-        return float(np.max(np.abs(rebuilt - rho)))
-    except NotEdgeState:
-        return float("nan")
 
 
 def _template(rho, tag: FamilyTag) -> CssResult:

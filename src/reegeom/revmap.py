@@ -16,7 +16,8 @@ stationarity condition rho = sigma - D_sigma(Z^Gamma) (Ishizaka, PRA 67,
 060301(R) (2003); Friedland & Gour, J. Math. Phys. 52, 052201 (2011)).
 `_generators` builds G's rows once for `g_matrix` and `recover`, on the
 kernel of sigma^Gamma at EDGE_TOL and sigma's support at `ree.SUPPORT_TOL`;
-`_fit` fits Z once for `recover` and `ree.directional_optimality_check`.
+`_fit` fits Z once per CSS: `_rebuild` reads it for `recover` and
+`css.css_auto`'s recovery_gap, `ree._certificate` for the certificate.
 `_newton` solves the map backwards, for sigma and x from rho, by damped
 Newton with a closed-form Jacobian; `_edge_css` decides whether
 `css.css_auto` takes its sigma, route "reverse-map".
@@ -42,7 +43,6 @@ EDGE_TOL = 1e-8
 NEWTON_TOL = 1e-12  # largest |F|_inf, at the solve's rounding floor, that it accepts
 NEWTON_STEPS = 20  # steps, each on a new Jacobian but at the rounding floor, before a solve stops
 RANK_FLOOR = 1e-4  # smallest lambda_min(sigma) accepted, so that every frame takes one route
-RANK_ABANDON = 1e-6  # lambda_min(sigma) of an iterate below which a solve is abandoned
 CERTIFICATE_TOL = -1e-10  # smallest optimality certificate accepted
 
 
@@ -135,11 +135,7 @@ def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
     rank-deficient sigma needs no regularization, as D_sigma is zero there.
     Raises InvalidState where sigma or rho has a NaN or infinite entry.
     """
-    return _recover(sigma, _finite(rho), *_pt_spectra(sigma))
-
-
-def _recover(sigma, rho, w, vecs) -> np.ndarray:
-    """`recover` from the spectra w, vecs of (sigma, sigma^Gamma)."""
+    rho, (w, vecs) = _finite(rho), _pt_spectra(sigma)
     return _rebuild(sigma, vecs[0], _fit(sigma, rho, w, vecs))
 
 
@@ -236,10 +232,9 @@ def _newton(rho, w, v) -> _NewtonEnd:
     |F|_inf <= NEWTON_TOL, full steps on the last Jacobian follow while they
     halve it, and the first that does not ends the solve, converged, at the
     rounding floor: kept where it shrinks |F|_inf, else dropped.  A singular
-    Jacobian, a step that is not finite, MAX_HALVINGS halvings, NEWTON_STEPS
-    steps or an iterate with lambda_min(sigma) below RANK_ABANDON, where the
-    solve heads for a rank-deficient sigma it cannot reach, end it
-    unconverged."""
+    Jacobian, a step that is not finite, MAX_HALVINGS halvings or NEWTON_STEPS
+    steps end it unconverged; a solve heading for a rank-deficient sigma ends
+    so or converges below RANK_FLOOR, and `_edge_css` rejects it either way."""
     target = (_PAULI_ROWS @ rho.reshape(16)).real
     lam = float(w[1, 0])
     p = -lam / (0.25 - lam)
@@ -276,8 +271,6 @@ def _newton(rho, w, v) -> _NewtonEnd:
         if floor and trial_norm > norm / 2:  # no longer halved: the rounding floor
             return _NewtonEnd(c, x, ws, vs, trial_norm, jacobians, True)
         norm = trial_norm
-        if ws[0, 0] < RANK_ABANDON:
-            break
     return _NewtonEnd(c, x, ws, vs, norm, jacobians, False)
 
 

@@ -386,7 +386,8 @@ def test_criterion_12_reverse_map_route(monkeypatch):
     # generic states is the generating sigma within 1e-12; the Jacobians of
     # each failed solve are reported.  The solved shares are pinned: a
     # stop at |F|_inf < 1e-14 instead of the rounding floor loses one random
-    # state, whose floor is 7e-14
+    # state, whose floor is 7e-14.  So are the 3 failed solves, random states
+    # heading for a rank-deficient CSS that run out of NEWTON_STEPS
     def x_state(rng):
         while True:
             d = rng.dirichlet(np.ones(4))
@@ -449,6 +450,6 @@ def test_criterion_12_reverse_map_route(monkeypatch):
     elapsed = time.time() - t0
     _report("criterion 12: route reverse-map solves the reverse map exactly",
             bool(ok) and shares == {"random": 220, "generic": 300, "X": 200}
-            and len(failed) == 17 and elapsed < 60.0,
+            and len(failed) == 3 and elapsed < 60.0,
             "; ".join(notes) + f"; Jacobians of the failed solves {sorted(failed)}, "
             f"{elapsed:.1f}s")

@@ -252,25 +252,28 @@ class TestVp:
             assert res.residuals["recovery_gap"] <= 1e-9
 
     def test_recovery_failure_is_nan(self, monkeypatch):
-        # css reaches the reverse map through `recover`'s core, which takes
-        # the spectra of (sigma, sigma^Gamma) it has already computed
+        # css reaches the reverse map through the CSS's one `revmap._fit`,
+        # which takes the spectra of (sigma, sigma^Gamma) it has already
+        # computed; a fit with no kernel column is a CSS whose partial
+        # transpose has no near-zero eigenvalue
         def no_kernel(sigma, rho, w, v):
-            raise NotEdgeState("sigma's partial transpose has no near-zero eigenvalue")
+            return np.zeros((4, 0), complex), np.zeros((0, 0), complex), np.zeros((0, 16))
 
-        monkeypatch.setattr(revmap, "_recover", no_kernel)
+        monkeypatch.setattr(revmap, "_fit", no_kernel)
         res = css.css_vp((0.5, 0.3, 0.2))
         assert math.isnan(res.residuals["recovery_gap"])
 
     @pytest.mark.parametrize("error", [RankDeficient("rank-deficient CSS"),
-                                       np.linalg.LinAlgError("SVD did not converge")])
+                                       np.linalg.LinAlgError("SVD did not converge"),
+                                       NotEdgeState("raised, not an empty fit")])
     def test_other_recovery_errors_propagate(self, monkeypatch, error):
-        """Only a CSS with no kernel in its partial transpose, NotEdgeState,
-        makes the recovery gap NaN; any other failure of the reverse map is
-        raised, not hidden as a NaN residual."""
+        """Only a fit with no kernel column, a CSS with no kernel in its
+        partial transpose, makes the recovery gap NaN; any failure of the
+        reverse map is raised, not hidden as a NaN residual."""
         def failing(sigma, rho, w, v):
             raise error
 
-        monkeypatch.setattr(revmap, "_recover", failing)
+        monkeypatch.setattr(revmap, "_fit", failing)
         with pytest.raises(type(error)):
             css.css_vp((0.5, 0.3, 0.2))
 
@@ -278,7 +281,7 @@ class TestVp:
         def broken(sigma, rho, w, v):
             raise TypeError("bug in the reverse map")
 
-        monkeypatch.setattr(revmap, "_recover", broken)
+        monkeypatch.setattr(revmap, "_fit", broken)
         with pytest.raises(TypeError):
             css.css_vp((0.5, 0.3, 0.2))
 
@@ -735,8 +738,9 @@ class TestCssAuto:
         dropped): route "reverse-map" rebuilds rho within 1e-12, and
         recovery_gap is NaN on five oracle states only, whose CSS has
         lambda_min 1.4e-8 to 2.2e-6, where the oracle's sigma ends with
-        lambda_min(sigma^Gamma) above revmap.EDGE_TOL.  The oracle served
-        all, with 14 NaN gaps, before route "reverse-map"."""
+        lambda_min(sigma^Gamma) above revmap.EDGE_TOL, so that `recover`
+        raises NotEdgeState.  The oracle served all, with 14 NaN gaps,
+        before route "reverse-map"."""
         nan = []
         for seed in (4, 5):
             rng = np.random.default_rng(seed)
@@ -753,7 +757,31 @@ class TestCssAuto:
                         assert res.route == "oracle"
                         nan.append((seed, rank, draw))
                         assert 1e-8 <= np.linalg.eigvalsh(res.css)[0] <= 3e-6
+                        with pytest.raises(NotEdgeState):
+                            revmap.recover(res.css, rho)
         assert nan == [(4, 3, 40), (4, 3, 55), (5, 3, 32), (5, 3, 53), (5, 4, 15)]
+
+    def test_one_recovery_path_on_every_route(self, rng):
+        """recovery_gap is max|recover(css, rho) - rho| bit for bit on every
+        entangled route, read from the CSS's one `revmap._fit`; where it is
+        NaN, `recover` raises (`test_recovery_gap_of_random_states`)."""
+        while True:
+            other = random_density_matrix(rng, rank=4)
+            if not qstate.is_ppt(other) and css.classify(other).kind is FamilyKind.OTHER:
+                break
+        cases = [(qstate.bell_diagonal([0.8, -0.6, 0.5]), "bell-diagonal"),
+                 (css._vp_state((0.5, 0.3, 0.2)), "vp"),
+                 (css._horodecki_state((0.6, 0.3, 0.1)), "horodecki"),
+                 (css._vp_state((0.8, 0.3, -0.1)), "maximally-correlated"),
+                 (other, "reverse-map"),
+                 ((1 - 1e-6) * css._vp_state((0.5, 0.3, 0.2)) + 1e-6 * np.eye(4) / 4,
+                  "oracle")]
+        for rho, route in cases:
+            rho = rotated(rho, rng)
+            res = css.css_auto(rho)
+            assert res.route == route
+            assert res.residuals["recovery_gap"] == float(
+                np.max(np.abs(revmap.recover(res.css, rho) - rho)))
 
     def test_unconverged_fallback_raises(self, monkeypatch):
         """An unconverged oracle is an error, not an REE, where the Newton

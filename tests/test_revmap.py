@@ -466,15 +466,33 @@ class TestNewton:
             got = (revmap._EYE_FLAT + end.c @ revmap._B_FLAT).reshape(4, 4)
             assert np.abs(got - sigma).max() <= 1e-12 and abs(end.x - x) <= 1e-10
 
+    def test_negative_multiplier_falls_back_to_the_oracle(self, monkeypatch):
+        """x is the multiplier of sigma^Gamma >= 0, so a converged solve with
+        x < 0 is not a CSS: with the converged end's x negated, and nothing
+        else moved, css_auto takes route "oracle".  Its certificate, which
+        reads the fit and not x, passes such an end."""
+        rng = np.random.default_rng(7)
+        sigma = generic_edge_state(rng)
+        rho = revmap.family_from_css(sigma, 0.5 * physical_range(sigma))
+        newton = revmap._newton
+
+        def negated(*args):
+            end = newton(*args)
+            assert end.converged and end.x > 0
+            return end._replace(x=-end.x)
+
+        monkeypatch.setattr(revmap, "_newton", negated)
+        assert css.css_auto(rho).route == "oracle"
+
     @pytest.mark.parametrize("failure", ["singular", "not finite", "halvings", "steps",
-                                         "abandoned", "floor", "certificate"])
+                                         "floor", "certificate"])
     def test_failure_falls_back_to_the_oracle(self, monkeypatch, failure):
         """A singular Jacobian (the solver's 16 x 16 `np.linalg.solve`
         raising LinAlgError), a step that is not finite, halvings that run
-        out, the step cap, an iterate below RANK_ABANDON, a CSS below
-        RANK_FLOOR and a certificate below CERTIFICATE_TOL each send
-        css_auto to the oracle, with no error; the oracle's REE lies in its
-        own bracket.  Unpatched, the state takes route "reverse-map"."""
+        out, the step cap, a CSS below RANK_FLOOR and a certificate below
+        CERTIFICATE_TOL each send css_auto to the oracle, with no error; the
+        oracle's REE lies in its own bracket.  Unpatched, the state takes
+        route "reverse-map"."""
         rng = np.random.default_rng(7)
         sigma = generic_edge_state(rng)
         rho = revmap.family_from_css(sigma, 0.5 * physical_range(sigma))
@@ -492,7 +510,7 @@ class TestNewton:
             monkeypatch.setattr(np.linalg, "solve", patched)
         else:
             name, value = {"halvings": ("MAX_HALVINGS", 0), "steps": ("NEWTON_STEPS", 2),
-                           "abandoned": ("RANK_ABANDON", 1.0), "floor": ("RANK_FLOOR", 1.0),
+                           "floor": ("RANK_FLOOR", 1.0),
                            "certificate": ("CERTIFICATE_TOL", 1.0)}[failure]
             monkeypatch.setattr(revmap, name, value)
         end = revmap._newton(rho, *validate_density_matrix(rho))
