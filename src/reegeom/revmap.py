@@ -40,7 +40,7 @@ from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, MAX_HALVINGS, SUPPORT_TO
 
 EDGE_TOL = 1e-8
 # the Newton solve of the reverse map, `_newton`, and what route "reverse-map" accepts
-NEWTON_TOL = 1e-12  # largest |F|_inf, at the solve's rounding floor, that it accepts
+NEWTON_TOL = 1e-12  # largest |F|_2, at the solve's rounding floor, that it accepts
 NEWTON_STEPS = 20  # steps, each on a new Jacobian but at the rounding floor, before a solve stops
 RANK_FLOOR = 1e-4  # smallest lambda_min(sigma) accepted, so that every frame takes one route
 CERTIFICATE_TOL = -1e-10  # smallest optimality certificate accepted
@@ -165,8 +165,8 @@ _E = _DIRECTIONS_FLAT.reshape(2, 15, 4, 4)  # E_k = d sigma / d c_k and E_k^Gamm
 
 class _NewtonEnd(NamedTuple):
     """Where `_newton` stopped: sigma's Pauli coordinates c, the multiplier x,
-    the spectra w, v of (sigma, sigma^Gamma), |F|_inf, the Jacobians built,
-    and whether |F|_inf reached its rounding floor at most NEWTON_TOL."""
+    the spectra w, v of (sigma, sigma^Gamma), |F|_2, the Jacobians built,
+    and whether |F|_2 ended at most NEWTON_TOL."""
 
     c: np.ndarray
     x: float
@@ -226,26 +226,21 @@ def _newton(rho, w, v) -> _NewtonEnd:
 
     The seed sigma0 = (1 - p) rho + p I/4 at p = -lam / (1/4 - lam), lam =
     lambda_min(rho^Gamma), lies on the PPT edge and shares rho's and
-    rho^Gamma's eigenvectors, so its spectra are w's, moved; x starts at
-    x_max / 2, x_max = 1 / lambda_max(sigma0^-1/2 G sigma0^-1/2).  A step is
-    halved until |F|_inf falls with lambda_min(sigma) > SUPPORT_TOL.  Once
-    |F|_inf <= NEWTON_TOL, full steps on the last Jacobian follow while they
-    halve it, and the first that does not ends the solve, converged, at the
-    rounding floor: kept where it shrinks |F|_inf, else dropped.  A singular
-    Jacobian, a step that is not finite, MAX_HALVINGS halvings or NEWTON_STEPS
-    steps end it unconverged; a solve heading for a rank-deficient sigma ends
-    so or converges below RANK_FLOOR, and `_edge_css` rejects it either way."""
+    rho^Gamma's eigenvectors, so its spectra are w's, moved; x starts at 0,
+    where |F|_2 = p |c(rho)|_2 > 2e-10.  A step is halved until |F|_2, kept by
+    local unitaries, the swap and conjugation, falls with lambda_min(sigma) >
+    SUPPORT_TOL.  Once |F|_2 <= NEWTON_TOL, full steps on the last Jacobian
+    follow while they halve it; the first that does not is kept where it
+    shrinks |F|_2 and ends the solve, at its rounding floor, as a singular
+    Jacobian, a step that is not finite, MAX_HALVINGS halvings and
+    NEWTON_STEPS steps do.  Converged means |F|_2 <= NEWTON_TOL at the end."""
     target = (_PAULI_ROWS @ rho.reshape(16)).real
-    lam = float(w[1, 0])
-    p = -lam / (0.25 - lam)
-    c, ws, vs = (1 - p) * target, (1 - p) * w + p / 4, v
-    f, l1, g_eig, g = _edge_residual(c, 0.0, target, ws, vs)
-    root = 1 / np.sqrt(ws[0])
-    x = 0.5 / np.linalg.eigvalsh(g_eig * root[:, None] * root)[-1]
-    f[:15] -= x * g
-    norm, jac, jacobians = float(np.abs(f).max()), None, 0
+    p = -w[1, 0] / (0.25 - w[1, 0])
+    c, x, ws, vs = (1 - p) * target, 0.0, (1 - p) * w + p / 4, v
+    f, l1, g_eig, g = _edge_residual(c, x, target, ws, vs)
+    norm, jacobians = float(np.linalg.norm(f)), 0
     for _ in range(NEWTON_STEPS):
-        floor = jac is not None and norm <= NEWTON_TOL  # only rounding is left
+        floor = norm <= NEWTON_TOL  # only rounding is left
         if not floor:
             jac = _edge_jacobian(x, ws, vs, l1, g_eig, g)
             jacobians += 1
@@ -261,17 +256,17 @@ def _newton(rho, w, v) -> _NewtonEnd:
             wt, vt = _spectra(ct)
             if wt[0, 0] > SUPPORT_TOL:
                 trial = _edge_residual(ct, xt, target, wt, vt)
-                trial_norm = float(np.abs(trial[0]).max())
+                trial_norm = float(np.linalg.norm(trial[0]))
                 if trial_norm < norm:
                     break
             t /= 2
         else:
-            return _NewtonEnd(c, x, ws, vs, norm, jacobians, floor)
+            break
         c, x, ws, vs, (f, l1, g_eig, g) = ct, xt, wt, vt, trial
-        if floor and trial_norm > norm / 2:  # no longer halved: the rounding floor
-            return _NewtonEnd(c, x, ws, vs, trial_norm, jacobians, True)
-        norm = trial_norm
-    return _NewtonEnd(c, x, ws, vs, norm, jacobians, False)
+        norm, last = trial_norm, norm
+        if floor and norm > last / 2:  # no longer halved: the rounding floor
+            break
+    return _NewtonEnd(c, x, ws, vs, norm, jacobians, norm <= NEWTON_TOL)
 
 
 def _edge_css(rho, w, v):

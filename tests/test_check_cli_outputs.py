@@ -99,6 +99,19 @@ def test_planted_violation_fails_its_gate(outputs, tmp_path, capsys, gate):
     assert capsys.readouterr().out.splitlines()[-1] == f"failed: {gate}"
 
 
+def test_reverse_map_edge_gap_fails_recovery_gaps(outputs, tmp_path, capsys):
+    """x_a takes route "reverse-map", whose edge_gap must be within 1e-14,
+    as the closed forms' is: at 1e-13 it fails that gate alone."""
+    out = tmp_path / "files"
+    shutil.copytree(outputs, out)
+    assert json.loads((out / "x_a.css-auto.json").read_text())["method"] == "reverse-map"
+    _edit(out / "x_a.css-auto.json", lambda d: d["residuals"].update(edge_gap=1e-13))
+    assert check.main(str(out)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "failed: Recovery gaps"
+    assert "x_a.css-auto.json: reverse-map recovery_gap" in "\n".join(lines)
+
+
 def test_gates_that_count_fail_on_no_files(outputs, tmp_path, capsys):
     """A directory with the exit codes and no css file breaks no bound, yet
     fails the three gates that count the files they check."""

@@ -201,6 +201,12 @@ class TestCss:
         d = json.loads(res.output)
         assert d["separable"] is True and d["ree"] == 0.0
 
+    def test_css_3x3_blocks_exit_2(self, runner, tmp_path):
+        p = write_state(tmp_path / "small.json", np.eye(3) / 3)
+        res = runner.invoke(cli.main, ["css", p])
+        assert res.exit_code == 2
+        assert res.stderr == "error: matrix blocks must be 4x4\n"
+
     def test_other_geometric_exit_3(self, runner, tmp_path):
         rng = np.random.default_rng(2)
         while True:
@@ -249,6 +255,20 @@ class TestCss:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert "2.000e-03" in res.stderr
         assert sorted(os.listdir(tmp_path)) == ["o.json"]
+
+    def test_unconverged_numeric_exit_1(self, runner, tmp_path, monkeypatch):
+        """`css --method numeric` writes the oracle's report, marked
+        unconverged, and then exits 1 with one error line."""
+        report = ree.ReeReport(value=0.3, css_numeric=np.eye(4) / 4, gap=2e-3,
+                               iterations=600, converged=False, lower=0.298)
+        monkeypatch.setattr(cli, "ree_numeric", lambda rho: report)
+        p = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])
+        out = tmp_path / "css.json"
+        res = runner.invoke(cli.main, ["css", p, "--method", "numeric", "--out", str(out)])
+        assert res.exit_code == 1 and type(res.exception) is SystemExit
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        d = json.load(open(out))
+        assert d["converged"] is False and d["ree"] == 0.3 and d["gap"] == 2e-3
 
     def test_maximally_correlated_method(self, runner, tmp_path, monkeypatch):
         """A pure state takes the maximally correlated route: `method` names
@@ -424,6 +444,15 @@ class TestVerify:
         res = runner.invoke(cli.main, ["verify", "--suite", "oracle"])
         assert res.exit_code == 1
         assert "NotConverged" in res.output
+
+    def test_oracle_bracket_missing_ln2_fails(self, runner, monkeypatch):
+        """A converged bracket that does not hold ln 2 fails each Bell check."""
+        report = ree.ReeReport(value=0.6, css_numeric=np.eye(4) / 4, gap=1e-7,
+                               iterations=20, converged=True, lower=0.6 - 1e-7)
+        monkeypatch.setattr(cli, "ree_numeric", lambda rho: report)
+        res = runner.invoke(cli.main, ["verify", "--suite", "oracle"])
+        assert res.exit_code == 1 and "0/4 checks passed" in res.output
+        assert res.output.count("(ln 2 outside the bracket [lower, value])") == 4
 
     def test_json_report(self, runner, tmp_path):
         out = tmp_path / "report.json"

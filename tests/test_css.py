@@ -707,16 +707,19 @@ class TestCssAuto:
             assert not a.geometric and not b.geometric
             assert np.max(np.abs(a.tau - b.tau)) <= 1e-10
 
-    def test_one_route_in_every_frame(self):
-        """300 entangled random states of rank 1 to 4 (rng 2027) keep their
-        route, and their REE within 1e-12, when the qubits are swapped, when
-        rho is complex conjugated and under a random local unitary.  Route
-        "reverse-map" accepts only a CSS with lambda_min >= RANK_FLOOR, where
-        its certificate and its residual are far from their bounds in every
-        frame; with no floor, a CSS at lambda_min 4.4e-8 scored c = -6.0e-11
-        in one frame and -1.5e-10 in its swap, and at a floor of 1e-6, 5 of
-        600 such states changed their REE between frames."""
-        rng = np.random.default_rng(2027)
+    @pytest.mark.parametrize("seed", [2027, 2030])
+    def test_one_route_in_every_frame(self, seed):
+        """300 entangled random states of rank 1 to 4 keep their route, and
+        their REE within 1e-12, when the qubits are swapped, when rho is
+        complex conjugated and under a random local unitary.  The Newton
+        solve compares |F|_2, which these maps keep; with |F|_inf, state 15
+        of rng 2030 took route "oracle" in its own frame and "reverse-map"
+        under its local unitary.  Route "reverse-map" accepts only a CSS with
+        lambda_min >= RANK_FLOOR, where its certificate is far from its bound
+        in every frame; with no floor, 5 to 15 of the 900 images of each of
+        rng 2027 to 2031 changed their route, at CSSs with lambda_min 2e-9 to
+        1.5e-6 whose certificate straddles CERTIFICATE_TOL."""
+        rng = np.random.default_rng(seed)
         swap = np.eye(4)[[0, 2, 1, 3]]
         routes, n = set(), 0
         while n < 300:

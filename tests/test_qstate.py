@@ -50,6 +50,11 @@ class TestValidation:
             qstate.validate_density_matrix(m)
         assert exc.value.invariant == "Hermiticity"
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(InvalidState) as exc:
+            qstate.validate_density_matrix(np.eye(3) / 3)
+        assert exc.value.invariant == "shape 4x4" and exc.value.magnitude == 9.0
+
     def test_wrong_trace_rejected(self):
         with pytest.raises(InvalidState) as exc:
             qstate.validate_density_matrix(np.eye(4, dtype=complex))

@@ -187,6 +187,12 @@ class TestDualRoute:
         with pytest.raises(DegenerateZ):
             revmap.z_derivatives(SigmaZParams(0.0, 0.5, 0.5, 0.0))
 
+    def test_diverging_logarithm_raises(self):
+        """At R2 R3 = R1 R4, z = R2 + R3 and ln((R2 + R3 + z) / (R2 + R3 - z))
+        diverges: here z = 0.5."""
+        with pytest.raises(DegenerateZ, match="logarithm argument diverges"):
+            revmap.z_derivatives(SigmaZParams(0.25, 0.25, 0.25, 0.25))
+
 
 class TestLineCrossing:
     def test_bell_diagonal_lines_hit_vertex(self):
