@@ -2,11 +2,12 @@
 
     python scripts/check_cli_outputs.py DIR
 
-Five gates run in turn: exit codes, recovery gaps, cross-route REE, oracle
-excess and certificates.  Each prints its name, then either every file that
-breaks it or one line saying that it holds.  A gate that counts files also
-fails where it found none, so that an empty or misnamed DIR cannot pass.
-The exit code is 1 if any gate fails, else 0.
+Five gates run in turn: exit codes (with the console output), recovery
+gaps, cross-route REE, oracle excess and certificates.  Each prints its
+name, then either every file that breaks it or one line saying that it
+holds.  A gate that counts files also fails where it found none, so that
+an empty or misnamed DIR cannot pass.  The exit code is 1 if any gate
+fails, else 0.
 """
 
 from __future__ import annotations
@@ -25,14 +26,30 @@ def exit_codes(out: Path):
     """Every command of the fixed input set exits 0, so that a crash fails
     here even where two runs crash alike and their diff is empty; only
     `css --method geometric` may exit 3, on a state outside the closed-form
-    families."""
-    bad = []
-    for line in (out / "exit_codes.txt").read_text().splitlines():
+    families.  In console.txt, a command that exited non-zero printed exactly
+    one line, starting `error:`, and no command printed a line holding
+    `Warning` or `Traceback`, so that a warning or a traceback beside the
+    right exit code fails here too."""
+    bad, printed = [], []
+    for text in (out / "console.txt").read_text().splitlines():
+        if text.startswith("$ reegeom "):
+            printed.append((text[len("$ reegeom "):], []))
+        else:
+            printed[-1][1].append(text)
+    lines = (out / "exit_codes.txt").read_text().splitlines()
+    if [args for args, _ in printed] != [line.split(" ", 1)[1] for line in lines]:
+        bad.append("console.txt: its commands are not those of exit_codes.txt")
+    for line, (_, output) in zip(lines, printed):
         code, args = line.split(" ", 1)
         geometric = args.startswith("css ") and " --method geometric " in args
         if not (code == "0" or (geometric and code == "3")):
             bad.append(line)
-    return bad, "every CLI command exited as expected", True
+        if code != "0" and not (len(output) == 1 and output[0].startswith("error:")):
+            bad.append(f"{line}: printed {output}, not one error line")
+        bad += [f"{args}: printed {text!r}" for text in output
+                if "Warning" in text or "Traceback" in text]
+    return bad, ("every CLI command exited as expected, each that failed with one error "
+                 "line, and none printed a warning or a traceback"), True
 
 
 def recovery_gaps(out: Path):

@@ -65,9 +65,11 @@ def _reject_constant(name: str):
 def _read(path: str, parse, fmt: str) -> np.ndarray:
     """The density matrix parse() builds from JSON of format fmt in PATH; bad
     JSON (a ValueError), a missing key, a top level that is not an object or a
-    value of the wrong type (a TypeError), a wrong shape or an invalid state exits 2."""
+    value of the wrong type (a TypeError), a wrong shape or an invalid state exits 2.
+    parse() runs without floating-point warnings: an entry it overflows is
+    left non-finite, which validation rejects."""
     try:
-        with open(path) as fh:
+        with open(path) as fh, np.errstate(all="ignore"):
             rho = parse(json.load(fh, parse_constant=_reject_constant))
         validate_density_matrix(rho)
     except KeyError as exc:
@@ -198,42 +200,33 @@ def css_cmd(state, method, bits, out):
     """Closest separable state and relative entropy of entanglement of STATE."""
     rho = load_state(state)
     unit = 1.0 / math.log(2.0) if bits else 1.0
-    units = "bits" if bits else "nats"
+    tag = None if method == "auto" else css.classify(rho)
+    if method == "geometric" and tag.kind is css.FamilyKind.OTHER:
+        _fail(EXIT_UNSUPPORTED, "state is outside the solvable families")
     if method == "numeric":
         rep = ree_numeric(rho)
-        _emit({
-            "method": "numeric",
-            "family": css.classify(rho).kind.value,
-            "ree": rep.value * unit,
-            "units": units,
-            "css": matrix_json(rep.css_numeric),
-            "converged": rep.converged,
-            "lower": rep.lower * unit,
-            "gap": rep.gap * unit,
-        }, out)
-        if not rep.converged:
-            _fail(EXIT_CHECK_FAILED,
-                  "numeric bracket [lower, ree] is wider than its tolerance")
-        return
-    if method == "geometric" and css.classify(rho).kind is css.FamilyKind.OTHER:
-        _fail(EXIT_UNSUPPORTED, "state is outside the solvable families")
-    try:
-        result = css.css_auto(rho)
-    except NotConverged as exc:
-        _fail(EXIT_CHECK_FAILED, str(exc))
-    _emit({
-        "method": (result.route if result.route in ("maximally-correlated", "reverse-map")
-                   else "geometric" if result.geometric else "numeric-fallback"),
-        "family": result.family.kind.value,
-        "lambdas": list(result.family.lambdas) if result.family.lambdas else None,
-        "separable": result.separable,
-        "ree": result.ree * unit,
-        "units": units,
-        "tau": np.asarray(result.tau, float).tolist(),
-        "css": matrix_json(result.css),
-        "residuals": {k: (None if math.isnan(v) else v)
-                      for k, v in result.residuals.items()},
-    }, out)
+        value, sigma = rep.value, rep.css_numeric
+        payload = {"method": "numeric", "converged": rep.converged,
+                   "lower": rep.lower * unit, "gap": rep.gap * unit}
+    else:
+        try:
+            result = css.css_auto(rho)
+        except NotConverged as exc:
+            _fail(EXIT_CHECK_FAILED, str(exc))
+        tag, value, sigma = result.family, result.ree, result.css
+        payload = {
+            "method": (result.route if result.route in ("maximally-correlated", "reverse-map")
+                       else "geometric" if result.geometric else "numeric-fallback"),
+            "lambdas": list(tag.lambdas) if tag.lambdas else None,
+            "separable": result.separable,
+            "tau": np.asarray(result.tau, float).tolist(),
+            "residuals": {k: (None if math.isnan(v) else v)
+                          for k, v in result.residuals.items()},
+        }
+    _emit({**payload, "family": tag.kind.value, "ree": value * unit,
+           "units": "bits" if bits else "nats", "css": matrix_json(sigma)}, out)
+    if method == "numeric" and not rep.converged:
+        _fail(EXIT_CHECK_FAILED, "numeric bracket [lower, ree] is wider than its tolerance")
 
 
 @main.command()
@@ -357,21 +350,19 @@ def _suite_oracle() -> list[dict]:
     return checks
 
 
+SUITES = {"families": _suite_families, "revmap": _suite_revmap,
+          "oracle": lambda seed: _suite_oracle()}
+
+
 @main.command()
-@click.option("--suite", type=click.Choice(["families", "revmap", "oracle", "all"]),
-              default="all", show_default=True)
+@click.option("--suite", type=click.Choice([*SUITES, "all"]), default="all",
+              show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="JSON report path.")
 def verify(suite, seed, out):
     """Run internal consistency suites; exit 0 iff every check passes."""
-    checks = []
-    if suite in ("families", "all"):
-        checks += _suite_families(seed)
-    if suite in ("revmap", "all"):
-        checks += _suite_revmap(seed)
-    if suite in ("oracle", "all"):
-        checks += _suite_oracle()
+    checks = [c for name, run in SUITES.items() if suite in (name, "all") for c in run(seed)]
 
     n_ok = sum(c["ok"] for c in checks)
     for c in checks:

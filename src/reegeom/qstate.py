@@ -77,11 +77,12 @@ def validate_density_matrix(rho: np.ndarray):
     if rho.shape != (4, 4):
         raise InvalidState("shape 4x4", float(np.prod(rho.shape)))
     w, v = _pt_spectra(rho)  # first, for its test of finite entries
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > HERMITICITY_TOL:
+    with np.errstate(all="ignore"):  # finite entries near 1e308 overflow to inf or NaN
+        herm = np.abs(rho - rho.conj().T).max()
+        tr = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+    if not herm <= HERMITICITY_TOL:  # written so that a NaN fails
         raise InvalidState("Hermiticity", herm)
-    tr = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-    if tr > TRACE_TOL:
+    if not tr <= TRACE_TOL:
         raise InvalidState("unit trace", tr)
     if w[0, 0] < -PSD_TOL:
         raise InvalidState("positive semidefiniteness", -float(w[0, 0]))

@@ -1,5 +1,6 @@
 """scripts/check_cli_outputs.py: the five gates on the CLI files, on the files
-that scripts/cli_outputs.py writes and on one planted violation per gate."""
+that scripts/cli_outputs.py writes and on planted violations, at least one
+per gate."""
 
 import importlib.util
 import json
@@ -112,12 +113,37 @@ def test_reverse_map_edge_gap_fails_recovery_gaps(outputs, tmp_path, capsys):
     assert "x_a.css-auto.json: reverse-map recovery_gap" in "\n".join(lines)
 
 
+@pytest.mark.parametrize("name, printed", [
+    ("vp_a", "RuntimeWarning: overflow encountered in reduce"),
+    ("vp_a", "Traceback (most recent call last):"),
+    ("x_a", "error: state is outside the solvable families")],
+    ids=["warning", "traceback", "second-error"])
+def test_console_line_fails_exit_codes(outputs, tmp_path, capsys, name, printed):
+    """One more line in the console output of `css --method geometric`
+    fails the Exit codes gate alone, though every exit code is as expected:
+    a warning or a traceback where vp_a exited 0, a second error line where
+    x_a, outside the closed-form families, exited 3."""
+    out = tmp_path / "files"
+    shutil.copytree(outputs, out)
+    command = f"$ reegeom css {name}.state.json --method geometric"
+    lines = (out / "console.txt").read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith(command))
+    lines.insert(at + 1, printed + "\n")
+    (out / "console.txt").write_text("".join(lines))
+    assert check.main(str(out)) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert report[-1] == "failed: Exit codes"
+    assert report[0].startswith("Exit codes: ") and command[len("$ reegeom "):] in report[0]
+
+
 def test_gates_that_count_fail_on_no_files(outputs, tmp_path, capsys):
-    """A directory with the exit codes and no css file breaks no bound, yet
-    fails the three gates that count the files they check."""
+    """A directory with the exit codes, the console output and no css file
+    breaks no bound, yet fails the three gates that count the files they
+    check."""
     out = tmp_path / "files"
     out.mkdir()
     shutil.copy(outputs / "exit_codes.txt", out)
+    shutil.copy(outputs / "console.txt", out)
     assert check.main(str(out)) == 1
     assert (capsys.readouterr().out.splitlines()[-1]
             == "failed: Cross-route REE, Oracle excess, Certificates")

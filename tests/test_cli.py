@@ -105,6 +105,49 @@ class TestNonFiniteInput:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
 
 
+# finite entries whose trace or Pauli rebuild overflows to inf or NaN
+OVERFLOW_INPUTS = {
+    "trace-inf": ("state", json.dumps(cli.matrix_json(np.diag([1e308, 1e308, 0, 0])))),
+    "trace-nan": ("state", json.dumps(cli.matrix_json(np.diag([1e308, 1e308, -1e308, -1e308])))),
+    "g-1e308": ("pauli", json.dumps({"r": [0, 0, 0], "s": [0, 0, 0],
+                                     "g": (1e308 * np.eye(3)).tolist()})),
+    "rs-1e308": ("pauli", json.dumps({"r": [0, 0, 1e308], "s": [0, 0, 1e308],
+                                      "g": np.zeros((3, 3)).tolist()})),
+}
+
+
+class TestOverflowInput:
+    @pytest.mark.parametrize("command, name", [
+        ("decompose", "trace-inf"), ("decompose", "trace-nan"),
+        ("css", "trace-inf"), ("css", "trace-nan"),
+        ("reconstruct", "g-1e308"), ("reconstruct", "rs-1e308")])
+    def test_exit_2_with_one_line(self, runner, tmp_path, command, name):
+        """A matrix whose finite entries overflow exits 2 with one error line
+        and writes no file: a state fails its trace test and a Pauli file's
+        rebuild its finite-entries test, with no floating-point warning."""
+        kind, text = OVERFLOW_INPUTS[name]
+        p = tmp_path / "big.json"
+        p.write_text(text)
+        res = runner.invoke(cli.main, [command, str(p), "--out", str(tmp_path / "o.json")])
+        assert res.exit_code == 2 and type(res.exception) is SystemExit
+        invariant = "unit trace" if kind == "state" else "finite entries"
+        assert res.stderr.startswith(f"error: invalid density matrix: {invariant} violated by")
+        assert res.stderr.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+    def test_subprocess_prints_one_line(self, tmp_path):
+        """Under the interpreter's default warning filters, `reegeom css` on
+        the NaN-trace matrix prints exactly one `error:` line and no warning."""
+        p = tmp_path / "big.json"
+        p.write_text(OVERFLOW_INPUTS["trace-nan"][1])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(reegeom.__file__)))
+        env.pop("PYTHONWARNINGS", None)
+        res = subprocess.run([sys.executable, "-m", "reegeom.cli", "css", str(p)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: invalid density matrix: unit trace violated by nan\n"
+
+
 class TestMalformedJson:
     @pytest.mark.parametrize("text", ["[1, 2]", "5", '{"re": {"a": 1}}'])
     @pytest.mark.parametrize("command", ["decompose", "css", "reconstruct"])
@@ -183,6 +226,15 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.strip() == "[]"
+
+
+def fixed_inputs() -> dict:
+    """The input states of `scripts/cli_outputs.py`, by name."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", path)
+    outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outputs)
+    return outputs.states(np.random.default_rng(outputs.SEED))
 
 
 class TestCss:
@@ -309,18 +361,42 @@ class TestCss:
         def oracle(rho, cfg=None):
             raise OracleCalled
 
-        path = Path(__file__).resolve().parents[1] / "scripts" / "cli_outputs.py"
-        spec = importlib.util.spec_from_file_location("cli_outputs", path)
-        outputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(outputs)
         monkeypatch.setattr(css, "ree_numeric", oracle)
         need = []
-        for name, rho in outputs.states(np.random.default_rng(outputs.SEED)).items():
+        for name, rho in fixed_inputs().items():
             try:
                 css.css_auto(rho)
             except OracleCalled:
                 need.append(name)
         assert need == ["vp_white_noise", "vp_01_noise", "horodecki_white_noise"]
+
+    @pytest.mark.parametrize("name, route", [
+        ("vp_a", "geometric"), ("max_correlated", "maximally-correlated"),
+        ("x_a", "reverse-map"), ("vp_white_noise", "numeric-fallback")])
+    def test_payload_of_each_method(self, runner, tmp_path, name, route):
+        """The `css` JSON has exactly its method's keys: one fixed input per
+        `method` value of `--method auto`, also through `--method geometric`
+        where its family has a closed form, and `--method numeric`.  With
+        `--bits`, ree, lower and gap are the nats values times 1 / ln 2 bit
+        for bit, units reads "bits", and every other value is unchanged."""
+        p = write_state(tmp_path / f"{name}.json", fixed_inputs()[name])
+        unit = 1.0 / math.log(2.0)
+        methods = ["auto", "numeric"] + (["geometric"] if route == "geometric" else [])
+        for method in methods:
+            runs = [runner.invoke(cli.main, ["css", p, "--method", method, *bits])
+                    for bits in ([], ["--bits"])]
+            assert [r.exit_code for r in runs] == [0, 0]
+            nats, in_bits = (json.loads(r.output) for r in runs)
+            if method == "numeric":
+                keys = {"converged", "css", "family", "gap", "lower", "method", "ree", "units"}
+                assert nats["method"] == "numeric" and nats["converged"] is True
+            else:
+                keys = {"css", "family", "lambdas", "method", "ree", "residuals", "separable",
+                        "tau", "units"}
+                assert nats["method"] == route
+            assert set(nats) == keys and nats["units"] == "nats"
+            scaled = {k: nats[k] * unit for k in ("ree", "lower", "gap") if k in nats}
+            assert in_bits == {**nats, **scaled, "units": "bits"}
 
     def test_bits_flag(self, runner, tmp_path):
         p = write_state(tmp_path / "bell.json", qstate.BELL_STATES[0])
@@ -453,6 +529,24 @@ class TestVerify:
         res = runner.invoke(cli.main, ["verify", "--suite", "oracle"])
         assert res.exit_code == 1 and "0/4 checks passed" in res.output
         assert res.output.count("(ln 2 outside the bracket [lower, value])") == 4
+
+    def test_suite_table(self, runner, tmp_path):
+        """`--suite` offers the three suites and all, and `--suite all`
+        reports exactly the checks of families, revmap and oracle, in that
+        order and with their names."""
+        suite = next(p for p in cli.verify.params if p.name == "suite")
+        assert list(suite.type.choices) == ["families", "revmap", "oracle", "all"]
+        names = {}
+        for name in suite.type.choices:
+            out = tmp_path / f"{name}.json"
+            res = runner.invoke(cli.main, ["verify", "--suite", name, "--out", str(out)])
+            assert res.exit_code == 0
+            report = json.load(open(out))
+            names[name] = [c["name"] for c in report["checks"]]
+            assert report["suite"] == name
+            assert [line.split("] ")[1] for line in res.output.splitlines()[:-1]] == names[name]
+        assert names["all"] == names["families"] + names["revmap"] + names["oracle"]
+        assert len(names["oracle"]) == 4 and len(names["revmap"]) == 2
 
     def test_json_report(self, runner, tmp_path):
         out = tmp_path / "report.json"

@@ -20,6 +20,31 @@ def rotated(rho, rng):
 FRAMES = reference_frames()
 
 
+def family_state(kind, rng) -> np.ndarray:
+    """A state of one kind drawn from rng, in its template frame: "bell"
+    (t in the tetrahedron), "vp", "horodecki", "werner", "maximally-correlated"
+    (half of them pure), "horodecki-1/3" (l1 = 1/3 + {0, 1e-12, 1e-10, 1e-8},
+    where the canonical frame is degenerate) or "other" (random, rank 1 to 4)."""
+    if kind == "bell":
+        return qstate.bell_diagonal(
+            rng.dirichlet(np.ones(4)) @ np.array(list(geometry.TETRA_VERTICES.values())))
+    if kind == "werner":
+        p = rng.uniform()
+        return p * qstate.BELL_STATES[0] + (1 - p) * np.eye(4) / 4
+    if kind == "maximally-correlated":
+        a = rng.uniform()
+        z = math.sqrt(a * (1 - a)) * (1.0 if rng.uniform() < 0.5 else rng.uniform())
+        return css._vp_state((2 * z, a - z, 1 - a - z))
+    if kind == "other":
+        return random_density_matrix(rng, rank=int(rng.integers(1, 5)))
+    if kind == "horodecki-1/3":
+        l1 = 1 / 3 + (0.0, 1e-12, 1e-10, 1e-8)[rng.integers(4)]
+        l2 = rng.uniform(0, 1 - l1)
+        return css._horodecki_state((l1, l2, 1 - l1 - l2))
+    lam = tuple(rng.dirichlet(np.ones(3)))
+    return (css._vp_state if kind == "vp" else css._horodecki_state)(lam)
+
+
 def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
     """Reference: _match_templates as a Python loop over all 96 frames in
     order, VP tried in every frame before Horodecki.  A template match needs
@@ -361,15 +386,7 @@ class TestCssAuto:
         """css_auto(U rho U^dag) = U css_auto(rho) U^dag, with the same REE,
         for a family state and two Haar SU(2) unitaries."""
         rng = np.random.default_rng(seed)
-        if family == "bell":
-            t = rng.dirichlet(np.ones(4)) @ np.array(list(geometry.TETRA_VERTICES.values()))
-            rho = qstate.bell_diagonal(t)
-        elif family == "werner":
-            p = rng.uniform()
-            rho = p * qstate.BELL_STATES[0] + (1 - p) * np.eye(4) / 4
-        else:
-            lam = tuple(rng.dirichlet(np.ones(3)))
-            rho = (css._vp_state if family == "vp" else css._horodecki_state)(lam)
+        rho = family_state(family, rng)
         u_a, u_b = [u / np.sqrt(np.linalg.det(u))
                     for u in (random_unitary(rng), random_unitary(rng))]
         base, res = css.css_auto(rho), css.css_auto(rotate(rho, u_a, u_b))
@@ -391,28 +408,39 @@ class TestCssAuto:
         rotated family states, maximally correlated states (pure ones
         included) and random states of rank 1 to 4, where the oracle runs."""
         rng = np.random.default_rng(seed)
-        if kind == "bell":
-            rho = qstate.bell_diagonal(
-                rng.dirichlet(np.ones(4)) @ np.array(list(geometry.TETRA_VERTICES.values())))
-        elif kind == "werner":
-            p = rng.uniform()
-            rho = p * qstate.BELL_STATES[0] + (1 - p) * np.eye(4) / 4
-        elif kind == "maximally-correlated":
-            a = rng.uniform()
-            z = math.sqrt(a * (1 - a)) * (1.0 if rng.uniform() < 0.5 else rng.uniform())
-            rho = css._vp_state((2 * z, a - z, 1 - a - z))
-        elif kind == "other":
-            rho = random_density_matrix(rng, rank=int(rng.integers(1, 5)))
-        else:
-            lam = tuple(rng.dirichlet(np.ones(3)))
-            rho = (css._vp_state if kind == "vp" else css._horodecki_state)(lam)
-        rho = rotated(rho, rng)
+        rho = rotated(family_state(kind, rng), rng)
         swap = np.eye(4)[[0, 2, 1, 3]]
         base = css.css_auto(rho)
         for image in (swap @ rho @ swap, rho.conj()):
             res = css.css_auto(image)
             assert res.route == base.route
             assert abs(res.ree - base.ree) <= 1e-12
+
+    @given(st.sampled_from(["bell", "vp", "horodecki", "werner", "maximally-correlated",
+                            "horodecki-1/3"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100)
+    def test_differential_fuzz(self, kind, seed):
+        """css_auto against the oracle on rotated family states, 70% of them
+        nudged by eps in [1e-14, 1e-5], log-uniform, toward I/4, a random pure
+        state or a random full-rank state: css_auto raises nothing, its REE is
+        finite, a closed-form CSS (neither "reverse-map" nor "oracle") has
+        lambda_min >= -1e-12, and an entangled state's REE lies inside the
+        oracle's converged bracket [lower, value] within 1e-12."""
+        rng = np.random.default_rng(seed)
+        rho = rotated(family_state(kind, rng), rng)
+        if rng.uniform() < 0.7:
+            rank = int(rng.choice([0, 1, 4]))
+            target = np.eye(4) / 4 if rank == 0 else random_density_matrix(rng, rank)
+            eps = 10 ** rng.uniform(-14, -5)
+            rho = (1 - eps) * rho + eps * target
+        res = css.css_auto(rho)
+        assert math.isfinite(res.ree)
+        if res.route not in ("reverse-map", "oracle"):
+            assert np.linalg.eigvalsh(res.css)[0] >= -1e-12
+        if not res.separable:
+            rep = ree_numeric(rho)
+            assert rep.converged and rep.lower - 1e-12 <= res.ree <= rep.value + 1e-12
 
     def test_two_pauli_transforms(self, monkeypatch):
         """A rotated family state's css_auto takes the Pauli form of rho once
@@ -598,6 +626,16 @@ class TestCssAuto:
     def test_non_finite_state_rejected(self):
         with pytest.raises(InvalidState):
             css.css_auto(np.full((4, 4), np.nan, dtype=complex))
+
+    @pytest.mark.parametrize("diagonal", [[1e308, 1e308, 0, 0], [1e308, 1e308, -1e308, -1e308]],
+                             ids=["trace-inf", "trace-nan"])
+    def test_overflowing_state_rejected(self, diagonal):
+        """Finite entries whose trace overflows, to inf or to NaN, fail the
+        trace test with InvalidState and no floating-point warning (one is an
+        error under this suite's filters), not at the PSD test or later."""
+        with pytest.raises(InvalidState) as exc:
+            css.css_auto(np.diag(diagonal).astype(complex))
+        assert exc.value.invariant == "unit trace"
 
     def test_geometric_unavailable(self, rng):
         """No closed form covers a state that `classify` finds outside the
