@@ -7,7 +7,8 @@ moved: for numbers the largest |delta| over the path's values, for anything
 else old -> new.  A JSON path marks list positions with [], so `css.re[][]`
 covers all 16 entries of that matrix, except that a list of records with a
 "name" (the checks of `verify.json`) keys each record by it:
-`checks[bell_1_ree].gap`.  Text files (`exit_codes.txt`, `console.txt`) show
+`checks[bell_1_ree].gap`.  A CSV whose row count moved shows one
+`rows: old -> new` line in place of its columns.  Text files (`exit_codes.txt`, `console.txt`) show
 their changed lines.  The last line counts the files that differ.  It is a
 report and always exits 0.
 """
@@ -90,6 +91,10 @@ def file_report(name: str, old: str, new: str) -> list[str]:
     a, b = parse(old), parse(new)
     lines = [f"{key}: removed" for key in a if key not in b]
     lines += [f"{key}: added" for key in b if key not in a]
+    if parse is _csv_columns:
+        rows = [len(next(iter(columns.values()), [])) for columns in (a, b)]
+        if rows[0] != rows[1]:
+            return lines + [f"rows: {rows[0]} -> {rows[1]}"]
     for key in (k for k in a if k in b):
         lines += _column_lines(key, a[key], b[key])
     return lines

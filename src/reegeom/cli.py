@@ -201,7 +201,8 @@ def css_cmd(state, method, bits, out):
     rho = load_state(state)
     unit = 1.0 / math.log(2.0) if bits else 1.0
     tag = None if method == "auto" else css.classify(rho)
-    if method == "geometric" and tag.kind is css.FamilyKind.OTHER:
+    # a separable state of any family is its own CSS, route "ppt"
+    if method == "geometric" and tag.kind is css.FamilyKind.OTHER and not is_ppt(rho):
         _fail(EXIT_UNSUPPORTED, "state is outside the solvable families")
     if method == "numeric":
         rep = ree_numeric(rho)
@@ -243,7 +244,7 @@ def surface(body, r, s, n, tol, out):
     """Boundary-surface mesh of the deformed body at fixed Bloch components."""
     mesh = geometry.surface_mesh(body, r, s, n, psd_tol=tol)
     _write_csv(out, "q1,q2,q3,sheet",
-               [(*pt, sheet) for pt, sheet in zip(mesh.points.tolist(), mesh.sheets)])
+               [(*pt, sheet) for pt, sheet in zip(mesh.points.tolist(), mesh.sheets.tolist())])
     click.echo(f"wrote {len(mesh.sheets)} mesh points to {out}")
 
 

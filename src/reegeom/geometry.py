@@ -34,9 +34,9 @@ TETRA_VERTICES = {
 # vertex v; inside means n.t <= 1 for all
 TETRA_FACE_NORMALS = [-v for v in TETRA_VERTICES.values()]
 
-# the sheet tags of mesh rows and crossings, indexed by root parity; every
-# tag is one of these two str objects
-SHEET_TAGS = np.array(["mu", "nu"], dtype=object)
+# the sheet tags of mesh rows, indexed by root parity: `SurfaceMesh.sheets`
+# is a fixed-width str array of these
+SHEET_TAGS = np.array(["mu", "nu"])
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class SurfaceMesh:
     r: float
     s: float
     points: np.ndarray
-    sheets: list
+    sheets: np.ndarray   # "mu" or "nu" per row, a str array
 
 
 def in_tetrahedron(t) -> bool:
@@ -69,8 +69,10 @@ def in_tetrahedron(t) -> bool:
 
 
 def nearest_vertex(t) -> Vertex:
-    """Closest tetrahedron vertex to t; ties broken by label order."""
+    """Closest tetrahedron vertex to t; ties broken by label order.  A
+    non-finite t raises ValueError."""
     t = np.asarray(t, dtype=float)
+    _require_finite(t=t)
     if not in_tetrahedron(t):
         raise OutsideTetrahedron(f"point {t} lies outside the tetrahedron")
     best = min(TETRA_VERTICES.items(), key=lambda kv: (np.linalg.norm(t - kv[1]), kv[0]))
@@ -84,20 +86,25 @@ def surface_mesh(body: str, r: float, s: float, n: int,
     Roots whose full state is not PSD within psd_tol are dropped (they solve
     the sheet equation outside the physical body).  Row-major grid order.
     body "T" is the state body, "L" the separable one; others raise
-    ValueError, as do n < 2, a non-finite r or s and a NaN or negative psd_tol.
+    ValueError, as do a non-integer n or n < 2, a non-finite r or s and a NaN
+    or negative psd_tol.
     """
     if body not in ("T", "L"):
         raise ValueError(f"body must be 'T' or 'L', not {body!r}")
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"grid size must be an integer, not {n!r}")
     if n < 2:
         raise ValueError("grid size must be at least 2")
     _require_finite(r=r, s=s)
     if not psd_tol >= 0.0:
         raise ValueError(f"psd_tol must be nonnegative, not {psd_tol!r}")
     axis = np.linspace(-1.0, 1.0, n)
-    q1, q2 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-    m1, m2 = spectra.moduli(r, s, q1, q2 if body == "T" else -q2)
+    # the grid by broadcasting, row q1 and column q2, flattened row-major
+    m1, m2 = (m.ravel() for m in spectra.moduli(
+        r, s, axis[:, None], (axis if body == "T" else -axis)[None, :]))
     mu, nu, inside = spectra.boundary_roots(m1, m2)
     foot = np.flatnonzero(inside)
+    q1, q2 = (axis[k] for k in np.divmod(foot, n))
     # flat index 2i is footprint point i's mu root, 2i + 1 its nu root
     q3 = np.column_stack([mu[foot], nu[foot]])
     # the PSD check is on the state itself: its moduli are the grid's on T,
@@ -105,11 +112,11 @@ def surface_mesh(body: str, r: float, s: float, n: int,
     if body == "T":
         m1, m2 = m1[foot], m2[foot]
     else:
-        m1, m2 = spectra.moduli(r, s, q1[foot], q2[foot])
+        m1, m2 = spectra.moduli(r, s, q1, q2)
     idx = np.flatnonzero(spectra.sheet_min(m1[:, None], m2[:, None], q3) >= -psd_tol)
-    rows = foot[idx >> 1]
+    rows = idx >> 1
     points = np.column_stack([q1[rows], q2[rows], q3.ravel()[idx]])
-    return SurfaceMesh(body, r, s, points, SHEET_TAGS[idx & 1].tolist())
+    return SurfaceMesh(body, r, s, points, SHEET_TAGS[idx & 1])
 
 
 def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoint]:
@@ -119,9 +126,10 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoin
     Each sheet (c - |(e, f)|) / 4 has c, f linear in w.  The crossings are the
     roots of c^2 = f^2 + e^2 where the branch minimum is zero to PSD_TOL, which
     no c < 0 root is; at most two, as that minimum is concave along the line.
+    A non-finite t, r or s raises ValueError.
     """
-    _require_finite(r=r, s=s)
     t = np.asarray(t, dtype=float)
+    _require_finite(t=t, r=r, s=s)
     d = t - v.coords
     if np.linalg.norm(d) < 1e-14:
         raise ValueError("line start coincides with the vertex")
@@ -145,7 +153,7 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoin
     for j in np.argsort(np.abs(roots[kept] - 1.0), kind="stable"):
         w = float(roots[kept[j]])
         if all(abs(w - c.line_parameter) >= 1e-9 for c in crossings):
-            crossings.append(CrossingPoint(p[j], w, SHEET_TAGS[kept[j] % 2]))
+            crossings.append(CrossingPoint(p[j], w, ("mu", "nu")[kept[j] % 2]))
     if not crossings:
         raise NoCrossing(f"ray from {v.label} through {t} misses the separable boundary")
     return crossings

@@ -317,12 +317,23 @@ def z_family(p: SigmaZParams, x) -> np.ndarray:
     return m
 
 
+def _z_line(p: SigmaZParams, d: ZFamilyDerivatives) -> tuple:
+    """The family's (r, s, t1, t3) at x = 0, then (Rb2 - Rb3, Yb, Rb1), which
+    move them with x in `_z_rst`."""
+    return (p.r1 + p.r2 - p.r3 - p.r4, p.r1 - p.r2 + p.r3 - p.r4, 2 * p.y,
+            p.r1 - p.r2 - p.r3 + p.r4, d.rb2 - d.rb3, d.yb, d.rb1)
+
+
+def _z_rst(line, x):
+    """(r, s, t1, t3) of rho(x), t2 = t1, from a `_z_line`; its entries and x
+    may be numbers or arrays that broadcast."""
+    r0, s0, t10, t30, drb, yb, rb1 = line
+    return r0 - x * drb, s0 + x * drb, t10 - 2 * x * yb, t30 - 4 * x * rb1
+
+
 def _z_family_rst(p: SigmaZParams, d: ZFamilyDerivatives, x):
     """(r, s, t) of rho(x) from precomputed derivatives; x a scalar or a 1-D array."""
-    r = (p.r1 + p.r2 - p.r3 - p.r4) - x * (d.rb2 - d.rb3)
-    s = (p.r1 - p.r2 + p.r3 - p.r4) + x * (d.rb2 - d.rb3)
-    t1 = 2 * p.y - 2 * x * d.yb
-    t3 = (p.r1 - p.r2 - p.r3 + p.r4) - 4 * x * d.rb1
+    r, s, t1, t3 = _z_rst(_z_line(p, d), x)
     return r, s, np.array([t1, t1, t3]).T  # np.stack takes 5x as long at a scalar x
 
 
@@ -367,18 +378,23 @@ def sample_params_for_bloch(r: float, s: float, rng) -> SigmaZParams:
 def css_line_sweep(params: list[SigmaZParams], x_grid):
     """Correlation-vector polylines t(x) of several families.
 
-    Returns a list of row dicts (family_id, x, t, tau, r, s).  A point is
-    dropped where the family has left the PSD cone: where its smallest
-    eigenvalue, `spectra.branch_min` at q1 = q2 = t1, is below -PSD_TOL.
+    Returns a list of row dicts (family_id, x, t, tau, r, s), family by
+    family in x_grid's order.  A point is dropped where the family has left
+    the PSD cone: where its smallest eigenvalue, `spectra.branch_min` at
+    q1 = q2 = t1, is below -PSD_TOL.  The derivatives are taken family by
+    family, a degenerate one raising DegenerateZ; the points of all families
+    are one (family, x) array pass.
     """
     xs = np.asarray(x_grid, dtype=float)
-    rows = []
-    for fid, p in enumerate(params):
-        d = z_derivatives(p)
-        _, _, tau = _z_family_rst(p, d, 0.0)
-        r, s, t = _z_family_rst(p, d, xs)
-        keep = spectra.branch_min(r, s, t[:, 0], t[:, 1], t[:, 2]) >= -PSD_TOL
-        rows += [{"family_id": fid, "x": x, "t": t_x, "tau": tau, "r": r_x, "s": s_x}
-                 for x, t_x, r_x, s_x in zip(xs[keep].tolist(), t[keep],
-                                             r[keep].tolist(), s[keep].tolist())]
-    return rows
+    # (7, families, 1): each `_z_line` entry as a column over the families
+    lines = np.array([_z_line(p, z_derivatives(p)) for p in params]).reshape(-1, 7).T[..., None]
+    r, s, t1, t3 = _z_rst(lines, xs)
+    keep = spectra.branch_min(r, s, t1, t1, t3) >= -PSD_TOL
+    fid, col = np.nonzero(keep)
+    t1, t3 = t1[keep], t3[keep]
+    _, _, tau1, tau3 = (v[:, 0] for v in _z_rst(lines, 0.0))
+    tau = list(np.column_stack([tau1, tau1, tau3]))  # one array per family, as rows share it
+    return [{"family_id": f, "x": x, "t": t_x, "tau": tau[f], "r": r_x, "s": s_x}
+            for f, x, t_x, r_x, s_x in zip(fid.tolist(), xs[col].tolist(),
+                                           np.column_stack([t1, t1, t3]),
+                                           r[keep].tolist(), s[keep].tolist())]

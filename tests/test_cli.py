@@ -290,6 +290,28 @@ class TestCss:
         assert res.stderr == "error: state is outside the solvable families\n"
         assert sorted(os.listdir(tmp_path)) == ["o.json"]
 
+    @pytest.mark.parametrize("name", ["separable_product", "separable_diagonal"])
+    def test_separable_other_geometric_is_its_own_css(self, runner, tmp_path, monkeypatch,
+                                                       name):
+        """`css --method geometric` on a separable state outside the families
+        writes what `--method auto` writes: method geometric, separable, the
+        state as its own CSS at REE 0, without calling the oracle."""
+        def no_oracle(rho, cfg=None):
+            raise AssertionError("the oracle ran")
+
+        for module in (cli, css, ree):
+            monkeypatch.setattr(module, "ree_numeric", no_oracle)
+        rho = fixed_inputs()[name]
+        assert css.classify(rho).kind is css.FamilyKind.OTHER and qstate.is_ppt(rho)
+        p = write_state(tmp_path / "o.json", rho)
+        runs = [runner.invoke(cli.main, ["css", p, "--method", method])
+                for method in ("geometric", "auto")]
+        assert [r.exit_code for r in runs] == [0, 0]
+        assert runs[0].output == runs[1].output
+        d = json.loads(runs[0].output)
+        assert d["method"] == "geometric" and d["family"] == "Other"
+        assert d["separable"] is True and d["ree"] == 0.0
+
     def test_unconverged_fallback_exit_1(self, runner, tmp_path, monkeypatch):
         """`css --method auto` exits 1 with one error line and writes no file
         when the oracle behind the numeric fallback does not converge, after

@@ -45,6 +45,19 @@ def test_reports_each_moved_path_and_column(tmp_path):
     assert not any("family" in line or "same.csv" in line for line in lines)
 
 
+def test_moved_row_count_is_one_line(tmp_path):
+    """A CSV that gained rows reports their count once, not a count per
+    column, along with any column it gained or lost."""
+    _write(tmp_path / "before", {"m.csv": "q1,q2,sheet\n0.5,0.25,mu\n1,0,nu\n",
+                                 "w.csv": "x,y\n1,2\n"})
+    _write(tmp_path / "after", {"m.csv": "q1,q2,sheet\n0.5,0.25,mu\n1,0,nu\n1,1,mu\n",
+                                "w.csv": "x,z\n1,2\n3,4\n"})
+    code, lines = _run(tmp_path / "before", tmp_path / "after")
+    assert code == 0
+    assert lines == ["m.csv", "  rows: 2 -> 3", "w.csv", "  y: removed", "  z: added",
+                     "  rows: 1 -> 2", "2 of 2 files differ"]
+
+
 def test_equal_sets_report_nothing(tmp_path):
     files = {"a.json": '{"v": NaN}', "b.csv": "x\n1\n"}
     _write(tmp_path / "before", files)

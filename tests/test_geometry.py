@@ -9,9 +9,16 @@ from reegeom.geometry import Vertex
 from reegeom.qstate import PSD_TOL
 
 
+def _modulus(a, b):
+    """|(a, b)| in the arithmetic of `spectra.moduli`: the loops below compare
+    with it bit for bit, and at psd_tol = 0 a keep decision hangs on the last
+    bit of a modulus."""
+    return np.sqrt(a * a + b * b)
+
+
 def _branch_min_scalar(r, s, q1, q2, q3):
-    m1 = np.hypot(r - s, q1 + q2)
-    m2 = np.hypot(r + s, q1 - q2)
+    m1 = _modulus(r - s, q1 + q2)
+    m2 = _modulus(r + s, q1 - q2)
     return min((1 - q3) - m1, (1 + q3) - m2) / 4.0
 
 
@@ -23,8 +30,8 @@ def _surface_candidates_loop(body, r, s, n):
     for q1 in axis:
         for q2 in axis:
             qq2 = q2 if body == "T" else -q2
-            m1 = np.hypot(r - s, q1 + qq2)
-            m2 = np.hypot(r + s, q1 - qq2)
+            m1 = _modulus(r - s, q1 + qq2)
+            m2 = _modulus(r + s, q1 - qq2)
             if not m1 + m2 <= 2.0 + 1e-12:
                 continue
             for q3, sheet in ((1.0 - m1, "mu"), (m2 - 1.0, "nu")):
@@ -139,6 +146,12 @@ class TestTetrahedron:
         with pytest.raises(OutsideTetrahedron):
             geometry.nearest_vertex([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nearest_vertex_rejects_non_finite(self, bad):
+        # not OutsideTetrahedron: every face test is false at a NaN
+        with pytest.raises(ValueError, match="^t must be finite"):
+            geometry.nearest_vertex([0.1, bad, 0.2])
+
 
 class TestSurfaceMesh:
     def test_state_body_degenerates_to_tetrahedron(self):
@@ -184,7 +197,7 @@ class TestSurfaceMesh:
                 mesh = geometry.surface_mesh(body, r, s, n, psd_tol=psd_tol)
                 points, sheets = surface_mesh_loop(body, r, s, n, psd_tol, candidates)
                 assert np.array_equal(mesh.points, points)
-                assert mesh.sheets == sheets
+                assert mesh.sheets.tolist() == sheets
                 dropped[psd_tol] += len(candidates) - len(sheets)
         if n >= 16:
             # psd_tol = 0 drops roots on both bodies, so that case is never
@@ -201,12 +214,23 @@ class TestSurfaceMesh:
         # even grid misses
         mesh = geometry.surface_mesh(body, 1.0, 1.0, 16)
         assert mesh.points.shape == (0, 3)
-        assert mesh.sheets == []
+        assert mesh.sheets.tolist() == []
         assert surface_mesh_loop(body, 1.0, 1.0, 16)[0].shape == (0, 3)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             geometry.surface_mesh("T", 0.0, 0.0, 1)
+
+    @pytest.mark.parametrize("n", [16.0, 16.5, np.nan, "16", None])
+    def test_rejects_non_integer_grid(self, n):
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            geometry.surface_mesh("T", 0.0, 0.0, n)
+
+    def test_sheets_are_a_str_array(self):
+        mesh = geometry.surface_mesh("L", 0.2, -0.1, np.int64(12))
+        assert isinstance(mesh.sheets, np.ndarray) and mesh.sheets.dtype.kind == "U"
+        assert mesh.sheets.shape == (len(mesh.points),)
+        assert set(mesh.sheets.tolist()) == {"mu", "nu"}
 
     @pytest.mark.parametrize("body", ["X", "t", ""])
     def test_rejects_unknown_body(self, body):
@@ -275,6 +299,18 @@ class TestLineSurfaceCrossing:
         args = {"r": 0.0, "s": 0.0, name: bad}
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             geometry.line_surface_crossing(t, geometry.nearest_vertex(t), args["r"], args["s"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_t(self, bad):
+        # not NoCrossing after RuntimeWarnings: the ray itself is undefined
+        v = geometry.nearest_vertex([0.5, -0.5, 0.1])
+        with pytest.raises(ValueError, match="^t must be finite"):
+            geometry.line_surface_crossing(np.array([0.5, bad, 0.1]), v, 0.1, 0.1)
+
+    def test_sheet_is_a_plain_str(self):
+        t = np.array([0.5, -0.5, 0.1])
+        for c in geometry.line_surface_crossing(t, geometry.nearest_vertex(t), 0.1, 0.1):
+            assert type(c.sheet) is str and c.sheet in ("mu", "nu")
 
     def test_matches_loop_reference(self):
         """Crossings in the loop's window w <= 10 match it within the loop's

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reegeom import css, revmap
+from reegeom import css, revmap, spectra
 from reegeom.errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
 from reegeom.qstate import PSD_TOL, partial_transpose, to_pauli, validate_density_matrix
 from reegeom.ree import _log_divided, ree_numeric
@@ -295,7 +295,69 @@ def css_line_sweep_loop(params, x_grid, psd_tol=1e-10):
     return rows
 
 
+def css_line_sweep_per_family(params, x_grid):
+    """`css_line_sweep` as one array pass per family, the form that the one
+    pass over all families replaced, kept as its bit-for-bit reference."""
+    xs = np.asarray(x_grid, dtype=float)
+    rows = []
+    for fid, p in enumerate(params):
+        d = revmap.z_derivatives(p)
+        _, _, tau = revmap._z_family_rst(p, d, 0.0)
+        r, s, t = revmap._z_family_rst(p, d, xs)
+        keep = spectra.branch_min(r, s, t[:, 0], t[:, 1], t[:, 2]) >= -PSD_TOL
+        rows += [{"family_id": fid, "x": x, "t": t_x, "tau": tau, "r": r_x, "s": s_x}
+                 for x, t_x, r_x, s_x in zip(xs[keep].tolist(), t[keep],
+                                             r[keep].tolist(), s[keep].tolist())]
+    return rows
+
+
+def assert_same_rows(rows, want):
+    assert len(rows) == len(want)
+    for row, ref in zip(rows, want):
+        assert list(row) == list(ref)
+        for key in ("family_id", "x", "r", "s"):
+            assert type(row[key]) is type(ref[key]) and row[key] == ref[key]
+        for key in ("t", "tau"):
+            assert row[key].tobytes() == ref[key].tobytes()
+
+
 class TestSweep:
+    def test_matches_per_family_reference(self):
+        """Bit for bit on 240 random family lists of 0 to 12 families, with
+        (r, s) drawn as the benchmark draws them, wider, and near |r| = |s| = 1
+        as in the fixed CLI inputs, on grids that leave the PSD cone."""
+        rng = np.random.default_rng(36)
+        bloch = [lambda: tuple(rng.uniform(-0.3, 0.3, size=2)),
+                 lambda: tuple(rng.uniform(-0.9, 0.9, size=2)),
+                 lambda: (0.97, 0.97), lambda: (-0.98, -0.96)]
+        grids = [np.linspace(0.0, 2.5, 50), np.linspace(0.0, 8.0, 37), np.array([0.7]),
+                 np.empty(0)]
+        rows = dropped = 0
+        for i in range(240):
+            r, s = bloch[i % 4]()
+            params = [revmap.sample_params_for_bloch(r, s, rng)
+                      for _ in range(rng.integers(0, 13))]
+            grid = grids[(i // 4) % 4]
+            want = css_line_sweep_per_family(params, grid)
+            assert_same_rows(revmap.css_line_sweep(params, grid), want)
+            rows += len(want)
+            dropped += len(params) * len(grid) - len(want)
+        assert rows > 0 and dropped > 0
+
+    @pytest.mark.parametrize("bad", [SigmaZParams(0.0, 0.5, 0.5, 0.0),
+                                     SigmaZParams(0.25, 0.25, 0.25, 0.25)])
+    def test_degenerate_family_raises(self, bad):
+        """A family where `z_derivatives` raises fails the whole sweep with
+        the per-family form's DegenerateZ and message, wherever it stands."""
+        good = bell_diagonal_params(0.2)
+        grid = np.linspace(0.0, 2.5, 50)
+        for params in ([bad], [good, bad], [bad, good, good]):
+            with pytest.raises(DegenerateZ) as want:
+                css_line_sweep_per_family(params, grid)
+            with pytest.raises(DegenerateZ) as got:
+                revmap.css_line_sweep(params, grid)
+            assert str(got.value) == str(want.value)
+
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(26)
         grids = [np.linspace(0.0, 2.5, 50), np.linspace(0.0, 8.0, 301)]
