@@ -41,11 +41,12 @@ HESSIAN_FLOOR = 1e-14  # diagonal shift of the Newton system, as a fraction of t
 DIVIDED_SPREAD = 1e-5  # relative spread below which a second divided difference takes its limit
 BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
 
-# sigma = I/4 + sum_k x_k B_k, B_k = (sigma_a (x) sigma_b) / 4 flattened, k = 4a + b - 1;
-# x @ _DIRECTIONS_FLAT stacks sigma and sigma^Gamma, whose B_k flip sign with sigma_y on B
+# sigma = I/4 + sum_k x_k B_k, B_k = (sigma_a (x) sigma_b) / 4 flattened, k = 4a + b - 1,
+# and x_k = tr(sigma sigma_a (x) sigma_b) = _PAULI_ROWS @ sigma flattened;
+# x @ _DIRECTIONS_FLAT stacks sigma and sigma^Gamma
 _B_FLAT = PAULI_BASIS[1:] / 4
-_PT_SIGN = np.array([-1.0 if k % 4 == 2 else 1.0 for k in range(1, 16)])
-_DIRECTIONS_FLAT = np.stack([_B_FLAT, _PT_SIGN[:, None] * _B_FLAT])
+_PAULI_ROWS = PAULI_BASIS[1:].conj()
+_DIRECTIONS_FLAT = np.stack([_B_FLAT, partial_transpose(_B_FLAT.reshape(15, 4, 4)).reshape(15, 16)])
 _EYE_FLAT = (np.eye(4) / 4).reshape(16)
 # index triples (lo, mid, hi) of the second divided differences, (3, 64), each
 # sorted ascending, so that they pick sorted triples out of eigh's ascending
@@ -261,7 +262,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     lam, mu0 = min(float(p[0]), float(p_pt[0])), MU_SCHEDULE[0]
     m = (mu0 - lam) / (0.25 - lam) if lam < mu0 else 0.0
     # rho's coordinates x_k = tr(rho sigma_a (x) sigma_b), scaled toward I/4 at x = 0
-    x = (1.0 - m) * (PAULI_BASIS[1:].conj() @ rho.reshape(16)).real
+    x = (1.0 - m) * (_PAULI_ROWS @ rho.reshape(16)).real
     w, v = _spectra(x)
     steps = 0
     hess = None
@@ -336,15 +337,13 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     D_sigma leaves the identity on K free where css is rank-deficient, which
     gives c = 0 to rounding at a CSS; or, where lambda_min(css^Gamma) >
     SUPPORT_TOL, the barrier's mu (css^Gamma)^-1 at mu = MU_SCHEDULE[-1],
-    which gives c = -gap at `ree_numeric`'s css.  -inf where S(rho||css) =
-    inf.  `n_directions` is ignored; it stays because `perfbench/` passes it.
+    which gives c = -gap at `ree_numeric`'s css.  -inf where
+    `relative_entropy`(rho, css) = inf.  `n_directions` is ignored; it stays because `perfbench/` passes it.
     """
     from .revmap import _fit  # revmap imports this module
-    rho = _finite(rho)
-    p, u = np.linalg.eigh(rho)
-    w, v = _pt_spectra(css)
-    if math.isinf(_relative_entropy(rho, p, u, w[0], v[0])):
+    if math.isinf(relative_entropy(rho, css)):
         return -math.inf  # no state at infinite relative entropy is a minimizer
+    rho, (w, v) = _finite(rho), _pt_spectra(css)
     return _certificate(rho, css, w, v, _fit(css, rho, w, v))
 
 

@@ -3,8 +3,8 @@ family of entangled states sharing it as closest separable state.
 
 Two independent routes are implemented: the spectral construction
 rho(x) = sigma - x G(sigma) built from the kernel of sigma's partial
-transpose, and the closed-form X-shaped family with its derivative
-coefficients (including the literature sign correction).  Their agreement
+transpose, and the closed-form X-shaped family, G the `_x_matrix` of its
+derivative coefficients (literature sign corrected).  Their agreement
 is an executable proof check.  Neither route checks that rho(x) is a
 state: that holds exactly for 0 <= x <= x_max = 1 / lambda_max(sigma^-1/2 G
 sigma^-1/2).  `css_line_sweep` drops the X-shaped family's points past it
@@ -14,10 +14,11 @@ by the family's smallest eigenvalue, `spectra.branch_min`.
 of sigma^Gamma, by fitting the multiplier Z of sigma^Gamma >= 0 in the
 stationarity condition rho = sigma - D_sigma(Z^Gamma) (Ishizaka, PRA 67,
 060301(R) (2003); Friedland & Gour, J. Math. Phys. 52, 052201 (2011)).
-`_generators` builds G's rows once for `g_matrix` and `recover`, on the
-kernel of sigma^Gamma at EDGE_TOL and sigma's support at `ree.SUPPORT_TOL`;
-`_fit` fits Z once per CSS: `_rebuild` reads it for `recover` and
-`css.css_auto`'s recovery_gap, `ree._certificate` for the certificate.
+`_generators` is the one builder of G's rows, D_sigma on sigma's support at
+`ree.SUPPORT_TOL`: `g_matrix` and `_fit` pass it the kernel of sigma^Gamma
+at EDGE_TOL (`_kernel`), the Newton residual sigma^Gamma's lowest
+eigenvector.  `_fit` fits Z once per CSS: `_rebuild` reads it for `recover`
+and `css.css_auto`'s recovery_gap, `ree._certificate` for the certificate.
 `_newton` solves the map backwards, for sigma and x from rho, by damped
 Newton with a closed-form Jacobian; `_edge_css` decides whether
 `css.css_auto` takes its sigma, route "reverse-map".
@@ -33,10 +34,9 @@ import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import (PAULI_BASIS, PSD_TOL, _finite, _pt_spectra, _require_finite,
-                     partial_transpose)
-from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, MAX_HALVINGS, SUPPORT_TOL, _certificate,
-                  _log_divided, _log_divided2, _spectra, _support_log_divided)
+from .qstate import PSD_TOL, _finite, _pt_spectra, _require_finite, partial_transpose
+from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, _PAULI_ROWS, MAX_HALVINGS, SUPPORT_TOL,
+                  _certificate, _log_divided2, _spectra, _support_log_divided)
 
 EDGE_TOL = 1e-8
 # the Newton solve of the reverse map, `_newton`, and what route "reverse-map" accepts
@@ -69,9 +69,14 @@ class SigmaZParams:
         return math.sqrt(self.r1 * self.r4)
 
     def matrix(self) -> np.ndarray:
-        m = np.diag([self.r1, self.r2, self.r3, self.r4]).astype(complex)
-        m[1, 2] = m[2, 1] = self.y
-        return m
+        return _x_matrix((self.r1, self.r2, self.r3, self.r4), self.y)
+
+
+def _x_matrix(diagonal, y) -> np.ndarray:
+    """The complex X-shaped matrix diag(d1, [d2 y; y d3], d4)."""
+    m = np.diag(diagonal).astype(complex)
+    m[1, 2] = m[2, 1] = y
+    return m
 
 
 @dataclass(frozen=True)
@@ -83,33 +88,36 @@ class ZFamilyDerivatives:
     yb: float
 
 
-def _generators(w: np.ndarray, vecs: np.ndarray):
-    """(lam, V, K, rows) from the `_pt_spectra` w, vecs of sigma: sigma =
-    V diag(lam) V^dagger, the columns k_1 .. k_n of K (4, n), the eigenvectors
-    of sigma^Gamma with |eigenvalue| <= EDGE_TOL, and one row
+def _generators(lam: np.ndarray, v: np.ndarray, kmat: np.ndarray):
+    """(l1, rows) from sigma = V diag(lam) V^dagger and columns k_1 .. k_n of
+    K (4, n): l1 = `ree._support_log_divided`(lam), and one row
     D_sigma((k_a k_b^dagger)^Gamma) in sigma's eigenbasis, (n^2, 4, 4), for
     each pair.  D_sigma, the inverse derivative of ln on sigma's support,
-    multiplies by the reciprocal divided differences 1 / ln[l_i, l_j] and is
-    zero on sigma's kernel."""
-    kmat = vecs[1][:, np.abs(w[1]) <= EDGE_TOL]
-    k, lam, v = kmat.T[:, None, :, None], w[0], vecs[0]
-    l1 = _support_log_divided(lam)
+    multiplies by 1 / l1 and is zero on sigma's kernel."""
+    k, l1 = kmat.T[:, None, :, None], _support_log_divided(lam)
     coef = 1.0 / np.where(l1 == 0, np.inf, l1)
     # k_a k_b^dagger by a product over a length-1 axis: one multiply, as einsum's
     units = partial_transpose((k @ k.conj().transpose(1, 0, 3, 2)).reshape(-1, 4, 4))
-    return lam, v, kmat, coef * (v.conj().T @ units @ v)
+    return l1, coef * (v.conj().T @ units @ v)
+
+
+def _kernel(w, vecs) -> np.ndarray:
+    """K (4, n) from the `_pt_spectra` w, vecs of sigma: the eigenvectors of
+    sigma^Gamma with |eigenvalue| <= EDGE_TOL, as columns."""
+    return vecs[1][:, np.abs(w[1]) <= EDGE_TOL]
 
 
 def g_matrix(sigma: np.ndarray) -> np.ndarray:
     """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma), the
     one row of `_generators` mapped back: sigma must have full rank and phi
     span the kernel of sigma's partial transpose."""
-    lam, v, k, rows = _generators(*_pt_spectra(sigma))
-    if lam[0] <= SUPPORT_TOL:
-        raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= {SUPPORT_TOL:.0e}")
-    if len(rows) != 1:
+    w, vecs = _pt_spectra(sigma)
+    k, v = _kernel(w, vecs), vecs[0]
+    if w[0, 0] <= SUPPORT_TOL:
+        raise RankDeficient(f"smallest eigenvalue {w[0, 0]:.3e} <= {SUPPORT_TOL:.0e}")
+    if k.shape[1] != 1:
         raise NotEdgeState(f"{k.shape[1]} near-zero PT eigenvalues (need exactly 1)")
-    return v @ rows[0] @ v.conj().T
+    return v @ _generators(w[0], v, k)[1][0] @ v.conj().T
 
 
 def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
@@ -151,15 +159,13 @@ def _fit(sigma, rho, w, vecs):
     """(K, M, rows) of `recover`, from the spectra w, vecs of (sigma,
     sigma^Gamma): the kernel vectors K (4, n), the Hermitian n x n M fitted to
     rho, and `_generators`' rows flat, (n^2, 16); all empty where n = 0."""
-    _, v, k, rows = _generators(w, vecs)
-    cols = rows.reshape(len(rows), 16)
+    k, v = _kernel(w, vecs), vecs[0]
+    cols = _generators(w[0], v, k)[1].reshape(-1, 16)
     target = (v.conj().T @ (sigma - rho) @ v).ravel()
     m = np.linalg.lstsq(cols.T, target, rcond=None)[0].reshape(k.shape[1], k.shape[1])
     return k, (m + m.conj().T) / 2, cols
 
 
-# rows of tr(M sigma_a (x) sigma_b), k = 4a + b - 1, against a flattened Hermitian M
-_PAULI_ROWS = PAULI_BASIS[1:].conj()
 _E = _DIRECTIONS_FLAT.reshape(2, 15, 4, 4)  # E_k = d sigma / d c_k and E_k^Gamma
 
 
@@ -180,14 +186,13 @@ class _NewtonEnd(NamedTuple):
 def _edge_residual(c, x, target, w, v):
     """F(c, x) of `_newton` from the spectra w, v of (sigma, sigma^Gamma): the
     Pauli coordinates of sigma - x G(sigma) - rho, with target rho's, and
-    lambda_min(sigma^Gamma).  G = D_sigma((phi phi^dagger)^Gamma) with phi
-    the lowest eigenvector of sigma^Gamma, whatever its eigenvalue.  Also
-    returns what the Jacobian reuses: the first divided differences l1 of
-    sigma's spectrum, G in sigma's eigenbasis and G's Pauli coordinates."""
-    lam, vs, phi = w[0], v[0], v[1][:, 0]
-    l1 = _log_divided(lam[:, None], lam[None, :])
-    g_eig = (vs.conj().T @ partial_transpose(np.outer(phi, phi.conj())) @ vs) / l1
-    g = (_PAULI_ROWS @ (vs @ g_eig @ vs.conj().T).reshape(16)).real
+    lambda_min(sigma^Gamma).  G = D_sigma((phi phi^dagger)^Gamma) is
+    `_generators`' row at phi, the lowest eigenvector of sigma^Gamma, whatever
+    its eigenvalue.  Also returns what the Jacobian reuses: the first divided
+    differences l1 of sigma's spectrum, G in sigma's eigenbasis and G's Pauli
+    coordinates."""
+    l1, (g_eig,) = _generators(w[0], v[0], v[1][:, :1])
+    g = (_PAULI_ROWS @ (v[0] @ g_eig @ v[0].conj().T).reshape(16)).real
     return np.append(c - x * g - target, w[1, 0]), l1, g_eig, g
 
 
@@ -308,13 +313,8 @@ def z_family(p: SigmaZParams, x) -> np.ndarray:
     stack.  Raises ValueError where an x is not finite."""
     _require_finite(x=x)
     d = z_derivatives(p)
-    x = np.asarray(x, dtype=float)
-    m = np.zeros(x.shape + (4, 4), dtype=complex)
-    for k, (rk, rbk) in enumerate(((p.r1, d.rb1), (p.r2, d.rb2),
-                                   (p.r3, d.rb3), (p.r4, d.rb4))):
-        m[..., k, k] = rk - x * rbk
-    m[..., 1, 2] = m[..., 2, 1] = p.y - x * d.yb
-    return m
+    g = _x_matrix((d.rb1, d.rb2, d.rb3, d.rb4), d.yb)  # G(sigma) of the family
+    return p.matrix() - np.asarray(x, dtype=float)[..., None, None] * g
 
 
 def _z_line(p: SigmaZParams, d: ZFamilyDerivatives) -> tuple:
@@ -331,12 +331,6 @@ def _z_rst(line, x):
     return r0 - x * drb, s0 + x * drb, t10 - 2 * x * yb, t30 - 4 * x * rb1
 
 
-def _z_family_rst(p: SigmaZParams, d: ZFamilyDerivatives, x):
-    """(r, s, t) of rho(x) from precomputed derivatives; x a scalar or a 1-D array."""
-    r, s, t1, t3 = _z_rst(_z_line(p, d), x)
-    return r, s, np.array([t1, t1, t3]).T  # np.stack takes 5x as long at a scalar x
-
-
 def line_crossing(p: SigmaZParams, p2: SigmaZParams):
     """Where the correlation-vector lines of two families meet.
 
@@ -344,15 +338,15 @@ def line_crossing(p: SigmaZParams, p2: SigmaZParams):
     first family's line at x.
     """
     da, db = z_derivatives(p), z_derivatives(p2)
-    # each line's offset at x = 0: t1 = 2 y, t3 = R1 - R2 - R3 + R4
-    (t1a, _, t3a), (t1b, _, t3b) = (_z_family_rst(q, d, 0.0)[2].tolist()
-                                    for q, d in ((p, da), (p2, db)))
+    line = _z_line(p, da)
+    (t1a, t3a), (t1b, t3b) = line[2:4], _z_line(p2, db)[2:4]  # each line's offset at x = 0
     denom = db.yb * da.rb1 - da.yb * db.rb1
     if abs(denom) < 1e-12:
         raise ParallelLines("family correlation lines do not cross")
     x = (db.yb * (t3a - t3b) - 2 * (t1a - t1b) * db.rb1) / (4 * denom)
     x2 = (da.yb * (t3a - t3b) - 2 * (t1a - t1b) * da.rb1) / (4 * denom)
-    return x, x2, _z_family_rst(p, da, x)[2]
+    _, _, t1, t3 = _z_rst(line, x)
+    return x, x2, np.array([t1, t1, t3])
 
 
 def sample_params_for_bloch(r: float, s: float, rng) -> SigmaZParams:
@@ -386,6 +380,7 @@ def css_line_sweep(params: list[SigmaZParams], x_grid):
     are one (family, x) array pass.
     """
     xs = np.asarray(x_grid, dtype=float)
+    _require_finite(x_grid=xs)
     # (7, families, 1): each `_z_line` entry as a column over the families
     lines = np.array([_z_line(p, z_derivatives(p)) for p in params]).reshape(-1, 7).T[..., None]
     r, s, t1, t3 = _z_rst(lines, xs)

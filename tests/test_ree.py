@@ -190,11 +190,16 @@ class TestGradient:
 # match them bit for bit.
 _TRIPLES_REFERENCE = np.array(
     [sorted(t) for t in itertools.product(range(4), repeat=3)]).T.reshape(3, 4, 4, 4)
+# sigma = I/4 + sum_k x_k B_k, B_k = (sigma_a (x) sigma_b) / 4 flattened, k = 4a + b - 1;
+# the partial transpose flips the sign of each B_k with sigma_y on B, k = 1, 5, 9, 13
+_B_REFERENCE = qstate.PAULI_BASIS[1:] / 4
+_PT_SIGN_REFERENCE = np.array([1, -1, 1, 1, 1, -1, 1, 1, 1, -1, 1, 1, 1, -1, 1], dtype=float)
+_DIRECTIONS_REFERENCE = np.stack([_B_REFERENCE, _PT_SIGN_REFERENCE[:, None] * _B_REFERENCE])
 
 
 def _spectra_reference(x):
-    m = np.eye(4) / 4 + np.tensordot(np.stack([x, ree._PT_SIGN * x]),
-                                     ree._B_FLAT.reshape(15, 4, 4), axes=1)
+    m = np.eye(4) / 4 + np.tensordot(np.stack([x, _PT_SIGN_REFERENCE * x]),
+                                     _B_REFERENCE.reshape(15, 4, 4), axes=1)
     return np.linalg.eigh(m)
 
 
@@ -216,7 +221,7 @@ def _log_divided2_reference(w, l1):
 
 def _derivatives_reference(rho, mu, w, v):
     kron = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(2, 16, 16)
-    e = ree._DIRECTIONS_FLAT @ kron
+    e = _DIRECTIONS_REFERENCE @ kron
     r = (rho.reshape(16) @ kron[0]).reshape(4, 4)
     l1 = ree._log_divided(w[0][:, None], w[0][None, :])
     grad = -np.real(e[0] @ (l1 * r).T.reshape(16))

@@ -7,7 +7,7 @@ from reegeom.qstate import PSD_TOL, partial_transpose, to_pauli, validate_densit
 from reegeom.ree import _log_divided, ree_numeric
 from reegeom.revmap import SigmaZParams
 
-from conftest import generic_edge_state, physical_range
+from conftest import generic_edge_state, physical_range, random_density_matrix
 
 
 def bell_diagonal_params(a):
@@ -171,11 +171,11 @@ class TestDualRoute:
         # the closed-form (r, s, t) that css_line_sweep writes
         p = revmap.sample_params_for_bloch(0.2, -0.1, rng)
         for x in (0.0, 0.3):
-            r, s, t = revmap._z_family_rst(p, revmap.z_derivatives(p), x)
+            r, s, t1, t3 = revmap._z_rst(revmap._z_line(p, revmap.z_derivatives(p)), x)
             pf = to_pauli(revmap.z_family(p, x))
             assert pf.r[2] == pytest.approx(r, abs=1e-12)
             assert pf.s[2] == pytest.approx(s, abs=1e-12)
-            assert np.allclose(np.diag(pf.g), t, atol=1e-12)
+            assert np.allclose(np.diag(pf.g), [t1, t1, t3], atol=1e-12)
 
     def test_derivative_identity(self):
         # the diagonal derivative coefficients sum to zero (trace preserved)
@@ -301,9 +301,10 @@ def css_line_sweep_per_family(params, x_grid):
     xs = np.asarray(x_grid, dtype=float)
     rows = []
     for fid, p in enumerate(params):
-        d = revmap.z_derivatives(p)
-        _, _, tau = revmap._z_family_rst(p, d, 0.0)
-        r, s, t = revmap._z_family_rst(p, d, xs)
+        line = revmap._z_line(p, revmap.z_derivatives(p))
+        _, _, tau1, tau3 = revmap._z_rst(line, 0.0)
+        r, s, t1, t3 = revmap._z_rst(line, xs)
+        tau, t = np.array([tau1, tau1, tau3]), np.array([t1, t1, t3]).T
         keep = spectra.branch_min(r, s, t[:, 0], t[:, 1], t[:, 2]) >= -PSD_TOL
         rows += [{"family_id": fid, "x": x, "t": t_x, "tau": tau, "r": r_x, "s": s_x}
                  for x, t_x, r_x, s_x in zip(xs[keep].tolist(), t[keep],
@@ -343,6 +344,14 @@ class TestSweep:
             rows += len(want)
             dropped += len(params) * len(grid) - len(want)
         assert rows > 0 and dropped > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_raises(self, bad):
+        """A NaN or infinite x in the grid raises ValueError, as z_family's
+        does, rather than dropping its rows or overflowing."""
+        grid = np.array([0.0, 0.5, bad, 1.0])
+        with pytest.raises(ValueError, match="^x_grid must be finite"):
+            revmap.css_line_sweep([bell_diagonal_params(0.2)], grid)
 
     @pytest.mark.parametrize("bad", [SigmaZParams(0.0, 0.5, 0.5, 0.0),
                                      SigmaZParams(0.25, 0.25, 0.25, 0.25)])
@@ -519,6 +528,29 @@ class TestNewton:
                 diff[:, k] = (f_plus[0] - f_minus[0]) / 2e-7
             worst = max(worst, np.abs(diff - jac).max() / np.abs(jac).max())
         assert worst <= 1e-7
+
+    def test_one_generator(self):
+        """The solve builds G(sigma) with `g_matrix`'s builder: at the Newton
+        ends of entangled random states of rank 2-4, wherever sigma^Gamma has
+        one kernel vector at EDGE_TOL (266 of them), the residual's G
+        coordinates are _PAULI_ROWS @ g_matrix(sigma), bit for bit."""
+        rng = np.random.default_rng(42)
+        ends = 0
+        for _ in range(300):
+            rho = random_density_matrix(rng, rank=int(rng.integers(2, 5)))
+            w, v = validate_density_matrix(rho)
+            if w[1, 0] >= -PSD_TOL:
+                continue
+            end = revmap._newton(rho, w, v)
+            sigma = (revmap._EYE_FLAT + end.c @ revmap._B_FLAT).reshape(4, 4)
+            if np.count_nonzero(np.abs(np.linalg.eigvalsh(partial_transpose(sigma)))
+                                <= revmap.EDGE_TOL) != 1:
+                continue
+            g = revmap._edge_residual(end.c, end.x, end.c, end.w, end.v)[3]
+            want = (revmap._PAULI_ROWS @ revmap.g_matrix(sigma).reshape(16)).real
+            assert np.array_equal(g, want)
+            ends += 1
+        assert ends >= 250
 
     def test_solves_generic_family_states(self):
         """rho = sigma - x G(sigma) is solved to its rounding floor, sigma
