@@ -34,7 +34,7 @@ from .qstate import (
     to_pauli,
     validate_density_matrix,
 )
-from .ree import SUPPORT_TOL, _relative_entropy, ree_numeric
+from .ree import SUPPORT_TOL, _fit, _relative_entropy, ree_numeric
 
 CLASSIFY_TOL = 1e-8
 
@@ -69,7 +69,7 @@ class CssResult:
     - bloch_gap: distance between their Bloch vectors, fact (i);
     - edge_gap: |lambda_min(css^Gamma)|;
     - recovery_gap: max-entry error of `revmap.recover(css, rho)`; NaN when
-      rho is separable or css^Gamma has no kernel at `revmap.EDGE_TOL`.
+      rho is separable or css^Gamma has no kernel at `ree.EDGE_TOL`.
     route names how `_solve` built the CSS: "ppt" (rho itself),
     "bell-diagonal", "vp" or "horodecki" (the family's closed form),
     "maximally-correlated" (the VP closed form on a state of family Other,
@@ -197,7 +197,7 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
     vectors and has correlation tensor a^T diag(_tau(route, ...)) b, or on
     route "oracle" is the reverse map's Newton solve, route "reverse-map",
     where `revmap._edge_css` accepts it, and else the oracle's.  recovery_gap
-    reads the CSS's one `revmap._fit`, on route "reverse-map" the solve's."""
+    reads the CSS's one `ree._fit`, on route "reverse-map" the solve's."""
     separable, spectra, fit = _ppt(w), None, None
     if separable:
         css, tau, route = from_pauli(p_rho), t, "ppt"
@@ -218,8 +218,8 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
         tau = np.diag(a @ p_css.g @ b.T)
     gap = math.nan
     if not separable:
-        fit = revmap._fit(css, rho, ws, vs) if fit is None else fit
-        if len(fit[2]):  # css^Gamma has a kernel at revmap.EDGE_TOL
+        fit = _fit(css, rho, ws, vs) if fit is None else fit
+        if len(fit[2]):  # css^Gamma has a kernel at ree.EDGE_TOL
             gap = float(np.max(np.abs(revmap._rebuild(css, vs[0], fit) - rho)))
     return CssResult(
         css=css, tau=np.asarray(tau, float), family=tag,

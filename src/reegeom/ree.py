@@ -10,6 +10,12 @@ Frank-Wolfe gap (Jaggi, ICML 2013), bounded through the barrier's dual,
 that brackets the minimum.  It is the independent oracle against which the
 geometric constructions are verified.  `directional_optimality_check`
 reads the same bound, `_dual_floor`, at the reverse map's multiplier too.
+
+`_fit` fits that multiplier Z of sigma^Gamma >= 0 to the stationarity
+condition rho = sigma - D_sigma(Z^Gamma) (Friedland & Gour, J. Math. Phys.
+52, 052201 (2011)) on the rows of `_generators`, the one builder of G(sigma),
+at the kernel of sigma^Gamma within EDGE_TOL (`_kernel`); `revmap` reads all
+three for the reverse map, `css` and `_certificate` read the fit.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PAULI_BASIS, _finite, _pt_spectra, partial_transpose, validate_density_matrix
+from .qstate import PAULI_BASIS, _finite, partial_transpose, validate_density_matrix
 
 SUPPORT_TOL = 1e-12
+EDGE_TOL = 1e-8
 # barrier weights of the central path: 0.01, 1e-3, ..., 1e-9, from a start
 # where sigma and sigma^Gamma have eigenvalues >= the first; the excess of the
 # path's end over the optimum is at most 8 * 1e-9 (barrier parameter 8)
@@ -158,6 +165,19 @@ def _log_gradient(rho: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -v @ (_support_log_divided(q) * b) @ v.conj().T
 
 
+def _generators(lam: np.ndarray, v: np.ndarray, kmat: np.ndarray):
+    """(l1, rows) from sigma = V diag(lam) V^dagger and columns k_1 .. k_n of
+    K (4, n): l1 = `_support_log_divided`(lam), and one row
+    D_sigma((k_a k_b^dagger)^Gamma) in sigma's eigenbasis, (n^2, 4, 4), for
+    each pair.  D_sigma, the inverse derivative of ln on sigma's support,
+    multiplies by 1 / l1 and is zero on sigma's kernel."""
+    k, l1 = kmat.T[:, None, :, None], _support_log_divided(lam)
+    coef = 1.0 / np.where(l1 == 0, np.inf, l1)
+    # k_a k_b^dagger by a product over a length-1 axis: one multiply, as einsum's
+    units = partial_transpose((k @ k.conj().transpose(1, 0, 3, 2)).reshape(-1, 4, 4))
+    return l1, coef * (v.conj().T @ units @ v)
+
+
 def _spectra(x: np.ndarray):
     """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of sigma(x) and sigma(x)^Gamma."""
     return np.linalg.eigh((_EYE_FLAT + x @ _DIRECTIONS_FLAT).reshape(2, 4, 4))
@@ -226,6 +246,11 @@ def _dual_floor(gmat: np.ndarray, q: np.ndarray) -> float:
     tau, and so over product states, for any multiplier Q >= 0: tr(tau G) =
     tr(tau (G - Q^Gamma)) + tr(tau^Gamma Q) >= lambda_min(G - Q^Gamma)."""
     return float(np.linalg.eigvalsh(gmat - partial_transpose(q))[0])
+
+
+def _barrier_multiplier(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mu (sigma^Gamma)^-1 at mu = MU_SCHEDULE[-1], from the w, v of (sigma, sigma^Gamma)."""
+    return (v[1] * (MU_SCHEDULE[-1] / w[1])) @ v[1].conj().T
 
 
 def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
@@ -318,8 +343,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     sigma = (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)  # exactly Hermitian; (w, v)[0] its spectrum
     value = _relative_entropy(rho, p, u, w[0], v[0])
     gmat = _log_gradient(rho, w[0], v[0])
-    q = (v[1] * (mu / w[1])) @ v[1].conj().T
-    gap = float(np.real(np.trace(sigma @ gmat))) - _dual_floor(gmat, q)
+    gap = float(np.real(np.trace(sigma @ gmat))) - _dual_floor(gmat, _barrier_multiplier(w, v))
     lower = value - gap
     return ReeReport(value=value, css_numeric=sigma, gap=gap, iterations=steps,
                      converged=finished and gap <= BRACKET_TOL,
@@ -333,28 +357,44 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
 
     By convexity REE >= S(rho||css) + c for any Q >= 0, and c <= 0: a css eps
     above the REE scores c <= -eps.  Q is the reverse map's fitted multiplier
-    K (M + s I) K^dagger (`revmap._fit`), s = max(0, -lambda_min(M)) since
+    K (M + s I) K^dagger (`_fit`), s = max(0, -lambda_min(M)) since
     D_sigma leaves the identity on K free where css is rank-deficient, which
     gives c = 0 to rounding at a CSS; or, where lambda_min(css^Gamma) >
-    SUPPORT_TOL, the barrier's mu (css^Gamma)^-1 at mu = MU_SCHEDULE[-1],
-    which gives c = -gap at `ree_numeric`'s css.  -inf where
-    `relative_entropy`(rho, css) = inf.  `n_directions` is ignored; it stays because `perfbench/` passes it.
+    SUPPORT_TOL, the barrier's `_barrier_multiplier`, which gives c = -gap
+    at `ree_numeric`'s css.  -inf where `relative_entropy`(rho, css) = inf.
+    `n_directions` is ignored; it stays because `perfbench/` passes it.
     """
-    from .revmap import _fit  # revmap imports this module
-    if math.isinf(relative_entropy(rho, css)):
+    rho, css = _finite(rho), _finite(css)
+    w, v = np.linalg.eigh(np.array([rho, css, partial_transpose(css)]))  # one eigh of the stack
+    if math.isinf(_relative_entropy(rho, w[0], v[0], w[1], v[1])):
         return -math.inf  # no state at infinite relative entropy is a minimizer
-    rho, (w, v) = _finite(rho), _pt_spectra(css)
-    return _certificate(rho, css, w, v, _fit(css, rho, w, v))
+    return _certificate(rho, css, w[1:], v[1:], _fit(css, rho, w[1:], v[1:]))
 
 
 def _certificate(rho, css, w, v, fit) -> float:
     """`directional_optimality_check` at a css of finite S(rho||css), from
-    the spectra w, v of (css, css^Gamma) and their `revmap._fit` to rho."""
+    the spectra w, v of (css, css^Gamma) and their `_fit` to rho."""
     gmat = _log_gradient(rho, w[0], v[0])
     k, m, _ = fit
     shift = -np.linalg.eigvalsh(m).min(initial=0.0) * np.eye(len(m))
     floor = _dual_floor(gmat, k @ (m + shift) @ k.conj().T)
     if w[1, 0] > SUPPORT_TOL:
-        mu = MU_SCHEDULE[-1]
-        floor = max(floor, _dual_floor(gmat, (v[1] * (mu / w[1])) @ v[1].conj().T))
+        floor = max(floor, _dual_floor(gmat, _barrier_multiplier(w, v)))
     return floor - float(np.trace(css @ gmat).real)
+
+
+def _kernel(w, vecs) -> np.ndarray:
+    """K (4, n) from the `qstate._pt_spectra` w, vecs of sigma: the
+    eigenvectors of sigma^Gamma with |eigenvalue| <= EDGE_TOL, as columns."""
+    return vecs[1][:, np.abs(w[1]) <= EDGE_TOL]
+
+
+def _fit(sigma, rho, w, vecs):
+    """(K, M, rows) of `revmap.recover`, from the spectra w, vecs of (sigma,
+    sigma^Gamma): the kernel vectors K (4, n), the Hermitian n x n M fitted to
+    rho, and `_generators`' rows flat, (n^2, 16); all empty where n = 0."""
+    k, v = _kernel(w, vecs), vecs[0]
+    cols = _generators(w[0], v, k)[1].reshape(-1, 16)
+    target = (v.conj().T @ (sigma - rho) @ v).ravel()
+    m = np.linalg.lstsq(cols.T, target, rcond=None)[0].reshape(k.shape[1], k.shape[1])
+    return k, (m + m.conj().T) / 2, cols

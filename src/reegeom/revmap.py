@@ -11,17 +11,11 @@ sigma^-1/2).  `css_line_sweep` drops the X-shaped family's points past it
 by the family's smallest eigenvalue, `spectra.branch_min`.
 
 `recover` rebuilds rho from any CSS, rank-deficient or with a wider kernel
-of sigma^Gamma, by fitting the multiplier Z of sigma^Gamma >= 0 in the
-stationarity condition rho = sigma - D_sigma(Z^Gamma) (Ishizaka, PRA 67,
-060301(R) (2003); Friedland & Gour, J. Math. Phys. 52, 052201 (2011)).
-`_generators` is the one builder of G's rows, D_sigma on sigma's support at
-`ree.SUPPORT_TOL`: `g_matrix` and `_fit` pass it the kernel of sigma^Gamma
-at EDGE_TOL (`_kernel`), the Newton residual sigma^Gamma's lowest
-eigenvector.  `_fit` fits Z once per CSS: `_rebuild` reads it for `recover`
-and `css.css_auto`'s recovery_gap, `ree._certificate` for the certificate.
-`_newton` solves the map backwards, for sigma and x from rho, by damped
-Newton with a closed-form Jacobian; `_edge_css` decides whether
-`css.css_auto` takes its sigma, route "reverse-map".
+of sigma^Gamma, from the multiplier Z of sigma^Gamma >= 0 that `ree._fit`
+fits in the stationarity condition rho = sigma - D_sigma(Z^Gamma), on G's
+rows from `ree._generators`.  `_newton` solves the map backwards, for sigma
+and x from rho, by damped Newton with a closed-form Jacobian; `_edge_css`
+decides whether `css.css_auto` takes its sigma, route "reverse-map".
 """
 
 from __future__ import annotations
@@ -36,9 +30,8 @@ from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
 from .qstate import PSD_TOL, _finite, _pt_spectra, _require_finite, partial_transpose
 from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, _PAULI_ROWS, MAX_HALVINGS, SUPPORT_TOL,
-                  _certificate, _log_divided2, _spectra, _support_log_divided)
+                  _certificate, _fit, _generators, _kernel, _log_divided2, _spectra)
 
-EDGE_TOL = 1e-8
 # the Newton solve of the reverse map, `_newton`, and what route "reverse-map" accepts
 NEWTON_TOL = 1e-12  # largest |F|_2, at the solve's rounding floor, that it accepts
 NEWTON_STEPS = 20  # steps, each on a new Jacobian but at the rounding floor, before a solve stops
@@ -88,25 +81,6 @@ class ZFamilyDerivatives:
     yb: float
 
 
-def _generators(lam: np.ndarray, v: np.ndarray, kmat: np.ndarray):
-    """(l1, rows) from sigma = V diag(lam) V^dagger and columns k_1 .. k_n of
-    K (4, n): l1 = `ree._support_log_divided`(lam), and one row
-    D_sigma((k_a k_b^dagger)^Gamma) in sigma's eigenbasis, (n^2, 4, 4), for
-    each pair.  D_sigma, the inverse derivative of ln on sigma's support,
-    multiplies by 1 / l1 and is zero on sigma's kernel."""
-    k, l1 = kmat.T[:, None, :, None], _support_log_divided(lam)
-    coef = 1.0 / np.where(l1 == 0, np.inf, l1)
-    # k_a k_b^dagger by a product over a length-1 axis: one multiply, as einsum's
-    units = partial_transpose((k @ k.conj().transpose(1, 0, 3, 2)).reshape(-1, 4, 4))
-    return l1, coef * (v.conj().T @ units @ v)
-
-
-def _kernel(w, vecs) -> np.ndarray:
-    """K (4, n) from the `_pt_spectra` w, vecs of sigma: the eigenvectors of
-    sigma^Gamma with |eigenvalue| <= EDGE_TOL, as columns."""
-    return vecs[1][:, np.abs(w[1]) <= EDGE_TOL]
-
-
 def g_matrix(sigma: np.ndarray) -> np.ndarray:
     """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma), the
     one row of `_generators` mapped back: sigma must have full rank and phi
@@ -153,17 +127,6 @@ def _rebuild(sigma, v, fit) -> np.ndarray:
     if not len(cols):
         raise NotEdgeState("sigma's partial transpose has no near-zero eigenvalue")
     return sigma - v @ (m.ravel() @ cols).reshape(4, 4) @ v.conj().T
-
-
-def _fit(sigma, rho, w, vecs):
-    """(K, M, rows) of `recover`, from the spectra w, vecs of (sigma,
-    sigma^Gamma): the kernel vectors K (4, n), the Hermitian n x n M fitted to
-    rho, and `_generators`' rows flat, (n^2, 16); all empty where n = 0."""
-    k, v = _kernel(w, vecs), vecs[0]
-    cols = _generators(w[0], v, k)[1].reshape(-1, 16)
-    target = (v.conj().T @ (sigma - rho) @ v).ravel()
-    m = np.linalg.lstsq(cols.T, target, rcond=None)[0].reshape(k.shape[1], k.shape[1])
-    return k, (m + m.conj().T) / 2, cols
 
 
 _E = _DIRECTIONS_FLAT.reshape(2, 15, 4, 4)  # E_k = d sigma / d c_k and E_k^Gamma

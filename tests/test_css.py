@@ -278,14 +278,14 @@ class TestVp:
             assert res.residuals["recovery_gap"] <= 1e-9
 
     def test_recovery_failure_is_nan(self, monkeypatch):
-        # css reaches the reverse map through the CSS's one `revmap._fit`,
+        # css reaches the reverse map through the CSS's one `ree._fit`,
         # which takes the spectra of (sigma, sigma^Gamma) it has already
         # computed; a fit with no kernel column is a CSS whose partial
         # transpose has no near-zero eigenvalue
         def no_kernel(sigma, rho, w, v):
             return np.zeros((4, 0), complex), np.zeros((0, 0), complex), np.zeros((0, 16))
 
-        monkeypatch.setattr(revmap, "_fit", no_kernel)
+        monkeypatch.setattr(css, "_fit", no_kernel)
         res = css.css_vp((0.5, 0.3, 0.2))
         assert math.isnan(res.residuals["recovery_gap"])
 
@@ -299,7 +299,7 @@ class TestVp:
         def failing(sigma, rho, w, v):
             raise error
 
-        monkeypatch.setattr(revmap, "_fit", failing)
+        monkeypatch.setattr(css, "_fit", failing)
         with pytest.raises(type(error)):
             css.css_vp((0.5, 0.3, 0.2))
 
@@ -307,7 +307,7 @@ class TestVp:
         def broken(sigma, rho, w, v):
             raise TypeError("bug in the reverse map")
 
-        monkeypatch.setattr(revmap, "_fit", broken)
+        monkeypatch.setattr(css, "_fit", broken)
         with pytest.raises(TypeError):
             css.css_vp((0.5, 0.3, 0.2))
 
@@ -427,15 +427,28 @@ class TestCssAuto:
         state or a random full-rank state: css_auto raises nothing, its REE is
         finite, a closed-form CSS (neither "reverse-map" nor "oracle") has
         lambda_min >= -1e-12, and an entangled state's REE lies inside the
-        oracle's converged bracket [lower, value] within 1e-12."""
+        oracle's converged bracket [lower, value] within 1e-12.
+
+        A nudge is continuous at CLASSIFY_TOL: a named family is kept or falls
+        to Other, never to another family, and the REE moves by at most
+        Winter's bound at trace distance <= eps with one qubit side (Commun.
+        Math. Phys. 347, 291 (2016)), eps ln 2 + (1 + eps) h(eps / (1 + eps)),
+        h the binary entropy in nats, plus 1e-8 for the oracle's excess."""
         rng = np.random.default_rng(seed)
         rho = rotated(family_state(kind, rng), rng)
+        base = None
         if rng.uniform() < 0.7:
             rank = int(rng.choice([0, 1, 4]))
             target = np.eye(4) / 4 if rank == 0 else random_density_matrix(rng, rank)
             eps = 10 ** rng.uniform(-14, -5)
-            rho = (1 - eps) * rho + eps * target
+            base, rho = css.css_auto(rho), (1 - eps) * rho + eps * target
         res = css.css_auto(rho)
+        if base is not None:
+            if FamilyKind.OTHER not in (base.family.kind, res.family.kind):
+                assert res.family.kind is base.family.kind
+            p = eps / (1 + eps)
+            h = -p * math.log(p) - (1 - p) * math.log1p(-p)
+            assert abs(res.ree - base.ree) <= 1e-8 + eps * math.log(2) + (1 + eps) * h
         assert math.isfinite(res.ree)
         if res.route not in ("reverse-map", "oracle"):
             assert np.linalg.eigvalsh(res.css)[0] >= -1e-12
@@ -799,7 +812,7 @@ class TestCssAuto:
         dropped): route "reverse-map" rebuilds rho within 1e-12, and
         recovery_gap is NaN on five oracle states only, whose CSS has
         lambda_min 1.4e-8 to 2.2e-6, where the oracle's sigma ends with
-        lambda_min(sigma^Gamma) above revmap.EDGE_TOL, so that `recover`
+        lambda_min(sigma^Gamma) above ree.EDGE_TOL, so that `recover`
         raises NotEdgeState.  The oracle served all, with 14 NaN gaps,
         before route "reverse-map"."""
         nan = []
@@ -824,7 +837,7 @@ class TestCssAuto:
 
     def test_one_recovery_path_on_every_route(self, rng):
         """recovery_gap is max|recover(css, rho) - rho| bit for bit on every
-        entangled route, read from the CSS's one `revmap._fit`; where it is
+        entangled route, read from the CSS's one `ree._fit`; where it is
         NaN, `recover` raises (`test_recovery_gap_of_random_states`)."""
         while True:
             other = random_density_matrix(rng, rank=4)

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import reegeom
-from reegeom import cli, css, geometry, qstate, ree, revmap
+from reegeom import cli, css, geometry, qstate, ree
 from reegeom.errors import InvalidState
 from reegeom.ree import (
     OracleConfig,
@@ -984,10 +984,10 @@ class TestDirectionalOptimality:
                 continue
             rep = ree_numeric(rho)
             w, vecs = qstate._pt_spectra(rep.css_numeric)
-            if w[1, 0] <= revmap.EDGE_TOL:
+            if w[1, 0] <= ree.EDGE_TOL:
                 continue
             seen += 1
-            k, m, _ = revmap._fit(rep.css_numeric, rho, w, vecs)
+            k, m, _ = ree._fit(rep.css_numeric, rho, w, vecs)
             assert k.shape == (4, 0) and m.shape == (0, 0)
             c = directional_optimality_check(rho, rep.css_numeric)
             assert abs(c + rep.gap) <= 1e-15 and -1e-6 < c < -1e-9
@@ -1004,7 +1004,7 @@ class TestDirectionalOptimality:
             rho = rotate(css._vp_state(lam), u_a, u_b)
             sigma = rotate(css.css_vp(lam).css, u_a, u_b)
             w, vecs = qstate._pt_spectra(sigma)
-            k, m, _ = revmap._fit(sigma, rho, w, vecs)
+            k, m, _ = ree._fit(sigma, rho, w, vecs)
             e, u = np.linalg.eigh(m)
             assert k.shape == (4, 2) and e[0] < -0.1
             gmat = ree._log_gradient(rho, w[0], vecs[0])
@@ -1024,6 +1024,40 @@ class TestDirectionalOptimality:
         v = np.array([math.cos(0.4), 0, 0, math.sin(0.4)], dtype=complex)
         css00 = np.diag([1.0, 0, 0, 0]).astype(complex)
         assert directional_optimality_check(np.outer(v, v), css00) == -math.inf
+
+    def test_one_eigh_of_the_stack(self, monkeypatch):
+        """The certificate takes the spectra of rho, css and css^Gamma from one
+        eigh of their stack and checks each input for finite entries once.
+        Batched eigh gives each matrix the bits of a single call, so c equals
+        `_certificate` on css's own `_pt_spectra` and `_fit`, bit for bit: at
+        a rank-2 VP CSS (the fit), at a reverse-map CSS and at it mixed 1%
+        with I/4 (the barrier's multiplier)."""
+        rng = np.random.default_rng(21)
+        u_a, u_b = random_unitary(rng), random_unitary(rng)
+        cases = [(rotate(css._vp_state((0.5, 0.3, 0.2)), u_a, u_b),
+                  rotate(css.css_vp((0.5, 0.3, 0.2)).css, u_a, u_b))]
+        while len(cases) < 3:
+            rho = random_density_matrix(rng, rank=3)
+            res = css.css_auto(rho)
+            if res.route == "reverse-map":
+                cases += [(rho, res.css), (rho, 0.99 * res.css + 0.01 * np.eye(4) / 4)]
+        eigh, finite = np.linalg.eigh, ree._finite
+        for rho, sigma in cases:
+            calls = []
+            monkeypatch.setattr(np.linalg, "eigh",
+                                lambda a, *args: calls.append(np.shape(a)) or eigh(a, *args))
+            monkeypatch.setattr(ree, "_finite", lambda m: calls.append("finite") or finite(m))
+            c = directional_optimality_check(rho, sigma)
+            monkeypatch.undo()
+            assert calls == ["finite", "finite", (3, 4, 4)]
+            w, v = qstate._pt_spectra(sigma)
+            assert c == ree._certificate(rho, sigma, w, v, ree._fit(sigma, rho, w, v))
+        assert directional_optimality_check(
+            np.eye(4) / 4, np.diag([0.5, 0.5, 0.0, 0.0])) == -math.inf
+        bad = np.eye(4, dtype=complex) / 4
+        bad[2, 2] = math.nan
+        with pytest.raises(InvalidState):
+            directional_optimality_check(bad, cases[0][1])
 
 
 def _product_vectors(rng, n) -> np.ndarray:

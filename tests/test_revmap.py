@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reegeom import css, revmap, spectra
+from reegeom import css, ree, revmap, spectra
 from reegeom.errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
 from reegeom.qstate import PSD_TOL, partial_transpose, to_pauli, validate_density_matrix
 from reegeom.ree import _log_divided, ree_numeric
@@ -36,7 +36,7 @@ def einsum_outer(a, b):
 
 
 def g_matrix_reference(sigma, outer=np.outer):
-    """The generator as built before `revmap._generators`, kept as its
+    """The generator as built before `ree._generators`, kept as its
     reference: a single unit vector phi spanning ker sigma^Gamma, and D_sigma's
     coefficients as reciprocal log divided differences on sigma's support."""
     sigma = np.asarray(sigma, dtype=complex)
@@ -44,7 +44,7 @@ def g_matrix_reference(sigma, outer=np.outer):
     if lam[0] <= 1e-12:
         raise RankDeficient(f"smallest eigenvalue {lam[0]:.3e} <= 1e-12")
     vals, vecs = np.linalg.eigh(partial_transpose(sigma))
-    near_zero = np.abs(vals) <= revmap.EDGE_TOL
+    near_zero = np.abs(vals) <= ree.EDGE_TOL
     if np.count_nonzero(near_zero) != 1:
         raise NotEdgeState(f"{np.count_nonzero(near_zero)} near-zero PT eigenvalues")
     phi = vecs[:, near_zero].ravel()
@@ -544,7 +544,7 @@ class TestNewton:
             end = revmap._newton(rho, w, v)
             sigma = (revmap._EYE_FLAT + end.c @ revmap._B_FLAT).reshape(4, 4)
             if np.count_nonzero(np.abs(np.linalg.eigvalsh(partial_transpose(sigma)))
-                                <= revmap.EDGE_TOL) != 1:
+                                <= ree.EDGE_TOL) != 1:
                 continue
             g = revmap._edge_residual(end.c, end.x, end.c, end.w, end.v)[3]
             want = (revmap._PAULI_ROWS @ revmap.g_matrix(sigma).reshape(16)).real
