@@ -39,7 +39,6 @@ from .qstate import (
     bell_diagonal,
     canonicalize,
     concurrence,
-    from_diagonal_pauli,
     from_pauli,
     is_ppt,
     partial_transpose,

@@ -150,15 +150,11 @@ def _match_templates(dpf: DiagonalPauliForm):
             sign_x = -1.0 if k == 1 else 1.0  # (0, 2, 1) is the one odd order: det +1
             pa, pb = p * [[[sign_x], [sign_a], [sign_a]], [[sign_x], [sign_b], [sign_b]]]
             if l3 >= -tol:
-                return FamilyTag(kind, _clip_weights(l1, l2, l3)), _FAMILY_ROUTES[kind], pa, pb
+                lam = np.maximum([l1, l2, l3], 0.0)
+                return FamilyTag(kind, tuple(lam / lam.sum())), _FAMILY_ROUTES[kind], pa, pb
             if vp:
                 return FamilyTag(FamilyKind.OTHER), "maximally-correlated", pa, pb
     return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
-
-
-def _clip_weights(l1, l2, l3):
-    lam = np.maximum([l1, l2, l3], 0.0)
-    return tuple(lam / lam.sum())
 
 
 def classify(rho: np.ndarray) -> FamilyTag:
@@ -267,6 +263,7 @@ def css_auto(rho: np.ndarray) -> CssResult:
     CSS, or where it is not accepted the oracle, which raises NotConverged
     when its bracket does not close."""
     w, v = validate_density_matrix(rho)
+    rho = np.asarray(rho, dtype=complex)  # the Newton solve and the oracle take an array
     p_rho = to_pauli(rho)
     dpf, r_a, r_b = _canonicalize(p_rho)
     tag, route, pa, pb = _match_templates(dpf)

@@ -56,9 +56,6 @@ class CrossingPoint:
 class SurfaceMesh:
     """Sampled boundary surface, one row per (q1, q2, q3) point plus sheet tag."""
 
-    body: str   # "T" or "L"
-    r: float
-    s: float
     points: np.ndarray
     sheets: np.ndarray   # "mu" or "nu" per row, a str array
 
@@ -116,7 +113,7 @@ def surface_mesh(body: str, r: float, s: float, n: int,
     idx = np.flatnonzero(spectra.sheet_min(m1[:, None], m2[:, None], q3) >= -psd_tol)
     rows = idx >> 1
     points = np.column_stack([q1[rows], q2[rows], q3.ravel()[idx]])
-    return SurfaceMesh(body, r, s, points, SHEET_TAGS[idx & 1])
+    return SurfaceMesh(points, SHEET_TAGS[idx & 1])
 
 
 def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoint]:

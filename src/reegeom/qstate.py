@@ -28,6 +28,10 @@ PAULI = (SX, SY, SZ)
 # Row 4a + b is sigma_a (x) sigma_b flattened row-major, with sigma_0 = I.
 PAULI_BASIS = np.array([np.kron(a, b).ravel()
                         for a in (I2, *PAULI) for b in (I2, *PAULI)])
+# sigma = I/4 + sum_k x_k (sigma_a (x) sigma_b) / 4, k = 4a + b - 1, and its Pauli coordinates
+# x_k = tr(sigma sigma_a (x) sigma_b) = (_PAULI_ROWS @ sigma flattened).real, as
+# tr(m M) = sum_kl m_kl conj(M_kl) for Hermitian M; `to_pauli`, `ree` and `revmap` read them
+_PAULI_ROWS = PAULI_BASIS[1:].conj()
 
 # |beta_1..4| = (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), normalized
 BELL_VECTORS = np.array(
@@ -91,8 +95,8 @@ def validate_density_matrix(rho: np.ndarray):
 
 def to_pauli(rho: np.ndarray) -> PauliForm:
     """Bloch vectors r, s and correlation tensor g_ij = tr(rho sigma_i x sigma_j)."""
-    # tr(rho M) = sum_kl rho_kl conj(M_kl) for Hermitian M
-    c = (PAULI_BASIS.conj() @ np.asarray(rho, dtype=complex).reshape(16)).real
+    c = np.empty(16)  # entry 0, the trace, is never read
+    c[1:] = (_PAULI_ROWS @ np.asarray(rho, dtype=complex).reshape(16)).real
     c = c.reshape(4, 4)
     return PauliForm(c[1:, 0], c[0, 1:], c[1:, 1:])
 
@@ -105,14 +109,9 @@ def from_pauli(p: PauliForm) -> np.ndarray:
     return (c.reshape(16) @ PAULI_BASIS).reshape(4, 4) / 4.0
 
 
-def from_diagonal_pauli(r, s, q) -> np.ndarray:
-    """Reconstruction for a diagonal correlation tensor; r, s, q are 3-vectors."""
-    return from_pauli(PauliForm(np.asarray(r, float), np.asarray(s, float), np.diag(q)))
-
-
 def bell_diagonal(t) -> np.ndarray:
     """Bell-diagonal state with correlation vector t (zero Bloch vectors)."""
-    return from_diagonal_pauli(np.zeros(3), np.zeros(3), t)
+    return from_pauli(PauliForm(np.zeros(3), np.zeros(3), np.diag(t)))
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

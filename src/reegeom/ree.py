@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PAULI_BASIS, _finite, partial_transpose, validate_density_matrix
+from .qstate import _PAULI_ROWS, PAULI_BASIS, _finite, partial_transpose, validate_density_matrix
 
 SUPPORT_TOL = 1e-12
 EDGE_TOL = 1e-8
@@ -48,11 +48,9 @@ HESSIAN_FLOOR = 1e-14  # diagonal shift of the Newton system, as a fraction of t
 DIVIDED_SPREAD = 1e-5  # relative spread below which a second divided difference takes its limit
 BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
 
-# sigma = I/4 + sum_k x_k B_k, B_k = (sigma_a (x) sigma_b) / 4 flattened, k = 4a + b - 1,
-# and x_k = tr(sigma sigma_a (x) sigma_b) = _PAULI_ROWS @ sigma flattened;
+# sigma = I/4 + x @ _B_FLAT in the Pauli coordinates x of qstate._PAULI_ROWS, and
 # x @ _DIRECTIONS_FLAT stacks sigma and sigma^Gamma
 _B_FLAT = PAULI_BASIS[1:] / 4
-_PAULI_ROWS = PAULI_BASIS[1:].conj()
 _DIRECTIONS_FLAT = np.stack([_B_FLAT, partial_transpose(_B_FLAT.reshape(15, 4, 4)).reshape(15, 16)])
 _EYE_FLAT = (np.eye(4) / 4).reshape(16)
 # index triples (lo, mid, hi) of the second divided differences, (3, 64), each

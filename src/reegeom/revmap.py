@@ -28,8 +28,8 @@ import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import PSD_TOL, _finite, _pt_spectra, _require_finite, partial_transpose
-from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, _PAULI_ROWS, MAX_HALVINGS, SUPPORT_TOL,
+from .qstate import _PAULI_ROWS, PSD_TOL, _finite, _pt_spectra, _require_finite, partial_transpose
+from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, MAX_HALVINGS, SUPPORT_TOL,
                   _certificate, _fit, _generators, _kernel, _log_divided2, _spectra)
 
 # the Newton solve of the reverse map, `_newton`, and what route "reverse-map" accepts

@@ -261,7 +261,8 @@ def test_criterion_8_property_suite():
     worst = 0.0
     for _ in range(300):
         r, s, q1, q2, q3 = rng.uniform(-1, 1, size=5)
-        m = qstate.from_diagonal_pauli((0, 0, r), (0, 0, s), (q1, q2, q3))
+        m = qstate.from_pauli(qstate.PauliForm(np.array([0, 0, r]), np.array([0, 0, s]),
+                                                np.diag([q1, q2, q3])))
         worst = max(worst,
                     abs(spectra.branch_min(r, s, q1, q2, q3) - np.linalg.eigvalsh(m)[0]),
                     abs(spectra.branch_min(r, s, q1, -q2, q3)

@@ -77,7 +77,8 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
             if not (ok and w >= 0 and kernel <= SUPPORT_TOL):  # w >= 0: l2 >= l3
                 continue
             if l3 >= -tol:
-                return FamilyTag(kind, css._clip_weights(l1, l2, l3)), routes[kind], pa, pb
+                lam = np.maximum([l1, l2, l3], 0.0)
+                return FamilyTag(kind, tuple(lam / lam.sum())), routes[kind], pa, pb
             if kind is FamilyKind.GENERALIZED_VP:
                 return FamilyTag(FamilyKind.OTHER), "maximally-correlated", pa, pb
     return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
@@ -728,7 +729,8 @@ class TestCssAuto:
 
     def test_route_names_how_the_css_was_built(self, rng):
         """`route` is set on every result css_auto and the closed-form
-        builders return, and is None on a hand-built one."""
+        builders return, and is None on a hand-built one.  A nested list
+        takes each route as its array does, to the same CSS and REE."""
         while True:
             other = random_density_matrix(rng, rank=4)
             if not qstate.is_ppt(other) and css.classify(other).kind is FamilyKind.OTHER:
@@ -744,7 +746,10 @@ class TestCssAuto:
                  ((1 - 1e-6) * css._vp_state((0.5, 0.3, 0.2)) + 1e-6 * np.eye(4) / 4,
                   "oracle")]
         for rho, route in cases:
-            assert css.css_auto(rotated(rho, rng)).route == route
+            rho = rotated(rho, rng)
+            res, listed = css.css_auto(rho), css.css_auto(rho.tolist())
+            assert res.route == listed.route == route
+            assert np.array_equal(res.css, listed.css) and res.ree == listed.ree
         assert css.css_bell_diagonal([0.8, -0.6, 0.5]).route == "bell-diagonal"
         assert css.css_vp((0.5, 0.3, 0.2)).route == "vp"
         assert css.css_horodecki((0.6, 0.3, 0.1)).route == "horodecki"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reegeom import qstate, revmap
+from reegeom import qstate, ree, revmap
 from reegeom.errors import InvalidState
 
 from conftest import random_density_matrix, random_unitary, rotate
@@ -138,6 +138,20 @@ class TestPauliDecomposition:
                 assert np.max(np.abs(got - want)) <= 1e-15
             back = qstate.from_pauli(p)
             assert np.max(np.abs(back - kron_from_pauli(p.r, p.s, p.g))) <= 1e-15
+
+    def test_one_pauli_rows_table(self):
+        """`ree` and `revmap` read Pauli coordinates through qstate's one
+        table, and `to_pauli`'s 15 rows of it give the bits of the full
+        16-row product it replaced."""
+        assert ree._PAULI_ROWS is qstate._PAULI_ROWS
+        assert revmap._PAULI_ROWS is qstate._PAULI_ROWS
+        rng = np.random.default_rng(39)
+        for _ in range(1000):
+            h = random_hermitian(rng)
+            c = (qstate.PAULI_BASIS.conj() @ h.reshape(16)).real.reshape(4, 4)
+            p = qstate.to_pauli(h)
+            for got, want in zip((p.r, p.s, p.g), (c[1:, 0], c[0, 1:], c[1:, 1:])):
+                assert np.array_equal(got, want)
 
     def test_partial_trace_consistency(self, rng):
         rho = random_density_matrix(rng)

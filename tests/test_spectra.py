@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reegeom import spectra
-from reegeom.qstate import from_diagonal_pauli, partial_transpose
+from reegeom.qstate import PauliForm, from_pauli, partial_transpose
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 def canonical_matrix(r, s, q1, q2, q3):
     """The canonical state (r, s, q1, q2, q3) as a dense 4x4 matrix."""
-    return from_diagonal_pauli((0, 0, r), (0, 0, s), (q1, q2, q3))
+    return from_pauli(PauliForm(np.array([0, 0, r]), np.array([0, 0, s]), np.diag([q1, q2, q3])))
 
 
 def dense_deviation(r, s, q1, q2, q3):
