@@ -35,7 +35,7 @@ from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, MAX_HALVINGS, SUPPORT_TO
 # the Newton solve of the reverse map, `_newton`, and what route "reverse-map" accepts
 NEWTON_TOL = 1e-12  # largest |F|_2, at the solve's rounding floor, that it accepts
 NEWTON_STEPS = 20  # steps, each on a new Jacobian but at the rounding floor, before a solve stops
-RANK_FLOOR = 1e-4  # smallest lambda_min(sigma) accepted, so that every frame takes one route
+RANK_FLOOR = 1e-5  # smallest lambda_min(sigma) accepted, so that every frame takes one route
 CERTIFICATE_TOL = -1e-10  # smallest optimality certificate accepted
 
 

@@ -794,7 +794,9 @@ class TestCssAuto:
         lambda_min >= RANK_FLOOR, where its certificate is far from its bound
         in every frame; with no floor, 5 to 15 of the 900 images of each of
         rng 2027 to 2031 changed their route, at CSSs with lambda_min 2e-9 to
-        1.5e-6 whose certificate straddles CERTIFICATE_TOL."""
+        1.5e-6 whose certificate straddles CERTIFICATE_TOL.  Over rng 2027 to
+        2036, RANK_FLOOR 1e-5 gave no flip in 9,000 images, with 1,839 of the
+        3,000 states on route "reverse-map" (1,507 at 1e-4), and 1e-6 gave 6."""
         rng = np.random.default_rng(seed)
         swap = np.eye(4)[[0, 2, 1, 3]]
         routes, n = set(), 0
