@@ -15,7 +15,8 @@ the decompose file, and `css` with `--method auto`, `numeric` and
 `geometric`; then `surface` runs for both bodies at three (r, s), and at one
 of them with `--tol 0`, with `--tol 1e-3` and with `--n 96`; `sweep` at two
 seeds and `verify --suite all`; last, `sweep` at two (r, s) near |r| = |s| = 1,
-appended so that every earlier file keeps its name.  So every subcommand runs.
+then at `--xmax 1e300`, whose far points overflow and drop, each appended so
+that every earlier file keeps its name.  So every subcommand runs.
 
 The commands run in-process through `reegeom.cli.main` with DIR as the
 working directory, so every `--out` name and manifest is relative and two
@@ -159,6 +160,8 @@ def commands(names) -> list[list[str]]:
     cmds.append(["verify", "--suite", "all", "--out", "verify.json"])
     for r, s in (("0.97", "0.97"), ("-0.98", "-0.96")):
         cmds.append(["sweep", "--r", r, "--s", s, "--out", f"sweep_{r}_{s}.csv"])
+    cmds.append(["sweep", "--r", "-0.5", "--s", "0.5", "--xmax", "1e300",
+                 "--out", "sweep_xmax1e300.csv"])
     return cmds
 
 

@@ -88,7 +88,10 @@ def _state_matrix(obj: dict) -> np.ndarray:
 
 
 def _pauli_matrix(obj: dict) -> np.ndarray:
-    return from_pauli(PauliForm(*(np.asarray(obj[k], float) for k in "rsg")))
+    r, s, g = (np.asarray(obj[k], float) for k in "rsg")
+    if r.shape != (3,) or s.shape != (3,) or g.shape != (3, 3):
+        raise ValueError("Pauli blocks must be r [3], s [3] and g [3x3]")
+    return from_pauli(PauliForm(r, s, g))
 
 
 def load_state(path: str) -> np.ndarray:

@@ -176,6 +176,11 @@ def _generators(lam: np.ndarray, v: np.ndarray, kmat: np.ndarray):
     return l1, coef * (v.conj().T @ units @ v)
 
 
+def _frame(v: np.ndarray) -> np.ndarray:
+    """conj(V) (x) V (..., 16, 16) of bases V (..., 4, 4): M.ravel() @ it is V^dagger M V, flat."""
+    return (v.conj()[..., None, :, None] * v[..., None, :, None, :]).reshape(*v.shape[:-2], 16, 16)
+
+
 def _spectra(x: np.ndarray):
     """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of sigma(x) and sigma(x)^Gamma."""
     return np.linalg.eigh((_EYE_FLAT + x @ _DIRECTIONS_FLAT).reshape(2, 4, 4))
@@ -208,8 +213,7 @@ def _derivatives(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
     The entropy term's Hessian is the Daleckii-Krein second divided
     difference of ln; each barrier term's is mu tr(S^-1 B_k S^-1 B_l).
     """
-    # (V^H M V)_ij = sum_ab conj(V_ai) M_ab V_bj: one product with conj(V) (x) V
-    kron = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(2, 16, 16)
+    kron = _frame(v)
     e = _DIRECTIONS_FLAT @ kron  # directions in the eigenbases, (2, 15, 16)
     r = (rho.reshape(16) @ kron[0]).reshape(4, 4)
     l1 = _log_divided(w[0][:, None], w[0][None, :])

@@ -30,7 +30,7 @@ from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
 from .qstate import _PAULI_ROWS, PSD_TOL, _finite, _pt_spectra, _require_finite, partial_transpose
 from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, MAX_HALVINGS, SUPPORT_TOL,
-                  _certificate, _fit, _generators, _kernel, _log_divided2, _spectra)
+                  _certificate, _fit, _frame, _generators, _kernel, _log_divided2, _spectra)
 
 # the Newton solve of the reverse map, `_newton`, and what route "reverse-map" accepts
 NEWTON_TOL = 1e-12  # largest |F|_2, at the solve's rounding floor, that it accepts
@@ -129,9 +129,6 @@ def _rebuild(sigma, v, fit) -> np.ndarray:
     return sigma - v @ (m.ravel() @ cols).reshape(4, 4) @ v.conj().T
 
 
-_E = _DIRECTIONS_FLAT.reshape(2, 15, 4, 4)  # E_k = d sigma / d c_k and E_k^Gamma
-
-
 class _NewtonEnd(NamedTuple):
     """Where `_newton` stopped: sigma's Pauli coordinates c, the multiplier x,
     the spectra w, v of (sigma, sigma^Gamma), |F|_2, the Jacobians built,
@@ -162,20 +159,19 @@ def _edge_residual(c, x, target, w, v):
 def _edge_jacobian(x, w, v, l1, g_eig, g) -> np.ndarray:
     """dF / d(c, x), (16, 16), in closed form, with a_j, u_j the eigenpairs of
     sigma^Gamma and phi = u_0: along E = E_k, d lambda_min = phi^dagger E^Gamma
-    phi, d phi = -sum_{j>0} u_j (u_j^dagger E^Gamma phi) / (a_j - a_0) and,
-    in sigma's eigenbasis, dG = ((d phi phi^dagger + phi d phi^dagger)^Gamma
-    - T) / ln[l_i, l_j], where T_ij = sum_m ln[l_i, l_m, l_j] (E_im G_mj +
-    G_im E_mj) is the second derivative of ln; dF/dc_k = E_k - x dG and
-    dF/dx = -G in coordinates.  T's second sum is the adjoint of its first."""
-    vs, vh, a, u = v[0], v[0].conj().T, w[1], v[1]
-    phi = u[:, 0]
-    e_phi = _E[1] @ phi  # E_k^Gamma phi, (15, 4)
-    dphi = -((e_phi @ u[:, 1:].conj()) / (a[1:] - a[0])) @ u[:, 1:].T
-    outer = dphi[:, :, None] * phi.conj()
-    e = vh @ _E[0] @ vs  # the directions in sigma's eigenbasis
+    phi, d phi = -sum_{j>0} u_j (u_j^dagger E^Gamma phi) / (a_j - a_0) and, in
+    sigma's eigenbasis (`ree._frame`), dG = ((d phi phi^dagger + phi d
+    phi^dagger)^Gamma - T) / ln[l_i, l_j], where T_ij = sum_m ln[l_i, l_m, l_j]
+    (E_im G_mj + G_im E_mj), its second sum the adjoint of its first, is the
+    second derivative of ln; dF/dc_k = E_k - x dG and dF/dx = -G in coordinates."""
+    phi, frame = v[1][:, 0], _frame(v[0])
+    e_phi = _DIRECTIONS_FLAT[1].reshape(15, 4, 4) @ phi  # E_k^Gamma phi, (15, 4)
+    dphi = -((e_phi @ v[1][:, 1:].conj()) / (w[1, 1:] - w[1, 0])) @ v[1][:, 1:].T
+    e = (_DIRECTIONS_FLAT[0] @ frame).reshape(15, 4, 4)  # the directions in sigma's eigenbasis
     t = np.matmul(e.transpose(1, 0, 2), _log_divided2(w[0], l1) * g_eig).transpose(1, 0, 2)
-    dg = (vh @ partial_transpose(outer + outer.conj().transpose(0, 2, 1)) @ vs
-          - t - t.conj().transpose(0, 2, 1)) / l1
+    outer = dphi[:, :, None] * phi.conj()
+    dk = partial_transpose(outer + outer.conj().transpose(0, 2, 1)).reshape(15, 16)
+    dg = ((dk @ frame).reshape(15, 4, 4) - t - t.conj().transpose(0, 2, 1)) / l1
     jac = np.zeros((16, 16))
     # Pauli coordinates of V X V^dagger: tr(X V^dagger P_k V), with V^dagger P_k V = 4 e_k
     jac[:15, :15] = np.eye(15) - 4 * x * (e.reshape(15, 16).conj() @ dg.reshape(15, 16).T).real
@@ -338,16 +334,17 @@ def css_line_sweep(params: list[SigmaZParams], x_grid):
     Returns a list of row dicts (family_id, x, t, tau, r, s), family by
     family in x_grid's order.  A point is dropped where the family has left
     the PSD cone: where its smallest eigenvalue, `spectra.branch_min` at
-    q1 = q2 = t1, is below -PSD_TOL.  The derivatives are taken family by
-    family, a degenerate one raising DegenerateZ; the points of all families
-    are one (family, x) array pass.
+    q1 = q2 = t1, is below -PSD_TOL or NaN, as an x far past x_max overflows
+    it.  The derivatives are taken family by family, a degenerate one raising
+    DegenerateZ; the points of all families are one (family, x) array pass.
     """
     xs = np.asarray(x_grid, dtype=float)
     _require_finite(x_grid=xs)
     # (7, families, 1): each `_z_line` entry as a column over the families
     lines = np.array([_z_line(p, z_derivatives(p)) for p in params]).reshape(-1, 7).T[..., None]
-    r, s, t1, t3 = _z_rst(lines, xs)
-    keep = spectra.branch_min(r, s, t1, t1, t3) >= -PSD_TOL
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows lie far past x_max
+        r, s, t1, t3 = _z_rst(lines, xs)
+        keep = spectra.branch_min(r, s, t1, t1, t3) >= -PSD_TOL
     fid, col = np.nonzero(keep)
     t1, t3 = t1[keep], t3[keep]
     _, _, tau1, tau3 = (v[:, 0] for v in _z_rst(lines, 0.0))

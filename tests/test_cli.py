@@ -178,6 +178,21 @@ class TestMalformedJson:
         assert res.stderr.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["bad.json"]
 
+    @pytest.mark.parametrize("blocks", [{"r": 0, "s": 0, "g": 0}, {"g": [0.5, -0.5, 0.5]},
+                                        {"r": [[0], [0], [0]]}],
+                             ids=["scalars", "g-vector", "r-column"])
+    def test_pauli_block_shapes_exit_2(self, runner, tmp_path, blocks):
+        """A Pauli file holds r [3], s [3] and g [3x3]: blocks of other shapes,
+        scalars that broadcast included, exit 2 with one line naming the
+        shapes, and write no file."""
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"r": [0, 0, 0], "s": [0, 0, 0],
+                                 "g": np.zeros((3, 3)).tolist(), **blocks}))
+        res = runner.invoke(cli.main, ["reconstruct", str(p), "--out", str(tmp_path / "o.json")])
+        assert res.exit_code == 2 and type(res.exception) is SystemExit
+        assert res.stderr == "error: Pauli blocks must be r [3], s [3] and g [3x3]\n"
+        assert sorted(os.listdir(tmp_path)) == ["bad.json"]
+
 
 @pytest.mark.parametrize("args", [
     ["css", "STATE", "--method", "numeric", "--seed", "-1"],

@@ -262,6 +262,24 @@ class TestNewtonPieces:
                 got, want = ree._derivatives(rho, mu, w, v), _derivatives_reference(rho, mu, w, v)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_frame_takes_matrices_into_the_basis(self):
+        """(M.ravel() @ _frame(V)).reshape(4, 4) is V^dagger M V within 1e-15,
+        for 500 random unitaries V and Hermitian M of spectral norm 1; a stack
+        of bases gives each basis' frame, bit for bit."""
+        rng = np.random.default_rng(40)
+        worst = 0.0
+        for _ in range(500):
+            v = random_unitary(rng, 4)
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = (a + a.conj().T) / np.linalg.norm(a + a.conj().T, 2)
+            got = (m.ravel() @ ree._frame(v)).reshape(4, 4)
+            worst = max(worst, np.abs(got - v.conj().T @ m @ v).max())
+        assert worst <= 1e-15
+        stack = np.stack([random_unitary(rng, 4) for _ in range(2)])
+        frames = ree._frame(stack)
+        assert frames.shape == (2, 16, 16)
+        assert all(np.array_equal(frames[i], ree._frame(stack[i])) for i in range(2))
+
 
 class TestNumericOracle:
     def test_bell_states(self):
