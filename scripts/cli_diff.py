@@ -9,8 +9,11 @@ covers all 16 entries of that matrix, except that a list of records with a
 "name" (the checks of `verify.json`) keys each record by it:
 `checks[bell_1_ree].gap`.  A CSV whose row count moved shows one
 `rows: old -> new` line in place of its columns.  Text files (`exit_codes.txt`, `console.txt`) show
-their changed lines.  The last line counts the files that differ.  It is a
-report and always exits 0.
+their changed lines.  Before the last line, one line per numeric key path or
+column that moved, with record names read as [], gives its largest |delta|
+over all files and the number of files it moved in: `ree: 2.11e-15 in 60
+files`.  The last line counts the files that differ.  It is a report and
+always exits 0.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import csv
 import difflib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -65,25 +69,30 @@ def _same(a, b) -> bool:
     return a == b or (_is_number(a) and _is_number(b) and a != a and b != b)  # NaN
 
 
-def _column_lines(name: str, old: list, new: list) -> list[str]:
-    """What moved in one key path or column."""
+def _column_lines(name: str, old: list, new: list, moved: dict) -> list[str]:
+    """What moved in one key path or column; its largest numeric |delta|
+    raises `moved`'s entry for the path with record names read as []."""
     if len(old) != len(new):
         return [f"{name}: {len(old)} -> {len(new)} values"]
-    moved = [(a, b) for a, b in zip(old, new) if not _same(a, b)]
-    numbers = [abs(b - a) for a, b in moved if _is_number(a) and _is_number(b)]
+    pairs = [(a, b) for a, b in zip(old, new) if not _same(a, b)]
+    numbers = [abs(b - a) for a, b in pairs if _is_number(a) and _is_number(b)]
+    if numbers:
+        key = re.sub(r"\[[^]]*\]", "[]", name)
+        moved[key] = max(moved.get(key, 0.0), *numbers)
     lines = []
     if numbers and len(old) == 1:
         lines.append(f"{name}: {old[0]!r} -> {new[0]!r}, |delta| {numbers[0]:.3g}")
     elif numbers:
         lines.append(f"{name}: max |delta| {max(numbers):.3g}"
                      f" over {len(numbers)} of {len(old)} values")
-    lines += [f"{name}: {a!r} -> {b!r}" for a, b in moved
+    lines += [f"{name}: {a!r} -> {b!r}" for a, b in pairs
               if not (_is_number(a) and _is_number(b))]
     return lines
 
 
-def file_report(name: str, old: str, new: str) -> list[str]:
-    """The moved key paths, columns or lines of one file present on both sides."""
+def file_report(name: str, old: str, new: str, moved: dict) -> list[str]:
+    """The moved key paths, columns or lines of one file present on both
+    sides; `moved` gets the largest |delta| of each numeric one."""
     parse = {".json": _json_columns, ".csv": _csv_columns}.get(Path(name).suffix)
     if parse is None:
         return [line.rstrip("\n") for line in difflib.unified_diff(
@@ -96,7 +105,7 @@ def file_report(name: str, old: str, new: str) -> list[str]:
         if rows[0] != rows[1]:
             return lines + [f"rows: {rows[0]} -> {rows[1]}"]
     for key in (k for k in a if k in b):
-        lines += _column_lines(key, a[key], b[key])
+        lines += _column_lines(key, a[key], b[key], moved)
     return lines
 
 
@@ -104,7 +113,7 @@ def report(before: Path, after: Path) -> list[str]:
     """The report's lines: each differing file's name, then what moved in it."""
     names = sorted({p.relative_to(d).as_posix() for d in (before, after)
                     for p in d.rglob("*") if p.is_file()})
-    out, differ = [], 0
+    out, differ, deltas = [], 0, {}
     for name in names:
         a, b = before / name, after / name
         if not (a.is_file() and b.is_file()):
@@ -112,9 +121,14 @@ def report(before: Path, after: Path) -> list[str]:
             differ += 1
         elif a.read_bytes() != b.read_bytes():
             out.append(name)
+            moved = {}
             out += ["  " + line for line in file_report(
-                name, a.read_text(encoding="utf-8"), b.read_text(encoding="utf-8"))]
+                name, a.read_text(encoding="utf-8"), b.read_text(encoding="utf-8"), moved)]
+            for key, delta in moved.items():
+                deltas.setdefault(key, []).append(delta)
             differ += 1
+    out += [f"{key}: {max(moves):.3g} in {len(moves)} file{'s' * (len(moves) != 1)}"
+            for key, moves in deltas.items()]
     out.append(f"{differ} of {len(names)} files differ")
     return out
 

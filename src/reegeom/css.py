@@ -219,7 +219,7 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
             gap = float(np.max(np.abs(revmap._rebuild(css, vs[0], fit) - rho)))
     return CssResult(
         css=css, tau=np.asarray(tau, float), family=tag,
-        ree=0.0 if separable else _relative_entropy(rho, w[0], v[0], ws[0], vs[0]),
+        ree=0.0 if separable else _relative_entropy(rho, w[0], ws[0], vs[0]),
         residuals={"bloch_gap": max(math.sqrt(d.dot(d)) for d in (p_css.r - p_rho.r,
                                                                  p_css.s - p_rho.s)),
                    "edge_gap": abs(float(ws[1, 0])), "recovery_gap": gap},

@@ -150,7 +150,7 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoin
     for j in np.argsort(np.abs(roots[kept] - 1.0), kind="stable"):
         w = float(roots[kept[j]])
         if all(abs(w - c.line_parameter) >= 1e-9 for c in crossings):
-            crossings.append(CrossingPoint(p[j], w, ("mu", "nu")[kept[j] % 2]))
+            crossings.append(CrossingPoint(p[j], w, str(SHEET_TAGS[kept[j] & 1])))
     if not crossings:
         raise NoCrossing(f"ray from {v.label} through {t} misses the separable boundary")
     return crossings

@@ -97,22 +97,19 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     is 0.  Raises InvalidState when rho or sigma has a NaN or infinite entry.
     """
     pair = np.array([_finite(rho), _finite(sigma)], dtype=complex)
-    (p, q), (u, v) = np.linalg.eigh(pair)  # one eigh of the stack
-    return _relative_entropy(pair[0], p, u, q, v)
+    (p, q), (_, v) = np.linalg.eigh(pair)  # one eigh of the stack
+    return _relative_entropy(pair[0], p, q, v)
 
 
-def _relative_entropy(rho, p, u, q, v) -> float:
-    """`relative_entropy` from the spectra p, u of rho and q, v of sigma."""
-    pos_p = p > SUPPORT_TOL
-    p = p[pos_p]
-    s_rho = float((p * np.log(p)).sum())
-    keep = q > SUPPORT_TOL
+def _relative_entropy(rho, p, q, v) -> float:
+    """`relative_entropy` from rho's eigenvalues p and sigma's spectrum q, v, with
+    -tr(rho ln sigma) = -sum_j <v_j|rho|v_j> ln q_j on sigma's support, as in `_value`."""
+    p = p[p > SUPPORT_TOL]
+    keep = q > SUPPORT_TOL  # sigma's support; its kernel's eigenvalues may be <= 0
     weight = (v.conj() * (rho @ v)).sum(axis=0).real  # <v_j|rho|v_j>
     if weight[~keep].sum() > SUPPORT_TOL:
         return math.inf
-    # cut rho's null space and sigma's kernel, whose eigenvalues may be <= 0
-    overlap = (np.abs(u.conj().T @ v) ** 2)[:, keep][pos_p]  # C order, as np.ix_ gives
-    return s_rho - float(p @ overlap @ np.log(q[keep]))
+    return float((p * np.log(p)).sum()) - float(weight[keep] @ np.log(q[keep]))
 
 
 def _log_divided(a, b):
@@ -283,7 +280,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     """
     if cfg is None:
         cfg = OracleConfig()
-    (p, p_pt), (u, _) = validate_density_matrix(rho)  # rho's spectrum p, u, read at the end
+    p, p_pt = validate_density_matrix(rho)[0]  # rho's eigenvalues p, read at the end
     rho = np.asarray(rho, dtype=complex)
 
     lam, mu0 = min(float(p[0]), float(p_pt[0])), MU_SCHEDULE[0]
@@ -343,7 +340,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
             steps += 1
 
     sigma = (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)  # exactly Hermitian; (w, v)[0] its spectrum
-    value = _relative_entropy(rho, p, u, w[0], v[0])
+    value = _relative_entropy(rho, p, w[0], v[0])
     gmat = _log_gradient(rho, w[0], v[0])
     gap = float(np.real(np.trace(sigma @ gmat))) - _dual_floor(gmat, _barrier_multiplier(w, v))
     lower = value - gap
@@ -368,7 +365,7 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     """
     rho, css = _finite(rho), _finite(css)
     w, v = np.linalg.eigh(np.array([rho, css, partial_transpose(css)]))  # one eigh of the stack
-    if math.isinf(_relative_entropy(rho, w[0], v[0], w[1], v[1])):
+    if math.isinf(_relative_entropy(rho, w[0], w[1], v[1])):
         return -math.inf  # no state at infinite relative entropy is a minimizer
     return _certificate(rho, css, w[1:], v[1:], _fit(css, rho, w[1:], v[1:]))
 

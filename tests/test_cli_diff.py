@@ -58,6 +58,22 @@ def test_moved_row_count_is_one_line(tmp_path):
                      "  rows: 1 -> 2", "2 of 2 files differ"]
 
 
+def test_summary_of_a_key_moved_in_several_files(tmp_path):
+    """One line per moved numeric key before the count: its largest |delta|
+    over the files and the number of files it moved in, with named records
+    read as one key; a moved string gets no summary line."""
+    checks = '[{"name": "p", "v": %s}, {"name": "q", "v": %s}]'
+    _write(tmp_path / "before", {"a.json": '{"ree": 1.0, "m": "x"}', "b.json": '{"ree": 2.0}',
+                                 "c.json": '{"ree": 3.0}', "v.json": checks % (1, 2)})
+    _write(tmp_path / "after", {"a.json": '{"ree": 1.5, "m": "y"}', "b.json": '{"ree": 2.25}',
+                                "c.json": '{"ree": 3.0}', "v.json": checks % (1.5, 2.125)})
+    assert _run(tmp_path / "before", tmp_path / "after") == (0, [
+        "a.json", "  ree: 1.0 -> 1.5, |delta| 0.5", "  m: 'x' -> 'y'",
+        "b.json", "  ree: 2.0 -> 2.25, |delta| 0.25",
+        "v.json", "  [p].v: 1 -> 1.5, |delta| 0.5", "  [q].v: 2 -> 2.125, |delta| 0.125",
+        "ree: 0.5 in 2 files", "[].v: 0.5 in 1 file", "3 of 4 files differ"])
+
+
 def test_equal_sets_report_nothing(tmp_path):
     files = {"a.json": '{"v": NaN}', "b.csv": "x\n1\n"}
     _write(tmp_path / "before", files)
