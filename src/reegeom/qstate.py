@@ -28,10 +28,11 @@ PAULI = (SX, SY, SZ)
 # Row 4a + b is sigma_a (x) sigma_b flattened row-major, with sigma_0 = I.
 PAULI_BASIS = np.array([np.kron(a, b).ravel()
                         for a in (I2, *PAULI) for b in (I2, *PAULI)])
-# sigma = I/4 + sum_k x_k (sigma_a (x) sigma_b) / 4, k = 4a + b - 1, and its Pauli coordinates
-# x_k = tr(sigma sigma_a (x) sigma_b) = (_PAULI_ROWS @ sigma flattened).real, as
-# tr(m M) = sum_kl m_kl conj(M_kl) for Hermitian M; `to_pauli`, `ree` and `revmap` read them
+# sigma = I/4 + sum_k x_k P_k / 4 = _EYE_FLAT + x @ _B_FLAT with P_k = sigma_a (x) sigma_b, k =
+# 4a + b - 1, and x_k = tr(sigma P_k) = (_PAULI_ROWS @ sigma.ravel()).real, as P_k is Hermitian
 _PAULI_ROWS = PAULI_BASIS[1:].conj()
+_B_FLAT = PAULI_BASIS[1:] / 4
+_EYE_FLAT = (np.eye(4) / 4).reshape(16)
 
 # |beta_1..4| = (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), normalized
 BELL_VECTORS = np.array(
@@ -78,9 +79,7 @@ def validate_density_matrix(rho: np.ndarray):
     """Raise InvalidState on the first violated density-matrix invariant;
     else return the `_pt_spectra` of rho that its PSD test reads."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidState("shape 4x4", float(np.prod(rho.shape)))
-    w, v = _pt_spectra(rho)  # first, for its test of finite entries
+    w, v = _pt_spectra(rho)  # first, for its tests of shape and finite entries
     with np.errstate(all="ignore"):  # finite entries near 1e308 overflow to inf or NaN
         herm = np.abs(rho - rho.conj().T).max()
         tr = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
@@ -95,18 +94,15 @@ def validate_density_matrix(rho: np.ndarray):
 
 def to_pauli(rho: np.ndarray) -> PauliForm:
     """Bloch vectors r, s and correlation tensor g_ij = tr(rho sigma_i x sigma_j)."""
-    c = np.empty(16)  # entry 0, the trace, is never read
-    c[1:] = (_PAULI_ROWS @ np.asarray(rho, dtype=complex).reshape(16)).real
-    c = c.reshape(4, 4)
-    return PauliForm(c[1:, 0], c[0, 1:], c[1:, 1:])
+    x = (_PAULI_ROWS @ np.asarray(rho, dtype=complex).reshape(16)).real
+    return PauliForm(x[3::4], x[:3], x[3:].reshape(3, 4)[:, 1:])
 
 
 def from_pauli(p: PauliForm) -> np.ndarray:
     """Reconstruct the 4x4 matrix; Hermitian and unit trace, not necessarily PSD."""
-    c = np.empty((4, 4))
-    c[0, 0] = 1.0
-    c[1:, 0], c[0, 1:], c[1:, 1:] = p.r, p.s, p.g
-    return (c.reshape(16) @ PAULI_BASIS).reshape(4, 4) / 4.0
+    x = np.empty(15)
+    x[:3], x[3::4], x[3:].reshape(3, 4)[:, 1:] = p.s, p.r, p.g
+    return (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)
 
 
 def bell_diagonal(t) -> np.ndarray:
@@ -120,10 +116,12 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return r.reshape(r.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(r.shape)
 
 
-def _finite(m: np.ndarray) -> np.ndarray:
-    """m as a complex array; raise InvalidState, with the count of NaN and
-    infinite entries, where there are any."""
+def _finite(m: np.ndarray, shape=(4, 4)) -> np.ndarray:
+    """m as a complex array; raise InvalidState, with m's size where its shape
+    is not `shape`, else with the count of NaN and infinite entries, if any."""
     m = np.asarray(m, dtype=complex)
+    if m.shape != shape:
+        raise InvalidState("shape " + "x".join(map(str, shape)), float(m.size))
     if not np.isfinite(m).all():
         raise InvalidState("finite entries", float(np.sum(~np.isfinite(m))))
     return m
@@ -132,7 +130,7 @@ def _finite(m: np.ndarray) -> np.ndarray:
 def _pt_spectra(rho: np.ndarray):
     """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of rho and rho^Gamma, by
     one eigh on their stack: the same bits as one eigh on each.  Raises
-    InvalidState where rho has a NaN or infinite entry."""
+    InvalidState where rho is not a finite 4x4 matrix."""
     rho = _finite(rho)
     return np.linalg.eigh(np.array([rho, partial_transpose(rho)]))
 
@@ -193,7 +191,7 @@ def canonicalize(p: PauliForm):
     on q3.  When singular values of g coincide the frame is not unique; the
     one returned is the SVD's.  A NaN or infinite entry raises InvalidState.
     """
-    _finite(np.concatenate([p.r, p.s, np.ravel(p.g)]))
+    _finite(np.concatenate([p.r, p.s, np.ravel(p.g)]), shape=(15,))
     return _canonicalize(p)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import _PAULI_ROWS, PAULI_BASIS, _finite, partial_transpose, validate_density_matrix
+from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, _finite, partial_transpose,
+                     validate_density_matrix)
 
 SUPPORT_TOL = 1e-12
 EDGE_TOL = 1e-8
@@ -48,11 +49,8 @@ HESSIAN_FLOOR = 1e-14  # diagonal shift of the Newton system, as a fraction of t
 DIVIDED_SPREAD = 1e-5  # relative spread below which a second divided difference takes its limit
 BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
 
-# sigma = I/4 + x @ _B_FLAT in the Pauli coordinates x of qstate._PAULI_ROWS, and
-# x @ _DIRECTIONS_FLAT stacks sigma and sigma^Gamma
-_B_FLAT = PAULI_BASIS[1:] / 4
+# _EYE_FLAT + x @ _DIRECTIONS_FLAT stacks sigma and sigma^Gamma at the Pauli coordinates x
 _DIRECTIONS_FLAT = np.stack([_B_FLAT, partial_transpose(_B_FLAT.reshape(15, 4, 4)).reshape(15, 16)])
-_EYE_FLAT = (np.eye(4) / 4).reshape(16)
 # index triples (lo, mid, hi) of the second divided differences, (3, 64), each
 # sorted ascending, so that they pick sorted triples out of eigh's ascending
 # spectrum; sorted in Python, because numpy's sort pages in 0.4 MB of code at
@@ -94,7 +92,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
     math.inf when rho's support is not contained in sigma's (weight beyond
     SUPPORT_TOL on its kernel, the eigenvalues at most SUPPORT_TOL).  0 ln 0
-    is 0.  Raises InvalidState when rho or sigma has a NaN or infinite entry.
+    is 0.  Raises InvalidState when rho or sigma is not a finite 4x4 matrix.
     """
     pair = np.array([_finite(rho), _finite(sigma)], dtype=complex)
     (p, q), (_, v) = np.linalg.eigh(pair)  # one eigh of the stack

@@ -28,9 +28,10 @@ import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import _PAULI_ROWS, PSD_TOL, _finite, _pt_spectra, _require_finite, partial_transpose
-from .ree import (_B_FLAT, _DIRECTIONS_FLAT, _EYE_FLAT, MAX_HALVINGS, SUPPORT_TOL,
-                  _certificate, _fit, _frame, _generators, _kernel, _log_divided2, _spectra)
+from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, PSD_TOL, _finite, _pt_spectra,
+                     _require_finite, partial_transpose)
+from .ree import (_DIRECTIONS_FLAT, MAX_HALVINGS, SUPPORT_TOL, _certificate, _fit, _frame,
+                  _generators, _kernel, _log_divided2, _spectra)
 
 # the Newton solve of the reverse map, `_newton`, and what route "reverse-map" accepts
 NEWTON_TOL = 1e-12  # largest |F|_2, at the solve's rounding floor, that it accepts
@@ -115,7 +116,7 @@ def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
     part fits as well, since D_sigma and the partial transpose commute with
     the adjoint.  With n = 1 the fit is the projection onto G(sigma); a
     rank-deficient sigma needs no regularization, as D_sigma is zero there.
-    Raises InvalidState where sigma or rho has a NaN or infinite entry.
+    Raises InvalidState where sigma or rho is not a finite 4x4 matrix.
     """
     rho, (w, vecs) = _finite(rho), _pt_spectra(sigma)
     return _rebuild(sigma, vecs[0], _fit(sigma, rho, w, vecs))

@@ -105,7 +105,9 @@ class TestNonFiniteInput:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
 
 
-# finite entries whose trace or Pauli rebuild overflows to inf or NaN
+FLOAT_MAX = float(np.finfo(float).max)
+# huge finite entries: a state's trace overflows to inf or NaN, and a Pauli
+# file's rebuild stays finite
 OVERFLOW_INPUTS = {
     "trace-inf": ("state", json.dumps(cli.matrix_json(np.diag([1e308, 1e308, 0, 0])))),
     "trace-nan": ("state", json.dumps(cli.matrix_json(np.diag([1e308, 1e308, -1e308, -1e308])))),
@@ -113,6 +115,12 @@ OVERFLOW_INPUTS = {
                                      "g": (1e308 * np.eye(3)).tolist()})),
     "rs-1e308": ("pauli", json.dumps({"r": [0, 0, 1e308], "s": [0, 0, 1e308],
                                       "g": np.zeros((3, 3)).tolist()})),
+    "g-max": ("pauli", json.dumps({"r": [0, 0, 0], "s": [0, 0, 0],
+                                   "g": (FLOAT_MAX * np.eye(3)).tolist()})),
+    "rs-max": ("pauli", json.dumps({"r": [0, 0, FLOAT_MAX], "s": [0, 0, FLOAT_MAX],
+                                    "g": np.zeros((3, 3)).tolist()})),
+    "all-max": ("pauli", json.dumps({"r": [FLOAT_MAX] * 3, "s": [FLOAT_MAX] * 3,
+                                     "g": np.full((3, 3), FLOAT_MAX).tolist()})),
 }
 
 
@@ -120,18 +128,20 @@ class TestOverflowInput:
     @pytest.mark.parametrize("command, name", [
         ("decompose", "trace-inf"), ("decompose", "trace-nan"),
         ("css", "trace-inf"), ("css", "trace-nan"),
-        ("reconstruct", "g-1e308"), ("reconstruct", "rs-1e308")])
+        ("reconstruct", "g-1e308"), ("reconstruct", "rs-1e308"), ("reconstruct", "g-max"),
+        ("reconstruct", "rs-max"), ("reconstruct", "all-max")])
     def test_exit_2_with_one_line(self, runner, tmp_path, command, name):
-        """A matrix whose finite entries overflow exits 2 with one error line
-        and writes no file: a state fails its trace test and a Pauli file's
-        rebuild its finite-entries test, with no floating-point warning."""
-        kind, text = OVERFLOW_INPUTS[name]
+        """A matrix with huge finite entries exits 2 with one error line and
+        writes no file, with no floating-point warning: a state's trace
+        overflows, and a Pauli file's rebuild stays finite, as each real or
+        imaginary part of an entry sums at most three coordinates times
+        +-1/4, and fails the trace test too."""
+        _, text = OVERFLOW_INPUTS[name]
         p = tmp_path / "big.json"
         p.write_text(text)
         res = runner.invoke(cli.main, [command, str(p), "--out", str(tmp_path / "o.json")])
         assert res.exit_code == 2 and type(res.exception) is SystemExit
-        invariant = "unit trace" if kind == "state" else "finite entries"
-        assert res.stderr.startswith(f"error: invalid density matrix: {invariant} violated by")
+        assert res.stderr.startswith("error: invalid density matrix: unit trace violated by")
         assert res.stderr.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["big.json"]
 

@@ -98,6 +98,28 @@ class TestValidation:
             call(m)
         assert exc.value.invariant == "finite entries" and exc.value.magnitude == 1
 
+    @pytest.mark.parametrize("m", [np.eye(2) / 2, np.eye(3) / 3, np.array([np.eye(4) / 4] * 2),
+                                   np.eye(4).ravel() / 4], ids=["2x2", "3x3", "2x4x4", "flat-16"])
+    @pytest.mark.parametrize("call", [
+        qstate.is_ppt, qstate.concurrence, revmap.g_matrix,
+        lambda m: revmap.family_from_css(m, 0.1),
+        lambda m: revmap.recover(m, qstate.BELL_STATES[0]),
+        lambda m: revmap.recover(np.diag([0.5, 0, 0, 0.5]), m),
+        lambda m: ree.relative_entropy(m, np.eye(4) / 4),
+        lambda m: ree.relative_entropy(np.eye(4) / 4, m),
+        lambda m: ree.directional_optimality_check(m, np.eye(4) / 4),
+        lambda m: ree.directional_optimality_check(qstate.BELL_STATES[0], m)],
+        ids=["is_ppt", "concurrence", "g_matrix", "family_from_css", "recover-sigma",
+             "recover-rho", "relative_entropy-rho", "relative_entropy-sigma",
+             "directional_optimality_check-rho", "directional_optimality_check-css"])
+    def test_wrong_shape_matrix_rejected(self, call, m):
+        """Every function that takes a spectrum of a matrix, or fits rho in
+        `recover`, raises InvalidState with the size of a matrix that is not
+        4x4, as `validate_density_matrix` does, not numpy's error or a number."""
+        with pytest.raises(InvalidState) as exc:
+            call(m)
+        assert exc.value.invariant == "shape 4x4" and exc.value.magnitude == m.size
+
 
 class TestPauliDecomposition:
     def test_maximally_mixed_is_zero(self):
@@ -141,10 +163,13 @@ class TestPauliDecomposition:
 
     def test_one_pauli_rows_table(self):
         """`ree` and `revmap` read Pauli coordinates through qstate's one
-        table, and `to_pauli`'s 15 rows of it give the bits of the full
-        16-row product it replaced."""
+        table, and rebuild states through its two, and `to_pauli`'s 15 rows
+        of it give the bits of the full 16-row product it replaced."""
         assert ree._PAULI_ROWS is qstate._PAULI_ROWS
         assert revmap._PAULI_ROWS is qstate._PAULI_ROWS
+        for table in ("_B_FLAT", "_EYE_FLAT"):
+            assert getattr(ree, table) is getattr(qstate, table)
+            assert getattr(revmap, table) is getattr(qstate, table)
         rng = np.random.default_rng(39)
         for _ in range(1000):
             h = random_hermitian(rng)
@@ -152,6 +177,16 @@ class TestPauliDecomposition:
             p = qstate.to_pauli(h)
             for got, want in zip((p.r, p.s, p.g), (c[1:, 0], c[0, 1:], c[1:, 1:])):
                 assert np.array_equal(got, want)
+
+    def test_from_pauli_is_the_solvers_arithmetic(self):
+        """`from_pauli` of the blocks of x is _EYE_FLAT + x @ _B_FLAT, the
+        state the oracle and the reverse map build, bit for bit."""
+        rng = np.random.default_rng(0)
+        for _ in range(20000):
+            x = rng.uniform(-1, 1, size=15)
+            c = np.append(1.0, x).reshape(4, 4)  # c_ab = x_k, k = 4a + b - 1
+            got = qstate.from_pauli(qstate.PauliForm(c[1:, 0], c[0, 1:], c[1:, 1:]))
+            assert np.array_equal(got, (qstate._EYE_FLAT + x @ qstate._B_FLAT).reshape(4, 4))
 
     def test_partial_trace_consistency(self, rng):
         rho = random_density_matrix(rng)
