@@ -13,6 +13,7 @@ fails, else 0.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -86,8 +87,11 @@ def cross_route_ree(out: Path):
     """Every css-numeric file is converged, and the oracle's bracket
     [lower, ree] holds the same state's css-auto REE within 1e-12, so that a
     closed form on the wrong family cannot pass on its own residuals; each
-    file's gap equals ree - lower within 1e-15."""
-    bad, n = [], 0
+    file's gap equals ree - lower within 1e-15.  The summary prints the least
+    margin on each side of the bracket, css-auto ree - lower and ree -
+    css-auto ree, with the file that sets it, so that a bracket moving onto
+    the css-auto REE shows before it breaks the gate."""
+    bad, n, margins = [], 0, ([], [])
     for path in sorted(out.glob("*.css-numeric.json")):
         num = json.loads(path.read_text())
         n += 1
@@ -99,11 +103,17 @@ def cross_route_ree(out: Path):
                        f"{num['ree'] - num['lower']}")
         auto = json.loads(out.joinpath(path.name.replace(
             "css-numeric", "css-auto")).read_text())["ree"]
+        margins[0].append((auto - num["lower"], path.name))
+        margins[1].append((num["ree"] - auto, path.name))
         if not num["lower"] - 1e-12 <= auto <= num["ree"] + 1e-12:
             bad.append(f"{path.name}: css-auto ree {auto} outside "
                        f"[{num['lower']}, {num['ree']}]")
+    (below, below_at), (above, above_at) = (min(m, default=(math.nan, "no file"))
+                                            for m in margins)
     return bad, (f"all {n} css-numeric files converged, their gaps are ree - lower, "
-                 "and their brackets hold the css-auto REEs"), n > 0
+                 "and their brackets hold the css-auto REEs; least css-auto ree - lower "
+                 f"{below:.3g} ({below_at}), least ree - css-auto ree {above:.3g} "
+                 f"({above_at})"), n > 0
 
 
 def oracle_excess(out: Path):

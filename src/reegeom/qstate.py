@@ -99,9 +99,14 @@ def to_pauli(rho: np.ndarray) -> PauliForm:
 
 
 def from_pauli(p: PauliForm) -> np.ndarray:
-    """Reconstruct the 4x4 matrix; Hermitian and unit trace, not necessarily PSD."""
+    """Reconstruct the 4x4 matrix; Hermitian and unit trace, not necessarily PSD.
+    Raises InvalidState on blocks not r [3], s [3] and g [3x3], or a non-finite entry."""
+    if (np.shape(p.r), np.shape(p.s), np.shape(p.g)) != ((3,), (3,), (3, 3)):
+        raise InvalidState("shape r [3], s [3], g [3x3]", float(sum(map(np.size, (p.r, p.s, p.g)))))
     x = np.empty(15)
     x[:3], x[3::4], x[3:].reshape(3, 4)[:, 1:] = p.s, p.r, p.g
+    if not np.isfinite(x).all():
+        raise InvalidState("finite entries", float(np.sum(~np.isfinite(x))))
     return (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)
 
 
@@ -116,12 +121,12 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return r.reshape(r.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(r.shape)
 
 
-def _finite(m: np.ndarray, shape=(4, 4)) -> np.ndarray:
-    """m as a complex array; raise InvalidState, with m's size where its shape
-    is not `shape`, else with the count of NaN and infinite entries, if any."""
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m as a complex array; raise InvalidState, with m's size where it is
+    not 4x4, else with the count of NaN and infinite entries, if any."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != shape:
-        raise InvalidState("shape " + "x".join(map(str, shape)), float(m.size))
+    if m.shape != (4, 4):
+        raise InvalidState("shape 4x4", float(m.size))
     if not np.isfinite(m).all():
         raise InvalidState("finite entries", float(np.sum(~np.isfinite(m))))
     return m
@@ -189,9 +194,9 @@ def canonicalize(p: PauliForm):
     SVD of g orders |q| descending with q1, q2 >= 0; making both frames
     proper rotations puts the sign of the local-unitary invariant q1*q2*q3
     on q3.  When singular values of g coincide the frame is not unique; the
-    one returned is the SVD's.  A NaN or infinite entry raises InvalidState.
+    one returned is the SVD's.  Raises InvalidState where `from_pauli` does.
     """
-    _finite(np.concatenate([p.r, p.s, np.ravel(p.g)]), shape=(15,))
+    from_pauli(p)  # the check of the blocks' shapes and entries
     return _canonicalize(p)
 
 

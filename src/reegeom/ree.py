@@ -8,8 +8,8 @@ at rho mixed toward I/4, which follows the central path loosely (PATH_TOL)
 and centres only its last weight tightly (CENTERING_TOL), then a
 Frank-Wolfe gap (Jaggi, ICML 2013), bounded through the barrier's dual,
 that brackets the minimum.  It is the independent oracle against which the
-geometric constructions are verified.  `directional_optimality_check`
-reads the same bound, `_dual_floor`, at the reverse map's multiplier too.
+geometric constructions are verified; `_certificate` forms that bound for it
+and, at the reverse map's multiplier too, for `directional_optimality_check`.
 
 `_fit` fits that multiplier Z of sigma^Gamma >= 0 to the stationarity
 condition rho = sigma - D_sigma(Z^Gamma) (Friedland & Gour, J. Math. Phys.
@@ -245,11 +245,6 @@ def _dual_floor(gmat: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gmat - partial_transpose(q))[0])
 
 
-def _barrier_multiplier(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mu (sigma^Gamma)^-1 at mu = MU_SCHEDULE[-1], from the w, v of (sigma, sigma^Gamma)."""
-    return (v[1] * (MU_SCHEDULE[-1] / w[1])) @ v[1].conj().T
-
-
 def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     """Minimize S(rho||sigma) over the PPT (= separable) two-qubit states.
 
@@ -265,11 +260,11 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     or slope that is not finite ends its stage at once, with no trial
     point.  At the end, with G the matrix gradient of S(rho||.) at sigma,
     convexity gives the Frank-Wolfe bound REE >= value - (tr sigma G -
-    min_ab <ab|G|ab>); `gap` puts `_dual_floor` at the barrier's multiplier
-    of sigma^Gamma > 0, mu (sigma^Gamma)^-1, a certified lower bound, in
-    place of the minimum, and lower = value - gap, 2e-9 or more below the
-    REE as measured, with no rounding allowance.  `converged` means the path
-    finished in fewer than `cfg.max_iterations` steps and gap <= BRACKET_TOL;
+    min_ab <ab|G|ab>); gap = -`_certificate` with no fit puts `_dual_floor`
+    at the barrier's multiplier mu (sigma^Gamma)^-1 in place of the minimum
+    (the fitted one is sharper, but can pass the REE by rounding), and
+    lower = value - gap, 2e-9 or more below the REE as measured.  `converged`
+    means the path finished in fewer than `cfg.max_iterations` steps and gap <= BRACKET_TOL;
     `iterations`, every accepted step (tangent and polish steps included),
     never exceeds `cfg.max_iterations`.  The mixing weight m is the least
     that gives sigma and sigma^Gamma eigenvalues >= mu0 = MU_SCHEDULE[0]:
@@ -339,12 +334,9 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
 
     sigma = (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)  # exactly Hermitian; (w, v)[0] its spectrum
     value = _relative_entropy(rho, p, w[0], v[0])
-    gmat = _log_gradient(rho, w[0], v[0])
-    gap = float(np.real(np.trace(sigma @ gmat))) - _dual_floor(gmat, _barrier_multiplier(w, v))
-    lower = value - gap
+    gap = -_certificate(rho, sigma, w, v, None)
     return ReeReport(value=value, css_numeric=sigma, gap=gap, iterations=steps,
-                     converged=finished and gap <= BRACKET_TOL,
-                     lower=lower)
+                     converged=finished and gap <= BRACKET_TOL, lower=value - gap)
 
 
 def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
@@ -357,8 +349,8 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     K (M + s I) K^dagger (`_fit`), s = max(0, -lambda_min(M)) since
     D_sigma leaves the identity on K free where css is rank-deficient, which
     gives c = 0 to rounding at a CSS; or, where lambda_min(css^Gamma) >
-    SUPPORT_TOL, the barrier's `_barrier_multiplier`, which gives c = -gap
-    at `ree_numeric`'s css.  -inf where `relative_entropy`(rho, css) = inf.
+    SUPPORT_TOL, the barrier's mu (css^Gamma)^-1, the oracle's bracket, so
+    c >= -gap at `ree_numeric`'s css.  -inf where `relative_entropy` = inf.
     `n_directions` is ignored; it stays because `perfbench/` passes it.
     """
     rho, css = _finite(rho), _finite(css)
@@ -370,13 +362,15 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
 
 def _certificate(rho, css, w, v, fit) -> float:
     """`directional_optimality_check` at a css of finite S(rho||css), from
-    the spectra w, v of (css, css^Gamma) and their `_fit` to rho."""
-    gmat = _log_gradient(rho, w[0], v[0])
-    k, m, _ = fit
-    shift = -np.linalg.eigvalsh(m).min(initial=0.0) * np.eye(len(m))
-    floor = _dual_floor(gmat, k @ (m + shift) @ k.conj().T)
-    if w[1, 0] > SUPPORT_TOL:
-        floor = max(floor, _dual_floor(gmat, _barrier_multiplier(w, v)))
+    the spectra w, v of (css, css^Gamma) and their `_fit` to rho; a fit of
+    None reads the barrier's multiplier alone, -inf where it has none."""
+    gmat, floor = _log_gradient(rho, w[0], v[0]), -math.inf
+    if fit is not None:
+        k, m, _ = fit
+        shift = -np.linalg.eigvalsh(m).min(initial=0.0) * np.eye(len(m))
+        floor = _dual_floor(gmat, k @ (m + shift) @ k.conj().T)
+    if w[1, 0] > SUPPORT_TOL:  # mu (sigma^Gamma)^-1 at mu = MU_SCHEDULE[-1]
+        floor = max(floor, _dual_floor(gmat, (v[1] * (MU_SCHEDULE[-1] / w[1])) @ v[1].conj().T))
     return floor - float(np.trace(css @ gmat).real)
 
 

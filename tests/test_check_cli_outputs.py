@@ -90,6 +90,21 @@ def test_written_files_pass_every_gate(outputs):
     assert lines[-1] == "all five gates hold"
 
 
+def test_cross_route_prints_its_margins(outputs, capsys):
+    """The cross-route summary names the least css-auto ree - lower and the
+    least ree - css-auto ree, each with its file: the first is positive, and
+    the second is at least the gate's -1e-12."""
+    assert check.main(str(outputs)) == 0
+    line = next(text for text in capsys.readouterr().out.splitlines()
+                if text.startswith("Cross-route REE: "))
+    below, above = line.split("least css-auto ree - lower ")[1].split(
+        ", least ree - css-auto ree ")
+    for margin in (below, above):
+        value, at = margin.split(" (")
+        assert at.endswith(".css-numeric.json)") and float(value) >= -1e-12
+    assert float(below.split(" (")[0]) > 0
+
+
 @pytest.mark.parametrize("gate", list(check.GATES))
 def test_planted_violation_fails_its_gate(outputs, tmp_path, capsys, gate):
     """One planted violation fails its own gate, and only that one."""

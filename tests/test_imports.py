@@ -90,3 +90,48 @@ def test_planted_pauli_table_is_found(tmp_path):
     assigned, readers = pauli_table_use(tmp_path)
     assert assigned["_B_FLAT"] == {"qstate", "ree"} and assigned["_EYE_FLAT"] == {"qstate"}
     assert readers == {"qstate", "ree", "revmap"}
+
+
+BOUND_PIECES = ("_dual_floor", "_log_gradient")
+
+
+def readers_of(package: Path, names):
+    """For a flat package, each of `names` mapped to the set of places that
+    read it, by name, as an attribute or in an import: "module.function" or
+    "module.Class" for a top-level definition's body, "module" for the rest."""
+    found = {name: set() for name in names}
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            where = f"{path.stem}.{top.name}" if named else path.stem
+            for n in ast.walk(top):
+                name = (n.id if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                        else n.attr if isinstance(n, ast.Attribute)
+                        else n.name if isinstance(n, ast.alias) else None)
+                if name in found:
+                    found[name].add(where)
+    return found
+
+
+def test_dual_bound_formed_once():
+    """The dual bound lambda_min(G - Q^Gamma) - tr(sigma G) has one home:
+    only ree._certificate reads `_dual_floor` and `_log_gradient`, and the
+    oracle's bracket and the certificate both call it."""
+    assert readers_of(PACKAGE, BOUND_PIECES) == {name: {"ree._certificate"}
+                                                  for name in BOUND_PIECES}
+    assert readers_of(PACKAGE, ("_certificate",))["_certificate"] >= {
+        "ree.ree_numeric", "ree.directional_optimality_check"}
+
+
+def test_planted_bound_reader_is_found(tmp_path):
+    """A call by attribute, an import under an alias and a reference that is
+    not a call are all found, each at its top-level definition."""
+    (tmp_path / "ree.py").write_text(
+        "def _dual_floor(g):\n    return g\n\n\n"
+        "def _certificate(g):\n    return _dual_floor(g)\n\n\n"
+        "class Oracle:\n    def end(self, g):\n        return [_dual_floor][0](g)\n")
+    (tmp_path / "revmap.py").write_text(
+        "from . import ree\nfrom .ree import _dual_floor as floor\n\n\n"
+        "def accept(g):\n    return ree._dual_floor(g) + floor(g)\n")
+    assert readers_of(tmp_path, ("_dual_floor",)) == {
+        "_dual_floor": {"ree._certificate", "ree.Oracle", "revmap", "revmap.accept"}}

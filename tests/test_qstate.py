@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,26 @@ def rotation_about(axis, angle):
     k = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
     return np.cos(angle) * np.eye(3) + np.sin(angle) * k \
         + (1 - np.cos(angle)) * np.outer(n, n)
+
+
+BLOCKS = "shape r [3], s [3], g [3x3]"
+Z3, Z33 = np.zeros(3), np.zeros((3, 3))
+# each call, with the InvalidState invariant that it must raise
+MALFORMED_PAULI = {
+    "canonicalize-blocks-4-2-9": (
+        lambda: qstate.canonicalize(qstate.PauliForm(np.zeros(4), np.zeros(2), 0.1 * np.eye(3))),
+        BLOCKS),
+    "g-2x2": (lambda: qstate.from_pauli(qstate.PauliForm(Z3, Z3, np.eye(2))), BLOCKS),
+    "g-4x4": (lambda: qstate.from_pauli(qstate.PauliForm(Z3, Z3, np.eye(4))), BLOCKS),
+    "bell-diagonal-2": (lambda: qstate.bell_diagonal([0.1, 0.2]), BLOCKS),
+    "r-scalar": (lambda: qstate.from_pauli(qstate.PauliForm(0.1, Z3, Z33)), BLOCKS),
+    "r-length-1": (lambda: qstate.from_pauli(qstate.PauliForm([0.1], Z3, Z33)), BLOCKS),
+    "g-nan": (lambda: qstate.from_pauli(qstate.PauliForm(Z3, Z3, np.diag([0.1, np.nan, 0.1]))),
+              "finite entries"),
+    "t-nan": (lambda: qstate.bell_diagonal([0.1, 0.2, np.nan]), "finite entries"),
+    "r-inf": (lambda: qstate.from_pauli(qstate.PauliForm(np.array([0.0, np.inf, 0.0]), Z3, Z33)),
+              "finite entries"),
+}
 
 
 class TestValidation:
@@ -187,6 +209,19 @@ class TestPauliDecomposition:
             c = np.append(1.0, x).reshape(4, 4)  # c_ab = x_k, k = 4a + b - 1
             got = qstate.from_pauli(qstate.PauliForm(c[1:, 0], c[0, 1:], c[1:, 1:]))
             assert np.array_equal(got, (qstate._EYE_FLAT + x @ qstate._B_FLAT).reshape(4, 4))
+
+    @pytest.mark.parametrize("name", list(MALFORMED_PAULI))
+    def test_malformed_pauli_form_rejected(self, name):
+        """A Pauli form whose blocks are not r [3], s [3] and g [3x3], or with
+        a NaN or infinite entry, raises InvalidState with no warning: not
+        numpy's ValueError, a state with r broadcast from one number, or a
+        matrix of NaNs."""
+        call, invariant = MALFORMED_PAULI[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidState) as exc:
+                call()
+        assert exc.value.invariant == invariant
 
     def test_partial_trace_consistency(self, rng):
         rho = random_density_matrix(rng)

@@ -1010,13 +1010,33 @@ class TestDirectionalOptimality:
 
     def test_denormal_pt_eigenvalue(self):
         """A sigma^Gamma eigenvalue of 5e-324 takes no barrier multiplier,
-        whose mu / w would overflow: c is finite, with no RuntimeWarning."""
+        whose mu / w would overflow: c is finite, with no RuntimeWarning, and
+        the oracle's bracket, the certificate with no fit, is -inf."""
         rho = 0.6 * qstate.BELL_STATES[2] + 0.4 * np.diag([1.0, 0, 0, 0]).astype(complex)
         sigma = np.diag([0.4, 0.3, 0.3, 5e-324]).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             c = directional_optimality_check(rho, sigma)
+            bracket = ree._certificate(rho, sigma, *qstate._pt_spectra(sigma), None)
         assert math.isfinite(relative_entropy(rho, sigma)) and -1.0 <= c <= 0
+        assert bracket == -math.inf
+
+    def test_bracket_is_the_certificate_without_fit(self):
+        """`ree_numeric`'s gap is -`_certificate` at its css with no fit, bit
+        for bit, on 40 random entangled states: the oracle's bracket and the
+        certificate are one bound, and the oracle's spectra of its css are
+        those of `_pt_spectra`."""
+        rng = np.random.default_rng(4)
+        seen = 0
+        while seen < 40:
+            rho = random_density_matrix(rng)
+            if qstate.is_ppt(rho):
+                continue
+            seen += 1
+            rep = ree_numeric(rho)
+            w, v = qstate._pt_spectra(rep.css_numeric)
+            assert ree._certificate(rho, rep.css_numeric, w, v, None) == -rep.gap
+            assert rep.lower == rep.value - rep.gap
 
     def test_empty_kernel_uses_the_barrier_multiplier(self):
         """Where lambda_min(sigma^Gamma) > EDGE_TOL the fit has no kernel
