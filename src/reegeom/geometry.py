@@ -7,9 +7,11 @@ deformed bodies come from the `spectra` kernels.  `surface_mesh` takes the
 sheet moduli once per grid point, solves them for q3 with
 `spectra.boundary_roots` and keeps the roots whose state passes `sheet_min`:
 on T the grid moduli are the state's own, on L it takes the state's moduli
-once per footprint point.  `line_surface_crossing` solves, one quadratic per
-sheet, where the line from a correlation vector to its nearest tetrahedron
-vertex meets the zero set of the partial transpose's `branch_min`.
+once per footprint point.  The footprint's roots are filtered per sheet on
+contiguous 1-D arrays, and the mesh is filled column by column.
+`line_surface_crossing` solves, one quadratic per sheet, where the line from
+a correlation vector to its nearest tetrahedron vertex meets the zero set of
+the partial transpose's `branch_min`.
 """
 
 from __future__ import annotations
@@ -101,18 +103,23 @@ def surface_mesh(body: str, r: float, s: float, n: int,
         r, s, axis[:, None], (axis if body == "T" else -axis)[None, :]))
     mu, nu, inside = spectra.boundary_roots(m1, m2)
     foot = np.flatnonzero(inside)
-    q1, q2 = (axis[k] for k in np.divmod(foot, n))
-    # flat index 2i is footprint point i's mu root, 2i + 1 its nu root
-    q3 = np.column_stack([mu[foot], nu[foot]])
+    q1, q2 = np.repeat(axis, n)[foot], np.tile(axis, n)[foot]
     # the PSD check is on the state itself: its moduli are the grid's on T,
     # and on L, whose grid is the partial transpose's, are taken at +q2
     if body == "T":
         m1, m2 = m1[foot], m2[foot]
     else:
         m1, m2 = spectra.moduli(r, s, q1, q2)
-    idx = np.flatnonzero(spectra.sheet_min(m1[:, None], m2[:, None], q3) >= -psd_tol)
+    # filled one sheet (column) at a time from contiguous arrays: flat index
+    # 2i is footprint point i's mu root, 2i + 1 its nu root
+    q3, keep = np.empty((len(foot), 2)), np.empty((len(foot), 2), dtype=bool)
+    for j, roots in enumerate((mu[foot], nu[foot])):
+        q3[:, j] = roots
+        keep[:, j] = spectra.sheet_min(m1, m2, roots) >= -psd_tol
+    idx = np.flatnonzero(keep)
     rows = idx >> 1
-    points = np.column_stack([q1[rows], q2[rows], q3.ravel()[idx]])
+    points = np.empty((len(idx), 3))
+    points[:, 0], points[:, 1], points[:, 2] = q1[rows], q2[rows], q3.ravel()[idx]
     return SurfaceMesh(points, SHEET_TAGS[idx & 1])
 
 

@@ -100,14 +100,17 @@ def to_pauli(rho: np.ndarray) -> PauliForm:
 
 def from_pauli(p: PauliForm) -> np.ndarray:
     """Reconstruct the 4x4 matrix; Hermitian and unit trace, not necessarily PSD.
-    Raises InvalidState on blocks not r [3], s [3] and g [3x3], or a non-finite entry."""
+    Raises InvalidState on blocks not r [3], s [3] and g [3x3], a non-finite
+    entry, or an entry with a nonzero imaginary part."""
     if (np.shape(p.r), np.shape(p.s), np.shape(p.g)) != ((3,), (3,), (3, 3)):
         raise InvalidState("shape r [3], s [3], g [3x3]", float(sum(map(np.size, (p.r, p.s, p.g)))))
-    x = np.empty(15)
+    x = np.empty(15, dtype=complex)  # complex, so that an imaginary part is seen, not cast away
     x[:3], x[3::4], x[3:].reshape(3, 4)[:, 1:] = p.s, p.r, p.g
     if not np.isfinite(x).all():
         raise InvalidState("finite entries", float(np.sum(~np.isfinite(x))))
-    return (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)
+    if x.imag.any():
+        raise InvalidState("real entries", float(np.count_nonzero(x.imag)))
+    return (_EYE_FLAT + x.real @ _B_FLAT).reshape(4, 4)
 
 
 def bell_diagonal(t) -> np.ndarray:

@@ -184,8 +184,9 @@ class TestSurfaceMesh:
         deformed = geometry.surface_mesh("T", 0.5, 0.5, 16)
         assert 0 < len(deformed.points) < len(full.points)
 
-    # 32 to 96: the mesh sizes of the geometry-export benchmark
-    @pytest.mark.parametrize("n", [2, 16, 32, 48, 64, 80, 96])
+    # 32 to 96: the mesh sizes of the geometry-export benchmark; an odd n puts
+    # 0.0 on the axis
+    @pytest.mark.parametrize("n", [2, 3, 16, 32, 33, 48, 64, 80, 96])
     @pytest.mark.parametrize("body", ["T", "L"])
     def test_matches_loop_reference(self, body, n):
         rng = np.random.default_rng(100 + n)
@@ -225,6 +226,14 @@ class TestSurfaceMesh:
     def test_rejects_non_integer_grid(self, n):
         with pytest.raises(ValueError, match="grid size must be an integer"):
             geometry.surface_mesh("T", 0.0, 0.0, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 33])
+    @pytest.mark.parametrize("body", ["T", "L"])
+    def test_points_are_c_contiguous_float64(self, body, n):
+        for r, s in [(0.0, 0.0), (0.2, -0.1), (1.0, 1.0)]:
+            mesh = geometry.surface_mesh(body, r, s, n)
+            assert mesh.points.dtype == np.float64 and mesh.points.flags.c_contiguous
+            assert mesh.points.shape == (len(mesh.sheets), 3)
 
     def test_sheets_are_a_str_array(self):
         mesh = geometry.surface_mesh("L", 0.2, -0.1, np.int64(12))

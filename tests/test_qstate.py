@@ -57,6 +57,16 @@ MALFORMED_PAULI = {
     "t-nan": (lambda: qstate.bell_diagonal([0.1, 0.2, np.nan]), "finite entries"),
     "r-inf": (lambda: qstate.from_pauli(qstate.PauliForm(np.array([0.0, np.inf, 0.0]), Z3, Z33)),
               "finite entries"),
+    "r-complex": (lambda: qstate.from_pauli(qstate.PauliForm(np.array([0.1j, 0, 0]), Z3, Z33)),
+                  "real entries"),
+    "s-complex": (lambda: qstate.from_pauli(qstate.PauliForm(Z3, np.array([0, 0.1j, 0]), Z33)),
+                  "real entries"),
+    "g-complex": (lambda: qstate.from_pauli(qstate.PauliForm(Z3, Z3, np.diag([0, 0, 0.1j]))),
+                  "real entries"),
+    "bell-diagonal-complex": (lambda: qstate.bell_diagonal([0.1, 0.1j, 0.1]), "real entries"),
+    "canonicalize-g-complex": (
+        lambda: qstate.canonicalize(qstate.PauliForm(Z3, Z3, (1 + 0.5j) * np.eye(3))),
+        "real entries"),
 }
 
 
@@ -213,15 +223,29 @@ class TestPauliDecomposition:
     @pytest.mark.parametrize("name", list(MALFORMED_PAULI))
     def test_malformed_pauli_form_rejected(self, name):
         """A Pauli form whose blocks are not r [3], s [3] and g [3x3], or with
-        a NaN or infinite entry, raises InvalidState with no warning: not
-        numpy's ValueError, a state with r broadcast from one number, or a
-        matrix of NaNs."""
+        a NaN, infinite or non-real entry, raises InvalidState with no
+        warning: not numpy's ValueError, a state with r broadcast from one
+        number, a matrix of NaNs, or the real part with a ComplexWarning."""
         call, invariant = MALFORMED_PAULI[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidState) as exc:
                 call()
         assert exc.value.invariant == invariant
+        if invariant == "real entries":
+            # the count of non-real entries: three on the diagonal of (1 + 0.5j) I
+            assert exc.value.magnitude == (3.0 if name == "canonicalize-g-complex" else 1.0)
+
+    @pytest.mark.parametrize("dtype", [int, float, complex])
+    def test_real_blocks_of_any_dtype_accepted(self, dtype):
+        """Blocks of int or float dtype, or complex with zero imaginary
+        parts, give the float blocks' state with no warning."""
+        blocks = np.array([0, 0, 1]), np.array([1, 0, 0]), np.diag([1, -1, 1])
+        want = qstate.from_pauli(qstate.PauliForm(*(b.astype(float) for b in blocks)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = qstate.from_pauli(qstate.PauliForm(*(b.astype(dtype) for b in blocks)))
+        assert np.array_equal(got, want) and got.dtype == complex
 
     def test_partial_trace_consistency(self, rng):
         rho = random_density_matrix(rng)
