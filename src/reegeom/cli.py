@@ -5,10 +5,17 @@ Exit codes: 0 ok, 1 check failure, 2 input error, 3 unsupported method.
 Matrices travel as JSON ({"re": [[4x4]], "im": [[4x4]]}, row-major, basis
 order |00>, |01>, |10>, |11>); meshes and sweeps as CSV.  Every output file
 gets a sidecar manifest JSON recording the invocation.
+
+Start-up is most of a command's time, so each subcommand imports the layers
+it runs when it runs: `decompose` and `reconstruct` load only `qstate` and
+`errors`, `surface` adds `geometry` and `spectra`, `sweep` adds `revmap`,
+`ree` and `spectra`, and `css` and `verify --suite all` load every layer.
+The `reegeom` command enters through `run`, which freezes the start-up heap.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -16,7 +23,7 @@ import sys
 import click
 import numpy as np
 
-from . import __version__, css, geometry, revmap
+from . import __version__
 from .errors import InvalidState, NotConverged
 from .qstate import (
     BELL_STATES,
@@ -30,7 +37,6 @@ from .qstate import (
     to_pauli,
     validate_density_matrix,
 )
-from .ree import ree_numeric
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -201,6 +207,9 @@ def reconstruct(pauli, out):
 @OUT_JSON
 def css_cmd(state, method, bits, out):
     """Closest separable state and relative entropy of entanglement of STATE."""
+    from . import css
+    from .ree import ree_numeric
+
     rho = load_state(state)
     unit = 1.0 / math.log(2.0) if bits else 1.0
     tag = None if method == "auto" else css.classify(rho)
@@ -245,6 +254,8 @@ def css_cmd(state, method, bits, out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def surface(body, r, s, n, tol, out):
     """Boundary-surface mesh of the deformed body at fixed Bloch components."""
+    from . import geometry
+
     mesh = geometry.surface_mesh(body, r, s, n, psd_tol=tol)
     _write_csv(out, "q1,q2,q3,sheet",
                [(*pt, sheet) for pt, sheet in zip(mesh.points.tolist(), mesh.sheets.tolist())])
@@ -262,6 +273,8 @@ def surface(body, r, s, n, tol, out):
 def sweep(r, s, families, xsteps, xmax, seed, out):
     """Correlation-vector polylines of reverse-map families sharing Bloch
     components (r, s) at x = 0."""
+    from . import revmap
+
     rng = np.random.default_rng(seed)
     try:
         params = [revmap.sample_params_for_bloch(r, s, rng) for _ in range(families)]
@@ -285,6 +298,8 @@ def _residuals_ok(res) -> bool:
 
 
 def _suite_families(seed: int) -> list[dict]:
+    from . import css, geometry
+
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -312,6 +327,8 @@ def _suite_families(seed: int) -> list[dict]:
 
 
 def _suite_revmap(seed: int) -> list[dict]:
+    from . import revmap
+
     rng = np.random.default_rng(seed)
     checks = []
     worst = 0.0
@@ -338,6 +355,8 @@ def _suite_revmap(seed: int) -> list[dict]:
 def _suite_oracle() -> list[dict]:
     """The oracle's bracket [lower, value] holds ln 2 for each Bell state;
     each check reports the bracket, its gap and the oracle's steps."""
+    from .ree import ree_numeric
+
     checks = []
     for i, bell in enumerate(BELL_STATES):
         rep = ree_numeric(bell)
@@ -380,5 +399,13 @@ def verify(suite, seed, out):
     sys.exit(EXIT_OK if n_ok == len(checks) else EXIT_CHECK_FAILED)
 
 
-if __name__ == "__main__":
+def run():
+    """The `reegeom` command: `main` with every object alive by now frozen
+    (`gc.freeze`), so that neither a collection during the command nor the
+    one at interpreter exit walks numpy's and the imported modules' objects."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -1,7 +1,13 @@
 import ast
 import graphlib
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reegeom
@@ -135,3 +141,150 @@ def test_planted_bound_reader_is_found(tmp_path):
         "def accept(g):\n    return ree._dual_floor(g) + floor(g)\n")
     assert readers_of(tmp_path, ("_dual_floor",)) == {
         "_dual_floor": {"ree._certificate", "ree.Oracle", "revmap", "revmap.accept"}}
+
+
+# --- what each entry point loads, and the public surface ----------------------
+
+SRC = PACKAGE.parent
+
+# The names `reegeom` exports, by the layer module that defines them.
+PUBLIC = {
+    "css": ("CssResult", "FamilyKind", "FamilyTag", "classify", "css_auto",
+            "css_bell_diagonal", "css_horodecki", "css_vp"),
+    "errors": ("DegenerateZ", "InvalidState", "NoCrossing", "NotConverged", "NotEdgeState",
+               "OutsideTetrahedron", "ParallelLines", "RankDeficient", "ReegeomError"),
+    "geometry": ("TETRA_VERTICES", "CrossingPoint", "SurfaceMesh", "Vertex", "in_tetrahedron",
+                 "line_surface_crossing", "nearest_vertex", "surface_mesh"),
+    "qstate": ("DiagonalPauliForm", "PauliForm", "bell_diagonal", "canonicalize",
+               "concurrence", "from_pauli", "is_ppt", "partial_transpose", "to_pauli",
+               "validate_density_matrix"),
+    "ree": ("OracleConfig", "ReeReport", "directional_optimality_check", "ree_numeric",
+            "relative_entropy"),
+    "revmap": ("SigmaZParams", "css_line_sweep", "family_from_css", "g_matrix",
+               "line_crossing", "recover", "z_derivatives", "z_family"),
+}
+
+# At interpreter exit, report the freeze count and the loaded reegeom modules
+# as one JSON line on standard error.
+PROBE = """import atexit, gc, json, sys
+
+def _probe():
+    modules = sorted(m for m in sys.modules if m.split(".")[0] == "reegeom")
+    sys.stderr.write(json.dumps({"frozen": gc.get_freeze_count(), "modules": modules}) + "\\n")
+
+atexit.register(_probe)
+"""
+
+
+def python(args, cwd, probe_dir=None):
+    """`python ARGS` in a fresh process on this checkout's source, with
+    PROBE installed as `sitecustomize` when PROBE_DIR is given."""
+    path = [str(SRC)] if probe_dir is None else [str(probe_dir), str(SRC)]
+    if probe_dir is not None:
+        (probe_dir / "sitecustomize.py").write_text(PROBE)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def loaded_after(statement, tmp_path) -> list:
+    code = (f"import sys; {statement}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'reegeom'))")
+    proc = python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_bare_import_loads_no_layer(tmp_path):
+    assert loaded_after("import reegeom", tmp_path) == ["reegeom"]
+
+
+def test_cli_import_loads_qstate_and_errors_only(tmp_path):
+    assert loaded_after("import reegeom.cli", tmp_path) == [
+        "reegeom", "reegeom.cli", "reegeom.errors", "reegeom.qstate"]
+
+
+def probe(proc) -> dict:
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+def test_decompose_loads_no_solver_layer(tmp_path):
+    """`python -m reegeom.cli decompose` writes its file having loaded none
+    of css, geometry, ree or revmap."""
+    state = tmp_path / "bell.json"
+    state.write_text(json.dumps({"re": (np.eye(4) / 4).tolist()}))
+    proc = python(["-m", "reegeom.cli", "decompose", str(state), "--out", "pauli.json"],
+                  tmp_path, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "pauli.json").exists()
+    modules = set(probe(proc)["modules"])
+    assert "reegeom.qstate" in modules
+    assert not modules & {"reegeom.css", "reegeom.geometry", "reegeom.ree", "reegeom.revmap"}
+
+
+def test_entry_point_freezes_the_heap(tmp_path):
+    """`python -m reegeom.cli` runs with the objects alive at start-up frozen."""
+    proc = python(["-m", "reegeom.cli", "--version"], tmp_path, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(f"version {reegeom.__version__}\n")
+    assert probe(proc)["frozen"] > 0
+
+
+def test_console_script_is_run():
+    text = (SRC.parent / "pyproject.toml").read_text()
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert section.strip().splitlines() == ['reegeom = "reegeom.cli:run"']
+
+
+def test_version_is_a_string_literal():
+    """setuptools' dynamic version reads `__version__` from the source."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    values = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__version__"]]
+    assert len(values) == 1 and isinstance(values[0], ast.Constant)
+    assert values[0].value == reegeom.__version__ and isinstance(reegeom.__version__, str)
+
+
+def test_public_names():
+    """`__all__` is every exported name plus `__version__`, and `dir` lists them."""
+    names = [name for group in PUBLIC.values() for name in group]
+    assert len(names) == len(set(names)) == 48
+    assert sorted(reegeom.__all__) == sorted([*names, "__version__"])
+    assert set(reegeom.__all__) <= set(dir(reegeom))
+
+
+def test_public_name_is_its_module_attribute_now(monkeypatch):
+    """Each exported name is its defining module's current attribute, so a
+    patch of that attribute shows through the package."""
+    for module, names in PUBLIC.items():
+        home = importlib.import_module(f"reegeom.{module}")
+        for name in names:
+            assert getattr(reegeom, name) is getattr(home, name), name
+    from reegeom import qstate
+
+    def patched(rho):
+        return None
+
+    monkeypatch.setattr(qstate, "to_pauli", patched)
+    assert reegeom.to_pauli is patched
+    assert "to_pauli" not in vars(reegeom)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        reegeom.no_such_name  # noqa: B018
+    assert not hasattr(reegeom, "cli_main")
+
+
+def test_star_import_and_layer_attribute_after_bare_import(tmp_path):
+    """In a fresh process, `from reegeom import *` binds every public name,
+    and `reegeom.css.css_auto` and `reegeom.spectra` resolve after a bare
+    `import reegeom`."""
+    code = ("import reegeom; f = reegeom.css.css_auto; reegeom.spectra.moduli; ns = {}; "
+            "exec('from reegeom import *', ns); "
+            "print(sorted(set(ns) - {'__builtins__'}) == sorted(reegeom.__all__), "
+            "f is ns['css_auto'])")
+    proc = python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
