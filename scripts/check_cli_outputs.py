@@ -17,10 +17,17 @@ import math
 import sys
 from pathlib import Path
 
-from reegeom.cli import _state_matrix
+import numpy as np
+
 from reegeom.ree import directional_optimality_check
 
 CLOSED_FORM = ("geometric", "maximally-correlated")
+
+
+def matrix(obj: dict) -> np.ndarray:
+    """The 4x4 matrix of a state or css block, re + 1j*im, parsed with numpy
+    as `scripts/cli_outputs.py` writes it, not with the CLI under check."""
+    return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
 
 
 def exit_codes(out: Path):
@@ -152,8 +159,8 @@ def certificates(out: Path):
     def certificate(path, kind):
         res = json.loads(path.read_text())
         state = out / path.name.replace(f".{kind}.json", ".state.json")
-        rho = _state_matrix(json.loads(state.read_text()))
-        return res, directional_optimality_check(rho, _state_matrix(res["css"]))
+        rho = matrix(json.loads(state.read_text()))
+        return res, directional_optimality_check(rho, matrix(res["css"]))
 
     for path in sorted(out.glob("*.css-auto.json")):
         res, c = certificate(path, "css-auto")

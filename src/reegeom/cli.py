@@ -1,7 +1,8 @@
 """Command-line front end: state I/O, computations as subcommands, and
 figure-dataset export.
 
-Exit codes: 0 ok, 1 check failure, 2 input error, 3 unsupported method.
+Exit codes: 0 ok, 1 check failure, 2 input error (a grid too large to
+allocate included), 3 unsupported method.
 Matrices travel as JSON ({"re": [[4x4]], "im": [[4x4]]}, row-major, basis
 order |00>, |01>, |10>, |11>); meshes and sweeps as CSV.  Every output file
 gets a sidecar manifest JSON recording the invocation.
@@ -110,53 +111,55 @@ def matrix_json(m: np.ndarray) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _open_out(path: str):
-    """PATH opened for writing; a missing or unwritable directory exits 2."""
+def _write(out: str, text: str):
+    """Write TEXT to OUT, then OUT's manifest: the subcommand, its arguments
+    (inputs), its options other than --out and --seed (flags), the seed and
+    the version.  An OSError, as from a missing or unwritable directory, exits 2."""
+    ctx = click.get_current_context()
+    flags = {k: v for k, v in ctx.params.items() if k != "out"}
+    inputs = [flags.pop(p.name) for p in ctx.command.params if isinstance(p, click.Argument)]
+    manifest = json.dumps({"subcommand": ctx.info_name, "inputs": inputs,
+                           "seed": flags.pop("seed", None), "flags": flags,
+                           "version": __version__, "outputs": [out]}, indent=2, sort_keys=True)
     try:
-        return open(path, "w")
+        for path, body in ((out, text), (out + ".manifest.json", manifest + "\n")):
+            with open(path, "w") as fh:
+                fh.write(body)
     except OSError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-
-
-def _manifest(out: str):
-    """Write OUT's sidecar: the running subcommand, its arguments (inputs),
-    its options other than --out and --seed (flags), the seed and version."""
-    ctx = click.get_current_context()
-    flags = dict(ctx.params)
-    flags.pop("out")
-    inputs = [flags.pop(p.name) for p in ctx.command.params
-              if isinstance(p, click.Argument)]
-    manifest = {"subcommand": ctx.info_name, "inputs": inputs,
-                "seed": flags.pop("seed", None), "flags": flags,
-                "version": __version__, "outputs": [out]}
-    with _open_out(out + ".manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _emit(payload: dict, out: str | None):
     """Write PAYLOAD as JSON to OUT and its manifest, or to stdout."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if not out:
+    if out:
+        _write(out, text)
+    else:
         sys.stdout.write(text)
-        return
-    with _open_out(out) as fh:
-        fh.write(text)
-    _manifest(out)
 
 
-def _write_csv(out: str, header: str, rows: list[tuple]):
-    """Write HEADER and ROWS as CSV and the file's manifest; numbers are
-    printed with 17 significant digits, strings as they are."""
-    with _open_out(out) as fh:
-        fh.write(header + "\n")
-        if rows:
-            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
-            fh.write("".join(line % row + "\n" for row in rows))
-    _manifest(out)
+def _write_csv(out: str, header: str, rows: list[tuple], what: str):
+    """Write HEADER and ROWS as CSV to OUT and its manifest, numbers with 17
+    significant digits and strings as they are, and say how many WHAT it wrote."""
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) if rows else ""
+    _write(out, header + "\n" + "".join(line % row + "\n" for row in rows))
+    click.echo(f"wrote {len(rows)} {what} to {out}")
 
 
-@click.group()
+class _Main(click.Group):
+    """Every subcommand's one exit boundary: a grid too large to allocate
+    exits 2, an oracle that does not converge exits 1, each with one error line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MemoryError as exc:
+            _fail(EXIT_INPUT_ERROR, str(exc) or "not enough memory for this input")
+        except NotConverged as exc:
+            _fail(EXIT_CHECK_FAILED, str(exc))
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Two-qubit entanglement-geometry toolkit.
@@ -222,10 +225,7 @@ def css_cmd(state, method, bits, out):
         payload = {"method": "numeric", "converged": rep.converged,
                    "lower": rep.lower * unit, "gap": rep.gap * unit}
     else:
-        try:
-            result = css.css_auto(rho)
-        except NotConverged as exc:
-            _fail(EXIT_CHECK_FAILED, str(exc))
+        result = css.css_auto(rho)
         tag, value, sigma = result.family, result.ree, result.css
         payload = {
             "method": (result.route if result.route in ("maximally-correlated", "reverse-map")
@@ -258,8 +258,8 @@ def surface(body, r, s, n, tol, out):
 
     mesh = geometry.surface_mesh(body, r, s, n, psd_tol=tol)
     _write_csv(out, "q1,q2,q3,sheet",
-               [(*pt, sheet) for pt, sheet in zip(mesh.points.tolist(), mesh.sheets.tolist())])
-    click.echo(f"wrote {len(mesh.sheets)} mesh points to {out}")
+               [(*pt, sheet) for pt, sheet in zip(mesh.points.tolist(), mesh.sheets.tolist())],
+               "mesh points")
 
 
 @main.command()
@@ -283,8 +283,7 @@ def sweep(r, s, families, xsteps, xmax, seed, out):
     rows = revmap.css_line_sweep(params, np.linspace(0.0, xmax, xsteps))
     _write_csv(out, "family_id,x,t1,t2,t3,tau1,tau2,tau3,r,s",
                [(row["family_id"], row["x"], *row["t"], *row["tau"], row["r"], row["s"])
-                for row in rows])
-    click.echo(f"wrote {len(rows)} sweep rows to {out}")
+                for row in rows], "sweep rows")
 
 
 # --- verify suites ---------------------------------------------------------

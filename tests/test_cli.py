@@ -243,6 +243,44 @@ def test_out_in_missing_directory_exit_2(runner, tmp_path, args):
     assert sorted(os.listdir(tmp_path)) == ["bell.json"]
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 TiB", ""])
+@pytest.mark.parametrize("args, layer, name", [
+    (["surface", "--body", "T", "--r", "0", "--s", "0", "--n", "4"], geometry, "surface_mesh"),
+    (["sweep", "--r", "0.1", "--s", "0.1", "--families", "1"], revmap, "css_line_sweep"),
+], ids=["surface", "sweep"])
+def test_grid_too_large_exit_2(runner, tmp_path, monkeypatch, args, layer, name, message):
+    """A grid its layer cannot allocate exits 2 with one error line, the
+    MemoryError's message or, where that is empty, a fallback, no traceback
+    and no file."""
+    def too_large(*_, **__):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(layer, name, too_large)
+    res = runner.invoke(cli.main, args + ["--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 2 and type(res.exception) is SystemExit
+    assert res.stderr == f"error: {message or 'not enough memory for this input'}\n"
+    assert res.stdout == "" and os.listdir(tmp_path) == []
+
+
+def test_grid_too_large_for_memory_exit_2(tmp_path):
+    """The real `surface --n 1048576`, whose n x n grid needs 8 TiB, through
+    the console entry `cli.run` in a process that caps its own address space
+    at 4 GiB, so that the request is refused on any host: numpy's
+    MemoryError exits 2 with one error line."""
+    pytest.importorskip("resource")
+    code = ("import resource; hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, hard)); "
+            "from reegeom.cli import run; run()")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(reegeom.__file__)))
+    res = subprocess.run([sys.executable, "-c", code, "surface", "--body", "T", "--r", "0",
+                          "--s", "0", "--n", "1048576", "--out", str(tmp_path / "mesh.csv")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: Unable to allocate 8.00 TiB")
+    assert res.stderr.count("\n") == 1 and res.stdout == ""
+    assert os.listdir(tmp_path) == []
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(reegeom.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -692,6 +692,30 @@ class TestPredictor:
         assert rep.lower <= _entanglement_entropy(rho) <= rep.value
         assert qstate.validate_density_matrix(rep.css_numeric)[0][1, 0] >= 0
 
+    @pytest.mark.parametrize("index", range(4))
+    def test_armijo_and_polish_exits(self, monkeypatch, index):
+        """With an Armijo fraction of 1e6 no Newton step passes: each of the
+        MU_SCHEDULE stages spends all MAX_HALVINGS trials and ends at the
+        Armijo exit, only the tangent steps are taken, and the polish ends at
+        its first trial, which leaves the cone.  The report is unconverged,
+        and its bracket still holds ln 2 on each Bell state."""
+        trial = ree._trial
+        values = []
+
+        def recording_trial(rho, mu, x):
+            out = trial(rho, mu, x)
+            values.append(out[2])
+            return out
+
+        monkeypatch.setattr(ree, "ARMIJO_C", 1e6)
+        monkeypatch.setattr(ree, "_trial", recording_trial)
+        rep = ree_numeric(qstate.BELL_STATES[index])
+        stages = len(ree.MU_SCHEDULE)
+        assert len(values) == (stages - 1) + stages * ree.MAX_HALVINGS + 1
+        assert values[-1] == math.inf and rep.iterations == stages - 1
+        assert rep.converged is False
+        assert rep.lower <= math.log(2) <= rep.value
+
 
 class TestStartPoint:
     """The path starts at sigma0 = (1 - m) rho + m I/4, with the least m in
