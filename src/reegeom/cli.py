@@ -232,7 +232,7 @@ def css_cmd(state, method, bits, out):
                        else "geometric" if result.geometric else "numeric-fallback"),
             "lambdas": list(tag.lambdas) if tag.lambdas else None,
             "separable": result.separable,
-            "tau": np.asarray(result.tau, float).tolist(),
+            "tau": result.tau.tolist(),
             "residuals": {k: (None if math.isnan(v) else v)
                           for k, v in result.residuals.items()},
         }

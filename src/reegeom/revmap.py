@@ -100,12 +100,20 @@ def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
 
     For full-rank sigma, rho(x) is positive semidefinite exactly for
     0 <= x <= x_max = 1 / lambda_max(sigma^-1/2 G sigma^-1/2); past x_max it
-    is not a state.  Raises ValueError for a negative or non-finite x.
+    is not a state.  Raises ValueError for a negative or non-finite x, and
+    TypeError for an array x.
     """
-    _require_finite(x=x)
-    if x < 0:
+    _require_parameter("x", x)
+    return sigma - float(x) * g_matrix(sigma)
+
+
+def _require_parameter(name: str, x) -> None:
+    """Raise ValueError where the family parameter x, a number or an array,
+    has an entry that is not finite or is negative: rho(x) = sigma - x G is
+    in the family only for x >= 0, and sigma + |x| G is not."""
+    _require_finite(**{name: x})
+    if (np.asarray(x) < 0).any():
         raise ValueError("family parameter must be nonnegative")
-    return sigma - x * g_matrix(sigma)
 
 
 def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -270,8 +278,8 @@ def z_derivatives(p: SigmaZParams) -> ZFamilyDerivatives:
 
 def z_family(p: SigmaZParams, x) -> np.ndarray:
     """Closed-form rho(x) for the X-shaped edge state; an array of x gives a
-    stack.  Raises ValueError where an x is not finite."""
-    _require_finite(x=x)
+    stack.  Raises ValueError where an x is negative or not finite."""
+    _require_parameter("x", x)
     d = z_derivatives(p)
     g = _x_matrix((d.rb1, d.rb2, d.rb3, d.rb4), d.yb)  # G(sigma) of the family
     return p.matrix() - np.asarray(x, dtype=float)[..., None, None] * g
@@ -338,9 +346,10 @@ def css_line_sweep(params: list[SigmaZParams], x_grid):
     q1 = q2 = t1, is below -PSD_TOL or NaN, as an x far past x_max overflows
     it.  The derivatives are taken family by family, a degenerate one raising
     DegenerateZ; the points of all families are one (family, x) array pass.
+    An entry of x_grid that is negative or not finite raises ValueError.
     """
     xs = np.asarray(x_grid, dtype=float)
-    _require_finite(x_grid=xs)
+    _require_parameter("x_grid", xs)
     # (7, families, 1): each `_z_line` entry as a column over the families
     lines = np.array([_z_line(p, z_derivatives(p)) for p in params]).reshape(-1, 7).T[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # overflows lie far past x_max
@@ -348,7 +357,7 @@ def css_line_sweep(params: list[SigmaZParams], x_grid):
         keep = spectra.branch_min(r, s, t1, t1, t3) >= -PSD_TOL
     fid, col = np.nonzero(keep)
     t1, t3 = t1[keep], t3[keep]
-    _, _, tau1, tau3 = (v[:, 0] for v in _z_rst(lines, 0.0))
+    tau1, tau3 = lines[2, :, 0], lines[3, :, 0]  # each family's t1, t3 at x = 0
     tau = list(np.column_stack([tau1, tau1, tau3]))  # one array per family, as rows share it
     return [{"family_id": f, "x": x, "t": t_x, "tau": tau[f], "r": r_x, "s": s_x}
             for f, x, t_x, r_x, s_x in zip(fid.tolist(), xs[col].tolist(),

@@ -133,6 +133,26 @@ class TestFamilyFromCss:
         with pytest.raises(ValueError):
             revmap.family_from_css(bell_diagonal_params(0.2).matrix(), -0.1)
 
+    @pytest.mark.parametrize("call", [
+        lambda x: revmap.family_from_css(bell_diagonal_params(0.2).matrix(), x),
+        lambda x: revmap.z_family(bell_diagonal_params(0.2), x),
+        lambda x: revmap.z_family(bell_diagonal_params(0.2), np.array([0.0, 0.5, x])),
+        lambda x: revmap.css_line_sweep([bell_diagonal_params(0.2)], [0.0, 0.5, x])],
+        ids=["family_from_css", "z_family", "z_family-array", "css_line_sweep-grid"])
+    def test_one_domain_for_rho_of_x(self, call):
+        """rho(x) = sigma - x G is in the family only for x >= 0.  Each route to
+        it raises the same ValueError on a negative x, or on a negative entry
+        of an array or grid, where the closed forms returned sigma + |x| G."""
+        call(1e-3)
+        with pytest.raises(ValueError, match="^family parameter must be nonnegative$"):
+            call(-1e-3)
+
+    def test_array_x_rejected(self):
+        """family_from_css takes one x: an array of four, which would scale
+        G's columns one by one, raises rather than returning a non-member."""
+        with pytest.raises(TypeError):
+            revmap.family_from_css(bell_diagonal_params(0.2).matrix(), np.full(4, 0.1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("call", [
         lambda x: revmap.family_from_css(bell_diagonal_params(0.2).matrix(), x),
