@@ -27,10 +27,11 @@ from .qstate import (
     DiagonalPauliForm,
     PauliForm,
     _canonicalize,
+    _coordinates,
+    _from_coordinates,
     _ppt,
     _pt_spectra,
     bell_diagonal,
-    from_pauli,
     to_pauli,
     validate_density_matrix,
 )
@@ -195,7 +196,7 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
     reads the CSS's one `ree._fit`, on route "reverse-map" the solve's."""
     separable, spectra, fit = _ppt(w), None, None
     if separable:
-        css, tau, route = from_pauli(p_rho), t, "ppt"
+        css, tau, route = _from_coordinates(_coordinates(p_rho.r, p_rho.s, p_rho.g)), t, "ppt"
     elif route == "oracle":
         edge = revmap._edge_css(rho, w, v)
         if edge is not None:
@@ -207,7 +208,7 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
             css = rep.css_numeric
     else:
         tau = _tau(route, tag.lambdas, t)
-        css = from_pauli(PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b))
+        css = _from_coordinates(_coordinates(p_rho.r, p_rho.s, (a.T * tau) @ b))
     p_css, (ws, vs) = to_pauli(css), _pt_spectra(css) if spectra is None else spectra
     if route in ("reverse-map", "oracle"):
         tau = np.diag(a @ p_css.g @ b.T)
@@ -217,7 +218,7 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
         if len(fit[2]):  # css^Gamma has a kernel at ree.EDGE_TOL
             gap = float(np.max(np.abs(revmap._rebuild(css, vs[0], fit) - rho)))
     return CssResult(
-        css=css, tau=np.asarray(tau, float), family=tag,
+        css=css, tau=np.array(tau, float), family=tag,  # owned: tau may be a read-only view
         ree=0.0 if separable else _relative_entropy(rho, w[0], ws[0], vs[0]),
         residuals={"bloch_gap": max(math.sqrt(d.dot(d)) for d in (p_css.r - p_rho.r,
                                                                  p_css.s - p_rho.s)),

@@ -82,7 +82,8 @@ def validate_density_matrix(rho: np.ndarray):
     w, v = _pt_spectra(rho)  # first, for its tests of shape and finite entries
     with np.errstate(all="ignore"):  # finite entries near 1e308 overflow to inf or NaN
         herm = np.abs(rho - rho.conj().T).max()
-        tr = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+        trace = np.trace(rho)
+        tr = abs(trace.real - 1.0) + abs(trace.imag)
     if not herm <= HERMITICITY_TOL:  # written so that a NaN fails
         raise InvalidState("Hermiticity", herm)
     if not tr <= TRACE_TOL:
@@ -104,13 +105,26 @@ def from_pauli(p: PauliForm) -> np.ndarray:
     entry, or an entry with a nonzero imaginary part."""
     if (np.shape(p.r), np.shape(p.s), np.shape(p.g)) != ((3,), (3,), (3, 3)):
         raise InvalidState("shape r [3], s [3], g [3x3]", float(sum(map(np.size, (p.r, p.s, p.g)))))
-    x = np.empty(15, dtype=complex)  # complex, so that an imaginary part is seen, not cast away
-    x[:3], x[3::4], x[3:].reshape(3, 4)[:, 1:] = p.s, p.r, p.g
+    x = _coordinates(p.r, p.s, p.g, complex)  # complex, so that an imaginary part is seen
     if not np.isfinite(x).all():
         raise InvalidState("finite entries", float(np.sum(~np.isfinite(x))))
     if x.imag.any():
         raise InvalidState("real entries", float(np.count_nonzero(x.imag)))
-    return (_EYE_FLAT + x.real @ _B_FLAT).reshape(4, 4)
+    return _from_coordinates(x.real)
+
+
+def _coordinates(r, s, g, dtype=float) -> np.ndarray:
+    """The 15 Pauli coordinates x of the blocks r, s and g, as `to_pauli` reads them."""
+    x = np.empty(15, dtype=dtype)
+    x[:3], x[3::4], x[3:].reshape(3, 4)[:, 1:] = s, r, g
+    return x
+
+
+def _from_coordinates(x: np.ndarray) -> np.ndarray:
+    """sigma = I/4 + sum_k x_k P_k / 4 at 15 real Pauli coordinates x, unchecked:
+    the one place a state is built from its coordinates.  Exactly Hermitian,
+    and no zero sign of x reaches sigma, as _EYE_FLAT adds +0.0 to every entry."""
+    return (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)
 
 
 def bell_diagonal(t) -> np.ndarray:
@@ -203,12 +217,20 @@ def canonicalize(p: PauliForm):
     return _canonicalize(p)
 
 
+def _det3(m) -> float:
+    """The determinant of a 3x3 nested list by cofactors along its first row;
+    of an orthogonal frame it is +-1 to rounding, so its sign is
+    np.linalg.det's."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _canonicalize(p: PauliForm):
     """`canonicalize` of a Pauli form whose entries are known to be finite."""
     o1, q, o2t = np.linalg.svd(p.g)
     o2 = o2t.T
-    for o, det in zip((o1, o2), np.linalg.det(np.array([o1, o2]))):
-        if det < 0:  # an improper frame: flip its third axis, and q3 with it
+    for o in (o1, o2):
+        if _det3(o.tolist()) < 0:  # an improper frame: flip its third axis, and q3 with it
             o[:, 2] *= -1
             q[2] *= -1
 

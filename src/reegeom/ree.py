@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, _finite, partial_transpose,
-                     validate_density_matrix)
+from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, _finite, _from_coordinates,
+                     partial_transpose, validate_density_matrix)
 
 SUPPORT_TOL = 1e-12
 EDGE_TOL = 1e-8
@@ -332,7 +332,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
             x, w, v, dx, lam2 = xt, wt, vt, dxt, lam2t
             steps += 1
 
-    sigma = (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)  # exactly Hermitian; (w, v)[0] its spectrum
+    sigma = _from_coordinates(x)  # (w, v)[0] is its spectrum
     value = _relative_entropy(rho, p, w[0], v[0])
     gap = -_certificate(rho, sigma, w, v, None)
     return ReeReport(value=value, css_numeric=sigma, gap=gap, iterations=steps,

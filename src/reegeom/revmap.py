@@ -28,7 +28,7 @@ import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, PSD_TOL, _finite, _pt_spectra,
+from .qstate import (_PAULI_ROWS, PSD_TOL, _finite, _from_coordinates, _pt_spectra,
                      _require_finite, partial_transpose)
 from .ree import (_DIRECTIONS_FLAT, MAX_HALVINGS, SUPPORT_TOL, _certificate, _fit, _frame,
                   _generators, _kernel, _log_divided2, _spectra)
@@ -252,7 +252,7 @@ def _edge_css(rho, w, v):
     end = _newton(rho, w, v)
     if not (end.converged and end.x > 0 and end.w[0, 0] >= RANK_FLOOR):
         return None
-    sigma = (_EYE_FLAT + end.c @ _B_FLAT).reshape(4, 4)  # exactly Hermitian
+    sigma = _from_coordinates(end.c)
     fit = _fit(sigma, rho, end.w, end.v)
     if not _certificate(rho, sigma, end.w, end.v, fit) >= CERTIFICATE_TOL:
         return None

@@ -522,6 +522,76 @@ class TestCssAuto:
             assert res.ree == relative_entropy(rho, res.css)
             assert abs(res.ree - build(tag).ree) <= 1e-14
 
+    @pytest.mark.parametrize("kind", ["bell", "vp", "horodecki", "werner",
+                                      "maximally-correlated"])
+    def test_css_is_from_paulis_byte_for_byte(self, kind):
+        """The closed-form CSS and the route "ppt" CSS are what
+        `from_pauli(PauliForm(r, s, a^T @ diag(tau) @ b))` and
+        `from_pauli(p_rho)` build, byte for byte, zero signs included: on 40
+        states of each kind, half in their template frame and half under a
+        random local unitary, and on each closed-form builder."""
+        rng = np.random.default_rng(52)
+        routes = set()
+        for k in range(40):
+            rho = family_state(kind, rng)
+            rho = rotated(rho, rng) if k % 2 else rho
+            res, p_rho = css.css_auto(rho), qstate.to_pauli(rho)
+            if res.separable:
+                want = qstate.from_pauli(p_rho)
+            else:
+                dpf, r_a, r_b = qstate.canonicalize(p_rho)
+                tag, route, pa, pb = css._match_templates(dpf)
+                tau = css._tau(route, tag.lambdas, np.diag(pa @ np.diag(dpf.q) @ pb.T))
+                a, b = pa @ r_a, pb @ r_b
+                want = qstate.from_pauli(
+                    qstate.PauliForm(p_rho.r, p_rho.s, a.T @ np.diag(tau) @ b))
+            assert res.css.tobytes() == want.tobytes()
+            routes.add(res.route)
+        assert routes <= {"ppt", "bell-diagonal", "vp", "horodecki", "maximally-correlated"}
+        if kind in ("bell", "vp", "horodecki"):
+            for _ in range(20):
+                lam = tuple(rng.dirichlet(np.ones(3)))
+                t = rng.dirichlet(np.ones(4)) @ np.array(list(geometry.TETRA_VERTICES.values()))
+                res, state = {"bell": (css.css_bell_diagonal(t), qstate.bell_diagonal(t)),
+                              "vp": (css.css_vp(lam), css._vp_state(lam)),
+                              "horodecki": (css.css_horodecki(lam),
+                                            css._horodecki_state(lam))}[kind]
+                p_rho = qstate.to_pauli(state)
+                if res.separable:
+                    want = qstate.from_pauli(p_rho)
+                else:
+                    tau = css._tau(res.route, lam, p_rho.g.diagonal())
+                    want = qstate.from_pauli(qstate.PauliForm(
+                        p_rho.r, p_rho.s, np.eye(3) @ np.diag(tau) @ np.eye(3)))
+                assert res.css.tobytes() == want.tobytes()
+
+    def test_tau_is_owned_on_every_route(self, rng):
+        """`CssResult.tau` is a writable float array that owns its data on
+        every route of css_auto, and on every route of each closed-form
+        builder, route "ppt" included.  On routes "reverse-map" and "oracle"
+        it was a read-only view of the CSS's correlation tensor, and on the
+        builders' route "ppt" one of rho's."""
+        while True:
+            other = random_density_matrix(rng, rank=4)
+            if not qstate.is_ppt(other) and css.classify(other).kind is FamilyKind.OTHER:
+                break
+        states = [qstate.bell_diagonal([0.8, -0.6, 0.5]), css._vp_state((0.5, 0.3, 0.2)),
+                  css._horodecki_state((0.6, 0.3, 0.1)), css._horodecki_state((0.2, 0.4, 0.4)),
+                  css._vp_state((0.8, 0.3, -0.1)), other,
+                  (1 - 1e-6) * css._vp_state((0.5, 0.3, 0.2)) + 1e-6 * np.eye(4) / 4]
+        results = [css.css_auto(rotated(rho, rng)) for rho in states]
+        assert [r.route for r in results] == ["bell-diagonal", "vp", "horodecki", "ppt",
+                                              "maximally-correlated", "reverse-map", "oracle"]
+        built = [css.css_bell_diagonal([0.8, -0.6, 0.5]), css.css_bell_diagonal([0.1, -0.1, 0.1]),
+                 css.css_vp((0.5, 0.3, 0.2)), css.css_vp((0.0, 0.5, 0.5)),
+                 css.css_horodecki((0.6, 0.3, 0.1)), css.css_horodecki((0.2, 0.5, 0.3))]
+        assert [r.route for r in built] == ["bell-diagonal", "ppt", "vp", "ppt", "horodecki",
+                                            "ppt"]
+        for res in results + built:
+            assert res.tau.dtype == float and res.tau.shape == (3,)
+            assert res.tau.flags.writeable and res.tau.flags.owndata, res.route
+            res.tau += 0.0  # raised ValueError on a read-only view
+
     def test_two_pauli_transforms_on_the_oracle_route(self, monkeypatch):
         """On routes "reverse-map" and "oracle" (the Newton solve given no
         step) css_auto also takes the Pauli form of rho once and of the CSS

@@ -143,6 +143,54 @@ def test_planted_bound_reader_is_found(tmp_path):
         "_dual_floor": {"ree._certificate", "ree.Oracle", "revmap", "revmap.accept"}}
 
 
+def state_builders(package: Path):
+    """For a flat package, the places that form `_EYE_FLAT + ... @ _B_FLAT`,
+    a sum of _EYE_FLAT and a product by _B_FLAT in either order, each table
+    by name or as an attribute: "module.function" or "module.Class" for a
+    top-level definition's body, "module" for the rest."""
+    def named(node, name):
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name)
+
+    found = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            named_top = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            where = f"{path.stem}.{top.name}" if named_top else path.stem
+            for n in ast.walk(top):
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add) and any(
+                        named(eye, "_EYE_FLAT") and isinstance(product, ast.BinOp)
+                        and isinstance(product.op, ast.MatMult) and named(product.right, "_B_FLAT")
+                        for eye, product in ((n.left, n.right), (n.right, n.left))):
+                    found.add(where)
+    return found
+
+
+def test_one_state_builder():
+    """sigma = I/4 + sum_k x_k P_k / 4 is formed in one place,
+    qstate._from_coordinates, which `from_pauli`, the closed-form and route
+    "ppt" CSS of css._solve, the oracle's end and the reverse map's CSS
+    call; css._solve calls no `from_pauli`, and the canonical frame's
+    handedness takes no np.linalg.det."""
+    assert state_builders(PACKAGE) == {"qstate._from_coordinates"}
+    read = readers_of(PACKAGE, ("_from_coordinates", "from_pauli", "det"))
+    assert read["_from_coordinates"] >= {"qstate.from_pauli", "css._solve", "ree.ree_numeric",
+                                         "revmap._edge_css"}
+    assert "css._solve" not in read["from_pauli"]
+    assert "qstate._canonicalize" not in read["det"]
+
+
+def test_planted_state_builder_is_found(tmp_path):
+    """Either order of the sum and tables read as attributes are found; a sum
+    on another table is not."""
+    (tmp_path / "ree.py").write_text(
+        "def end(x):\n    return (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)\n\n\n"
+        "def stack(x):\n    return _EYE_FLAT + x @ _DIRECTIONS_FLAT\n\n\n"
+        "class Oracle:\n    def end(self, x):\n        return x.real @ q._B_FLAT + q._EYE_FLAT\n")
+    (tmp_path / "revmap.py").write_text("SIGMA = qstate._EYE_FLAT + C @ qstate._B_FLAT\n")
+    assert state_builders(tmp_path) == {"ree.end", "ree.Oracle", "revmap"}
+
+
 # --- what each entry point loads, and the public surface ----------------------
 
 SRC = PACKAGE.parent

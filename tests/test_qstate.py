@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reegeom import qstate, ree, revmap
 from reegeom.errors import InvalidState
 
-from conftest import random_density_matrix, random_unitary, rotate
+from conftest import random_density_matrix, random_unitary, reference_frames, rotate
 
 OPS = (qstate.I2,) + qstate.PAULI  # sigma_0 = I, sigma_1..3
 
@@ -195,13 +195,14 @@ class TestPauliDecomposition:
 
     def test_one_pauli_rows_table(self):
         """`ree` and `revmap` read Pauli coordinates through qstate's one
-        table, and rebuild states through its two, and `to_pauli`'s 15 rows
-        of it give the bits of the full 16-row product it replaced."""
+        table, and rebuild states through its one builder (`ree` also stacks
+        sigma^Gamma on its two tables), and `to_pauli`'s 15 rows of it give
+        the bits of the full 16-row product it replaced."""
         assert ree._PAULI_ROWS is qstate._PAULI_ROWS
         assert revmap._PAULI_ROWS is qstate._PAULI_ROWS
         for table in ("_B_FLAT", "_EYE_FLAT"):
             assert getattr(ree, table) is getattr(qstate, table)
-            assert getattr(revmap, table) is getattr(qstate, table)
+        assert ree._from_coordinates is revmap._from_coordinates is qstate._from_coordinates
         rng = np.random.default_rng(39)
         for _ in range(1000):
             h = random_hermitian(rng)
@@ -219,6 +220,29 @@ class TestPauliDecomposition:
             c = np.append(1.0, x).reshape(4, 4)  # c_ab = x_k, k = 4a + b - 1
             got = qstate.from_pauli(qstate.PauliForm(c[1:, 0], c[0, 1:], c[1:, 1:]))
             assert np.array_equal(got, (qstate._EYE_FLAT + x @ qstate._B_FLAT).reshape(4, 4))
+
+    def test_builder_is_from_pauli_byte_for_byte(self):
+        """The unchecked builder, `_from_coordinates(_coordinates(r, s, g))`,
+        is `from_pauli(PauliForm(r, s, g))` byte for byte, zero signs
+        included, on 20,000 random coordinate vectors with exact zeros of
+        either sign; and so is it with the closed form's g = (a^T * tau) @ b
+        against a^T @ diag(tau) @ b, for random rotations and for the signed
+        permutations of the template frames."""
+        rng = np.random.default_rng(50)
+        frames = reference_frames()
+        for k in range(20000):
+            x = rng.uniform(-1, 1, size=15)
+            x[rng.random(15) < 0.2] = 0.0
+            x[rng.random(15) < 0.1] = -0.0
+            r, s, g = x[3::4], x[:3], x[3:].reshape(3, 4)[:, 1:]
+            got = qstate._from_coordinates(qstate._coordinates(r, s, g))
+            assert got.tobytes() == qstate.from_pauli(qstate.PauliForm(r, s, g)).tobytes()
+            a, b = (frames[k % len(frames)] if k % 2 else
+                    [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2)])
+            tau = g.diagonal().copy()
+            got = qstate._from_coordinates(qstate._coordinates(r, s, (a.T * tau) @ b))
+            want = qstate.from_pauli(qstate.PauliForm(r, s, a.T @ np.diag(tau) @ b))
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", list(MALFORMED_PAULI))
     def test_malformed_pauli_form_rejected(self, name):
@@ -400,3 +424,50 @@ class TestCanonicalize:
         rho1 = rotate(rho, random_unitary(rng), random_unitary(rng))
         q1 = qstate.canonicalize(qstate.to_pauli(rho1))[0].q
         assert np.allclose(q0, q1, atol=1e-10)
+
+    def test_frame_sign_is_numpys(self):
+        """`_det3`'s sign is np.linalg.det's on both SVD frames of 20,000 g
+        (random, rank 0 to 2, and with repeated |q|, among them Werner and
+        Bell-diagonal tensors), and on improper frames planted from them;
+        on every tenth g, `_canonicalize` equals its np.linalg.det version
+        byte for byte."""
+        rng = np.random.default_rng(51)
+        odd = np.eye(3)[[1, 0, 2]]  # an odd permutation: det -1 exactly
+
+        def rotated(q):
+            u, v = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+            return (u * q) @ v.T
+
+        kinds = (lambda q: rng.normal(size=(3, 3)),
+                 lambda q: np.outer(rng.normal(size=3), rng.normal(size=3)),
+                 lambda q: rotated([q[0], q[1], 0.0]),
+                 lambda q: np.zeros((3, 3)),
+                 lambda q: rotated([q[0], q[0], -q[0]]),
+                 lambda q: rotated([q[0], -q[0], q[1]]),
+                 lambda q: np.diag([q[0], -q[0], q[0]]),  # Werner
+                 lambda q: np.diag(q.round(1)))  # Bell-diagonal, |q| often repeated
+        for k in range(20000):
+            g = kinds[k % len(kinds)](rng.uniform(-1, 1, size=3))
+            o1, _, o2t = np.linalg.svd(g)
+            for o in (o1, o2t.T, -o1, o2t.T @ odd, odd @ o1):
+                assert (qstate._det3(o.tolist()) < 0) == (np.linalg.det(o) < 0)
+            if k % 10:
+                continue
+            p = qstate.PauliForm(rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=3), g)
+            got, want = qstate._canonicalize(p), canonicalize_by_det(p)
+            for x, y in zip((got[0].r, got[0].s, got[0].q, got[1], got[2]),
+                            (want[0].r, want[0].s, want[0].q, want[1], want[2])):
+                assert x.tobytes() == y.tobytes()
+
+
+def canonicalize_by_det(p):
+    """Reference: `qstate._canonicalize` reading each frame's handedness
+    from np.linalg.det."""
+    o1, q, o2t = np.linalg.svd(p.g)
+    o2 = o2t.T
+    for o, det in zip((o1, o2), np.linalg.det(np.array([o1, o2]))):
+        if det < 0:
+            o[:, 2] *= -1
+            q[2] *= -1
+    r_a, r_b = o1.T.copy() + 0.0, o2.T.copy() + 0.0
+    return qstate.DiagonalPauliForm(r_a @ p.r, r_b @ p.s, q), r_a, r_b

@@ -612,7 +612,7 @@ class TestNewton:
             if w[1, 0] >= -PSD_TOL:
                 continue
             end = revmap._newton(rho, w, v)
-            sigma = (revmap._EYE_FLAT + end.c @ revmap._B_FLAT).reshape(4, 4)
+            sigma = (ree._EYE_FLAT + end.c @ ree._B_FLAT).reshape(4, 4)
             if np.count_nonzero(np.abs(np.linalg.eigvalsh(partial_transpose(sigma)))
                                 <= ree.EDGE_TOL) != 1:
                 continue
@@ -633,7 +633,7 @@ class TestNewton:
             end = revmap._newton(rho, *validate_density_matrix(rho))
             assert end.converged and end.residual <= revmap.NEWTON_TOL
             assert 0 < end.jacobians <= revmap.NEWTON_STEPS
-            got = (revmap._EYE_FLAT + end.c @ revmap._B_FLAT).reshape(4, 4)
+            got = (ree._EYE_FLAT + end.c @ ree._B_FLAT).reshape(4, 4)
             assert np.abs(got - sigma).max() <= 1e-12 and abs(end.x - x) <= 1e-10
 
     def test_negative_multiplier_falls_back_to_the_oracle(self, monkeypatch):
