@@ -14,14 +14,22 @@ each side's median and quartiles, the pairs the change won (ties count for
 neither side) and whether a gain holds: the change wins at least nine tenths
 of the pairs run, and the medians differ, in the better direction, by more
 than the distance between the parent's quartiles.  A last line counts the
-failed ops of each side.  The script reports; it exits 0 unless a run fails
-to produce a result.
+failed ops of each side.
+
+A second block gives one line per metric on regressions, against the
+metric's BENCHMARK.json `bound`, a fraction of the parent's median:
+"regression" where the change's median is worse than the parent's by more
+than the bound; else "unresolved" where the parent's quartile distance over
+its median exceeds the bound, so that its runs spread too widely to tell,
+unless every change run beats every parent run; else "within bound".  The
+script reports; it exits 0 unless a run fails to produce a result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -79,6 +87,41 @@ def summary(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[str]
     return lines
 
 
+def bound_verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The regression rule on one metric's paired values: the change's
+    median worse than the parent's by more than `bound` of the parent's
+    median, and whether the parent's quartile distance over its median, its
+    spread, exceeds `bound` with some change run not beating every parent run."""
+    sign = 1.0 if better == "higher" else -1.0
+    (p1, pm, p3), cm = quartiles(parent), quartiles(change)[1]
+    if not pm:
+        return {"worse": math.nan, "spread": math.nan, "all_better": False,
+                "status": "unresolved"}
+    worse, spread = sign * (pm - cm) / abs(pm), (p3 - p1) / abs(pm)
+    all_better = (min(change) > max(parent) if sign > 0 else max(change) < min(parent))
+    status = ("regression" if worse > bound
+              else "unresolved" if spread > bound and not all_better else "within bound")
+    return {"worse": worse, "spread": spread, "all_better": all_better, "status": status}
+
+
+def bound_lines(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[str]:
+    """One line per metric of `end_to_end` (BENCHMARK.json's entries, each
+    with its `bound`) on the regression rule of `bound_verdict`."""
+    lines = []
+    for spec in end_to_end:
+        name = spec["name"]
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        v = bound_verdict(parent, change, spec["better"], spec["bound"])
+        every = "; every change run beats every parent run" if v["all_better"] else ""
+        side = "worse" if v["worse"] > 0 else "better"
+        lines.append(
+            f"{name} (bound {spec['bound']:g}): change median {side} by {abs(v['worse']):.2%} "
+            f"of the parent's, parent quartile distance {v['spread']:.2%} of its median"
+            f"{every}: {v['status']}")
+    return lines
+
+
 def _pair_line(k: int, seed: int, parent: dict, change: dict) -> str:
     def values(r):
         return ", ".join(f"{m} {v['value']:.4g}" for m, v in r["metrics"].items())
@@ -116,6 +159,7 @@ def main(argv=None):
     print(f"{args.workload}: {len(pairs)} pairs at --seconds {args.seconds:g}, "
           f"parent {args.parent}, change {args.change}")
     print("\n".join(summary(pairs, bench["end_to_end"])))
+    print("\n".join(bound_lines(pairs, bench["end_to_end"])))
 
 
 if __name__ == "__main__":

@@ -125,9 +125,9 @@ def _match_templates(dpf: DiagonalPauliForm):
     below it is rho = l1 Phi+ + diag(l2, 0, 0, l3), maximally correlated,
     with route "maximally-correlated", the VP frames, family Other and no
     lambdas."""
-    eye, tol = np.eye(3), CLASSIFY_TOL
+    tol = CLASSIFY_TOL
     if np.linalg.norm(dpf.r) <= tol and np.linalg.norm(dpf.s) <= tol:
-        bell = FamilyTag(FamilyKind.BELL_DIAGONAL)
+        bell, eye = FamilyTag(FamilyKind.BELL_DIAGONAL), np.eye(3)
         return bell, _FAMILY_ROUTES[bell.kind], eye, eye
 
     r, s, q = dpf.r.tolist(), dpf.s.tolist(), dpf.q.tolist()  # floats: same bits, 2 us faster
@@ -146,14 +146,21 @@ def _match_templates(dpf: DiagonalPauliForm):
         kernel = (1 - t[2]) / 2 if vp else (1 - t[0] + t[1] + t[2]) / 4
         if (axial and abs(t[0] + t[1]) <= tol and abs(t[2] - t_z) <= tol
                 and kernel <= SUPPORT_TOL):
-            p = eye[[i, j, k]]
-            sign_x = -1.0 if k == 1 else 1.0  # (0, 2, 1) is the one odd order: det +1
-            pa, pb = p * [[[sign_x], [sign_a], [sign_a]], [[sign_x], [sign_b], [sign_b]]]
+            # rows e_i, e_j, e_k, signed; (0, 2, 1) is the one odd order: det +1
+            sign_x = -1.0 if k == 1 else 1.0
+            pa, pb = np.zeros((3, 3)), np.zeros((3, 3))
+            pa[0, i], pa[1, j], pa[2, k] = sign_x, sign_a, sign_a
+            pb[0, i], pb[1, j], pb[2, k] = sign_x, sign_b, sign_b
             if l3 >= -tol:
-                lam = np.maximum([l1, l2, l3], 0.0)
-                return FamilyTag(kind, tuple(lam / lam.sum())), _FAMILY_ROUTES[kind], pa, pb
+                # in floats, bit for bit as np.maximum(lam, 0.0) / its sum: max(0.0, x)
+                # maps -0.0 to +0.0 as np.maximum does, and numpy sums three terms in order
+                lam = [max(0.0, l1), max(0.0, l2), max(0.0, l3)]
+                total = (lam[0] + lam[1]) + lam[2]
+                return (FamilyTag(kind, tuple(x / total for x in lam)), _FAMILY_ROUTES[kind],
+                        pa, pb)
             if vp:
                 return FamilyTag(FamilyKind.OTHER), "maximally-correlated", pa, pb
+    eye = np.eye(3)
     return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
 
 
@@ -162,6 +169,11 @@ def classify(rho: np.ndarray) -> FamilyTag:
     validate_density_matrix(rho)
     dpf, _, _ = _canonicalize(to_pauli(rho))
     return _match_templates(dpf)[0]
+
+
+# the VP and maximally correlated tau, read-only: `_solve` stores a copy
+_VP_TAU = np.array([0.0, 0.0, 1.0])
+_VP_TAU.flags.writeable = False
 
 
 def _tau(route: str, lambdas, t) -> np.ndarray:
@@ -174,7 +186,7 @@ def _tau(route: str, lambdas, t) -> np.ndarray:
     ray from the nearest vertex v through t meets the octahedron face
     v.q = 1, or v/3 when t is v."""
     if route in ("vp", "maximally-correlated"):
-        return np.array([0.0, 0.0, 1.0])
+        return _VP_TAU
     if route == "horodecki":
         l1, l2, l3 = lambdas
         q1 = 0.5 * (l1 + 2 * l2) * (l1 + 2 * l3)

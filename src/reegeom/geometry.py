@@ -40,6 +40,10 @@ TETRA_FACE_NORMALS = [-v for v in TETRA_VERTICES.values()]
 # is a fixed-width str array of these
 SHEET_TAGS = np.array(["mu", "nu"])
 
+# the sign that tells the two sheets apart in `line_surface_crossing`, read-only
+_SHEET_SIGN = np.array([-1.0, 1.0])
+_SHEET_SIGN.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Vertex:
@@ -138,7 +142,7 @@ def line_surface_crossing(t, v: Vertex, r: float, s: float) -> list[CrossingPoin
     if np.linalg.norm(d) < 1e-14:
         raise ValueError("line start coincides with the vertex")
 
-    sign = np.array([-1.0, 1.0])  # mu-: c = 1 - q3, f = q1 - q2, e = r - s; nu-: +
+    sign = _SHEET_SIGN  # mu-: c = 1 - q3, f = q1 - q2, e = r - s; nu-: +
     (x1, x2, x3), (d1, d2, d3) = v.coords, d
     c0, c1, f0, f1 = 1.0 + sign * x3, sign * d3, x1 + sign * x2, d1 + sign * d2
     a, b, k = c1 * c1 - f1 * f1, c0 * c1 - f0 * f1, c0 * c0 - f0 * f0 - (r + sign * s) ** 2

@@ -138,6 +138,12 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return r.reshape(r.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(r.shape)
 
 
+# m.reshape(16)[_PT_PAIR].reshape(2, 4, 4) stacks a 4x4 matrix m and m^Gamma by one
+# gather: the flat indices of m, then where partial_transpose moves each of them
+_PT_PAIR = np.concatenate([np.arange(16), partial_transpose(np.arange(16.0).reshape(4, 4))
+                           .real.ravel()]).astype(np.intp)
+
+
 def _finite(m: np.ndarray) -> np.ndarray:
     """m as a complex array; raise InvalidState, with m's size where it is
     not 4x4, else with the count of NaN and infinite entries, if any."""
@@ -153,8 +159,7 @@ def _pt_spectra(rho: np.ndarray):
     """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of rho and rho^Gamma, by
     one eigh on their stack: the same bits as one eigh on each.  Raises
     InvalidState where rho is not a finite 4x4 matrix."""
-    rho = _finite(rho)
-    return np.linalg.eigh(np.array([rho, partial_transpose(rho)]))
+    return np.linalg.eigh(_finite(rho).reshape(16)[_PT_PAIR].reshape(2, 4, 4))
 
 
 def _ppt(w: np.ndarray) -> bool:
@@ -168,11 +173,17 @@ def is_ppt(rho: np.ndarray) -> bool:
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence; zero exactly on the separable set."""
+    """Wootters concurrence; zero exactly on the separable set.  Raises
+    InvalidState where rho is not a finite 4x4 matrix, or where rho rho~ is
+    not finite (entries beyond about 1e154 overflow it), with the count of
+    its NaN and infinite entries."""
     rho = _finite(rho)
     yy = np.kron(SY, SY)
-    rho_tilde = yy @ rho.conj() @ yy
-    ev = np.linalg.eigvals(rho @ rho_tilde).real
+    with np.errstate(all="ignore"):
+        product = rho @ (yy @ rho.conj() @ yy)
+    if not np.isfinite(product).all():
+        raise InvalidState("finite rho rho~", float(np.sum(~np.isfinite(product))))
+    ev = np.linalg.eigvals(product).real
     ev = np.sqrt(np.clip(ev, 0.0, None))
     ev.sort()
     return float(max(0.0, ev[3] - ev[2] - ev[1] - ev[0]))
@@ -237,5 +248,5 @@ def _canonicalize(p: PauliForm):
     # stored C-ordered with -0.0 as 0.0 so that dpf and the unitaries lifted
     # from the frames (zero signs included) depend neither on the memory
     # layout nor on the zero signs the SVD returns
-    r_a, r_b = o1.T.copy() + 0.0, o2.T.copy() + 0.0
+    r_a, r_b = np.add(o1.T, 0.0, order="C"), np.add(o2.T, 0.0, order="C")
     return DiagonalPauliForm(r_a @ p.r, r_b @ p.s, q), r_a, r_b

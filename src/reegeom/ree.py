@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, _finite, _from_coordinates,
+from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, _PT_PAIR, _finite, _from_coordinates,
                      partial_transpose, validate_density_matrix)
 
 SUPPORT_TOL = 1e-12
@@ -50,7 +50,7 @@ DIVIDED_SPREAD = 1e-5  # relative spread below which a second divided difference
 BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
 
 # _EYE_FLAT + x @ _DIRECTIONS_FLAT stacks sigma and sigma^Gamma at the Pauli coordinates x
-_DIRECTIONS_FLAT = np.stack([_B_FLAT, partial_transpose(_B_FLAT.reshape(15, 4, 4)).reshape(15, 16)])
+_DIRECTIONS_FLAT = np.ascontiguousarray(_B_FLAT[:, _PT_PAIR].reshape(15, 2, 16).swapaxes(0, 1))
 # index triples (lo, mid, hi) of the second divided differences, (3, 64), each
 # sorted ascending, so that they pick sorted triples out of eigh's ascending
 # spectrum; sorted in Python, because numpy's sort pages in 0.4 MB of code at
@@ -354,7 +354,9 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     `n_directions` is ignored; it stays because `perfbench/` passes it.
     """
     rho, css = _finite(rho), _finite(css)
-    w, v = np.linalg.eigh(np.array([rho, css, partial_transpose(css)]))  # one eigh of the stack
+    stack = np.empty((3, 4, 4), dtype=complex)  # (rho, css, css^Gamma), for one eigh
+    stack[0], stack[1:] = rho, css.reshape(16)[_PT_PAIR].reshape(2, 4, 4)
+    w, v = np.linalg.eigh(stack)
     if math.isinf(_relative_entropy(rho, w[0], w[1], v[1])):
         return -math.inf  # no state at infinite relative entropy is a minimizer
     return _certificate(rho, css, w[1:], v[1:], _fit(css, rho, w[1:], v[1:]))

@@ -84,7 +84,74 @@ def match_templates_loop(dpf, tol=css.CLASSIFY_TOL):
     return FamilyTag(FamilyKind.OTHER), "oracle", eye, eye
 
 
+def numpy_frames(dpf, route):
+    """Reference: the frames and weights of a template match as numpy formed
+    them, by a fancy index of np.eye(3), a nested-list broadcast of the
+    signs, np.maximum and a sum."""
+    r, s, q = dpf.r, dpf.s, dpf.q
+    k = int(np.argmax(np.abs(r) + np.abs(s)))
+    i, j = (n for n in range(3) if n != k)
+    sign_a, sign_s = (1.0 if r[k] >= 0 else -1.0), (1.0 if s[k] >= 0 else -1.0)
+    sign_b = -sign_s if route == "horodecki" else sign_s
+    sign_x = -1.0 if k == 1 else 1.0
+    pa, pb = np.eye(3)[[i, j, k]] * [[[sign_x], [sign_a], [sign_a]],
+                                     [[sign_x], [sign_b], [sign_b]]]
+    l1, w = q[i], (abs(r[k]) + abs(s[k])) / 2
+    lam = np.maximum([l1, (1 - l1 + w) / 2, (1 - l1 - w) / 2], 0.0)
+    return pa, pb, tuple(lam / lam.sum())
+
+
+def result_bytes(res):
+    """Every field of a CssResult, floats by their bits."""
+    lam = res.family.lambdas
+    return (res.css.tobytes(), res.tau.tobytes(), res.family.kind,
+            None if lam is None else np.array(lam, float).tobytes(), float(res.ree).hex(),
+            {key: float(v).hex() for key, v in res.residuals.items()}, res.separable, res.route)
+
+
 class TestMatchTemplates:
+    def test_frames_and_weights_as_numpy_formed_them(self):
+        """The signed-permutation frames equal np.eye(3)[[i, j, k]] * signs,
+        and the weights, Python floats, the numpy expression bit for bit, on
+        VP and Horodecki states in their template frame and under 10 local
+        unitaries each: generic weights, l3 = 0, l2 = l3 (Bell-diagonal, as
+        r = s = 0), l1 = 0 and separable Horodecki weights (route "ppt") and
+        l3 < 0 (route "maximally-correlated").  Every CssResult field,
+        zero signs included, is what `_solve` gives with the numpy frames:
+        on route "ppt" tau is t = (P_A o P_B) q itself."""
+        rng = np.random.default_rng(51)
+        cases = [(css._vp_state, lam) for lam in ((0.5, 0.3, 0.2), (0.5, 0.5, 0.0),
+                                                  (0.6, 0.2, 0.2), (0.0, 0.7, 0.3),
+                                                  (0.7, 0.4, -0.1))]
+        cases += [(css._horodecki_state, lam) for lam in ((0.6, 0.3, 0.1), (0.5, 0.5, 0.0),
+                                                          (0.6, 0.2, 0.2), (0.0, 0.7, 0.3),
+                                                          (0.2, 0.5, 0.3))]
+        matched, solved, zero_tau = set(), set(), 0
+        for state, lam in cases:
+            for n in range(11):
+                rho = state(lam) if n == 0 else rotated(state(lam), rng)
+                w, v = qstate.validate_density_matrix(rho)
+                p_rho = qstate.to_pauli(rho)
+                dpf, r_a, r_b = qstate.canonicalize(p_rho)
+                tag, route, pa, pb = css._match_templates(dpf)
+                matched.add(route)
+                want_pa = want_pb = np.eye(3)
+                if route in ("vp", "horodecki", "maximally-correlated"):
+                    want_pa, want_pb, want_lam = numpy_frames(dpf, route)
+                    assert np.array_equal(pa, want_pa) and np.array_equal(pb, want_pb)
+                    if route != "maximally-correlated":
+                        assert all(type(x) is float for x in tag.lambdas)
+                        assert np.array(tag.lambdas).tobytes() == np.array(want_lam).tobytes()
+                res = css.css_auto(rho)
+                want = css._solve(rho, p_rho, tag, route, (want_pa * want_pb) @ dpf.q,
+                                  want_pa @ r_a, want_pb @ r_b, w, v)
+                assert result_bytes(res) == result_bytes(want)
+                solved.add(res.route)
+                zero_tau += res.route == "ppt" and route != "bell-diagonal" and (
+                    res.tau == 0).any()
+        assert matched == {"bell-diagonal", "vp", "horodecki", "maximally-correlated"}
+        assert solved == matched | {"ppt"} and zero_tau > 0
+
     def test_matches_loop_reference(self, monkeypatch):
         rng, mc_rng = np.random.default_rng(9), np.random.default_rng(10)
         # local Bloch terms, which put no weight on either CSS kernel

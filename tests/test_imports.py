@@ -191,6 +191,61 @@ def test_planted_state_builder_is_found(tmp_path):
     assert state_builders(tmp_path) == {"ree.end", "ree.Oracle", "revmap"}
 
 
+STACKERS = ("array", "stack", "concatenate", "vstack", "asarray")
+
+
+def pt_stackers(package: Path):
+    """For a flat package, the places that stack a matrix with its partial
+    transpose: a call of one of STACKERS, by name or as an attribute, whose
+    list or tuple argument holds a `partial_transpose` call at any depth.
+    "module.function" or "module.Class" for a top-level definition's body,
+    "module" for the rest."""
+    def calls_pt(node):
+        return any(isinstance(n, ast.Call) and (
+            isinstance(n.func, ast.Name) and n.func.id == "partial_transpose"
+            or isinstance(n.func, ast.Attribute) and n.func.attr == "partial_transpose")
+            for n in ast.walk(node))
+
+    found = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            named_top = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            where = f"{path.stem}.{top.name}" if named_top else path.stem
+            for n in ast.walk(top):
+                func = n.func if isinstance(n, ast.Call) else None
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name in STACKERS and any(isinstance(arg, (ast.List, ast.Tuple))
+                                            and calls_pt(arg) for arg in n.args):
+                    found.add(where)
+    return found
+
+
+def test_one_pt_stack():
+    """A matrix is stacked with its partial transpose one way, a gather of
+    qstate._PT_PAIR, whose module-level definition is the one stack built
+    from `partial_transpose`; `_pt_spectra` and `directional_optimality_check`
+    read _PT_PAIR and call no `partial_transpose`."""
+    assert pt_stackers(PACKAGE) == {"qstate"}
+    read = readers_of(PACKAGE, ("_PT_PAIR", "partial_transpose"))
+    assert read["_PT_PAIR"] >= {"qstate._pt_spectra", "ree.directional_optimality_check"}
+    assert not read["partial_transpose"] & {"qstate._pt_spectra",
+                                            "ree.directional_optimality_check"}
+
+
+def test_planted_pt_stack_is_found(tmp_path):
+    """A stack by np.array or np.stack of a list or tuple, with the partial
+    transpose called by name or as an attribute, is found; a partial
+    transpose of a stack is not."""
+    (tmp_path / "qstate.py").write_text(
+        "def spectra(m):\n    return eigh(np.array([m, partial_transpose(m)]))\n\n\n"
+        "def pt(m):\n    return partial_transpose(np.array([m, m]))\n")
+    (tmp_path / "ree.py").write_text(
+        "from . import qstate\n\n\nclass Check:\n    def stack(self, a, b):\n"
+        "        return np.stack((a, b, qstate.partial_transpose(b).conj()))\n")
+    assert pt_stackers(tmp_path) == {"qstate.spectra", "ree.Check"}
+
+
 # --- what each entry point loads, and the public surface ----------------------
 
 SRC = PACKAGE.parent

@@ -79,3 +79,48 @@ def test_summary_lines():
     assert lines[0].endswith("gain holds")
     assert "change wins 2 of 3 (loses 1)" in lines[1] and lines[1].endswith("gain not shown")
     assert lines[2] == "failed ops: parent 0 of 150, change 3 of 150"
+
+
+@pytest.mark.parametrize("case", ["regression", "within-bound", "unresolved", "all-better"])
+def test_bound_verdict(case):
+    """A median worse by more than the bound is a regression; a parent whose
+    quartile distance exceeds the bound of its median leaves the metric
+    unresolved, unless every change run beats every parent run."""
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0]
+    if case == "regression":  # 30% fewer ops per second
+        change = [p * 0.7 for p in parent]
+    elif case == "within-bound":  # 10% fewer, inside the 25% bound
+        change = [p * 0.9 for p in parent]
+    elif case == "unresolved":  # the parent spreads by 50% of its median
+        parent = [60.0, 150.0, 70.0, 140.0, 100.0, 100.0]
+        change = [p * 0.95 for p in parent]
+    else:  # the same spread, but every change run is the better
+        parent = [60.0, 150.0, 70.0, 140.0, 100.0, 100.0]
+        change = [151.0, 152.0, 153.0, 154.0, 155.0, 156.0]
+    v = pairs.bound_verdict(parent, change, "higher", 0.25)
+    assert v["status"] == {"regression": "regression", "within-bound": "within bound",
+                           "unresolved": "unresolved", "all-better": "within bound"}[case]
+    assert v["all_better"] == (case == "all-better")
+    if case == "regression":
+        assert v["worse"] == pytest.approx(0.3)
+    elif case == "within-bound":
+        assert v["worse"] == pytest.approx(0.1) and v["spread"] < 0.25
+    else:
+        assert v["spread"] > 0.25
+
+
+def test_bound_verdict_lower_is_better():
+    """A rise of a lower-is-better metric is the worse direction."""
+    v = pairs.bound_verdict([3.0, 3.1, 2.9], [4.0, 4.1, 3.9], "lower", 0.25)
+    assert v["worse"] == pytest.approx(1 / 3) and v["status"] == "regression"
+
+
+def test_bound_lines():
+    got = _pairs([370.0, 380.0, 375.0], [395.0, 396.0, 394.0], [3.4, 3.3, 3.5], [5.2, 5.6, 5.1])
+    lines = pairs.bound_lines(got, END_TO_END)
+    assert lines == [
+        "ops_per_s (bound 0.25): change median better by 5.33% of the parent's, parent "
+        "quartile distance 1.33% of its median; every change run beats every parent run: "
+        "within bound",
+        "op_tail_ms (bound 0.25): change median worse by 52.94% of the parent's, parent "
+        "quartile distance 2.94% of its median: regression"]

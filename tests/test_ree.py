@@ -291,6 +291,16 @@ class TestNewtonPieces:
                 got, want = ree._derivatives(rho, mu, w, v), _derivatives_reference(rho, mu, w, v)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_directions_stack_the_table_and_its_partial_transpose(self):
+        """_DIRECTIONS_FLAT, a gather of qstate._PT_PAIR, is the C-ordered
+        stack of _B_FLAT and its partial transpose, bit for bit."""
+        table = qstate._B_FLAT
+        want = np.stack([table,
+                         qstate.partial_transpose(table.reshape(15, 4, 4)).reshape(15, 16)])
+        got = ree._DIRECTIONS_FLAT
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     def test_frame_takes_matrices_into_the_basis(self):
         """(M.ravel() @ _frame(V)).reshape(4, 4) is V^dagger M V within 1e-15,
         for 500 random unitaries V and Hermitian M of spectral norm 1; a stack
@@ -940,6 +950,38 @@ class TestDirectionalOptimality:
     barrier's multiplier: at most the one-sided derivative of S(rho||.) at
     sigma toward every product state, never positive, 0 to rounding at a
     true CSS, and at most -excess at a CSS whose REE is excess too high."""
+
+    def test_stack_by_one_gather(self):
+        """The check, whose (rho, css, css^Gamma) stack is one gather of
+        `qstate._PT_PAIR`, equals the same check on the stack
+        np.array([rho, css, partial_transpose(css)]) bit for bit, at the CSS
+        of every route of css_auto, and at rho itself."""
+        def stacked(rho, sigma):
+            rho, sigma = qstate._finite(rho), qstate._finite(sigma)
+            w, v = np.linalg.eigh(np.array([rho, sigma, qstate.partial_transpose(sigma)]))
+            if math.isinf(ree._relative_entropy(rho, w[0], w[1], v[1])):
+                return -math.inf
+            return ree._certificate(rho, sigma, w[1:], v[1:], ree._fit(sigma, rho, w[1:], v[1:]))
+
+        rng = np.random.default_rng(51)
+        while True:
+            other = random_density_matrix(rng, rank=4)
+            if not qstate.is_ppt(other) and css.classify(other).kind is css.FamilyKind.OTHER:
+                break
+        states = [qstate.bell_diagonal([0.8, -0.6, 0.5]), css._vp_state((0.5, 0.3, 0.2)),
+                  css._horodecki_state((0.6, 0.3, 0.1)), css._horodecki_state((0.2, 0.4, 0.4)),
+                  css._vp_state((0.8, 0.3, -0.1)), other,
+                  (1 - 1e-6) * css._vp_state((0.5, 0.3, 0.2)) + 1e-6 * np.eye(4) / 4]
+        routes = []
+        for rho in states:
+            rho = rotate(rho, random_unitary(rng), random_unitary(rng))
+            res = css.css_auto(rho)
+            routes.append(res.route)
+            for sigma in (res.css, rho):
+                got = directional_optimality_check(rho, sigma)
+                assert float(got).hex() == float(stacked(rho, sigma)).hex()
+        assert routes == ["bell-diagonal", "vp", "horodecki", "ppt", "maximally-correlated",
+                          "reverse-map", "oracle"]
 
     def test_true_css_passes(self):
         res = css.css_vp((0.5, 0.3, 0.2))
