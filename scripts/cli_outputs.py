@@ -2,13 +2,15 @@
 
     python scripts/cli_outputs.py DIR
 
-The input set is 32 two-qubit states, each under its own fixed local unitary:
+The input set is 33 two-qubit states, each under its own fixed local unitary:
 Bell-diagonal, generalized Vedral-Plenio (one with |l2 - l3| = 2e-8),
 generalized Horodecki, Werner, separable, X-shaped, pure, generic, one
-mixed maximally correlated state outside the VP family, and a VP and a
+mixed maximally correlated state outside the VP family, a VP and a
 Horodecki state nudged off their template by 1e-9 of white noise or of
-|01><01|, a weight on the kernel of their closed-form CSS.  Inputs are
-appended, so that every earlier random draw stays in place.  The
+|01><01|, a weight on the kernel of their closed-form CSS, and a VP state
+plus an anti-Hermitian part of largest entry 1e-13, which every command
+reads as its Hermitian part.  Inputs are appended, so that every earlier
+random draw stays in place.  The
 states are built with numpy alone, so the input files do not depend on the
 reegeom under test.  Each state goes through `decompose`, `reconstruct` of
 the decompose file, and `css` with `--method auto`, `numeric` and
@@ -90,7 +92,8 @@ def unitary(rng, n=2) -> np.ndarray:
 
 
 def states(rng) -> dict[str, np.ndarray]:
-    """The 32 input states, each rotated by its own local unitary."""
+    """The 33 input states, each rotated by its own local unitary; the last
+    then gets its anti-Hermitian part, drawn after every other draw."""
     base = {
         "bell_vertex": bell_diagonal([1, -1, 1]),
         "bell_face": bell_diagonal([0.8, -0.8, 0.8]),
@@ -125,11 +128,15 @@ def states(rng) -> dict[str, np.ndarray]:
         "vp_white_noise": (1 - 1e-9) * vp(0.5, 0.3, 0.2) + 1e-9 * np.eye(4) / 4,
         "vp_01_noise": (1 - 1e-9) * vp(0.5, 0.3, 0.2) + 1e-9 * np.diag([0, 1, 0, 0]),
         "horodecki_white_noise": (1 - 1e-9) * horodecki(0.6, 0.3, 0.1) + 1e-9 * np.eye(4) / 4,
+        "vp_anti_hermitian": vp(0.6, 0.25, 0.15),
     }
     out = {}
     for name, rho in base.items():
         u = np.kron(unitary(rng), unitary(rng))
         out[name] = u @ rho @ u.conj().T
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    k = (a - a.conj().T) / 2
+    out["vp_anti_hermitian"] = out["vp_anti_hermitian"] + 1e-13 * k / np.abs(k).max()
     return out
 
 

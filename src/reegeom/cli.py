@@ -31,12 +31,12 @@ from .qstate import (
     PSD_TOL,
     PauliForm,
     _canonicalize,
+    _density,
     concurrence,
     from_pauli,
     is_ppt,
     su2_from_rotation,
     to_pauli,
-    validate_density_matrix,
 )
 
 EXIT_OK = 0
@@ -70,15 +70,16 @@ def _reject_constant(name: str):
 
 
 def _read(path: str, parse, fmt: str) -> np.ndarray:
-    """The density matrix parse() builds from JSON of format fmt in PATH; bad
-    JSON (a ValueError), a missing key, a top level that is not an object or a
-    value of the wrong type (a TypeError), a wrong shape or an invalid state exits 2.
+    """The Hermitian part of the density matrix parse() builds from JSON of
+    format fmt in PATH, which every subcommand reads; bad JSON (a
+    ValueError), a missing key, a top level that is not an object or a value
+    of the wrong type (a TypeError), a wrong shape or an invalid state exits 2.
     parse() runs without floating-point warnings: an entry it overflows is
     left non-finite, which validation rejects."""
     try:
         with open(path) as fh, np.errstate(all="ignore"):
-            rho = parse(json.load(fh, parse_constant=_reject_constant))
-        validate_density_matrix(rho)
+            m = parse(json.load(fh, parse_constant=_reject_constant))
+        rho = _density(m)[0]
     except KeyError as exc:
         _fail(EXIT_INPUT_ERROR, f"{path}: missing key {exc}, expected {fmt}")
     except (InvalidState, ValueError, TypeError) as exc:
@@ -102,7 +103,7 @@ def _pauli_matrix(obj: dict) -> np.ndarray:
 
 
 def load_state(path: str) -> np.ndarray:
-    """The density matrix in a state JSON file; bad input exits 2."""
+    """The Hermitian part of the density matrix in a state JSON file; bad input exits 2."""
     return _read(path, _state_matrix, '{"re": [[4x4]], "im": [[4x4]]}')
 
 

@@ -28,12 +28,12 @@ from .qstate import (
     PauliForm,
     _canonicalize,
     _coordinates,
+    _density,
     _from_coordinates,
     _ppt,
     _pt_spectra,
     bell_diagonal,
     to_pauli,
-    validate_density_matrix,
 )
 from .ree import SUPPORT_TOL, _fit, _relative_entropy, ree_numeric
 
@@ -63,7 +63,8 @@ _FAMILY_ROUTES = {FamilyKind.BELL_DIAGONAL: "bell-diagonal", FamilyKind.GENERALI
 @dataclass
 class CssResult:
     """A CSS and its correlation vector tau in the template frame of its
-    route: rho's own if rho is PPT (`separable`, css is rho), and the
+    route, rho here being the input's Hermitian part, which every step
+    reads: rho's own if rho is PPT (`separable`, css is rho), and the
     diagonal of the CSS's correlation tensor in rho's canonical frame on
     routes "reverse-map" and "oracle".  ree is S(rho || css).  The residuals
     are computed on the pair (rho, css):
@@ -165,9 +166,9 @@ def _match_templates(dpf: DiagonalPauliForm):
 
 
 def classify(rho: np.ndarray) -> FamilyTag:
-    """Family of rho, read off its Pauli form in the canonical frame."""
-    validate_density_matrix(rho)
-    dpf, _, _ = _canonicalize(to_pauli(rho))
+    """Family of rho, read off the Pauli form of its Hermitian part in the
+    canonical frame."""
+    dpf, _, _ = _canonicalize(to_pauli(_density(rho)[0]))
     return _match_templates(dpf)[0]
 
 
@@ -239,14 +240,14 @@ def _solve(rho, p_rho: PauliForm, tag: FamilyTag, route: str, t, a, b, w, v) -> 
 
 
 def _template(rho, tag: FamilyTag) -> CssResult:
-    """`_solve` on a state in the template frame of its family's route.
-    Raises InvalidState where rho is not a state, and ValueError where a
-    weight in tag.lambdas is negative."""
-    w, v = validate_density_matrix(rho)
+    """`_solve` on the Hermitian part of a state in the template frame of its
+    family's route.  Raises InvalidState where rho is not a state, and
+    ValueError where a weight in tag.lambdas is negative."""
+    h, (w, v) = _density(rho)
     if tag.lambdas is not None and min(tag.lambdas) < 0:
         raise ValueError(f"weights must be nonnegative, not {tag.lambdas}")
-    p_rho = to_pauli(rho)
-    return _solve(rho, p_rho, tag, _FAMILY_ROUTES[tag.kind], p_rho.g.diagonal(), np.eye(3),
+    p_rho = to_pauli(h)
+    return _solve(h, p_rho, tag, _FAMILY_ROUTES[tag.kind], p_rho.g.diagonal(), np.eye(3),
                   np.eye(3), w, v)
 
 
@@ -273,11 +274,11 @@ def css_auto(rho: np.ndarray) -> CssResult:
     form and the rotations that take it to its route's template frame.  Off
     the closed-form routes the Newton solve of the reverse map supplies the
     CSS, or where it is not accepted the oracle, which raises NotConverged
-    when its bracket does not close."""
-    w, v = validate_density_matrix(rho)
-    rho = np.asarray(rho, dtype=complex)  # the Newton solve and the oracle take an array
-    p_rho = to_pauli(rho)
+    when its bracket does not close.  Every step reads rho's Hermitian part
+    H, so rho and H take one route to the same bits."""
+    h, (w, v) = _density(rho)
+    p_rho = to_pauli(h)
     dpf, r_a, r_b = _canonicalize(p_rho)
     tag, route, pa, pb = _match_templates(dpf)
     # t = diag(pa diag(q) pb^T), exact for signed permutations
-    return _solve(rho, p_rho, tag, route, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b, w, v)
+    return _solve(h, p_rho, tag, route, (pa * pb) @ dpf.q, pa @ r_a, pb @ r_b, w, v)

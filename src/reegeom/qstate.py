@@ -77,12 +77,20 @@ def _require_finite(**values) -> None:
 
 def validate_density_matrix(rho: np.ndarray):
     """Raise InvalidState on the first violated density-matrix invariant;
-    else return the `_pt_spectra` of rho that its PSD test reads."""
+    else return the `_pt_spectra` of rho's Hermitian part H that its PSD test reads."""
+    return _density(rho)[1]
+
+
+def _density(rho: np.ndarray):
+    """`_state` of a density matrix: its Hermitian part H and the spectra of
+    (H, H^Gamma), after the checks of `validate_density_matrix` in turn:
+    shape and finite entries, then |rho - rho^dagger| <= HERMITICITY_TOL and
+    the unit trace on rho itself, then H >= 0 within PSD_TOL."""
+    h, (w, v) = _state(rho)  # first, for its tests of shape and finite entries
     rho = np.asarray(rho, dtype=complex)
-    w, v = _pt_spectra(rho)  # first, for its tests of shape and finite entries
     with np.errstate(all="ignore"):  # finite entries near 1e308 overflow to inf or NaN
         herm = np.abs(rho - rho.conj().T).max()
-        trace = np.trace(rho)
+        trace = rho.trace()  # np.trace's own sum, without its dispatch
         tr = abs(trace.real - 1.0) + abs(trace.imag)
     if not herm <= HERMITICITY_TOL:  # written so that a NaN fails
         raise InvalidState("Hermiticity", herm)
@@ -90,7 +98,7 @@ def validate_density_matrix(rho: np.ndarray):
         raise InvalidState("unit trace", tr)
     if w[0, 0] < -PSD_TOL:
         raise InvalidState("positive semidefiniteness", -float(w[0, 0]))
-    return w, v
+    return h, (w, v)
 
 
 def to_pauli(rho: np.ndarray) -> PauliForm:
@@ -144,22 +152,27 @@ _PT_PAIR = np.concatenate([np.arange(16), partial_transpose(np.arange(16.0).resh
                            .real.ravel()]).astype(np.intp)
 
 
-def _finite(m: np.ndarray) -> np.ndarray:
-    """m as a complex array; raise InvalidState, with m's size where it is
-    not 4x4, else with the count of NaN and infinite entries, if any."""
+def _state(m: np.ndarray):
+    """The one read of a matrix argument: its Hermitian part H = m/2 + m^dagger/2,
+    which no finite entry overflows, and `_pt_spectra(H)`.  Every reader sees
+    H, as the Pauli coordinates do; H is m bit for bit where m is exactly
+    Hermitian.  Raises InvalidState, with m's size where it is not 4x4, else
+    with the count of NaN and infinite entries, if any."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise InvalidState("shape 4x4", float(m.size))
     if not np.isfinite(m).all():
         raise InvalidState("finite entries", float(np.sum(~np.isfinite(m))))
-    return m
+    h = m / 2
+    h += h.conj().T  # m/2 + m^dagger/2 bit for bit, in one add
+    return h, _pt_spectra(h)
 
 
-def _pt_spectra(rho: np.ndarray):
-    """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of rho and rho^Gamma, by
-    one eigh on their stack: the same bits as one eigh on each.  Raises
-    InvalidState where rho is not a finite 4x4 matrix."""
-    return np.linalg.eigh(_finite(rho).reshape(16)[_PT_PAIR].reshape(2, 4, 4))
+def _pt_spectra(h: np.ndarray):
+    """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of h and h^Gamma, by one
+    eigh on their stack: the same bits as one eigh on each.  Unchecked: h is
+    a complex 4x4 array, `_state`'s H or a state the package builds."""
+    return np.linalg.eigh(h.reshape(16)[_PT_PAIR].reshape(2, 4, 4))
 
 
 def _ppt(w: np.ndarray) -> bool:
@@ -168,25 +181,28 @@ def _ppt(w: np.ndarray) -> bool:
 
 
 def is_ppt(rho: np.ndarray) -> bool:
-    """Peres-Horodecki test at PSD_TOL; for two qubits PPT equals separability."""
-    return _ppt(_pt_spectra(rho)[0])
+    """Peres-Horodecki test of rho's Hermitian part at PSD_TOL; for two
+    qubits PPT equals separability."""
+    return _ppt(_state(rho)[1][0])
+
+
+# sigma_y (x) sigma_y, a real matrix
+_YY = np.kron(SY, SY).real
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence; zero exactly on the separable set.  Raises
-    InvalidState where rho is not a finite 4x4 matrix, or where rho rho~ is
-    not finite (entries beyond about 1e154 overflow it), with the count of
-    its NaN and infinite entries."""
-    rho = _finite(rho)
-    yy = np.kron(SY, SY)
-    with np.errstate(all="ignore"):
-        product = rho @ (yy @ rho.conj() @ yy)
-    if not np.isfinite(product).all():
-        raise InvalidState("finite rho rho~", float(np.sum(~np.isfinite(product))))
-    ev = np.linalg.eigvals(product).real
-    ev = np.sqrt(np.clip(ev, 0.0, None))
-    ev.sort()
-    return float(max(0.0, ev[3] - ev[2] - ev[1] - ev[0]))
+    """Wootters concurrence of rho's Hermitian part H = V diag(p) V^dagger; zero
+    exactly on the separable set.  Its lambdas are the singular values of
+    psi^T (sigma_y x sigma_y) psi with psi = V sqrt(max(p, 0)) (Wootters, PRL 80,
+    2245 (1998)), which rounding near a zero p moves only to second order.
+    Raises InvalidState where rho is not a finite 4x4 matrix, or where an
+    eigenvalue of H overflows (entries near 1e308), with their count."""
+    (p, _), (v, _) = _state(rho)[1]
+    if not np.isfinite(p).all():
+        raise InvalidState("finite eigenvalues", float(np.sum(~np.isfinite(p))))
+    psi = v * np.sqrt(np.maximum(p, 0.0))
+    lam = np.linalg.svd(psi.T @ _YY @ psi, compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def su2_from_rotation(rot: np.ndarray) -> np.ndarray:

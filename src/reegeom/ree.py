@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, _PT_PAIR, _finite, _from_coordinates,
-                     partial_transpose, validate_density_matrix)
+from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, _PT_PAIR, _density, _from_coordinates,
+                     _state, partial_transpose)
 
 SUPPORT_TOL = 1e-12
 EDGE_TOL = 1e-8
@@ -88,15 +88,15 @@ class ReeReport:
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """S(rho||sigma) = tr(rho ln rho - rho ln sigma), in nats.
+    """S(rho||sigma) = tr(rho ln rho - rho ln sigma), in nats, of the
+    Hermitian parts of rho and sigma.
 
     math.inf when rho's support is not contained in sigma's (weight beyond
     SUPPORT_TOL on its kernel, the eigenvalues at most SUPPORT_TOL).  0 ln 0
     is 0.  Raises InvalidState when rho or sigma is not a finite 4x4 matrix.
     """
-    pair = np.array([_finite(rho), _finite(sigma)], dtype=complex)
-    (p, q), (_, v) = np.linalg.eigh(pair)  # one eigh of the stack
-    return _relative_entropy(pair[0], p, q, v)
+    (h, (p, _)), (_, (q, v)) = _state(rho), _state(sigma)
+    return _relative_entropy(h, p[0], q[0], v[0])
 
 
 def _relative_entropy(rho, p, q, v) -> float:
@@ -254,8 +254,9 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     F / mu, lambda^2 / (2 mu), is at most PATH_TOL at every weight but the
     last, whose centre only seeds the next, and at most CENTERING_TOL at
     the last (lambda^2 / 2 <= 1e-12 at mu = 1e-9), the only centre
-    reported.  Each later weight starts with a tangent step along the
-    central path, kept where F at the new weight does not rise.  A trial
+    reported; rho is read as its Hermitian part.  Each later weight starts
+    with a tangent step along the central path, kept where F at the new
+    weight does not rise.  A trial
     point that leaves the cone or is not finite is rejected; a Newton step
     or slope that is not finite ends its stage at once, with no trial
     point.  At the end, with G the matrix gradient of S(rho||.) at sigma,
@@ -273,29 +274,28 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     """
     if cfg is None:
         cfg = OracleConfig()
-    p, p_pt = validate_density_matrix(rho)[0]  # rho's eigenvalues p, read at the end
-    rho = np.asarray(rho, dtype=complex)
+    h, ((p, p_pt), _) = _density(rho)  # rho's eigenvalues p, read at the end
 
     lam, mu0 = min(float(p[0]), float(p_pt[0])), MU_SCHEDULE[0]
     m = (mu0 - lam) / (0.25 - lam) if lam < mu0 else 0.0
     # rho's coordinates x_k = tr(rho sigma_a (x) sigma_b), scaled toward I/4 at x = 0
-    x = (1.0 - m) * (_PAULI_ROWS @ rho.reshape(16)).real
+    x = (1.0 - m) * (_PAULI_ROWS @ h.reshape(16)).real
     w, v = _spectra(x)
     steps = 0
     hess = None
     for mu_prev, mu in zip((None,) + MU_SCHEDULE, MU_SCHEDULE):
         bound = (CENTERING_TOL if mu == MU_SCHEDULE[-1] else PATH_TOL) * mu
-        f = _value(rho, mu, w, v)
+        f = _value(h, mu, w, v)
         # tangent predictor: on the central path H dx/dmu = -grad phi for the
         # barrier phi; H and grad phi come from the last stage's final call, at x
         if hess is not None and steps < cfg.max_iterations:
             xt = x + _newton_step((mu - mu_prev) * barrier, hess)
-            wt, vt, ft = _trial(rho, mu, xt)
+            wt, vt, ft = _trial(h, mu, xt)
             if ft <= f:
                 x, w, v, f = xt, wt, vt, ft
                 steps += 1
         while steps < cfg.max_iterations:
-            grad, hess, barrier = _derivatives(rho, mu, w, v)
+            grad, hess, barrier = _derivatives(h, mu, w, v)
             dx = _newton_step(grad, hess)
             slope = float(grad @ dx) if np.isfinite(dx).all() else math.nan
             if not math.isfinite(slope) or -slope / 2 <= bound:
@@ -303,7 +303,7 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
             t = 1.0
             for _ in range(MAX_HALVINGS):
                 xt = x + t * dx
-                wt, vt, ft = _trial(rho, mu, xt)
+                wt, vt, ft = _trial(h, mu, xt)
                 if ft <= f + ARMIJO_C * t * slope:
                     break
                 t /= 2
@@ -321,10 +321,10 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
         lam2 = -slope
         for _ in range(min(POLISH_STEPS, cfg.max_iterations - steps)):
             xt = x + dx
-            wt, vt, ft = _trial(rho, mu, xt)
+            wt, vt, ft = _trial(h, mu, xt)
             if ft == math.inf:
                 break
-            grad, hess, _ = _derivatives(rho, mu, wt, vt)
+            grad, hess, _ = _derivatives(h, mu, wt, vt)
             dxt = _newton_step(grad, hess)
             lam2t = -float(grad @ dxt) if np.isfinite(dxt).all() else math.nan
             if not lam2t < lam2:
@@ -333,8 +333,8 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
             steps += 1
 
     sigma = _from_coordinates(x)  # (w, v)[0] is its spectrum
-    value = _relative_entropy(rho, p, w[0], v[0])
-    gap = -_certificate(rho, sigma, w, v, None)
+    value = _relative_entropy(h, p, w[0], v[0])
+    gap = -_certificate(h, sigma, w, v, None)
     return ReeReport(value=value, css_numeric=sigma, gap=gap, iterations=steps,
                      converged=finished and gap <= BRACKET_TOL, lower=value - gap)
 
@@ -351,15 +351,13 @@ def directional_optimality_check(rho: np.ndarray, css: np.ndarray,
     gives c = 0 to rounding at a CSS; or, where lambda_min(css^Gamma) >
     SUPPORT_TOL, the barrier's mu (css^Gamma)^-1, the oracle's bracket, so
     c >= -gap at `ree_numeric`'s css.  -inf where `relative_entropy` = inf.
-    `n_directions` is ignored; it stays because `perfbench/` passes it.
+    rho and css are read as their Hermitian parts.  `n_directions` is
+    ignored; it stays because `perfbench/` passes it.
     """
-    rho, css = _finite(rho), _finite(css)
-    stack = np.empty((3, 4, 4), dtype=complex)  # (rho, css, css^Gamma), for one eigh
-    stack[0], stack[1:] = rho, css.reshape(16)[_PT_PAIR].reshape(2, 4, 4)
-    w, v = np.linalg.eigh(stack)
-    if math.isinf(_relative_entropy(rho, w[0], w[1], v[1])):
+    (h, (p, _)), (sigma, (w, v)) = _state(rho), _state(css)
+    if math.isinf(_relative_entropy(h, p[0], w[0], v[0])):
         return -math.inf  # no state at infinite relative entropy is a minimizer
-    return _certificate(rho, css, w[1:], v[1:], _fit(css, rho, w[1:], v[1:]))
+    return _certificate(h, sigma, w, v, _fit(sigma, h, w, v))
 
 
 def _certificate(rho, css, w, v, fit) -> float:

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import (_PAULI_ROWS, PSD_TOL, _finite, _from_coordinates, _pt_spectra,
-                     _require_finite, partial_transpose)
+from .qstate import (_PAULI_ROWS, PSD_TOL, _from_coordinates, _require_finite, _state,
+                     partial_transpose)
 from .ree import (_DIRECTIONS_FLAT, MAX_HALVINGS, SUPPORT_TOL, _certificate, _fit, _frame,
                   _generators, _kernel, _log_divided2, _spectra)
 
@@ -83,10 +83,10 @@ class ZFamilyDerivatives:
 
 
 def g_matrix(sigma: np.ndarray) -> np.ndarray:
-    """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma), the
-    one row of `_generators` mapped back: sigma must have full rank and phi
-    span the kernel of sigma's partial transpose."""
-    w, vecs = _pt_spectra(sigma)
+    """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma) of
+    sigma's Hermitian part, the one row of `_generators` mapped back: sigma
+    must have full rank and phi span the kernel of sigma's partial transpose."""
+    w, vecs = _state(sigma)[1]
     k, v = _kernel(w, vecs), vecs[0]
     if w[0, 0] <= SUPPORT_TOL:
         raise RankDeficient(f"smallest eigenvalue {w[0, 0]:.3e} <= {SUPPORT_TOL:.0e}")
@@ -96,7 +96,7 @@ def g_matrix(sigma: np.ndarray) -> np.ndarray:
 
 
 def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
-    """rho(x) = sigma - x G(sigma), unchecked.
+    """rho(x) = sigma - x G(sigma), unchecked, on sigma's Hermitian part.
 
     For full-rank sigma, rho(x) is positive semidefinite exactly for
     0 <= x <= x_max = 1 / lambda_max(sigma^-1/2 G sigma^-1/2); past x_max it
@@ -104,7 +104,8 @@ def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
     TypeError for an array x.
     """
     _require_parameter("x", x)
-    return sigma - float(x) * g_matrix(sigma)
+    h = _state(sigma)[0]
+    return h - float(x) * g_matrix(h)
 
 
 def _require_parameter(name: str, x) -> None:
@@ -124,10 +125,11 @@ def recover(sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
     part fits as well, since D_sigma and the partial transpose commute with
     the adjoint.  With n = 1 the fit is the projection onto G(sigma); a
     rank-deficient sigma needs no regularization, as D_sigma is zero there.
-    Raises InvalidState where sigma or rho is not a finite 4x4 matrix.
+    sigma and rho are read as their Hermitian parts.  Raises InvalidState
+    where sigma or rho is not a finite 4x4 matrix.
     """
-    rho, (w, vecs) = _finite(rho), _pt_spectra(sigma)
-    return _rebuild(sigma, vecs[0], _fit(sigma, rho, w, vecs))
+    h, (s, (w, vecs)) = _state(rho)[0], _state(sigma)
+    return _rebuild(s, vecs[0], _fit(s, h, w, vecs))
 
 
 def _rebuild(sigma, v, fit) -> np.ndarray:

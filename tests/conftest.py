@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from reegeom import revmap
+from reegeom import qstate, revmap
 from reegeom.qstate import partial_transpose
 
 # every property draws the same examples on every run, with no example
@@ -17,6 +17,21 @@ def random_density_matrix(rng, rank: int = 4) -> np.ndarray:
     a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     m = a @ a.conj().T
     return m / np.trace(m).real
+
+
+def entangled_random_state(rng) -> np.ndarray:
+    """The first NPT `random_density_matrix` of rank 2 to 4 drawn from rng:
+    criterion 12's random states."""
+    while True:
+        rho = random_density_matrix(rng, rank=int(rng.integers(2, 5)))
+        if not qstate.is_ppt(rho):
+            return rho
+
+
+def hermitian_part(m) -> np.ndarray:
+    """m/2 + m^dagger/2: the matrix that every reader of a matrix argument sees."""
+    m = np.asarray(m, dtype=complex)
+    return m / 2 + m.conj().T / 2
 
 
 def random_unitary(rng, n: int = 2) -> np.ndarray:

@@ -19,6 +19,7 @@ from reegeom.ree import (
 )
 
 from conftest import (
+    entangled_random_state,
     generic_family_state,
     random_density_matrix,
     random_unitary,
@@ -401,19 +402,14 @@ def test_criterion_12_reverse_map_route(monkeypatch):
             if not qstate.is_ppt(rho) and np.linalg.eigvalsh(rho)[0] > 1e-6:
                 return rotate(rho, random_unitary(rng), random_unitary(rng)), None
 
-    def random_state(rng):
-        while True:
-            rho = random_density_matrix(rng, rank=int(rng.integers(2, 5)))
-            if not qstate.is_ppt(rho):
-                return rho, None
-
     ends, oracle_calls, shares = [], [], {}
     newton, oracle = revmap._newton, css.ree_numeric
     monkeypatch.setattr(revmap, "_newton", lambda *args: ends.append(newton(*args)) or ends[-1])
     monkeypatch.setattr(css, "ree_numeric", lambda rho: oracle_calls.append(rho) or oracle(rho))
     t0 = time.time()
     ok, notes, failed, jacobians = True, [], [], 0
-    for name, draw, count, seed in (("random", random_state, 300, 42),
+    for name, draw, count, seed in (("random", lambda rng: (entangled_random_state(rng), None),
+                                     300, 42),
                                     ("generic", generic_family_state, 300, 5),
                                     ("X", x_state, 200, 0)):
         rng = np.random.default_rng(seed)

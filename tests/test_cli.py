@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import reegeom
 from reegeom import cli, css, geometry, qstate, ree, revmap
 
-from conftest import random_density_matrix, random_unitary, rotate
+from conftest import hermitian_part, random_density_matrix, random_unitary, rotate
 
 
 @pytest.fixture
@@ -454,6 +454,20 @@ class TestCss:
             except OracleCalled:
                 need.append(name)
         assert need == ["vp_white_noise", "vp_01_noise", "horodecki_white_noise"]
+
+    def test_anti_hermitian_input_reads_as_its_hermitian_part(self, runner, tmp_path):
+        """The fixed input with a 1e-13 anti-Hermitian part writes the same
+        `decompose`, `css --method auto` and `css --method numeric` payloads,
+        byte for byte, as its Hermitian part H = rho/2 + rho^dagger/2 does."""
+        rho = fixed_inputs()["vp_anti_hermitian"]
+        assert 1e-13 <= np.abs(rho - rho.conj().T).max() <= qstate.HERMITICITY_TOL
+        paths = [write_state(tmp_path / f"{name}.json", m)
+                 for name, m in (("rho", rho), ("h", hermitian_part(rho)))]
+        for args in (["decompose"], ["css", "--method", "auto"], ["css", "--method", "numeric"]):
+            runs = [runner.invoke(cli.main, [args[0], path, *args[1:]]) for path in paths]
+            assert [r.exit_code for r in runs] == [0, 0]
+            assert runs[0].output == runs[1].output, args
+        assert json.loads(runs[0].output)["converged"] is True
 
     @pytest.mark.parametrize("name, route", [
         ("vp_a", "geometric"), ("max_correlated", "maximally-correlated"),

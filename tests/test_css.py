@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from reegeom import css, geometry, qstate, revmap
 from reegeom.css import FamilyKind, FamilyTag
 from reegeom.errors import InvalidState, NotConverged, NotEdgeState, RankDeficient, ReegeomError
-from reegeom.ree import SUPPORT_TOL, ReeReport, ree_numeric, relative_entropy
+from reegeom.ree import (SUPPORT_TOL, ReeReport, directional_optimality_check, ree_numeric,
+                         relative_entropy)
 
-from conftest import random_density_matrix, random_unitary, reference_frames, rotate
+from conftest import (entangled_random_state, hermitian_part, random_density_matrix,
+                      random_unitary, reference_frames, rotate)
 
 
 def rotated(rho, rng):
@@ -118,7 +120,8 @@ class TestMatchTemplates:
         r = s = 0), l1 = 0 and separable Horodecki weights (route "ppt") and
         l3 < 0 (route "maximally-correlated").  Every CssResult field,
         zero signs included, is what `_solve` gives with the numpy frames:
-        on route "ppt" tau is t = (P_A o P_B) q itself."""
+        on route "ppt" tau is t = (P_A o P_B) q itself.  The reference reads
+        rho's Hermitian part, as css_auto does."""
         rng = np.random.default_rng(51)
         cases = [(css._vp_state, lam) for lam in ((0.5, 0.3, 0.2), (0.5, 0.5, 0.0),
                                                   (0.6, 0.2, 0.2), (0.0, 0.7, 0.3),
@@ -131,7 +134,8 @@ class TestMatchTemplates:
             for n in range(11):
                 rho = state(lam) if n == 0 else rotated(state(lam), rng)
                 w, v = qstate.validate_density_matrix(rho)
-                p_rho = qstate.to_pauli(rho)
+                h = hermitian_part(rho)
+                p_rho = qstate.to_pauli(h)
                 dpf, r_a, r_b = qstate.canonicalize(p_rho)
                 tag, route, pa, pb = css._match_templates(dpf)
                 matched.add(route)
@@ -143,7 +147,7 @@ class TestMatchTemplates:
                         assert all(type(x) is float for x in tag.lambdas)
                         assert np.array(tag.lambdas).tobytes() == np.array(want_lam).tobytes()
                 res = css.css_auto(rho)
-                want = css._solve(rho, p_rho, tag, route, (want_pa * want_pb) @ dpf.q,
+                want = css._solve(h, p_rho, tag, route, (want_pa * want_pb) @ dpf.q,
                                   want_pa @ r_a, want_pb @ r_b, w, v)
                 assert result_bytes(res) == result_bytes(want)
                 solved.add(res.route)
@@ -544,11 +548,12 @@ class TestCssAuto:
             assert rep.converged and rep.lower - 1e-12 <= res.ree <= rep.value + 1e-12
 
     def test_two_pauli_transforms(self, monkeypatch):
-        """A rotated family state's css_auto takes the Pauli form of rho once
-        and of the returned CSS once.  The CSS is rebuilt, bit for bit, from
-        rho's own Bloch vectors and a^T diag(tau) b, where a, b take rho to
-        the template frame; every residual is computed on the pair (rho, CSS),
-        bit for bit as the public functions compute it."""
+        """A rotated family state's css_auto takes the Pauli form of rho's
+        Hermitian part H once and of the returned CSS once.  The CSS is
+        rebuilt, bit for bit, from H's own Bloch vectors and a^T diag(tau) b,
+        where a, b take H to the template frame; every residual is computed
+        on the pair (H, CSS), bit for bit as the public functions compute it
+        from rho."""
         rng = np.random.default_rng(8)
         t_bell, t_werner = [0.8, -0.6, 0.5], 0.7 * np.array([1.0, -1.0, 1.0])
         for rho0, build in [
@@ -570,9 +575,10 @@ class TestCssAuto:
             monkeypatch.setattr(qstate, "to_pauli", counting)
             res = css.css_auto(rho)
             monkeypatch.undo()
+            h = hermitian_part(rho)
             assert len(calls) == 2
-            assert calls[0] is rho and calls[1] is res.css
-            p_rho = qstate.to_pauli(rho)
+            assert calls[0].tobytes() == h.tobytes() and calls[1] is res.css
+            p_rho = qstate.to_pauli(h)
             dpf, r_a, r_b = qstate.canonicalize(p_rho)
             tag, route, pa, pb = css._match_templates(dpf)
             a, b = pa @ r_a, pb @ r_b
@@ -585,7 +591,7 @@ class TestCssAuto:
                 "bloch_gap": float(max(np.linalg.norm(p_css.r - p_rho.r),
                                        np.linalg.norm(p_css.s - p_rho.s))),
                 "edge_gap": abs(qstate.validate_density_matrix(res.css)[0][1, 0]),
-                "recovery_gap": float(np.max(np.abs(revmap.recover(res.css, rho) - rho)))}
+                "recovery_gap": float(np.max(np.abs(revmap.recover(res.css, rho) - h)))}
             assert res.ree == relative_entropy(rho, res.css)
             assert abs(res.ree - build(tag).ree) <= 1e-14
 
@@ -594,15 +600,16 @@ class TestCssAuto:
     def test_css_is_from_paulis_byte_for_byte(self, kind):
         """The closed-form CSS and the route "ppt" CSS are what
         `from_pauli(PauliForm(r, s, a^T @ diag(tau) @ b))` and
-        `from_pauli(p_rho)` build, byte for byte, zero signs included: on 40
-        states of each kind, half in their template frame and half under a
-        random local unitary, and on each closed-form builder."""
+        `from_pauli(p_rho)` build, byte for byte, zero signs included, with
+        p_rho the Pauli form of rho's Hermitian part: on 40 states of each
+        kind, half in their template frame and half under a random local
+        unitary, and on each closed-form builder."""
         rng = np.random.default_rng(52)
         routes = set()
         for k in range(40):
             rho = family_state(kind, rng)
             rho = rotated(rho, rng) if k % 2 else rho
-            res, p_rho = css.css_auto(rho), qstate.to_pauli(rho)
+            res, p_rho = css.css_auto(rho), qstate.to_pauli(hermitian_part(rho))
             if res.separable:
                 want = qstate.from_pauli(p_rho)
             else:
@@ -623,7 +630,7 @@ class TestCssAuto:
                               "vp": (css.css_vp(lam), css._vp_state(lam)),
                               "horodecki": (css.css_horodecki(lam),
                                             css._horodecki_state(lam))}[kind]
-                p_rho = qstate.to_pauli(state)
+                p_rho = qstate.to_pauli(hermitian_part(state))
                 if res.separable:
                     want = qstate.from_pauli(p_rho)
                 else:
@@ -661,14 +668,15 @@ class TestCssAuto:
 
     def test_two_pauli_transforms_on_the_oracle_route(self, monkeypatch):
         """On routes "reverse-map" and "oracle" (the Newton solve given no
-        step) css_auto also takes the Pauli form of rho once and of the CSS
-        once, and reads tau off the latter.  Route "reverse-map" reads the
-        solve's spectra and fit, and its REE and residuals equal their public
-        functions on (rho, CSS) bit for bit."""
+        step) css_auto also takes the Pauli form of rho's Hermitian part H
+        once and of the CSS once, and reads tau off the latter.  Route
+        "reverse-map" reads the solve's spectra and fit, and its REE and
+        residuals equal their public functions on (rho, CSS) bit for bit."""
         rho = random_density_matrix(np.random.default_rng(8), rank=4)
         rho = 0.5 * rho + 0.5 * qstate.BELL_STATES[0]
+        h = hermitian_part(rho)
         to_pauli = qstate.to_pauli
-        _, r_a, r_b = qstate.canonicalize(to_pauli(rho))
+        _, r_a, r_b = qstate.canonicalize(to_pauli(h))
         for route, steps in (("reverse-map", revmap.NEWTON_STEPS), ("oracle", 0)):
             calls = []
 
@@ -683,33 +691,30 @@ class TestCssAuto:
             monkeypatch.undo()
             assert res.route == route
             assert len(calls) == 2
-            assert calls[0] is rho and calls[1] is res.css
+            assert calls[0].tobytes() == h.tobytes() and calls[1] is res.css
             assert np.array_equal(res.tau, np.diag(r_a @ to_pauli(res.css).g @ r_b.T))
             if route == "reverse-map":
                 assert res.ree == relative_entropy(rho, res.css)
                 assert res.residuals["edge_gap"] == abs(
                     qstate.validate_density_matrix(res.css)[0][1, 0])
                 assert res.residuals["recovery_gap"] == float(
-                    np.max(np.abs(revmap.recover(res.css, rho) - rho)))
+                    np.max(np.abs(revmap.recover(res.css, rho) - h)))
 
     def test_finite_check_once_per_matrix(self, monkeypatch):
-        """css_auto on a VP state tests the entries of rho for NaN and inf
-        once, in its validation, and those of the CSS once; canonicalize's
-        check of rho's Pauli form, already known finite, is skipped."""
+        """css_auto on a VP state reads rho once, through `qstate._state`,
+        which tests its entries for NaN and inf and forms its Hermitian part;
+        the CSS, which the package builds, is checked no more: it goes
+        through the unchecked `_pt_spectra` alone, once."""
         rho = rotated(css._vp_state((0.5, 0.3, 0.2)), np.random.default_rng(8))
-        calls = []
-        finite = qstate._finite
-
-        def counting(m):
-            calls.append(m)
-            return finite(m)
-
-        monkeypatch.setattr(qstate, "_finite", counting)
+        calls, spectra = [], []
+        state, pt_spectra = qstate._state, qstate._pt_spectra
+        monkeypatch.setattr(qstate, "_state", lambda m: calls.append(m) or state(m))
+        monkeypatch.setattr(css, "_pt_spectra", lambda m: spectra.append(m) or pt_spectra(m))
         res = css.css_auto(rho)
         monkeypatch.undo()
         assert res.route == "vp"
-        assert len(calls) == 2
-        assert calls[0] is rho and calls[1] is res.css
+        assert len(calls) == 1 and calls[0] is rho
+        assert len(spectra) == 1 and spectra[0] is res.css
 
     @pytest.mark.parametrize("kind", ["separable", "other"])
     def test_residuals_off_the_closed_form(self, kind):
@@ -980,9 +985,10 @@ class TestCssAuto:
         assert nan == [(4, 3, 40), (4, 3, 55), (5, 3, 32), (5, 3, 53), (5, 4, 15)]
 
     def test_one_recovery_path_on_every_route(self, rng):
-        """recovery_gap is max|recover(css, rho) - rho| bit for bit on every
-        entangled route, read from the CSS's one `ree._fit`; where it is
-        NaN, `recover` raises (`test_recovery_gap_of_random_states`)."""
+        """recovery_gap is max|recover(css, rho) - H| bit for bit on every
+        entangled route, H rho's Hermitian part, read from the CSS's one
+        `ree._fit`; where it is NaN, `recover` raises
+        (`test_recovery_gap_of_random_states`)."""
         while True:
             other = random_density_matrix(rng, rank=4)
             if not qstate.is_ppt(other) and css.classify(other).kind is FamilyKind.OTHER:
@@ -999,7 +1005,7 @@ class TestCssAuto:
             res = css.css_auto(rho)
             assert res.route == route
             assert res.residuals["recovery_gap"] == float(
-                np.max(np.abs(revmap.recover(res.css, rho) - rho)))
+                np.max(np.abs(revmap.recover(res.css, rho) - hermitian_part(rho))))
 
     def test_unconverged_fallback_raises(self, monkeypatch):
         """An unconverged oracle is an error, not an REE, where the Newton
@@ -1079,3 +1085,78 @@ class TestRecoveryChecksTheCss:
         res = css.css_auto(qstate.bell_diagonal([0.9, -0.8, 0.7]))
         assert np.linalg.eigvalsh(res.css)[0] <= 1e-12
         assert res.residuals["recovery_gap"] <= 1e-15
+
+
+def anti_hermitian_parts(eps, n):
+    """n anti-Hermitian K = (A - A^dagger)/2, A with standard normal real and
+    imaginary parts from one rng 7 stream, each scaled to largest entry eps."""
+    rng = np.random.default_rng(7)
+    for _ in range(n):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        k = (a - a.conj().T) / 2
+        yield eps * k / np.abs(k).max()
+
+
+def bits(value):
+    """A reader's result as comparable bits: arrays by their bytes, floats by
+    their hex, and the fields of a dataclass or the items of a tuple in turn."""
+    if hasattr(value, "__dataclass_fields__"):
+        return tuple(bits(getattr(value, f)) for f in value.__dataclass_fields__)
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return float(value).hex() if isinstance(value, float) else value
+
+
+class TestHermitianRead:
+    """Every reader sees a matrix argument's Hermitian part H, so an
+    anti-Hermitian part within HERMITICITY_TOL changes nothing."""
+
+    STATES = 300
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        """Criterion 12's random states and their css_auto results."""
+        rng = np.random.default_rng(42)
+        rhos = [entangled_random_state(rng) for _ in range(self.STATES)]
+        return rhos, [css.css_auto(rho) for rho in rhos]
+
+    @pytest.mark.parametrize("eps", [1e-14, 1e-13])
+    def test_planted_anti_hermitian_parts(self, states, eps):
+        """With an anti-Hermitian part of largest entry eps planted on each of
+        criterion 12's 300 states, no state changes route, and css_auto of
+        rho' equals css_auto of H(rho') = rho'/2 + rho'^dagger/2 bit for bit;
+        when the Newton solve read H and the rest read rho itself, 19 states
+        changed route at 1e-14 and 58 at 1e-13."""
+        routes = set()
+        for rho, res, k in zip(*states, anti_hermitian_parts(eps, self.STATES)):
+            planted = rho + k
+            got = css.css_auto(planted)
+            assert got.route == res.route
+            assert result_bytes(got) == result_bytes(css.css_auto(hermitian_part(planted)))
+            routes.add(got.route)
+        assert routes == {"reverse-map", "oracle"}
+
+    def test_every_reader_sees_the_hermitian_part(self, states):
+        """f(rho') == f(H(rho')) bit for bit for every other public reader of
+        a matrix, on ten of the states with a 1e-13 anti-Hermitian part
+        planted, and their CSSs (route "reverse-map" or "oracle") with
+        another."""
+        readers = {
+            "classify": lambda rho, sigma: css.classify(rho),
+            "validate_density_matrix": lambda rho, sigma: qstate.validate_density_matrix(rho),
+            "is_ppt": lambda rho, sigma: qstate.is_ppt(rho),
+            "concurrence": lambda rho, sigma: qstate.concurrence(rho),
+            "ree_numeric": lambda rho, sigma: ree_numeric(rho),
+            "relative_entropy": relative_entropy,
+            "directional_optimality_check": directional_optimality_check,
+            "recover": lambda rho, sigma: revmap.recover(sigma, rho),
+            "g_matrix": lambda rho, sigma: revmap.g_matrix(sigma),
+            "family_from_css": lambda rho, sigma: revmap.family_from_css(sigma, 0.1)}
+        ks = anti_hermitian_parts(1e-13, 20)
+        for rho, res in list(zip(*states))[:10]:
+            rho, sigma = rho + next(ks), res.css + next(ks)
+            for name, f in readers.items():
+                assert bits(f(rho, sigma)) == bits(
+                    f(hermitian_part(rho), hermitian_part(sigma))), name

@@ -224,13 +224,16 @@ def pt_stackers(package: Path):
 def test_one_pt_stack():
     """A matrix is stacked with its partial transpose one way, a gather of
     qstate._PT_PAIR, whose module-level definition is the one stack built
-    from `partial_transpose`; `_pt_spectra` and `directional_optimality_check`
-    read _PT_PAIR and call no `partial_transpose`."""
+    from `partial_transpose`; `_pt_spectra` reads _PT_PAIR and calls no
+    `partial_transpose`, and `directional_optimality_check`, which takes its
+    spectra from `qstate._state`, reads neither."""
     assert pt_stackers(PACKAGE) == {"qstate"}
-    read = readers_of(PACKAGE, ("_PT_PAIR", "partial_transpose"))
-    assert read["_PT_PAIR"] >= {"qstate._pt_spectra", "ree.directional_optimality_check"}
-    assert not read["partial_transpose"] & {"qstate._pt_spectra",
-                                            "ree.directional_optimality_check"}
+    read = readers_of(PACKAGE, ("_PT_PAIR", "partial_transpose", "_state"))
+    assert "qstate._pt_spectra" in read["_PT_PAIR"]
+    assert "ree.directional_optimality_check" in read["_state"]
+    assert not (read["_PT_PAIR"] | read["partial_transpose"]) & {
+        "ree.directional_optimality_check"}
+    assert "qstate._pt_spectra" not in read["partial_transpose"]
 
 
 def test_planted_pt_stack_is_found(tmp_path):
@@ -244,6 +247,107 @@ def test_planted_pt_stack_is_found(tmp_path):
         "from . import qstate\n\n\nclass Check:\n    def stack(self, a, b):\n"
         "        return np.stack((a, b, qstate.partial_transpose(b).conj()))\n")
     assert pt_stackers(tmp_path) == {"qstate.spectra", "ree.Check"}
+
+
+# Each reader of a matrix argument, with the arguments that are matrices.
+MATRIX_READERS = {
+    "css.css_auto": ("rho",), "css.classify": ("rho",), "css._template": ("rho",),
+    "ree.ree_numeric": ("rho",), "ree.relative_entropy": ("rho", "sigma"),
+    "ree.directional_optimality_check": ("rho", "css"), "revmap.recover": ("sigma", "rho"),
+    "revmap.g_matrix": ("sigma",), "revmap.family_from_css": ("sigma",),
+    "qstate.is_ppt": ("rho",), "qstate.concurrence": ("rho",),
+    "qstate.validate_density_matrix": ("rho",),
+}
+
+
+def matrix_reads(package: Path):
+    """For a flat package: each top-level function "module.function" mapped
+    to its arguments, each with the list of its loads in source order, the
+    name of the call (by name or as an attribute) whose one argument it is,
+    or None for any other load; the places that form a Hermitian part, a
+    sum (or an in-place add) one of whose terms holds a name and the other
+    that name's `conj`; and the places that build
+    InvalidState("finite entries")."""
+    def name(func):
+        return (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+
+    def conj_of(node):
+        """The names whose conj a node holds, as x.conj() or np.conj(x)."""
+        found = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call) and name(n.func) == "conj":
+                target = n.args[0] if n.args else getattr(n.func, "value", None)
+                if isinstance(target, ast.Name):
+                    found.add(target.id)
+        return found
+
+    loads, hermitian, finite = {}, set(), set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            where = f"{path.stem}.{top.name}"
+            args = [a.arg for a in top.args.args]
+            callee = {id(n.args[0]): name(n.func) for n in ast.walk(top)
+                      if isinstance(n, ast.Call) and len(n.args) == 1 and not n.keywords}
+            names = sorted((n for n in ast.walk(top)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)),
+                           key=lambda n: (n.lineno, n.col_offset))
+            loads[where] = {a: [callee.get(id(n)) for n in names if n.id == a] for a in args}
+            for n in ast.walk(top):
+                terms = ((n.left, n.right) if isinstance(n, ast.BinOp)
+                         else (n.target, n.value) if isinstance(n, ast.AugAssign) else None)
+                if terms and isinstance(n.op, ast.Add) and any(
+                        conj_of(one) & {m.id for m in ast.walk(other) if isinstance(m, ast.Name)}
+                        for one, other in (terms, terms[::-1])):
+                    hermitian.add(where)
+                if (isinstance(n, ast.Call) and name(n.func) == "InvalidState" and n.args
+                        and isinstance(n.args[0], ast.Constant)
+                        and n.args[0].value == "finite entries"):
+                    finite.add(where)
+    return loads, hermitian, finite
+
+
+def test_one_read_of_every_matrix_argument():
+    """`qstate._state` is the one place that decides how a matrix argument
+    is read: only it forms the Hermitian part of a matrix from outside (`_fit`
+    symmetrizes the multiplier M it fits and `_edge_jacobian` an outer
+    product it builds), and only it raises InvalidState("finite entries") on
+    a matrix (`from_pauli` raises it on the Pauli blocks r, s and g).  Every
+    reader loads each matrix argument once, as the one argument of `_state`
+    or `_density`, and the CLI's `_read` calls `_density`; `_finite` is
+    gone."""
+    loads, hermitian, finite = matrix_reads(PACKAGE)
+    assert hermitian == {"qstate._state", "ree._fit", "revmap._edge_jacobian"}
+    assert finite == {"qstate._state", "qstate.from_pauli"}
+    for reader, matrices in MATRIX_READERS.items():
+        for arg in matrices:
+            assert loads[reader][arg] in (["_state"], ["_density"]), (reader, arg)
+    assert "cli._read" in readers_of(PACKAGE, ("_density",))["_density"]
+    assert "qstate._finite" not in loads and not readers_of(PACKAGE, ("_finite",))["_finite"]
+
+
+def test_planted_matrix_reads_are_found(tmp_path):
+    """An argument read twice, or once outside `_state`, a Hermitian part
+    formed as (m + np.conj(m).T) / 2, m / 2 + m.conj().T / 2 or by an
+    in-place add of a half's conj, and InvalidState("finite entries") raised
+    anywhere are all found; a difference with a conj, as the Hermiticity
+    check forms, is not."""
+    (tmp_path / "qstate.py").write_text(
+        "def _state(m):\n    h = m / 2\n    h += h.conj().T\n    return h, spectra(h)\n\n\n"
+        "def is_ppt(rho):\n    return ppt(_state(rho)[1]) and rho.shape\n\n\n"
+        "def _density(rho):\n    return _state(rho), abs(rho - rho.conj().T).max()\n")
+    (tmp_path / "ree.py").write_text(
+        "def relative_entropy(rho, sigma):\n    h = (rho + np.conj(rho).T) / 2\n"
+        "    return entropy(h, _state(sigma))\n\n\n"
+        "def _fit(sigma):\n    m = solve(sigma)\n    return m / 2 + m.conj().T / 2\n\n\n"
+        "def check(m):\n    if bad(m):\n        raise InvalidState(\"finite entries\", 1.0)\n")
+    loads, hermitian, finite = matrix_reads(tmp_path)
+    assert loads["qstate.is_ppt"] == {"rho": ["_state", None]}
+    assert loads["ree.relative_entropy"] == {"rho": [None, "conj"], "sigma": ["_state"]}
+    assert hermitian == {"qstate._state", "ree.relative_entropy", "ree._fit"}
+    assert finite == {"ree.check"}
 
 
 # --- what each entry point loads, and the public surface ----------------------

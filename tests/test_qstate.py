@@ -332,16 +332,40 @@ class TestConcurrence:
     def test_maximally_mixed_zero(self):
         assert qstate.concurrence(np.eye(4) / 4) == 0.0
 
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308])
     def test_overflowing_product_rejected(self, scale):
-        """Finite entries beyond about 1e154 overflow rho rho~: concurrence
-        raises InvalidState with no floating-point warning, where eigvals
-        raised LinAlgError on the product's infinite and NaN entries."""
+        """Finite entries near 1e308 overflow the largest eigenvalue of H,
+        4 x scale: concurrence raises InvalidState with no floating-point
+        warning, where psi = V sqrt(p) would be inf x 0 = NaN."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidState) as exc:
                 qstate.concurrence(np.full((4, 4), scale))
-        assert exc.value.invariant == "finite rho rho~" and exc.value.magnitude == 16
+        assert exc.value.invariant == "finite eigenvalues" and exc.value.magnitude == 1
+
+    def test_closed_forms(self):
+        """Within 1e-12 of the closed forms under random local unitaries,
+        where eigvals of rho rho~ and square roots of its eigenvalues that
+        round near zero erred by up to about 2.5e-8: 2 |c00 c11 - c01 c10|
+        for a pure state, max(0, 2 p_max - 1) for a Bell-diagonal state of
+        rank 1 to 3, and l1 for a VP state."""
+        rng = np.random.default_rng(52)
+        cases = []
+        for _ in range(100):
+            c = rng.normal(size=4) + 1j * rng.normal(size=4)
+            c /= np.linalg.norm(c)
+            cases.append((np.outer(c, c.conj()), 2 * abs(c[0] * c[3] - c[1] * c[2])))
+            for rank in (1, 2, 3):
+                p = rng.permutation(np.concatenate([rng.dirichlet(np.ones(rank)),
+                                                    np.zeros(4 - rank)]))
+                cases.append((sum(w * b for w, b in zip(p, qstate.BELL_STATES)),
+                              max(0.0, 2 * p.max() - 1)))
+            lam = rng.dirichlet(np.ones(3))
+            cases.append((lam[0] * qstate.BELL_STATES[0] + np.diag([lam[1], 0, 0, lam[2]]),
+                          lam[0]))
+        for rho, want in cases:
+            rho = rotate(rho, random_unitary(rng), random_unitary(rng))
+            assert abs(qstate.concurrence(rho) - want) <= 1e-12, want
 
     def test_ppt_iff_concurrence_zero(self):
         rng = np.random.default_rng(2)

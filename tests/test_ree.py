@@ -24,6 +24,7 @@ from reegeom.ree import (
 from conftest import (
     generic_edge_state,
     generic_family_state,
+    hermitian_part,
     random_density_matrix,
     random_unitary,
     rotate,
@@ -68,10 +69,11 @@ class TestRelativeEntropy:
                                 np.diag(q).astype(complex)) == pytest.approx(kl, abs=1e-12)
 
     def test_one_sigma_matches_reference(self):
-        """One sigma at a time, bit for bit the subset-indexed reference, on
-        rotated family states against their CSS and planted CSS, and on
-        random pairs of every rank; and within 1e-14 of the overlap form
-        sum_ij p_i |<u_i|v_j>|^2 ln q_j, with the same infinities."""
+        """One sigma at a time, bit for bit the subset-indexed reference on
+        the Hermitian parts of rho and sigma, on rotated family states against
+        their CSS and planted CSS, and on random pairs of every rank; and
+        within 1e-14 of the overlap form sum_ij p_i |<u_i|v_j>|^2 ln q_j, with
+        the same infinities."""
         rng = np.random.default_rng(41)
         pairs = []
         for rho in _family_states(rng, 10):
@@ -81,6 +83,7 @@ class TestRelativeEntropy:
                   for r in (1, 2, 3, 4) for k in (r, 4) for _ in range(10)]
         for rho, sigma in pairs:
             got = relative_entropy(rho, sigma)
+            rho, sigma = hermitian_part(rho), hermitian_part(sigma)
             assert type(got) is float
             assert got == _relative_entropy_reference(rho, sigma)
             overlap = _relative_entropy_reference(rho, sigma, overlap=True)
@@ -952,12 +955,13 @@ class TestDirectionalOptimality:
     true CSS, and at most -excess at a CSS whose REE is excess too high."""
 
     def test_stack_by_one_gather(self):
-        """The check, whose (rho, css, css^Gamma) stack is one gather of
-        `qstate._PT_PAIR`, equals the same check on the stack
-        np.array([rho, css, partial_transpose(css)]) bit for bit, at the CSS
-        of every route of css_auto, and at rho itself."""
+        """The check, which takes the (H, H^Gamma) spectra of rho and of css
+        from `qstate._state`, each stack one gather of `qstate._PT_PAIR`,
+        equals the same check on the stack np.array([H(rho), H(css),
+        partial_transpose(H(css))]) of their Hermitian parts bit for bit, at
+        the CSS of every route of css_auto, and at rho itself."""
         def stacked(rho, sigma):
-            rho, sigma = qstate._finite(rho), qstate._finite(sigma)
+            rho, sigma = hermitian_part(rho), hermitian_part(sigma)
             w, v = np.linalg.eigh(np.array([rho, sigma, qstate.partial_transpose(sigma)]))
             if math.isinf(ree._relative_entropy(rho, w[0], w[1], v[1])):
                 return -math.inf
@@ -1159,10 +1163,11 @@ class TestDirectionalOptimality:
         assert directional_optimality_check(np.outer(v, v), css00) == -math.inf
 
     def test_one_eigh_of_the_stack(self, monkeypatch):
-        """The certificate takes the spectra of rho, css and css^Gamma from one
-        eigh of their stack and checks each input for finite entries once.
-        Batched eigh gives each matrix the bits of a single call, so c equals
-        `_certificate` on css's own `_pt_spectra` and `_fit`, bit for bit: at
+        """The certificate reads rho and css once each, through `qstate._state`,
+        which checks the entries and takes the spectra of the Hermitian part H
+        and H^Gamma from one eigh of their stack.  Batched eigh gives each
+        matrix the bits of a single call, so c equals `_certificate` on H(css)'s
+        own `_pt_spectra` and its `_fit` to H(rho), bit for bit: at
         a rank-2 VP CSS (the fit), at a reverse-map CSS and at it mixed 1%
         with I/4 (the barrier's multiplier)."""
         rng = np.random.default_rng(21)
@@ -1174,17 +1179,18 @@ class TestDirectionalOptimality:
             res = css.css_auto(rho)
             if res.route == "reverse-map":
                 cases += [(rho, res.css), (rho, 0.99 * res.css + 0.01 * np.eye(4) / 4)]
-        eigh, finite = np.linalg.eigh, ree._finite
+        eigh, state = np.linalg.eigh, ree._state
         for rho, sigma in cases:
             calls = []
             monkeypatch.setattr(np.linalg, "eigh",
                                 lambda a, *args: calls.append(np.shape(a)) or eigh(a, *args))
-            monkeypatch.setattr(ree, "_finite", lambda m: calls.append("finite") or finite(m))
+            monkeypatch.setattr(ree, "_state", lambda m: calls.append("state") or state(m))
             c = directional_optimality_check(rho, sigma)
             monkeypatch.undo()
-            assert calls == ["finite", "finite", (3, 4, 4)]
-            w, v = qstate._pt_spectra(sigma)
-            assert c == ree._certificate(rho, sigma, w, v, ree._fit(sigma, rho, w, v))
+            assert calls == ["state", (2, 4, 4), "state", (2, 4, 4)]
+            h, s = hermitian_part(rho), hermitian_part(sigma)
+            w, v = qstate._pt_spectra(s)
+            assert c == ree._certificate(h, s, w, v, ree._fit(s, h, w, v))
         assert directional_optimality_check(
             np.eye(4) / 4, np.diag([0.5, 0.5, 0.0, 0.0])) == -math.inf
         bad = np.eye(4, dtype=complex) / 4
