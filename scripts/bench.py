@@ -12,9 +12,10 @@ median and quartiles over the seeds (`pairs.quartiles`) with the values
 behind them, and the ops attempted and failed at each seed; beside them the
 checkout's git sha (null outside a git checkout) and whether its `src`
 differs from that commit, `platform`, `os.cpu_count()`, the Python and
-numpy versions, `OPENBLAS_NUM_THREADS` as this process sees it, and
+numpy versions, `OPENBLAS_NUM_THREADS` as this process sees it,
 `scripts/code_lines.py`'s lines and code lines of each module of
-`src/reegeom`.
+`src/reegeom`, and tier-1: `TIER1` run once in CHECKOUT after the
+workloads, its counts from pytest's summary line and its wall time.
 
 With `--compare OLD.json`, a BENCH file written earlier, one line per
 workload and metric gives OUT's median over OLD's and marks a ratio worse
@@ -30,9 +31,11 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -42,6 +45,8 @@ from pairs import quartiles, run_one  # noqa: E402
 SCHEMA = 1
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 20.0
+# tier-1 as ROADMAP.md's verify line runs it, with the checkout's src first on PYTHONPATH
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def aggregate(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
@@ -61,6 +66,23 @@ def aggregate(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     return out
 
 
+def tier1(checkout: Path) -> dict:
+    """Tier-1 run once in CHECKOUT: the counts of pytest's summary line, its
+    last line of standard output ("612 passed, 5 warnings in 35.71s" gives
+    passed 612 and warnings 5; "error" counts as errors), with failed and
+    errors 0 where absent, and the run's wall time in seconds."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(checkout / "src"), os.environ.get("PYTHONPATH")) if p))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {"failed": 0, "errors": 0}
+    for n, what in re.findall(r"(\d+) ([a-z]+)", last):
+        counts[{"error": "errors", "warning": "warnings"}.get(what, what)] = int(n)
+    return {**counts, "wall_s": wall}
+
+
 def _git(checkout: Path, *args: str) -> str | None:
     if not (checkout / ".git").exists():
         return None
@@ -68,9 +90,10 @@ def _git(checkout: Path, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def bench_file(checkout: Path, runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
-    """The contents of a BENCH file: the runs' `aggregate` and what they were
-    measured on, the code and the machine."""
+def bench_file(checkout: Path, runs: dict[str, list[dict]], end_to_end: list[dict],
+               tier: dict) -> dict:
+    """The contents of a BENCH file: the runs' `aggregate`, tier-1's `tier1`
+    result and what they were measured on, the code and the machine."""
     status = _git(checkout, "status", "--porcelain", "--", "src")
     return {"schema": SCHEMA, "seeds": list(SEEDS), "seconds": SECONDS,
             "git_sha": _git(checkout, "rev-parse", "HEAD"),
@@ -80,7 +103,7 @@ def bench_file(checkout: Path, runs: dict[str, list[dict]], end_to_end: list[dic
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
             "code_lines": {name: {"lines": n, "code": c} for name, (n, c)
                            in counts(checkout / "src" / "reegeom").items()},
-            "workloads": aggregate(runs, end_to_end)}
+            "tier1": tier, "workloads": aggregate(runs, end_to_end)}
 
 
 def compare(old: dict, new: dict, end_to_end: list[dict]) -> list[str]:
@@ -118,7 +141,9 @@ def main(argv=None):
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{m} {v['value']:.4g}" for m, v in runs[workload][-1]["metrics"].items()),
                     flush=True)
-    result = bench_file(args.checkout, runs, bench["end_to_end"])
+    tier = tier1(args.checkout)
+    print(f"tier-1: {tier}", flush=True)
+    result = bench_file(args.checkout, runs, bench["end_to_end"], tier)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
     if args.compare:

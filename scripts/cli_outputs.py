@@ -16,9 +16,11 @@ reegeom under test.  Each state goes through `decompose`, `reconstruct` of
 the decompose file, and `css` with `--method auto`, `numeric` and
 `geometric`; then `surface` runs for both bodies at three (r, s), and at one
 of them with `--tol 0`, with `--tol 1e-3` and with `--n 96`; `sweep` at two
-seeds and `verify --suite all`; last, `sweep` at two (r, s) near |r| = |s| = 1,
-then at `--xmax 1e300`, whose far points overflow and drop, each appended so
-that every earlier file keeps its name.  So every subcommand runs.
+seeds and `verify --suite all`; then `sweep` at two (r, s) near |r| = |s| = 1,
+then at `--xmax 1e300`, whose far points overflow and drop; last, `surface`
+for both bodies at `--tol 1e-12`, from which the T mesh skips its root
+filter, and at `--tol 9e-13`, just below it; each appended so that every
+earlier file keeps its name.  So every subcommand runs.
 
 The commands run in-process through `reegeom.cli.main` with DIR as the
 working directory, so every `--out` name and manifest is relative and two
@@ -169,6 +171,11 @@ def commands(names) -> list[list[str]]:
         cmds.append(["sweep", "--r", r, "--s", s, "--out", f"sweep_{r}_{s}.csv"])
     cmds.append(["sweep", "--r", "-0.5", "--s", "0.5", "--xmax", "1e300",
                  "--out", "sweep_xmax1e300.csv"])
+    # either side of the --tol from which the T mesh skips its root filter, 1e-12
+    for body in ("T", "L"):
+        for tol in ("1e-12", "9e-13"):
+            cmds.append(["surface", "--body", body, "--r", "0.3", "--s", "-0.2", "--n", "24",
+                         "--tol", tol, "--out", f"surface_{body}_0.3_-0.2_tol{tol}.csv"])
     return cmds
 
 

@@ -184,8 +184,8 @@ def _tau(route: str, lambdas, t) -> np.ndarray:
     maximally correlated route shares, and the Horodecki tau lie on the ray
     from v1, the Phi+ vertex, through t; for some Horodecki states with
     l1 < 1/3, v1 is not `nearest_vertex(t)`.  Bell-diagonal tau is where the
-    ray from the nearest vertex v through t meets the octahedron face
-    v.q = 1, or v/3 when t is v."""
+    ray from the nearest vertex v, the one of t's largest Bell weight,
+    through t meets the octahedron face v.q = 1, or v/3 when t is v."""
     if route in ("vp", "maximally-correlated"):
         return _VP_TAU
     if route == "horodecki":

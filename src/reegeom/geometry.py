@@ -3,12 +3,17 @@
 The Bell-diagonal tetrahedron and separable octahedron, their deformed
 counterparts at fixed z-parallel Bloch vectors, nearest-vertex selection,
 ray/surface crossings, and boundary-surface sampling for export.  Both
-deformed bodies come from the `spectra` kernels.  `surface_mesh` takes the
-sheet moduli once per grid point, solves them for q3 with
-`spectra.boundary_roots` and keeps the roots whose state passes `sheet_min`:
-on T the grid moduli are the state's own, on L it takes the state's moduli
-once per footprint point.  The footprint's roots are filtered per sheet on
-contiguous 1-D arrays, and the mesh is filled column by column.
+deformed bodies come from the `spectra` kernels.  The tetrahedron is read
+off the Bell weights p_k = (1 + v_k.t) / 4: t is inside where none is
+negative beyond TETRA_TOL / 4, and its nearest vertex is the one of the
+largest weight.  `surface_mesh` takes the sheet moduli once per grid point,
+solves them for q3 with `spectra.boundary_roots` and keeps the roots whose
+state passes `sheet_min`: on T the grid moduli are the state's own, on L it
+takes the state's moduli once per footprint point.  T is bounded where the
+state's smallest eigenvalue is zero, so its roots are PSD by construction and
+the filter runs only below the psd_tol `_T_KEEPS_ALL` that every root
+passes.  The footprint's roots are filtered per sheet on contiguous 1-D
+arrays, and the mesh is filled column by column.
 `line_surface_crossing` solves, one quadratic per sheet, where the line from
 a correlation vector to its nearest tetrahedron vertex meets the zero set of
 the partial transpose's `branch_min`.
@@ -40,6 +45,12 @@ TETRA_FACE_NORMALS = [-v for v in TETRA_VERTICES.values()]
 # is a fixed-width str array of these
 SHEET_TAGS = np.array(["mu", "nu"])
 
+# the psd_tol from which `surface_mesh` keeps every root on T unchecked.  A T
+# root zeroes its own branch to within about 4 ulp, and the footprint test
+# keeps the other branch at or above -(FOOTPRINT_SLACK + rounding) / 4, a
+# quarter of this bound: a 4x margin
+_T_KEEPS_ALL = spectra.FOOTPRINT_SLACK
+
 # the sign that tells the two sheets apart in `line_surface_crossing`, read-only
 _SHEET_SIGN = np.array([-1.0, 1.0])
 _SHEET_SIGN.flags.writeable = False
@@ -49,6 +60,10 @@ _SHEET_SIGN.flags.writeable = False
 class Vertex:
     label: str
     coords: np.ndarray
+
+
+# the Vertex of each label, in label order, that `nearest_vertex` returns
+_VERTICES = [Vertex(label, v) for label, v in TETRA_VERTICES.items()]
 
 
 @dataclass(frozen=True)
@@ -66,20 +81,37 @@ class SurfaceMesh:
     sheets: np.ndarray   # "mu" or "nu" per row, a str array
 
 
+def _vertex_dots(t: np.ndarray) -> list:
+    """The four v_k.t in floats, in label order: t's Bell weights are
+    p_k = (1 + v_k.t) / 4."""
+    x, y, z = t.tolist()
+    return [x - y + z, -x + y + z, x + y - z, -x - y - z]
+
+
+def _inside(dots: list) -> bool:
+    """Every Bell weight nonnegative within TETRA_TOL / 4, v_k.t >= -1 -
+    TETRA_TOL; written so that a NaN is outside."""
+    return all(d >= -1.0 - TETRA_TOL for d in dots)
+
+
 def in_tetrahedron(t) -> bool:
-    t = np.asarray(t, dtype=float)
-    return all(float(n @ t) <= 1.0 + TETRA_TOL for n in TETRA_FACE_NORMALS)
+    """Whether t lies in the tetrahedron: every face inequality n.t <= 1
+    holds within TETRA_TOL, read as every Bell weight (1 + v_k.t) / 4 at
+    least -TETRA_TOL / 4.  False at a NaN entry."""
+    return _inside(_vertex_dots(np.asarray(t, dtype=float)))
 
 
 def nearest_vertex(t) -> Vertex:
-    """Closest tetrahedron vertex to t; ties broken by label order.  A
-    non-finite t raises ValueError."""
+    """Closest tetrahedron vertex to t: as |t - v_k|^2 = |t|^2 + 3 - 2 v_k.t,
+    the vertex of the largest Bell weight, the first in label order where
+    weights tie.  A non-finite t raises ValueError, a t outside the
+    tetrahedron OutsideTetrahedron."""
     t = np.asarray(t, dtype=float)
     _require_finite(t=t)
-    if not in_tetrahedron(t):
+    dots = _vertex_dots(t)
+    if not _inside(dots):
         raise OutsideTetrahedron(f"point {t} lies outside the tetrahedron")
-    best = min(TETRA_VERTICES.items(), key=lambda kv: (np.linalg.norm(t - kv[1]), kv[0]))
-    return Vertex(best[0], best[1])
+    return _VERTICES[dots.index(max(dots))]
 
 
 def surface_mesh(body: str, r: float, s: float, n: int,
@@ -87,7 +119,8 @@ def surface_mesh(body: str, r: float, s: float, n: int,
     """Sample the boundary surface on an n x n grid over (q1, q2) in [-1, 1]^2.
 
     Roots whose full state is not PSD within psd_tol are dropped (they solve
-    the sheet equation outside the physical body).  Row-major grid order.
+    the sheet equation outside the physical body); on T from psd_tol =
+    _T_KEEPS_ALL on, none is, and the check is skipped.  Row-major grid order.
     body "T" is the state body, "L" the separable one; others raise
     ValueError, as do a non-integer n or n < 2, a non-finite r or s and a NaN
     or negative psd_tol.
@@ -108,6 +141,14 @@ def surface_mesh(body: str, r: float, s: float, n: int,
     mu, nu, inside = spectra.boundary_roots(m1, m2)
     foot = np.flatnonzero(inside)
     q1, q2 = np.repeat(axis, n)[foot], np.tile(axis, n)[foot]
+    if body == "T" and psd_tol >= _T_KEEPS_ALL:
+        # every root passes the PSD check: row 2i is footprint point i's mu
+        # root, 2i + 1 its nu root, filled by 1-D copies
+        points = np.empty((len(foot), 2, 3))
+        points[:, 0, 0] = points[:, 1, 0] = q1
+        points[:, 0, 1] = points[:, 1, 1] = q2
+        points[:, 0, 2], points[:, 1, 2] = mu[foot], nu[foot]
+        return SurfaceMesh(points.reshape(-1, 3), np.tile(SHEET_TAGS, len(foot)))
     # the PSD check is on the state itself: its moduli are the grid's on T,
     # and on L, whose grid is the partial transpose's, are taken at +q2
     if body == "T":

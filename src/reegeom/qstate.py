@@ -157,7 +157,9 @@ def _state(m: np.ndarray):
     which no finite entry overflows, and `_pt_spectra(H)`.  Every reader sees
     H, as the Pauli coordinates do; H is m bit for bit where m is exactly
     Hermitian.  Raises InvalidState, with m's size where it is not 4x4, else
-    with the count of NaN and infinite entries, if any."""
+    with the count of NaN and infinite entries, if any, else with H's largest
+    entry where the eigen-solve does not converge, as it may on entries that
+    span hundreds of decades."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise InvalidState("shape 4x4", float(m.size))
@@ -165,7 +167,10 @@ def _state(m: np.ndarray):
         raise InvalidState("finite entries", float(np.sum(~np.isfinite(m))))
     h = m / 2
     h += h.conj().T  # m/2 + m^dagger/2 bit for bit, in one add
-    return h, _pt_spectra(h)
+    try:
+        return h, _pt_spectra(h)
+    except np.linalg.LinAlgError:
+        raise InvalidState("convergent eigen-solve", float(np.abs(h).max())) from None
 
 
 def _pt_spectra(h: np.ndarray):

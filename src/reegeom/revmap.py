@@ -86,7 +86,11 @@ def g_matrix(sigma: np.ndarray) -> np.ndarray:
     """The reverse-map generator G(sigma) = D_sigma((phi phi^dagger)^Gamma) of
     sigma's Hermitian part, the one row of `_generators` mapped back: sigma
     must have full rank and phi span the kernel of sigma's partial transpose."""
-    w, vecs = _state(sigma)[1]
+    return _g_matrix(*_state(sigma)[1])
+
+
+def _g_matrix(w, vecs) -> np.ndarray:
+    """`g_matrix` of the state whose spectra of (sigma, sigma^Gamma) are w, vecs."""
     k, v = _kernel(w, vecs), vecs[0]
     if w[0, 0] <= SUPPORT_TOL:
         raise RankDeficient(f"smallest eigenvalue {w[0, 0]:.3e} <= {SUPPORT_TOL:.0e}")
@@ -104,8 +108,8 @@ def family_from_css(sigma: np.ndarray, x: float) -> np.ndarray:
     TypeError for an array x.
     """
     _require_parameter("x", x)
-    h = _state(sigma)[0]
-    return h - float(x) * g_matrix(h)
+    h, (w, vecs) = _state(sigma)
+    return h - float(x) * _g_matrix(w, vecs)
 
 
 def _require_parameter(name: str, x) -> None:

@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# the slack of `boundary_roots`' footprint test M1 + M2 <= 2: where it admits a
+# point, the other branch at either root is at least -(FOOTPRINT_SLACK + rounding) / 4
+FOOTPRINT_SLACK = 1e-12
+
 
 def moduli(r, s, q1, q2):
     """Elementwise (M1, M2) = (|(r - s, q1 + q2)|, |(r + s, q1 - q2)|).
@@ -43,4 +47,4 @@ def boundary_roots(m1, m2):
     other branch nonnegative), M1 + M2 <= 2.  Moduli at q2 -> -q2 give the
     separable body's sheets.
     """
-    return 1.0 - m1, m2 - 1.0, m1 + m2 <= 2.0 + 1e-12
+    return 1.0 - m1, m2 - 1.0, m1 + m2 <= 2.0 + FOOTPRINT_SLACK

@@ -34,6 +34,16 @@ def hermitian_part(m) -> np.ndarray:
     return m / 2 + m.conj().T / 2
 
 
+def extreme_range_matrix(index: int) -> np.ndarray:
+    """Draw `index` (from 0) of rng 1's complex 4x4 matrices whose entries
+    10^U(-320, 307) exp(2 pi i U(0, 1)) span hundreds of decades: numpy's eigh
+    does not converge on some of them, draw 195 among those."""
+    rng = np.random.default_rng(1)
+    for _ in range(index + 1):
+        m = 10 ** rng.uniform(-320, 307, (4, 4)) * np.exp(2j * np.pi * rng.uniform(0, 1, (4, 4)))
+    return m
+
+
 def random_unitary(rng, n: int = 2) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)

@@ -4,6 +4,8 @@ comparison of two, on canned result lines with no subprocess."""
 import importlib.util
 import json
 import math
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,9 @@ _spec.loader.exec_module(bench)
 
 END_TO_END = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
               {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
+
+
+TIER1 = {"passed": 612, "failed": 0, "errors": 0, "wall_s": 35.7}
 
 
 def _stdout(ops_per_s, op_p50_ms, failed=0):
@@ -60,14 +65,15 @@ def test_aggregate_medians_quartiles_and_ops():
 def test_bench_file_schema(tmp_path):
     """Every key the BENCH file promises, JSON-serialisable; outside a git
     checkout the sha and the modified flag are null."""
-    got = bench.bench_file(_checkout(tmp_path), _runs(), END_TO_END)
+    got = bench.bench_file(_checkout(tmp_path), _runs(), END_TO_END, TIER1)
     assert set(got) == {"schema", "seeds", "seconds", "git_sha", "src_modified", "platform",
                         "cpu_count", "python", "numpy", "OPENBLAS_NUM_THREADS",
-                        "code_lines", "workloads"}
+                        "code_lines", "tier1", "workloads"}
     assert got["schema"] == bench.SCHEMA and got["seeds"] == [1, 2, 3, 4, 5]
     assert got["seconds"] == 20.0
     assert got["git_sha"] is None and got["src_modified"] is None
     assert isinstance(got["cpu_count"], int) and got["numpy"].count(".") >= 1
+    assert got["tier1"] == TIER1
     assert got["code_lines"] == {"__init__.py": {"lines": 4, "code": 1},
                                  "ree.py": {"lines": 5, "code": 3}}
     for workload in got["workloads"].values():
@@ -79,7 +85,7 @@ def test_bench_file_schema(tmp_path):
 
 
 def test_compare_flags_only_beyond_the_bound(tmp_path):
-    old = bench.bench_file(_checkout(tmp_path), _runs(), END_TO_END)
+    old = bench.bench_file(_checkout(tmp_path), _runs(), END_TO_END, TIER1)
     new = json.loads(json.dumps(old))
     fam, cold = (new["workloads"][w]["metrics"] for w in ("solve-families", "cli-cold"))
     fam["ops_per_s"]["median"] = 150.0 * 0.74  # 26% fewer ops: beyond 0.25
@@ -98,9 +104,34 @@ def test_compare_flags_only_beyond_the_bound(tmp_path):
 
 
 def test_compare_skips_a_workload_missing_from_either_file(tmp_path):
-    old = bench.bench_file(_checkout(tmp_path), _runs(), END_TO_END)
+    old = bench.bench_file(_checkout(tmp_path), _runs(), END_TO_END, TIER1)
     new = json.loads(json.dumps(old))
     del new["workloads"]["cli-cold"]
     old["workloads"]["solve-families"]["metrics"]["ops_per_s"]["median"] = 0.0
     lines = bench.compare(old, new, END_TO_END)  # a zero old median gives no ratio
     assert len(lines) == 2 and math.isnan(float(lines[0].split("ratio ")[1].split()[0]))
+
+
+@pytest.mark.parametrize("last, counts", [
+    ("612 passed in 35.71s", {"passed": 612, "failed": 0, "errors": 0}),
+    ("1 failed, 611 passed, 5 warnings in 50.12s",
+     {"passed": 611, "failed": 1, "errors": 0, "warnings": 5}),
+    ("===== 2 failed, 600 passed, 1 error in 40.00s =====",
+     {"passed": 600, "failed": 2, "errors": 1})])
+def test_tier1_counts_and_wall_time(tmp_path, monkeypatch, last, counts):
+    """`tier1` runs TIER1 once in the checkout with its src first on
+    PYTHONPATH, reads the counts off pytest's last line and times the run; a
+    stubbed pytest stands in for the suite."""
+    calls = []
+
+    def run(args, cwd, env, capture_output, text):
+        calls.append((args, cwd, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(args, 1, stdout=f"....F.\n{last}\n", stderr="")
+
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    got = bench.tier1(tmp_path)
+    assert calls == [(bench.TIER1, tmp_path, os.pathsep.join([str(tmp_path / "src"), "elsewhere"]))]
+    assert got.pop("wall_s") >= 0.0
+    assert got == counts
+    assert bench.TIER1[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]

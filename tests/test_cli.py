@@ -13,7 +13,8 @@ from click.testing import CliRunner
 import reegeom
 from reegeom import cli, css, geometry, qstate, ree, revmap
 
-from conftest import hermitian_part, random_density_matrix, random_unitary, rotate
+from conftest import (extreme_range_matrix, hermitian_part, random_density_matrix, random_unitary,
+                      rotate)
 
 
 @pytest.fixture
@@ -74,6 +75,16 @@ class TestDecompose:
         p = write_state(tmp_path / "bad.json", np.eye(4, dtype=complex))
         res = runner.invoke(cli.main, ["decompose", p])
         assert res.exit_code == 2
+
+    def test_eigen_solve_failure_exit_2(self, runner, tmp_path):
+        """Draw 195 of `extreme_range_matrix`, on which numpy's eigh does not
+        converge on some machines, exits 2 with one line: an invalid density
+        matrix, whichever invariant it fails first."""
+        p = write_state(tmp_path / "range.json", extreme_range_matrix(195))
+        res = runner.invoke(cli.main, ["decompose", p])
+        assert res.exit_code == 2 and type(res.exception) is SystemExit
+        assert res.stderr.startswith("error: invalid density matrix: ")
+        assert res.stderr.count("\n") == 1
 
     def test_reconstruct_round_trip(self, runner, tmp_path):
         rho = random_density_matrix(np.random.default_rng(1))

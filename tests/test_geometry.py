@@ -113,6 +113,14 @@ def line_surface_crossing_loop(t, v, r, s, w_max=10.0, scan_step=1e-3, w_tol=1e-
     return crossings
 
 
+def nearest_vertex_by_norm(t):
+    """The min-norm rule that `nearest_vertex` replaced, kept as its
+    reference: the label of the vertex v nearest to t by np.linalg.norm(t - v),
+    ties by label."""
+    return min(geometry.TETRA_VERTICES.items(),
+               key=lambda kv: (np.linalg.norm(t - kv[1]), kv[0]))[0]
+
+
 class TestTetrahedron:
     def test_vertices_inside(self):
         for v in geometry.TETRA_VERTICES.values():
@@ -141,6 +149,49 @@ class TestTetrahedron:
     def test_nearest_vertex_tie_break(self):
         # the origin is equidistant from all four; label order wins
         assert geometry.nearest_vertex([0.0, 0.0, 0.0]).label == "v1"
+
+    def test_nearest_vertex_matches_the_norm_rule(self):
+        """The largest Bell weight picks the vertex the min-norm rule picks,
+        on 50,000 points drawn uniformly from the tetrahedron, and returns
+        the one Vertex of that label."""
+        rng = np.random.default_rng(5302)
+        vertices = np.array(list(geometry.TETRA_VERTICES.values()))
+        for t in rng.dirichlet(np.ones(4), size=50_000) @ vertices:
+            got = geometry.nearest_vertex(t)
+            assert got.label == nearest_vertex_by_norm(t)
+            assert got.coords is geometry.TETRA_VERTICES[got.label]
+
+    @pytest.mark.parametrize("t, label", [
+        ([0.0, 0.0, 1.0], "v1"), ([1.0, 0.0, 0.0], "v1"), ([0.0, -1.0, 0.0], "v1"),
+        ([0.0, 1.0, 0.0], "v2"), ([-1.0, 0.0, 0.0], "v2"), ([0.0, 0.0, -1.0], "v3"),
+        ([-1 / 3, 1 / 3, -1 / 3], "v2"), ([1 / 3, -1 / 3, -1 / 3], "v1"),
+        ([-1 / 3, -1 / 3, 1 / 3], "v1"), ([1 / 3, 1 / 3, 1 / 3], "v1")],
+        ids=["edge-v1-v2", "edge-v1-v3", "edge-v1-v4", "edge-v2-v3", "edge-v2-v4",
+             "edge-v3-v4", "face-not-v1", "face-not-v2", "face-not-v3", "face-not-v4"])
+    def test_exact_ties_go_by_label(self, t, label):
+        """Where Bell weights tie exactly, at the edge midpoints and the face
+        centres as at the origin, the first tied label wins."""
+        assert geometry.nearest_vertex(t).label == label
+
+    # at (inf, -inf, inf) v1.t is inf and the other three NaN: a test by
+    # min(v_k.t), which keeps its first operand against a NaN, reads inside
+    @pytest.mark.parametrize("t", [[np.nan, 0.0, 0.0], [0.0, 0.0, np.nan], [np.nan] * 3,
+                                   [np.inf, 0.0, 0.0], [np.inf, -np.inf, np.inf]])
+    def test_non_finite_is_outside(self, t):
+        assert geometry.in_tetrahedron(t) is False
+
+    def test_just_past_a_face(self):
+        """A face's tolerance is TETRA_TOL on n.t: a step along the face
+        normal n from the face centre to n.t = 1 + TETRA_TOL / 2 stays
+        inside, one to 1 + 2 TETRA_TOL is outside, and `nearest_vertex` says
+        so."""
+        for n in geometry.TETRA_FACE_NORMALS:
+            centre = n / 3  # n.centre = 1
+            assert geometry.in_tetrahedron(centre + n * (geometry.TETRA_TOL / 6))
+            past = centre + n * (2 * geometry.TETRA_TOL / 3)
+            assert not geometry.in_tetrahedron(past)
+            with pytest.raises(OutsideTetrahedron):
+                geometry.nearest_vertex(past)
 
     def test_nearest_vertex_outside_raises(self):
         with pytest.raises(OutsideTetrahedron):
@@ -191,7 +242,9 @@ class TestSurfaceMesh:
     def test_matches_loop_reference(self, body, n):
         rng = np.random.default_rng(100 + n)
         bloch = [(0.0, 0.0)] + [tuple(rng.uniform(-0.6, 0.6, size=2)) for _ in range(3)]
-        dropped = dict.fromkeys((0.0, PSD_TOL, 1e-3), 0)
+        # 9e-13 and 1e-12 = _T_KEEPS_ALL: the T filter just below and at the
+        # bound from which it is skipped
+        dropped = dict.fromkeys((0.0, 9e-13, geometry._T_KEEPS_ALL, PSD_TOL, 1e-3), 0)
         for r, s in bloch:
             candidates = _surface_candidates_loop(body, r, s, n)
             for psd_tol in dropped:
@@ -207,7 +260,29 @@ class TestSurfaceMesh:
             # of the moduli
             assert dropped[0.0] > 0
             if body == "T":
-                assert dropped[PSD_TOL] == 0
+                assert dropped[9e-13] == dropped[geometry._T_KEEPS_ALL] == dropped[PSD_TOL] == 0
+
+    @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.integers(2, 120))
+    @settings(max_examples=200)
+    def test_t_roots_pass_the_psd_check_from_the_bound(self, r, s, n):
+        """Every T footprint root passes `sheet_min` at psd_tol =
+        _T_KEEPS_ALL = 1e-12, which `surface_mesh` therefore skips there.  A
+        root zeroes its own branch to rounding, and the footprint test, which
+        admits M1 + M2 up to 2 + FOOTPRINT_SLACK, keeps the other at or
+        above -FOOTPRINT_SLACK / 4 to rounding: a 4x margin.  Checked on the
+        grid's moduli and on moduli a few ulp either side of the test's edge."""
+        assert geometry._T_KEEPS_ALL == spectra.FOOTPRINT_SLACK == 1e-12
+        floor = -(spectra.FOOTPRINT_SLACK + 4 * np.spacing(2.0)) / 4
+        assert floor >= -geometry._T_KEEPS_ALL / 3.99
+        axis = np.linspace(-1.0, 1.0, n)
+        m1, m2 = (m.ravel() for m in spectra.moduli(r, s, axis[:, None], axis[None, :]))
+        edge = np.linspace(0.0, 2.0, n)
+        edge_m2 = (2.0 + spectra.FOOTPRINT_SLACK) - edge
+        edge_m2 += np.resize(np.arange(-4, 5), n) * np.spacing(edge_m2)
+        for a, b in ((m1, m2), (edge, edge_m2)):
+            mu, nu, inside = spectra.boundary_roots(a, b)
+            for roots in (mu, nu):
+                assert (spectra.sheet_min(a[inside], b[inside], roots[inside]) >= floor).all()
 
     @pytest.mark.parametrize("body", ["T", "L"])
     def test_empty_mesh_keeps_shape(self, body):

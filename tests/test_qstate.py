@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from reegeom import qstate, ree, revmap
 from reegeom.errors import InvalidState
 
-from conftest import random_density_matrix, random_unitary, reference_frames, rotate
+from conftest import (extreme_range_matrix, random_density_matrix, random_unitary, reference_frames,
+                      rotate)
 
 OPS = (qstate.I2,) + qstate.PAULI  # sigma_0 = I, sigma_1..3
 
@@ -70,6 +71,17 @@ MALFORMED_PAULI = {
 }
 
 
+# every function that takes a spectrum of a matrix argument, or fits rho in
+# `recover`, each called on one matrix
+SPECTRUM_READERS = [
+    qstate.is_ppt, qstate.concurrence, revmap.g_matrix,
+    lambda m: revmap.family_from_css(m, 0.1),
+    lambda m: revmap.recover(m, qstate.BELL_STATES[0]),
+    lambda m: revmap.recover(np.diag([0.5, 0, 0, 0.5]), m)]
+SPECTRUM_READER_IDS = ["is_ppt", "concurrence", "g_matrix", "family_from_css",
+                       "recover-sigma", "recover-rho"]
+
+
 class TestValidation:
     def test_bell_states_valid(self):
         for b in qstate.BELL_STATES:
@@ -114,13 +126,7 @@ class TestValidation:
             qstate.validate_density_matrix(m)
         assert exc.value.invariant == "finite entries"
 
-    @pytest.mark.parametrize("call", [
-        qstate.is_ppt, qstate.concurrence, revmap.g_matrix,
-        lambda m: revmap.family_from_css(m, 0.1),
-        lambda m: revmap.recover(m, qstate.BELL_STATES[0]),
-        lambda m: revmap.recover(np.diag([0.5, 0, 0, 0.5]), m)],
-        ids=["is_ppt", "concurrence", "g_matrix", "family_from_css",
-             "recover-sigma", "recover-rho"])
+    @pytest.mark.parametrize("call", SPECTRUM_READERS, ids=SPECTRUM_READER_IDS)
     def test_non_finite_matrix_rejected(self, call):
         """Every function that takes a spectrum of a matrix, or fits rho in
         `recover`, raises InvalidState on a NaN entry, not LinAlgError or a
@@ -129,6 +135,31 @@ class TestValidation:
         with pytest.raises(InvalidState) as exc:
             call(m)
         assert exc.value.invariant == "finite entries" and exc.value.magnitude == 1
+
+    @pytest.mark.parametrize("call", SPECTRUM_READERS + [qstate.validate_density_matrix],
+                             ids=SPECTRUM_READER_IDS + ["validate_density_matrix"])
+    def test_eigen_solve_failure_rejected(self, call, monkeypatch):
+        """Where eigh does not converge, every function that takes a spectrum
+        of a matrix raises InvalidState with the largest entry of the
+        Hermitian part it read, not numpy's LinAlgError."""
+        def eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(InvalidState) as exc:
+            call(np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex))
+        # 0.5 here, and in the Bell state that recover(m, rho) reads first
+        assert exc.value.invariant == "convergent eigen-solve"
+        assert exc.value.magnitude == pytest.approx(0.5, abs=1e-15)
+
+    def test_extreme_range_draw(self):
+        """On draw 195 of `extreme_range_matrix`, where numpy's eigh fails to
+        converge on some machines, `is_ppt` answers or raises InvalidState."""
+        m = extreme_range_matrix(195)
+        try:
+            assert qstate.is_ppt(m) in (True, False)
+        except InvalidState as exc:
+            assert exc.invariant == "convergent eigen-solve" and exc.magnitude > 1e200
 
     @pytest.mark.parametrize("m", [np.eye(2) / 2, np.eye(3) / 3, np.array([np.eye(4) / 4] * 2),
                                    np.eye(4).ravel() / 4], ids=["2x2", "3x3", "2x4x4", "flat-16"])
