@@ -31,10 +31,10 @@ from .qstate import (
     PSD_TOL,
     PauliForm,
     _canonicalize,
+    _concurrence,
     _density,
-    concurrence,
+    _ppt,
     from_pauli,
-    is_ppt,
     su2_from_rotation,
     to_pauli,
 )
@@ -69,9 +69,10 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} in JSON input")
 
 
-def _read(path: str, parse, fmt: str) -> np.ndarray:
-    """The Hermitian part of the density matrix parse() builds from JSON of
-    format fmt in PATH, which every subcommand reads; bad JSON (a
+def _read(path: str, parse, fmt: str):
+    """The Hermitian part H of the density matrix parse() builds from JSON of
+    format fmt in PATH, which every subcommand reads, with the spectra (w, v)
+    of (H, H^Gamma) that validated it; bad JSON (a
     ValueError), a missing key, a top level that is not an object or a value
     of the wrong type (a TypeError), a wrong shape or an invalid state exits 2.
     parse() runs without floating-point warnings: an entry it overflows is
@@ -79,12 +80,12 @@ def _read(path: str, parse, fmt: str) -> np.ndarray:
     try:
         with open(path) as fh, np.errstate(all="ignore"):
             m = parse(json.load(fh, parse_constant=_reject_constant))
-        rho = _density(m)[0]
+        state = _density(m)
     except KeyError as exc:
         _fail(EXIT_INPUT_ERROR, f"{path}: missing key {exc}, expected {fmt}")
     except (InvalidState, ValueError, TypeError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-    return rho
+    return state
 
 
 def _state_matrix(obj: dict) -> np.ndarray:
@@ -102,8 +103,9 @@ def _pauli_matrix(obj: dict) -> np.ndarray:
     return from_pauli(PauliForm(r, s, g))
 
 
-def load_state(path: str) -> np.ndarray:
-    """The Hermitian part of the density matrix in a state JSON file; bad input exits 2."""
+def load_state(path: str):
+    """(H, (w, v)): the Hermitian part of the density matrix in a state JSON
+    file and the spectra of (H, H^Gamma); bad input exits 2."""
     return _read(path, _state_matrix, '{"re": [[4x4]], "im": [[4x4]]}')
 
 
@@ -178,7 +180,7 @@ OUT_JSON = click.option("--out", type=click.Path(dir_okay=False), default=None,
 @OUT_JSON
 def decompose(state, out):
     """Pauli decomposition, canonical frame, and basic invariants of STATE."""
-    rho = load_state(state)
+    rho, (w, v) = load_state(state)
     pf = to_pauli(rho)
     dpf, r_a, r_b = _canonicalize(pf)
     _emit({
@@ -189,9 +191,9 @@ def decompose(state, out):
                       "q": dpf.q.tolist()},
         "local_unitary": {"u_a": matrix_json(su2_from_rotation(r_a)),
                           "u_b": matrix_json(su2_from_rotation(r_b))},
-        "eigenvalues": np.linalg.eigvalsh(rho).tolist(),
-        "concurrence": concurrence(rho),
-        "ppt": bool(is_ppt(rho)),
+        "eigenvalues": w[0].tolist(),
+        "concurrence": _concurrence(w, v),
+        "ppt": _ppt(w),
     }, out)
 
 
@@ -200,7 +202,7 @@ def decompose(state, out):
 @OUT_JSON
 def reconstruct(pauli, out):
     """Rebuild the density matrix from a decompose output file."""
-    _emit(matrix_json(_read(pauli, _pauli_matrix, '{"r": [3], "s": [3], "g": [[3x3]]}')), out)
+    _emit(matrix_json(_read(pauli, _pauli_matrix, '{"r": [3], "s": [3], "g": [[3x3]]}')[0]), out)
 
 
 @main.command(name="css")
@@ -214,11 +216,11 @@ def css_cmd(state, method, bits, out):
     from . import css
     from .ree import ree_numeric
 
-    rho = load_state(state)
+    rho, (w, _) = load_state(state)
     unit = 1.0 / math.log(2.0) if bits else 1.0
     tag = None if method == "auto" else css.classify(rho)
     # a separable state of any family is its own CSS, route "ppt"
-    if method == "geometric" and tag.kind is css.FamilyKind.OTHER and not is_ppt(rho):
+    if method == "geometric" and tag.kind is css.FamilyKind.OTHER and not _ppt(w):
         _fail(EXIT_UNSUPPORTED, "state is outside the solvable families")
     if method == "numeric":
         rep = ree_numeric(rho)

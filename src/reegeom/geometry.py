@@ -83,7 +83,10 @@ class SurfaceMesh:
 
 def _vertex_dots(t: np.ndarray) -> list:
     """The four v_k.t in floats, in label order: t's Bell weights are
-    p_k = (1 + v_k.t) / 4."""
+    p_k = (1 + v_k.t) / 4.  Raises ValueError, naming t's shape, where t is
+    not three numbers."""
+    if t.shape != (3,):
+        raise ValueError(f"t must be three numbers, not an array of shape {t.shape}")
     x, y, z = t.tolist()
     return [x - y + z, -x + y + z, x + y - z, -x - y - z]
 
@@ -97,18 +100,19 @@ def _inside(dots: list) -> bool:
 def in_tetrahedron(t) -> bool:
     """Whether t lies in the tetrahedron: every face inequality n.t <= 1
     holds within TETRA_TOL, read as every Bell weight (1 + v_k.t) / 4 at
-    least -TETRA_TOL / 4.  False at a NaN entry."""
+    least -TETRA_TOL / 4.  False at a NaN entry; a t that is not three
+    numbers raises ValueError."""
     return _inside(_vertex_dots(np.asarray(t, dtype=float)))
 
 
 def nearest_vertex(t) -> Vertex:
     """Closest tetrahedron vertex to t: as |t - v_k|^2 = |t|^2 + 3 - 2 v_k.t,
     the vertex of the largest Bell weight, the first in label order where
-    weights tie.  A non-finite t raises ValueError, a t outside the
-    tetrahedron OutsideTetrahedron."""
+    weights tie.  A t that is not three numbers or not finite raises
+    ValueError, a t outside the tetrahedron OutsideTetrahedron."""
     t = np.asarray(t, dtype=float)
-    _require_finite(t=t)
     dots = _vertex_dots(t)
+    _require_finite(t=t)
     if not _inside(dots):
         raise OutsideTetrahedron(f"point {t} lies outside the tetrahedron")
     return _VERTICES[dots.index(max(dots))]

@@ -103,7 +103,7 @@ def _density(rho: np.ndarray):
 
 def to_pauli(rho: np.ndarray) -> PauliForm:
     """Bloch vectors r, s and correlation tensor g_ij = tr(rho sigma_i x sigma_j)."""
-    x = (_PAULI_ROWS @ np.asarray(rho, dtype=complex).reshape(16)).real
+    x = _to_coordinates(np.asarray(rho, dtype=complex))
     return PauliForm(x[3::4], x[:3], x[3:].reshape(3, 4)[:, 1:])
 
 
@@ -128,6 +128,12 @@ def _coordinates(r, s, g, dtype=float) -> np.ndarray:
     return x
 
 
+def _to_coordinates(m: np.ndarray) -> np.ndarray:
+    """The 15 Pauli coordinates x_k = Re tr(m P_k) of a 4x4 array m, unchecked:
+    the one place a state's coordinates are read, the inverse of `_from_coordinates`."""
+    return (_PAULI_ROWS @ m.reshape(16)).real
+
+
 def _from_coordinates(x: np.ndarray) -> np.ndarray:
     """sigma = I/4 + sum_k x_k P_k / 4 at 15 real Pauli coordinates x, unchecked:
     the one place a state is built from its coordinates.  Exactly Hermitian,
@@ -150,6 +156,11 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
 # gather: the flat indices of m, then where partial_transpose moves each of them
 _PT_PAIR = np.concatenate([np.arange(16), partial_transpose(np.arange(16.0).reshape(4, 4))
                            .real.ravel()]).astype(np.intp)
+
+
+# the derivatives of sigma(x) and sigma(x)^Gamma in x_k, flat, (2, 15, 16): [0, k] is
+# P_k / 4 and [1, k] its partial transpose, by a gather of _PT_PAIR
+_DIRECTIONS_FLAT = np.ascontiguousarray(_B_FLAT[:, _PT_PAIR].reshape(15, 2, 16).swapaxes(0, 1))
 
 
 def _state(m: np.ndarray):
@@ -202,7 +213,12 @@ def concurrence(rho: np.ndarray) -> float:
     2245 (1998)), which rounding near a zero p moves only to second order.
     Raises InvalidState where rho is not a finite 4x4 matrix, or where an
     eigenvalue of H overflows (entries near 1e308), with their count."""
-    (p, _), (v, _) = _state(rho)[1]
+    return _concurrence(*_state(rho)[1])
+
+
+def _concurrence(w: np.ndarray, vecs: np.ndarray) -> float:
+    """`concurrence` from the spectra w, vecs of (H, H^Gamma)."""
+    p, v = w[0], vecs[0]
     if not np.isfinite(p).all():
         raise InvalidState("finite eigenvalues", float(np.sum(~np.isfinite(p))))
     psi = v * np.sqrt(np.maximum(p, 0.0))

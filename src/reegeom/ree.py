@@ -10,6 +10,9 @@ Frank-Wolfe gap (Jaggi, ICML 2013), bounded through the barrier's dual,
 that brackets the minimum.  It is the independent oracle against which the
 geometric constructions are verified; `_certificate` forms that bound for it
 and, at the reverse map's multiplier too, for `directional_optimality_check`.
+The coordinates are `qstate`'s alone: `_to_coordinates` reads rho's,
+`_from_coordinates` builds sigma(x), `_pt_spectra` takes the spectra of
+sigma(x) and sigma(x)^Gamma, and `_DIRECTIONS_FLAT` holds their derivatives.
 
 `_fit` fits that multiplier Z of sigma^Gamma >= 0 to the stationarity
 condition rho = sigma - D_sigma(Z^Gamma) (Friedland & Gour, J. Math. Phys.
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (_B_FLAT, _EYE_FLAT, _PAULI_ROWS, _PT_PAIR, _density, _from_coordinates,
-                     _state, partial_transpose)
+from .qstate import (_DIRECTIONS_FLAT, _density, _from_coordinates, _pt_spectra, _state,
+                     _to_coordinates, partial_transpose)
 
 SUPPORT_TOL = 1e-12
 EDGE_TOL = 1e-8
@@ -49,8 +52,6 @@ HESSIAN_FLOOR = 1e-14  # diagonal shift of the Newton system, as a fraction of t
 DIVIDED_SPREAD = 1e-5  # relative spread below which a second divided difference takes its limit
 BRACKET_TOL = 1e-6  # widest bracket value - lower that counts as converged
 
-# _EYE_FLAT + x @ _DIRECTIONS_FLAT stacks sigma and sigma^Gamma at the Pauli coordinates x
-_DIRECTIONS_FLAT = np.ascontiguousarray(_B_FLAT[:, _PT_PAIR].reshape(15, 2, 16).swapaxes(0, 1))
 # index triples (lo, mid, hi) of the second divided differences, (3, 64), each
 # sorted ascending, so that they pick sorted triples out of eigh's ascending
 # spectrum; sorted in Python, because numpy's sort pages in 0.4 MB of code at
@@ -176,11 +177,6 @@ def _frame(v: np.ndarray) -> np.ndarray:
     return (v.conj()[..., None, :, None] * v[..., None, :, None, :]).reshape(*v.shape[:-2], 16, 16)
 
 
-def _spectra(x: np.ndarray):
-    """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of sigma(x) and sigma(x)^Gamma."""
-    return np.linalg.eigh((_EYE_FLAT + x @ _DIRECTIONS_FLAT).reshape(2, 4, 4))
-
-
 def _value(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray) -> float:
     """F = -tr(rho ln sigma) - mu [ln det sigma + ln det sigma^Gamma]; +inf
     outside sigma > 0, sigma^Gamma > 0."""
@@ -197,7 +193,7 @@ def _trial(rho: np.ndarray, mu: float, x: np.ndarray):
     one that leaves sigma > 0 or sigma^Gamma > 0 is."""
     if not np.isfinite(x).all():
         return None, None, math.inf
-    w, v = _spectra(x)
+    w, v = _pt_spectra(_from_coordinates(x))
     return w, v, _value(rho, mu, w, v)
 
 
@@ -279,8 +275,8 @@ def ree_numeric(rho: np.ndarray, cfg: OracleConfig | None = None) -> ReeReport:
     lam, mu0 = min(float(p[0]), float(p_pt[0])), MU_SCHEDULE[0]
     m = (mu0 - lam) / (0.25 - lam) if lam < mu0 else 0.0
     # rho's coordinates x_k = tr(rho sigma_a (x) sigma_b), scaled toward I/4 at x = 0
-    x = (1.0 - m) * (_PAULI_ROWS @ h.reshape(16)).real
-    w, v = _spectra(x)
+    x = (1.0 - m) * _to_coordinates(h)
+    w, v = _pt_spectra(_from_coordinates(x))
     steps = 0
     hess = None
     for mu_prev, mu in zip((None,) + MU_SCHEDULE, MU_SCHEDULE):

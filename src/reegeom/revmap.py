@@ -14,8 +14,10 @@ by the family's smallest eigenvalue, `spectra.branch_min`.
 of sigma^Gamma, from the multiplier Z of sigma^Gamma >= 0 that `ree._fit`
 fits in the stationarity condition rho = sigma - D_sigma(Z^Gamma), on G's
 rows from `ree._generators`.  `_newton` solves the map backwards, for sigma
-and x from rho, by damped Newton with a closed-form Jacobian; `_edge_css`
-decides whether `css.css_auto` takes its sigma, route "reverse-map".
+and x from rho, by damped Newton with a closed-form Jacobian in sigma's 15
+Pauli coordinates, which `qstate` alone reads (`_to_coordinates`) and builds
+on (`_from_coordinates`, `_DIRECTIONS_FLAT`); `_edge_css` decides whether
+`css.css_auto` takes its sigma, route "reverse-map".
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ import numpy as np
 
 from . import spectra
 from .errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
-from .qstate import (_PAULI_ROWS, PSD_TOL, _from_coordinates, _require_finite, _state,
-                     partial_transpose)
-from .ree import (_DIRECTIONS_FLAT, MAX_HALVINGS, SUPPORT_TOL, _certificate, _fit, _frame,
-                  _generators, _kernel, _log_divided2, _spectra)
+from .qstate import (_DIRECTIONS_FLAT, PSD_TOL, _from_coordinates, _pt_spectra,
+                     _require_finite, _state, _to_coordinates, partial_transpose)
+from .ree import (MAX_HALVINGS, SUPPORT_TOL, _certificate, _fit, _frame, _generators, _kernel,
+                  _log_divided2)
 
 # the Newton solve of the reverse map, `_newton`, and what route "reverse-map" accepts
 NEWTON_TOL = 1e-12  # largest |F|_2, at the solve's rounding floor, that it accepts
@@ -167,7 +169,7 @@ def _edge_residual(c, x, target, w, v):
     differences l1 of sigma's spectrum, G in sigma's eigenbasis and G's Pauli
     coordinates."""
     l1, (g_eig,) = _generators(w[0], v[0], v[1][:, :1])
-    g = (_PAULI_ROWS @ (v[0] @ g_eig @ v[0].conj().T).reshape(16)).real
+    g = _to_coordinates(v[0] @ g_eig @ v[0].conj().T)
     return np.append(c - x * g - target, w[1, 0]), l1, g_eig, g
 
 
@@ -213,7 +215,7 @@ def _newton(rho, w, v) -> _NewtonEnd:
     shrinks |F|_2 and ends the solve, at its rounding floor, as a singular
     Jacobian, a step that is not finite, MAX_HALVINGS halvings and
     NEWTON_STEPS steps do.  Converged means |F|_2 <= NEWTON_TOL at the end."""
-    target = (_PAULI_ROWS @ rho.reshape(16)).real
+    target = _to_coordinates(rho)
     p = -w[1, 0] / (0.25 - w[1, 0])
     c, x, ws, vs = (1 - p) * target, 0.0, (1 - p) * w + p / 4, v
     f, l1, g_eig, g = _edge_residual(c, x, target, ws, vs)
@@ -232,7 +234,7 @@ def _newton(rho, w, v) -> _NewtonEnd:
         t = 1.0
         for _ in range(1 if floor else MAX_HALVINGS):
             ct, xt = c + t * step[:15], x + t * step[15]
-            wt, vt = _spectra(ct)
+            wt, vt = _pt_spectra(_from_coordinates(ct))
             if wt[0, 0] > SUPPORT_TOL:
                 trial = _edge_residual(ct, xt, target, wt, vt)
                 trial_norm = float(np.linalg.norm(trial[0]))

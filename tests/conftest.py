@@ -44,6 +44,13 @@ def extreme_range_matrix(index: int) -> np.ndarray:
     return m
 
 
+def coordinate_spectra(x) -> tuple:
+    """Eigenvalues (2, 4) and eigenvectors (2, 4, 4) of sigma(x) and
+    sigma(x)^Gamma at 15 Pauli coordinates x, as the oracle and the reverse
+    map take them: `qstate._pt_spectra` of `qstate._from_coordinates(x)`."""
+    return qstate._pt_spectra(qstate._from_coordinates(x))
+
+
 def random_unitary(rng, n: int = 2) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)

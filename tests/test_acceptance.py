@@ -19,6 +19,7 @@ from reegeom.ree import (
 )
 
 from conftest import (
+    coordinate_spectra,
     entangled_random_state,
     generic_family_state,
     random_density_matrix,
@@ -278,14 +279,14 @@ def test_criterion_8_property_suite():
     sigma = 0.3 * random_density_matrix(rng) + 0.7 * np.eye(4) / 4
     x = (qstate.PAULI_BASIS.conj() @ sigma.reshape(16)).real[1:]
     mu = 1e-3
-    jac, _, _ = ree_mod._derivatives(rho, mu, *ree_mod._spectra(x))
+    jac, _, _ = ree_mod._derivatives(rho, mu, *coordinate_spectra(x))
     h, worst = 1e-6, 0.0
     for i in range(len(x)):
         xp = x.copy()
         xp[i] += h
-        fp = ree_mod._value(rho, mu, *ree_mod._spectra(xp))
+        fp = ree_mod._value(rho, mu, *coordinate_spectra(xp))
         xp[i] -= 2 * h
-        fm = ree_mod._value(rho, mu, *ree_mod._spectra(xp))
+        fm = ree_mod._value(rho, mu, *coordinate_spectra(xp))
         worst = max(worst, abs((fp - fm) / (2 * h) - jac[i])
                     / max(1.0, abs(jac[i])))
     ok &= worst <= 1e-6 * 10

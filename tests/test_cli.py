@@ -71,6 +71,29 @@ class TestDecompose:
             assert np.max(np.abs(pf.s - d["canonical"]["s"])) <= 1e-12
             assert np.max(np.abs(pf.g - np.diag(d["canonical"]["q"]))) <= 1e-12
 
+    def test_one_eigen_solve(self, runner, tmp_path, monkeypatch):
+        """One decompose runs one eigen-solve, the validating stack of (H,
+        H^Gamma), and prints its spectrum of H, the concurrence and the PPT
+        flag that the public readers give, bit for bit."""
+        rng = np.random.default_rng(54)
+        solves = []
+
+        def counted(name, fn):
+            return lambda *a, **k: solves.append(name) or fn(*a, **k)
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        for i, rho in enumerate([random_density_matrix(rng, rank) for rank in (1, 2, 4)]
+                                + [qstate.BELL_STATES[1], np.eye(4) / 4]):
+            p = write_state(tmp_path / f"{i}.json", rho)
+            solves.clear()
+            res = runner.invoke(cli.main, ["decompose", p])
+            assert res.exit_code == 0 and solves == ["eigh"]
+            d = json.loads(res.output)
+            h = cli.load_state(p)[0]
+            assert d["eigenvalues"] == qstate.validate_density_matrix(h)[0][0].tolist()
+            assert d["concurrence"] == qstate.concurrence(h) and d["ppt"] is qstate.is_ppt(h)
+
     def test_invalid_matrix_exit_2(self, runner, tmp_path):
         p = write_state(tmp_path / "bad.json", np.eye(4, dtype=complex))
         res = runner.invoke(cli.main, ["decompose", p])
@@ -94,7 +117,7 @@ class TestDecompose:
         assert runner.invoke(cli.main, ["decompose", p, "--out", str(pauli)]).exit_code == 0
         assert runner.invoke(cli.main, ["reconstruct", str(pauli),
                                         "--out", str(back)]).exit_code == 0
-        assert np.max(np.abs(cli.load_state(str(back)) - rho)) < 1e-12
+        assert np.max(np.abs(cli.load_state(str(back))[0] - rho)) < 1e-12
 
 
 class TestNonFiniteInput:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,16 @@ class TestTetrahedron:
     def test_nearest_vertex_outside_raises(self):
         with pytest.raises(OutsideTetrahedron):
             geometry.nearest_vertex([1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("shape", [(3, 1), (), (4,), (2,), (1, 3)])
+    @pytest.mark.parametrize("name", ["in_tetrahedron", "nearest_vertex"])
+    def test_rejects_t_not_three_numbers(self, name, shape):
+        """A t that is not three numbers raises one ValueError naming its
+        shape, a NaN entry included, and not a TypeError or an unpacking error."""
+        for fill in (0.1, np.nan):
+            with pytest.raises(ValueError, match=rf"^t must be three numbers, not an array "
+                                                 rf"of shape {re.escape(str(shape))}$"):
+                getattr(geometry, name)(np.full(shape, fill))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nearest_vertex_rejects_non_finite(self, bad):

@@ -55,47 +55,111 @@ def test_function_level_import_is_a_cycle(tmp_path):
         graphlib.TopologicalSorter(graph).prepare()
 
 
-PAULI_TABLES = ("PAULI_BASIS", "_PAULI_ROWS", "_B_FLAT", "_EYE_FLAT")
+PAULI_TABLES = ("PAULI_BASIS", "_PAULI_ROWS", "_B_FLAT", "_EYE_FLAT", "_PT_PAIR",
+                "_DIRECTIONS_FLAT")
+# the tables of the coordinate convention, which no module but qstate reads;
+# the oracle and the reverse map read the last, the derivatives of (sigma(x), sigma(x)^Gamma)
+QSTATE_ONLY = PAULI_TABLES[:-1]
 
 
 def pauli_table_use(package: Path):
     """For a flat package, the modules that assign each of PAULI_TABLES at
-    module level, and the modules that read PAULI_BASIS, by name, as an
-    attribute or in an import."""
-    assigned, readers = {name: set() for name in PAULI_TABLES}, set()
+    module level, and the modules that read each, by name, as an attribute
+    or in an import."""
+    assigned = {name: set() for name in PAULI_TABLES}
     for path in package.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
+        for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 for n in ast.walk(node):
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id in assigned:
                         assigned[n.id].add(path.stem)
-        for n in ast.walk(tree):
-            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == "PAULI_BASIS"
-                    or isinstance(n, ast.Attribute) and n.attr == "PAULI_BASIS"
-                    or isinstance(n, ast.alias) and n.name == "PAULI_BASIS"):
-                readers.add(path.stem)
+    readers = {name: {where.split(".")[0] for where in places}
+               for name, places in readers_of(package, PAULI_TABLES).items()}
     return assigned, readers
 
 
 def test_pauli_tables_live_in_qstate():
     """The map between a state and its 15 Pauli coordinates has one home:
-    only qstate assigns its tables and reads PAULI_BASIS, and every other
-    module imports the tables it reads."""
+    only qstate assigns its tables and reads those of the convention (row
+    order, the /4, the trace-free layout and the Gamma index map), and the
+    oracle and the reverse map import the one derivative table they read."""
     assigned, readers = pauli_table_use(PACKAGE)
     assert assigned == {name: {"qstate"} for name in PAULI_TABLES}
-    assert readers == {"qstate"}
+    assert {name: readers[name] for name in QSTATE_ONLY} == {name: {"qstate"}
+                                                            for name in QSTATE_ONLY}
+    assert readers["_DIRECTIONS_FLAT"] == {"ree", "revmap"}
 
 
 def test_planted_pauli_table_is_found(tmp_path):
-    """A table assigned by unpacking, and PAULI_BASIS imported under an alias
-    or read as an attribute, are found."""
+    """A table assigned by unpacking or with an annotation, and a table
+    imported under an alias or read as an attribute in a function, are found."""
     (tmp_path / "qstate.py").write_text("PAULI_BASIS = 1\n_PAULI_ROWS = _B_FLAT = _EYE_FLAT = PAULI_BASIS\n")
-    (tmp_path / "ree.py").write_text("from .qstate import PAULI_BASIS as P\n\n_B_FLAT, x = P, 0\n")
-    (tmp_path / "revmap.py").write_text("from . import qstate\n\ndef f():\n    return qstate.PAULI_BASIS\n")
+    (tmp_path / "ree.py").write_text("from .qstate import PAULI_BASIS as P\n\n_B_FLAT, x = P, 0\n"
+                                     "_DIRECTIONS_FLAT: int = 0\n")
+    (tmp_path / "revmap.py").write_text("from . import qstate\n\ndef f():\n"
+                                        "    return qstate.PAULI_BASIS + qstate._PT_PAIR\n")
     assigned, readers = pauli_table_use(tmp_path)
     assert assigned["_B_FLAT"] == {"qstate", "ree"} and assigned["_EYE_FLAT"] == {"qstate"}
-    assert readers == {"qstate", "ree", "revmap"}
+    assert assigned["_DIRECTIONS_FLAT"] == {"ree"} and assigned["_PT_PAIR"] == set()
+    assert readers["PAULI_BASIS"] == {"qstate", "ree", "revmap"}
+    assert readers["_PT_PAIR"] == {"revmap"} and readers["_B_FLAT"] == set()
+
+
+MATMULS = ("matmul", "dot", "tensordot", "einsum", "inner", "vdot")
+
+
+def pauli_rows_products(package: Path):
+    """For a flat package, the places that multiply by `_PAULI_ROWS`, by name
+    or as an attribute: an @ with it in either operand, or a call of one of
+    MATMULS, as a function or a method, with it in the object or an
+    argument.  "module.function" or "module.Class" for a top-level
+    definition's body, "module" for the rest."""
+    def rows(node):
+        return any(isinstance(n, ast.Name) and n.id == "_PAULI_ROWS"
+                   or isinstance(n, ast.Attribute) and n.attr == "_PAULI_ROWS"
+                   for n in ast.walk(node))
+
+    found = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            named_top = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            where = f"{path.stem}.{top.name}" if named_top else path.stem
+            for n in ast.walk(top):
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult):
+                    operands = [n.left, n.right]
+                elif isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                    func = n.func
+                    name = func.id if isinstance(func, ast.Name) else func.attr
+                    operands = (n.args + ([func.value] if isinstance(func, ast.Attribute) else [])
+                                if name in MATMULS else [])
+                else:
+                    continue
+                if any(rows(op) for op in operands):
+                    found.add(where)
+    return found
+
+
+def test_one_coordinate_reader():
+    """A state's 15 Pauli coordinates are read in one place,
+    qstate._to_coordinates, which `to_pauli`, the oracle's start and the
+    reverse map's target and G call."""
+    assert pauli_rows_products(PACKAGE) == {"qstate._to_coordinates"}
+    assert readers_of(PACKAGE, ("_to_coordinates",))["_to_coordinates"] >= {
+        "qstate.to_pauli", "ree.ree_numeric", "revmap._newton", "revmap._edge_residual"}
+
+
+def test_planted_coordinate_reader_is_found(tmp_path):
+    """An @ on either side, of the table or its transpose, np.dot and a .dot
+    method with the table as an attribute are found; a sum with the table
+    is not."""
+    (tmp_path / "ree.py").write_text(
+        "def start(h):\n    return (_PAULI_ROWS @ h.reshape(16)).real\n\n\n"
+        "def target(h):\n    return np.dot(q._PAULI_ROWS, h)\n\n\n"
+        "def shift(h):\n    return _PAULI_ROWS + h\n")
+    (tmp_path / "revmap.py").write_text(
+        "G = h.ravel() @ qstate._PAULI_ROWS.T\n\n\n"
+        "class Solve:\n    def f(self, h):\n        return qstate._PAULI_ROWS.dot(h)\n")
+    assert pauli_rows_products(tmp_path) == {"ree.start", "ree.target", "revmap", "revmap.Solve"}
 
 
 BOUND_PIECES = ("_dual_floor", "_log_gradient")
@@ -144,10 +208,11 @@ def test_planted_bound_reader_is_found(tmp_path):
 
 
 def state_builders(package: Path):
-    """For a flat package, the places that form `_EYE_FLAT + ... @ _B_FLAT`,
-    a sum of _EYE_FLAT and a product by _B_FLAT in either order, each table
-    by name or as an attribute: "module.function" or "module.Class" for a
-    top-level definition's body, "module" for the rest."""
+    """For a flat package, the places that form `_EYE_FLAT + ... @ <table>`,
+    a sum of _EYE_FLAT and a product by any table in either order, such as
+    _B_FLAT or _DIRECTIONS_FLAT, _EYE_FLAT by name or as an attribute:
+    "module.function" or "module.Class" for a top-level definition's body,
+    "module" for the rest."""
     def named(node, name):
         return (isinstance(node, ast.Name) and node.id == name
                 or isinstance(node, ast.Attribute) and node.attr == name)
@@ -160,7 +225,7 @@ def state_builders(package: Path):
             for n in ast.walk(top):
                 if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add) and any(
                         named(eye, "_EYE_FLAT") and isinstance(product, ast.BinOp)
-                        and isinstance(product.op, ast.MatMult) and named(product.right, "_B_FLAT")
+                        and isinstance(product.op, ast.MatMult)
                         for eye, product in ((n.left, n.right), (n.right, n.left))):
                     found.add(where)
     return found
@@ -169,26 +234,29 @@ def state_builders(package: Path):
 def test_one_state_builder():
     """sigma = I/4 + sum_k x_k P_k / 4 is formed in one place,
     qstate._from_coordinates, which `from_pauli`, the closed-form and route
-    "ppt" CSS of css._solve, the oracle's end and the reverse map's CSS
-    call; css._solve calls no `from_pauli`, and the canonical frame's
-    handedness takes no np.linalg.det."""
+    "ppt" CSS of css._solve, the oracle's start, trials and end and the
+    reverse map's trials and CSS call; no second builder stacks sigma with
+    sigma^Gamma on another table, css._solve calls no `from_pauli`, and the
+    canonical frame's handedness takes no np.linalg.det."""
     assert state_builders(PACKAGE) == {"qstate._from_coordinates"}
     read = readers_of(PACKAGE, ("_from_coordinates", "from_pauli", "det"))
     assert read["_from_coordinates"] >= {"qstate.from_pauli", "css._solve", "ree.ree_numeric",
-                                         "revmap._edge_css"}
+                                         "ree._trial", "revmap._newton", "revmap._edge_css"}
     assert "css._solve" not in read["from_pauli"]
     assert "qstate._canonicalize" not in read["det"]
 
 
 def test_planted_state_builder_is_found(tmp_path):
-    """Either order of the sum and tables read as attributes are found; a sum
-    on another table is not."""
+    """Either order of the sum, a product by any table, such as the stack of
+    sigma and sigma^Gamma on _DIRECTIONS_FLAT, and tables read as attributes
+    are found; a sum with an elementwise product is not."""
     (tmp_path / "ree.py").write_text(
         "def end(x):\n    return (_EYE_FLAT + x @ _B_FLAT).reshape(4, 4)\n\n\n"
         "def stack(x):\n    return _EYE_FLAT + x @ _DIRECTIONS_FLAT\n\n\n"
-        "class Oracle:\n    def end(self, x):\n        return x.real @ q._B_FLAT + q._EYE_FLAT\n")
+        "class Oracle:\n    def end(self, x):\n        return x.real @ q._B_FLAT + q._EYE_FLAT\n\n\n"
+        "def scaled(x):\n    return _EYE_FLAT + x * _B_FLAT\n")
     (tmp_path / "revmap.py").write_text("SIGMA = qstate._EYE_FLAT + C @ qstate._B_FLAT\n")
-    assert state_builders(tmp_path) == {"ree.end", "ree.Oracle", "revmap"}
+    assert state_builders(tmp_path) == {"ree.end", "ree.stack", "ree.Oracle", "revmap"}
 
 
 STACKERS = ("array", "stack", "concatenate", "vstack", "asarray")

@@ -241,14 +241,13 @@ class TestPauliDecomposition:
 
     def test_one_pauli_rows_table(self):
         """`ree` and `revmap` read Pauli coordinates through qstate's one
-        table, and rebuild states through its one builder (`ree` also stacks
-        sigma^Gamma on its two tables), and `to_pauli`'s 15 rows of it give
-        the bits of the full 16-row product it replaced."""
-        assert ree._PAULI_ROWS is qstate._PAULI_ROWS
-        assert revmap._PAULI_ROWS is qstate._PAULI_ROWS
-        for table in ("_B_FLAT", "_EYE_FLAT"):
-            assert getattr(ree, table) is getattr(qstate, table)
+        reader, rebuild states through its one builder and take their
+        derivatives from its one table, and `to_pauli`'s 15 rows of
+        `_to_coordinates` give the bits of the full 16-row product it
+        replaced."""
+        assert ree._to_coordinates is revmap._to_coordinates is qstate._to_coordinates
         assert ree._from_coordinates is revmap._from_coordinates is qstate._from_coordinates
+        assert ree._DIRECTIONS_FLAT is revmap._DIRECTIONS_FLAT is qstate._DIRECTIONS_FLAT
         rng = np.random.default_rng(39)
         for _ in range(1000):
             h = random_hermitian(rng)
@@ -256,6 +255,7 @@ class TestPauliDecomposition:
             p = qstate.to_pauli(h)
             for got, want in zip((p.r, p.s, p.g), (c[1:, 0], c[0, 1:], c[1:, 1:])):
                 assert np.array_equal(got, want)
+            assert np.array_equal(qstate._to_coordinates(h), c.reshape(16)[1:])
 
     def test_from_pauli_is_the_solvers_arithmetic(self):
         """`from_pauli` of the blocks of x is _EYE_FLAT + x @ _B_FLAT, the

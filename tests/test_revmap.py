@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from reegeom import css, ree, revmap, spectra
+from reegeom import css, qstate, ree, revmap, spectra
 from reegeom.errors import DegenerateZ, NotEdgeState, ParallelLines, RankDeficient
 from reegeom.qstate import PSD_TOL, partial_transpose, to_pauli, validate_density_matrix
 from reegeom.ree import _log_divided, ree_numeric
 from reegeom.revmap import SigmaZParams
 
-from conftest import generic_edge_state, physical_range, random_density_matrix
+from conftest import coordinate_spectra, generic_edge_state, physical_range, random_density_matrix
 
 
 def bell_diagonal_params(a):
@@ -536,7 +536,7 @@ class TestRecovery:
 def edge_jacobian_reference(x, w, v, l1, g_eig, g):
     """`revmap._edge_jacobian` as it conjugated each of the 15 directions and
     dG terms into sigma's eigenbasis by V^dagger X V, kept as its reference."""
-    directions = revmap._DIRECTIONS_FLAT.reshape(2, 15, 4, 4)
+    directions = qstate._DIRECTIONS_FLAT.reshape(2, 15, 4, 4)
     vs, vh, a, u = v[0], v[0].conj().T, w[1], v[1]
     phi = u[:, 0]
     e_phi = directions[1] @ phi
@@ -563,22 +563,22 @@ class TestNewton:
         closed-form Jacobian is within 1e-7 of central differences (h =
         1e-7, whose own error is about 1e-9), relative to its largest entry."""
         rng = np.random.default_rng(5)
-        rows = revmap._PAULI_ROWS
         worst = 0.0
         for _ in range(20):
             sigma, rho = generic_edge_state(rng), generic_edge_state(rng)
-            c = (rows @ sigma.reshape(16)).real + 1e-3 * rng.normal(size=15)
-            target = (rows @ rho.reshape(16)).real
-            w, v = revmap._spectra(c)
+            c = qstate._to_coordinates(sigma) + 1e-3 * rng.normal(size=15)
+            target = qstate._to_coordinates(rho)
+            w, v = coordinate_spectra(c)
             _, l1, g_eig, g = revmap._edge_residual(c, 0.3, target, w, v)
             jac = revmap._edge_jacobian(0.3, w, v, l1, g_eig, g)
             diff = np.empty((16, 16))
             for k in range(16):
                 h = 1e-7 * np.eye(16)[k]
                 plus, minus = c + h[:15], c - h[:15]
-                f_plus = revmap._edge_residual(plus, 0.3 + h[15], target, *revmap._spectra(plus))
+                f_plus = revmap._edge_residual(plus, 0.3 + h[15], target,
+                                               *coordinate_spectra(plus))
                 f_minus = revmap._edge_residual(minus, 0.3 - h[15], target,
-                                                *revmap._spectra(minus))
+                                                *coordinate_spectra(minus))
                 diff[:, k] = (f_plus[0] - f_minus[0]) / 2e-7
             worst = max(worst, np.abs(diff - jac).max() / np.abs(jac).max())
         assert worst <= 1e-7
@@ -591,8 +591,8 @@ class TestNewton:
         rng = np.random.default_rng(40)
         worst = 0.0
         for _ in range(500):
-            c = (revmap._PAULI_ROWS @ random_density_matrix(rng).reshape(16)).real
-            w, v = revmap._spectra(c)
+            c = qstate._to_coordinates(random_density_matrix(rng))
+            w, v = coordinate_spectra(c)
             _, l1, g_eig, g = revmap._edge_residual(c, 0.3, c, w, v)
             got = revmap._edge_jacobian(0.3, w, v, l1, g_eig, g)
             want = edge_jacobian_reference(0.3, w, v, l1, g_eig, g)
@@ -603,7 +603,7 @@ class TestNewton:
         """The solve builds G(sigma) with `g_matrix`'s builder: at the Newton
         ends of entangled random states of rank 2-4, wherever sigma^Gamma has
         one kernel vector at EDGE_TOL (266 of them), the residual's G
-        coordinates are _PAULI_ROWS @ g_matrix(sigma), bit for bit."""
+        coordinates are `qstate._to_coordinates(g_matrix(sigma))`, bit for bit."""
         rng = np.random.default_rng(42)
         ends = 0
         for _ in range(300):
@@ -612,12 +612,12 @@ class TestNewton:
             if w[1, 0] >= -PSD_TOL:
                 continue
             end = revmap._newton(rho, w, v)
-            sigma = (ree._EYE_FLAT + end.c @ ree._B_FLAT).reshape(4, 4)
+            sigma = qstate._from_coordinates(end.c)
             if np.count_nonzero(np.abs(np.linalg.eigvalsh(partial_transpose(sigma)))
                                 <= ree.EDGE_TOL) != 1:
                 continue
             g = revmap._edge_residual(end.c, end.x, end.c, end.w, end.v)[3]
-            want = (revmap._PAULI_ROWS @ revmap.g_matrix(sigma).reshape(16)).real
+            want = qstate._to_coordinates(revmap.g_matrix(sigma))
             assert np.array_equal(g, want)
             ends += 1
         assert ends >= 250
@@ -633,7 +633,7 @@ class TestNewton:
             end = revmap._newton(rho, *validate_density_matrix(rho))
             assert end.converged and end.residual <= revmap.NEWTON_TOL
             assert 0 < end.jacobians <= revmap.NEWTON_STEPS
-            got = (ree._EYE_FLAT + end.c @ ree._B_FLAT).reshape(4, 4)
+            got = qstate._from_coordinates(end.c)
             assert np.abs(got - sigma).max() <= 1e-12 and abs(end.x - x) <= 1e-10
 
     def test_negative_multiplier_falls_back_to_the_oracle(self, monkeypatch):
